@@ -27,7 +27,6 @@ from .divergences import (
     d_max,
     d_min,
     d_umegaki,
-    dpi_region_contains,
     q_alpha_z,
 )
 from .certificates import (
@@ -69,7 +68,6 @@ from .minimizers import (
     SimplexSolution,
     SolverOptions,
     conditional_entropy_mc,
-    golden_section_1d,
     minimize_conditional_mc,
     minimize_incoherent,
     minimize_mc,

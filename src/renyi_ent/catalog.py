@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import AlphaZ
+from .divergences import AlphaZ, _require_dpi
 from .linalg import (
     DensityMatrix,
     density,
@@ -29,6 +29,8 @@ PROB_ATOL = 1e-12
 
 def _check_prob_vector(p: tuple[float, ...], what: str) -> None:
     arr = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries: {p}")
     if np.any(arr < -PROB_ATOL):
         raise ValueError(f"{what} has negative entries: {p}")
     if abs(float(arr.sum()) - 1.0) > PROB_ATOL:
@@ -261,26 +263,21 @@ def mcbd_basis(d: int) -> list[np.ndarray]:
     return out
 
 
-def _dicke_vector(N: int, k: tuple[int, ...]) -> np.ndarray:
-    d = len(k)
-    v = np.zeros(d**N)
-    for idx in np.ndindex(*([d] * N)):
+def _occupation_types(N: int, d: int) -> dict[tuple[int, ...], list[int]]:
+    """Flat product-basis indices of N d-level parties, grouped by occupation numbers."""
+    types: dict[tuple[int, ...], list[int]] = {}
+    for flat, idx in enumerate(np.ndindex(*([d] * N))):
         counts = [0] * d
         for x in idx:
             counts[x] += 1
-        if tuple(counts) == tuple(k):
-            flat = 0
-            for x in idx:
-                flat = flat * d + x
-            v[flat] = 1.0
+        types.setdefault(tuple(counts), []).append(flat)
+    return types
+
+
+def _dicke_vector(N: int, k: tuple[int, ...]) -> np.ndarray:
+    v = np.zeros(len(k) ** N)
+    v[_occupation_types(N, len(k))[tuple(k)]] = 1.0
     return v / np.linalg.norm(v)
-
-
-def _multinomial(N: int, k: tuple[int, ...]) -> float:
-    out = math.factorial(N)
-    for x in k:
-        out //= math.factorial(x)
-    return float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +349,17 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
     All families depend on (alpha, z) only through alpha, except pure states
     (and GHZ trivially), which depend on beta = z/(z - 1 + alpha).
     """
-    if not p.in_dpi_region:
-        raise ValueError(f"(alpha, z) = ({p.alpha}, {p.z}) lies outside the DPI region")
+    _require_dpi(p)
     a = p.alpha
+    if isinstance(family, (BellDiagonal, Werner, Isotropic)) and is_separable_regime(family):
+        return 0.0
     if isinstance(family, BellDiagonal):
         lmax = max(family.lambdas)
-        if lmax <= 0.5:
-            return 0.0
         return 1.0 - renyi_entropy((lmax, 1.0 - lmax), a)
     if isinstance(family, Werner):
-        if family.p >= 0.5:
-            return 0.0
         return 1.0 - renyi_entropy((family.p, 1.0 - family.p), a)
     if isinstance(family, Isotropic):
         F, d = family.F, family.d
-        if F <= 1.0 / d:
-            return 0.0
         if abs(a - 1.0) <= 1e-14:
             # alpha -> 1 limit of the table entry, avoiding the 0/0 exponent
             out = math.log2(d)
@@ -378,16 +370,12 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
         return math.log2(d) - renyi_entropy(
             ((1.0 - F) / (d - 1.0) ** ((a - 1.0) / a), F), a
         )
-    if isinstance(family, (PureBipartite, GHZ)):
-        if isinstance(family, GHZ):
-            return math.log2(family.d)
+    if isinstance(family, GHZ):
+        return math.log2(family.d)
+    if isinstance(family, PureBipartite):
         return renyi_entropy(family.p, beta_dual(p))
     if isinstance(family, Dicke):
-        weight = _multinomial(family.N, family.k)
-        for kj in family.k:
-            if kj > 0:
-                weight *= (kj / family.N) ** kj
-        return -math.log2(weight)
+        return -math.log2(lambda_sq_closed_form(family))
     if isinstance(family, MCBD):
         return math.log2(family.d) - renyi_entropy(family.p, a)
     if isinstance(family, AntisymPair):
@@ -462,10 +450,9 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
         return build(Werner(0.5, family.d))
     if isinstance(family, Isotropic):
         return build(Isotropic(1.0 / family.d, family.d))
-    if isinstance(family, (PureBipartite, GHZ)):
-        if isinstance(family, GHZ):
-            weights = np.full(family.d, 1.0 / family.d)
-            return _diag_pairs_state(weights, family.d, family.M)
+    if isinstance(family, GHZ):
+        return _diag_pairs_state(np.full(family.d, 1.0 / family.d), family.d, family.M)
+    if isinstance(family, PureBipartite):
         beta = beta_dual(p)
         pv = np.asarray(family.p)
         if math.isinf(beta):
@@ -483,17 +470,8 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
         proj = np.outer(xi_vec, xi_vec)
         # dephase in total occupation type: zero every cross-type block,
         # which realizes the phase-average integral exactly
-        types = {}
-        for idx in np.ndindex(*([d] * N)):
-            counts = [0] * d
-            for x in idx:
-                counts[x] += 1
-            flat = 0
-            for x in idx:
-                flat = flat * d + x
-            types.setdefault(tuple(counts), []).append(flat)
         m = np.zeros_like(proj)
-        for members in types.values():
+        for members in _occupation_types(N, d).values():
             block = np.ix_(members, members)
             m[block] = proj[block]
         return density(m, (d,) * N)
@@ -539,7 +517,7 @@ def lambda_sq_closed_form(family: StateFamily) -> float:
             raise ValueError(f"isotropic Lambda^2 formula needs F >= 1/d^2, got F = {F}")
         return (F * d + 1.0) / (d * (d + 1.0))
     if isinstance(family, Dicke):
-        weight = _multinomial(family.N, family.k)
+        weight = float(math.factorial(family.N) // math.prod(math.factorial(x) for x in family.k))
         for kj in family.k:
             if kj > 0:
                 weight *= (kj / family.N) ** kj
@@ -549,10 +527,11 @@ def lambda_sq_closed_form(family: StateFamily) -> float:
     if isinstance(family, AntisymPair):
         d = family.d
         return (d - 1.0) / (2.0 * d) * (2.0 / (d * (d - 1.0))) ** 2
-    if isinstance(family, (PureBipartite, GHZ)):
-        # the product-basis state |l...l> at the largest Schmidt weight attains it
-        if isinstance(family, GHZ):
-            return 1.0 / family.d
+    # for pure states the product-basis state |l...l> at the largest Schmidt
+    # weight attains it
+    if isinstance(family, GHZ):
+        return 1.0 / family.d
+    if isinstance(family, PureBipartite):
         return float(max(family.p))
     raise TypeError(f"no closed-form Lambda^2 for {family!r}")
 

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergences import AlphaZ, d_alpha_z, q_alpha_z
+from .divergences import LINE_ATOL, AlphaZ, _require_dpi, d_alpha_z, q_alpha_z
 from .linalg import (
     DEFAULT_REL_CUT,
     DensityMatrix,
     HermitianOperator,
+    _power,
+    _support_mask,
     as_operator,
     hermitian_part,
     support_projector,
@@ -30,24 +30,12 @@ from .linalg import (
     wrap,
 )
 
-LINE_ATOL = 1e-12
 COMMUTING_TOL = 1e-10
 DEGENERACY_RTOL = 1e-12
 SUPPORT_TOL = 1e-8
 TOL_CERT_REL = 1e-7
 
 Operator = HermitianOperator | DensityMatrix
-
-
-def _power(m: np.ndarray, p: float, rel_cut: float) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    top = max(float(w[-1]), 0.0)
-    if top <= 0.0:
-        return np.zeros_like(m)
-    keep = w > rel_cut * top
-    pw = np.zeros_like(w)
-    pw[keep] = w[keep] ** p
-    return (v * pw) @ v.conj().T
 
 
 def commutator_maxnorm(a: Operator, b: Operator) -> float:
@@ -158,7 +146,7 @@ def xi(
     else:
         chi_m = _chi_entries(rho_op.entries, tau_m, p.alpha, p.z, rel_cut)
     w, u = np.linalg.eigh(tau_m)
-    t = np.where(w > rel_cut * float(w[-1]), w, 0.0)
+    t = np.where(_support_mask(w, rel_cut), w, 0.0)
     phi = _phi_divided_difference(t, beta)
     coeff = u.conj().T @ chi_m @ u
     m = u @ (phi * coeff) @ u.conj().T
@@ -192,14 +180,6 @@ class OverlapResult:
     value: float
     witness: tuple[np.ndarray, ...]
     restart_values: tuple[float, ...]
-
-
-def _thread_count() -> int:
-    try:
-        n = int(os.environ.get("RENYI_ENT_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 def _local_matrix_subscripts(nparties: int) -> list[str]:
@@ -273,8 +253,7 @@ def max_product_overlap(
     the rank-one alignment of the top eigenvector of Xi; the remaining
     restarts use seeded random product vectors. The returned value is a
     certified lower bound on Lambda^2; the multi-start is a heuristic for
-    global optimality. Set RENYI_ENT_THREADS to run restarts in parallel
-    (the reduction is deterministic either way).
+    global optimality.
     """
     h = as_operator(op)
     dims = h.dims
@@ -295,12 +274,7 @@ def max_product_overlap(
                 vecs.append(v / np.linalg.norm(v))
         return _alternating_ascent(tensor, dims, subs, vecs, max_iters, tol)
 
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(restarts)))
-    else:
-        results = [run(r) for r in range(restarts)]
+    results = [run(r) for r in range(restarts)]
 
     values = np.array([res[0] for res in results])
     best = int(np.argmax(values))  # ties resolve to the lowest restart index
@@ -309,14 +283,6 @@ def max_product_overlap(
         witness=tuple(results[best][1]),
         restart_values=tuple(float(x) for x in values),
     )
-
-
-def product_overlap_value(op: Operator, vecs) -> float:
-    """Evaluate <v1...vN| op |v1...vN> for per-party vectors."""
-    full = vecs[0]
-    for v in vecs[1:]:
-        full = np.kron(full, v)
-    return float((full.conj() @ as_operator(op).entries @ full).real)
 
 
 def product_overlap_grid(
@@ -405,12 +371,42 @@ class CertificateReport:
     restart_values: tuple[float, ...] = field(default_factory=tuple)
 
 
-def _verdict(support_ok: bool, margin: float, tol_cert: float) -> str:
+def _report(
+    rho: DensityMatrix,
+    tau: Operator,
+    p: AlphaZ,
+    rel_cut: float,
+    support_ok: bool,
+    lam: float,
+    q: float,
+    **fields,
+) -> CertificateReport:
+    """Judge margin = q - lam against tol_cert = 1e-7 * q and assemble the report.
+
+    ``value`` is D_{alpha,z}(rho || tau), evaluated only for a certified tau;
+    ``fields`` are the remaining report fields (free set, witness, route, ...).
+    """
+    margin = q - lam
+    tol_cert = TOL_CERT_REL * q if math.isfinite(q) else TOL_CERT_REL
     if not support_ok or margin < -10.0 * tol_cert:
-        return "refuted"
-    if margin >= -tol_cert:
-        return "certified-optimal"
-    return "inconclusive"
+        verdict = "refuted"
+    elif margin >= -tol_cert:
+        verdict = "certified-optimal"
+    else:
+        verdict = "inconclusive"
+    value = d_alpha_z(rho, tau, p, rel_cut) if verdict == "certified-optimal" else None
+    return CertificateReport(
+        alpha=p.alpha,
+        z=p.z,
+        support_ok=support_ok,
+        lambda_sq=lam,
+        q_value=q,
+        margin=margin,
+        verdict=verdict,
+        tol_cert=tol_cert,
+        value=value,
+        **fields,
+    )
 
 
 def certify_optimizer(
@@ -432,11 +428,7 @@ def certify_optimizer(
     extreme points are basis states, so Lambda^2 is the largest diagonal entry
     of Xi in the coherence basis (identity by default).
     """
-    if not p.in_dpi_region:
-        raise ValueError(
-            f"(alpha, z) = ({p.alpha}, {p.z}) lies outside the DPI region; "
-            "the certification conditions require joint concavity/convexity"
-        )
+    _require_dpi(p)  # the certification conditions need joint concavity/convexity
     if free_set not in ("sep", "incoherent"):
         raise ValueError(f"unknown free set {free_set!r}")
 
@@ -454,24 +446,9 @@ def certify_optimizer(
         best = int(np.argmax(diag))
         lam, witness = float(diag[best]), (basis[:, best].copy(),)
 
-    margin = q - lam
-    tol_cert = TOL_CERT_REL * q if math.isfinite(q) else TOL_CERT_REL
-    verdict = _verdict(support_ok, margin, tol_cert)
-    value = d_alpha_z(rho, tau, p, rel_cut) if verdict == "certified-optimal" else None
-    return CertificateReport(
-        alpha=p.alpha,
-        z=p.z,
-        free_set=free_set,
-        support_ok=support_ok,
-        lambda_sq=lam,
-        q_value=q,
-        margin=margin,
-        verdict=verdict,
-        witness=witness,
-        tol_cert=tol_cert,
-        route=ev.route,
-        beta=ev.beta,
-        value=value,
+    return _report(
+        rho, tau, p, rel_cut, support_ok, lam, q,
+        free_set=free_set, witness=witness, route=ev.route, beta=ev.beta,
         restart_values=restart_values,
     )
 
@@ -513,8 +490,7 @@ def marginal_condition_mc(
     max_l t_l^((1-alpha)/z - 1) <ll| chi(rho, tau) |ll> <= Q(rho || tau),
     so no Lambda^2 search is needed. lambda_sq reports the left-hand maximum.
     """
-    if not p.in_dpi_region:
-        raise ValueError(f"(alpha, z) = ({p.alpha}, {p.z}) lies outside the DPI region")
+    _require_dpi(p)
     if not is_maximally_correlated(rho):
         raise ValueError("rho is not maximally correlated in the declared basis")
     d = rho.dims[0]
@@ -530,41 +506,23 @@ def marginal_condition_mc(
         diag_rho = np.real(rho.entries[idx, idx])
         scores = np.full(d, -math.inf)
         scores[live] = diag_rho[live] / t[live]
-        q = 1.0
     elif abs(abs(beta) - 1.0) <= LINE_ATOL:
         chi_b = _chi_entries(rho.entries, as_operator(tau).entries, p.alpha, 1.0 - p.alpha, rel_cut)
         scores = np.real(chi_b[idx, idx])
-        q = q_alpha_z(rho, tau, p, rel_cut)
     else:
         chi_m = _chi_entries(rho.entries, as_operator(tau).entries, p.alpha, p.z, rel_cut)
         diag_chi = np.real(chi_m[idx, idx])
         scores = np.full(d, -math.inf)
         scores[live] = t[live] ** (beta - 1.0) * diag_chi[live]
-        q = q_alpha_z(rho, tau, p, rel_cut)
+    q = 1.0 if p.on_umegaki_line else q_alpha_z(rho, tau, p, rel_cut)
 
     best = int(np.argmax(scores))
     lam = float(scores[best])
     basis_vec = np.zeros(d, dtype=complex)
     basis_vec[best] = 1.0
-    support_ok = in_support_set(rho, tau, p, rel_cut)
-    margin = q - lam
-    tol_cert = TOL_CERT_REL * q if math.isfinite(q) else TOL_CERT_REL
-    verdict = _verdict(support_ok, margin, tol_cert)
-    value = d_alpha_z(rho, tau, p, rel_cut) if verdict == "certified-optimal" else None
-    return CertificateReport(
-        alpha=p.alpha,
-        z=p.z,
-        free_set="mc-diagonal",
-        support_ok=support_ok,
-        lambda_sq=lam,
-        q_value=q,
-        margin=margin,
-        verdict=verdict,
-        witness=(basis_vec, basis_vec.copy()),
-        tol_cert=tol_cert,
-        route="mc-marginal",
-        beta=beta,
-        value=value,
+    return _report(
+        rho, tau, p, rel_cut, in_support_set(rho, tau, p, rel_cut), lam, q,
+        free_set="mc-diagonal", witness=(basis_vec, basis_vec.copy()), route="mc-marginal", beta=beta,
     )
 
 

@@ -3,8 +3,7 @@ Table-1 reproduction, and additivity / counterexample experiments.
 
 All commands are deterministic given their flags (seeds are explicit) and
 print machine-readable JSON or write CSV. Nonzero exit codes occur exactly
-when input is malformed or a stated tolerance fails. The environment variable
-RENYI_ENT_THREADS caps internal parallelism of the product-overlap search.
+when input is malformed or a stated tolerance fails.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +35,13 @@ from .catalog import (
     family_label,
     parse_family,
 )
-from .certificates import (
-    CertificateReport,
-    certify_optimizer,
-    report_to_dict,
-)
+from .certificates import _encode_float, certify_optimizer, report_to_dict
 from .divergences import AlphaZ, d_alpha_z, q_alpha_z
 from .linalg import (
     DensityMatrix,
     load_density_json,
     load_operator_json,
+    random_density,
     tensor_product_merged,
 )
 from .minimizers import SolverOptions, minimize_mc
@@ -74,55 +69,6 @@ DEFAULT_TABLE1_FAMILIES: tuple[StateFamily, ...] = (
 )
 
 TABLE1_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One row of a sweep or experiment, serializable to CSV and JSON."""
-
-    experiment: str
-    params: dict
-    computed: float
-    reference: float | None = None
-    margin: float | None = None
-    wall_ms: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "computed": _enc(self.computed),
-            "reference": _enc(self.reference),
-            "margin": _enc(self.margin),
-            "wall_ms": self.wall_ms,
-        }
-
-
-def record_from_dict(payload: dict) -> ExperimentRecord:
-    return ExperimentRecord(
-        experiment=payload["experiment"],
-        params=dict(payload["params"]),
-        computed=_dec(payload["computed"]),
-        reference=_dec(payload["reference"]),
-        margin=_dec(payload["margin"]),
-        wall_ms=int(payload["wall_ms"]),
-    )
-
-
-def _enc(x):
-    if x is None:
-        return None
-    if isinstance(x, float) and not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    return x
-
-
-def _dec(x):
-    if x is None:
-        return None
-    if isinstance(x, str):
-        return {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}[x]
-    return float(x)
 
 
 def _fmt(x) -> str:
@@ -170,7 +116,7 @@ def cmd_eval(args) -> int:
             f"warning: (alpha, z) = ({p.alpha}, {p.z}) is outside the DPI region",
             file=sys.stderr,
         )
-    _print_json({"d": _enc(d), "q": _enc(q), "dpi": p.in_dpi_region})
+    _print_json({"d": _encode_float(d), "q": _encode_float(q), "dpi": p.in_dpi_region})
     return 0
 
 
@@ -182,17 +128,6 @@ def cmd_value(args) -> int:
     return 0
 
 
-def _certify_pair(rho, tau, p, args) -> CertificateReport:
-    return certify_optimizer(
-        rho,
-        tau,
-        p,
-        free_set=args.free,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
-
-
 def cmd_certify(args) -> int:
     p = AlphaZ(args.alpha, args.z)
     rho = _load_state(args.rho)
@@ -202,7 +137,7 @@ def cmd_certify(args) -> int:
         tau = ansatz_optimizer(parse_family(args.rho), p)
     else:
         tau = load_density_json(args.tau)
-    report = _certify_pair(rho, tau, p, args)
+    report = certify_optimizer(rho, tau, p, free_set=args.free, restarts=args.restarts, seed=args.seed)
     _print_json(report_to_dict(report))
     return 0
 
@@ -279,23 +214,22 @@ def cmd_counterexample(args) -> int:
         value_single, value_pair = 1.0, closed_pair
         verdict_single = verdict_pair = "skipped-dimension-cap"
     wall_ms = int(round(1000 * (time.perf_counter() - start)))
+    both = value_pair is not None and value_single is not None
 
     payload = {
         "d": d,
         "alpha": p.alpha,
         "z": p.z,
-        "single": _enc(value_single),
-        "pair": _enc(value_pair),
+        "single": _encode_float(value_single),
+        "pair": _encode_float(value_pair),
         "single_verdict": verdict_single,
         "pair_verdict": verdict_pair,
         "closed_single": 1.0,
         "closed_pair": closed_pair,
         # 'gap' is the extra cost of the second copy; additivity would make it
         # equal to 'single', so 'additivity_defect' is what vanishes at d = 2
-        "gap": _enc(None if value_pair is None or value_single is None else value_pair - value_single),
-        "additivity_defect": _enc(
-            None if value_pair is None or value_single is None else value_pair - 2.0 * value_single
-        ),
+        "gap": _encode_float(value_pair - value_single if both else None),
+        "additivity_defect": _encode_float(value_pair - 2.0 * value_single if both else None),
         "wall_ms": wall_ms,
     }
     _print_json(payload)
@@ -310,10 +244,7 @@ def _marginal_with_ansatz(descriptor: str, p: AlphaZ, args) -> tuple[str, Densit
     if descriptor.startswith("random:"):
         seed = int(descriptor.split(":", 1)[1])
         d = args.other_dim
-        rng = np.random.default_rng(seed)
-        g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-        coeff = g @ g.conj().T
-        coeff /= np.trace(coeff).real
+        coeff = random_density(d, d, seed).entries
         family = MaximallyCorrelated(tuple(tuple(x for x in row) for row in coeff))
         rho = build(family)
         solution = minimize_mc(rho, p, SolverOptions(starts=args.starts, seed=args.seed))
@@ -353,15 +284,15 @@ def cmd_additivity(args) -> int:
     payload = {
         "alpha": p.alpha,
         "z": p.z,
-        "marginal_1": {"family": label1, "value": _enc(v1), "verdict": verdict1},
-        "marginal_2": {"family": label2, "value": _enc(v2), "verdict": verdict2},
+        "marginal_1": {"family": label1, "value": _encode_float(v1), "verdict": verdict1},
+        "marginal_2": {"family": label2, "value": _encode_float(v2), "verdict": verdict2},
         "joint": {
-            "value": _enc(joint_value),
+            "value": _encode_float(joint_value),
             "verdict": report_joint.verdict,
             "ansatz": "antisym-pair" if antisym_route else "product-of-marginals",
-            "margin": _enc(report_joint.margin),
+            "margin": _encode_float(report_joint.margin),
         },
-        "defect": _enc(defect),
+        "defect": _encode_float(defect),
         "wall_ms": wall_ms,
     }
     _print_json(payload)
@@ -386,7 +317,6 @@ def cmd_sweep(args) -> int:
     family = parse_family(args.family)
     values = np.linspace(lo, hi, steps)
     rows = []
-    records = []
     for x in values:
         if name in ("alpha", "z"):
             p = AlphaZ(x if name == "alpha" else args.alpha, x if name == "z" else args.z)
@@ -403,16 +333,6 @@ def cmd_sweep(args) -> int:
         wall_ms = int(round(1000 * (time.perf_counter() - start)))
         rows.append(
             [family_label(fam_x), name, float(x), p.alpha, p.z, closed, certified, report.margin, report.verdict, wall_ms]
-        )
-        records.append(
-            ExperimentRecord(
-                experiment="sweep",
-                params={"family": family_label(fam_x), "param": name, "value": float(x), "alpha": p.alpha, "z": p.z},
-                computed=certified,
-                reference=closed,
-                margin=report.margin,
-                wall_ms=wall_ms,
-            )
         )
     header = ["family", "param", "param_value", "alpha", "z", "closed_form", "certified_value", "margin", "verdict", "wall_ms"]
     if args.out:

@@ -15,6 +15,7 @@ from .linalg import (
     DEFAULT_REL_CUT,
     DensityMatrix,
     HermitianOperator,
+    _support_mask,
     as_operator,
     eig_hermitian,
     hermitian_part,
@@ -72,9 +73,9 @@ class AlphaZ:
         return (1.0 - self.alpha) / self.z
 
 
-def dpi_region_contains(p: AlphaZ) -> bool:
-    """Whether (alpha, z) lies in the region where data processing holds."""
-    return p.in_dpi_region
+def _require_dpi(p: AlphaZ) -> None:
+    if not p.in_dpi_region:
+        raise ValueError(f"(alpha, z) = ({p.alpha}, {p.z}) lies outside the DPI region")
 
 
 def is_orthogonal(rho: Operator, sigma: Operator, rel_cut: float = DEFAULT_REL_CUT) -> bool:
@@ -94,25 +95,50 @@ def is_dominated(rho: Operator, sigma: Operator, rel_cut: float = DEFAULT_REL_CU
     return float(np.max(np.abs(comp @ r @ comp))) < DOMINANCE_RTOL * top
 
 
-def _log2_sum_powers(mu: np.ndarray, z: float, rel_cut: float) -> float:
-    """log2(sum_i mu_i^z) over the support of mu, computed in the log domain."""
-    top = float(mu[-1]) if mu.size else 0.0
-    if top <= 0.0:
-        return -math.inf
-    mu = mu[mu > rel_cut * top]
-    # (mu/top)^z <= 1, so the sum never overflows even for z ~ 1e3
-    scaled = np.exp(z * (np.log(mu) - math.log(top)))
-    return z * math.log2(top) + math.log2(float(np.sum(scaled)))
+def _log2_sum_powers_rows(mu: np.ndarray, z: float, rel_cut: float) -> np.ndarray:
+    """log2(sum_i mu_i^z) per row of ascending spectra, over each row's support.
+
+    Computed in the log domain: (mu/top)^z <= 1, so the sum never overflows
+    even for z ~ 1e3. A row without positive eigenvalues gives -inf.
+    """
+    top = mu[:, -1].copy()
+    out = np.full(mu.shape[0], -math.inf)
+    good = top > 0
+    if not np.any(good):
+        return out
+    mug = mu[good]
+    topg = top[good]
+    mask = mug > rel_cut * topg[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(mask, np.log(np.where(mask, mug, 1.0)), -math.inf)
+    scaled = np.where(mask, np.exp(z * (logs - np.log(topg)[:, None])), 0.0)
+    out[good] = z * np.log2(topg) + np.log2(scaled.sum(axis=1))
+    return out
 
 
 def _log2_q(rho: Operator, sigma: Operator, p: AlphaZ, rel_cut: float) -> float:
+    """log2 Q_{alpha,z}, after the support case split of the definition.
+
+    -inf when alpha < 1 and the states are orthogonal, +inf when alpha > 1
+    and supp(rho) is not contained in supp(sigma).
+    """
+    if p.alpha < 1.0:
+        if is_orthogonal(rho, sigma, rel_cut):
+            return -math.inf
+    elif not is_dominated(rho, sigma, rel_cut):
+        return math.inf
     a_exp = p.alpha / (2.0 * p.z)
     b_exp = (1.0 - p.alpha) / p.z
     a = matrix_power(rho, a_exp, rel_cut).entries
     s = matrix_power(sigma, b_exp, rel_cut).entries
     core = hermitian_part(a @ s @ a)
     mu = np.linalg.eigvalsh(core)
-    return _log2_sum_powers(mu, p.z, rel_cut)
+    # drop the kernel first: zero padding would shift the blocks of numpy's
+    # pairwise summation and move the sum by an ulp
+    keep = _support_mask(mu, rel_cut)
+    if not np.any(keep):
+        return -math.inf
+    return float(_log2_sum_powers_rows(mu[None, keep], p.z, rel_cut)[0])
 
 
 def q_alpha_z(
@@ -130,11 +156,6 @@ def q_alpha_z(
     """
     if p.on_umegaki_line:
         raise ValueError("Q_{alpha,z} is not defined on alpha = 1; use d_umegaki")
-    if p.alpha < 1.0:
-        if is_orthogonal(rho, sigma, rel_cut):
-            return 0.0
-    elif not is_dominated(rho, sigma, rel_cut):
-        return math.inf
     log2q = _log2_q(rho, sigma, p, rel_cut)
     if log2q == -math.inf:
         return 0.0
@@ -156,14 +177,9 @@ def d_alpha_z(
     """
     if p.on_umegaki_line:
         return d_umegaki(rho, sigma, rel_cut)
-    if p.alpha < 1.0:
-        if is_orthogonal(rho, sigma, rel_cut):
-            return math.inf
-    elif not is_dominated(rho, sigma, rel_cut):
-        return math.inf
     log2q = _log2_q(rho, sigma, p, rel_cut)
     if log2q == -math.inf:
-        # numerically orthogonal pair in the alpha < 1 branch
+        # exactly or numerically orthogonal pair in the alpha < 1 branch
         return math.inf
     return log2q / (p.alpha - 1.0)
 
@@ -188,15 +204,12 @@ def d_umegaki(
     """
     if not is_dominated(rho, sigma, rel_cut):
         return math.inf
-    er = eig_hermitian(rho)
-    wr = er.eigenvalues
-    topr = max(float(wr[-1]), 0.0)
-    keep = wr > rel_cut * max(topr, np.finfo(float).tiny)
+    wr = eig_hermitian(rho).eigenvalues
+    keep = _support_mask(wr, rel_cut)
     ent = float(np.sum(wr[keep] * np.log2(wr[keep])))
     es = eig_hermitian(sigma)
     ws = es.eigenvalues
-    tops = max(float(ws[-1]), 0.0)
-    keep_s = ws > rel_cut * max(tops, np.finfo(float).tiny)
+    keep_s = _support_mask(ws, rel_cut)
     log_sigma = (es.vectors[:, keep_s] * np.log2(ws[keep_s])) @ es.vectors[:, keep_s].conj().T
     cross = float(np.trace(as_operator(rho).entries @ log_sigma).real)
     return ent - cross

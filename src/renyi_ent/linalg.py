@@ -57,9 +57,10 @@ def as_partition(dims: Partition | Iterable[int]) -> Partition:
 class HermitianOperator:
     """A d x d complex Hermitian matrix tagged with a tensor partition.
 
-    Construction validates hermiticity (absolute tolerance 1e-12 per entry)
-    and that the matrix dimension matches the partition. The stored array is
-    read-only; instances are immutable values.
+    Construction validates that every entry is finite, hermiticity (per-entry
+    tolerance 1e-12 * max(1, max|entry|)) and that the matrix dimension
+    matches the partition. The stored array is read-only; instances are
+    immutable values.
     """
 
     entries: np.ndarray
@@ -74,8 +75,11 @@ class HermitianOperator:
             raise ValueError(
                 f"matrix dimension {m.shape[0]} does not match partition {part.dims}"
             )
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
+        scale = float(np.max(np.abs(m)))
+        if not math.isfinite(scale):
+            raise ValueError("matrix has non-finite entries")
+        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL * max(1.0, scale):
+            raise ValueError("matrix is not Hermitian within 1e-12 * max(1, max|entry|)")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "partition", part)
@@ -158,13 +162,17 @@ def eig_hermitian(op: HermitianOperator | DensityMatrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, vectors=v)
 
 
-def _power_from_eig(
-    w: np.ndarray, v: np.ndarray, p: float, rel_cut: float
-) -> np.ndarray:
-    top = max(float(w[-1]), 0.0)
-    if top <= 0.0:
-        return np.zeros((w.size, w.size), dtype=complex)
-    keep = w > rel_cut * top
+def _support_mask(w: np.ndarray, rel_cut: float) -> np.ndarray:
+    """Ascending eigenvalues above ``rel_cut * lambda_max`` (none if lambda_max <= 0)."""
+    return w > rel_cut * max(float(w[-1]), 0.0)
+
+
+def _power(m: np.ndarray, p: float, rel_cut: float) -> np.ndarray:
+    """The raw generalized power (v * w^p) @ v† of a Hermitian array, not symmetrized."""
+    w, v = np.linalg.eigh(m)
+    if float(w[-1]) <= 0.0:
+        return np.zeros_like(m)
+    keep = _support_mask(w, rel_cut)
     pw = np.zeros_like(w)
     pw[keep] = w[keep] ** p
     return (v * pw) @ v.conj().T
@@ -182,8 +190,7 @@ def matrix_power(
     if not 0.0 < rel_cut < 1.0:
         raise ValueError("rel_cut must lie in (0, 1)")
     h = as_operator(op)
-    w, v = np.linalg.eigh(h.entries)
-    return wrap(_power_from_eig(w, v, p, rel_cut), h.partition)
+    return wrap(_power(h.entries, p, rel_cut), h.partition)
 
 
 def support_projector(
@@ -197,10 +204,7 @@ def support_rank(
     op: HermitianOperator | DensityMatrix, rel_cut: float = DEFAULT_REL_CUT
 ) -> int:
     w = np.linalg.eigvalsh(as_operator(op).entries)
-    top = max(float(w[-1]), 0.0)
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(w > rel_cut * top))
+    return int(np.count_nonzero(_support_mask(w, rel_cut)))
 
 
 def tensor_product(
@@ -324,14 +328,22 @@ def load_operator_json(path: str) -> HermitianOperator:
     """Load and validate a matrix file written by :func:`save_operator_json`."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("matrix file must hold a JSON object with keys dims, re, im")
     for key in ("dims", "re", "im"):
         if key not in payload:
             raise ValueError(f"matrix file is missing key '{key}'")
-    re = np.asarray(payload["re"], dtype=float)
-    im = np.asarray(payload["im"], dtype=float)
+    dims = payload["dims"]
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+        raise ValueError(f"'dims' must be a list of integers, got {dims!r}")
+    try:
+        re = np.asarray(payload["re"], dtype=float)
+        im = np.asarray(payload["im"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"'re' and 'im' must be nested lists of numbers: {exc}") from exc
     if re.shape != im.shape:
         raise ValueError("re and im blocks have different shapes")
-    return HermitianOperator(re + 1j * im, tuple(payload["dims"]))
+    return HermitianOperator(re + 1j * im, tuple(dims))
 
 
 def load_density_json(path: str) -> DensityMatrix:

@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .certificates import CertificateReport, is_maximally_correlated, marginal_condition_mc, certify_optimizer
-from .divergences import AlphaZ
-from .linalg import DEFAULT_REL_CUT, DensityMatrix, density
+from .divergences import AlphaZ, _log2_sum_powers_rows, _require_dpi
+from .linalg import DEFAULT_REL_CUT, DensityMatrix, _power, _support_mask, density
 
 _SUPPORT_DIAG_TOL = 1e-12
 _PIN_TOL = 1e-12
@@ -50,14 +50,11 @@ class SimplexProblem:
     """A batched objective over the probability simplex.
 
     ``objective`` maps an (m, dimension) array of weight rows to m values
-    (inf allowed). ``convexity_hint`` records why local minima are global:
-    "convex" for alpha <= 1, "quasi-from-Q" for alpha > 1 (the objective is a
-    monotone transform of the jointly convex Q).
+    (inf allowed).
     """
 
     objective: Callable[[np.ndarray], np.ndarray]
     dimension: int
-    convexity_hint: str
 
 
 @dataclass(frozen=True)
@@ -171,22 +168,6 @@ def minimize_simplex(
 # ---------------------------------------------------------------------------
 
 
-def _log2_sum_powers_rows(mu: np.ndarray, z: float, rel_cut: float) -> np.ndarray:
-    top = mu[:, -1].copy()
-    out = np.full(mu.shape[0], -math.inf)
-    good = top > 0
-    if not np.any(good):
-        return out
-    mug = mu[good]
-    topg = top[good]
-    mask = mug > rel_cut * topg[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(mask, np.log(np.where(mask, mug, 1.0)), -math.inf)
-    scaled = np.where(mask, np.exp(z * (logs - np.log(topg)[:, None])), 0.0)
-    out[good] = z * np.log2(topg) + np.log2(scaled.sum(axis=1))
-    return out
-
-
 def _diag_objective(
     rho_matrix: np.ndarray,
     p: AlphaZ,
@@ -204,7 +185,7 @@ def _diag_objective(
     alpha, z = p.alpha, p.z
     if p.on_umegaki_line:
         w_rho, _ = np.linalg.eigh(rho_matrix)
-        w_rho = w_rho[w_rho > rel_cut * max(float(w_rho[-1]), np.finfo(float).tiny)]
+        w_rho = w_rho[_support_mask(w_rho, rel_cut)]
         self_term = float(np.sum(w_rho * np.log2(w_rho)))
         # the cross term needs the actual diagonal of rho; support_diag is only
         # the (possibly marginalized) mass used to detect support violations
@@ -225,7 +206,7 @@ def _diag_objective(
 
         return f_umegaki
 
-    a_half = _half_power(rho_matrix, alpha / (2.0 * z), rel_cut)
+    a_half = _power(rho_matrix, alpha / (2.0 * z), rel_cut)
     b_exp = (1.0 - alpha) / z
 
     def f(S: np.ndarray) -> np.ndarray:
@@ -246,15 +227,19 @@ def _diag_objective(
     return f
 
 
-def _half_power(m: np.ndarray, p: float, rel_cut: float) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    top = max(float(w[-1]), 0.0)
-    if top <= 0:
-        return np.zeros_like(m)
-    keep = w > rel_cut * top
-    pw = np.zeros_like(w)
-    pw[keep] = w[keep] ** p
-    return (v * pw) @ v.conj().T
+def _solve(
+    rho_matrix: np.ndarray, p: AlphaZ, mass: np.ndarray, opts: SolverOptions | None, reps: int = 1
+) -> tuple[float, np.ndarray, tuple[float, ...]]:
+    """min_s D_{alpha,z}(rho || diag(s tiled ``reps`` times)) over the simplex.
+
+    ``mass`` is the rho-mass on each simplex coordinate: normalized, it is the
+    warm start; tiled, it decides the alpha >= 1 support blow-up.
+    """
+    _require_dpi(p)
+    weight_map = (lambda S: S) if reps == 1 else (lambda S: np.tile(S, (1, reps)))
+    objective = _diag_objective(rho_matrix, p, weight_map, np.tile(mass, reps))
+    warm = np.maximum(mass, 0.0)
+    return minimize_simplex(SimplexProblem(objective, mass.size), opts, warm / warm.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +259,10 @@ def minimize_incoherent(
     expressed in the original basis, and an incoherent-free-set certificate
     for it is attached.
     """
-    if not p.in_dpi_region:
-        raise ValueError(f"(alpha, z) = ({p.alpha}, {p.z}) lies outside the DPI region")
     d = rho.dim
     b = np.eye(d, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
     rho_b = b.conj().T @ rho.entries @ b
-    support_diag = np.real(np.diag(rho_b))
-    problem = SimplexProblem(
-        objective=_diag_objective(rho_b, p, lambda S: S, support_diag),
-        dimension=d,
-        convexity_hint="convex" if p.alpha <= 1.0 else "quasi-from-Q",
-    )
-    warm = np.maximum(support_diag, 0.0)
-    warm = warm / warm.sum()
-    value, s, history = minimize_simplex(problem, opts, warm)
+    value, s, history = _solve(rho_b, p, np.real(np.diag(rho_b)), opts)
     sigma = density(b @ np.diag(s) @ b.conj().T, rho.partition)
     report = certify_optimizer(rho, sigma, p, free_set="incoherent", coherence_basis=b)
     return SimplexSolution(value=value, weights=s, sigma=sigma, per_start=history, certificate=report)
@@ -311,19 +286,9 @@ def minimize_mc(
     |ii> -> |i> leaves the divergence unchanged); the result is cross-checked
     with :func:`marginal_condition_mc` and the certificate is attached.
     """
-    if not p.in_dpi_region:
-        raise ValueError(f"(alpha, z) = ({p.alpha}, {p.z}) lies outside the DPI region")
     small = _compress_mc(rho)
     d = small.shape[0]
-    support_diag = np.real(np.diag(small))
-    problem = SimplexProblem(
-        objective=_diag_objective(small, p, lambda S: S, support_diag),
-        dimension=d,
-        convexity_hint="convex" if p.alpha <= 1.0 else "quasi-from-Q",
-    )
-    warm = np.maximum(support_diag, 0.0)
-    warm = warm / warm.sum()
-    value, s, history = minimize_simplex(problem, opts, warm)
+    value, s, history = _solve(small, p, np.real(np.diag(small)), opts)
     m = np.zeros((d * d, d * d))
     for i, w in enumerate(s):
         m[i * d + i, i * d + i] = w
@@ -341,25 +306,13 @@ def minimize_conditional_mc(
     through the compressed route, so comparing with :func:`minimize_mc` is a
     genuine two-route check of the conditional-entropy identity.
     """
-    if not p.in_dpi_region:
-        raise ValueError(f"(alpha, z) = ({p.alpha}, {p.z}) lies outside the DPI region")
     if not is_maximally_correlated(rho):
         raise ValueError("rho is not maximally correlated within 1e-10")
     d = rho.dims[0]
-    full_diag = np.real(np.diag(rho.entries))
     # I_A (x) diag(s) has diagonal w[(i,j)] = s_j; rho mass per B index decides
     # the alpha >= 1 support blow-up
-    support_b = full_diag.reshape(d, d).sum(axis=0)
-    problem = SimplexProblem(
-        objective=_diag_objective(
-            rho.entries, p, lambda S: np.tile(S, (1, d)), np.tile(support_b, d)
-        ),
-        dimension=d,
-        convexity_hint="convex" if p.alpha <= 1.0 else "quasi-from-Q",
-    )
-    warm = np.maximum(support_b, 0.0)
-    warm = warm / warm.sum()
-    value, s, history = minimize_simplex(problem, opts, warm)
+    support_b = np.real(np.diag(rho.entries)).reshape(d, d).sum(axis=0)
+    value, s, history = _solve(rho.entries, p, support_b, opts, reps=d)
     return SimplexSolution(
         value=value,
         weights=s,
@@ -373,27 +326,3 @@ def conditional_entropy_mc(
 ) -> float:
     """H_up(A|B) = -min_{sigma_B} D_{alpha,z}(rho || I_A (x) sigma_B) for MC rho."""
     return -minimize_conditional_mc(rho, p, opts).value
-
-
-def golden_section_1d(
-    objective: Callable[[float], float], bracket: tuple[float, float], tol: float = 1e-10
-) -> tuple[float, float]:
-    """Golden-section minimization of a unimodal objective on a bracket."""
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if hi < lo:
-        lo, hi = hi, lo
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = objective(x2)
-    x = (lo + hi) / 2.0
-    return x, objective(x)

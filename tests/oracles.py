@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the code path it checks: the resolvent
 integral is done by adaptive quadrature instead of the divided-difference
 kernel, and the coherence scan is a dense one-parameter search instead of
-projected gradient descent.
+projected gradient descent. The small helpers at the end (product-state
+overlap, golden-section search) exist only for the tests.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import scipy.integrate
 
 from renyi_ent import AlphaZ, DensityMatrix, d_alpha_z, density, random_density
+from renyi_ent.linalg import as_operator
 from renyi_ent.certificates import chi
 
 
@@ -64,3 +66,33 @@ def coherence_scan_qubit(rho: DensityMatrix, p: AlphaZ, steps: int = 20001) -> f
         sigma = density(np.diag([max(s, 0.0), max(1.0 - s, 0.0)]), rho.dims)
         best = min(best, d_alpha_z(rho, sigma, p))
     return best
+
+
+def product_overlap_value(op, vecs) -> float:
+    """Evaluate <v1...vN| op |v1...vN> for per-party vectors."""
+    full = vecs[0]
+    for v in vecs[1:]:
+        full = np.kron(full, v)
+    return float((full.conj() @ as_operator(op).entries @ full).real)
+
+
+def golden_section_1d(objective, bracket: tuple[float, float], tol: float = 1e-10) -> tuple[float, float]:
+    """Golden-section minimization of a unimodal objective on a bracket."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if hi < lo:
+        lo, hi = hi, lo
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = objective(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = objective(x2)
+    x = (lo + hi) / 2.0
+    return x, objective(x)

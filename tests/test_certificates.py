@@ -26,8 +26,8 @@ from renyi_ent import (
     support_projector,
     xi,
 )
-from renyi_ent.certificates import commutator_maxnorm, product_overlap_value
-from oracles import full_rank_state, xi_quadrature
+from renyi_ent.certificates import commutator_maxnorm
+from oracles import full_rank_state, product_overlap_value, xi_quadrature
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
 
@@ -220,14 +220,6 @@ class TestMaxProductOverlap:
     def test_single_party_rejected(self):
         with pytest.raises(ValueError):
             max_product_overlap(random_density(4, 4, 0).op)
-
-    def test_thread_pool_reduction_is_deterministic(self, monkeypatch):
-        op = full_rank_state(8, 26, dims=(2, 2, 2)).op
-        serial = max_product_overlap(op, restarts=16)
-        monkeypatch.setenv("RENYI_ENT_THREADS", "4")
-        threaded = max_product_overlap(op, restarts=16)
-        assert threaded.value == serial.value
-        assert threaded.restart_values == serial.restart_values
 
     def test_grid_needs_qubit_first_party(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from renyi_ent import density, pure_density, random_density, save_operator_json
-from renyi_ent.cli import ExperimentRecord, main, record_from_dict
+from renyi_ent.cli import main
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
 
@@ -56,6 +56,27 @@ class TestEval:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("text", ["5", '{"dims": 5, "re": [[1]], "im": [[0]]}'])
+    def test_wrong_json_shape_exits_2_with_one_line(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, ["eval", str(bad), str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("which,alpha", [("rho", 1.5), ("sigma", 0.5)])
+    def test_nan_entry_exits_2(self, tmp_path, capsys, which, alpha):
+        good = random_density(2, 2, seed=4)
+        paths = {"rho": write_state(tmp_path / "rho.json", good), "sigma": write_state(tmp_path / "sigma.json", good)}
+        payload = json.loads((tmp_path / f"{which}.json").read_text())
+        payload["re"][0][1] = payload["re"][1][0] = math.nan
+        (tmp_path / f"{which}.json").write_text(json.dumps(payload))
+        code, out, err = run(capsys, ["eval", paths["rho"], paths["sigma"], "--alpha", str(alpha), "--z", str(alpha)])
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
 
 class TestValue:
     @pytest.mark.parametrize(
@@ -75,6 +96,13 @@ class TestValue:
         code, _, err = run(capsys, ["value", "nosuch:d=2"])
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("family", ["mcbd:p=nan|1", "pure:p=nan|1", "bell:lam=nan|1|0|0"])
+    def test_nan_weight_exits_2(self, capsys, family):
+        code, out, err = run(capsys, ["value", family])
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
 
 class TestCertify:
@@ -291,21 +319,3 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["d"]) <= 1e-9
-
-
-class TestExperimentRecord:
-    def test_json_round_trip(self):
-        rec = ExperimentRecord(
-            experiment="sweep",
-            params={"family": "werner:p=0.2,d=3", "alpha": 1.0},
-            computed=0.25,
-            reference=math.inf,
-            margin=-1e-9,
-            wall_ms=12,
-        )
-        clone = record_from_dict(json.loads(json.dumps(rec.to_dict())))
-        assert clone.experiment == rec.experiment
-        assert clone.params == rec.params
-        assert clone.computed == rec.computed
-        assert clone.reference == math.inf
-        assert clone.wall_ms == 12

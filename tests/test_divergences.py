@@ -10,7 +10,6 @@ from renyi_ent import (
     d_min,
     d_umegaki,
     density,
-    dpi_region_contains,
     partial_trace,
     pure_density,
     q_alpha_z,
@@ -28,13 +27,13 @@ def qubit(p0):
 
 class TestAlphaZ:
     def test_region_membership_examples(self):
-        assert dpi_region_contains(AlphaZ(0.5, 0.5))
-        assert not dpi_region_contains(AlphaZ(3.0, 1.0))
-        assert dpi_region_contains(AlphaZ(1.0, 7.0))
+        assert AlphaZ(0.5, 0.5).in_dpi_region
+        assert not AlphaZ(3.0, 1.0).in_dpi_region
+        assert AlphaZ(1.0, 7.0).in_dpi_region
 
     @pytest.mark.parametrize("a,z", GRID)
     def test_default_grid_inside_region(self, a, z):
-        assert dpi_region_contains(AlphaZ(a, z))
+        assert AlphaZ(a, z).in_dpi_region
 
     def test_line_flags(self):
         p = AlphaZ(0.3, 0.7)

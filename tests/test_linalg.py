@@ -38,6 +38,28 @@ class TestTypes:
         with pytest.raises(ValueError):
             herm([[0, 1], [0, 0]], (2,))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            herm(m, (2,))
+
+    def test_hermiticity_tolerance_scales_with_entries(self):
+        rng = np.random.default_rng(5)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        base = 5e6 * (g + g.conj().T) / 2
+        skew = np.zeros((3, 3), dtype=complex)
+        skew[0, 1] = 1.0
+        herm(base + 1e-9 * skew, (3,))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            herm(base + 1e-3 * np.max(np.abs(base)) * skew, (3,))
+
+    def test_unit_scale_hermiticity_tolerance_is_absolute(self):
+        herm([[1.0, 5e-13], [0.0, 0.5]], (2,))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            herm([[1.0, 2e-12], [0.0, 0.5]], (2,))
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             herm(np.eye(3), (2,))
@@ -272,5 +294,22 @@ class TestMatrixFiles:
     def test_rejects_non_hermitian_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dims": [2], "re": [[0, 1], [0, 0]], "im": [[0, 0], [0, 0]]}')
+        with pytest.raises(ValueError):
+            load_operator_json(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "5",
+            '[[1, 0], [0, 1]]',
+            '{"dims": 5, "re": [[1]], "im": [[0]]}',
+            '{"dims": [[2]], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+            '{"dims": [1], "re": [[{}]], "im": [[0]]}',
+            '{"dims": [1], "re": [[NaN]], "im": [[0]]}',
+        ],
+    )
+    def test_rejects_wrong_json_shape(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
         with pytest.raises(ValueError):
             load_operator_json(str(path))

@@ -14,7 +14,6 @@ from renyi_ent import (
     d_alpha_z,
     d_umegaki,
     density,
-    golden_section_1d,
     minimize_incoherent,
     minimize_mc,
     project_to_simplex,
@@ -24,7 +23,7 @@ from renyi_ent import (
 )
 from renyi_ent.catalog import Isotropic
 from renyi_ent.catalog import build as build_family
-from oracles import coherence_scan_qubit, full_rank_state
+from oracles import coherence_scan_qubit, full_rank_state, golden_section_1d
 
 FAST = SolverOptions(starts=2)
 
