@@ -135,6 +135,8 @@ class MaximallyCorrelated:
         m = np.asarray(self.coeff, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("coefficient matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("coefficient matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("coefficient matrix must be Hermitian")
         w = np.linalg.eigvalsh((m + m.conj().T) / 2)

@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergences import LINE_ATOL, AlphaZ, _require_dpi, d_alpha_z, q_alpha_z
+from .divergences import (
+    LINE_ATOL,
+    AlphaZ,
+    _d_from_log2,
+    _log2_q,
+    _q_from_log2,
+    _require_dpi,
+    d_umegaki,
+)
 from .linalg import (
     DEFAULT_REL_CUT,
     DensityMatrix,
@@ -24,8 +32,8 @@ from .linalg import (
     _power,
     _support_mask,
     as_operator,
+    eig_hermitian,
     hermitian_part,
-    support_projector,
     support_rank,
     wrap,
 )
@@ -44,7 +52,7 @@ def commutator_maxnorm(a: Operator, b: Operator) -> float:
 
 
 def _chi_entries(
-    rho: np.ndarray, tau: np.ndarray, alpha: float, z: float, rel_cut: float
+    rho: Operator, tau: Operator, alpha: float, z: float, rel_cut: float
 ) -> np.ndarray:
     a = _power(rho, alpha / (2.0 * z), rel_cut)
     t = _power(tau, (1.0 - alpha) / z, rel_cut)
@@ -63,8 +71,7 @@ def chi(
     """
     if p.on_umegaki_line:
         raise ValueError("chi is not defined at alpha = 1; xi handles that limit")
-    m = _chi_entries(as_operator(rho).entries, as_operator(tau).entries, p.alpha, p.z, rel_cut)
-    return wrap(m, as_operator(rho).partition)
+    return wrap(_chi_entries(rho, tau, p.alpha, p.z, rel_cut), rho.partition)
 
 
 def _phi_divided_difference(t: np.ndarray, beta: float) -> np.ndarray:
@@ -127,25 +134,24 @@ def xi(
     DPI region is only enforced by the certification entry points.
     """
     rho_op, tau_op = as_operator(rho), as_operator(tau)
-    tau_m = tau_op.entries
-    w_tau = np.linalg.eigvalsh(tau_m)
-    if float(w_tau[-1]) <= 0.0:
+    dec = eig_hermitian(tau_op)
+    w, u = dec.eigenvalues, dec.vectors
+    if float(w[-1]) <= 0.0:
         raise ValueError("tau has empty support")
     beta = p.beta
 
     if abs(abs(beta) - 1.0) <= LINE_ATOL:
-        m = _chi_entries(rho_op.entries, tau_m, p.alpha, 1.0 - p.alpha, rel_cut)
+        m = _chi_entries(rho_op, tau_op, p.alpha, 1.0 - p.alpha, rel_cut)
         return XiEvaluation(wrap(m, rho_op.partition), "boundary-line", beta)
 
     if not force_general and commutator_maxnorm(rho_op, tau_op) <= COMMUTING_TOL:
-        m = _power(rho_op.entries, p.alpha, rel_cut) @ _power(tau_m, -p.alpha, rel_cut)
+        m = _power(rho_op, p.alpha, rel_cut) @ _power(tau_op, -p.alpha, rel_cut)
         return XiEvaluation(wrap(m, rho_op.partition), "commuting", beta)
 
     if p.on_umegaki_line:
         chi_m = rho_op.entries
     else:
-        chi_m = _chi_entries(rho_op.entries, tau_m, p.alpha, p.z, rel_cut)
-    w, u = np.linalg.eigh(tau_m)
+        chi_m = _chi_entries(rho_op, tau_op, p.alpha, p.z, rel_cut)
     t = np.where(_support_mask(w, rel_cut), w, 0.0)
     phi = _phi_divided_difference(t, beta)
     coeff = u.conj().T @ chi_m @ u
@@ -163,11 +169,11 @@ def in_support_set(
     in supp(tau).
     """
     if abs(p.beta - 1.0) <= LINE_ATOL:
-        proj = support_projector(rho, rel_cut).entries
-        pinched = wrap(proj @ as_operator(tau).entries @ proj, as_operator(rho).partition)
-        return support_rank(pinched, rel_cut) == support_rank(rho, rel_cut)
-    comp = np.eye(as_operator(rho).dim) - support_projector(tau, rel_cut).entries
-    return float(np.max(np.abs(comp @ support_projector(rho, rel_cut).entries))) < SUPPORT_TOL
+        proj = hermitian_part(_power(rho, 0.0, rel_cut))
+        w_pinched = np.linalg.eigvalsh(hermitian_part(proj @ as_operator(tau).entries @ proj))
+        return int(np.count_nonzero(_support_mask(w_pinched, rel_cut))) == support_rank(rho, rel_cut)
+    comp = np.eye(rho.dim) - hermitian_part(_power(tau, 0.0, rel_cut))
+    return float(np.max(np.abs(comp @ hermitian_part(_power(rho, 0.0, rel_cut))))) < SUPPORT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +232,9 @@ def _alternating_ascent(
     return value, vecs
 
 
-def _spectral_init(entries: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
+def _spectral_init(op: HermitianOperator, dims: tuple[int, ...]) -> list[np.ndarray]:
     # best rank-one alignment of the top eigenvector, one SVD per party
-    _, v = np.linalg.eigh(entries)
-    psi = v[:, -1].reshape(dims)
+    psi = eig_hermitian(op).vectors[:, -1].reshape(dims)
     vecs = []
     for k in range(len(dims)):
         mat = np.moveaxis(psi, k, 0).reshape(dims[k], -1)
@@ -265,7 +270,7 @@ def max_product_overlap(
 
     def run(r: int) -> tuple[float, list[np.ndarray]]:
         if r == 0:
-            vecs = _spectral_init(h.entries, dims)
+            vecs = _spectral_init(h, dims)
         else:
             rng = np.random.default_rng([seed, r])
             vecs = []
@@ -378,14 +383,16 @@ def _report(
     rel_cut: float,
     support_ok: bool,
     lam: float,
-    q: float,
+    log2q: float,
     **fields,
 ) -> CertificateReport:
     """Judge margin = q - lam against tol_cert = 1e-7 * q and assemble the report.
 
-    ``value`` is D_{alpha,z}(rho || tau), evaluated only for a certified tau;
-    ``fields`` are the remaining report fields (free set, witness, route, ...).
+    ``log2q`` is log2 Q(rho || tau) (0 on the Umegaki line, where Q = 1); both
+    q and, for a certified tau, ``value`` = D_{alpha,z}(rho || tau) derive from
+    it. ``fields`` are the remaining report fields (free set, witness, route, ...).
     """
+    q = _q_from_log2(log2q)
     margin = q - lam
     tol_cert = TOL_CERT_REL * q if math.isfinite(q) else TOL_CERT_REL
     if not support_ok or margin < -10.0 * tol_cert:
@@ -394,7 +401,9 @@ def _report(
         verdict = "certified-optimal"
     else:
         verdict = "inconclusive"
-    value = d_alpha_z(rho, tau, p, rel_cut) if verdict == "certified-optimal" else None
+    value = None
+    if verdict == "certified-optimal":
+        value = d_umegaki(rho, tau, rel_cut) if p.on_umegaki_line else _d_from_log2(log2q, p)
     return CertificateReport(
         alpha=p.alpha,
         z=p.z,
@@ -434,7 +443,7 @@ def certify_optimizer(
 
     support_ok = in_support_set(rho, tau, p, rel_cut)
     ev = xi(rho, tau, p, rel_cut=rel_cut)
-    q = 1.0 if p.on_umegaki_line else q_alpha_z(rho, tau, p, rel_cut)
+    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p, rel_cut)
 
     restart_values: tuple[float, ...] = ()
     if free_set == "sep":
@@ -447,7 +456,7 @@ def certify_optimizer(
         lam, witness = float(diag[best]), (basis[:, best].copy(),)
 
     return _report(
-        rho, tau, p, rel_cut, support_ok, lam, q,
+        rho, tau, p, rel_cut, support_ok, lam, log2q,
         free_set=free_set, witness=witness, route=ev.route, beta=ev.beta,
         restart_values=restart_values,
     )
@@ -507,21 +516,21 @@ def marginal_condition_mc(
         scores = np.full(d, -math.inf)
         scores[live] = diag_rho[live] / t[live]
     elif abs(abs(beta) - 1.0) <= LINE_ATOL:
-        chi_b = _chi_entries(rho.entries, as_operator(tau).entries, p.alpha, 1.0 - p.alpha, rel_cut)
+        chi_b = _chi_entries(rho, tau, p.alpha, 1.0 - p.alpha, rel_cut)
         scores = np.real(chi_b[idx, idx])
     else:
-        chi_m = _chi_entries(rho.entries, as_operator(tau).entries, p.alpha, p.z, rel_cut)
+        chi_m = _chi_entries(rho, tau, p.alpha, p.z, rel_cut)
         diag_chi = np.real(chi_m[idx, idx])
         scores = np.full(d, -math.inf)
         scores[live] = t[live] ** (beta - 1.0) * diag_chi[live]
-    q = 1.0 if p.on_umegaki_line else q_alpha_z(rho, tau, p, rel_cut)
+    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p, rel_cut)
 
     best = int(np.argmax(scores))
     lam = float(scores[best])
     basis_vec = np.zeros(d, dtype=complex)
     basis_vec[best] = 1.0
     return _report(
-        rho, tau, p, rel_cut, in_support_set(rho, tau, p, rel_cut), lam, q,
+        rho, tau, p, rel_cut, in_support_set(rho, tau, p, rel_cut), lam, log2q,
         free_set="mc-diagonal", witness=(basis_vec, basis_vec.copy()), route="mc-marginal", beta=beta,
     )
 

@@ -147,7 +147,15 @@ def _grid_from_arg(grid_arg: str) -> list[AlphaZ]:
         return [AlphaZ(a, z) for a, z in DEFAULT_GRID]
     with open(grid_arg, "r", encoding="utf-8") as fh:
         points = json.load(fh)
-    return [AlphaZ(float(a), float(z)) for a, z in points]
+    if not isinstance(points, list) or not all(
+        isinstance(pt, list) and len(pt) == 2 and all(type(x) in (int, float) for x in pt)
+        for pt in points
+    ):
+        raise ValueError("grid file must hold a JSON list of [alpha, z] number pairs")
+    try:
+        return [AlphaZ(float(a), float(z)) for a, z in points]
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ValueError(f"grid value out of range: {exc}") from exc
 
 
 def cmd_table1(args) -> int:

@@ -15,12 +15,11 @@ from .linalg import (
     DEFAULT_REL_CUT,
     DensityMatrix,
     HermitianOperator,
+    _power,
     _support_mask,
     as_operator,
     eig_hermitian,
     hermitian_part,
-    matrix_power,
-    support_projector,
 )
 
 LINE_ATOL = 1e-12
@@ -80,18 +79,18 @@ def _require_dpi(p: AlphaZ) -> None:
 
 def is_orthogonal(rho: Operator, sigma: Operator, rel_cut: float = DEFAULT_REL_CUT) -> bool:
     """Support orthogonality test Tr(Pi(rho) Pi(sigma)) < 1e-10."""
-    pr = support_projector(rho, rel_cut).entries
-    ps = support_projector(sigma, rel_cut).entries
+    pr = hermitian_part(_power(rho, 0.0, rel_cut))
+    ps = hermitian_part(_power(sigma, 0.0, rel_cut))
     return float(np.trace(pr @ ps).real) < ORTHOGONALITY_TOL
 
 
 def is_dominated(rho: Operator, sigma: Operator, rel_cut: float = DEFAULT_REL_CUT) -> bool:
     """Support containment test rho << sigma (supp(rho) inside supp(sigma))."""
     r = as_operator(rho).entries
-    top = float(np.linalg.eigvalsh(r)[-1])
+    top = float(eig_hermitian(rho).eigenvalues[-1])
     if top <= 0.0:
         return True
-    comp = np.eye(r.shape[0]) - support_projector(sigma, rel_cut).entries
+    comp = np.eye(r.shape[0]) - hermitian_part(_power(sigma, 0.0, rel_cut))
     return float(np.max(np.abs(comp @ r @ comp))) < DOMINANCE_RTOL * top
 
 
@@ -127,11 +126,13 @@ def _log2_q(rho: Operator, sigma: Operator, p: AlphaZ, rel_cut: float) -> float:
             return -math.inf
     elif not is_dominated(rho, sigma, rel_cut):
         return math.inf
-    a_exp = p.alpha / (2.0 * p.z)
-    b_exp = (1.0 - p.alpha) / p.z
-    a = matrix_power(rho, a_exp, rel_cut).entries
-    s = matrix_power(sigma, b_exp, rel_cut).entries
-    core = hermitian_part(a @ s @ a)
+    a = hermitian_part(_power(rho, p.alpha / (2.0 * p.z), rel_cut))
+    core = a @ hermitian_part(_power(sigma, p.beta, rel_cut))
+    core = core @ a
+    del a
+    # (M + M†)/2 with one d x d temporary: the same bits as hermitian_part
+    core = core + core.conj().T
+    core /= 2
     mu = np.linalg.eigvalsh(core)
     # drop the kernel first: zero padding would shift the blocks of numpy's
     # pairwise summation and move the sum by an ulp
@@ -156,11 +157,21 @@ def q_alpha_z(
     """
     if p.on_umegaki_line:
         raise ValueError("Q_{alpha,z} is not defined on alpha = 1; use d_umegaki")
-    log2q = _log2_q(rho, sigma, p, rel_cut)
+    return _q_from_log2(_log2_q(rho, sigma, p, rel_cut))
+
+
+def _q_from_log2(log2q: float) -> float:
     if log2q == -math.inf:
         return 0.0
     with np.errstate(over="ignore"):
         return float(np.exp2(log2q))
+
+
+def _d_from_log2(log2q: float, p: AlphaZ) -> float:
+    if log2q == -math.inf:
+        # exactly or numerically orthogonal pair in the alpha < 1 branch
+        return math.inf
+    return log2q / (p.alpha - 1.0)
 
 
 def d_alpha_z(
@@ -177,17 +188,13 @@ def d_alpha_z(
     """
     if p.on_umegaki_line:
         return d_umegaki(rho, sigma, rel_cut)
-    log2q = _log2_q(rho, sigma, p, rel_cut)
-    if log2q == -math.inf:
-        # exactly or numerically orthogonal pair in the alpha < 1 branch
-        return math.inf
-    return log2q / (p.alpha - 1.0)
+    return _d_from_log2(_log2_q(rho, sigma, p, rel_cut), p)
 
 
 def d_min(rho: DensityMatrix, sigma: Operator, rel_cut: float = DEFAULT_REL_CUT) -> float:
     """Min-relative entropy -log2 Tr(Pi(rho) sigma)."""
     overlap = float(
-        np.trace(support_projector(rho, rel_cut).entries @ as_operator(sigma).entries).real
+        np.trace(hermitian_part(_power(rho, 0.0, rel_cut)) @ as_operator(sigma).entries).real
     )
     if overlap <= 0.0:
         return math.inf
@@ -223,7 +230,7 @@ def d_max(rho: DensityMatrix, sigma: Operator, rel_cut: float = DEFAULT_REL_CUT)
     """
     if not is_dominated(rho, sigma, rel_cut):
         return math.inf
-    inv_half = matrix_power(sigma, -0.5, rel_cut).entries
+    inv_half = hermitian_part(_power(sigma, -0.5, rel_cut))
     core = hermitian_part(inv_half @ as_operator(rho).entries @ inv_half)
     top = float(np.linalg.eigvalsh(core)[-1])
     if top <= 0.0:

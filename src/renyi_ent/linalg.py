@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,13 +55,23 @@ def as_partition(dims: Partition | Iterable[int]) -> Partition:
 
 
 @dataclass(frozen=True)
+class EigenDecomposition:
+    """Eigenvalues (real, ascending) and a unitary of column eigenvectors."""
+
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+
+
+@dataclass(frozen=True)
 class HermitianOperator:
     """A d x d complex Hermitian matrix tagged with a tensor partition.
 
     Construction validates that every entry is finite, hermiticity (per-entry
     tolerance 1e-12 * max(1, max|entry|)) and that the matrix dimension
     matches the partition. The stored array is read-only; instances are
-    immutable values.
+    immutable values. The spectrum is computed by one ``eigh`` on first use
+    and kept with the operator, so every spectral query on it (powers,
+    support, dominance, Xi) shares that single decomposition.
     """
 
     entries: np.ndarray
@@ -97,6 +108,13 @@ class HermitianOperator:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries)))
+
+    @cached_property
+    def _eig(self) -> EigenDecomposition:
+        w, v = np.linalg.eigh(self.entries)
+        w.flags.writeable = False
+        v.flags.writeable = False
+        return EigenDecomposition(eigenvalues=w, vectors=v)
 
 
 def wrap(matrix: np.ndarray, partition: Partition | Iterable[int]) -> HermitianOperator:
@@ -149,17 +167,9 @@ def pure_density(vector: np.ndarray, dims: Partition | Iterable[int]) -> Density
     return DensityMatrix(HermitianOperator(np.outer(v, v.conj()), dims))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues (real, ascending) and a unitary of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
 def eig_hermitian(op: HermitianOperator | DensityMatrix) -> EigenDecomposition:
-    w, v = np.linalg.eigh(as_operator(op).entries)
-    return EigenDecomposition(eigenvalues=w, vectors=v)
+    """The operator's cached spectrum; both arrays are read-only."""
+    return as_operator(op)._eig
 
 
 def _support_mask(w: np.ndarray, rel_cut: float) -> np.ndarray:
@@ -167,11 +177,23 @@ def _support_mask(w: np.ndarray, rel_cut: float) -> np.ndarray:
     return w > rel_cut * max(float(w[-1]), 0.0)
 
 
-def _power(m: np.ndarray, p: float, rel_cut: float) -> np.ndarray:
-    """The raw generalized power (v * w^p) @ v† of a Hermitian array, not symmetrized."""
-    w, v = np.linalg.eigh(m)
+def _power(
+    m: HermitianOperator | DensityMatrix | np.ndarray, p: float, rel_cut: float
+) -> np.ndarray:
+    """The raw generalized power (v * w^p) @ v† of a Hermitian operator, not symmetrized.
+
+    An operator supplies its cached spectrum; a plain array (an intermediate
+    product) is decomposed on the spot.
+    """
+    if not 0.0 < rel_cut < 1.0:
+        raise ValueError("rel_cut must lie in (0, 1)")
+    if isinstance(m, np.ndarray):
+        w, v = np.linalg.eigh(m)
+    else:
+        dec = eig_hermitian(m)
+        w, v = dec.eigenvalues, dec.vectors
     if float(w[-1]) <= 0.0:
-        return np.zeros_like(m)
+        return np.zeros((w.size, w.size), dtype=v.dtype)
     keep = _support_mask(w, rel_cut)
     pw = np.zeros_like(w)
     pw[keep] = w[keep] ** p
@@ -187,10 +209,7 @@ def matrix_power(
     exponent; the rest map to ``lam ** p``. ``p == 0`` gives the support
     projector, and an all-zero input returns the zero operator.
     """
-    if not 0.0 < rel_cut < 1.0:
-        raise ValueError("rel_cut must lie in (0, 1)")
-    h = as_operator(op)
-    return wrap(_power(h.entries, p, rel_cut), h.partition)
+    return wrap(_power(op, p, rel_cut), op.partition)
 
 
 def support_projector(
@@ -203,7 +222,7 @@ def support_projector(
 def support_rank(
     op: HermitianOperator | DensityMatrix, rel_cut: float = DEFAULT_REL_CUT
 ) -> int:
-    w = np.linalg.eigvalsh(as_operator(op).entries)
+    w = eig_hermitian(op).eigenvalues
     return int(np.count_nonzero(_support_mask(w, rel_cut)))
 
 

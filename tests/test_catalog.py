@@ -11,6 +11,7 @@ from renyi_ent import (
     GHZ,
     Isotropic,
     MCBD,
+    MaximallyCorrelated,
     PureBipartite,
     Werner,
     ansatz_optimizer,
@@ -88,6 +89,13 @@ class TestBuild:
             Dicke(3, (1, 1))
         with pytest.raises(ValueError):
             MCBD((0.5, 0.4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_mc_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            MaximallyCorrelated(((bad, 0), (0, 1)))
+        with pytest.raises(ValueError, match="non-finite"):
+            MaximallyCorrelated(((0.5, bad), (bad, 0.5)))
 
 
 class TestClosedFormValue:

@@ -5,14 +5,19 @@ import pytest
 
 from renyi_ent import (
     AlphaZ,
+    AntisymPair,
     BellDiagonal,
     MCBD,
+    PureBipartite,
     Werner,
     ansatz_optimizer,
     build,
     certify_optimizer,
     chi,
+    d_alpha_z,
+    d_umegaki,
     density,
+    eig_hermitian,
     in_support_set,
     marginal_condition_mc,
     matrix_power,
@@ -27,6 +32,8 @@ from renyi_ent import (
     xi,
 )
 from renyi_ent.certificates import commutator_maxnorm
+from renyi_ent.divergences import is_dominated, is_orthogonal
+from renyi_ent.linalg import support_rank
 from oracles import full_rank_state, product_overlap_value, xi_quadrature
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
@@ -348,3 +355,69 @@ class TestMarginalConditionMC:
         tau = density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
         with pytest.raises(ValueError):
             marginal_condition_mc(rho, tau.op, AlphaZ(2.0, 2.0))
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Shapes of every np.linalg.eigh / eigvalsh call made while the test runs."""
+    shapes = []
+
+    def counted(original):
+        def wrapper(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return shapes
+
+
+class TestSpectralCache:
+    def test_certify_decomposition_budget(self, decompositions):
+        family, p = AntisymPair(3), AlphaZ(2.0, 2.0)
+        rho, tau = build(family), ansatz_optimizer(family, p)
+        full = (rho.dim, rho.dim)
+        decompositions.clear()
+        report = certify_optimizer(rho, tau, p, restarts=4)
+        assert report.verdict == "certified-optimal"
+        # rho, tau, the Q core and Xi
+        assert decompositions.count(full) <= 4
+
+        decompositions.clear()
+        eig_hermitian(rho)
+        support_projector(tau)
+        support_rank(rho)
+        is_dominated(rho, tau)
+        is_orthogonal(rho, tau)
+        in_support_set(rho, tau, p)
+        d_umegaki(rho, tau)
+        assert decompositions == []
+
+        # a repeated certification decomposes only its new products
+        certify_optimizer(rho, tau, p, restarts=4)
+        assert decompositions.count(full) <= 2
+
+    @pytest.mark.parametrize("family", [AntisymPair(2), PureBipartite((0.9, 0.1))])
+    @pytest.mark.parametrize("alpha,z", [(0.7, 0.7), (1.0, 1.0), (1.5, 1.2), (2.0, 2.0)])
+    def test_report_equals_fresh_evaluation(self, family, alpha, z):
+        p = AlphaZ(alpha, z)
+        report = certify_optimizer(build(family), ansatz_optimizer(family, p), p, restarts=8)
+        assert report.verdict == "certified-optimal"
+        rho, tau = build(family), ansatz_optimizer(family, p)
+        assert report.value == d_alpha_z(rho, tau, p)
+        assert report.q_value == (1.0 if p.on_umegaki_line else q_alpha_z(rho, tau, p))
+
+    @pytest.mark.parametrize(
+        "fn",
+        [is_orthogonal, is_dominated, in_support_set, q_alpha_z, d_alpha_z, certify_optimizer],
+    )
+    @pytest.mark.parametrize("rel_cut", [0.0, 1.0, -0.5])
+    def test_rel_cut_outside_unit_interval_rejected(self, fn, rel_cut):
+        rho = random_density(4, 4, seed=11, dims=(2, 2))
+        tau = random_density(4, 3, seed=12, dims=(2, 2))
+        args = (rho, tau) if fn in (is_orthogonal, is_dominated) else (rho, tau, AlphaZ(1.5, 1.2))
+        with pytest.raises(ValueError, match="rel_cut"):
+            fn(*args, rel_cut=rel_cut)
+

@@ -156,6 +156,15 @@ class TestTable1:
             assert abs(float(row["closed_form"]) - float(row["certified_value"])) <= 1e-6
         assert out.count("ok ") == 14
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "[[1]]", '[["a", 1]]', "[[true, 1]]", '{"alpha": 1}'])
+    def test_malformed_grid_exits_2_with_one_line(self, tmp_path, capsys, text):
+        grid = tmp_path / "grid.json"
+        grid.write_text(text)
+        code, out, err = run(capsys, ["table1", "--grid", str(grid), "--restarts", "1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestCounterexample:
     def test_d3_values(self, capsys):

@@ -1,4 +1,4 @@
-"""Fuzzing the CLI with malformed matrix files and family descriptors.
+"""Fuzzing the CLI with malformed matrix files, family descriptors and grid files.
 
 Every run must either exit 2 with a one-line ``error:`` message (never a
 traceback), or exit 0 without a NaN anywhere in its output.
@@ -10,10 +10,10 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from renyi_ent import random_density, save_operator_json
+from renyi_ent import AlphaZ, random_density, save_operator_json
 from renyi_ent.cli import main
 
 ALPHA_Z = st.sampled_from([("0.5", "0.5"), ("1", "1"), ("2", "2"), ("1.5", "1"), ("3", "1")])
@@ -130,3 +130,45 @@ def test_value_on_malformed_descriptors(text, az):
 @given(text=descriptors(), az=ALPHA_Z)
 def test_certify_on_malformed_descriptors(text, az):
     assert_clean(*run_cli(["certify", text, "ansatz", "--alpha", az[0], "--z", az[1], "--restarts", "2"]))
+
+
+grid_numbers = (
+    st.integers(-3, 5)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0, 10**400, True, "1", None])
+)
+grid_files = st.one_of(
+    st.lists(st.lists(grid_numbers, max_size=3), max_size=3).map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(max_size=20),  # not JSON at all
+)
+
+
+def runs_table(text):
+    """Whether ``text`` is a well-formed grid with a point inside the DPI region."""
+    try:
+        grid = json.loads(text)
+    except ValueError:
+        return False
+    pairs = isinstance(grid, list) and all(
+        isinstance(pt, list) and len(pt) == 2 and all(type(x) in (int, float) for x in pt)
+        for pt in grid
+    )
+    if not pairs:
+        return False
+    try:
+        return any(AlphaZ(a, z).in_dpi_region for a, z in grid)
+    except (ValueError, OverflowError):
+        return False
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=grid_files)
+def test_table1_on_malformed_grid_files(text):
+    assume(not runs_table(text))  # a well-formed grid is a real table1 run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert_clean(*run_cli(["table1", "--grid", path, "--restarts", "1"]))
+

@@ -103,6 +103,31 @@ class TestEig:
         assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
 
 
+class TestSpectralCache:
+    def test_cached_arrays_are_read_only(self):
+        rho = random_density(4, 3, seed=5)
+        dec = eig_hermitian(rho)
+        assert eig_hermitian(rho.op) is dec
+        for arr in (dec.eigenvalues, dec.vectors):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("p", [-0.9, -0.5, 0.0, 0.35, 1.0, 2.0])
+    def test_power_of_cached_operator_matches_fresh_bit_for_bit(self, p):
+        rho = random_density(6, 4, seed=7, dims=(2, 3))
+        eig_hermitian(rho)
+        support_projector(rho)
+        cached = matrix_power(rho, p).entries
+        fresh = matrix_power(HermitianOperator(rho.entries.copy(), rho.dims), p).entries
+        assert cached.tobytes() == fresh.tobytes()
+
+    def test_cache_belongs_to_the_operator(self):
+        a = random_density(3, 3, seed=8)
+        b = HermitianOperator(a.entries.copy(), a.dims)
+        assert eig_hermitian(a) is not eig_hermitian(b)
+
+
 class TestMatrixPower:
     def test_generalized_inverse_ignores_kernel(self):
         out = matrix_power(herm(np.diag([4.0, 0.0]), (2,)), -1.0)
