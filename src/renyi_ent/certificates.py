@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,58 +187,103 @@ class OverlapResult:
     restart_values: tuple[float, ...]
 
 
-def _local_matrix_subscripts(nparties: int) -> list[str]:
-    letters = string.ascii_letters
-    bra = letters[:nparties]
-    ket = letters[nparties : 2 * nparties]
-    subs = []
-    for k in range(nparties):
-        terms = [bra + ket]
-        for j in range(nparties):
-            if j != k:
-                terms.append(bra[j])
-                terms.append(ket[j])
-        subs.append(",".join(terms) + "->" + bra[k] + ket[k])
-    return subs
+# Bound on the output of the first contraction of Xi per chunk of restarts:
+# 8 MB holds 33 restarts at 625 dims and 11 at 1296, wide enough for an
+# efficient matrix product; smaller operators run all restarts in one chunk.
+_CHUNK_BYTES = 1 << 23
+
+
+def _kron_rows(factors: list[np.ndarray], rows: int) -> np.ndarray:
+    """Row-wise Kronecker product of (rows, d_j) arrays; a column of ones for none."""
+    out = np.ones((rows, 1), dtype=complex)
+    for f in factors:
+        out = (out[:, :, None] * f[:, None, :]).reshape(rows, -1)
+    return out
+
+
+def _local_matrices(
+    xi: np.ndarray, dims: tuple[int, ...], k: int, vecs: list[np.ndarray]
+) -> np.ndarray:
+    """Party k's local matrices <others| Xi |others>, one (d_k, d_k) block per row of ``vecs``.
+
+    The first contraction reads Xi's own buffer through a reshape view, as one
+    matrix product against a chunk of restarts: the kets of all later parties
+    for k = 0, the bras of all earlier parties otherwise. Chunks keep its
+    output within _CHUNK_BYTES; the rest of the contraction runs on that output.
+    """
+    rows, d, dim = vecs[0].shape[0], dims[k], xi.shape[0]
+    pre = _kron_rows(vecs[:k], rows)
+    post = _kron_rows(vecs[k + 1 :], rows)
+    # the axes left between party k's bra and ket: later bras, then earlier kets
+    mid = _kron_rows([post.conj(), pre], rows)
+    first = post.shape[1] if k == 0 else pre.shape[1]
+    step = max(1, _CHUNK_BYTES // (16 * dim * dim // first))
+    out = np.empty((rows, d, d), dtype=complex)
+    for lo in range(0, rows, step):
+        c = slice(lo, lo + step)
+        if k == 0:
+            t = post[c] @ xi.reshape(-1, first).T
+        else:
+            t = pre[c].conj() @ xi.reshape(first, -1)
+            if post.shape[1] > 1:
+                t = t.reshape(t.shape[0], -1, post.shape[1]) @ post[c, :, None]
+        t = t.reshape(t.shape[0], d, -1, d)
+        out[c] = (mid[c, None, None, :] @ t)[:, :, 0, :]
+    return out
 
 
 def _alternating_ascent(
-    tensor: np.ndarray,
+    xi: np.ndarray,
     dims: tuple[int, ...],
-    subs: list[str],
     vecs: list[np.ndarray],
     max_iters: int,
     tol: float,
-) -> tuple[float, list[np.ndarray]]:
-    n = len(dims)
-    value = -math.inf
+) -> np.ndarray:
+    """Advance every restart (one row of each (R, d_k) array in ``vecs``) in lockstep.
+
+    A sweep updates each party in turn with one batched ``eigh`` over the
+    active restarts. A restart leaves the batch once its own sweep gains at
+    most ``tol * max(1, |value|)``. ``vecs`` is updated in place; returns the
+    per-restart values.
+    """
+    values = np.full(vecs[0].shape[0], -math.inf)
+    active = np.arange(values.size)
     for _ in range(max_iters):
-        new_value = value
-        for k in range(n):
-            operands = []
-            for j in range(n):
-                if j != k:
-                    operands.append(vecs[j].conj())
-                    operands.append(vecs[j])
-            local = np.einsum(subs[k], tensor, *operands)
-            w, v = np.linalg.eigh(hermitian_part(local))
-            vecs[k] = v[:, -1]
-            new_value = float(w[-1])
-        if new_value - value <= tol * max(1.0, abs(new_value)):
-            value = new_value
+        rows = [v[active] for v in vecs]
+        for k in range(len(dims)):
+            w, u = np.linalg.eigh(hermitian_part(_local_matrices(xi, dims, k, rows)))
+            rows[k] = u[:, :, -1]
+            new = w[:, -1]
+        for v, r in zip(vecs, rows):
+            v[active] = r
+        done = new - values[active] <= tol * np.maximum(1.0, np.abs(new))
+        values[active] = new
+        active = active[~done]
+        if active.size == 0:
             break
-        value = new_value
-    return value, vecs
+    return values
 
 
-def _spectral_init(op: HermitianOperator, dims: tuple[int, ...]) -> list[np.ndarray]:
-    # best rank-one alignment of the top eigenvector, one SVD per party
+def _initial_vectors(
+    op: HermitianOperator, restarts: int, seed: int
+) -> list[np.ndarray]:
+    """Per-party (restarts, d_k) start vectors.
+
+    Row 0 is the best rank-one alignment of the top eigenvector of ``op``
+    (one SVD per party); row r > 0 is a random unit vector per party drawn
+    from ``default_rng([seed, r])``.
+    """
+    dims = op.dims
+    vecs = [np.empty((restarts, d), dtype=complex) for d in dims]
     psi = eig_hermitian(op).vectors[:, -1].reshape(dims)
-    vecs = []
-    for k in range(len(dims)):
-        mat = np.moveaxis(psi, k, 0).reshape(dims[k], -1)
-        u, _, _ = np.linalg.svd(mat, full_matrices=False)
-        vecs.append(u[:, 0])
+    for k, v in enumerate(vecs):
+        u, _, _ = np.linalg.svd(np.moveaxis(psi, k, 0).reshape(dims[k], -1), full_matrices=False)
+        v[0] = u[:, 0]
+    for r in range(1, restarts):
+        rng = np.random.default_rng([seed, r])
+        for v, d in zip(vecs, dims):
+            x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            v[r] = x / np.linalg.norm(x)
     return vecs
 
 
@@ -256,36 +300,23 @@ def max_product_overlap(
     contraction of Xi is a local Hermitian matrix whose top eigenvector is the
     exact update, so the overlap is nondecreasing. Restart 0 is seeded from
     the rank-one alignment of the top eigenvector of Xi; the remaining
-    restarts use seeded random product vectors. The returned value is a
-    certified lower bound on Lambda^2; the multi-start is a heuristic for
-    global optimality.
+    restarts use seeded random product vectors. All restarts run in lockstep
+    as one batched ascent. The returned value is a certified lower bound on
+    Lambda^2; the multi-start is a heuristic for global optimality.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     h = as_operator(op)
-    dims = h.dims
-    n = len(dims)
-    if n < 2:
+    if len(h.dims) < 2:
         raise ValueError("need at least two parties; a single-party maximum is just the top eigenvalue")
-    tensor = h.entries.reshape(dims + dims)
-    subs = _local_matrix_subscripts(n)
-
-    def run(r: int) -> tuple[float, list[np.ndarray]]:
-        if r == 0:
-            vecs = _spectral_init(h, dims)
-        else:
-            rng = np.random.default_rng([seed, r])
-            vecs = []
-            for d in dims:
-                v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                vecs.append(v / np.linalg.norm(v))
-        return _alternating_ascent(tensor, dims, subs, vecs, max_iters, tol)
-
-    results = [run(r) for r in range(restarts)]
-
-    values = np.array([res[0] for res in results])
+    vecs = _initial_vectors(h, restarts, seed)
+    values = _alternating_ascent(h.entries, h.dims, vecs, max_iters, tol)
     best = int(np.argmax(values))  # ties resolve to the lowest restart index
     return OverlapResult(
         value=float(values[best]),
-        witness=tuple(results[best][1]),
+        witness=tuple(v[best].copy() for v in vecs),
         restart_values=tuple(float(x) for x in values),
     )
 

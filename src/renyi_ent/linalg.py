@@ -23,8 +23,8 @@ DEFAULT_REL_CUT = 1e-10
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """Return (M + M†)/2."""
-    return (matrix + matrix.conj().T) / 2
+    """Return (M + M†)/2, matrix by matrix over any leading batch axes."""
+    return (matrix + matrix.conj().swapaxes(-1, -2)) / 2
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,17 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A d x d complex Hermitian matrix tagged with a tensor partition.
 
     Construction validates that every entry is finite, hermiticity (per-entry
     tolerance 1e-12 * max(1, max|entry|)) and that the matrix dimension
     matches the partition. The stored array is read-only; instances are
-    immutable values. The spectrum is computed by one ``eigh`` on first use
-    and kept with the operator, so every spectral query on it (powers,
-    support, dominance, Xi) shares that single decomposition.
+    immutable and compare and hash by identity. The spectrum is computed by
+    one ``eigh`` on first use and kept with the operator, so every spectral
+    query on it (powers, support, dominance, Xi) shares that single
+    decomposition.
     """
 
     entries: np.ndarray
@@ -122,9 +123,9 @@ def wrap(matrix: np.ndarray, partition: Partition | Iterable[int]) -> HermitianO
     return HermitianOperator(hermitian_part(np.asarray(matrix, dtype=complex)), partition)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A positive semidefinite, unit-trace HermitianOperator."""
+    """A positive semidefinite, unit-trace HermitianOperator (compared by identity)."""
 
     op: HermitianOperator
 
@@ -173,7 +174,12 @@ def eig_hermitian(op: HermitianOperator | DensityMatrix) -> EigenDecomposition:
 
 
 def _support_mask(w: np.ndarray, rel_cut: float) -> np.ndarray:
-    """Ascending eigenvalues above ``rel_cut * lambda_max`` (none if lambda_max <= 0)."""
+    """Ascending eigenvalues above ``rel_cut * lambda_max`` (none if lambda_max <= 0).
+
+    This is the one place that rejects a ``rel_cut`` outside (0, 1).
+    """
+    if not 0.0 < rel_cut < 1.0:
+        raise ValueError("rel_cut must lie in (0, 1)")
     return w > rel_cut * max(float(w[-1]), 0.0)
 
 
@@ -185,16 +191,14 @@ def _power(
     An operator supplies its cached spectrum; a plain array (an intermediate
     product) is decomposed on the spot.
     """
-    if not 0.0 < rel_cut < 1.0:
-        raise ValueError("rel_cut must lie in (0, 1)")
     if isinstance(m, np.ndarray):
         w, v = np.linalg.eigh(m)
     else:
         dec = eig_hermitian(m)
         w, v = dec.eigenvalues, dec.vectors
-    if float(w[-1]) <= 0.0:
-        return np.zeros((w.size, w.size), dtype=v.dtype)
     keep = _support_mask(w, rel_cut)
+    if not keep.any():
+        return np.zeros((w.size, w.size), dtype=v.dtype)
     pw = np.zeros_like(w)
     pw[keep] = w[keep] ** p
     return (v * pw) @ v.conj().T
@@ -362,6 +366,8 @@ def load_operator_json(path: str) -> HermitianOperator:
         raise ValueError(f"'re' and 'im' must be nested lists of numbers: {exc}") from exc
     if re.shape != im.shape:
         raise ValueError("re and im blocks have different shapes")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValueError("matrix file has non-finite entries")
     return HermitianOperator(re + 1j * im, tuple(dims))
 
 

@@ -4,17 +4,20 @@ Each oracle deliberately avoids the code path it checks: the resolvent
 integral is done by adaptive quadrature instead of the divided-difference
 kernel, and the coherence scan is a dense one-parameter search instead of
 projected gradient descent. The small helpers at the end (product-state
-overlap, golden-section search) exist only for the tests.
+overlap, golden-section search) exist only for the tests. The serial
+Lambda^2 ascent runs one restart at a time with one 3-operand einsum over
+the whole tensor per party, the reference for the batched ascent.
 """
 
 import math
+import string
 
 import numpy as np
 import scipy.integrate
 
 from renyi_ent import AlphaZ, DensityMatrix, d_alpha_z, density, random_density
 from renyi_ent.linalg import as_operator
-from renyi_ent.certificates import chi
+from renyi_ent.certificates import _initial_vectors, chi
 
 
 def full_rank_state(d: int, seed: int, mix: float = 0.15, dims=None) -> DensityMatrix:
@@ -74,6 +77,57 @@ def product_overlap_value(op, vecs) -> float:
     for v in vecs[1:]:
         full = np.kron(full, v)
     return float((full.conj() @ as_operator(op).entries @ full).real)
+
+
+def _local_matrix_subscripts(nparties: int) -> list[str]:
+    letters = string.ascii_letters
+    bra = letters[:nparties]
+    ket = letters[nparties : 2 * nparties]
+    subs = []
+    for k in range(nparties):
+        terms = [bra + ket]
+        for j in range(nparties):
+            if j != k:
+                terms.append(bra[j])
+                terms.append(ket[j])
+        subs.append(",".join(terms) + "->" + bra[k] + ket[k])
+    return subs
+
+
+def product_overlap_serial(op, restarts: int = 64, max_iters: int = 1000, tol: float = 1e-12, seed: int = 0):
+    """Alternating Lambda^2 ascent, one restart at a time, from the library's start vectors.
+
+    Returns (values, sweeps, witnesses), one entry per restart; a restart
+    stops once its sweep gains at most ``tol * max(1, |value|)``.
+    """
+    h = as_operator(op)
+    dims, n = h.dims, len(h.dims)
+    tensor = h.entries.reshape(dims + dims)
+    subs = _local_matrix_subscripts(n)
+    starts = _initial_vectors(h, restarts, seed)
+    values, sweeps, witnesses = [], [], []
+    for r in range(restarts):
+        vecs = [v[r].copy() for v in starts]
+        value, count = -math.inf, 0
+        for _ in range(max_iters):
+            count += 1
+            for k in range(n):
+                operands = []
+                for j in range(n):
+                    if j != k:
+                        operands += [vecs[j].conj(), vecs[j]]
+                local = np.einsum(subs[k], tensor, *operands)
+                w, v = np.linalg.eigh((local + local.conj().T) / 2)
+                vecs[k] = v[:, -1]
+                new_value = float(w[-1])
+            converged = new_value - value <= tol * max(1.0, abs(new_value))
+            value = new_value
+            if converged:
+                break
+        values.append(value)
+        sweeps.append(count)
+        witnesses.append(tuple(vecs))
+    return values, sweeps, witnesses
 
 
 def golden_section_1d(objective, bracket: tuple[float, float], tol: float = 1e-10) -> tuple[float, float]:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from renyi_ent import (
+    GHZ,
     AlphaZ,
     AntisymPair,
     BellDiagonal,
+    Dicke,
+    Isotropic,
     MCBD,
     PureBipartite,
     Werner,
@@ -34,7 +37,7 @@ from renyi_ent import (
 from renyi_ent.certificates import commutator_maxnorm
 from renyi_ent.divergences import is_dominated, is_orthogonal
 from renyi_ent.linalg import support_rank
-from oracles import full_rank_state, product_overlap_value, xi_quadrature
+from oracles import full_rank_state, product_overlap_serial, product_overlap_value, xi_quadrature
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
 
@@ -232,6 +235,57 @@ class TestMaxProductOverlap:
         with pytest.raises(ValueError):
             product_overlap_grid(random_density(9, 9, 0, dims=(3, 3)).op)
 
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"max_iters": 0}])
+    def test_empty_search_rejected(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            max_product_overlap(random_density(4, 4, 0, dims=(2, 2)).op, **kwargs)
+
+
+def _xi_of(family, p=AlphaZ(1.5, 1.2)):
+    return xi(build(family), ansatz_optimizer(family, p), p).xi
+
+
+BATCH_CASES = {
+    "bell-diagonal": lambda: _xi_of(BellDiagonal((0.55, 0.25, 0.15, 0.05))),
+    "dicke-3-21": lambda: _xi_of(Dicke(3, (2, 1))),
+    "ghz-3-3": lambda: _xi_of(GHZ(3, 3)),
+    "isotropic": lambda: _xi_of(Isotropic(0.6, 3)),
+    "antisym-3": lambda: _xi_of(AntisymPair(3)),
+    "random-3x3": lambda: random_density(9, 9, seed=31, dims=(3, 3)).op,
+    "random-2x2x2": lambda: random_density(8, 8, seed=32, dims=(2, 2, 2)).op,
+}
+
+
+class TestBatchedAscent:
+    """The lockstep ascent against the one-restart-at-a-time reference."""
+
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_matches_serial_reference(self, case):
+        op = BATCH_CASES[case]()
+        res = max_product_overlap(op, restarts=32, seed=5)
+        values, _, _ = product_overlap_serial(op, restarts=32, seed=5)
+        assert len(res.restart_values) == len(values)
+        for got, want in zip(res.restart_values, values):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert res.value == max(res.restart_values)
+        assert abs(product_overlap_value(op, res.witness) - res.value) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["bell-diagonal", "ghz-3-3", "random-3x3", "random-2x2x2"])
+    def test_one_eigh_per_party_per_sweep(self, case, monkeypatch):
+        op = BATCH_CASES[case]()
+        _, sweeps, _ = product_overlap_serial(op, restarts=16)
+        calls = []
+        original = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        max_product_overlap(op, restarts=16)
+        assert len(calls) <= len(op.dims) * max(sweeps)
+
 
 class TestCertify:
     def test_bell_diagonal_relative_entropy_point(self):
@@ -411,13 +465,19 @@ class TestSpectralCache:
 
     @pytest.mark.parametrize(
         "fn",
-        [is_orthogonal, is_dominated, in_support_set, q_alpha_z, d_alpha_z, certify_optimizer],
+        [is_orthogonal, is_dominated, in_support_set, q_alpha_z, d_alpha_z, certify_optimizer, support_rank, xi],
     )
-    @pytest.mark.parametrize("rel_cut", [0.0, 1.0, -0.5])
+    @pytest.mark.parametrize("rel_cut", [0.0, 1.0, -0.5, 2.0])
     def test_rel_cut_outside_unit_interval_rejected(self, fn, rel_cut):
         rho = random_density(4, 4, seed=11, dims=(2, 2))
         tau = random_density(4, 3, seed=12, dims=(2, 2))
-        args = (rho, tau) if fn in (is_orthogonal, is_dominated) else (rho, tau, AlphaZ(1.5, 1.2))
+        if fn is support_rank:
+            args = (rho,)
+        elif fn in (is_orthogonal, is_dominated):
+            args = (rho, tau)
+        else:
+            # xi at alpha = 1 takes the divided-difference route, which needs no _power
+            args = (rho, tau, AlphaZ(1.0, 1.0) if fn is xi else AlphaZ(1.5, 1.2))
         with pytest.raises(ValueError, match="rel_cut"):
             fn(*args, rel_cut=rel_cut)
 

@@ -182,6 +182,13 @@ class TestCounterexample:
         payload = json.loads(out)
         assert abs(payload["additivity_defect"]) <= 1e-9
 
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_no_restarts_exits_2_with_one_line(self, capsys, restarts):
+        code, out, err = run(capsys, ["counterexample", "--d", "2", "--restarts", restarts])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "restarts" in err
+
     def test_d10_reports_closed_form_gap(self, capsys):
         # the pair state would be 10^4-dimensional: certification is skipped
         # beyond the dense-dimension cap, closed forms are still reported

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,14 @@ class TestSpectralCache:
     def test_cache_belongs_to_the_operator(self):
         a = random_density(3, 3, seed=8)
         b = HermitianOperator(a.entries.copy(), a.dims)
+        assert eig_hermitian(a) is not eig_hermitian(b)
+
+    def test_operators_compare_and_hash_by_identity(self):
+        a, b = random_density(2, 2, seed=1), random_density(2, 2, seed=1)
+        for x, y in ((a, b), (a.op, b.op)):
+            assert x == x and x != y
+            assert len({x, y}) == 2 and hash(x) == hash(x)
+        assert eig_hermitian(a) is eig_hermitian(a.op)
         assert eig_hermitian(a) is not eig_hermitian(b)
 
 
@@ -338,3 +348,12 @@ class TestMatrixFiles:
         path.write_text(text)
         with pytest.raises(ValueError):
             load_operator_json(str(path))
+
+    @pytest.mark.parametrize("re,im", [("1", "Infinity"), ("Infinity", "0"), ("1", "-Infinity"), ("1", "NaN")])
+    def test_rejects_non_finite_parts_without_warning(self, tmp_path, re, im):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dims": [1], "re": [[{re}]], "im": [[{im}]]}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                load_operator_json(str(path))
