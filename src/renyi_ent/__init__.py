@@ -65,6 +65,7 @@ from .catalog import (
 )
 from .minimizers import (
     SimplexProblem,
+    SimplexRun,
     SimplexSolution,
     SolverOptions,
     conditional_entropy_mc,
@@ -72,7 +73,6 @@ from .minimizers import (
     minimize_incoherent,
     minimize_mc,
     minimize_simplex,
-    project_to_simplex,
 )
 
 __version__ = "0.1.0"

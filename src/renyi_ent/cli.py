@@ -252,6 +252,8 @@ def _marginal_with_ansatz(descriptor: str, p: AlphaZ, args) -> tuple[str, Densit
     if descriptor.startswith("random:"):
         seed = int(descriptor.split(":", 1)[1])
         d = args.other_dim
+        if d < 1:
+            raise ValueError(f"--other-dim must be >= 1, got {d}")
         coeff = random_density(d, d, seed).entries
         family = MaximallyCorrelated(tuple(tuple(x for x in row) for row in coeff))
         rho = build(family)

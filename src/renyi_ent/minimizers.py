@@ -3,17 +3,21 @@
 These cover the cases where the free-set optimization provably reduces to a
 simplex: incoherent states (coherence monotones), the diagonal set T_rho for
 maximally correlated states, and the conditional-entropy minimization over
-I (x) sigma_B. The solver is projected gradient descent with central
-finite-difference gradients and backtracking line search; inside the DPI
-region any local minimum is global, so a small multi-start is only a guard
-against stalls at the simplex boundary.
+I (x) sigma_B. On tau = diag(w) the optimality condition reads
+w_j^(beta-1) chi_jj = Q on the support (beta = (1-alpha)/z), so the solver
+iterates the multiplicative map w_j <- w_j r_j^theta (renormalized) with
+r_j = w_j^(beta-1) chi_jj / Q, whose fixed points are exactly that condition.
+Value and exact gradient come from one eigendecomposition per step, and a run
+stops when max_j r_j - 1 on the support, the certificate's own relative
+margin, falls to 1e-12. Inside the DPI region any local minimum is global, so
+a small multi-start is only a guard against stalls at the simplex boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,27 +26,34 @@ from .divergences import AlphaZ, _log2_sum_powers_rows, _require_dpi
 from .linalg import DEFAULT_REL_CUT, DensityMatrix, _power, _support_mask, density
 
 _SUPPORT_DIAG_TOL = 1e-12
-_PIN_TOL = 1e-12
+_LN2 = math.log(2.0)
+# a run is stationary once max_j r_j - 1 on the support is at most this; the
+# certificate margin is then about -1e-12 Q against its band of 1e-7 Q
+_STATIONARY_TOL = 1e-12
+# at the stationary point objective differences are float noise: a step may
+# raise f by this much (relative) if it lowers the stationarity gap
+_NOISE_REL = 1e-13
+# a step whose exponent halves below this without progress ends the run
+_MIN_THETA = 2.0**-30
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """PGD settings.
+    """Multi-start settings of the fixed-point simplex solver.
 
-    The finite-difference step and stopping tolerance are tighter than first
-    looks necessary: the optimizer certificates are first-order sensitive to
-    the weight error while the objective is only second-order, so stopping at
-    an objective improvement of 1e-12 leaves margins around 1e-6, too coarse
-    for the 1e-7 certification band. Step 1e-7 with improvement tolerance
-    1e-14 (and a short patience) brings certificate margins to ~1e-9.
+    ``starts`` runs are made: the warm start (when given) first, then seeded
+    Dirichlet draws. ``max_iters`` bounds the accepted steps of each run.
     """
 
     starts: int = 8
     max_iters: int = 10_000
-    fd_step: float = 1e-7
-    tol: float = 1e-14
-    patience: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        if self.starts < 1:
+            raise ValueError(f"starts must be >= 1, got {self.starts}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -50,11 +61,25 @@ class SimplexProblem:
     """A batched objective over the probability simplex.
 
     ``objective`` maps an (m, dimension) array of weight rows to m values
-    (inf allowed).
+    (inf allowed) and their (m, dimension) gradients. It must shift like a
+    divergence against diag(w), f(c w) = f(w) - log2 c, so that
+    r = -ln2 * gradient satisfies sum_j w_j r_j = 1. ``theta`` is the first
+    exponent tried in each step w <- w r^theta.
     """
 
-    objective: Callable[[np.ndarray], np.ndarray]
+    objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     dimension: int
+    theta: float = 1.0
+
+
+class SimplexRun(NamedTuple):
+    """Best value and weights of a multi-start solve, with per-start records."""
+
+    value: float
+    weights: np.ndarray
+    per_start: tuple[float, ...]
+    iterations: tuple[int, ...]
+    stop_reason: str  # of the run that gave ``weights``
 
 
 @dataclass(frozen=True)
@@ -63,104 +88,77 @@ class SimplexSolution:
     weights: np.ndarray
     sigma: DensityMatrix
     per_start: tuple[float, ...]
+    iterations: tuple[int, ...]  # accepted steps, per start
+    stop_reason: str  # "stationary" | "max-iters" | "no-descent", of the best start
     certificate: CertificateReport | None = None
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    cond = u + (1.0 - css) / idx > 0
-    rho = int(np.nonzero(cond)[0][-1])
-    lam = (1.0 - css[rho]) / (rho + 1)
-    return np.maximum(v + lam, 0.0)
+def _evaluate(f, w: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(f(w), r, stationarity gap max_j r_j - 1 over the support of w).
+
+    r >= 0 in exact arithmetic; the clip keeps a rounded-negative diagonal
+    entry of rho from producing a negative weight.
+    """
+    values, grads = f(w[None, :])
+    r = np.maximum(-_LN2 * grads[0], 0.0)
+    live = w > 0
+    gap = float(np.max(r[live])) - 1.0 if np.any(live) else math.inf
+    return float(values[0]), r, gap
 
 
-def _fd_gradient(f, s: np.ndarray, fs: float, h: float) -> np.ndarray:
-    d = s.size
-    plus = s[None, :] + h * np.eye(d)
-    minus = s[None, :] - h * np.eye(d)
-    one_sided = np.diag(minus) < 0
-    minus[one_sided] = s
-    vals = f(np.vstack([plus, minus]))
-    fp, fm = vals[:d], vals[d:]
-    g = np.zeros(d)
-    for i in range(d):
-        backward_ok = math.isfinite(fm[i]) and not one_sided[i]
-        if math.isfinite(fp[i]) and backward_ok:
-            g[i] = (fp[i] - fm[i]) / (2.0 * h)
-        elif math.isfinite(fp[i]):
-            g[i] = (fp[i] - fs) / h
-        elif backward_ok:
-            g[i] = (fs - fm[i]) / h
-        # else: both sides infinite, leave the component frozen
-    return g
+def _fixed_point(f, w0: np.ndarray, theta0: float, opts: SolverOptions) -> tuple[float, np.ndarray, int, str]:
+    """One run of w <- normalize(w r^theta) from ``w0``: (value, w, steps, stop reason).
 
-
-def _pin(s: np.ndarray) -> np.ndarray:
-    out = np.where(s < _PIN_TOL, 0.0, s)
-    total = out.sum()
-    return out / total if total > 0 else np.full_like(s, 1.0 / s.size)
-
-
-def _pgd(f, s0: np.ndarray, opts: SolverOptions) -> tuple[float, np.ndarray]:
-    s = _pin(project_to_simplex(np.asarray(s0, dtype=float)))
-    fs = float(f(s[None, :])[0])
-    if not math.isfinite(fs):
-        s = np.full_like(s, 1.0 / s.size)
-        fs = float(f(s[None, :])[0])
-    eta = 1.0
-    stalled = 0
-    for _ in range(opts.max_iters):
-        g = _fd_gradient(f, s, fs, opts.fd_step)
-        etas = eta * 2.0 ** np.arange(1, -14, -1.0)
-        cands = np.array([_pin(project_to_simplex(s - e * g)) for e in etas])
-        fc = f(cands)
-        moved = np.sum((cands - s[None, :]) ** 2, axis=1)
-        ok = np.isfinite(fc) & (fc <= fs - 1e-4 * moved / etas) & (moved > 0)
-        if not np.any(ok):
-            # no sufficient-decrease step: take any strict improvement,
-            # otherwise deepen the backtracking ladder before giving up
-            finite = np.isfinite(fc)
-            if np.any(finite) and np.min(fc[finite]) < fs:
-                pick = int(np.flatnonzero(finite)[np.argmin(fc[finite])])
-            elif float(etas[-1]) > 1e-15 and np.any(moved > 0):
-                eta = float(etas[-1])
-                continue
-            else:
+    A step is accepted when it does not raise f, or raises it by float noise
+    while lowering the stationarity gap; otherwise theta halves.
+    """
+    w = np.maximum(np.asarray(w0, dtype=float), 0.0)
+    w = w / w.sum()
+    fw, r, gap = _evaluate(f, w)
+    if not math.isfinite(fw):
+        w = np.full_like(w, 1.0 / w.size)
+        fw, r, gap = _evaluate(f, w)
+        if not math.isfinite(fw):
+            return fw, w, 0, "no-descent"
+    for it in range(opts.max_iters):
+        if gap <= _STATIONARY_TOL:
+            return fw, w, it, "stationary"
+        theta = theta0
+        noise = _NOISE_REL * max(1.0, abs(fw))
+        while True:
+            step = w * r**theta
+            step /= step.sum()
+            fs, rs, gs = _evaluate(f, step)
+            if fs <= fw or (fs <= fw + noise and gs < gap):
                 break
-        else:
-            pick = int(np.flatnonzero(ok)[0])
-        new_s, new_f = cands[pick], float(fc[pick])
-        eta = max(float(etas[pick]), 1e-12)
-        stalled = stalled + 1 if fs - new_f <= opts.tol * max(1.0, abs(new_f)) else 0
-        s, fs = new_s, new_f
-        if stalled >= opts.patience:
-            break
-    return fs, s
+            theta /= 2.0
+            if theta < _MIN_THETA:
+                return fw, w, it, "no-descent"
+        w, fw, r, gap = step, fs, rs, gs
+    return fw, w, opts.max_iters, "stationary" if gap <= _STATIONARY_TOL else "max-iters"
 
 
 def minimize_simplex(
     problem: SimplexProblem, opts: SolverOptions | None = None, warm: np.ndarray | None = None
-) -> tuple[float, np.ndarray, tuple[float, ...]]:
-    """Multi-start PGD; returns (best value, best weights, per-start values)."""
+) -> SimplexRun:
+    """Multi-start fixed-point solve; the best run plus per-start values and steps."""
     opts = opts or SolverOptions()
     d = problem.dimension
     rng = np.random.default_rng(opts.seed)
     starts = []
     if warm is not None:
         starts.append(np.asarray(warm, dtype=float))
-    while len(starts) < max(1, opts.starts):
+    while len(starts) < opts.starts:
         starts.append(rng.dirichlet(np.ones(d)))
-    best_val, best_s = math.inf, np.full(d, 1.0 / d)
-    history = []
+    best = (math.inf, np.full(d, 1.0 / d), "no-descent")
+    values, steps = [], []
     for s0 in starts:
-        val, s = _pgd(problem.objective, s0, opts)
-        history.append(val)
-        if val < best_val:
-            best_val, best_s = val, s
-    return best_val, best_s, tuple(history)
+        val, s, it, reason = _fixed_point(problem.objective, s0, problem.theta, opts)
+        values.append(val)
+        steps.append(it)
+        if val < best[0]:
+            best = (val, s, reason)
+    return SimplexRun(best[0], best[1], tuple(values), tuple(steps), best[2])
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +169,32 @@ def minimize_simplex(
 def _diag_objective(
     rho_matrix: np.ndarray,
     p: AlphaZ,
-    weight_map: Callable[[np.ndarray], np.ndarray],
     support_diag: np.ndarray,
+    reps: int = 1,
     rel_cut: float = DEFAULT_REL_CUT,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """f(S) = D_{alpha,z}(rho || diag(weight_map(s))) for rows s of S.
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """f(S) = D_{alpha,z}(rho || diag(w)) and dD/ds for rows s of S, w = s tiled ``reps`` times.
 
-    ``weight_map`` expands the simplex variable to the full diagonal (identity
-    for incoherent/T_rho problems, tiling for I (x) sigma_B). ``support_diag``
-    is the diagonal of rho in the same basis, used for the alpha >= 1 support
-    blow-up: any exactly-zero weight carrying rho-mass forces +inf.
+    ``reps`` = 1 is the incoherent/T_rho problem, ``reps`` = d the
+    I (x) sigma_B one; the gradient of a tiled weight sums over its blocks.
+    ``support_diag`` is the diagonal of rho in the same basis (length
+    ``reps * s.size``), used for the alpha >= 1 support blow-up: any
+    exactly-zero weight carrying rho-mass forces +inf.
+
+    Off the Umegaki line both come from one eigh of the core
+    C = A diag(w^beta) A, A = rho^(alpha/2z): dD/dw_j = -w_j^(beta-1) chi_jj / (Q ln2)
+    with chi = A C^(z-1) A and Q = Tr C^z, both scaled by the top eigenvalue
+    of C. On the line dD/dw_j = -rho_jj / (w_j ln2).
     """
     alpha, z = p.alpha, p.z
+
+    def tiled(S: np.ndarray) -> np.ndarray:
+        S = np.asarray(S, dtype=float)
+        return S if reps == 1 else np.tile(S, (1, reps))
+
+    def fold(G: np.ndarray) -> np.ndarray:
+        return G if reps == 1 else G.reshape(G.shape[0], reps, -1).sum(axis=1)
+
     if p.on_umegaki_line:
         w_rho, _ = np.linalg.eigh(rho_matrix)
         w_rho = w_rho[_support_mask(w_rho, rel_cut)]
@@ -191,9 +203,10 @@ def _diag_objective(
         # the (possibly marginalized) mass used to detect support violations
         true_diag = np.real(np.diag(rho_matrix)).copy()
 
-        def f_umegaki(S: np.ndarray) -> np.ndarray:
-            W = weight_map(np.asarray(S, dtype=float))
+        def f_umegaki(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            W = tiled(S)
             out = np.empty(W.shape[0])
+            grad = np.zeros(W.shape)
             for r in range(W.shape[0]):
                 w = W[r]
                 dead = w <= 0
@@ -202,44 +215,65 @@ def _diag_objective(
                     continue
                 live = ~dead
                 out[r] = self_term - float(np.sum(true_diag[live] * np.log2(w[live])))
-            return out
+                grad[r, live] = -true_diag[live] / (w[live] * _LN2)
+            return out, fold(grad)
 
         return f_umegaki
 
     a_half = _power(rho_matrix, alpha / (2.0 * z), rel_cut)
     b_exp = (1.0 - alpha) / z
 
-    def f(S: np.ndarray) -> np.ndarray:
-        W = weight_map(np.asarray(S, dtype=float))
+    def f(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        W = tiled(S)
+        live = W > 0
         with np.errstate(divide="ignore"):
-            Wp = np.where(W > 0, W ** b_exp, 0.0)
+            Wp = np.where(live, W**b_exp, 0.0)
         core = np.einsum("ij,rj,jk->rik", a_half, Wp, a_half)
         core = (core + np.conj(np.transpose(core, (0, 2, 1)))) / 2
-        mu = np.linalg.eigvalsh(core)
+        mu, vecs = np.linalg.eigh(core)
         log2q = _log2_sum_powers_rows(mu, z, rel_cut)
         out = log2q / (alpha - 1.0)
         if alpha > 1.0:
-            bad = np.any((W <= 0) & (support_diag[None, :] > _SUPPORT_DIAG_TOL), axis=1)
+            bad = np.any(~live & (support_diag[None, :] > _SUPPORT_DIAG_TOL), axis=1)
             out[bad] = math.inf
-        out[~np.isfinite(log2q)] = math.inf
-        return out
+        finite = np.isfinite(log2q)
+        out[~finite] = math.inf
+
+        # r_j = w_j^(beta-1) chi_jj / Q with chi and Q scaled by top = mu_max:
+        # chi / Q = chi~ / (top Q~), Q~ = sum (mu/top)^z = 2^(log2q - z log2 top)
+        grad = np.zeros(W.shape)
+        rows = np.flatnonzero(finite)
+        if rows.size:
+            mu_g = mu[rows]
+            top = mu_g[:, -1]
+            mask = mu_g > rel_cut * top[:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scaled = np.where(mask, (mu_g / top[:, None]) ** (z - 1.0), 0.0)
+            av = a_half @ vecs[rows]
+            chi_diag = np.einsum("rjk,rk->rj", (av * av.conj()).real, scaled)
+            q_scaled = np.exp2(log2q[rows] - z * np.log2(top))
+            with np.errstate(divide="ignore"):
+                w_pow = np.where(live[rows], W[rows] ** (b_exp - 1.0), 0.0)
+            grad[rows] = -w_pow * chi_diag / ((top * q_scaled)[:, None] * _LN2)
+        return out, fold(grad)
 
     return f
 
 
 def _solve(
     rho_matrix: np.ndarray, p: AlphaZ, mass: np.ndarray, opts: SolverOptions | None, reps: int = 1
-) -> tuple[float, np.ndarray, tuple[float, ...]]:
+) -> SimplexRun:
     """min_s D_{alpha,z}(rho || diag(s tiled ``reps`` times)) over the simplex.
 
     ``mass`` is the rho-mass on each simplex coordinate: normalized, it is the
-    warm start; tiled, it decides the alpha >= 1 support blow-up.
+    warm start; tiled, it decides the alpha >= 1 support blow-up. Steps start
+    at theta = min(1, 1/alpha): the undamped map overshoots at large alpha.
     """
     _require_dpi(p)
-    weight_map = (lambda S: S) if reps == 1 else (lambda S: np.tile(S, (1, reps)))
-    objective = _diag_objective(rho_matrix, p, weight_map, np.tile(mass, reps))
+    objective = _diag_objective(rho_matrix, p, np.tile(mass, reps), reps)
     warm = np.maximum(mass, 0.0)
-    return minimize_simplex(SimplexProblem(objective, mass.size), opts, warm / warm.sum())
+    problem = SimplexProblem(objective, mass.size, min(1.0, 1.0 / p.alpha))
+    return minimize_simplex(problem, opts, warm / warm.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +296,10 @@ def minimize_incoherent(
     d = rho.dim
     b = np.eye(d, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
     rho_b = b.conj().T @ rho.entries @ b
-    value, s, history = _solve(rho_b, p, np.real(np.diag(rho_b)), opts)
-    sigma = density(b @ np.diag(s) @ b.conj().T, rho.partition)
+    run = _solve(rho_b, p, np.real(np.diag(rho_b)), opts)
+    sigma = density(b @ np.diag(run.weights) @ b.conj().T, rho.partition)
     report = certify_optimizer(rho, sigma, p, free_set="incoherent", coherence_basis=b)
-    return SimplexSolution(value=value, weights=s, sigma=sigma, per_start=history, certificate=report)
+    return SimplexSolution(sigma=sigma, certificate=report, **run._asdict())
 
 
 def _compress_mc(rho: DensityMatrix) -> np.ndarray:
@@ -288,13 +322,13 @@ def minimize_mc(
     """
     small = _compress_mc(rho)
     d = small.shape[0]
-    value, s, history = _solve(small, p, np.real(np.diag(small)), opts)
+    run = _solve(small, p, np.real(np.diag(small)), opts)
     m = np.zeros((d * d, d * d))
-    for i, w in enumerate(s):
+    for i, w in enumerate(run.weights):
         m[i * d + i, i * d + i] = w
     tau = density(m, rho.partition)
     report = marginal_condition_mc(rho, tau, p)
-    return SimplexSolution(value=value, weights=s, sigma=tau, per_start=history, certificate=report)
+    return SimplexSolution(sigma=tau, certificate=report, **run._asdict())
 
 
 def minimize_conditional_mc(
@@ -312,13 +346,8 @@ def minimize_conditional_mc(
     # I_A (x) diag(s) has diagonal w[(i,j)] = s_j; rho mass per B index decides
     # the alpha >= 1 support blow-up
     support_b = np.real(np.diag(rho.entries)).reshape(d, d).sum(axis=0)
-    value, s, history = _solve(rho.entries, p, support_b, opts, reps=d)
-    return SimplexSolution(
-        value=value,
-        weights=s,
-        sigma=density(np.diag(s), (d,)),
-        per_start=history,
-    )
+    run = _solve(rho.entries, p, support_b, opts, reps=d)
+    return SimplexSolution(sigma=density(np.diag(run.weights), (d,)), **run._asdict())
 
 
 def conditional_entropy_mc(

@@ -3,10 +3,11 @@
 Each oracle deliberately avoids the code path it checks: the resolvent
 integral is done by adaptive quadrature instead of the divided-difference
 kernel, and the coherence scan is a dense one-parameter search instead of
-projected gradient descent. The small helpers at the end (product-state
-overlap, golden-section search) exist only for the tests. The serial
-Lambda^2 ascent runs one restart at a time with one 3-operand einsum over
-the whole tensor per party, the reference for the batched ascent.
+the fixed-point simplex solver. The small helpers at the end (product-state
+overlap, golden-section search, simplex projection) exist only for the
+tests. The serial Lambda^2 ascent runs one restart at a time with one
+3-operand einsum over the whole tensor per party, the reference for the
+batched ascent.
 """
 
 import math
@@ -150,3 +151,14 @@ def golden_section_1d(objective, bracket: tuple[float, float], tol: float = 1e-1
             f2 = objective(x2)
     x = (lo + hi) / 2.0
     return x, objective(x)
+
+
+def project_to_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    idx = np.arange(1, v.size + 1)
+    cond = u + (1.0 - css) / idx > 0
+    rho = int(np.nonzero(cond)[0][-1])
+    lam = (1.0 - css[rho]) / (rho + 1)
+    return np.maximum(v + lam, 0.0)

@@ -256,6 +256,17 @@ class TestAdditivity:
         assert payload["joint"]["verdict"] == "certified-optimal"
         assert abs(payload["defect"]) <= 1e-5
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--starts", "0"), ("--starts", "-3"), ("--other-dim", "0"), ("--other-dim", "-3")]
+    )
+    def test_empty_random_partner_exits_2_with_one_line(self, capsys, flag, value):
+        code, out, err = run(
+            capsys, ["additivity", "pure:p=0.8|0.2", "--other", "random:5", "--restarts", "2", flag, value]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag.lstrip("-") in err
+
 
 class TestSweep:
     def test_isotropic_f_sweep(self, tmp_path, capsys):

@@ -16,14 +16,13 @@ from renyi_ent import (
     density,
     minimize_incoherent,
     minimize_mc,
-    project_to_simplex,
     pure_density,
     random_density,
     renyi_entropy,
 )
 from renyi_ent.catalog import Isotropic
 from renyi_ent.catalog import build as build_family
-from oracles import coherence_scan_qubit, full_rank_state, golden_section_1d
+from oracles import coherence_scan_qubit, full_rank_state, golden_section_1d, project_to_simplex
 
 FAST = SolverOptions(starts=2)
 
@@ -211,10 +210,96 @@ class TestObjectiveConsistency:
 
         p = AlphaZ(a, z)
         rho = full_rank_state(3, 80)
-        f = _diag_objective(rho.entries, p, lambda S: S, np.real(np.diag(rho.entries)))
+        f = _diag_objective(rho.entries, p, np.real(np.diag(rho.entries)))
         rng = np.random.default_rng(81)
         samples = rng.dirichlet(np.ones(3), size=5)
-        batched = f(samples)
+        batched, _ = f(samples)
         for row, expect in zip(samples, batched):
             direct = d_alpha_z(rho, density(np.diag(row), (3,)).op, p)
             assert abs(direct - expect) <= 1e-10
+
+
+GRADIENT_POINTS = [(0.7, 0.7), (1.0, 1.0), (1.5, 1.2), (2.0, 2.0), (0.5, 1.0), (3.0, 2.5)]
+
+
+class TestExactGradient:
+    @pytest.mark.parametrize("reps", [1, 2])
+    @pytest.mark.parametrize("a,z", GRADIENT_POINTS)
+    def test_matches_central_differences(self, a, z, reps):
+        from renyi_ent.minimizers import _diag_objective
+
+        rho = full_rank_state(4, 82 + reps)
+        dim = 4 // reps
+        f = _diag_objective(rho.entries, AlphaZ(a, z), np.real(np.diag(rho.entries)), reps)
+        rng = np.random.default_rng(83)
+        # interior rows, every weight >= 0.05
+        rows = 0.8 * rng.dirichlet(np.ones(dim), size=3) + 0.2 / dim
+        values, grads = f(rows)
+        h = 1e-6
+        for row, value, grad in zip(rows, values, grads):
+            shifts = h * np.eye(dim)
+            plus, _ = f(row + shifts)
+            minus, _ = f(row - shifts)
+            central = (plus - minus) / (2.0 * h)
+            assert np.max(np.abs(grad - central)) <= 1e-8 * max(1.0, np.max(np.abs(grad)))
+            # a divergence against diag(w) shifts by -log2 c under w -> c w
+            assert abs(float(row @ grad) + 1.0 / math.log(2.0)) <= 1e-12
+
+
+MARGIN_POINTS = [
+    (0.5, 1.0), (0.6, 0.6), (0.7, 0.9), (1.5, 0.75), (1.5, 1.2), (1.5, 1.5),
+    (2.0, 1.0), (2.0, 2.0), (3.0, 2.0), (3.0, 3.0), (5.0, 4.5),
+]
+
+
+class TestSolverMarginsAndCost:
+    @pytest.mark.parametrize("a,z", MARGIN_POINTS)
+    def test_certified_well_inside_band_at_bounded_cost(self, a, z, monkeypatch):
+        calls = []
+        originals = {name: getattr(np.linalg, name) for name in ("eigh", "eigvalsh")}
+
+        def counted(name):
+            def wrapper(m, *args, **kwargs):
+                calls.append(np.ndim(m))
+                return originals[name](m, *args, **kwargs)
+
+            return wrapper
+
+        for name in originals:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        p = AlphaZ(a, z)
+        for seed in range(100, 106):
+            calls.clear()
+            sol = minimize_incoherent(full_rank_state(4, seed), p)
+            cert = sol.certificate
+            assert cert.verdict == "certified-optimal", (seed, cert.margin / cert.tol_cert)
+            assert cert.margin >= -0.1 * cert.tol_cert, (seed, cert.margin / cert.tol_cert)
+            assert sol.stop_reason == "stationary"
+            # one batched eigh per objective evaluation: the start of each
+            # run, its accepted steps and at most one rejected trial per run
+            steps = sum(sol.iterations) + len(sol.iterations)
+            assert calls.count(3) <= steps + len(sol.iterations)
+            # the rest belongs to the objective setup and the certificate
+            assert len(calls) - calls.count(3) <= 8
+            assert max(sol.iterations) <= 100
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("field", ["starts", "max_iters"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_empty_search_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: value})
+
+    def test_counters_per_start(self):
+        rho = full_rank_state(3, 84)
+        sol = minimize_incoherent(rho, AlphaZ(2.0, 2.0), opts=SolverOptions(starts=3))
+        assert len(sol.iterations) == len(sol.per_start) == 3
+        assert all(it >= 1 for it in sol.iterations)
+        assert sol.stop_reason == "stationary"
+
+    def test_max_iters_reported(self):
+        rho = full_rank_state(3, 84)
+        sol = minimize_incoherent(rho, AlphaZ(2.0, 2.0), opts=SolverOptions(starts=2, max_iters=1))
+        assert sol.iterations == (1, 1)
+        assert sol.stop_reason == "max-iters"
