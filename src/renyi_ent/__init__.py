@@ -17,7 +17,6 @@ from .linalg import (
     pure_density,
     random_density,
     save_operator_json,
-    support_projector,
     tensor_product,
     tensor_product_merged,
 )
@@ -38,9 +37,6 @@ from .certificates import (
     in_support_set,
     marginal_condition_mc,
     max_product_overlap,
-    product_overlap_grid,
-    report_from_json,
-    report_to_json,
     xi,
 )
 from .catalog import (

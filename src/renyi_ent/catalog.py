@@ -19,6 +19,7 @@ import numpy as np
 from .divergences import AlphaZ, _require_dpi
 from .linalg import (
     DensityMatrix,
+    HermitianOperator,
     density,
     pure_density,
     tensor_product_merged,
@@ -127,23 +128,13 @@ class GHZ:
 
 @dataclass(frozen=True)
 class MaximallyCorrelated:
-    """General MC state with a psd, trace-one coefficient matrix."""
+    """General MC state; the coefficient matrix must be a valid one-party density matrix."""
 
     coeff: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self):
         m = np.asarray(self.coeff, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("coefficient matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("coefficient matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("coefficient matrix must be Hermitian")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w[0] < -1e-10:
-            raise ValueError("coefficient matrix must be psd")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise ValueError("coefficient matrix must have trace 1")
+        DensityMatrix(HermitianOperator(m, m.shape[:1]))
         object.__setattr__(self, "coeff", tuple(tuple(complex(x) for x in row) for row in m))
 
     @property

@@ -9,7 +9,6 @@ product states only; that maximum is written Lambda^2 throughout.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,23 +22,23 @@ from .divergences import (
     _q_from_log2,
     _require_dpi,
     d_umegaki,
+    is_dominated,
 )
 from .linalg import (
-    DEFAULT_REL_CUT,
+    SUPPORT_CUT,
     DensityMatrix,
     HermitianOperator,
     _power,
     _support_mask,
+    _support_split,
     as_operator,
     eig_hermitian,
     hermitian_part,
-    support_rank,
     wrap,
 )
 
 COMMUTING_TOL = 1e-10
 DEGENERACY_RTOL = 1e-12
-SUPPORT_TOL = 1e-8
 TOL_CERT_REL = 1e-7
 
 Operator = HermitianOperator | DensityMatrix
@@ -50,19 +49,15 @@ def commutator_maxnorm(a: Operator, b: Operator) -> float:
     return float(np.max(np.abs(am @ bm - bm @ am)))
 
 
-def _chi_entries(
-    rho: Operator, tau: Operator, alpha: float, z: float, rel_cut: float
-) -> np.ndarray:
-    a = _power(rho, alpha / (2.0 * z), rel_cut)
-    t = _power(tau, (1.0 - alpha) / z, rel_cut)
+def _chi_entries(rho: Operator, tau: Operator, alpha: float, z: float) -> np.ndarray:
+    a = _power(rho, alpha / (2.0 * z))
+    t = _power(tau, (1.0 - alpha) / z)
     inner = hermitian_part(a @ t @ a)
-    mid = _power(inner, z - 1.0, rel_cut)
+    mid = _power(inner, z - 1.0)
     return hermitian_part(a @ mid @ a)
 
 
-def chi(
-    rho: DensityMatrix, tau: Operator, p: AlphaZ, rel_cut: float = DEFAULT_REL_CUT
-) -> HermitianOperator:
+def chi(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> HermitianOperator:
     """The sandwich operator rho^(a/2z) (rho^(a/2z) tau^((1-a)/z) rho^(a/2z))^(z-1) rho^(a/2z).
 
     All powers are generalized inverses. alpha = 1 is rejected; that limit is
@@ -70,7 +65,7 @@ def chi(
     """
     if p.on_umegaki_line:
         raise ValueError("chi is not defined at alpha = 1; xi handles that limit")
-    return wrap(_chi_entries(rho, tau, p.alpha, p.z, rel_cut), rho.partition)
+    return wrap(_chi_entries(rho, tau, p.alpha, p.z), rho.partition)
 
 
 def _phi_divided_difference(t: np.ndarray, beta: float) -> np.ndarray:
@@ -111,13 +106,7 @@ class XiEvaluation:
     beta: float
 
 
-def xi(
-    rho: DensityMatrix,
-    tau: Operator,
-    p: AlphaZ,
-    force_general: bool = False,
-    rel_cut: float = DEFAULT_REL_CUT,
-) -> XiEvaluation:
+def xi(rho: DensityMatrix, tau: Operator, p: AlphaZ, force_general: bool = False) -> XiEvaluation:
     """Evaluate Xi_{alpha,z}(rho, tau).
 
     Route selection:
@@ -140,39 +129,36 @@ def xi(
     beta = p.beta
 
     if abs(abs(beta) - 1.0) <= LINE_ATOL:
-        m = _chi_entries(rho_op, tau_op, p.alpha, 1.0 - p.alpha, rel_cut)
+        m = _chi_entries(rho_op, tau_op, p.alpha, 1.0 - p.alpha)
         return XiEvaluation(wrap(m, rho_op.partition), "boundary-line", beta)
 
     if not force_general and commutator_maxnorm(rho_op, tau_op) <= COMMUTING_TOL:
-        m = _power(rho_op, p.alpha, rel_cut) @ _power(tau_op, -p.alpha, rel_cut)
+        m = _power(rho_op, p.alpha) @ _power(tau_op, -p.alpha)
         return XiEvaluation(wrap(m, rho_op.partition), "commuting", beta)
 
     if p.on_umegaki_line:
         chi_m = rho_op.entries
     else:
-        chi_m = _chi_entries(rho_op, tau_op, p.alpha, p.z, rel_cut)
-    t = np.where(_support_mask(w, rel_cut), w, 0.0)
+        chi_m = _chi_entries(rho_op, tau_op, p.alpha, p.z)
+    t = np.where(_support_mask(w), w, 0.0)
     phi = _phi_divided_difference(t, beta)
     coeff = u.conj().T @ chi_m @ u
     m = u @ (phi * coeff) @ u.conj().T
     return XiEvaluation(wrap(m, rho_op.partition), "divided-difference", beta)
 
 
-def in_support_set(
-    rho: DensityMatrix, tau: Operator, p: AlphaZ, rel_cut: float = DEFAULT_REL_CUT
-) -> bool:
+def in_support_set(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> bool:
     """Membership of tau in the support set S_{alpha,z}(rho).
 
-    On the line (1-alpha)/z = 1 this is supp(Pi(rho) tau Pi(rho)) = supp(rho)
-    (checked by rank equality); everywhere else supp(rho) must be contained
-    in supp(tau).
+    On the line (1-alpha)/z = 1 this is supp(Pi(rho) tau Pi(rho)) = supp(rho),
+    checked as full rank of the compression V† tau V onto rho's support
+    eigenvectors V; everywhere else it is rho << tau (:func:`is_dominated`).
     """
     if abs(p.beta - 1.0) <= LINE_ATOL:
-        proj = hermitian_part(_power(rho, 0.0, rel_cut))
-        w_pinched = np.linalg.eigvalsh(hermitian_part(proj @ as_operator(tau).entries @ proj))
-        return int(np.count_nonzero(_support_mask(w_pinched, rel_cut))) == support_rank(rho, rel_cut)
-    comp = np.eye(rho.dim) - hermitian_part(_power(tau, 0.0, rel_cut))
-    return float(np.max(np.abs(comp @ hermitian_part(_power(rho, 0.0, rel_cut))))) < SUPPORT_TOL
+        v = _support_split(rho)[0]
+        w = np.linalg.eigvalsh(hermitian_part(v.conj().T @ as_operator(tau).entries @ v))
+        return bool(np.all(_support_mask(w)))
+    return is_dominated(rho, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -321,61 +307,6 @@ def max_product_overlap(
     )
 
 
-def product_overlap_grid(
-    op: Operator, steps: int = 400, refine_levels: int = 2
-) -> OverlapResult:
-    """Exhaustive Bloch-angle grid for Lambda^2 on small bipartite operators.
-
-    The first party must be a qubit: its pure states are gridded over the
-    Bloch angles (theta step pi/steps, phi step pi/steps), while the second
-    party is solved exactly as the top eigenvector of the contracted local
-    matrix. ``refine_levels`` nested zooms around the coarse argmax polish the
-    local estimate; the whole search never touches the alternating path.
-    Intended as an independent oracle for total dimension <= 16.
-    """
-    h = as_operator(op)
-    dims = h.dims
-    if len(dims) != 2 or dims[0] != 2:
-        raise ValueError("grid fallback needs a bipartition with a qubit first party")
-    if h.dim > 16:
-        raise ValueError("grid fallback is limited to total dimension <= 16")
-    tensor = h.entries.reshape(dims + dims)
-
-    def scan(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, float, float]:
-        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-        tt, pp = tt.ravel(), pp.ravel()
-        vgrid = np.stack([np.cos(tt / 2), np.sin(tt / 2) * np.exp(1j * pp)], axis=1)
-        best_val, best_t, best_p = -math.inf, 0.0, 0.0
-        chunk = 65536
-        for lo in range(0, vgrid.shape[0], chunk):
-            vs = vgrid[lo : lo + chunk]
-            local = np.einsum("ga,abcd,gc->gbd", vs.conj(), tensor, vs)
-            local = (local + np.conj(np.transpose(local, (0, 2, 1)))) / 2
-            vals = np.linalg.eigvalsh(local)[:, -1]
-            idx = int(np.argmax(vals))
-            if vals[idx] > best_val:
-                best_val = float(vals[idx])
-                best_t, best_p = float(tt[lo + idx]), float(pp[lo + idx])
-        return best_val, best_t, best_p
-
-    step = math.pi / steps
-    value, th, ph = scan(
-        np.linspace(0.0, math.pi, steps + 1),
-        np.arange(2 * steps) * step,
-    )
-    for _ in range(refine_levels):
-        half = step
-        step = half / 10
-        thetas = np.clip(np.linspace(th - half, th + half, 21), 0.0, math.pi)
-        phis = np.linspace(ph - half, ph + half, 21)
-        value, th, ph = scan(thetas, phis)
-
-    v1 = np.array([math.cos(th / 2), math.sin(th / 2) * np.exp(1j * ph)])
-    local = np.einsum("a,abcd,c->bd", v1.conj(), tensor, v1)
-    _, vv = np.linalg.eigh(hermitian_part(local))
-    return OverlapResult(value=value, witness=(v1, vv[:, -1]), restart_values=())
-
-
 # ---------------------------------------------------------------------------
 # Optimizer certification
 # ---------------------------------------------------------------------------
@@ -411,7 +342,6 @@ def _report(
     rho: DensityMatrix,
     tau: Operator,
     p: AlphaZ,
-    rel_cut: float,
     support_ok: bool,
     lam: float,
     log2q: float,
@@ -434,7 +364,7 @@ def _report(
         verdict = "inconclusive"
     value = None
     if verdict == "certified-optimal":
-        value = d_umegaki(rho, tau, rel_cut) if p.on_umegaki_line else _d_from_log2(log2q, p)
+        value = d_umegaki(rho, tau) if p.on_umegaki_line else _d_from_log2(log2q, p)
     return CertificateReport(
         alpha=p.alpha,
         z=p.z,
@@ -456,10 +386,7 @@ def certify_optimizer(
     free_set: str = "sep",
     coherence_basis: np.ndarray | None = None,
     restarts: int = 64,
-    max_iters: int = 1000,
-    tol: float = 1e-12,
     seed: int = 0,
-    rel_cut: float = DEFAULT_REL_CUT,
 ) -> CertificateReport:
     """Certify tau as a minimizer of D_{alpha,z}(rho || .) over a free set.
 
@@ -472,13 +399,13 @@ def certify_optimizer(
     if free_set not in ("sep", "incoherent"):
         raise ValueError(f"unknown free set {free_set!r}")
 
-    support_ok = in_support_set(rho, tau, p, rel_cut)
-    ev = xi(rho, tau, p, rel_cut=rel_cut)
-    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p, rel_cut)
+    support_ok = in_support_set(rho, tau, p)
+    ev = xi(rho, tau, p)
+    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p)
 
     restart_values: tuple[float, ...] = ()
     if free_set == "sep":
-        res = max_product_overlap(ev.xi, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed)
+        res = max_product_overlap(ev.xi, restarts=restarts, seed=seed)
         lam, witness, restart_values = res.value, res.witness, res.restart_values
     else:
         basis = np.eye(rho.dim) if coherence_basis is None else np.asarray(coherence_basis, dtype=complex)
@@ -487,7 +414,7 @@ def certify_optimizer(
         lam, witness = float(diag[best]), (basis[:, best].copy(),)
 
     return _report(
-        rho, tau, p, rel_cut, support_ok, lam, log2q,
+        rho, tau, p, support_ok, lam, log2q,
         free_set=free_set, witness=witness, route=ev.route, beta=ev.beta,
         restart_values=restart_values,
     )
@@ -517,12 +444,7 @@ def is_maximally_correlated(rho: DensityMatrix, atol: float = 1e-10) -> bool:
     return float(np.max(np.abs(rho.entries - proj))) <= atol
 
 
-def marginal_condition_mc(
-    rho: DensityMatrix,
-    tau: Operator,
-    p: AlphaZ,
-    rel_cut: float = DEFAULT_REL_CUT,
-) -> CertificateReport:
+def marginal_condition_mc(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> CertificateReport:
     """Certification of tau in T_rho for a maximally correlated rho.
 
     For tau = sum_i t_i |ii><ii| the trace condition over all separable states
@@ -539,7 +461,7 @@ def marginal_condition_mc(
     top = float(np.max(t))
     if top <= 0.0:
         raise ValueError("tau has empty support")
-    live = t > rel_cut * top
+    live = t > SUPPORT_CUT * top
 
     beta = p.beta
     if p.on_umegaki_line:
@@ -547,21 +469,21 @@ def marginal_condition_mc(
         scores = np.full(d, -math.inf)
         scores[live] = diag_rho[live] / t[live]
     elif abs(abs(beta) - 1.0) <= LINE_ATOL:
-        chi_b = _chi_entries(rho, tau, p.alpha, 1.0 - p.alpha, rel_cut)
+        chi_b = _chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)
         scores = np.real(chi_b[idx, idx])
     else:
-        chi_m = _chi_entries(rho, tau, p.alpha, p.z, rel_cut)
+        chi_m = _chi_entries(rho, tau, p.alpha, p.z)
         diag_chi = np.real(chi_m[idx, idx])
         scores = np.full(d, -math.inf)
         scores[live] = t[live] ** (beta - 1.0) * diag_chi[live]
-    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p, rel_cut)
+    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p)
 
     best = int(np.argmax(scores))
     lam = float(scores[best])
     basis_vec = np.zeros(d, dtype=complex)
     basis_vec[best] = 1.0
     return _report(
-        rho, tau, p, rel_cut, in_support_set(rho, tau, p, rel_cut), lam, log2q,
+        rho, tau, p, in_support_set(rho, tau, p), lam, log2q,
         free_set="mc-diagonal", witness=(basis_vec, basis_vec.copy()), route="mc-marginal", beta=beta,
     )
 
@@ -576,14 +498,6 @@ def _encode_float(x: float | None):
         return None
     if not math.isfinite(x):
         return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    return float(x)
-
-
-def _decode_float(x):
-    if x is None:
-        return None
-    if isinstance(x, str):
-        return {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}[x]
     return float(x)
 
 
@@ -606,34 +520,3 @@ def report_to_dict(report: CertificateReport) -> dict:
         "value": _encode_float(report.value),
         "restart_values": list(report.restart_values),
     }
-
-
-def report_from_dict(payload: dict) -> CertificateReport:
-    witness = tuple(
-        np.asarray(v["re"], dtype=float) + 1j * np.asarray(v["im"], dtype=float)
-        for v in payload["witness"]
-    )
-    return CertificateReport(
-        alpha=float(payload["alpha"]),
-        z=float(payload["z"]),
-        free_set=payload["free_set"],
-        support_ok=bool(payload["support_ok"]),
-        lambda_sq=_decode_float(payload["lambda_sq"]),
-        q_value=_decode_float(payload["q_value"]),
-        margin=_decode_float(payload["margin"]),
-        verdict=payload["verdict"],
-        witness=witness,
-        tol_cert=float(payload["tol_cert"]),
-        route=payload["route"],
-        beta=float(payload["beta"]),
-        value=_decode_float(payload["value"]),
-        restart_values=tuple(payload.get("restart_values", ())),
-    )
-
-
-def report_to_json(report: CertificateReport) -> str:
-    return json.dumps(report_to_dict(report))
-
-
-def report_from_json(text: str) -> CertificateReport:
-    return report_from_dict(json.loads(text))

@@ -39,9 +39,11 @@ from .certificates import _encode_float, certify_optimizer, report_to_dict
 from .divergences import AlphaZ, d_alpha_z, q_alpha_z
 from .linalg import (
     DensityMatrix,
+    eig_hermitian,
     load_density_json,
     load_operator_json,
     random_density,
+    require_psd,
     tensor_product_merged,
 )
 from .minimizers import SolverOptions, minimize_mc
@@ -109,6 +111,7 @@ def cmd_eval(args) -> int:
     p = AlphaZ(args.alpha, args.z)
     rho = load_density_json(args.rho)
     sigma = load_operator_json(args.sigma)
+    require_psd(eig_hermitian(sigma).eigenvalues)
     d = d_alpha_z(rho, sigma, p)
     q = 1.0 if p.on_umegaki_line else q_alpha_z(rho, sigma, p)
     if not p.in_dpi_region:
@@ -324,6 +327,8 @@ def cmd_sweep(args) -> int:
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
     except ValueError as exc:
         raise ValueError(f"malformed --param range {args.param!r}; expected name=lo:hi:steps") from exc
+    if not math.isfinite(hi - lo) or steps < 1:
+        raise ValueError(f"--param range {args.param!r} needs finite lo, hi and hi - lo, and steps >= 1")
     family = parse_family(args.family)
     values = np.linspace(lo, hi, steps)
     rows = []

@@ -12,19 +12,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    DEFAULT_REL_CUT,
+    SUPPORT_CUT,
     DensityMatrix,
     HermitianOperator,
+    _negligible_on,
     _power,
     _support_mask,
+    _support_split,
+    _weights_on,
     as_operator,
     eig_hermitian,
     hermitian_part,
 )
 
 LINE_ATOL = 1e-12
-ORTHOGONALITY_TOL = 1e-10
-DOMINANCE_RTOL = 1e-10
 
 Operator = HermitianOperator | DensityMatrix
 
@@ -77,24 +78,17 @@ def _require_dpi(p: AlphaZ) -> None:
         raise ValueError(f"(alpha, z) = ({p.alpha}, {p.z}) lies outside the DPI region")
 
 
-def is_orthogonal(rho: Operator, sigma: Operator, rel_cut: float = DEFAULT_REL_CUT) -> bool:
-    """Support orthogonality test Tr(Pi(rho) Pi(sigma)) < 1e-10."""
-    pr = hermitian_part(_power(rho, 0.0, rel_cut))
-    ps = hermitian_part(_power(sigma, 0.0, rel_cut))
-    return float(np.trace(pr @ ps).real) < ORTHOGONALITY_TOL
+def is_orthogonal(rho: Operator, sigma: Operator) -> bool:
+    """Support orthogonality: rho's weight on supp(sigma) is at most SUPPORT_CUT * lambda_max(rho)."""
+    return _negligible_on(rho, _support_split(sigma)[0])
 
 
-def is_dominated(rho: Operator, sigma: Operator, rel_cut: float = DEFAULT_REL_CUT) -> bool:
-    """Support containment test rho << sigma (supp(rho) inside supp(sigma))."""
-    r = as_operator(rho).entries
-    top = float(eig_hermitian(rho).eigenvalues[-1])
-    if top <= 0.0:
-        return True
-    comp = np.eye(r.shape[0]) - hermitian_part(_power(sigma, 0.0, rel_cut))
-    return float(np.max(np.abs(comp @ r @ comp))) < DOMINANCE_RTOL * top
+def is_dominated(rho: Operator, sigma: Operator) -> bool:
+    """Support containment rho << sigma: rho's weight on ker(sigma) is at most SUPPORT_CUT * lambda_max(rho)."""
+    return _negligible_on(rho, _support_split(sigma)[1])
 
 
-def _log2_sum_powers_rows(mu: np.ndarray, z: float, rel_cut: float) -> np.ndarray:
+def _log2_sum_powers_rows(mu: np.ndarray, z: float) -> np.ndarray:
     """log2(sum_i mu_i^z) per row of ascending spectra, over each row's support.
 
     Computed in the log domain: (mu/top)^z <= 1, so the sum never overflows
@@ -107,7 +101,7 @@ def _log2_sum_powers_rows(mu: np.ndarray, z: float, rel_cut: float) -> np.ndarra
         return out
     mug = mu[good]
     topg = top[good]
-    mask = mug > rel_cut * topg[:, None]
+    mask = mug > SUPPORT_CUT * topg[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(mask, np.log(np.where(mask, mug, 1.0)), -math.inf)
     scaled = np.where(mask, np.exp(z * (logs - np.log(topg)[:, None])), 0.0)
@@ -115,19 +109,19 @@ def _log2_sum_powers_rows(mu: np.ndarray, z: float, rel_cut: float) -> np.ndarra
     return out
 
 
-def _log2_q(rho: Operator, sigma: Operator, p: AlphaZ, rel_cut: float) -> float:
+def _log2_q(rho: Operator, sigma: Operator, p: AlphaZ) -> float:
     """log2 Q_{alpha,z}, after the support case split of the definition.
 
     -inf when alpha < 1 and the states are orthogonal, +inf when alpha > 1
     and supp(rho) is not contained in supp(sigma).
     """
     if p.alpha < 1.0:
-        if is_orthogonal(rho, sigma, rel_cut):
+        if is_orthogonal(rho, sigma):
             return -math.inf
-    elif not is_dominated(rho, sigma, rel_cut):
+    elif not is_dominated(rho, sigma):
         return math.inf
-    a = hermitian_part(_power(rho, p.alpha / (2.0 * p.z), rel_cut))
-    core = a @ hermitian_part(_power(sigma, p.beta, rel_cut))
+    a = hermitian_part(_power(rho, p.alpha / (2.0 * p.z)))
+    core = a @ hermitian_part(_power(sigma, p.beta))
     core = core @ a
     del a
     # (M + M†)/2 with one d x d temporary: the same bits as hermitian_part
@@ -136,18 +130,13 @@ def _log2_q(rho: Operator, sigma: Operator, p: AlphaZ, rel_cut: float) -> float:
     mu = np.linalg.eigvalsh(core)
     # drop the kernel first: zero padding would shift the blocks of numpy's
     # pairwise summation and move the sum by an ulp
-    keep = _support_mask(mu, rel_cut)
+    keep = _support_mask(mu)
     if not np.any(keep):
         return -math.inf
-    return float(_log2_sum_powers_rows(mu[None, keep], p.z, rel_cut)[0])
+    return float(_log2_sum_powers_rows(mu[None, keep], p.z)[0])
 
 
-def q_alpha_z(
-    rho: DensityMatrix,
-    sigma: Operator,
-    p: AlphaZ,
-    rel_cut: float = DEFAULT_REL_CUT,
-) -> float:
+def q_alpha_z(rho: DensityMatrix, sigma: Operator, p: AlphaZ) -> float:
     """The trace functional Q = Tr(rho^(a/2z) sigma^((1-a)/z) rho^(a/2z))^z.
 
     Negative powers are generalized inverses. Returns 0 when alpha < 1 and the
@@ -157,7 +146,7 @@ def q_alpha_z(
     """
     if p.on_umegaki_line:
         raise ValueError("Q_{alpha,z} is not defined on alpha = 1; use d_umegaki")
-    return _q_from_log2(_log2_q(rho, sigma, p, rel_cut))
+    return _q_from_log2(_log2_q(rho, sigma, p))
 
 
 def _q_from_log2(log2q: float) -> float:
@@ -174,12 +163,7 @@ def _d_from_log2(log2q: float, p: AlphaZ) -> float:
     return log2q / (p.alpha - 1.0)
 
 
-def d_alpha_z(
-    rho: DensityMatrix,
-    sigma: Operator,
-    p: AlphaZ,
-    rel_cut: float = DEFAULT_REL_CUT,
-) -> float:
+def d_alpha_z(rho: DensityMatrix, sigma: Operator, p: AlphaZ) -> float:
     """The alpha-z Renyi relative entropy D_{alpha,z}(rho || sigma), base 2.
 
     Follows the defining case split: finite iff (alpha < 1 and rho not
@@ -187,50 +171,45 @@ def d_alpha_z(
     dispatches to the Umegaki relative entropy (valid for any z > 0).
     """
     if p.on_umegaki_line:
-        return d_umegaki(rho, sigma, rel_cut)
-    return _d_from_log2(_log2_q(rho, sigma, p, rel_cut), p)
+        return d_umegaki(rho, sigma)
+    return _d_from_log2(_log2_q(rho, sigma, p), p)
 
 
-def d_min(rho: DensityMatrix, sigma: Operator, rel_cut: float = DEFAULT_REL_CUT) -> float:
-    """Min-relative entropy -log2 Tr(Pi(rho) sigma)."""
-    overlap = float(
-        np.trace(hermitian_part(_power(rho, 0.0, rel_cut)) @ as_operator(sigma).entries).real
-    )
+def d_min(rho: DensityMatrix, sigma: Operator) -> float:
+    """Min-relative entropy -log2 Tr(Pi(rho) sigma): sigma's weight on supp(rho)."""
+    overlap = float(np.sum(_weights_on(sigma, _support_split(rho)[0])))
     if overlap <= 0.0:
         return math.inf
     return -math.log2(overlap)
 
 
-def d_umegaki(
-    rho: DensityMatrix, sigma: Operator, rel_cut: float = DEFAULT_REL_CUT
-) -> float:
+def d_umegaki(rho: DensityMatrix, sigma: Operator) -> float:
     """Umegaki relative entropy Tr(rho (log2 rho - log2 sigma)).
 
     Evaluated on the support of rho; +inf if supp(rho) is not contained in
-    supp(sigma).
+    supp(sigma). The cross term is sum_i log2 s_i <u_i| rho |u_i> over the
+    support eigenpairs (s_i, u_i) of sigma.
     """
-    if not is_dominated(rho, sigma, rel_cut):
+    if not is_dominated(rho, sigma):
         return math.inf
     wr = eig_hermitian(rho).eigenvalues
-    keep = _support_mask(wr, rel_cut)
+    keep = _support_mask(wr)
     ent = float(np.sum(wr[keep] * np.log2(wr[keep])))
     es = eig_hermitian(sigma)
-    ws = es.eigenvalues
-    keep_s = _support_mask(ws, rel_cut)
-    log_sigma = (es.vectors[:, keep_s] * np.log2(ws[keep_s])) @ es.vectors[:, keep_s].conj().T
-    cross = float(np.trace(as_operator(rho).entries @ log_sigma).real)
+    keep_s = _support_mask(es.eigenvalues)
+    cross = float(np.dot(np.log2(es.eigenvalues[keep_s]), _weights_on(rho, es.vectors[:, keep_s])))
     return ent - cross
 
 
-def d_max(rho: DensityMatrix, sigma: Operator, rel_cut: float = DEFAULT_REL_CUT) -> float:
+def d_max(rho: DensityMatrix, sigma: Operator) -> float:
     """Max-relative entropy log2 lambda_max(sigma^(-1/2) rho sigma^(-1/2)).
 
     +inf if supp(rho) is not contained in supp(sigma) (the generalized inverse
     would silently drop the offending block, so dominance is checked first).
     """
-    if not is_dominated(rho, sigma, rel_cut):
+    if not is_dominated(rho, sigma):
         return math.inf
-    inv_half = hermitian_part(_power(sigma, -0.5, rel_cut))
+    inv_half = hermitian_part(_power(sigma, -0.5))
     core = hermitian_part(inv_half @ as_operator(rho).entries @ inv_half)
     top = float(np.linalg.eigvalsh(core)[-1])
     if top <= 0.0:

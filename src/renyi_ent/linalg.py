@@ -1,9 +1,13 @@
 """Dense complex Hermitian linear algebra with tensor-partition bookkeeping.
 
 Everything here works on explicit matrices (dimensions up to a few hundred).
-Negative and fractional matrix powers are taken in the generalized-inverse
-sense: eigenvalues at or below ``rel_cut * lambda_max`` are mapped to zero
-regardless of the exponent, so ``H ** 0`` is the support projector.
+An operator's support is the span of its eigenvectors with eigenvalue above
+``SUPPORT_CUT * lambda_max``; this one cut is used everywhere. Negative and
+fractional matrix powers are taken in the generalized-inverse sense: the
+eigenvalues below the cut map to zero regardless of the exponent, so
+``H ** 0`` is the support projector. Support containment and orthogonality
+are decided from the weight an operator puts on the other one's cached
+support or kernel eigenvectors, never from d x d projectors.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 HERMITICITY_ATOL = 1e-12
 PSD_RTOL = 1e-10
 TRACE_ATOL = 1e-10
-DEFAULT_REL_CUT = 1e-10
+SUPPORT_CUT = 1e-10
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -130,10 +134,7 @@ class DensityMatrix:
     op: HermitianOperator
 
     def __post_init__(self):
-        w = np.linalg.eigvalsh(self.op.entries)
-        top = max(float(w[-1]), 0.0)
-        if float(w[0]) < -PSD_RTOL * max(top, np.finfo(float).tiny):
-            raise ValueError(f"not positive semidefinite: min eigenvalue {w[0]:.3e}")
+        require_psd(np.linalg.eigvalsh(self.op.entries))
         if abs(self.op.trace() - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace is {self.op.trace():.12f}, expected 1")
 
@@ -152,6 +153,13 @@ class DensityMatrix:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.op.dims
+
+
+def require_psd(eigenvalues: np.ndarray) -> None:
+    """Reject an ascending spectrum whose least eigenvalue is below -1e-10 * max(lambda_max, tiny)."""
+    top = max(float(eigenvalues[-1]), 0.0)
+    if float(eigenvalues[0]) < -PSD_RTOL * max(top, np.finfo(float).tiny):
+        raise ValueError(f"not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e}")
 
 
 def as_operator(x: HermitianOperator | DensityMatrix) -> HermitianOperator:
@@ -173,19 +181,12 @@ def eig_hermitian(op: HermitianOperator | DensityMatrix) -> EigenDecomposition:
     return as_operator(op)._eig
 
 
-def _support_mask(w: np.ndarray, rel_cut: float) -> np.ndarray:
-    """Ascending eigenvalues above ``rel_cut * lambda_max`` (none if lambda_max <= 0).
-
-    This is the one place that rejects a ``rel_cut`` outside (0, 1).
-    """
-    if not 0.0 < rel_cut < 1.0:
-        raise ValueError("rel_cut must lie in (0, 1)")
-    return w > rel_cut * max(float(w[-1]), 0.0)
+def _support_mask(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues above ``SUPPORT_CUT * lambda_max`` (none if lambda_max <= 0)."""
+    return w > SUPPORT_CUT * max(float(w[-1]), 0.0)
 
 
-def _power(
-    m: HermitianOperator | DensityMatrix | np.ndarray, p: float, rel_cut: float
-) -> np.ndarray:
+def _power(m: HermitianOperator | DensityMatrix | np.ndarray, p: float) -> np.ndarray:
     """The raw generalized power (v * w^p) @ v† of a Hermitian operator, not symmetrized.
 
     An operator supplies its cached spectrum; a plain array (an intermediate
@@ -196,7 +197,7 @@ def _power(
     else:
         dec = eig_hermitian(m)
         w, v = dec.eigenvalues, dec.vectors
-    keep = _support_mask(w, rel_cut)
+    keep = _support_mask(w)
     if not keep.any():
         return np.zeros((w.size, w.size), dtype=v.dtype)
     pw = np.zeros_like(w)
@@ -204,30 +205,37 @@ def _power(
     return (v * pw) @ v.conj().T
 
 
-def matrix_power(
-    op: HermitianOperator | DensityMatrix, p: float, rel_cut: float = DEFAULT_REL_CUT
-) -> HermitianOperator:
+def matrix_power(op: HermitianOperator | DensityMatrix, p: float) -> HermitianOperator:
     """Generalized matrix power of a psd operator.
 
-    Eigenvalues at or below ``rel_cut * lambda_max`` map to zero for any
+    Eigenvalues at or below ``SUPPORT_CUT * lambda_max`` map to zero for any
     exponent; the rest map to ``lam ** p``. ``p == 0`` gives the support
     projector, and an all-zero input returns the zero operator.
     """
-    return wrap(_power(op, p, rel_cut), op.partition)
+    return wrap(_power(op, p), op.partition)
 
 
-def support_projector(
-    op: HermitianOperator | DensityMatrix, rel_cut: float = DEFAULT_REL_CUT
-) -> HermitianOperator:
-    """Projector onto eigenspaces with eigenvalue above ``rel_cut * lambda_max``."""
-    return matrix_power(op, 0.0, rel_cut)
+def _support_split(op: HermitianOperator | DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The operator's cached eigenvectors split at the cut: (support columns, kernel columns)."""
+    dec = eig_hermitian(op)
+    keep = _support_mask(dec.eigenvalues)
+    return dec.vectors[:, keep], dec.vectors[:, ~keep]
 
 
-def support_rank(
-    op: HermitianOperator | DensityMatrix, rel_cut: float = DEFAULT_REL_CUT
-) -> int:
-    w = eig_hermitian(op).eigenvalues
-    return int(np.count_nonzero(_support_mask(w, rel_cut)))
+def support_rank(op: HermitianOperator | DensityMatrix) -> int:
+    return int(np.count_nonzero(_support_mask(eig_hermitian(op).eigenvalues)))
+
+
+def _weights_on(op: HermitianOperator | DensityMatrix, columns: np.ndarray) -> np.ndarray:
+    """<b_j| op |b_j> for each orthonormal column b_j of ``columns``."""
+    m = as_operator(op).entries
+    return np.einsum("ij,ij->j", columns.conj(), m @ columns).real
+
+
+def _negligible_on(op: HermitianOperator | DensityMatrix, columns: np.ndarray) -> bool:
+    """Whether the operator's weight on span(columns) is at most SUPPORT_CUT * lambda_max."""
+    top = max(float(eig_hermitian(op).eigenvalues[-1]), 0.0)
+    return float(np.sum(_weights_on(op, columns))) <= SUPPORT_CUT * top
 
 
 def tensor_product(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .certificates import CertificateReport, is_maximally_correlated, marginal_condition_mc, certify_optimizer
 from .divergences import AlphaZ, _log2_sum_powers_rows, _require_dpi
-from .linalg import DEFAULT_REL_CUT, DensityMatrix, _power, _support_mask, density
+from .linalg import SUPPORT_CUT, DensityMatrix, _power, _support_mask, density
 
 _SUPPORT_DIAG_TOL = 1e-12
 _LN2 = math.log(2.0)
@@ -171,7 +171,6 @@ def _diag_objective(
     p: AlphaZ,
     support_diag: np.ndarray,
     reps: int = 1,
-    rel_cut: float = DEFAULT_REL_CUT,
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """f(S) = D_{alpha,z}(rho || diag(w)) and dD/ds for rows s of S, w = s tiled ``reps`` times.
 
@@ -197,7 +196,7 @@ def _diag_objective(
 
     if p.on_umegaki_line:
         w_rho, _ = np.linalg.eigh(rho_matrix)
-        w_rho = w_rho[_support_mask(w_rho, rel_cut)]
+        w_rho = w_rho[_support_mask(w_rho)]
         self_term = float(np.sum(w_rho * np.log2(w_rho)))
         # the cross term needs the actual diagonal of rho; support_diag is only
         # the (possibly marginalized) mass used to detect support violations
@@ -220,7 +219,7 @@ def _diag_objective(
 
         return f_umegaki
 
-    a_half = _power(rho_matrix, alpha / (2.0 * z), rel_cut)
+    a_half = _power(rho_matrix, alpha / (2.0 * z))
     b_exp = (1.0 - alpha) / z
 
     def f(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +230,7 @@ def _diag_objective(
         core = np.einsum("ij,rj,jk->rik", a_half, Wp, a_half)
         core = (core + np.conj(np.transpose(core, (0, 2, 1)))) / 2
         mu, vecs = np.linalg.eigh(core)
-        log2q = _log2_sum_powers_rows(mu, z, rel_cut)
+        log2q = _log2_sum_powers_rows(mu, z)
         out = log2q / (alpha - 1.0)
         if alpha > 1.0:
             bad = np.any(~live & (support_diag[None, :] > _SUPPORT_DIAG_TOL), axis=1)
@@ -246,7 +245,7 @@ def _diag_objective(
         if rows.size:
             mu_g = mu[rows]
             top = mu_g[:, -1]
-            mask = mu_g > rel_cut * top[:, None]
+            mask = mu_g > SUPPORT_CUT * top[:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 scaled = np.where(mask, (mu_g / top[:, None]) ** (z - 1.0), 0.0)
             av = a_half @ vecs[rows]

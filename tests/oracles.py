@@ -7,18 +7,21 @@ the fixed-point simplex solver. The small helpers at the end (product-state
 overlap, golden-section search, simplex projection) exist only for the
 tests. The serial Lambda^2 ascent runs one restart at a time with one
 3-operand einsum over the whole tensor per party, the reference for the
-batched ascent.
+batched ascent; the Bloch-angle grid is an exhaustive Lambda^2 reference for
+a qubit first party. The support projector and the report JSON round trip
+are only used by tests.
 """
 
+import json
 import math
 import string
 
 import numpy as np
 import scipy.integrate
 
-from renyi_ent import AlphaZ, DensityMatrix, d_alpha_z, density, random_density
-from renyi_ent.linalg import as_operator
-from renyi_ent.certificates import _initial_vectors, chi
+from renyi_ent import AlphaZ, CertificateReport, DensityMatrix, d_alpha_z, density, matrix_power, random_density
+from renyi_ent.linalg import as_operator, hermitian_part
+from renyi_ent.certificates import OverlapResult, _initial_vectors, chi, report_to_dict
 
 
 def full_rank_state(d: int, seed: int, mix: float = 0.15, dims=None) -> DensityMatrix:
@@ -162,3 +165,102 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     rho = int(np.nonzero(cond)[0][-1])
     lam = (1.0 - css[rho]) / (rho + 1)
     return np.maximum(v + lam, 0.0)
+
+
+def support_projector(op):
+    """Projector onto the eigenvectors with eigenvalue above the support cut."""
+    return matrix_power(op, 0.0)
+
+
+def product_overlap_grid(
+    op, steps: int = 400, refine_levels: int = 2
+) -> OverlapResult:
+    """Exhaustive Bloch-angle grid for Lambda^2 on small bipartite operators.
+
+    The first party must be a qubit: its pure states are gridded over the
+    Bloch angles (theta step pi/steps, phi step pi/steps), while the second
+    party is solved exactly as the top eigenvector of the contracted local
+    matrix. ``refine_levels`` nested zooms around the coarse argmax polish the
+    local estimate; the whole search never touches the alternating path.
+    Intended as an independent oracle for total dimension <= 16.
+    """
+    h = as_operator(op)
+    dims = h.dims
+    if len(dims) != 2 or dims[0] != 2:
+        raise ValueError("grid fallback needs a bipartition with a qubit first party")
+    if h.dim > 16:
+        raise ValueError("grid fallback is limited to total dimension <= 16")
+    tensor = h.entries.reshape(dims + dims)
+
+    def scan(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, float, float]:
+        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+        tt, pp = tt.ravel(), pp.ravel()
+        vgrid = np.stack([np.cos(tt / 2), np.sin(tt / 2) * np.exp(1j * pp)], axis=1)
+        best_val, best_t, best_p = -math.inf, 0.0, 0.0
+        chunk = 65536
+        for lo in range(0, vgrid.shape[0], chunk):
+            vs = vgrid[lo : lo + chunk]
+            local = np.einsum("ga,abcd,gc->gbd", vs.conj(), tensor, vs)
+            local = (local + np.conj(np.transpose(local, (0, 2, 1)))) / 2
+            vals = np.linalg.eigvalsh(local)[:, -1]
+            idx = int(np.argmax(vals))
+            if vals[idx] > best_val:
+                best_val = float(vals[idx])
+                best_t, best_p = float(tt[lo + idx]), float(pp[lo + idx])
+        return best_val, best_t, best_p
+
+    step = math.pi / steps
+    value, th, ph = scan(
+        np.linspace(0.0, math.pi, steps + 1),
+        np.arange(2 * steps) * step,
+    )
+    for _ in range(refine_levels):
+        half = step
+        step = half / 10
+        thetas = np.clip(np.linspace(th - half, th + half, 21), 0.0, math.pi)
+        phis = np.linspace(ph - half, ph + half, 21)
+        value, th, ph = scan(thetas, phis)
+
+    v1 = np.array([math.cos(th / 2), math.sin(th / 2) * np.exp(1j * ph)])
+    local = np.einsum("a,abcd,c->bd", v1.conj(), tensor, v1)
+    _, vv = np.linalg.eigh(hermitian_part(local))
+    return OverlapResult(value=value, witness=(v1, vv[:, -1]), restart_values=())
+
+
+def _decode_float(x):
+    if x is None:
+        return None
+    if isinstance(x, str):
+        return {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}[x]
+    return float(x)
+
+
+def report_from_dict(payload: dict) -> CertificateReport:
+    witness = tuple(
+        np.asarray(v["re"], dtype=float) + 1j * np.asarray(v["im"], dtype=float)
+        for v in payload["witness"]
+    )
+    return CertificateReport(
+        alpha=float(payload["alpha"]),
+        z=float(payload["z"]),
+        free_set=payload["free_set"],
+        support_ok=bool(payload["support_ok"]),
+        lambda_sq=_decode_float(payload["lambda_sq"]),
+        q_value=_decode_float(payload["q_value"]),
+        margin=_decode_float(payload["margin"]),
+        verdict=payload["verdict"],
+        witness=witness,
+        tol_cert=float(payload["tol_cert"]),
+        route=payload["route"],
+        beta=float(payload["beta"]),
+        value=_decode_float(payload["value"]),
+        restart_values=tuple(payload.get("restart_values", ())),
+    )
+
+
+def report_to_json(report: CertificateReport) -> str:
+    return json.dumps(report_to_dict(report))
+
+
+def report_from_json(text: str) -> CertificateReport:
+    return report_from_dict(json.loads(text))

@@ -34,16 +34,14 @@ from renyi_ent import (
     minimize_mc,
     partial_trace,
     partial_transpose,
-    product_overlap_grid,
     random_density,
     renyi_entropy,
-    support_projector,
     tensor_product,
     xi,
 )
 from renyi_ent.cli import DEFAULT_GRID, main
 from renyi_ent.linalg import wrap
-from oracles import full_rank_state, xi_quadrature
+from oracles import full_rank_state, product_overlap_grid, support_projector, xi_quadrature
 
 GRID = [AlphaZ(a, z) for a, z in DEFAULT_GRID]
 FAST = SolverOptions(starts=2)

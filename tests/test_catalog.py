@@ -97,6 +97,15 @@ class TestBuild:
         with pytest.raises(ValueError, match="non-finite"):
             MaximallyCorrelated(((0.5, bad), (bad, 0.5)))
 
+    @pytest.mark.parametrize(
+        "coeff",
+        [((0.6, 0), (0, -0.4)), ((0.5, 0), (0, 0.4)), ((0.5, 0.1), (0.2, 0.5)), ((1.0, 0.0),), ()],
+        ids=["indefinite", "trace", "non-hermitian", "non-square", "empty"],
+    )
+    def test_mc_rejects_invalid_coefficient_matrix(self, coeff):
+        with pytest.raises(ValueError):
+            MaximallyCorrelated(coeff)
+
 
 class TestClosedFormValue:
     def test_bell_state_is_one_everywhere(self):

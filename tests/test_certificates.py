@@ -25,19 +25,24 @@ from renyi_ent import (
     marginal_condition_mc,
     matrix_power,
     max_product_overlap,
-    product_overlap_grid,
     pure_density,
     q_alpha_z,
     random_density,
-    report_from_json,
-    report_to_json,
-    support_projector,
     xi,
 )
 from renyi_ent.certificates import commutator_maxnorm
 from renyi_ent.divergences import is_dominated, is_orthogonal
 from renyi_ent.linalg import support_rank
-from oracles import full_rank_state, product_overlap_serial, product_overlap_value, xi_quadrature
+from oracles import (
+    full_rank_state,
+    product_overlap_grid,
+    product_overlap_serial,
+    product_overlap_value,
+    report_from_json,
+    report_to_json,
+    support_projector,
+    xi_quadrature,
+)
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
 
@@ -371,6 +376,19 @@ class TestCertify:
             assert commutator_maxnorm(rho, tau) <= 1e-10
 
 
+class TestSupportRule:
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 1e-7, 1e-6, 1e-3])
+    def test_support_set_agrees_with_finite_q(self, theta):
+        """Off the line, tau is in S_{alpha,z}(rho) exactly when Q(rho || tau) is finite."""
+        tau = density(np.diag([0.25] * 4 + [0.0] * 5), (3, 3))
+        psi = np.zeros(9)
+        psi[0], psi[8] = math.cos(theta), math.sin(theta)
+        rho = pure_density(psi, (3, 3))
+        p = AlphaZ(2.0, 2.0)
+        assert in_support_set(rho, tau, p) == math.isfinite(q_alpha_z(rho, tau, p))
+        assert in_support_set(rho, tau, p) == (theta < 1e-5)
+
+
 class TestMarginalConditionMC:
     def test_bell_state_uniform_tau(self):
         rho = pure_density(PHI_PLUS, (2, 2))
@@ -453,6 +471,25 @@ class TestSpectralCache:
         certify_optimizer(rho, tau, p, restarts=4)
         assert decompositions.count(full) <= 2
 
+    @pytest.mark.parametrize("alpha,z", [(2.0, 2.0), (0.7, 0.7), (0.4, 0.6)])
+    def test_support_tests_build_no_projector(self, monkeypatch, alpha, z):
+        import renyi_ent.certificates as certificates
+        import renyi_ent.divergences as divergences
+
+        exponents = []
+        original = certificates._power
+
+        def recorded(m, p, *rest):
+            exponents.append(p)
+            return original(m, p, *rest)
+
+        for module in (certificates, divergences):
+            monkeypatch.setattr(module, "_power", recorded)
+        family, p = AntisymPair(3), AlphaZ(alpha, z)
+        report = certify_optimizer(build(family), ansatz_optimizer(family, p), p, restarts=4)
+        assert report.support_ok and exponents
+        assert 0.0 not in exponents
+
     @pytest.mark.parametrize("family", [AntisymPair(2), PureBipartite((0.9, 0.1))])
     @pytest.mark.parametrize("alpha,z", [(0.7, 0.7), (1.0, 1.0), (1.5, 1.2), (2.0, 2.0)])
     def test_report_equals_fresh_evaluation(self, family, alpha, z):
@@ -469,6 +506,7 @@ class TestSpectralCache:
     )
     @pytest.mark.parametrize("rel_cut", [0.0, 1.0, -0.5, 2.0])
     def test_rel_cut_outside_unit_interval_rejected(self, fn, rel_cut):
+        """The support cut is a constant: no entry point takes one, not even those that never call _power."""
         rho = random_density(4, 4, seed=11, dims=(2, 2))
         tau = random_density(4, 3, seed=12, dims=(2, 2))
         if fn is support_rank:
@@ -478,6 +516,6 @@ class TestSpectralCache:
         else:
             # xi at alpha = 1 takes the divided-difference route, which needs no _power
             args = (rho, tau, AlphaZ(1.0, 1.0) if fn is xi else AlphaZ(1.5, 1.2))
-        with pytest.raises(ValueError, match="rel_cut"):
+        with pytest.raises(TypeError, match="rel_cut"):
             fn(*args, rel_cut=rel_cut)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from renyi_ent import density, pure_density, random_density, save_operator_json
+from renyi_ent import HermitianOperator, density, pure_density, random_density, save_operator_json
 from renyi_ent.cli import main
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
@@ -76,6 +76,16 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("diag", [(0.6, -0.4), (-0.5, -0.5)], ids=["indefinite", "negative"])
+    def test_sigma_not_psd_exits_2_with_one_line(self, tmp_path, capsys, diag):
+        rho = write_state(tmp_path / "rho.json", density(np.eye(2) / 2, (2,)))
+        sigma = write_state(tmp_path / "sigma.json", HermitianOperator(np.diag(diag), (2,)))
+        code, out, err = run(capsys, ["eval", rho, sigma, "--alpha", "2", "--z", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "positive semidefinite" in err
 
 
 class TestValue:
@@ -330,6 +340,14 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "werner:p=0.5,d=3", "--param", "p=0-1-5"])
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("param", ["p=1e400:1:3", "p=0:1e400:3", "alpha=0.5:1e400:2", "p=-1e308:1e308:3", "p=0:1:0"])
+    def test_non_finite_or_empty_range_exits_2_with_one_line(self, capsys, param):
+        code, out, err = run(capsys, ["sweep", "werner:p=0.5,d=3", "--param", param])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--param" in err
 
 
 class TestEntryPoint:
