@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import AlphaZ, _require_dpi
+from .divergences import LINE_ATOL, AlphaZ, _log2_sum_powers_rows, _require_dpi
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    _ii_indices,
     density,
     pure_density,
     tensor_product_merged,
@@ -178,8 +179,10 @@ StateFamily = (
 def renyi_entropy(values, order: float) -> float:
     """H_alpha of a nonnegative vector: log2(sum v^alpha) / (1 - alpha).
 
-    order = 1 is Shannon (the vector must then be normalized), order = inf is
-    the min-entropy -log2(max v). Zero entries are dropped (0 log 0 = 0).
+    order = 1 (within LINE_ATOL) is Shannon (the vector must then be
+    normalized), order = inf is the min-entropy -log2(max v). Zero entries are
+    dropped (0 log 0 = 0). The power sum is taken in the log domain, so no
+    entry underflows to 0 at large orders.
     """
     v = np.asarray(values, dtype=float)
     if np.any(v < -PROB_ATOL):
@@ -189,11 +192,11 @@ def renyi_entropy(values, order: float) -> float:
         raise ValueError("need at least one positive entry")
     if math.isinf(order):
         return -math.log2(float(np.max(v)))
-    if abs(order - 1.0) <= 1e-14:
+    if abs(order - 1.0) <= LINE_ATOL:
         if abs(float(v.sum()) - 1.0) > 1e-9:
             raise ValueError("order-1 entropy needs a normalized vector")
         return float(-np.sum(v * np.log2(v)))
-    return math.log2(float(np.sum(v**order))) / (1.0 - order)
+    return float(_log2_sum_powers_rows(np.sort(v)[None, :], order)[0]) / (1.0 - order)
 
 
 def beta_dual(p: AlphaZ) -> float:
@@ -202,10 +205,9 @@ def beta_dual(p: AlphaZ) -> float:
     beta = z / (z - 1 + alpha); on the line z = 1 - alpha the denominator
     vanishes and beta = +inf (min-entropy). Inside the DPI region beta > 0.
     """
-    denom = p.z - 1.0 + p.alpha
-    if abs(denom) <= 1e-12:
+    if p.on_reverse_line:
         return math.inf
-    beta = p.z / denom
+    beta = p.z / (p.z - 1.0 + p.alpha)
     if beta <= 0:
         raise ValueError(f"beta = {beta} <= 0; (alpha, z) = ({p.alpha}, {p.z}) is outside the DPI region")
     return beta
@@ -240,8 +242,7 @@ def antisymmetric_projector(d: int) -> np.ndarray:
 
 def max_entangled_vector(d: int) -> np.ndarray:
     v = np.zeros(d * d)
-    for i in range(d):
-        v[i * d + i] = 1.0
+    v[_ii_indices(d)] = 1.0
     return v / math.sqrt(d)
 
 
@@ -250,8 +251,7 @@ def mcbd_basis(d: int) -> list[np.ndarray]:
     out = []
     for k in range(d):
         v = np.zeros(d * d, dtype=complex)
-        for j in range(d):
-            v[j * d + j] = np.exp(2j * math.pi * k * j / d)
+        v[_ii_indices(d)] = np.exp(2j * math.pi * k * np.arange(d) / d)
         out.append(v / math.sqrt(d))
     return out
 
@@ -308,8 +308,7 @@ def build(family: StateFamily) -> DensityMatrix:
     if isinstance(family, PureBipartite):
         d = family.d
         v = np.zeros(d * d)
-        for i, w in enumerate(family.p):
-            v[i * d + i] = math.sqrt(w)
+        v[_ii_indices(d)] = [math.sqrt(w) for w in family.p]
         return pure_density(v, (d, d))
     if isinstance(family, GHZ):
         v = np.zeros(family.d**family.M)
@@ -320,10 +319,7 @@ def build(family: StateFamily) -> DensityMatrix:
     if isinstance(family, MaximallyCorrelated):
         d = family.d
         m = np.zeros((d * d, d * d), dtype=complex)
-        coeff = family.matrix
-        for j in range(d):
-            for k in range(d):
-                m[j * d + j, k * d + k] = coeff[j, k]
+        m[np.ix_(_ii_indices(d), _ii_indices(d))] = family.matrix
         return density(m, (d, d))
     if isinstance(family, AntisymPair):
         minus = build(Werner(0.0, family.d))
@@ -344,16 +340,18 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
     """
     _require_dpi(p)
     a = p.alpha
+    # the entropy order of the alpha-valued families, exactly 1 on the Umegaki line
+    order = 1.0 if p.on_umegaki_line else a
     if isinstance(family, (BellDiagonal, Werner, Isotropic)) and is_separable_regime(family):
         return 0.0
     if isinstance(family, BellDiagonal):
         lmax = max(family.lambdas)
-        return 1.0 - renyi_entropy((lmax, 1.0 - lmax), a)
+        return 1.0 - renyi_entropy((lmax, 1.0 - lmax), order)
     if isinstance(family, Werner):
-        return 1.0 - renyi_entropy((family.p, 1.0 - family.p), a)
+        return 1.0 - renyi_entropy((family.p, 1.0 - family.p), order)
     if isinstance(family, Isotropic):
         F, d = family.F, family.d
-        if abs(a - 1.0) <= 1e-14:
+        if p.on_umegaki_line:
             # alpha -> 1 limit of the table entry, avoiding the 0/0 exponent
             out = math.log2(d)
             if F < 1.0:
@@ -366,11 +364,11 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
     if isinstance(family, GHZ):
         return math.log2(family.d)
     if isinstance(family, PureBipartite):
-        return renyi_entropy(family.p, beta_dual(p))
+        return renyi_entropy(family.p, 1.0 if p.on_umegaki_line else beta_dual(p))
     if isinstance(family, Dicke):
         return -math.log2(lambda_sq_closed_form(family))
     if isinstance(family, MCBD):
-        return math.log2(family.d) - renyi_entropy(family.p, a)
+        return math.log2(family.d) - renyi_entropy(family.p, order)
     if isinstance(family, AntisymPair):
         return 1.0 - math.log2((family.d - 1.0) / family.d)
     if isinstance(family, MaximallyCorrelated):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergences import (
-    LINE_ATOL,
     AlphaZ,
     _d_from_log2,
     _log2_q,
@@ -25,9 +24,9 @@ from .divergences import (
     is_dominated,
 )
 from .linalg import (
-    SUPPORT_CUT,
     DensityMatrix,
     HermitianOperator,
+    _ii_indices,
     _power,
     _support_mask,
     _support_split,
@@ -68,13 +67,13 @@ def chi(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> HermitianOperator:
     return wrap(_chi_entries(rho, tau, p.alpha, p.z), rho.partition)
 
 
-def _phi_divided_difference(t: np.ndarray, beta: float) -> np.ndarray:
+def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
     """First-divided-difference kernel phi_beta on the spectrum of tau.
 
     phi_beta(a, b) = (a^beta - b^beta) / (beta (a - b)) with the diagonal
-    limit a^(beta-1); beta -> 0 gives the log-mean kernel (log a - log b)/(a - b).
-    Rows and columns belonging to the kernel of tau are left at zero
-    (generalized-inverse convention).
+    limit a^(beta-1); on the Umegaki line (beta = 0) it is the log-mean kernel
+    (log a - log b)/(a - b). Rows and columns belonging to the kernel of tau
+    are left at zero (generalized-inverse convention).
     """
     n = t.size
     phi = np.zeros((n, n))
@@ -87,10 +86,11 @@ def _phi_divided_difference(t: np.ndarray, beta: float) -> np.ndarray:
     near = np.abs(col_a - col_b) <= DEGENERACY_RTOL * np.maximum(col_a, col_b)
     safe_diff = np.where(near, 1.0, col_a - col_b)
     mean = 0.5 * (col_a + col_b)
-    if abs(beta) < 1e-14:
+    if p.on_umegaki_line:
         block = (np.log(col_a) - np.log(col_b)) / safe_diff
         block = np.where(near, 1.0 / mean, block)
     else:
+        beta = p.beta
         block = (col_a**beta - col_b**beta) / (beta * safe_diff)
         block = np.where(near, mean ** (beta - 1.0), block)
     phi[np.ix_(pos, pos)] = block
@@ -106,45 +106,45 @@ class XiEvaluation:
     beta: float
 
 
-def xi(rho: DensityMatrix, tau: Operator, p: AlphaZ, force_general: bool = False) -> XiEvaluation:
-    """Evaluate Xi_{alpha,z}(rho, tau).
+def xi(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> XiEvaluation:
+    """Evaluate Xi_{alpha,z}(rho, tau); the only place an Xi route is chosen.
 
     Route selection:
-      * |beta| = 1 with beta = (1-alpha)/z: the boundary lines z = 1 - alpha
-        and z = alpha - 1, where Xi = chi_{alpha,1-alpha} exactly.
-      * commuting pair (max-norm of [rho, tau] <= 1e-10, unless
-        ``force_general``): Xi = rho^alpha tau^(-alpha).
-      * otherwise: the closed form of the resolvent integral, evaluated in the
-        eigenbasis of tau as phi_beta(t_i, t_j) * chi_ij. At alpha = 1 the
-        kernel degenerates to the log-mean kernel applied to rho itself.
+      * the boundary lines z = 1 - alpha and z = alpha - 1 (|beta| = 1 with
+        beta = (1-alpha)/z), where Xi = chi_{alpha,1-alpha} exactly.
+      * commuting pair (max|[rho, tau]| <= 1e-10 * max|rho| * max|tau|):
+        Xi = rho^alpha tau^(-alpha).
+      * otherwise :func:`_xi_divided_difference`.
 
     The formula is evaluated for any positive (alpha, z); membership of the
     DPI region is only enforced by the certification entry points.
     """
     rho_op, tau_op = as_operator(rho), as_operator(tau)
-    dec = eig_hermitian(tau_op)
-    w, u = dec.eigenvalues, dec.vectors
-    if float(w[-1]) <= 0.0:
+    if float(eig_hermitian(tau_op).eigenvalues[-1]) <= 0.0:
         raise ValueError("tau has empty support")
-    beta = p.beta
-
-    if abs(abs(beta) - 1.0) <= LINE_ATOL:
+    if p.on_reverse_line or p.on_lower_line:
         m = _chi_entries(rho_op, tau_op, p.alpha, 1.0 - p.alpha)
-        return XiEvaluation(wrap(m, rho_op.partition), "boundary-line", beta)
-
-    if not force_general and commutator_maxnorm(rho_op, tau_op) <= COMMUTING_TOL:
+        return XiEvaluation(wrap(m, rho_op.partition), "boundary-line", p.beta)
+    if commutator_maxnorm(rho_op, tau_op) <= COMMUTING_TOL * rho_op.max_abs() * tau_op.max_abs():
         m = _power(rho_op, p.alpha) @ _power(tau_op, -p.alpha)
-        return XiEvaluation(wrap(m, rho_op.partition), "commuting", beta)
+        return XiEvaluation(wrap(m, rho_op.partition), "commuting", p.beta)
+    return _xi_divided_difference(rho_op, tau_op, p)
 
-    if p.on_umegaki_line:
-        chi_m = rho_op.entries
-    else:
-        chi_m = _chi_entries(rho_op, tau_op, p.alpha, p.z)
+
+def _xi_divided_difference(rho: Operator, tau: Operator, p: AlphaZ) -> XiEvaluation:
+    """Xi by the closed form of the resolvent integral, valid for any pair.
+
+    Evaluated in the eigenbasis of tau as phi_beta(t_i, t_j) * chi_ij. On the
+    Umegaki line the kernel degenerates to the log-mean kernel applied to rho
+    itself.
+    """
+    dec = eig_hermitian(tau)
+    w, u = dec.eigenvalues, dec.vectors
+    chi_m = rho.entries if p.on_umegaki_line else _chi_entries(rho, tau, p.alpha, p.z)
     t = np.where(_support_mask(w), w, 0.0)
-    phi = _phi_divided_difference(t, beta)
     coeff = u.conj().T @ chi_m @ u
-    m = u @ (phi * coeff) @ u.conj().T
-    return XiEvaluation(wrap(m, rho_op.partition), "divided-difference", beta)
+    m = u @ (_phi_divided_difference(t, p) * coeff) @ u.conj().T
+    return XiEvaluation(wrap(m, rho.partition), "divided-difference", p.beta)
 
 
 def in_support_set(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> bool:
@@ -154,7 +154,7 @@ def in_support_set(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> bool:
     checked as full rank of the compression V† tau V onto rho's support
     eigenvectors V; everywhere else it is rho << tau (:func:`is_dominated`).
     """
-    if abs(p.beta - 1.0) <= LINE_ATOL:
+    if p.on_reverse_line:
         v = _support_split(rho)[0]
         w = np.linalg.eigvalsh(hermitian_part(v.conj().T @ as_operator(tau).entries @ v))
         return bool(np.all(_support_mask(w)))
@@ -420,71 +420,44 @@ def certify_optimizer(
     )
 
 
-def _mc_diagonal_weights(tau: Operator, d: int, atol: float = 1e-10) -> np.ndarray:
-    """Weights t_i of tau = sum_i t_i |ii><ii|; raises if tau is not of that form."""
-    m = as_operator(tau).entries
-    idx = [i * d + i for i in range(d)]
-    t = np.real(m[idx, idx]).copy()
-    check = m.copy()
-    check[idx, idx] -= t
-    if float(np.max(np.abs(check))) > atol:
-        raise ValueError("tau is not diagonal in the |ii> basis within 1e-10")
-    return t
-
-
-def is_maximally_correlated(rho: DensityMatrix, atol: float = 1e-10) -> bool:
-    """Whether rho is supported on span{|ii><jj|} for its (d, d) partition."""
+def is_maximally_correlated(rho: DensityMatrix) -> bool:
+    """Whether rho is supported on span{|ii><jj|} for its (d, d) partition, within 1e-10."""
     dims = rho.dims
     if len(dims) != 2 or dims[0] != dims[1]:
         return False
-    d = dims[0]
-    idx = [i * d + i for i in range(d)]
+    idx = np.ix_(_ii_indices(dims[0]), _ii_indices(dims[0]))
     proj = np.zeros_like(rho.entries)
-    proj[np.ix_(idx, idx)] = rho.entries[np.ix_(idx, idx)]
-    return float(np.max(np.abs(rho.entries - proj))) <= atol
+    proj[idx] = rho.entries[idx]
+    return float(np.max(np.abs(rho.entries - proj))) <= 1e-10
 
 
 def marginal_condition_mc(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> CertificateReport:
     """Certification of tau in T_rho for a maximally correlated rho.
 
     For tau = sum_i t_i |ii><ii| the trace condition over all separable states
-    collapses to the scalar inequality
-    max_l t_l^((1-alpha)/z - 1) <ll| chi(rho, tau) |ll> <= Q(rho || tau),
-    so no Lambda^2 search is needed. lambda_sq reports the left-hand maximum.
+    collapses to the scalar inequality max_l <ll| Xi(rho, tau) |ll> <= Q(rho || tau),
+    so no Lambda^2 search is needed. lambda_sq reports the left-hand maximum,
+    read from :func:`xi`, and ``route`` names the Xi route.
     """
     _require_dpi(p)
     if not is_maximally_correlated(rho):
         raise ValueError("rho is not maximally correlated in the declared basis")
     d = rho.dims[0]
-    t = _mc_diagonal_weights(tau, d)
-    idx = np.array([i * d + i for i in range(d)])
-    top = float(np.max(t))
-    if top <= 0.0:
-        raise ValueError("tau has empty support")
-    live = t > SUPPORT_CUT * top
-
-    beta = p.beta
-    if p.on_umegaki_line:
-        diag_rho = np.real(rho.entries[idx, idx])
-        scores = np.full(d, -math.inf)
-        scores[live] = diag_rho[live] / t[live]
-    elif abs(abs(beta) - 1.0) <= LINE_ATOL:
-        chi_b = _chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)
-        scores = np.real(chi_b[idx, idx])
-    else:
-        chi_m = _chi_entries(rho, tau, p.alpha, p.z)
-        diag_chi = np.real(chi_m[idx, idx])
-        scores = np.full(d, -math.inf)
-        scores[live] = t[live] ** (beta - 1.0) * diag_chi[live]
+    idx = _ii_indices(d)
+    off = as_operator(tau).entries.copy()
+    off[idx, idx] -= off[idx, idx].real
+    if float(np.max(np.abs(off))) > 1e-10:
+        raise ValueError("tau is not diagonal in the |ii> basis within 1e-10")
+    ev = xi(rho, tau, p)
+    scores = np.real(ev.xi.entries[idx, idx])
     log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p)
 
     best = int(np.argmax(scores))
-    lam = float(scores[best])
     basis_vec = np.zeros(d, dtype=complex)
     basis_vec[best] = 1.0
     return _report(
-        rho, tau, p, in_support_set(rho, tau, p), lam, log2q,
-        free_set="mc-diagonal", witness=(basis_vec, basis_vec.copy()), route="mc-marginal", beta=beta,
+        rho, tau, p, in_support_set(rho, tau, p), float(scores[best]), log2q,
+        free_set="mc-diagonal", witness=(basis_vec, basis_vec.copy()), route=ev.route, beta=ev.beta,
     )
 
 

@@ -39,6 +39,7 @@ from .certificates import _encode_float, certify_optimizer, report_to_dict
 from .divergences import AlphaZ, d_alpha_z, q_alpha_z
 from .linalg import (
     DensityMatrix,
+    HermitianOperator,
     eig_hermitian,
     load_density_json,
     load_operator_json,
@@ -107,11 +108,22 @@ def _print_json(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _load_psd(path: str, state: bool) -> HermitianOperator | DensityMatrix:
+    """A psd matrix file (a unit-trace state if ``state``); a ValueError names the file."""
+    try:
+        op = load_operator_json(path)
+        if state:
+            return DensityMatrix(op)
+        require_psd(eig_hermitian(op).eigenvalues)
+        return op
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
     p = AlphaZ(args.alpha, args.z)
-    rho = load_density_json(args.rho)
-    sigma = load_operator_json(args.sigma)
-    require_psd(eig_hermitian(sigma).eigenvalues)
+    rho = _load_psd(args.rho, state=True)
+    sigma = _load_psd(args.sigma, state=False)
     d = d_alpha_z(rho, sigma, p)
     q = 1.0 if p.on_umegaki_line else q_alpha_z(rho, sigma, p)
     if not p.in_dpi_region:

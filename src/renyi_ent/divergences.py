@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    SUPPORT_CUT,
     DensityMatrix,
     HermitianOperator,
     _negligible_on,
@@ -39,6 +38,10 @@ class AlphaZ:
       * 1 < alpha <= 2 and alpha/2 <= z <= alpha,
       * 2 <= alpha < inf and alpha - 1 <= z <= alpha,
     or alpha = 1 (any z > 0), which is included in the region.
+
+    The line flags, within LINE_ATOL, are the package's only line test: alpha = 1,
+    z = 1 - alpha (beta = 1) and z = alpha - 1 (beta = -1). Near their common
+    point (1, 0) only the Umegaki flag is set.
     """
 
     alpha: float
@@ -56,10 +59,11 @@ class AlphaZ:
             raise ValueError(f"z must be a positive finite real, got {z}")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "on_umegaki_line", abs(a - 1.0) <= LINE_ATOL)
-        object.__setattr__(self, "on_reverse_line", abs(z - (1.0 - a)) <= LINE_ATOL)
-        object.__setattr__(self, "on_lower_line", abs(z - (a - 1.0)) <= LINE_ATOL)
-        in_region = self.on_umegaki_line
+        umegaki = abs(a - 1.0) <= LINE_ATOL
+        object.__setattr__(self, "on_umegaki_line", umegaki)
+        object.__setattr__(self, "on_reverse_line", not umegaki and abs(z - (1.0 - a)) <= LINE_ATOL)
+        object.__setattr__(self, "on_lower_line", not umegaki and abs(z - (a - 1.0)) <= LINE_ATOL)
+        in_region = umegaki
         if a < 1.0:
             in_region = in_region or z >= max(a, 1.0 - a) - LINE_ATOL
         else:
@@ -89,10 +93,11 @@ def is_dominated(rho: Operator, sigma: Operator) -> bool:
 
 
 def _log2_sum_powers_rows(mu: np.ndarray, z: float) -> np.ndarray:
-    """log2(sum_i mu_i^z) per row of ascending spectra, over each row's support.
+    """log2(sum_i mu_i^z) per row of ascending values, over each row's positive entries.
 
-    Computed in the log domain: (mu/top)^z <= 1, so the sum never overflows
-    even for z ~ 1e3. A row without positive eigenvalues gives -inf.
+    Computed in the log domain: (mu/top)^z <= 1, so the sum neither overflows
+    nor underflows to 0 even for z ~ 1e3. A row without positive entries gives
+    -inf. Spectral callers zero the entries below the support cut first.
     """
     top = mu[:, -1].copy()
     out = np.full(mu.shape[0], -math.inf)
@@ -101,7 +106,7 @@ def _log2_sum_powers_rows(mu: np.ndarray, z: float) -> np.ndarray:
         return out
     mug = mu[good]
     topg = top[good]
-    mask = mug > SUPPORT_CUT * topg[:, None]
+    mask = mug > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(mask, np.log(np.where(mask, mug, 1.0)), -math.inf)
     scaled = np.where(mask, np.exp(z * (logs - np.log(topg)[:, None])), 0.0)

@@ -162,6 +162,11 @@ def require_psd(eigenvalues: np.ndarray) -> None:
         raise ValueError(f"not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e}")
 
 
+def _ii_indices(d: int) -> np.ndarray:
+    """Flat indices of the product states |ii>, i = 0..d-1, of C^d (x) C^d."""
+    return np.arange(d) * (d + 1)
+
+
 def as_operator(x: HermitianOperator | DensityMatrix) -> HermitianOperator:
     return x.op if isinstance(x, DensityMatrix) else x
 

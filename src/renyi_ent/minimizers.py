@@ -23,7 +23,7 @@ import numpy as np
 
 from .certificates import CertificateReport, is_maximally_correlated, marginal_condition_mc, certify_optimizer
 from .divergences import AlphaZ, _log2_sum_powers_rows, _require_dpi
-from .linalg import SUPPORT_CUT, DensityMatrix, _power, _support_mask, density
+from .linalg import SUPPORT_CUT, DensityMatrix, _ii_indices, _power, _support_mask, density
 
 _SUPPORT_DIAG_TOL = 1e-12
 _LN2 = math.log(2.0)
@@ -177,8 +177,9 @@ def _diag_objective(
     ``reps`` = 1 is the incoherent/T_rho problem, ``reps`` = d the
     I (x) sigma_B one; the gradient of a tiled weight sums over its blocks.
     ``support_diag`` is the diagonal of rho in the same basis (length
-    ``reps * s.size``), used for the alpha >= 1 support blow-up: any
-    exactly-zero weight carrying rho-mass forces +inf.
+    ``reps * s.size``), used for the alpha >= 1 support blow-up in both
+    branches: any exactly-zero weight carrying rho-mass above
+    _SUPPORT_DIAG_TOL forces +inf.
 
     Off the Umegaki line both come from one eigh of the core
     C = A diag(w^beta) A, A = rho^(alpha/2z): dD/dw_j = -w_j^(beta-1) chi_jj / (Q ln2)
@@ -194,6 +195,12 @@ def _diag_objective(
     def fold(G: np.ndarray) -> np.ndarray:
         return G if reps == 1 else G.reshape(G.shape[0], reps, -1).sum(axis=1)
 
+    # alpha >= 1: a zero weight under rho-mass makes the divergence infinite
+    mass = (support_diag > _SUPPORT_DIAG_TOL) & (p.on_umegaki_line or alpha > 1.0)
+
+    def blown_up(W: np.ndarray) -> np.ndarray:
+        return np.any((W <= 0) & mass, axis=1)
+
     if p.on_umegaki_line:
         w_rho, _ = np.linalg.eigh(rho_matrix)
         w_rho = w_rho[_support_mask(w_rho)]
@@ -204,17 +211,11 @@ def _diag_objective(
 
         def f_umegaki(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             W = tiled(S)
-            out = np.empty(W.shape[0])
-            grad = np.zeros(W.shape)
-            for r in range(W.shape[0]):
-                w = W[r]
-                dead = w <= 0
-                if np.any(dead & (support_diag > _SUPPORT_DIAG_TOL)):
-                    out[r] = math.inf
-                    continue
-                live = ~dead
-                out[r] = self_term - float(np.sum(true_diag[live] * np.log2(w[live])))
-                grad[r, live] = -true_diag[live] / (w[live] * _LN2)
+            live = W > 0
+            w_live = np.where(live, W, 1.0)
+            out = self_term - np.sum(np.where(live, true_diag * np.log2(w_live), 0.0), axis=1)
+            out[blown_up(W)] = math.inf
+            grad = np.where(live, -true_diag / (w_live * _LN2), 0.0)
             return out, fold(grad)
 
         return f_umegaki
@@ -230,11 +231,10 @@ def _diag_objective(
         core = np.einsum("ij,rj,jk->rik", a_half, Wp, a_half)
         core = (core + np.conj(np.transpose(core, (0, 2, 1)))) / 2
         mu, vecs = np.linalg.eigh(core)
-        log2q = _log2_sum_powers_rows(mu, z)
+        keep = mu > SUPPORT_CUT * np.maximum(mu[:, -1:], 0.0)
+        log2q = _log2_sum_powers_rows(np.where(keep, mu, 0.0), z)
         out = log2q / (alpha - 1.0)
-        if alpha > 1.0:
-            bad = np.any(~live & (support_diag[None, :] > _SUPPORT_DIAG_TOL), axis=1)
-            out[bad] = math.inf
+        out[blown_up(W)] = math.inf
         finite = np.isfinite(log2q)
         out[~finite] = math.inf
 
@@ -245,9 +245,8 @@ def _diag_objective(
         if rows.size:
             mu_g = mu[rows]
             top = mu_g[:, -1]
-            mask = mu_g > SUPPORT_CUT * top[:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
-                scaled = np.where(mask, (mu_g / top[:, None]) ** (z - 1.0), 0.0)
+                scaled = np.where(keep[rows], (mu_g / top[:, None]) ** (z - 1.0), 0.0)
             av = a_half @ vecs[rows]
             chi_diag = np.einsum("rjk,rk->rj", (av * av.conj()).real, scaled)
             q_scaled = np.exp2(log2q[rows] - z * np.log2(top))
@@ -305,8 +304,7 @@ def _compress_mc(rho: DensityMatrix) -> np.ndarray:
     """The d x d coefficient matrix of an MC state under |ii> -> |i>."""
     if not is_maximally_correlated(rho):
         raise ValueError("rho is not maximally correlated within 1e-10")
-    d = rho.dims[0]
-    idx = np.array([i * d + i for i in range(d)])
+    idx = _ii_indices(rho.dims[0])
     return rho.entries[np.ix_(idx, idx)].copy()
 
 
@@ -323,8 +321,7 @@ def minimize_mc(
     d = small.shape[0]
     run = _solve(small, p, np.real(np.diag(small)), opts)
     m = np.zeros((d * d, d * d))
-    for i, w in enumerate(run.weights):
-        m[i * d + i, i * d + i] = w
+    m[_ii_indices(d), _ii_indices(d)] = run.weights
     tau = density(m, rho.partition)
     report = marginal_condition_mc(rho, tau, p)
     return SimplexSolution(sigma=tau, certificate=report, **run._asdict())

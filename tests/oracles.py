@@ -9,7 +9,9 @@ tests. The serial Lambda^2 ascent runs one restart at a time with one
 3-operand einsum over the whole tensor per party, the reference for the
 batched ascent; the Bloch-angle grid is an exhaustive Lambda^2 reference for
 a qubit first party. The support projector and the report JSON round trip
-are only used by tests.
+are only used by tests. The MC score table is the scalar form of the
+maximally correlated certificate, the reference for its reading of Xi's
+diagonal.
 """
 
 import json
@@ -21,7 +23,7 @@ import scipy.integrate
 
 from renyi_ent import AlphaZ, CertificateReport, DensityMatrix, d_alpha_z, density, matrix_power, random_density
 from renyi_ent.linalg import as_operator, hermitian_part
-from renyi_ent.certificates import OverlapResult, _initial_vectors, chi, report_to_dict
+from renyi_ent.certificates import OverlapResult, _chi_entries, _initial_vectors, chi, report_to_dict
 
 
 def full_rank_state(d: int, seed: int, mix: float = 0.15, dims=None) -> DensityMatrix:
@@ -264,3 +266,25 @@ def report_to_json(report: CertificateReport) -> str:
 
 def report_from_json(text: str) -> CertificateReport:
     return report_from_dict(json.loads(text))
+
+
+def mc_score_lambda(rho: DensityMatrix, tau, p: AlphaZ) -> float:
+    """max_l of the MC certificate's scalar score table for tau = sum_l t_l |ll><ll|.
+
+    Scores over the live weights (t_l above 1e-10 * max t, -inf elsewhere):
+    rho_ll / t_l on the Umegaki line, <ll| chi_{alpha,1-alpha} |ll> on the
+    boundary lines (every l) and t_l^(beta-1) <ll| chi |ll> otherwise.
+    """
+    d = rho.dims[0]
+    idx = np.arange(d) * (d + 1)
+    t = np.real(np.diag(tau.entries))[idx]
+    live = t > 1e-10 * t.max()
+    scores = np.full(d, -math.inf)
+    if p.on_umegaki_line:
+        scores[live] = np.real(np.diag(rho.entries))[idx][live] / t[live]
+    elif p.on_reverse_line or p.on_lower_line:
+        scores = np.real(np.diag(_chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)))[idx]
+    else:
+        diag_chi = np.real(np.diag(_chi_entries(rho, tau, p.alpha, p.z)))[idx]
+        scores[live] = t[live] ** (p.beta - 1.0) * diag_chi[live]
+    return float(np.max(scores))

@@ -152,7 +152,7 @@ def test_criterion_4_xi_quadrature_cross_check(capsys):
         rho = full_rank_state(4, 4000 + i, dims=(2, 2))
         tau = full_rank_state(4, 4500 + i, dims=(2, 2))
         for p in points:
-            fast = xi(rho, tau.op, p, force_general=True).xi.entries
+            fast = xi(rho, tau.op, p).xi.entries
             slow = xi_quadrature(rho, tau.op, p)
             diff = float(np.max(np.abs(fast - slow)))
             worst = max(worst, diff)

@@ -5,6 +5,8 @@ import pytest
 
 from renyi_ent import (
     GHZ,
+    HermitianOperator,
+    MaximallyCorrelated,
     AlphaZ,
     AntisymPair,
     BellDiagonal,
@@ -17,6 +19,7 @@ from renyi_ent import (
     build,
     certify_optimizer,
     chi,
+    closed_form_value,
     d_alpha_z,
     d_umegaki,
     density,
@@ -25,16 +28,18 @@ from renyi_ent import (
     marginal_condition_mc,
     matrix_power,
     max_product_overlap,
+    minimize_mc,
     pure_density,
     q_alpha_z,
     random_density,
     xi,
 )
-from renyi_ent.certificates import commutator_maxnorm
-from renyi_ent.divergences import is_dominated, is_orthogonal
+from renyi_ent.certificates import _xi_divided_difference, commutator_maxnorm
+from renyi_ent.divergences import LINE_ATOL, is_dominated, is_orthogonal
 from renyi_ent.linalg import support_rank
 from oracles import (
     full_rank_state,
+    mc_score_lambda,
     product_overlap_grid,
     product_overlap_serial,
     product_overlap_value,
@@ -94,7 +99,7 @@ class TestXi:
     def test_small_alpha_z_one_approaches_support_projector(self):
         rho = random_density(3, 2, seed=4)
         tau = full_rank_state(3, 5)
-        ev = xi(rho, tau.op, AlphaZ(1e-6, 1.0), force_general=True)
+        ev = xi(rho, tau.op, AlphaZ(1e-6, 1.0))
         assert np.max(np.abs(ev.xi.entries - support_projector(rho).entries)) <= 1e-3
 
     def test_route_flags(self):
@@ -103,7 +108,7 @@ class TestXi:
         assert xi(rho, tau.op, AlphaZ(3.0, 2.0)).route == "boundary-line"
         assert xi(rho, tau.op, AlphaZ(2.0, 2.0)).route == "divided-difference"
         assert xi(rho, rho.op, AlphaZ(2.0, 2.0)).route == "commuting"
-        assert xi(rho, rho.op, AlphaZ(2.0, 2.0), force_general=True).route == "divided-difference"
+        assert _xi_divided_difference(rho, rho.op, AlphaZ(2.0, 2.0)).route == "divided-difference"
 
     def test_commuting_fast_path_matches_general(self):
         # random pair with a common (non-computational) eigenbasis
@@ -115,15 +120,39 @@ class TestXi:
         for a, z in [(0.5, 1.0), (2.0, 2.0), (1.0, 1.0), (0.9, 0.9)]:
             p = AlphaZ(a, z)
             fast = xi(rho, tau.op, p)
-            slow = xi(rho, tau.op, p, force_general=True)
+            slow = _xi_divided_difference(rho, tau.op, p)
             assert fast.route == "commuting" and slow.route == "divided-difference"
             assert np.max(np.abs(fast.xi.entries - slow.xi.entries)) <= 1e-8
+
+    def test_umegaki_route_within_line_tolerance(self):
+        # both the sandwich and the kernel follow AlphaZ's Umegaki flag
+        rho, tau = random_density(4, 4, 8), random_density(4, 4, 9)
+        on_line = xi(rho, tau.op, AlphaZ(1.0, 1.0))
+        near = xi(rho, tau.op, AlphaZ(1.0 + 5e-13, 1.0))
+        assert near.route == on_line.route == "divided-difference"
+        assert np.max(np.abs(near.xi.entries - on_line.xi.entries)) <= 1e-12
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-11])
+    def test_scaled_tau_keeps_its_route(self, c):
+        # Xi(rho, c tau) = c^-alpha Xi(rho, tau); a small tau does not make the pair commute
+        rho, tau = random_density(4, 4, 8), random_density(4, 4, 9)
+        for p in (AlphaZ(2.0, 1.5), AlphaZ(0.7, 0.8), AlphaZ(1.0, 1.0)):
+            ref = xi(rho, tau.op, p)
+            scaled = xi(rho, HermitianOperator(c * tau.entries, (4,)), p)
+            assert scaled.route == ref.route == "divided-difference"
+            err = np.max(np.abs(c**p.alpha * scaled.xi.entries - ref.xi.entries))
+            assert err <= 1e-12 * np.max(np.abs(ref.xi.entries))
+
+    def test_commuting_test_is_relative(self):
+        rho = random_density(3, 3, 6)
+        for c in (1e-12, 1.0, 1e8):
+            assert xi(rho, HermitianOperator(c * rho.entries, (3,)), AlphaZ(2.0, 2.0)).route == "commuting"
 
     @pytest.mark.parametrize("a,z", [(0.3, 0.8), (1.0, 1.0), (2.0, 2.0)])
     def test_trace_against_tau_gives_q(self, a, z):
         p = AlphaZ(a, z)
         rho, tau = full_rank_state(4, 8), full_rank_state(4, 9)
-        ev = xi(rho, tau.op, p, force_general=True)
+        ev = xi(rho, tau.op, p)
         val = float(np.trace(ev.xi.entries @ tau.entries).real)
         expect = 1.0 if p.on_umegaki_line else q_alpha_z(rho, tau.op, p)
         assert abs(val - expect) <= 1e-8
@@ -140,7 +169,7 @@ class TestXi:
         rho, tau = full_rank_state(3, 10), full_rank_state(3, 11)
         line = xi(rho, tau.op, AlphaZ(alpha, 1.0 - alpha)).xi.entries
         for eps in (1e-6, -1e-6):
-            near = xi(rho, tau.op, AlphaZ(alpha, (1.0 - alpha) * (1.0 + eps)), force_general=True)
+            near = xi(rho, tau.op, AlphaZ(alpha, (1.0 - alpha) * (1.0 + eps)))
             assert near.route == "divided-difference"
             assert np.max(np.abs(near.xi.entries - line)) <= 1e-4
 
@@ -148,7 +177,7 @@ class TestXi:
         p = AlphaZ(1.5, 1.2)
         rho = full_rank_state(4, 12, dims=(2, 2))
         tau = full_rank_state(4, 13, dims=(2, 2))
-        ev = xi(rho, tau.op, p, force_general=True)
+        ev = xi(rho, tau.op, p)
         oracle = xi_quadrature(rho, tau.op, p)
         assert np.max(np.abs(ev.xi.entries - oracle)) <= 1e-8
 
@@ -389,7 +418,73 @@ class TestSupportRule:
         assert in_support_set(rho, tau, p) == (theta < 1e-5)
 
 
+class TestLineOwnership:
+    def test_table1_families_near_each_line(self):
+        # (alpha, z) within LINE_ATOL / 2 of a line counts as on it, for the
+        # closed form and for Xi alike
+        from renyi_ent.cli import DEFAULT_TABLE1_FAMILIES
+
+        h = LINE_ATOL / 2
+        cases = [((1.0, 1.0), (1.0 + h, 1.0)), ((1.0, 1.0), (1.0 - h, 1.0))]
+        for a, z in ((0.4, 0.6), (3.0, 2.0)):
+            cases += [((a, z), (a, z + h)), ((a, z), (a, z - h))]
+        for fam in DEFAULT_TABLE1_FAMILIES:
+            rho = build(fam)
+            for line, near in cases:
+                p0, p1 = AlphaZ(*line), AlphaZ(*near)
+                assert abs(closed_form_value(fam, p1) - closed_form_value(fam, p0)) <= 1e-12, (fam, near)
+                tau = ansatz_optimizer(fam, p0)
+                x0, x1 = xi(rho, tau, p0).xi.entries, xi(rho, tau, p1).xi.entries
+                assert np.max(np.abs(x1 - x0)) <= 1e-12 * max(1.0, np.max(np.abs(x0))), (fam, near)
+
+    def test_lines_meet_only_on_the_umegaki_line(self):
+        p = AlphaZ(1.0, 1e-13)
+        assert p.on_umegaki_line and not p.on_reverse_line and not p.on_lower_line
+        rho, tau = full_rank_state(3, 6), full_rank_state(3, 7)
+        assert xi(rho, tau.op, p).route == "divided-difference"
+        assert in_support_set(rho, tau, p)
+
+
 class TestMarginalConditionMC:
+    MC_POINTS = [
+        (0.3, 0.8), (0.4, 0.6), (0.5, 0.5), (0.7, 0.7), (0.9, 0.95),
+        (1.0, 1.0), (1.0, 2.5), (1.5, 1.2), (2.0, 2.0), (3.0, 2.0),
+    ]
+
+    def test_lambda_matches_score_table(self):
+        # d in {2, 3, 4} x 6 seeds x 10 points, both boundary lines and alpha = 1
+        # included: Xi's diagonal on |ll> against the scalar score table, at the
+        # solver's tau and at a tilted one
+        def verdict(report, lam):
+            margin = report.q_value - lam
+            if not report.support_ok or margin < -10.0 * report.tol_cert:
+                return "refuted"
+            return "certified-optimal" if margin >= -report.tol_cert else "inconclusive"
+
+        for d in (2, 3, 4):
+            idx = np.arange(d) * (d + 1)
+            tilt = np.zeros((d * d, d * d))
+            tilt[idx, idx] = np.linspace(1.0, 2.0, d)
+            for seed in range(6):
+                coeff = random_density(d, d, 700 + seed).entries
+                rho = build(MaximallyCorrelated(tuple(map(tuple, coeff))))
+                for a, z in self.MC_POINTS:
+                    p = AlphaZ(a, z)
+                    sol = minimize_mc(rho, p)
+                    assert sol.certificate.verdict == "certified-optimal", (d, seed, a, z)
+                    tilted = tilt @ sol.sigma.entries
+                    for tau in (sol.sigma, density(tilted / np.trace(tilted), (d, d))):
+                        report = marginal_condition_mc(rho, tau, p)
+                        lam = mc_score_lambda(rho, tau, p)
+                        assert abs(report.lambda_sq - lam) <= 1e-12 * abs(lam), (d, seed, a, z)
+                        assert report.verdict == verdict(report, lam)
+
+    def test_route_names_the_xi_route(self):
+        rho = build(MCBD((0.5, 0.3, 0.2)))
+        tau = ansatz_optimizer(MCBD((0.5, 0.3, 0.2)), AlphaZ(2.0, 2.0))
+        assert marginal_condition_mc(rho, tau, AlphaZ(2.0, 2.0)).route == "commuting"
+        assert marginal_condition_mc(rho, tau, AlphaZ(3.0, 2.0)).route == "boundary-line"
+
     def test_bell_state_uniform_tau(self):
         rho = pure_density(PHI_PLUS, (2, 2))
         tau = density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))

@@ -88,6 +88,19 @@ class TestEval:
         assert "positive semidefinite" in err
 
 
+    @pytest.mark.parametrize("which", ["rho", "sigma"])
+    def test_not_psd_error_names_the_file(self, tmp_path, capsys, which):
+        paths = {
+            "rho": write_state(tmp_path / "rho.json", density(np.eye(2) / 2, (2,))),
+            "sigma": write_state(tmp_path / "sigma.json", density(np.eye(2) / 2, (2,))),
+        }
+        write_state(tmp_path / f"{which}.json", HermitianOperator(np.diag([0.6, -0.4]), (2,)))
+        code, out, err = run(capsys, ["eval", paths["rho"], paths["sigma"], "--alpha", "2", "--z", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {paths[which]}: not positive semidefinite") and err.count("\n") == 1
+
+
 class TestValue:
     @pytest.mark.parametrize(
         "family,alpha,z,expect",
@@ -95,6 +108,9 @@ class TestValue:
             ("ghz:d=2,M=3", 1.0, 1.0, 1.0),
             ("werner:p=0.8,d=3", 2.0, 2.0, 0.0),
             ("isotropic:F=1,d=3", 0.5, 1.0, math.log2(3)),
+            # the power sums 0.8^5000 and 0.5^5001 underflow outside the log domain
+            ("werner:p=0.2,d=3", 5000.0, 5000.0, 1.0 + 5000.0 * math.log2(0.8) / 4999.0),
+            ("pure:p=0.5|0.5", 0.5, 0.5001, 1.0),
         ],
     )
     def test_examples(self, capsys, family, alpha, z, expect):
@@ -165,6 +181,14 @@ class TestTable1:
         for row in rows:
             assert abs(float(row["closed_form"]) - float(row["certified_value"])) <= 1e-6
         assert out.count("ok ") == 14
+
+    def test_grid_point_within_line_tolerance_of_alpha_1(self, tmp_path, capsys):
+        # the certificate and the closed form both treat it as alpha = 1
+        grid = tmp_path / "grid.json"
+        grid.write_text("[[1.0000000000005, 1.0]]")
+        code, out, _ = run(capsys, ["table1", "--grid", str(grid), "--restarts", "16"])
+        assert code == 0
+        assert out.count("\nok ") + out.startswith("ok ") == 7 and "FAIL" not in out
 
     @pytest.mark.parametrize("text", ["[1, 2]", "[[1]]", '[["a", 1]]', "[[true, 1]]", '{"alpha": 1}'])
     def test_malformed_grid_exits_2_with_one_line(self, tmp_path, capsys, text):
