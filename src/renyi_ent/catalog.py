@@ -21,7 +21,11 @@ from .linalg import (
     DensityMatrix,
     HermitianOperator,
     _ii_indices,
+    _permute_rows,
+    _support_mask,
     density,
+    eig_hermitian,
+    from_eigenpairs,
     pure_density,
     tensor_product_merged,
 )
@@ -470,13 +474,17 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
         d = family.d
         return _diag_pairs_state(np.full(d, 1.0 / d), d, 2)
     if isinstance(family, AntisymPair):
+        # (d+1)/(2d) rho_+ (x) rho_+ + (d-1)/(2d) rho_- (x) rho_-, built from its
+        # eigenpairs: the eigenbasis of rho_+ = Werner(1, d) splits P+ (its
+        # support) from P- (its kernel), so its merged Kronecker square
+        # diagonalizes both terms
         d = family.d
-        plus = build(Werner(1.0, d))
-        minus = build(Werner(0.0, d))
-        m = (d + 1.0) / (2.0 * d) * tensor_product_merged(plus, plus).entries + (
-            d - 1.0
-        ) / (2.0 * d) * tensor_product_merged(minus, minus).entries
-        return density(m, (d * d, d * d))
+        dec = eig_hermitian(build(Werner(1.0, d)))
+        sym = _support_mask(dec.eigenvalues)
+        s, a = sym / np.count_nonzero(sym), ~sym / np.count_nonzero(~sym)
+        w = (d + 1.0) / (2.0 * d) * np.kron(s, s) + (d - 1.0) / (2.0 * d) * np.kron(a, a)
+        v = _permute_rows(np.kron(dec.vectors, dec.vectors), (d,) * 4, (0, 2, 1, 3))
+        return DensityMatrix(from_eigenpairs(w, v, (d * d, d * d)))
     if isinstance(family, MaximallyCorrelated):
         raise ValueError("general MC states have no closed-form ansatz; use minimizers.minimize_mc")
     raise TypeError(f"unknown family {family!r}")

@@ -255,13 +255,13 @@ def _initial_vectors(
 ) -> list[np.ndarray]:
     """Per-party (restarts, d_k) start vectors.
 
-    Row 0 is the best rank-one alignment of the top eigenvector of ``op``
-    (one SVD per party); row r > 0 is a random unit vector per party drawn
-    from ``default_rng([seed, r])``.
+    Row 0 is the best rank-one alignment of the cached top eigenvector of
+    ``op`` (one SVD per party); row r > 0 is a random unit vector per party
+    drawn from ``default_rng([seed, r])``.
     """
     dims = op.dims
     vecs = [np.empty((restarts, d), dtype=complex) for d in dims]
-    psi = eig_hermitian(op).vectors[:, -1].reshape(dims)
+    psi = op._top[1].reshape(dims)
     for k, v in enumerate(vecs):
         u, _, _ = np.linalg.svd(np.moveaxis(psi, k, 0).reshape(dims[k], -1), full_matrices=False)
         v[0] = u[:, 0]
@@ -285,7 +285,8 @@ def max_product_overlap(
     Alternating maximization: with all local vectors but one fixed, the
     contraction of Xi is a local Hermitian matrix whose top eigenvector is the
     exact update, so the overlap is nondecreasing. Restart 0 is seeded from
-    the rank-one alignment of the top eigenvector of Xi; the remaining
+    the rank-one alignment of the top eigenvector of Xi (cached on the
+    operator, found without a full decomposition); the remaining
     restarts use seeded random product vectors. All restarts run in lockstep
     as one batched ascent. The returned value is a certified lower bound on
     Lambda^2; the multi-start is a heuristic for global optimality.
@@ -320,6 +321,8 @@ class CertificateReport:
     support condition certifies tau as a global minimizer over the declared
     free set. The witness is the product (or basis) state attaining
     lambda_sq. ``value`` carries D_{alpha,z}(rho || tau) when certified.
+    ``restart_hits`` counts the Lambda^2 restarts that ended within
+    ``TOL_CERT_REL * max(1, |lambda_sq|)`` of lambda_sq (0 without a search).
     """
 
     alpha: float
@@ -336,6 +339,7 @@ class CertificateReport:
     beta: float
     value: float | None = None
     restart_values: tuple[float, ...] = field(default_factory=tuple)
+    restart_hits: int = 0
 
 
 def _report(
@@ -355,6 +359,8 @@ def _report(
     """
     q = _q_from_log2(log2q)
     margin = q - lam
+    band = TOL_CERT_REL * max(1.0, abs(lam))
+    hits = sum(1 for v in fields.get("restart_values", ()) if v >= lam - band)
     tol_cert = TOL_CERT_REL * q if math.isfinite(q) else TOL_CERT_REL
     if not support_ok or margin < -10.0 * tol_cert:
         verdict = "refuted"
@@ -375,6 +381,7 @@ def _report(
         verdict=verdict,
         tol_cert=tol_cert,
         value=value,
+        restart_hits=hits,
         **fields,
     )
 
@@ -492,4 +499,5 @@ def report_to_dict(report: CertificateReport) -> dict:
         "beta": report.beta,
         "value": _encode_float(report.value),
         "restart_values": list(report.restart_values),
+        "restart_hits": report.restart_hits,
     }

@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,9 @@ HERMITICITY_ATOL = 1e-12
 PSD_RTOL = 1e-10
 TRACE_ATOL = 1e-10
 SUPPORT_CUT = 1e-10
+# block width and relative residual of the Krylov top-eigenpair search
+_KRYLOV_BLOCK = 8
+_KRYLOV_RTOL = 1e-10
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -73,10 +76,12 @@ class HermitianOperator:
     Construction validates that every entry is finite, hermiticity (per-entry
     tolerance 1e-12 * max(1, max|entry|)) and that the matrix dimension
     matches the partition. The stored array is read-only; instances are
-    immutable and compare and hash by identity. The spectrum is computed by
-    one ``eigh`` on first use and kept with the operator, so every spectral
-    query on it (powers, support, dominance, Xi) shares that single
-    decomposition.
+    immutable and compare and hash by identity. The spectrum is computed on
+    first use and kept with the operator, so every spectral query on it
+    (powers, support, dominance, Xi) shares that single decomposition. It
+    comes from one ``eigh``, unless the operator was built with a known
+    spectrum (:func:`from_eigenpairs`, tensor products and factor
+    permutations, which assemble theirs from their factors' spectra).
     """
 
     entries: np.ndarray
@@ -116,10 +121,82 @@ class HermitianOperator:
 
     @cached_property
     def _eig(self) -> EigenDecomposition:
-        w, v = np.linalg.eigh(self.entries)
+        spectrum = self.__dict__.pop("_spectrum", None)
+        if spectrum is None:
+            w, v = np.linalg.eigh(self.entries)
+        else:
+            w, v = spectrum()
+            order = np.argsort(w, kind="stable")
+            w, v = w[order], v[:, order]
         w.flags.writeable = False
         v.flags.writeable = False
         return EigenDecomposition(eigenvalues=w, vectors=v)
+
+    @cached_property
+    def _top(self) -> tuple[float, np.ndarray]:
+        """The top eigenpair (lambda_max, unit vector), without a full decomposition.
+
+        Read from the spectrum when it is cached or known by construction,
+        else found by :func:`_krylov_top`.
+        """
+        if "_eig" in self.__dict__ or "_spectrum" in self.__dict__:
+            return float(self._eig.eigenvalues[-1]), self._eig.vectors[:, -1]
+        return _krylov_top(self.entries)
+
+
+Spectrum = Callable[[], tuple[np.ndarray, np.ndarray]]
+
+
+def _with_spectrum(
+    entries: np.ndarray, partition: Partition | Iterable[int], spectrum: Spectrum
+) -> HermitianOperator:
+    """An operator whose first spectral query takes its eigenpairs (w, V) from ``spectrum()``.
+
+    The only way into the spectral cache besides ``eigh``: the pairs are
+    sorted ascending there and stored read-only, and ``spectrum`` is dropped.
+    """
+    op = HermitianOperator(entries, partition)
+    op.__dict__["_spectrum"] = spectrum
+    return op
+
+
+def from_eigenpairs(
+    w: np.ndarray, vectors: np.ndarray, partition: Partition | Iterable[int]
+) -> HermitianOperator:
+    """The Hermitian part of V diag(w) V† (orthonormal columns V), caching (w, V) as its spectrum."""
+    w, v = np.asarray(w, dtype=float), np.asarray(vectors, dtype=complex)
+    op = _with_spectrum(hermitian_part((v * w) @ v.conj().T), partition, lambda: (w, v))
+    eig_hermitian(op)
+    return op
+
+
+def _krylov_top(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenpair (theta, x) of a Hermitian matrix by block Lanczos.
+
+    The block is min(_KRYLOV_BLOCK, n) columns from a fixed-seed complex
+    Gaussian; each step appends the next Krylov block, reorthogonalized
+    against the whole basis (twice), and takes the top Ritz pair of the
+    projected matrix. It stops once ||m x - theta x|| <= _KRYLOV_RTOL *
+    |theta|, or once the basis spans the whole space, where the Ritz pair is
+    exact.
+    """
+    n = m.shape[0]
+    b = min(_KRYLOV_BLOCK, n)
+    rng = np.random.default_rng(0)
+    basis = np.linalg.qr(rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b)))[0]
+    images = m @ basis
+    while True:
+        w, y = np.linalg.eigh(hermitian_part(basis.conj().T @ images))
+        theta, x = float(w[-1]), basis @ y[:, -1]
+        width = min(b, n - basis.shape[1])
+        residual = np.linalg.norm(images @ y[:, -1] - theta * x)
+        if residual <= _KRYLOV_RTOL * abs(theta) or width == 0:
+            return theta, x
+        block = images[:, -b:][:, :width]
+        for _ in range(2):
+            block = np.linalg.qr(block - basis @ (basis.conj().T @ block))[0]
+        basis = np.hstack([basis, block])
+        images = np.hstack([images, m @ block])
 
 
 def wrap(matrix: np.ndarray, partition: Partition | Iterable[int]) -> HermitianOperator:
@@ -134,7 +211,7 @@ class DensityMatrix:
     op: HermitianOperator
 
     def __post_init__(self):
-        require_psd(np.linalg.eigvalsh(self.op.entries))
+        require_psd(eig_hermitian(self.op).eigenvalues)
         if abs(self.op.trace() - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace is {self.op.trace():.12f}, expected 1")
 
@@ -195,7 +272,8 @@ def _power(m: HermitianOperator | DensityMatrix | np.ndarray, p: float) -> np.nd
     """The raw generalized power (v * w^p) @ v† of a Hermitian operator, not symmetrized.
 
     An operator supplies its cached spectrum; a plain array (an intermediate
-    product) is decomposed on the spot.
+    product) is decomposed on the spot. A result outside the float range
+    raises ValueError naming the exponent.
     """
     if isinstance(m, np.ndarray):
         w, v = np.linalg.eigh(m)
@@ -206,8 +284,12 @@ def _power(m: HermitianOperator | DensityMatrix | np.ndarray, p: float) -> np.nd
     if not keep.any():
         return np.zeros((w.size, w.size), dtype=v.dtype)
     pw = np.zeros_like(w)
-    pw[keep] = w[keep] ** p
-    return (v * pw) @ v.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        pw[keep] = w[keep] ** p
+        out = (v * pw) @ v.conj().T
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"matrix power with exponent {p:.6g} overflows the float range")
+    return out
 
 
 def matrix_power(op: HermitianOperator | DensityMatrix, p: float) -> HermitianOperator:
@@ -243,12 +325,45 @@ def _negligible_on(op: HermitianOperator | DensityMatrix, columns: np.ndarray) -
     return float(np.sum(_weights_on(op, columns))) <= SUPPORT_CUT * top
 
 
+def _kron_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a (x) b from the factors' cached spectra: products of values, Kronecker vectors."""
+    ea, eb = eig_hermitian(a), eig_hermitian(b)
+    return np.kron(ea.eigenvalues, eb.eigenvalues), np.kron(ea.vectors, eb.vectors)
+
+
 def tensor_product(
     a: HermitianOperator | DensityMatrix, b: HermitianOperator | DensityMatrix
 ) -> HermitianOperator:
-    """Kronecker product; the partition is the concatenation of both partitions."""
+    """Kronecker product; the partition is the concatenation of both partitions.
+
+    Its spectrum is assembled from the factors' spectra on first use.
+    """
     a, b = as_operator(a), as_operator(b)
-    return HermitianOperator(np.kron(a.entries, b.entries), a.dims + b.dims)
+    return _with_spectrum(np.kron(a.entries, b.entries), a.dims + b.dims, partial(_kron_spectrum, a, b))
+
+
+def _permuted(
+    entries: np.ndarray,
+    dims: tuple[int, ...],
+    perm: tuple[int, ...],
+    spectrum: Spectrum,
+    partition: Iterable[int],
+) -> HermitianOperator:
+    """The operator with factor ``perm[j]`` moved to position j; its eigenvectors' rows move alike."""
+    n, d = len(dims), entries.shape[0]
+    axes = perm + tuple(p + n for p in perm)
+
+    def permuted_spectrum():
+        w, v = spectrum()
+        return w, _permute_rows(v, dims, perm)
+
+    t = entries.reshape(dims + dims).transpose(axes).reshape(d, d)
+    return _with_spectrum(t, partition, permuted_spectrum)
+
+
+def _permute_rows(v: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
+    """Rows of ``v``, indexed by the tensor factors ``dims``, with factor ``perm[j]`` moved to j."""
+    return v.reshape(dims + (-1,)).transpose(perm + (len(dims),)).reshape(v.shape)
 
 
 def permute_factors(
@@ -260,12 +375,12 @@ def permute_factors(
     perm = tuple(int(j) for j in perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
-    dims = h.dims
-    t = h.entries.reshape(dims + dims)
-    axes = perm + tuple(p + n for p in perm)
-    new_dims = tuple(dims[p] for p in perm)
-    d = h.dim
-    return HermitianOperator(t.transpose(axes).reshape(d, d), new_dims)
+
+    def spectrum():
+        dec = eig_hermitian(h)
+        return dec.eigenvalues, dec.vectors
+
+    return _permuted(h.entries, h.dims, perm, spectrum, tuple(h.dims[p] for p in perm))
 
 
 def tensor_product_merged(
@@ -277,6 +392,7 @@ def tensor_product_merged(
     and factor j of ``b`` are merged into one party, so the result is again
     N-partite with local dimensions ``a.dims[j] * b.dims[j]``. This requires
     a physical factor permutation (a1, b1, a2, b2, ...), not just relabeling.
+    The spectrum is the factors' Kronecker spectrum under that permutation.
     """
     a, b = as_operator(a), as_operator(b)
     n = a.partition.nparties
@@ -284,11 +400,10 @@ def tensor_product_merged(
         raise ValueError(
             f"party counts differ: {a.dims} vs {b.dims}; cannot merge parties"
         )
-    prod = tensor_product(a, b)
     perm = tuple(x for j in range(n) for x in (j, n + j))
-    interleaved = permute_factors(prod, perm)
     merged = tuple(a.dims[j] * b.dims[j] for j in range(n))
-    return HermitianOperator(interleaved.entries, merged)
+    spectrum = partial(_kron_spectrum, a, b)
+    return _permuted(np.kron(a.entries, b.entries), a.dims + b.dims, perm, spectrum, merged)
 
 
 def partial_trace(

@@ -202,7 +202,7 @@ def _diag_objective(
         return np.any((W <= 0) & mass, axis=1)
 
     if p.on_umegaki_line:
-        w_rho, _ = np.linalg.eigh(rho_matrix)
+        w_rho = np.linalg.eigvalsh(rho_matrix)
         w_rho = w_rho[_support_mask(w_rho)]
         self_term = float(np.sum(w_rho * np.log2(w_rho)))
         # the cross term needs the actual diagonal of rho; support_diag is only

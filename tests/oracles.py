@@ -11,7 +11,8 @@ batched ascent; the Bloch-angle grid is an exhaustive Lambda^2 reference for
 a qubit first party. The support projector and the report JSON round trip
 are only used by tests. The MC score table is the scalar form of the
 maximally correlated certificate, the reference for its reading of Xi's
-diagonal.
+diagonal. ``assert_cached_spectrum_is_exact`` checks a spectrum assembled
+without ``eigh`` against the entries and ``eigvalsh``.
 """
 
 import json
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.integrate
 
 from renyi_ent import AlphaZ, CertificateReport, DensityMatrix, d_alpha_z, density, matrix_power, random_density
-from renyi_ent.linalg import as_operator, hermitian_part
+from renyi_ent.linalg import as_operator, eig_hermitian, hermitian_part
 from renyi_ent.certificates import OverlapResult, _chi_entries, _initial_vectors, chi, report_to_dict
 
 
@@ -31,6 +32,19 @@ def full_rank_state(d: int, seed: int, mix: float = 0.15, dims=None) -> DensityM
     st = random_density(d, d, seed)
     m = (1.0 - mix) * st.entries + mix * np.eye(d) / d
     return density(m, (d,) if dims is None else dims)
+
+
+def assert_cached_spectrum_is_exact(op) -> None:
+    """The cached spectrum (w, V): V diag(w) V† gives the entries within 1e-13 * max|entry|,
+    w is ascending and matches eigvalsh within 1e-13 * max|w|, V is unitary within 1e-13."""
+    dec = eig_hermitian(op)
+    w, v = dec.eigenvalues, dec.vectors
+    assert not w.flags.writeable and not v.flags.writeable
+    assert np.all(np.diff(w) >= 0)
+    rebuilt = (v * w) @ v.conj().T
+    assert np.max(np.abs(rebuilt - op.entries)) <= 1e-13 * np.max(np.abs(op.entries))
+    assert np.max(np.abs(w - np.linalg.eigvalsh(op.entries))) <= 1e-13 * np.max(np.abs(w))
+    assert np.max(np.abs(v.conj().T @ v - np.eye(op.dim))) <= 1e-13
 
 
 def xi_quadrature(rho: DensityMatrix, tau, p: AlphaZ, epsabs: float = 1e-11) -> np.ndarray:
@@ -257,6 +271,7 @@ def report_from_dict(payload: dict) -> CertificateReport:
         beta=float(payload["beta"]),
         value=_decode_float(payload["value"]),
         restart_values=tuple(payload.get("restart_values", ())),
+        restart_hits=int(payload.get("restart_hits", 0)),
     )
 
 

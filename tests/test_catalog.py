@@ -24,7 +24,8 @@ from renyi_ent import (
     parse_family,
     renyi_entropy,
 )
-from renyi_ent.catalog import symmetric_projector
+from renyi_ent.catalog import antisymmetric_projector, symmetric_projector
+from oracles import assert_cached_spectrum_is_exact
 from renyi_ent.certificates import commutator_maxnorm, is_maximally_correlated
 
 
@@ -201,6 +202,23 @@ class TestAnsatz:
             AntisymPair(3),
         ):
             assert commutator_maxnorm(build(fam), ansatz_optimizer(fam, p)) <= 1e-10
+
+
+class TestAntisymPairSpectra:
+    """The pair state and its ansatz carry a spectrum assembled at the single-copy size."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_ansatz_and_state(self, d):
+        p = AlphaZ(2.0, 2.0)
+        tau = ansatz_optimizer(AntisymPair(d), p)
+        assert_cached_spectrum_is_exact(tau)
+        assert_cached_spectrum_is_exact(build(AntisymPair(d)))
+        # the defining mixture of the merged tensor squares
+        sym = symmetric_projector(d) / (d * (d + 1) / 2)
+        anti = antisymmetric_projector(d) / (d * (d - 1) / 2)
+        merge = lambda m: m.reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d**4, d**4)  # noqa: E731
+        want = (d + 1) / (2 * d) * merge(np.kron(sym, sym)) + (d - 1) / (2 * d) * merge(np.kron(anti, anti))
+        assert np.max(np.abs(tau.entries - want)) <= 1e-15
 
 
 class TestLambdaSq:

@@ -321,6 +321,28 @@ class TestBatchedAscent:
         assert len(calls) <= len(op.dims) * max(sweeps)
 
 
+class TestRestartHits:
+    @pytest.mark.parametrize("family", [AntisymPair(3), Isotropic(0.6, 3)], ids=["antisym-3", "isotropic"])
+    def test_counts_restarts_in_the_band(self, family):
+        p = AlphaZ(2.0, 2.0)
+        report = certify_optimizer(build(family), ansatz_optimizer(family, p), p)
+        assert report.verdict == "certified-optimal"
+        band = 1e-7 * max(1.0, abs(report.lambda_sq))
+        want = sum(1 for v in report.restart_values if v >= report.lambda_sq - band)
+        assert report.restart_hits == want
+        # the certificate does not rest on restart 0 alone
+        assert report.restart_hits >= 2
+        assert report_from_json(report_to_json(report)).restart_hits == want
+
+    def test_zero_without_a_search(self):
+        p = AlphaZ(2.0, 2.0)
+        fam = MCBD((0.5, 0.3, 0.2))
+        mc = marginal_condition_mc(build(fam), ansatz_optimizer(fam, p), p)
+        rho = random_density(3, 3, seed=4)
+        inc = certify_optimizer(rho, density(np.diag(np.real(np.diag(rho.entries))), (3,)), p, free_set="incoherent")
+        assert mc.restart_hits == 0 and inc.restart_hits == 0
+
+
 class TestCertify:
     def test_bell_diagonal_relative_entropy_point(self):
         fam = BellDiagonal((0.75, 0.25, 0.0, 0.0))
@@ -565,6 +587,16 @@ class TestSpectralCache:
         # a repeated certification decomposes only its new products
         certify_optimizer(rho, tau, p, restarts=4)
         assert decompositions.count(full) <= 2
+
+    def test_construction_to_certification_budget(self, decompositions):
+        # the pair state and its ansatz assemble their spectra from the
+        # single-copy Werner states, and Xi's top eigenvector comes from a
+        # Krylov iteration: the Q core is the one full-size decomposition
+        family, p = AntisymPair(3), AlphaZ(2.0, 2.0)
+        rho, tau = build(family), ansatz_optimizer(family, p)
+        report = certify_optimizer(rho, tau, p, restarts=8)
+        assert report.verdict == "certified-optimal"
+        assert decompositions.count((rho.dim, rho.dim)) <= 1
 
     @pytest.mark.parametrize("alpha,z", [(2.0, 2.0), (0.7, 0.7), (0.4, 0.6)])
     def test_support_tests_build_no_projector(self, monkeypatch, alpha, z):

@@ -164,6 +164,15 @@ class TestCertify:
         assert abs(payload["value"] - 1.0) <= 1e-9
 
 
+    def test_overflowing_power_exits_2_with_one_line(self, capsys):
+        # alpha = z = 1000 is inside the DPI region, but tau^((1-alpha)/z)'s
+        # sandwich overflows the float range
+        code, out, err = run(capsys, ["certify", "werner:p=0.2,d=3", "ansatz", "--alpha", "1000", "--z", "1000"])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "exponent" in err
+
+
 class TestTable1:
     def test_reduced_grid_run(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"

@@ -19,7 +19,8 @@ from renyi_ent import (
     tensor_product,
     tensor_product_merged,
 )
-from oracles import support_projector
+from renyi_ent.linalg import from_eigenpairs
+from oracles import assert_cached_spectrum_is_exact, support_projector
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
 
@@ -138,6 +139,124 @@ class TestSpectralCache:
         assert eig_hermitian(a) is not eig_hermitian(b)
 
 
+def random_hermitian(d, seed, dims=None):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return HermitianOperator((g + g.conj().T) / 2, (d,) if dims is None else dims)
+
+
+def degenerate_state(d, seed, values):
+    """A state with the given (repeated) eigenvalues in a random basis, spectrum not cached."""
+    u = np.linalg.qr(random_hermitian(d, seed).entries)[0]
+    m = (u * np.asarray(values, dtype=float)) @ u.conj().T
+    return density(m / np.trace(m).real, (d,))
+
+
+# factors for the assembled spectra: full rank, rank-deficient, degenerate
+# (repeated eigenvalues and a projector) and indefinite
+FACTORS = {
+    "full-rank": lambda: random_density(3, 3, seed=11),
+    "rank-2": lambda: random_density(3, 2, seed=12),
+    "degenerate": lambda: degenerate_state(3, 13, [1.0, 1.0, 2.0]),
+    "projector": lambda: degenerate_state(2, 14, [1.0, 1.0]),
+    "indefinite": lambda: random_hermitian(2, 15),
+}
+
+
+class TestKnownSpectra:
+    """Operators that assemble their spectrum instead of decomposing it."""
+
+    @pytest.mark.parametrize("first", sorted(FACTORS))
+    @pytest.mark.parametrize("second", sorted(FACTORS))
+    def test_two_party_tensor_product(self, first, second):
+        assert_cached_spectrum_is_exact(tensor_product(FACTORS[first](), FACTORS[second]()))
+
+    @pytest.mark.parametrize("names", [("full-rank", "rank-2", "degenerate"), ("projector", "indefinite", "rank-2")])
+    def test_three_party_product_and_permutation(self, names):
+        a, b, c = (FACTORS[n]() for n in names)
+        prod = tensor_product(tensor_product(a, b), c)
+        assert_cached_spectrum_is_exact(prod)
+        for perm in [(2, 0, 1), (1, 2, 0), (0, 2, 1)]:
+            assert_cached_spectrum_is_exact(permute_factors(tensor_product(tensor_product(a, b), c), perm))
+
+    @pytest.mark.parametrize("names", [("full-rank", "rank-2"), ("degenerate", "projector"), ("indefinite", "degenerate")])
+    def test_merged_product(self, names):
+        pairs = [tensor_product(FACTORS[n](), FACTORS[m]()) for n, m in (names, names[::-1])]
+        merged = tensor_product_merged(*pairs)
+        assert merged.dims == tuple(x * y for x, y in zip(pairs[0].dims, pairs[1].dims))
+        assert_cached_spectrum_is_exact(merged)
+
+    def test_product_spectrum_is_lazy_and_factor_sized(self, monkeypatch):
+        a = HermitianOperator(random_density(3, 3, seed=21).entries.copy(), (3,))
+        b = HermitianOperator(random_density(4, 2, seed=22).entries.copy(), (4,))
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, *r, _f=original, **k: shapes.append(np.shape(m)) or _f(m, *r, **k))
+        merged = tensor_product_merged(tensor_product(a, b), tensor_product(b, a))
+        assert merged.entries.shape == (144, 144)
+        assert shapes == []  # reading the entries decomposes nothing
+        eig_hermitian(merged)
+        assert sorted(shapes) == [(3, 3), (4, 4)]
+
+    def test_from_eigenpairs(self):
+        rng = np.random.default_rng(3)
+        v = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+        w = np.array([0.5, -1.0, 2.0, 0.5, 0.0])
+        op = from_eigenpairs(w, v, (5,))
+        dec = eig_hermitian(op)
+        assert np.array_equal(dec.eigenvalues, np.sort(w))
+        assert np.array_equal(dec.vectors, v[:, np.argsort(w, kind="stable")])
+        assert_cached_spectrum_is_exact(op)
+
+    def test_density_reads_the_cached_spectrum(self, monkeypatch):
+        rho = random_density(4, 4, seed=5)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a))
+        density(rho.entries, (4,))
+        assert calls == []
+
+
+class TestKrylovTop:
+    """The top eigenpair found without a full decomposition."""
+
+    @staticmethod
+    def check(op):
+        theta, x = op._top
+        w = np.linalg.eigvalsh(op.entries)
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-13
+        assert np.linalg.norm(op.entries @ x - theta * x) <= 1e-10 * abs(theta)
+        assert abs(theta - w[-1]) <= 1e-12 * abs(w[-1])
+
+    @pytest.mark.parametrize("d", [1, 5, 8, 30, 81])
+    def test_random_operators(self, d):
+        self.check(random_density(d, d, seed=d).op)
+        self.check(random_hermitian(d, seed=100 + d))
+
+    @pytest.mark.parametrize("top_multiplicity", [2, 5])
+    def test_degenerate_top_eigenspace(self, top_multiplicity):
+        values = np.r_[np.linspace(0.1, 1.0, 40 - top_multiplicity), np.full(top_multiplicity, 2.0)]
+        self.check(degenerate_state(40, 7, values).op)
+
+    def test_xi_of_antisym_pair(self, monkeypatch):
+        from renyi_ent import AlphaZ, AntisymPair, ansatz_optimizer, build, xi
+
+        family, p = AntisymPair(3), AlphaZ(2.0, 2.0)
+        op = xi(build(family), ansatz_optimizer(family, p), p).xi
+        shapes = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m, *r, **k: shapes.append(np.shape(m)) or original(m, *r, **k))
+        self.check(op)
+        assert (81, 81) not in shapes
+        assert op._top is op._top
+
+    def test_reads_a_cached_spectrum(self):
+        rho = random_density(6, 6, seed=9)
+        dec = eig_hermitian(rho)
+        theta, x = rho.op._top
+        assert theta == dec.eigenvalues[-1] and np.array_equal(x, dec.vectors[:, -1])
+
+
 class TestMatrixPower:
     def test_generalized_inverse_ignores_kernel(self):
         out = matrix_power(herm(np.diag([4.0, 0.0]), (2,)), -1.0)
@@ -152,6 +271,11 @@ class TestMatrixPower:
         p0 = matrix_power(rho, 0.0)
         proj = support_projector(rho)
         assert np.allclose(p0.entries, proj.entries, atol=1e-12)
+
+    def test_overflow_names_the_exponent(self):
+        rho = density(np.diag([1e-3, 1.0 - 1e-3]), (2,))
+        with pytest.raises(ValueError, match="exponent -1000"):
+            matrix_power(rho, -1000.0)
 
     def test_all_zero_with_negative_power(self):
         out = matrix_power(herm(np.zeros((3, 3)), (3,)), -1.0)
