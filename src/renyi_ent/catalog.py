@@ -11,7 +11,6 @@ literally and validated against the certificate at the test grid points.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .divergences import LINE_ATOL, AlphaZ, _log2_sum_powers_rows, _require_dpi
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    _fmt,
     _ii_indices,
     _permute_rows,
     _support_mask,
@@ -346,7 +346,7 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
     a = p.alpha
     # the entropy order of the alpha-valued families, exactly 1 on the Umegaki line
     order = 1.0 if p.on_umegaki_line else a
-    if isinstance(family, (BellDiagonal, Werner, Isotropic)) and is_separable_regime(family):
+    if is_separable_regime(family):
         return 0.0
     if isinstance(family, BellDiagonal):
         lmax = max(family.lambdas)
@@ -586,10 +586,6 @@ def parse_family(text: str) -> StateFamily:
     if name in ("antisym", "antisympair"):
         return AntisymPair(scalar("d", int))
     raise ValueError(f"unknown family name {name!r}")
-
-
-def _fmt(x: float) -> str:
-    return re.sub(r"\.0$", "", f"{x:.12g}")
 
 
 def family_label(family: StateFamily) -> str:

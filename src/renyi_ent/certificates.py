@@ -16,6 +16,8 @@ import numpy as np
 
 from .divergences import (
     AlphaZ,
+    _core,
+    _core_spectrum,
     _d_from_log2,
     _log2_q,
     _q_from_log2,
@@ -26,10 +28,12 @@ from .divergences import (
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    _fmt,
     _ii_indices,
     _power,
     _support_mask,
     _support_split,
+    _weights_on,
     as_operator,
     eig_hermitian,
     hermitian_part,
@@ -37,6 +41,8 @@ from .linalg import (
 )
 
 COMMUTING_TOL = 1e-10
+ASCENT_MAX_SWEEPS = 1000  # per Lambda^2 restart
+ASCENT_TOL = 1e-12  # a restart stops once a sweep gains at most ASCENT_TOL * max(1, |value|)
 DEGENERACY_RTOL = 1e-12
 TOL_CERT_REL = 1e-7
 
@@ -49,11 +55,15 @@ def commutator_maxnorm(a: Operator, b: Operator) -> float:
 
 
 def _chi_entries(rho: Operator, tau: Operator, alpha: float, z: float) -> np.ndarray:
+    """chi = a C^(z-1) a = (a V mu^(z-1))(a V)† from the core C = a tau^((1-alpha)/z) a, a = rho^(alpha/2z)."""
     a = _power(rho, alpha / (2.0 * z))
-    t = _power(tau, (1.0 - alpha) / z)
-    inner = hermitian_part(a @ t @ a)
-    mid = _power(inner, z - 1.0)
-    return hermitian_part(a @ mid @ a)
+    _, mu, v, _ = _core_spectrum(_core(a, _power(tau, (1.0 - alpha) / z)), z, vectors=True)
+    with np.errstate(divide="ignore", over="ignore"):
+        mid = np.where(mu > 0, mu ** (z - 1.0), 0.0)
+    if not np.all(np.isfinite(mid)):
+        raise ValueError(f"matrix power with exponent {z - 1.0:.6g} overflows the float range")
+    av = a @ v
+    return hermitian_part((av * mid) @ av.conj().T)
 
 
 def chi(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> HermitianOperator:
@@ -218,23 +228,17 @@ def _local_matrices(
     return out
 
 
-def _alternating_ascent(
-    xi: np.ndarray,
-    dims: tuple[int, ...],
-    vecs: list[np.ndarray],
-    max_iters: int,
-    tol: float,
-) -> np.ndarray:
+def _alternating_ascent(xi: np.ndarray, dims: tuple[int, ...], vecs: list[np.ndarray]) -> np.ndarray:
     """Advance every restart (one row of each (R, d_k) array in ``vecs``) in lockstep.
 
     A sweep updates each party in turn with one batched ``eigh`` over the
     active restarts. A restart leaves the batch once its own sweep gains at
-    most ``tol * max(1, |value|)``. ``vecs`` is updated in place; returns the
-    per-restart values.
+    most ``ASCENT_TOL * max(1, |value|)``. ``vecs`` is updated in place;
+    returns the per-restart values.
     """
     values = np.full(vecs[0].shape[0], -math.inf)
     active = np.arange(values.size)
-    for _ in range(max_iters):
+    for _ in range(ASCENT_MAX_SWEEPS):
         rows = [v[active] for v in vecs]
         for k in range(len(dims)):
             w, u = np.linalg.eigh(hermitian_part(_local_matrices(xi, dims, k, rows)))
@@ -242,7 +246,7 @@ def _alternating_ascent(
             new = w[:, -1]
         for v, r in zip(vecs, rows):
             v[active] = r
-        done = new - values[active] <= tol * np.maximum(1.0, np.abs(new))
+        done = new - values[active] <= ASCENT_TOL * np.maximum(1.0, np.abs(new))
         values[active] = new
         active = active[~done]
         if active.size == 0:
@@ -273,13 +277,7 @@ def _initial_vectors(
     return vecs
 
 
-def max_product_overlap(
-    op: Operator,
-    restarts: int = 64,
-    max_iters: int = 1000,
-    tol: float = 1e-12,
-    seed: int = 0,
-) -> OverlapResult:
+def max_product_overlap(op: Operator, restarts: int = 64, seed: int = 0) -> OverlapResult:
     """Maximize <v1...vN| Xi |v1...vN> over product unit vectors.
 
     Alternating maximization: with all local vectors but one fixed, the
@@ -293,13 +291,11 @@ def max_product_overlap(
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
     h = as_operator(op)
     if len(h.dims) < 2:
         raise ValueError("need at least two parties; a single-party maximum is just the top eigenvalue")
     vecs = _initial_vectors(h, restarts, seed)
-    values = _alternating_ascent(h.entries, h.dims, vecs, max_iters, tol)
+    values = _alternating_ascent(h.entries, h.dims, vecs)
     best = int(np.argmax(values))  # ties resolve to the lowest restart index
     return OverlapResult(
         value=float(values[best]),
@@ -342,25 +338,44 @@ class CertificateReport:
     restart_hits: int = 0
 
 
-def _report(
-    rho: DensityMatrix,
-    tau: Operator,
-    p: AlphaZ,
-    support_ok: bool,
-    lam: float,
-    log2q: float,
-    **fields,
-) -> CertificateReport:
-    """Judge margin = q - lam against tol_cert = 1e-7 * q and assemble the report.
+def _require_same_partition(rho: DensityMatrix, tau: Operator) -> None:
+    if rho.partition != as_operator(tau).partition:
+        raise ValueError(f"rho has partition {rho.dims} but tau has partition {as_operator(tau).dims}")
 
-    ``log2q`` is log2 Q(rho || tau) (0 on the Umegaki line, where Q = 1); both
-    q and, for a certified tau, ``value`` = D_{alpha,z}(rho || tau) derive from
-    it. ``fields`` are the remaining report fields (free set, witness, route, ...).
+
+def _certify(
+    rho: DensityMatrix, tau: Operator, p: AlphaZ, free_set: str,
+    columns: np.ndarray | None = None, restarts: int = 64, seed: int = 0,
+) -> CertificateReport:
+    """The one certification body: support, Xi, Q and Lambda^2, then the verdict and report.
+
+    Lambda^2 is the product-state search, or with ``columns`` the largest <b|Xi|b> over
+    those unit columns b, witnessed by (b,), or by (e_l, e_l) for b = |ll> on the MC set.
+    margin = q - Lambda^2 is judged against tol_cert = 1e-7 * q. Both q and, for a
+    certified tau, ``value`` = D_{alpha,z}(rho || tau) derive from one log2 Q (0 on the
+    Umegaki line, where Q = 1).
     """
+    _require_dpi(p)  # the certification conditions need joint concavity/convexity
+    _require_same_partition(rho, tau)
+    support_ok = in_support_set(rho, tau, p)
+    ev = xi(rho, tau, p)
+    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p)
+
+    restart_values: tuple[float, ...] = ()
+    if columns is None:
+        res = max_product_overlap(ev.xi, restarts=restarts, seed=seed)
+        lam, witness, restart_values = res.value, res.witness, res.restart_values
+    else:
+        scores = _weights_on(ev.xi, columns)
+        best = int(np.argmax(scores))
+        lam, witness = float(scores[best]), (columns[:, best].copy(),)
+        if free_set == "mc-diagonal":
+            e = np.eye(rho.dims[0], dtype=complex)[best]
+            witness = (e, e.copy())
+
     q = _q_from_log2(log2q)
     margin = q - lam
     band = TOL_CERT_REL * max(1.0, abs(lam))
-    hits = sum(1 for v in fields.get("restart_values", ()) if v >= lam - band)
     tol_cert = TOL_CERT_REL * q if math.isfinite(q) else TOL_CERT_REL
     if not support_ok or margin < -10.0 * tol_cert:
         verdict = "refuted"
@@ -374,15 +389,19 @@ def _report(
     return CertificateReport(
         alpha=p.alpha,
         z=p.z,
+        free_set=free_set,
         support_ok=support_ok,
         lambda_sq=lam,
         q_value=q,
         margin=margin,
         verdict=verdict,
+        witness=witness,
         tol_cert=tol_cert,
+        route=ev.route,
+        beta=ev.beta,
         value=value,
-        restart_hits=hits,
-        **fields,
+        restart_values=restart_values,
+        restart_hits=sum(1 for v in restart_values if v >= lam - band),
     )
 
 
@@ -402,29 +421,12 @@ def certify_optimizer(
     extreme points are basis states, so Lambda^2 is the largest diagonal entry
     of Xi in the coherence basis (identity by default).
     """
-    _require_dpi(p)  # the certification conditions need joint concavity/convexity
-    if free_set not in ("sep", "incoherent"):
-        raise ValueError(f"unknown free set {free_set!r}")
-
-    support_ok = in_support_set(rho, tau, p)
-    ev = xi(rho, tau, p)
-    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p)
-
-    restart_values: tuple[float, ...] = ()
     if free_set == "sep":
-        res = max_product_overlap(ev.xi, restarts=restarts, seed=seed)
-        lam, witness, restart_values = res.value, res.witness, res.restart_values
-    else:
+        return _certify(rho, tau, p, free_set, restarts=restarts, seed=seed)
+    if free_set == "incoherent":
         basis = np.eye(rho.dim) if coherence_basis is None else np.asarray(coherence_basis, dtype=complex)
-        diag = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, ev.xi.entries, basis))
-        best = int(np.argmax(diag))
-        lam, witness = float(diag[best]), (basis[:, best].copy(),)
-
-    return _report(
-        rho, tau, p, support_ok, lam, log2q,
-        free_set=free_set, witness=witness, route=ev.route, beta=ev.beta,
-        restart_values=restart_values,
-    )
+        return _certify(rho, tau, p, free_set, basis)
+    raise ValueError(f"unknown free set {free_set!r}")
 
 
 def is_maximally_correlated(rho: DensityMatrix) -> bool:
@@ -443,29 +445,18 @@ def marginal_condition_mc(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> Certi
 
     For tau = sum_i t_i |ii><ii| the trace condition over all separable states
     collapses to the scalar inequality max_l <ll| Xi(rho, tau) |ll> <= Q(rho || tau),
-    so no Lambda^2 search is needed. lambda_sq reports the left-hand maximum,
-    read from :func:`xi`, and ``route`` names the Xi route.
+    so no Lambda^2 search is needed: this is the incoherent check on the
+    columns |ll>. ``route`` names the Xi route.
     """
-    _require_dpi(p)
     if not is_maximally_correlated(rho):
         raise ValueError("rho is not maximally correlated in the declared basis")
-    d = rho.dims[0]
-    idx = _ii_indices(d)
+    _require_same_partition(rho, tau)
+    idx = _ii_indices(rho.dims[0])
     off = as_operator(tau).entries.copy()
     off[idx, idx] -= off[idx, idx].real
     if float(np.max(np.abs(off))) > 1e-10:
         raise ValueError("tau is not diagonal in the |ii> basis within 1e-10")
-    ev = xi(rho, tau, p)
-    scores = np.real(ev.xi.entries[idx, idx])
-    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p)
-
-    best = int(np.argmax(scores))
-    basis_vec = np.zeros(d, dtype=complex)
-    basis_vec[best] = 1.0
-    return _report(
-        rho, tau, p, in_support_set(rho, tau, p), float(scores[best]), log2q,
-        free_set="mc-diagonal", witness=(basis_vec, basis_vec.copy()), route=ev.route, beta=ev.beta,
-    )
+    return _certify(rho, tau, p, "mc-diagonal", np.eye(rho.dim)[:, idx])
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +467,7 @@ def marginal_condition_mc(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> Certi
 def _encode_float(x: float | None):
     if x is None:
         return None
-    if not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    return float(x)
+    return float(x) if math.isfinite(x) else _fmt(x)
 
 
 def report_to_dict(report: CertificateReport) -> dict:

@@ -40,6 +40,7 @@ from .divergences import AlphaZ, d_alpha_z, q_alpha_z
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
+    _fmt,
     eig_hermitian,
     load_density_json,
     load_operator_json,
@@ -72,16 +73,6 @@ DEFAULT_TABLE1_FAMILIES: tuple[StateFamily, ...] = (
 )
 
 TABLE1_TOL = 1e-6
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.12g}"
-    return str(x)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:

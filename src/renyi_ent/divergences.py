@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    SUPPORT_CUT,
     DensityMatrix,
     HermitianOperator,
     _negligible_on,
@@ -114,6 +115,34 @@ def _log2_sum_powers_rows(mu: np.ndarray, z: float) -> np.ndarray:
     return out
 
 
+def _core(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """C = a s a, a = rho^(alpha/2z), s = sigma^beta or a batch of diag(w^beta), symmetrized in place.
+
+    d_max takes its alpha -> inf limit, a = sigma^(-1/2) and s = rho. Built
+    apart from the reader so that only C lives while it is decomposed.
+    """
+    core = a @ s @ a
+    core += core.conj().swapaxes(-1, -2)  # one temporary, the bits of hermitian_part
+    core /= 2
+    return core
+
+
+def _core_spectrum(core: np.ndarray, z: float, vectors: bool = False):
+    """log2 Q = log2 Tr C^z per core from one ``eigvalsh``, cut at SUPPORT_CUT * lambda_max(C).
+
+    With ``vectors`` one ``eigh`` gives (log2 Q, mu, V, f): mu cut (0 off the support, top = mu[..., -1])
+    and f = (mu/top)^(z-1) on the support, so chi = top^(z-1) (a V f)(a V)† = (a V mu^(z-1))(a V)†.
+    """
+    mu, v = np.linalg.eigh(core) if vectors else (np.linalg.eigvalsh(core), None)
+    top = mu[..., -1:]
+    mu = np.where(mu > SUPPORT_CUT * np.maximum(top, 0.0), mu, 0.0)
+    # z < 0 only for chi on the boundary lines, which discards log2 Q and f
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log2q = _log2_sum_powers_rows(mu.reshape(-1, mu.shape[-1]), z).reshape(top.shape[:-1])
+        f = np.where(mu > 0, (mu / top) ** (z - 1.0), 0.0)
+    return (log2q, mu, v, f) if vectors else log2q
+
+
 def _log2_q(rho: Operator, sigma: Operator, p: AlphaZ) -> float:
     """log2 Q_{alpha,z}, after the support case split of the definition.
 
@@ -125,20 +154,8 @@ def _log2_q(rho: Operator, sigma: Operator, p: AlphaZ) -> float:
             return -math.inf
     elif not is_dominated(rho, sigma):
         return math.inf
-    a = hermitian_part(_power(rho, p.alpha / (2.0 * p.z)))
-    core = a @ hermitian_part(_power(sigma, p.beta))
-    core = core @ a
-    del a
-    # (M + M†)/2 with one d x d temporary: the same bits as hermitian_part
-    core = core + core.conj().T
-    core /= 2
-    mu = np.linalg.eigvalsh(core)
-    # drop the kernel first: zero padding would shift the blocks of numpy's
-    # pairwise summation and move the sum by an ulp
-    keep = _support_mask(mu)
-    if not np.any(keep):
-        return -math.inf
-    return float(_log2_sum_powers_rows(mu[None, keep], p.z)[0])
+    core = _core(hermitian_part(_power(rho, p.alpha / (2.0 * p.z))), hermitian_part(_power(sigma, p.beta)))
+    return float(_core_spectrum(core, p.z))
 
 
 def q_alpha_z(rho: DensityMatrix, sigma: Operator, p: AlphaZ) -> float:
@@ -214,8 +231,7 @@ def d_max(rho: DensityMatrix, sigma: Operator) -> float:
     """
     if not is_dominated(rho, sigma):
         return math.inf
-    inv_half = hermitian_part(_power(sigma, -0.5))
-    core = hermitian_part(inv_half @ as_operator(rho).entries @ inv_half)
+    core = _core(hermitian_part(_power(sigma, -0.5)), as_operator(rho).entries)
     top = float(np.linalg.eigvalsh(core)[-1])
     if top <= 0.0:
         return math.inf

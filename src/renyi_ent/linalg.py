@@ -268,21 +268,14 @@ def _support_mask(w: np.ndarray) -> np.ndarray:
     return w > SUPPORT_CUT * max(float(w[-1]), 0.0)
 
 
-def _power(m: HermitianOperator | DensityMatrix | np.ndarray, p: float) -> np.ndarray:
-    """The raw generalized power (v * w^p) @ v† of a Hermitian operator, not symmetrized.
+def _power(m: HermitianOperator | DensityMatrix, p: float) -> np.ndarray:
+    """The raw generalized power (v * w^p) @ v† of an operator's cached spectrum, not symmetrized.
 
-    An operator supplies its cached spectrum; a plain array (an intermediate
-    product) is decomposed on the spot. A result outside the float range
-    raises ValueError naming the exponent.
+    A result outside the float range raises ValueError naming the exponent.
     """
-    if isinstance(m, np.ndarray):
-        w, v = np.linalg.eigh(m)
-    else:
-        dec = eig_hermitian(m)
-        w, v = dec.eigenvalues, dec.vectors
+    dec = eig_hermitian(m)
+    w, v = dec.eigenvalues, dec.vectors
     keep = _support_mask(w)
-    if not keep.any():
-        return np.zeros((w.size, w.size), dtype=v.dtype)
     pw = np.zeros_like(w)
     with np.errstate(over="ignore", invalid="ignore"):
         pw[keep] = w[keep] ** p
@@ -316,6 +309,8 @@ def support_rank(op: HermitianOperator | DensityMatrix) -> int:
 def _weights_on(op: HermitianOperator | DensityMatrix, columns: np.ndarray) -> np.ndarray:
     """<b_j| op |b_j> for each orthonormal column b_j of ``columns``."""
     m = as_operator(op).entries
+    if columns.shape[0] != m.shape[0]:
+        raise ValueError(f"operators of dimension {m.shape[0]} and {columns.shape[0]} do not act on one space")
     return np.einsum("ij,ij->j", columns.conj(), m @ columns).real
 
 
@@ -461,6 +456,13 @@ def random_density(
     m = g @ g.conj().T
     m /= np.trace(m).real
     return DensityMatrix(wrap(m, (d,) if dims is None else dims))
+
+
+def _fmt(x) -> str:
+    """A float to 12 significant digits ("inf", "nan" included); None as "", anything else by str."""
+    if x is None:
+        return ""
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def save_operator_json(op: HermitianOperator | DensityMatrix, path: str) -> None:

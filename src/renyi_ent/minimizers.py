@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .certificates import CertificateReport, is_maximally_correlated, marginal_condition_mc, certify_optimizer
-from .divergences import AlphaZ, _log2_sum_powers_rows, _require_dpi
-from .linalg import SUPPORT_CUT, DensityMatrix, _ii_indices, _power, _support_mask, density
+from .divergences import AlphaZ, _core, _core_spectrum, _require_dpi
+from .linalg import DensityMatrix, HermitianOperator, _ii_indices, _power, _support_mask, density
 
 _SUPPORT_DIAG_TOL = 1e-12
 _LN2 = math.log(2.0)
@@ -181,7 +181,7 @@ def _diag_objective(
     branches: any exactly-zero weight carrying rho-mass above
     _SUPPORT_DIAG_TOL forces +inf.
 
-    Off the Umegaki line both come from one eigh of the core
+    Off the Umegaki line both come from one eigh of the shared alpha-z core
     C = A diag(w^beta) A, A = rho^(alpha/2z): dD/dw_j = -w_j^(beta-1) chi_jj / (Q ln2)
     with chi = A C^(z-1) A and Q = Tr C^z, both scaled by the top eigenvalue
     of C. On the line dD/dw_j = -rho_jj / (w_j ln2).
@@ -220,39 +220,30 @@ def _diag_objective(
 
         return f_umegaki
 
-    a_half = _power(rho_matrix, alpha / (2.0 * z))
+    a_half = _power(HermitianOperator(rho_matrix, (rho_matrix.shape[0],)), alpha / (2.0 * z))
     b_exp = (1.0 - alpha) / z
+    eye = np.eye(rho_matrix.shape[0])
 
     def f(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         W = tiled(S)
         live = W > 0
         with np.errstate(divide="ignore"):
-            Wp = np.where(live, W**b_exp, 0.0)
-        core = np.einsum("ij,rj,jk->rik", a_half, Wp, a_half)
-        core = (core + np.conj(np.transpose(core, (0, 2, 1)))) / 2
-        mu, vecs = np.linalg.eigh(core)
-        keep = mu > SUPPORT_CUT * np.maximum(mu[:, -1:], 0.0)
-        log2q = _log2_sum_powers_rows(np.where(keep, mu, 0.0), z)
+            s = np.where(live, W**b_exp, 0.0)[:, :, None] * eye  # the batch of diag(w^beta)
+        log2q, mu, vecs, scaled = _core_spectrum(_core(a_half, s), z, vectors=True)
         out = log2q / (alpha - 1.0)
-        out[blown_up(W)] = math.inf
         finite = np.isfinite(log2q)
-        out[~finite] = math.inf
+        out[blown_up(W) | ~finite] = math.inf
 
         # r_j = w_j^(beta-1) chi_jj / Q with chi and Q scaled by top = mu_max:
-        # chi / Q = chi~ / (top Q~), Q~ = sum (mu/top)^z = 2^(log2q - z log2 top)
-        grad = np.zeros(W.shape)
-        rows = np.flatnonzero(finite)
-        if rows.size:
-            mu_g = mu[rows]
-            top = mu_g[:, -1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scaled = np.where(keep[rows], (mu_g / top[:, None]) ** (z - 1.0), 0.0)
-            av = a_half @ vecs[rows]
-            chi_diag = np.einsum("rjk,rk->rj", (av * av.conj()).real, scaled)
-            q_scaled = np.exp2(log2q[rows] - z * np.log2(top))
-            with np.errstate(divide="ignore"):
-                w_pow = np.where(live[rows], W[rows] ** (b_exp - 1.0), 0.0)
-            grad[rows] = -w_pow * chi_diag / ((top * q_scaled)[:, None] * _LN2)
+        # chi / Q = chi~ / (top Q~), Q~ = sum (mu/top)^z = 2^(log2q - z log2 top);
+        # a row with Q = 0 (top = 0) gets a zero gradient
+        top = mu[:, -1]
+        av = a_half @ vecs
+        chi_diag = ((av * av.conj()).real @ scaled[:, :, None])[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q_scaled = np.exp2(log2q - z * np.log2(top))
+            w_pow = np.where(live, W ** (b_exp - 1.0), 0.0)
+            grad = np.where(finite[:, None], -w_pow * chi_diag / ((top * q_scaled)[:, None] * _LN2), 0.0)
         return out, fold(grad)
 
     return f

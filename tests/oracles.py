@@ -24,7 +24,7 @@ import scipy.integrate
 
 from renyi_ent import AlphaZ, CertificateReport, DensityMatrix, d_alpha_z, density, matrix_power, random_density
 from renyi_ent.linalg import as_operator, eig_hermitian, hermitian_part
-from renyi_ent.certificates import OverlapResult, _chi_entries, _initial_vectors, chi, report_to_dict
+from renyi_ent.certificates import ASCENT_MAX_SWEEPS, ASCENT_TOL, OverlapResult, _chi_entries, _initial_vectors, chi, report_to_dict
 
 
 def full_rank_state(d: int, seed: int, mix: float = 0.15, dims=None) -> DensityMatrix:
@@ -114,11 +114,12 @@ def _local_matrix_subscripts(nparties: int) -> list[str]:
     return subs
 
 
-def product_overlap_serial(op, restarts: int = 64, max_iters: int = 1000, tol: float = 1e-12, seed: int = 0):
+def product_overlap_serial(op, restarts: int = 64, seed: int = 0):
     """Alternating Lambda^2 ascent, one restart at a time, from the library's start vectors.
 
     Returns (values, sweeps, witnesses), one entry per restart; a restart
-    stops once its sweep gains at most ``tol * max(1, |value|)``.
+    stops once its sweep gains at most ``ASCENT_TOL * max(1, |value|)``, or
+    after ``ASCENT_MAX_SWEEPS`` sweeps, the library's own constants.
     """
     h = as_operator(op)
     dims, n = h.dims, len(h.dims)
@@ -129,7 +130,7 @@ def product_overlap_serial(op, restarts: int = 64, max_iters: int = 1000, tol: f
     for r in range(restarts):
         vecs = [v[r].copy() for v in starts]
         value, count = -math.inf, 0
-        for _ in range(max_iters):
+        for _ in range(ASCENT_MAX_SWEEPS):
             count += 1
             for k in range(n):
                 operands = []
@@ -140,7 +141,7 @@ def product_overlap_serial(op, restarts: int = 64, max_iters: int = 1000, tol: f
                 w, v = np.linalg.eigh((local + local.conj().T) / 2)
                 vecs[k] = v[:, -1]
                 new_value = float(w[-1])
-            converged = new_value - value <= tol * max(1.0, abs(new_value))
+            converged = new_value - value <= ASCENT_TOL * max(1.0, abs(new_value))
             value = new_value
             if converged:
                 break

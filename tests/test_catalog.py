@@ -136,6 +136,25 @@ class TestClosedFormValue:
         assert closed_form_value(Isotropic(0.2, 3), p) == 0.0
         assert closed_form_value(BellDiagonal((0.5, 0.5, 0.0, 0.0)), p) == 0.0
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            BellDiagonal((0.5, 0.5, 0.0, 0.0)),
+            Werner(0.5, 3),
+            Isotropic(1.0 / 3.0, 3),
+            PureBipartite((1.0, 0.0)),
+            GHZ(1, 3),
+            Dicke(3, (3,)),
+            Dicke(3, (0, 3)),
+            MCBD((1 / 3, 1 / 3, 1 / 3)),
+        ],
+    )
+    @pytest.mark.parametrize("alpha,z", [(0.5, 0.5), (1.0, 1.0), (1.5, 1.2), (2.0, 2.0)])
+    def test_trivially_free_families_give_positive_zero(self, family, alpha, z):
+        assert is_separable_regime(family)
+        value = closed_form_value(family, AlphaZ(alpha, z))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_outside_region_rejected(self):
         with pytest.raises(ValueError):
             closed_form_value(Werner(0.2, 3), AlphaZ(3.0, 1.0))

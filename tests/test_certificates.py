@@ -269,7 +269,7 @@ class TestMaxProductOverlap:
         with pytest.raises(ValueError):
             product_overlap_grid(random_density(9, 9, 0, dims=(3, 3)).op)
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"max_iters": 0}])
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}])
     def test_empty_search_rejected(self, kwargs):
         name = next(iter(kwargs))
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
@@ -398,6 +398,19 @@ class TestCertify:
         rho = build(Werner(0.2, 3))
         with pytest.raises(ValueError):
             certify_optimizer(rho, rho, AlphaZ(3.0, 1.0))
+
+    @pytest.mark.parametrize("free_set", ["sep", "incoherent"])
+    def test_partition_mismatch_names_both(self, free_set):
+        rho = random_density(4, 4, seed=40, dims=(2, 2))
+        tau = random_density(4, 4, seed=41)
+        with pytest.raises(ValueError, match=r"partition \(2, 2\) but tau has partition \(4,\)"):
+            certify_optimizer(rho, tau, AlphaZ(2.0, 2.0), free_set=free_set, restarts=4)
+
+    def test_mc_partition_mismatch_names_both(self):
+        rho = build(MCBD((0.5, 0.3, 0.2)))
+        tau = density(np.diag(np.linspace(1.0, 2.0, 9)) / 13.5, (9,))
+        with pytest.raises(ValueError, match=r"partition \(3, 3\) but tau has partition \(9,\)"):
+            marginal_condition_mc(rho, tau, AlphaZ(2.0, 2.0))
 
     def test_support_violation_with_infinite_q(self):
         rho = full_rank_state(4, 27, dims=(2, 2))

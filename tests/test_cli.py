@@ -49,6 +49,15 @@ class TestEval:
         assert math.isfinite(payload["d"])
         assert "outside the DPI region" in err
 
+    def test_dimension_mismatch_exits_2_naming_both(self, tmp_path, capsys):
+        rho = write_state(tmp_path / "rho.json", density(np.eye(2) / 2, (2,)))
+        sigma = write_state(tmp_path / "sigma.json", density(np.eye(3) / 3, (3,)))
+        for alpha, z in [(2.0, 2.0), (0.5, 0.5), (1.0, 1.0)]:
+            code, out, err = run(capsys, ["eval", rho, sigma, "--alpha", str(alpha), "--z", str(z)])
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1
+            assert "dimension 2 and 3" in err and "matmul" not in err
+
     def test_malformed_file_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -163,6 +172,14 @@ class TestCertify:
         assert payload["verdict"] == "certified-optimal"
         assert abs(payload["value"] - 1.0) <= 1e-9
 
+
+    def test_partition_mismatch_exits_2_naming_both(self, tmp_path, capsys):
+        rho = write_state(tmp_path / "rho.json", random_density(4, 4, 50, dims=(2, 2)))
+        tau = write_state(tmp_path / "tau.json", random_density(4, 4, 51))
+        code, out, err = run(capsys, ["certify", rho, tau, "--alpha", "2", "--z", "2", "--restarts", "4"])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "(2, 2)" in err and "(4,)" in err
 
     def test_overflowing_power_exits_2_with_one_line(self, capsys):
         # alpha = z = 1000 is inside the DPI region, but tau^((1-alpha)/z)'s

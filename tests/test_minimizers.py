@@ -17,8 +17,10 @@ from renyi_ent import (
     minimize_incoherent,
     minimize_mc,
     pure_density,
+    q_alpha_z,
     random_density,
     renyi_entropy,
+    xi,
 )
 from renyi_ent.catalog import Isotropic
 from renyi_ent.catalog import build as build_family
@@ -244,6 +246,27 @@ class TestExactGradient:
             assert np.max(np.abs(grad - central)) <= 1e-8 * max(1.0, np.max(np.abs(grad)))
             # a divergence against diag(w) shifts by -log2 c under w -> c w
             assert abs(float(row @ grad) + 1.0 / math.log(2.0)) <= 1e-12
+
+
+class TestSolverStepIsCertificateRatio:
+    """The solver's step ratio r = -ln2 * grad is the certificate's diag Xi(rho, diag w) / Q."""
+
+    @pytest.mark.parametrize("d,seed", [(3, 84), (3, 85), (4, 86), (4, 87)])
+    @pytest.mark.parametrize("a,z", [(0.5, 0.5), (0.7, 0.7), (1.0, 1.0), (1.5, 1.2), (2.0, 2.0), (3.0, 2.5)])
+    def test_ratio_matches_xi_over_q(self, d, seed, a, z):
+        from renyi_ent.minimizers import _diag_objective
+
+        p = AlphaZ(a, z)
+        rho = random_density(d, d, seed)
+        f = _diag_objective(rho.entries, p, np.real(np.diag(rho.entries)))
+        # an interior point, every weight >= 0.05
+        w = 0.8 * np.random.default_rng(seed).dirichlet(np.ones(d)) + 0.2 / d
+        _, grads = f(w[None, :])
+        r = -math.log(2.0) * grads[0]
+        tau = density(np.diag(w), (d,))
+        q = 1.0 if p.on_umegaki_line else q_alpha_z(rho, tau, p)
+        ratio = np.real(np.diag(xi(rho, tau, p).xi.entries)) / q
+        assert np.all(np.abs(r - ratio) <= 1e-12 * np.abs(ratio))
 
 
 MARGIN_POINTS = [
