@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -542,68 +543,61 @@ def lambda_sq_closed_form(family: StateFamily) -> float:
 _VECTOR_SEP = "|"
 
 
+def _vector(cast: Callable[[str], float | int]) -> Callable[[str], tuple]:
+    return lambda text: tuple(cast(x) for x in text.split(_VECTOR_SEP))
+
+
+# per family: canonical name, aliases and (key, field, kind) triples in label
+# order; a kind parses one value: float, int, or a |-separated vector of either
+_DESCRIPTORS: dict[type, tuple[str, tuple[str, ...], tuple[tuple[str, str, Callable], ...]]] = {
+    BellDiagonal: ("bell", ("belldiagonal", "bd"), (("lam", "lambdas", _vector(float)),)),
+    Werner: ("werner", (), (("p", "p", float), ("d", "d", int))),
+    Isotropic: ("isotropic", ("iso",), (("F", "F", float), ("d", "d", int))),
+    Dicke: ("dicke", (), (("N", "N", int), ("k", "k", _vector(int)))),
+    MCBD: ("mcbd", (), (("p", "p", _vector(float)),)),
+    PureBipartite: ("pure", ("purebipartite",), (("p", "p", _vector(float)),)),
+    GHZ: ("ghz", (), (("d", "d", int), ("M", "M", int))),
+    AntisymPair: ("antisym", ("antisympair",), (("d", "d", int),)),
+}
+_FAMILY_NAMES = {n: cls for cls, (name, aliases, _) in _DESCRIPTORS.items() for n in (name, *aliases)}
+
+
 def parse_family(text: str) -> StateFamily:
     """Parse descriptors like ``werner:p=0.2,d=3`` or ``dicke:N=3,k=2|1``.
 
     Vector-valued parameters use ``|`` separators; names are case-insensitive.
+    Each parameter of the family is given exactly once: an unknown, repeated
+    or missing key is a ValueError naming the key.
     """
     name, _, body = text.partition(":")
     name = name.strip().lower()
-    params: dict[str, str] = {}
-    if body:
-        for item in body.split(","):
-            if not item:
-                continue
-            key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"malformed family parameter {item!r} in {text!r}")
-            params[key.strip()] = value.strip()
-
-    def vector(key: str) -> tuple[float, ...]:
-        if key not in params:
+    if name not in _FAMILY_NAMES:
+        raise ValueError(f"unknown family name {name!r}")
+    cls = _FAMILY_NAMES[name]
+    _, _, params = _DESCRIPTORS[cls]
+    given: dict[str, str] = {}
+    for item in filter(None, body.split(",")):
+        key, _, value = (part.strip() for part in item.partition("="))
+        if not value:
+            raise ValueError(f"malformed family parameter {item!r} in {text!r}")
+        if key not in (k for k, _, _ in params):
+            raise ValueError(f"family {name!r} has no parameter {key!r}")
+        if key in given:
+            raise ValueError(f"family parameter {key!r} is given more than once in {text!r}")
+        given[key] = value
+    for key, _, _ in params:
+        if key not in given:
             raise ValueError(f"family {name!r} needs parameter {key!r}")
-        return tuple(float(x) for x in params[key].split(_VECTOR_SEP))
-
-    def scalar(key: str, cast=float):
-        if key not in params:
-            raise ValueError(f"family {name!r} needs parameter {key!r}")
-        return cast(params[key])
-
-    if name in ("bell", "belldiagonal", "bd"):
-        return BellDiagonal(vector("lam"))
-    if name == "werner":
-        return Werner(scalar("p"), scalar("d", int))
-    if name in ("isotropic", "iso"):
-        return Isotropic(scalar("F"), scalar("d", int))
-    if name == "dicke":
-        return Dicke(scalar("N", int), tuple(int(x) for x in params.get("k", "").split(_VECTOR_SEP)))
-    if name == "mcbd":
-        return MCBD(vector("p"))
-    if name in ("pure", "purebipartite"):
-        return PureBipartite(vector("p"))
-    if name == "ghz":
-        return GHZ(scalar("d", int), scalar("M", int))
-    if name in ("antisym", "antisympair"):
-        return AntisymPair(scalar("d", int))
-    raise ValueError(f"unknown family name {name!r}")
+    return cls(**{field: kind(given[key]) for key, field, kind in params})
 
 
 def family_label(family: StateFamily) -> str:
     """Canonical descriptor string (inverse of :func:`parse_family`)."""
-    if isinstance(family, BellDiagonal):
-        return "bell:lam=" + _VECTOR_SEP.join(_fmt(x) for x in family.lambdas)
-    if isinstance(family, Werner):
-        return f"werner:p={_fmt(family.p)},d={family.d}"
-    if isinstance(family, Isotropic):
-        return f"isotropic:F={_fmt(family.F)},d={family.d}"
-    if isinstance(family, Dicke):
-        return f"dicke:N={family.N},k=" + _VECTOR_SEP.join(str(x) for x in family.k)
-    if isinstance(family, MCBD):
-        return "mcbd:p=" + _VECTOR_SEP.join(_fmt(x) for x in family.p)
-    if isinstance(family, PureBipartite):
-        return "pure:p=" + _VECTOR_SEP.join(_fmt(x) for x in family.p)
-    if isinstance(family, GHZ):
-        return f"ghz:d={family.d},M={family.M}"
-    if isinstance(family, AntisymPair):
-        return f"antisym:d={family.d}"
-    raise TypeError(f"no label for {family!r}")
+    if type(family) not in _DESCRIPTORS:
+        raise TypeError(f"no label for {family!r}")
+    name, _, params = _DESCRIPTORS[type(family)]
+    return f"{name}:" + ",".join(f"{key}={_format_value(getattr(family, field))}" for key, field, _ in params)
+
+
+def _format_value(value) -> str:
+    return _VECTOR_SEP.join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)

@@ -430,14 +430,14 @@ def certify_optimizer(
 
 
 def is_maximally_correlated(rho: DensityMatrix) -> bool:
-    """Whether rho is supported on span{|ii><jj|} for its (d, d) partition, within 1e-10."""
+    """Whether rho is supported on span{|ii><jj|} for its (d, d) partition, within 1e-10 * max|entry|."""
     dims = rho.dims
     if len(dims) != 2 or dims[0] != dims[1]:
         return False
     idx = np.ix_(_ii_indices(dims[0]), _ii_indices(dims[0]))
     proj = np.zeros_like(rho.entries)
     proj[idx] = rho.entries[idx]
-    return float(np.max(np.abs(rho.entries - proj))) <= 1e-10
+    return float(np.max(np.abs(rho.entries - proj))) <= 1e-10 * rho.op.max_abs()
 
 
 def marginal_condition_mc(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> CertificateReport:
@@ -452,10 +452,11 @@ def marginal_condition_mc(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> Certi
         raise ValueError("rho is not maximally correlated in the declared basis")
     _require_same_partition(rho, tau)
     idx = _ii_indices(rho.dims[0])
-    off = as_operator(tau).entries.copy()
+    tau_op = as_operator(tau)
+    off = tau_op.entries.copy()
     off[idx, idx] -= off[idx, idx].real
-    if float(np.max(np.abs(off))) > 1e-10:
-        raise ValueError("tau is not diagonal in the |ii> basis within 1e-10")
+    if float(np.max(np.abs(off))) > 1e-10 * tau_op.max_abs():
+        raise ValueError("tau is not diagonal in the |ii> basis within 1e-10 * max|entry|")
     return _certify(rho, tau, p, "mc-diagonal", np.eye(rho.dim)[:, idx])
 
 

@@ -9,6 +9,7 @@ when input is malformed or a stated tolerance fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -29,13 +30,14 @@ from .catalog import (
     PureBipartite,
     StateFamily,
     Werner,
+    _DESCRIPTORS,
     ansatz_optimizer,
     build,
     closed_form_value,
     family_label,
     parse_family,
 )
-from .certificates import _encode_float, certify_optimizer, report_to_dict
+from .certificates import CertificateReport, _encode_float, certify_optimizer, report_to_dict
 from .divergences import AlphaZ, d_alpha_z, q_alpha_z
 from .linalg import (
     DensityMatrix,
@@ -76,18 +78,38 @@ TABLE1_TOL = 1e-6
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+    """Write the CSV to ``path`` with csv's \\r\\n line ends, or to stdout with \\n when ``path`` is empty."""
+    with open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh, lineterminator="\r\n" if path else "\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
-def _load_state(descriptor: str) -> DensityMatrix:
-    """A state argument is either a matrix-file path or a family descriptor."""
-    if ":" in descriptor and not descriptor.lower().endswith(".json"):
-        return build(parse_family(descriptor))
-    return load_density_json(descriptor)
+def _load_state(arg: str) -> tuple[StateFamily | None, DensityMatrix]:
+    """A state argument: a family descriptor (it holds ':' and does not end in .json) or a matrix file.
+
+    Returns (family, state); the family is None for a matrix file.
+    """
+    if ":" in arg and not arg.lower().endswith(".json"):
+        family = parse_family(arg)
+        return family, build(family)
+    return None, load_density_json(arg)
+
+
+def _certify_ansatz(
+    family: StateFamily, p: AlphaZ, args
+) -> tuple[DensityMatrix, DensityMatrix, CertificateReport, int]:
+    """Build the family and certify its ansatz with --restarts/--seed: (rho, tau, report, wall_ms)."""
+    start = time.perf_counter()
+    rho = build(family)
+    tau = ansatz_optimizer(family, p)
+    report = certify_optimizer(rho, tau, p, restarts=args.restarts, seed=args.seed)
+    return rho, tau, report, int(round(1000 * (time.perf_counter() - start)))
+
+
+def _value_or_nan(report: CertificateReport) -> float:
+    """The certified value, nan when the report carries none."""
+    return math.nan if report.value is None else report.value
 
 
 def _print_json(payload: dict) -> None:
@@ -136,13 +158,13 @@ def cmd_value(args) -> int:
 
 def cmd_certify(args) -> int:
     p = AlphaZ(args.alpha, args.z)
-    rho = _load_state(args.rho)
-    if args.tau == "ansatz":
-        if ":" not in args.rho:
-            raise ValueError("tau = 'ansatz' needs rho given as a family descriptor")
-        tau = ansatz_optimizer(parse_family(args.rho), p)
-    else:
+    family, rho = _load_state(args.rho)
+    if args.tau != "ansatz":
         tau = load_density_json(args.tau)
+    elif family is None:
+        raise ValueError("tau = 'ansatz' needs rho given as a family descriptor")
+    else:
+        tau = ansatz_optimizer(family, p)
     report = certify_optimizer(rho, tau, p, free_set=args.free, restarts=args.restarts, seed=args.seed)
     _print_json(report_to_dict(report))
     return 0
@@ -169,17 +191,11 @@ def cmd_table1(args) -> int:
     rows = []
     failures = []
     for family in DEFAULT_TABLE1_FAMILIES:
-        rho = build(family)
         label = family_label(family)
         for p in grid:
-            start = time.perf_counter()
-            tau = ansatz_optimizer(family, p)
-            report = certify_optimizer(
-                rho, tau, p, restarts=args.restarts, seed=args.seed
-            )
-            wall_ms = int(round(1000 * (time.perf_counter() - start)))
+            _, _, report, wall_ms = _certify_ansatz(family, p, args)
             closed = closed_form_value(family, p)
-            certified = report.value if report.value is not None else math.nan
+            certified = _value_or_nan(report)
             rows.append([label, p.alpha, p.z, closed, certified, report.margin])
             ok = report.verdict == "certified-optimal" and abs(certified - closed) <= TABLE1_TOL
             status = "ok" if ok else "FAIL"
@@ -191,11 +207,7 @@ def cmd_table1(args) -> int:
             if not ok:
                 failures.append((label, p.alpha, p.z, closed, certified, report.verdict))
     if args.out:
-        _write_csv(
-            args.out,
-            ["family", "alpha", "z", "closed_form", "certified_value", "margin"],
-            rows,
-        )
+        _write_csv(args.out, ["family", "alpha", "z", "closed_form", "certified_value", "margin"], rows)
     if failures:
         print(f"{len(failures)} row(s) failed the 1e-6 reproduction check:", file=sys.stderr)
         for item in failures:
@@ -212,22 +224,19 @@ def cmd_counterexample(args) -> int:
     d = args.d
     pair_family = AntisymPair(d)
     closed_pair = closed_form_value(pair_family, p)
-    start = time.perf_counter()
     certifiable = d**4 <= CERTIFY_DIM_CAP
     if certifiable:
-        single = build(Werner(0.0, d))
-        tau_single = ansatz_optimizer(Werner(0.0, d), p)
-        report_single = certify_optimizer(single, tau_single, p, restarts=args.restarts, seed=args.seed)
-        pair = build(pair_family)
-        tau_pair = ansatz_optimizer(pair_family, p)
-        report_pair = certify_optimizer(pair, tau_pair, p, restarts=args.restarts, seed=args.seed)
+        _, _, report_single, ms_single = _certify_ansatz(Werner(0.0, d), p, args)
+        _, _, report_pair, ms_pair = _certify_ansatz(pair_family, p, args)
+        # an uncertified value stays None, which the payload prints as null
         value_single, verdict_single = report_single.value, report_single.verdict
         value_pair, verdict_pair = report_pair.value, report_pair.verdict
+        wall_ms = ms_single + ms_pair
     else:
         # beyond the supported dense dimension: report the closed forms only
         value_single, value_pair = 1.0, closed_pair
         verdict_single = verdict_pair = "skipped-dimension-cap"
-    wall_ms = int(round(1000 * (time.perf_counter() - start)))
+        wall_ms = 0
     both = value_pair is not None and value_single is not None
 
     payload = {
@@ -253,8 +262,10 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
-def _marginal_with_ansatz(descriptor: str, p: AlphaZ, args) -> tuple[str, DensityMatrix, DensityMatrix, float, str]:
-    """Resolve a marginal: returns (label, rho, tau, value, verdict)."""
+def _marginal_with_ansatz(
+    descriptor: str, p: AlphaZ, args
+) -> tuple[StateFamily | None, str, DensityMatrix, DensityMatrix, float, str]:
+    """Resolve a marginal: returns (family, label, rho, tau, value, verdict); family is None for random:SEED."""
     if descriptor.startswith("random:"):
         seed = int(descriptor.split(":", 1)[1])
         d = args.other_dim
@@ -265,31 +276,22 @@ def _marginal_with_ansatz(descriptor: str, p: AlphaZ, args) -> tuple[str, Densit
         rho = build(family)
         solution = minimize_mc(rho, p, SolverOptions(starts=args.starts, seed=args.seed))
         verdict = solution.certificate.verdict if solution.certificate else "inconclusive"
-        return (descriptor, rho, solution.sigma, solution.value, verdict)
+        return (None, descriptor, rho, solution.sigma, solution.value, verdict)
     family = parse_family(descriptor)
-    rho = build(family)
-    tau = ansatz_optimizer(family, p)
-    report = certify_optimizer(rho, tau, p, restarts=args.restarts, seed=args.seed)
-    value = report.value if report.value is not None else math.nan
-    return (family_label(family), rho, tau, value, report.verdict)
+    rho, tau, report, _ = _certify_ansatz(family, p, args)
+    return (family, family_label(family), rho, tau, _value_or_nan(report), report.verdict)
 
 
 def cmd_additivity(args) -> int:
     p = AlphaZ(args.alpha, args.z)
-    label1, rho1, tau1, v1, verdict1 = _marginal_with_ansatz(args.family, p, args)
-    label2, rho2, tau2, v2, verdict2 = _marginal_with_ansatz(args.other, p, args)
+    family1, label1, rho1, tau1, v1, verdict1 = _marginal_with_ansatz(args.family, p, args)
+    _, label2, rho2, tau2, v2, verdict2 = _marginal_with_ansatz(args.other, p, args)
 
     start = time.perf_counter()
     joint = DensityMatrix(tensor_product_merged(rho1, rho2))
-    antisym_route = (
-        args.family == args.other
-        and not args.other.startswith("random:")
-        and isinstance(parse_family(args.family), Werner)
-        and parse_family(args.family).p == 0.0
-    )
+    antisym_route = args.other == args.family and isinstance(family1, Werner) and family1.p == 0.0
     if antisym_route:
-        d = parse_family(args.family).d
-        tau_joint = ansatz_optimizer(AntisymPair(d), p)
+        tau_joint = ansatz_optimizer(AntisymPair(family1.d), p)
     else:
         tau_joint = DensityMatrix(tensor_product_merged(tau1, tau2))
     report_joint = certify_optimizer(joint, tau_joint, p, restarts=args.restarts, seed=args.seed)
@@ -316,11 +318,12 @@ def cmd_additivity(args) -> int:
 
 
 def _replace_param(family: StateFamily, name: str, value: float) -> StateFamily:
-    if isinstance(family, Werner) and name == "p":
-        return dataclasses.replace(family, p=value)
-    if isinstance(family, Isotropic) and name == "F":
-        return dataclasses.replace(family, F=value)
-    raise ValueError(f"family {family_label(family)!r} has no sweepable parameter {name!r}")
+    """The family with its scalar float descriptor parameter ``name`` set to ``value``."""
+    _, _, params = _DESCRIPTORS[type(family)]
+    fields = {key: field for key, field, kind in params if kind is float}
+    if name not in fields:
+        raise ValueError(f"family {family_label(family)!r} has no sweepable parameter {name!r}")
+    return dataclasses.replace(family, **{fields[name]: value})
 
 
 def cmd_sweep(args) -> int:
@@ -342,23 +345,14 @@ def cmd_sweep(args) -> int:
         else:
             p = AlphaZ(args.alpha, args.z)
             fam_x = _replace_param(family, name, float(x))
-        start = time.perf_counter()
-        rho = build(fam_x)
-        tau = ansatz_optimizer(fam_x, p)
-        report = certify_optimizer(rho, tau, p, restarts=args.restarts, seed=args.seed)
+        _, _, report, wall_ms = _certify_ansatz(fam_x, p, args)
         closed = closed_form_value(fam_x, p)
-        certified = report.value if report.value is not None else math.nan
-        wall_ms = int(round(1000 * (time.perf_counter() - start)))
+        certified = _value_or_nan(report)
         rows.append(
             [family_label(fam_x), name, float(x), p.alpha, p.z, closed, certified, report.margin, report.verdict, wall_ms]
         )
     header = ["family", "param", "param_value", "alpha", "z", "closed_form", "certified_value", "margin", "verdict", "wall_ms"]
-    if args.out:
-        _write_csv(args.out, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(x) for x in row))
+    _write_csv(args.out, header, rows)
     return 0
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-HERMITICITY_ATOL = 1e-12
+HERMITICITY_RTOL = 1e-12
 PSD_RTOL = 1e-10
 TRACE_ATOL = 1e-10
 SUPPORT_CUT = 1e-10
@@ -74,7 +74,7 @@ class HermitianOperator:
     """A d x d complex Hermitian matrix tagged with a tensor partition.
 
     Construction validates that every entry is finite, hermiticity (per-entry
-    tolerance 1e-12 * max(1, max|entry|)) and that the matrix dimension
+    tolerance 1e-12 * max|entry|) and that the matrix dimension
     matches the partition. The stored array is read-only; instances are
     immutable and compare and hash by identity. The spectrum is computed on
     first use and kept with the operator, so every spectral query on it
@@ -99,8 +99,8 @@ class HermitianOperator:
         scale = float(np.max(np.abs(m)))
         if not math.isfinite(scale):
             raise ValueError("matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL * max(1.0, scale):
-            raise ValueError("matrix is not Hermitian within 1e-12 * max(1, max|entry|)")
+        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_RTOL * scale:
+            raise ValueError("matrix is not Hermitian within 1e-12 * max|entry|")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "partition", part)
@@ -178,7 +178,8 @@ def _krylov_top(m: np.ndarray) -> tuple[float, np.ndarray]:
     against the whole basis (twice), and takes the top Ritz pair of the
     projected matrix. It stops once ||m x - theta x|| <= _KRYLOV_RTOL *
     |theta|, or once the basis spans the whole space, where the Ritz pair is
-    exact.
+    exact. The residual is divided by |theta| before its norm is taken, so
+    its squares stay in the float range at any scale of ``m``.
     """
     n = m.shape[0]
     b = min(_KRYLOV_BLOCK, n)
@@ -189,8 +190,9 @@ def _krylov_top(m: np.ndarray) -> tuple[float, np.ndarray]:
         w, y = np.linalg.eigh(hermitian_part(basis.conj().T @ images))
         theta, x = float(w[-1]), basis @ y[:, -1]
         width = min(b, n - basis.shape[1])
-        residual = np.linalg.norm(images @ y[:, -1] - theta * x)
-        if residual <= _KRYLOV_RTOL * abs(theta) or width == 0:
+        scale = abs(theta) or 1.0  # at theta = 0 the residual itself must vanish
+        residual = np.linalg.norm((images @ y[:, -1] - theta * x) / scale)
+        if residual <= (_KRYLOV_RTOL if theta else 0.0) or width == 0:
             return theta, x
         block = images[:, -b:][:, :width]
         for _ in range(2):

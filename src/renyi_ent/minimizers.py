@@ -35,6 +35,8 @@ _STATIONARY_TOL = 1e-12
 _NOISE_REL = 1e-13
 # a step whose exponent halves below this without progress ends the run
 _MIN_THETA = 2.0**-30
+# accepted steps per run before it stops with "max-iters"
+MAX_ITERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -42,18 +44,15 @@ class SolverOptions:
     """Multi-start settings of the fixed-point simplex solver.
 
     ``starts`` runs are made: the warm start (when given) first, then seeded
-    Dirichlet draws. ``max_iters`` bounds the accepted steps of each run.
+    Dirichlet draws. ``MAX_ITERS`` bounds the accepted steps of each run.
     """
 
     starts: int = 8
-    max_iters: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError(f"starts must be >= 1, got {self.starts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ def _evaluate(f, w: np.ndarray) -> tuple[float, np.ndarray, float]:
     return float(values[0]), r, gap
 
 
-def _fixed_point(f, w0: np.ndarray, theta0: float, opts: SolverOptions) -> tuple[float, np.ndarray, int, str]:
+def _fixed_point(f, w0: np.ndarray, theta0: float) -> tuple[float, np.ndarray, int, str]:
     """One run of w <- normalize(w r^theta) from ``w0``: (value, w, steps, stop reason).
 
     A step is accepted when it does not raise f, or raises it by float noise
@@ -120,7 +119,7 @@ def _fixed_point(f, w0: np.ndarray, theta0: float, opts: SolverOptions) -> tuple
         fw, r, gap = _evaluate(f, w)
         if not math.isfinite(fw):
             return fw, w, 0, "no-descent"
-    for it in range(opts.max_iters):
+    for it in range(MAX_ITERS):
         if gap <= _STATIONARY_TOL:
             return fw, w, it, "stationary"
         theta = theta0
@@ -135,7 +134,7 @@ def _fixed_point(f, w0: np.ndarray, theta0: float, opts: SolverOptions) -> tuple
             if theta < _MIN_THETA:
                 return fw, w, it, "no-descent"
         w, fw, r, gap = step, fs, rs, gs
-    return fw, w, opts.max_iters, "stationary" if gap <= _STATIONARY_TOL else "max-iters"
+    return fw, w, MAX_ITERS, "stationary" if gap <= _STATIONARY_TOL else "max-iters"
 
 
 def minimize_simplex(
@@ -153,7 +152,7 @@ def minimize_simplex(
     best = (math.inf, np.full(d, 1.0 / d), "no-descent")
     values, steps = [], []
     for s0 in starts:
-        val, s, it, reason = _fixed_point(problem.objective, s0, problem.theta, opts)
+        val, s, it, reason = _fixed_point(problem.objective, s0, problem.theta)
         values.append(val)
         steps.append(it)
         if val < best[0]:
@@ -294,7 +293,7 @@ def minimize_incoherent(
 def _compress_mc(rho: DensityMatrix) -> np.ndarray:
     """The d x d coefficient matrix of an MC state under |ii> -> |i>."""
     if not is_maximally_correlated(rho):
-        raise ValueError("rho is not maximally correlated within 1e-10")
+        raise ValueError("rho is not maximally correlated within 1e-10 * max|entry|")
     idx = _ii_indices(rho.dims[0])
     return rho.entries[np.ix_(idx, idx)].copy()
 
@@ -328,7 +327,7 @@ def minimize_conditional_mc(
     genuine two-route check of the conditional-entropy identity.
     """
     if not is_maximally_correlated(rho):
-        raise ValueError("rho is not maximally correlated within 1e-10")
+        raise ValueError("rho is not maximally correlated within 1e-10 * max|entry|")
     d = rho.dims[0]
     # I_A (x) diag(s) has diagonal w[(i,j)] = s_j; rho mass per B index decides
     # the alpha >= 1 support blow-up

@@ -552,6 +552,14 @@ class TestMarginalConditionMC:
         with pytest.raises(ValueError):
             marginal_condition_mc(rho, rho.op, AlphaZ(2.0, 2.0))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-11])
+    def test_non_diagonal_tau_rejected_at_any_scale(self, scale):
+        # the diagonal test is relative to max|tau|, so rescaling tau never makes it diagonal
+        rho = build(MCBD((0.7, 0.3)))
+        x = random_density(4, 4, seed=3, dims=(2, 2))
+        with pytest.raises(ValueError, match="not diagonal"):
+            marginal_condition_mc(rho, HermitianOperator(scale * x.entries, (2, 2)), AlphaZ(2.0, 2.0))
+
     def test_rejects_non_mc_rho(self):
         rho = random_density(4, 4, seed=25, dims=(2, 2))
         tau = density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))

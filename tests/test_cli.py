@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from renyi_ent import HermitianOperator, density, pure_density, random_density, save_operator_json
+from renyi_ent import cli
 from renyi_ent.cli import main
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
@@ -97,6 +99,20 @@ class TestEval:
         assert "positive semidefinite" in err
 
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_tiny_non_hermitian_sigma_exits_2_with_one_line(self, tmp_path, capsys, transpose):
+        # the Hermiticity bound is relative to max|entry|: a 1e-13-scale sigma
+        # whose two triangles differ is rejected, whichever triangle is zero
+        rho = write_state(tmp_path / "rho.json", random_density(2, 2, seed=5))
+        m = 1e-13 * np.array([[1.0, 1.0], [0.0, 1.0]])
+        m = m.T if transpose else m
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps({"dims": [2], "re": m.tolist(), "im": np.zeros((2, 2)).tolist()}))
+        code, out, err = run(capsys, ["eval", rho, str(sigma), "--alpha", "2", "--z", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not Hermitian" in err
+
     @pytest.mark.parametrize("which", ["rho", "sigma"])
     def test_not_psd_error_names_the_file(self, tmp_path, capsys, which):
         paths = {
@@ -131,6 +147,22 @@ class TestValue:
         code, _, err = run(capsys, ["value", "nosuch:d=2"])
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "family,key",
+        [
+            ("pure:p=0.5|0.5,d=7", "'d'"),
+            ("werner:p=0.2,d=3,q=9", "'q'"),
+            ("werner:p=0.2,d=3,d=4", "'d'"),
+            ("dicke:N=3", "'k'"),
+        ],
+        ids=["unknown", "unknown-last", "repeated", "missing"],
+    )
+    def test_descriptor_key_errors_exit_2_naming_the_key(self, capsys, family, key):
+        code, out, err = run(capsys, ["value", family, "--alpha", "2", "--z", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
 
     @pytest.mark.parametrize("family", ["mcbd:p=nan|1", "pure:p=nan|1", "bell:lam=nan|1|0|0"])
     def test_nan_weight_exits_2(self, capsys, family):
@@ -190,6 +222,22 @@ class TestCertify:
         assert err.startswith("error:") and "exponent" in err
 
 
+    def test_huge_xi_certifies_without_warnings(self, capsys):
+        # Xi's entries reach ~1e183 on the boundary line: the Krylov residual
+        # must be scaled before its norm, or its squares overflow
+        code, out, err = run(capsys, ["certify", "werner:p=0.2,d=3", "ansatz", "--alpha", "900", "--z", "899"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["verdict"] == "certified-optimal"
+
+    def test_ansatz_needs_descriptor_even_for_a_path_with_colon(self, tmp_path, capsys):
+        folder = tmp_path / "run:1"
+        folder.mkdir()
+        rho = write_state(folder / "rho.json", density(np.eye(4) / 4, (2, 2)))
+        code, out, err = run(capsys, ["certify", rho, "ansatz"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "needs rho given as a family descriptor" in err
+
+
 class TestTable1:
     def test_reduced_grid_run(self, tmp_path, capsys):
         grid = tmp_path / "grid.json"
@@ -216,6 +264,15 @@ class TestTable1:
         assert code == 0
         assert out.count("\nok ") + out.startswith("ok ") == 7 and "FAIL" not in out
 
+    def test_disagreeing_rows_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "closed_form_value", lambda family, p: 5.0)
+        grid = tmp_path / "grid.json"
+        grid.write_text("[[2.0, 2.0]]")
+        code, out, err = run(capsys, ["table1", "--grid", str(grid), "--restarts", "4"])
+        assert code == 1
+        assert out.count("FAIL ") == 7
+        assert err.startswith("7 row(s) failed the 1e-6 reproduction check:")
+
     @pytest.mark.parametrize("text", ["[1, 2]", "[[1]]", '[["a", 1]]', "[[true, 1]]", '{"alpha": 1}'])
     def test_malformed_grid_exits_2_with_one_line(self, tmp_path, capsys, text):
         grid = tmp_path / "grid.json"
@@ -235,6 +292,20 @@ class TestCounterexample:
         assert abs(payload["pair"] - (1.0 + math.log2(1.5))) <= 1e-9
         assert abs(payload["gap"] - math.log2(1.5)) <= 1e-9
         assert payload["single_verdict"] == payload["pair_verdict"] == "certified-optimal"
+
+    def test_uncertified_exits_1_with_null_values(self, capsys, monkeypatch):
+        certify = cli.certify_optimizer
+
+        def inconclusive(*args, **kwargs):
+            return dataclasses.replace(certify(*args, **kwargs), verdict="inconclusive", value=None)
+
+        monkeypatch.setattr(cli, "certify_optimizer", inconclusive)
+        code, out, err = run(capsys, ["counterexample", "--d", "3", "--restarts", "4"])
+        assert code == 1
+        assert err == "counterexample ansatz failed certification\n"
+        payload = json.loads(out)
+        assert payload["single"] is None and payload["pair"] is None and payload["gap"] is None
+        assert payload["single_verdict"] == payload["pair_verdict"] == "inconclusive"
 
     def test_d2_additivity(self, capsys):
         code, out, _ = run(capsys, ["counterexample", "--d", "2", "--restarts", "16"])
@@ -385,6 +456,21 @@ class TestSweep:
         # along z = 1, beta = 1/alpha decreases in alpha, so H_beta increases
         values = [float(r["closed_form"]) for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_stdout_is_the_same_csv(self, tmp_path, capsys):
+        # the family label holds a comma, so stdout must quote it as the file does
+        argv = ["sweep", "isotropic:F=0.5,d=3", "--param", "F=0.2:0.8:2", "--alpha", "1", "--z", "1", "--restarts", "4"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and "\r" not in out
+        printed = list(csv.reader(out.splitlines()))
+        out_csv = tmp_path / "iso.csv"
+        assert run(capsys, argv + ["--out", str(out_csv)])[0] == 0
+        with open(out_csv, newline="") as fh:
+            written = list(csv.reader(fh))
+        assert len(printed) == 3 and all(len(row) == len(printed[0]) == 10 for row in printed)
+        assert printed[0][-1] == "wall_ms"
+        # every column but the timing agrees
+        assert [row[:-1] for row in printed] == [row[:-1] for row in written]
 
     def test_malformed_param_range(self, capsys):
         code, _, err = run(capsys, ["sweep", "werner:p=0.5,d=3", "--param", "p=0-1-5"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from renyi_ent import minimizers
 from renyi_ent import (
     AlphaZ,
     MCBD,
@@ -308,11 +309,10 @@ class TestSolverMarginsAndCost:
 
 
 class TestSolverOptions:
-    @pytest.mark.parametrize("field", ["starts", "max_iters"])
     @pytest.mark.parametrize("value", [0, -3])
-    def test_empty_search_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SolverOptions(**{field: value})
+    def test_empty_search_rejected(self, value):
+        with pytest.raises(ValueError, match="starts"):
+            SolverOptions(starts=value)
 
     def test_counters_per_start(self):
         rho = full_rank_state(3, 84)
@@ -321,8 +321,9 @@ class TestSolverOptions:
         assert all(it >= 1 for it in sol.iterations)
         assert sol.stop_reason == "stationary"
 
-    def test_max_iters_reported(self):
+    def test_max_iters_reported(self, monkeypatch):
+        monkeypatch.setattr(minimizers, "MAX_ITERS", 1)
         rho = full_rank_state(3, 84)
-        sol = minimize_incoherent(rho, AlphaZ(2.0, 2.0), opts=SolverOptions(starts=2, max_iters=1))
+        sol = minimize_incoherent(rho, AlphaZ(2.0, 2.0), opts=SolverOptions(starts=2))
         assert sol.iterations == (1, 1)
         assert sol.stop_reason == "max-iters"
