@@ -19,14 +19,12 @@ import numpy as np
 from .divergences import LINE_ATOL, AlphaZ, _log2_sum_powers_rows, _require_dpi
 from .linalg import (
     DensityMatrix,
-    HermitianOperator,
     _fmt,
     _ii_indices,
     _permute_rows,
     _support_mask,
     density,
     eig_hermitian,
-    from_eigenpairs,
     pure_density,
     tensor_product_merged,
 )
@@ -140,7 +138,7 @@ class MaximallyCorrelated:
 
     def __post_init__(self):
         m = np.asarray(self.coeff, dtype=complex)
-        DensityMatrix(HermitianOperator(m, m.shape[:1]))
+        DensityMatrix(m, m.shape[:1])
         object.__setattr__(self, "coeff", tuple(tuple(complex(x) for x in row) for row in m))
 
     @property
@@ -328,7 +326,7 @@ def build(family: StateFamily) -> DensityMatrix:
         return density(m, (d, d))
     if isinstance(family, AntisymPair):
         minus = build(Werner(0.0, family.d))
-        return DensityMatrix(tensor_product_merged(minus, minus))
+        return tensor_product_merged(minus, minus)
     raise TypeError(f"unknown family {family!r}")
 
 
@@ -485,7 +483,7 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
         s, a = sym / np.count_nonzero(sym), ~sym / np.count_nonzero(~sym)
         w = (d + 1.0) / (2.0 * d) * np.kron(s, s) + (d - 1.0) / (2.0 * d) * np.kron(a, a)
         v = _permute_rows(np.kron(dec.vectors, dec.vectors), (d,) * 4, (0, 2, 1, 3))
-        return DensityMatrix(from_eigenpairs(w, v, (d * d, d * d)))
+        return DensityMatrix.from_eigenpairs(w, v, (d * d, d * d))
     if isinstance(family, MaximallyCorrelated):
         raise ValueError("general MC states have no closed-form ansatz; use minimizers.minimize_mc")
     raise TypeError(f"unknown family {family!r}")
@@ -588,7 +586,13 @@ def parse_family(text: str) -> StateFamily:
     for key, _, _ in params:
         if key not in given:
             raise ValueError(f"family {name!r} needs parameter {key!r}")
-    return cls(**{field: kind(given[key]) for key, field, kind in params})
+    values = {}
+    for key, field, kind in params:
+        try:
+            values[field] = kind(given[key])
+        except ValueError as exc:
+            raise ValueError(f"family {name!r} parameter {key!r}: {exc}") from None
+    return cls(**values)
 
 
 def family_label(family: StateFamily) -> str:

@@ -34,7 +34,6 @@ from .linalg import (
     _support_mask,
     _support_split,
     _weights_on,
-    as_operator,
     eig_hermitian,
     hermitian_part,
     wrap,
@@ -46,15 +45,13 @@ ASCENT_TOL = 1e-12  # a restart stops once a sweep gains at most ASCENT_TOL * ma
 DEGENERACY_RTOL = 1e-12
 TOL_CERT_REL = 1e-7
 
-Operator = HermitianOperator | DensityMatrix
 
-
-def commutator_maxnorm(a: Operator, b: Operator) -> float:
-    am, bm = as_operator(a).entries, as_operator(b).entries
+def commutator_maxnorm(a: HermitianOperator, b: HermitianOperator) -> float:
+    am, bm = a.entries, b.entries
     return float(np.max(np.abs(am @ bm - bm @ am)))
 
 
-def _chi_entries(rho: Operator, tau: Operator, alpha: float, z: float) -> np.ndarray:
+def _chi_entries(rho: HermitianOperator, tau: HermitianOperator, alpha: float, z: float) -> np.ndarray:
     """chi = a C^(z-1) a = (a V mu^(z-1))(a V)† from the core C = a tau^((1-alpha)/z) a, a = rho^(alpha/2z)."""
     a = _power(rho, alpha / (2.0 * z))
     _, mu, v, _ = _core_spectrum(_core(a, _power(tau, (1.0 - alpha) / z)), z, vectors=True)
@@ -66,7 +63,7 @@ def _chi_entries(rho: Operator, tau: Operator, alpha: float, z: float) -> np.nda
     return hermitian_part((av * mid) @ av.conj().T)
 
 
-def chi(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> HermitianOperator:
+def chi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> HermitianOperator:
     """The sandwich operator rho^(a/2z) (rho^(a/2z) tau^((1-a)/z) rho^(a/2z))^(z-1) rho^(a/2z).
 
     All powers are generalized inverses. alpha = 1 is rejected; that limit is
@@ -113,10 +110,9 @@ class XiEvaluation:
 
     xi: HermitianOperator
     route: str  # "boundary-line" | "commuting" | "divided-difference"
-    beta: float
 
 
-def xi(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> XiEvaluation:
+def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
     """Evaluate Xi_{alpha,z}(rho, tau); the only place an Xi route is chosen.
 
     Route selection:
@@ -129,19 +125,18 @@ def xi(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> XiEvaluation:
     The formula is evaluated for any positive (alpha, z); membership of the
     DPI region is only enforced by the certification entry points.
     """
-    rho_op, tau_op = as_operator(rho), as_operator(tau)
-    if float(eig_hermitian(tau_op).eigenvalues[-1]) <= 0.0:
+    if float(eig_hermitian(tau).eigenvalues[-1]) <= 0.0:
         raise ValueError("tau has empty support")
     if p.on_reverse_line or p.on_lower_line:
-        m = _chi_entries(rho_op, tau_op, p.alpha, 1.0 - p.alpha)
-        return XiEvaluation(wrap(m, rho_op.partition), "boundary-line", p.beta)
-    if commutator_maxnorm(rho_op, tau_op) <= COMMUTING_TOL * rho_op.max_abs() * tau_op.max_abs():
-        m = _power(rho_op, p.alpha) @ _power(tau_op, -p.alpha)
-        return XiEvaluation(wrap(m, rho_op.partition), "commuting", p.beta)
-    return _xi_divided_difference(rho_op, tau_op, p)
+        m = _chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)
+        return XiEvaluation(wrap(m, rho.partition), "boundary-line")
+    if commutator_maxnorm(rho, tau) <= COMMUTING_TOL * rho.max_abs() * tau.max_abs():
+        m = _power(rho, p.alpha) @ _power(tau, -p.alpha)
+        return XiEvaluation(wrap(m, rho.partition), "commuting")
+    return _xi_divided_difference(rho, tau, p)
 
 
-def _xi_divided_difference(rho: Operator, tau: Operator, p: AlphaZ) -> XiEvaluation:
+def _xi_divided_difference(rho: HermitianOperator, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
     """Xi by the closed form of the resolvent integral, valid for any pair.
 
     Evaluated in the eigenbasis of tau as phi_beta(t_i, t_j) * chi_ij. On the
@@ -154,10 +149,10 @@ def _xi_divided_difference(rho: Operator, tau: Operator, p: AlphaZ) -> XiEvaluat
     t = np.where(_support_mask(w), w, 0.0)
     coeff = u.conj().T @ chi_m @ u
     m = u @ (_phi_divided_difference(t, p) * coeff) @ u.conj().T
-    return XiEvaluation(wrap(m, rho.partition), "divided-difference", p.beta)
+    return XiEvaluation(wrap(m, rho.partition), "divided-difference")
 
 
-def in_support_set(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> bool:
+def in_support_set(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> bool:
     """Membership of tau in the support set S_{alpha,z}(rho).
 
     On the line (1-alpha)/z = 1 this is supp(Pi(rho) tau Pi(rho)) = supp(rho),
@@ -166,7 +161,7 @@ def in_support_set(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> bool:
     """
     if p.on_reverse_line:
         v = _support_split(rho)[0]
-        w = np.linalg.eigvalsh(hermitian_part(v.conj().T @ as_operator(tau).entries @ v))
+        w = np.linalg.eigvalsh(hermitian_part(v.conj().T @ tau.entries @ v))
         return bool(np.all(_support_mask(w)))
     return is_dominated(rho, tau)
 
@@ -277,7 +272,7 @@ def _initial_vectors(
     return vecs
 
 
-def max_product_overlap(op: Operator, restarts: int = 64, seed: int = 0) -> OverlapResult:
+def max_product_overlap(op: HermitianOperator, restarts: int = 64, seed: int = 0) -> OverlapResult:
     """Maximize <v1...vN| Xi |v1...vN> over product unit vectors.
 
     Alternating maximization: with all local vectors but one fixed, the
@@ -291,11 +286,10 @@ def max_product_overlap(op: Operator, restarts: int = 64, seed: int = 0) -> Over
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    h = as_operator(op)
-    if len(h.dims) < 2:
+    if len(op.dims) < 2:
         raise ValueError("need at least two parties; a single-party maximum is just the top eigenvalue")
-    vecs = _initial_vectors(h, restarts, seed)
-    values = _alternating_ascent(h.entries, h.dims, vecs)
+    vecs = _initial_vectors(op, restarts, seed)
+    values = _alternating_ascent(op.entries, op.dims, vecs)
     best = int(np.argmax(values))  # ties resolve to the lowest restart index
     return OverlapResult(
         value=float(values[best]),
@@ -338,13 +332,13 @@ class CertificateReport:
     restart_hits: int = 0
 
 
-def _require_same_partition(rho: DensityMatrix, tau: Operator) -> None:
-    if rho.partition != as_operator(tau).partition:
-        raise ValueError(f"rho has partition {rho.dims} but tau has partition {as_operator(tau).dims}")
+def _require_same_partition(rho: DensityMatrix, tau: HermitianOperator) -> None:
+    if rho.partition != tau.partition:
+        raise ValueError(f"rho has partition {rho.dims} but tau has partition {tau.dims}")
 
 
 def _certify(
-    rho: DensityMatrix, tau: Operator, p: AlphaZ, free_set: str,
+    rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ, free_set: str,
     columns: np.ndarray | None = None, restarts: int = 64, seed: int = 0,
 ) -> CertificateReport:
     """The one certification body: support, Xi, Q and Lambda^2, then the verdict and report.
@@ -398,7 +392,7 @@ def _certify(
         witness=witness,
         tol_cert=tol_cert,
         route=ev.route,
-        beta=ev.beta,
+        beta=p.beta,
         value=value,
         restart_values=restart_values,
         restart_hits=sum(1 for v in restart_values if v >= lam - band),
@@ -407,7 +401,7 @@ def _certify(
 
 def certify_optimizer(
     rho: DensityMatrix,
-    tau: Operator,
+    tau: HermitianOperator,
     p: AlphaZ,
     free_set: str = "sep",
     coherence_basis: np.ndarray | None = None,
@@ -437,10 +431,10 @@ def is_maximally_correlated(rho: DensityMatrix) -> bool:
     idx = np.ix_(_ii_indices(dims[0]), _ii_indices(dims[0]))
     proj = np.zeros_like(rho.entries)
     proj[idx] = rho.entries[idx]
-    return float(np.max(np.abs(rho.entries - proj))) <= 1e-10 * rho.op.max_abs()
+    return float(np.max(np.abs(rho.entries - proj))) <= 1e-10 * rho.max_abs()
 
 
-def marginal_condition_mc(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> CertificateReport:
+def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> CertificateReport:
     """Certification of tau in T_rho for a maximally correlated rho.
 
     For tau = sum_i t_i |ii><ii| the trace condition over all separable states
@@ -452,10 +446,9 @@ def marginal_condition_mc(rho: DensityMatrix, tau: Operator, p: AlphaZ) -> Certi
         raise ValueError("rho is not maximally correlated in the declared basis")
     _require_same_partition(rho, tau)
     idx = _ii_indices(rho.dims[0])
-    tau_op = as_operator(tau)
-    off = tau_op.entries.copy()
+    off = tau.entries.copy()
     off[idx, idx] -= off[idx, idx].real
-    if float(np.max(np.abs(off))) > 1e-10 * tau_op.max_abs():
+    if float(np.max(np.abs(off))) > 1e-10 * tau.max_abs():
         raise ValueError("tau is not diagonal in the |ii> basis within 1e-10 * max|entry|")
     return _certify(rho, tau, p, "mc-diagonal", np.eye(rho.dim)[:, idx])
 

@@ -93,7 +93,7 @@ def _load_state(arg: str) -> tuple[StateFamily | None, DensityMatrix]:
     if ":" in arg and not arg.lower().endswith(".json"):
         family = parse_family(arg)
         return family, build(family)
-    return None, load_density_json(arg)
+    return None, _load_psd(arg, state=True)
 
 
 def _certify_ansatz(
@@ -121,12 +121,12 @@ def _print_json(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_psd(path: str, state: bool) -> HermitianOperator | DensityMatrix:
+def _load_psd(path: str, state: bool) -> HermitianOperator:
     """A psd matrix file (a unit-trace state if ``state``); a ValueError names the file."""
     try:
-        op = load_operator_json(path)
         if state:
-            return DensityMatrix(op)
+            return load_density_json(path)
+        op = load_operator_json(path)
         require_psd(eig_hermitian(op).eigenvalues)
         return op
     except ValueError as exc:
@@ -160,7 +160,7 @@ def cmd_certify(args) -> int:
     p = AlphaZ(args.alpha, args.z)
     family, rho = _load_state(args.rho)
     if args.tau != "ansatz":
-        tau = load_density_json(args.tau)
+        tau = _load_psd(args.tau, state=True)
     elif family is None:
         raise ValueError("tau = 'ansatz' needs rho given as a family descriptor")
     else:
@@ -288,12 +288,12 @@ def cmd_additivity(args) -> int:
     _, label2, rho2, tau2, v2, verdict2 = _marginal_with_ansatz(args.other, p, args)
 
     start = time.perf_counter()
-    joint = DensityMatrix(tensor_product_merged(rho1, rho2))
+    joint = tensor_product_merged(rho1, rho2)
     antisym_route = args.other == args.family and isinstance(family1, Werner) and family1.p == 0.0
     if antisym_route:
         tau_joint = ansatz_optimizer(AntisymPair(family1.d), p)
     else:
-        tau_joint = DensityMatrix(tensor_product_merged(tau1, tau2))
+        tau_joint = tensor_product_merged(tau1, tau2)
     report_joint = certify_optimizer(joint, tau_joint, p, restarts=args.restarts, seed=args.seed)
     wall_ms = int(round(1000 * (time.perf_counter() - start)))
 
@@ -434,7 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,14 +20,11 @@ from .linalg import (
     _support_mask,
     _support_split,
     _weights_on,
-    as_operator,
     eig_hermitian,
     hermitian_part,
 )
 
 LINE_ATOL = 1e-12
-
-Operator = HermitianOperator | DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -83,12 +80,12 @@ def _require_dpi(p: AlphaZ) -> None:
         raise ValueError(f"(alpha, z) = ({p.alpha}, {p.z}) lies outside the DPI region")
 
 
-def is_orthogonal(rho: Operator, sigma: Operator) -> bool:
+def is_orthogonal(rho: HermitianOperator, sigma: HermitianOperator) -> bool:
     """Support orthogonality: rho's weight on supp(sigma) is at most SUPPORT_CUT * lambda_max(rho)."""
     return _negligible_on(rho, _support_split(sigma)[0])
 
 
-def is_dominated(rho: Operator, sigma: Operator) -> bool:
+def is_dominated(rho: HermitianOperator, sigma: HermitianOperator) -> bool:
     """Support containment rho << sigma: rho's weight on ker(sigma) is at most SUPPORT_CUT * lambda_max(rho)."""
     return _negligible_on(rho, _support_split(sigma)[1])
 
@@ -143,7 +140,7 @@ def _core_spectrum(core: np.ndarray, z: float, vectors: bool = False):
     return (log2q, mu, v, f) if vectors else log2q
 
 
-def _log2_q(rho: Operator, sigma: Operator, p: AlphaZ) -> float:
+def _log2_q(rho: HermitianOperator, sigma: HermitianOperator, p: AlphaZ) -> float:
     """log2 Q_{alpha,z}, after the support case split of the definition.
 
     -inf when alpha < 1 and the states are orthogonal, +inf when alpha > 1
@@ -158,7 +155,7 @@ def _log2_q(rho: Operator, sigma: Operator, p: AlphaZ) -> float:
     return float(_core_spectrum(core, p.z))
 
 
-def q_alpha_z(rho: DensityMatrix, sigma: Operator, p: AlphaZ) -> float:
+def q_alpha_z(rho: DensityMatrix, sigma: HermitianOperator, p: AlphaZ) -> float:
     """The trace functional Q = Tr(rho^(a/2z) sigma^((1-a)/z) rho^(a/2z))^z.
 
     Negative powers are generalized inverses. Returns 0 when alpha < 1 and the
@@ -185,7 +182,7 @@ def _d_from_log2(log2q: float, p: AlphaZ) -> float:
     return log2q / (p.alpha - 1.0)
 
 
-def d_alpha_z(rho: DensityMatrix, sigma: Operator, p: AlphaZ) -> float:
+def d_alpha_z(rho: DensityMatrix, sigma: HermitianOperator, p: AlphaZ) -> float:
     """The alpha-z Renyi relative entropy D_{alpha,z}(rho || sigma), base 2.
 
     Follows the defining case split: finite iff (alpha < 1 and rho not
@@ -197,7 +194,7 @@ def d_alpha_z(rho: DensityMatrix, sigma: Operator, p: AlphaZ) -> float:
     return _d_from_log2(_log2_q(rho, sigma, p), p)
 
 
-def d_min(rho: DensityMatrix, sigma: Operator) -> float:
+def d_min(rho: DensityMatrix, sigma: HermitianOperator) -> float:
     """Min-relative entropy -log2 Tr(Pi(rho) sigma): sigma's weight on supp(rho)."""
     overlap = float(np.sum(_weights_on(sigma, _support_split(rho)[0])))
     if overlap <= 0.0:
@@ -205,7 +202,7 @@ def d_min(rho: DensityMatrix, sigma: Operator) -> float:
     return -math.log2(overlap)
 
 
-def d_umegaki(rho: DensityMatrix, sigma: Operator) -> float:
+def d_umegaki(rho: DensityMatrix, sigma: HermitianOperator) -> float:
     """Umegaki relative entropy Tr(rho (log2 rho - log2 sigma)).
 
     Evaluated on the support of rho; +inf if supp(rho) is not contained in
@@ -223,7 +220,7 @@ def d_umegaki(rho: DensityMatrix, sigma: Operator) -> float:
     return ent - cross
 
 
-def d_max(rho: DensityMatrix, sigma: Operator) -> float:
+def d_max(rho: DensityMatrix, sigma: HermitianOperator) -> float:
     """Max-relative entropy log2 lambda_max(sigma^(-1/2) rho sigma^(-1/2)).
 
     +inf if supp(rho) is not contained in supp(sigma) (the generalized inverse
@@ -231,7 +228,7 @@ def d_max(rho: DensityMatrix, sigma: Operator) -> float:
     """
     if not is_dominated(rho, sigma):
         return math.inf
-    core = _core(hermitian_part(_power(sigma, -0.5)), as_operator(rho).entries)
+    core = _core(hermitian_part(_power(sigma, -0.5)), rho.entries)
     top = float(np.linalg.eigvalsh(core)[-1])
     if top <= 0.0:
         return math.inf

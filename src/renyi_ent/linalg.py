@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
@@ -69,6 +69,9 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
+Spectrum = Callable[[], tuple[np.ndarray, np.ndarray]]
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A d x d complex Hermitian matrix tagged with a tensor partition.
@@ -79,15 +82,17 @@ class HermitianOperator:
     immutable and compare and hash by identity. The spectrum is computed on
     first use and kept with the operator, so every spectral query on it
     (powers, support, dominance, Xi) shares that single decomposition. It
-    comes from one ``eigh``, unless the operator was built with a known
-    spectrum (:func:`from_eigenpairs`, tensor products and factor
+    comes from one ``eigh``, unless a known ``spectrum`` is passed at
+    construction: a callable giving the eigenpairs (w, V), called on first
+    use instead (:meth:`from_eigenpairs`, tensor products and factor
     permutations, which assemble theirs from their factors' spectra).
     """
 
     entries: np.ndarray
     partition: Partition
+    spectrum: InitVar[Spectrum | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, spectrum):
         part = as_partition(self.partition)
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -104,6 +109,18 @@ class HermitianOperator:
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "partition", part)
+        if spectrum is not None:
+            object.__setattr__(self, "_spectrum", spectrum)
+
+    @classmethod
+    def from_eigenpairs(
+        cls, w: np.ndarray, vectors: np.ndarray, partition: Partition | Iterable[int]
+    ) -> HermitianOperator:
+        """The Hermitian part of V diag(w) V† (orthonormal columns V), with (w, V) as its spectrum."""
+        w, v = np.asarray(w, dtype=float), np.asarray(vectors, dtype=complex)
+        op = cls(hermitian_part((v * w) @ v.conj().T), partition, lambda: (w, v))
+        eig_hermitian(op)
+        return op
 
     @property
     def dim(self) -> int:
@@ -121,6 +138,7 @@ class HermitianOperator:
 
     @cached_property
     def _eig(self) -> EigenDecomposition:
+        """The spectrum from the construction-time ``spectrum`` (sorted ascending, then dropped) or one ``eigh``."""
         spectrum = self.__dict__.pop("_spectrum", None)
         if spectrum is None:
             w, v = np.linalg.eigh(self.entries)
@@ -144,30 +162,24 @@ class HermitianOperator:
         return _krylov_top(self.entries)
 
 
-Spectrum = Callable[[], tuple[np.ndarray, np.ndarray]]
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(HermitianOperator):
+    """A positive semidefinite, unit-trace HermitianOperator (compared by identity).
 
-
-def _with_spectrum(
-    entries: np.ndarray, partition: Partition | Iterable[int], spectrum: Spectrum
-) -> HermitianOperator:
-    """An operator whose first spectral query takes its eigenpairs (w, V) from ``spectrum()``.
-
-    The only way into the spectral cache besides ``eigh``: the pairs are
-    sorted ascending there and stored read-only, and ``spectrum`` is dropped.
+    The PSD check reads the spectrum, so a state built with a known
+    ``spectrum`` is checked without a decomposition of its own.
     """
-    op = HermitianOperator(entries, partition)
-    op.__dict__["_spectrum"] = spectrum
-    return op
+
+    def __post_init__(self, spectrum):
+        super().__post_init__(spectrum)
+        require_psd(eig_hermitian(self).eigenvalues)
+        if abs(self.trace() - 1.0) > TRACE_ATOL:
+            raise ValueError(f"trace is {self.trace():.12f}, expected 1")
 
 
-def from_eigenpairs(
-    w: np.ndarray, vectors: np.ndarray, partition: Partition | Iterable[int]
-) -> HermitianOperator:
-    """The Hermitian part of V diag(w) V† (orthonormal columns V), caching (w, V) as its spectrum."""
-    w, v = np.asarray(w, dtype=float), np.asarray(vectors, dtype=complex)
-    op = _with_spectrum(hermitian_part((v * w) @ v.conj().T), partition, lambda: (w, v))
-    eig_hermitian(op)
-    return op
+def _result_type(*ops: HermitianOperator) -> type[HermitianOperator]:
+    """DensityMatrix when every operand is a state, else HermitianOperator."""
+    return DensityMatrix if all(isinstance(x, DensityMatrix) for x in ops) else HermitianOperator
 
 
 def _krylov_top(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -206,34 +218,6 @@ def wrap(matrix: np.ndarray, partition: Partition | Iterable[int]) -> HermitianO
     return HermitianOperator(hermitian_part(np.asarray(matrix, dtype=complex)), partition)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A positive semidefinite, unit-trace HermitianOperator (compared by identity)."""
-
-    op: HermitianOperator
-
-    def __post_init__(self):
-        require_psd(eig_hermitian(self.op).eigenvalues)
-        if abs(self.op.trace() - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace is {self.op.trace():.12f}, expected 1")
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.op.entries
-
-    @property
-    def partition(self) -> Partition:
-        return self.op.partition
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.op.dims
-
-
 def require_psd(eigenvalues: np.ndarray) -> None:
     """Reject an ascending spectrum whose least eigenvalue is below -1e-10 * max(lambda_max, tiny)."""
     top = max(float(eigenvalues[-1]), 0.0)
@@ -246,23 +230,20 @@ def _ii_indices(d: int) -> np.ndarray:
     return np.arange(d) * (d + 1)
 
 
-def as_operator(x: HermitianOperator | DensityMatrix) -> HermitianOperator:
-    return x.op if isinstance(x, DensityMatrix) else x
-
-
 def density(matrix: np.ndarray, dims: Partition | Iterable[int]) -> DensityMatrix:
-    return DensityMatrix(wrap(matrix, dims))
+    """Symmetrize a numerically-Hermitian matrix and validate it as a state."""
+    return DensityMatrix(hermitian_part(np.asarray(matrix, dtype=complex)), dims)
 
 
 def pure_density(vector: np.ndarray, dims: Partition | Iterable[int]) -> DensityMatrix:
     v = np.asarray(vector, dtype=complex).reshape(-1)
     v = v / np.linalg.norm(v)
-    return DensityMatrix(HermitianOperator(np.outer(v, v.conj()), dims))
+    return DensityMatrix(np.outer(v, v.conj()), dims)
 
 
-def eig_hermitian(op: HermitianOperator | DensityMatrix) -> EigenDecomposition:
+def eig_hermitian(op: HermitianOperator) -> EigenDecomposition:
     """The operator's cached spectrum; both arrays are read-only."""
-    return as_operator(op)._eig
+    return op._eig
 
 
 def _support_mask(w: np.ndarray) -> np.ndarray:
@@ -270,7 +251,7 @@ def _support_mask(w: np.ndarray) -> np.ndarray:
     return w > SUPPORT_CUT * max(float(w[-1]), 0.0)
 
 
-def _power(m: HermitianOperator | DensityMatrix, p: float) -> np.ndarray:
+def _power(m: HermitianOperator, p: float) -> np.ndarray:
     """The raw generalized power (v * w^p) @ v† of an operator's cached spectrum, not symmetrized.
 
     A result outside the float range raises ValueError naming the exponent.
@@ -287,7 +268,7 @@ def _power(m: HermitianOperator | DensityMatrix, p: float) -> np.ndarray:
     return out
 
 
-def matrix_power(op: HermitianOperator | DensityMatrix, p: float) -> HermitianOperator:
+def matrix_power(op: HermitianOperator, p: float) -> HermitianOperator:
     """Generalized matrix power of a psd operator.
 
     Eigenvalues at or below ``SUPPORT_CUT * lambda_max`` map to zero for any
@@ -297,26 +278,26 @@ def matrix_power(op: HermitianOperator | DensityMatrix, p: float) -> HermitianOp
     return wrap(_power(op, p), op.partition)
 
 
-def _support_split(op: HermitianOperator | DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _support_split(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     """The operator's cached eigenvectors split at the cut: (support columns, kernel columns)."""
     dec = eig_hermitian(op)
     keep = _support_mask(dec.eigenvalues)
     return dec.vectors[:, keep], dec.vectors[:, ~keep]
 
 
-def support_rank(op: HermitianOperator | DensityMatrix) -> int:
+def support_rank(op: HermitianOperator) -> int:
     return int(np.count_nonzero(_support_mask(eig_hermitian(op).eigenvalues)))
 
 
-def _weights_on(op: HermitianOperator | DensityMatrix, columns: np.ndarray) -> np.ndarray:
+def _weights_on(op: HermitianOperator, columns: np.ndarray) -> np.ndarray:
     """<b_j| op |b_j> for each orthonormal column b_j of ``columns``."""
-    m = as_operator(op).entries
+    m = op.entries
     if columns.shape[0] != m.shape[0]:
         raise ValueError(f"operators of dimension {m.shape[0]} and {columns.shape[0]} do not act on one space")
     return np.einsum("ij,ij->j", columns.conj(), m @ columns).real
 
 
-def _negligible_on(op: HermitianOperator | DensityMatrix, columns: np.ndarray) -> bool:
+def _negligible_on(op: HermitianOperator, columns: np.ndarray) -> bool:
     """Whether the operator's weight on span(columns) is at most SUPPORT_CUT * lambda_max."""
     top = max(float(eig_hermitian(op).eigenvalues[-1]), 0.0)
     return float(np.sum(_weights_on(op, columns))) <= SUPPORT_CUT * top
@@ -328,25 +309,25 @@ def _kron_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarr
     return np.kron(ea.eigenvalues, eb.eigenvalues), np.kron(ea.vectors, eb.vectors)
 
 
-def tensor_product(
-    a: HermitianOperator | DensityMatrix, b: HermitianOperator | DensityMatrix
-) -> HermitianOperator:
+def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Kronecker product; the partition is the concatenation of both partitions.
 
-    Its spectrum is assembled from the factors' spectra on first use.
+    A DensityMatrix when both factors are states. Its spectrum is assembled
+    from the factors' spectra (on first use for an operator, at once for a
+    state, whose PSD check reads it).
     """
-    a, b = as_operator(a), as_operator(b)
-    return _with_spectrum(np.kron(a.entries, b.entries), a.dims + b.dims, partial(_kron_spectrum, a, b))
+    return _result_type(a, b)(np.kron(a.entries, b.entries), a.dims + b.dims, partial(_kron_spectrum, a, b))
 
 
 def _permuted(
+    cls: type[HermitianOperator],
     entries: np.ndarray,
     dims: tuple[int, ...],
     perm: tuple[int, ...],
     spectrum: Spectrum,
     partition: Iterable[int],
 ) -> HermitianOperator:
-    """The operator with factor ``perm[j]`` moved to position j; its eigenvectors' rows move alike."""
+    """The operator, of type ``cls``, with factor ``perm[j]`` moved to position j; its eigenvectors' rows move alike."""
     n, d = len(dims), entries.shape[0]
     axes = perm + tuple(p + n for p in perm)
 
@@ -355,7 +336,7 @@ def _permuted(
         return w, _permute_rows(v, dims, perm)
 
     t = entries.reshape(dims + dims).transpose(axes).reshape(d, d)
-    return _with_spectrum(t, partition, permuted_spectrum)
+    return cls(t, partition, permuted_spectrum)
 
 
 def _permute_rows(v: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
@@ -363,35 +344,30 @@ def _permute_rows(v: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -
     return v.reshape(dims + (-1,)).transpose(perm + (len(dims),)).reshape(v.shape)
 
 
-def permute_factors(
-    op: HermitianOperator | DensityMatrix, perm: Sequence[int]
-) -> HermitianOperator:
-    """Physically reorder tensor factors so factor ``perm[j]`` becomes factor ``j``."""
-    h = as_operator(op)
-    n = h.partition.nparties
+def permute_factors(op: HermitianOperator, perm: Sequence[int]) -> HermitianOperator:
+    """Physically reorder tensor factors so factor ``perm[j]`` becomes factor ``j``; a state stays a state."""
+    n = op.partition.nparties
     perm = tuple(int(j) for j in perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
 
     def spectrum():
-        dec = eig_hermitian(h)
+        dec = eig_hermitian(op)
         return dec.eigenvalues, dec.vectors
 
-    return _permuted(h.entries, h.dims, perm, spectrum, tuple(h.dims[p] for p in perm))
+    return _permuted(_result_type(op), op.entries, op.dims, perm, spectrum, tuple(op.dims[p] for p in perm))
 
 
-def tensor_product_merged(
-    a: HermitianOperator | DensityMatrix, b: HermitianOperator | DensityMatrix
-) -> HermitianOperator:
+def tensor_product_merged(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Tensor product in the party-merging convention.
 
     Both operands must have the same number of parties N; factor j of ``a``
     and factor j of ``b`` are merged into one party, so the result is again
     N-partite with local dimensions ``a.dims[j] * b.dims[j]``. This requires
     a physical factor permutation (a1, b1, a2, b2, ...), not just relabeling.
-    The spectrum is the factors' Kronecker spectrum under that permutation.
+    The spectrum is the factors' Kronecker spectrum under that permutation,
+    and the result is a DensityMatrix when both operands are states.
     """
-    a, b = as_operator(a), as_operator(b)
     n = a.partition.nparties
     if n != b.partition.nparties:
         raise ValueError(
@@ -400,22 +376,19 @@ def tensor_product_merged(
     perm = tuple(x for j in range(n) for x in (j, n + j))
     merged = tuple(a.dims[j] * b.dims[j] for j in range(n))
     spectrum = partial(_kron_spectrum, a, b)
-    return _permuted(np.kron(a.entries, b.entries), a.dims + b.dims, perm, spectrum, merged)
+    return _permuted(_result_type(a, b), np.kron(a.entries, b.entries), a.dims + b.dims, perm, spectrum, merged)
 
 
-def partial_trace(
-    op: HermitianOperator | DensityMatrix, keep: Iterable[int]
-) -> HermitianOperator:
+def partial_trace(op: HermitianOperator, keep: Iterable[int]) -> HermitianOperator:
     """Trace out all factors not in ``keep``; the partition restricts to ``keep``."""
-    h = as_operator(op)
-    n = h.partition.nparties
+    n = op.partition.nparties
     keep = sorted(set(int(k) for k in keep))
     if not keep:
         raise ValueError("keep must be a non-empty set of factor indices")
     if keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep indices must lie in 0..{n - 1}, got {keep}")
-    dims = h.dims
-    t = h.entries.reshape(dims + dims)
+    dims = op.dims
+    t = op.entries.reshape(dims + dims)
     remaining = n
     for ax in sorted(set(range(n)) - set(keep), reverse=True):
         t = np.trace(t, axis1=ax, axis2=ax + remaining)
@@ -425,17 +398,14 @@ def partial_trace(
     return HermitianOperator(t.reshape(d, d), kept_dims)
 
 
-def partial_transpose(
-    op: HermitianOperator | DensityMatrix, flip: Iterable[int]
-) -> HermitianOperator:
+def partial_transpose(op: HermitianOperator, flip: Iterable[int]) -> HermitianOperator:
     """Transpose the factors in ``flip``. Applying it twice is the identity."""
-    h = as_operator(op)
-    n = h.partition.nparties
+    n = op.partition.nparties
     flip = set(int(f) for f in flip)
     if any(f < 0 or f >= n for f in flip):
         raise ValueError(f"flip indices must lie in 0..{n - 1}, got {sorted(flip)}")
-    dims = h.dims
-    t = h.entries.reshape(dims + dims)
+    dims = op.dims
+    t = op.entries.reshape(dims + dims)
     axes = []
     for i in range(2 * n):
         j = i % n
@@ -443,7 +413,7 @@ def partial_transpose(
             axes.append(i + n if i < n else i - n)
         else:
             axes.append(i)
-    d = h.dim
+    d = op.dim
     return HermitianOperator(t.transpose(axes).reshape(d, d), dims)
 
 
@@ -457,7 +427,7 @@ def random_density(
     g = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) / np.sqrt(2)
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return DensityMatrix(wrap(m, (d,) if dims is None else dims))
+    return density(m, (d,) if dims is None else dims)
 
 
 def _fmt(x) -> str:
@@ -467,20 +437,19 @@ def _fmt(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
-def save_operator_json(op: HermitianOperator | DensityMatrix, path: str) -> None:
+def save_operator_json(op: HermitianOperator, path: str) -> None:
     """Write the matrix-file format {"dims": [...], "re": [[...]], "im": [[...]]}."""
-    h = as_operator(op)
     payload = {
-        "dims": list(h.dims),
-        "re": h.entries.real.tolist(),
-        "im": h.entries.imag.tolist(),
+        "dims": list(op.dims),
+        "re": op.entries.real.tolist(),
+        "im": op.entries.imag.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
 
 
-def load_operator_json(path: str) -> HermitianOperator:
-    """Load and validate a matrix file written by :func:`save_operator_json`."""
+def _read_matrix_file(path: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The (matrix, dims) of a matrix file written by :func:`save_operator_json`, checked for shape and finiteness."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -500,8 +469,13 @@ def load_operator_json(path: str) -> HermitianOperator:
         raise ValueError("re and im blocks have different shapes")
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise ValueError("matrix file has non-finite entries")
-    return HermitianOperator(re + 1j * im, tuple(dims))
+    return re + 1j * im, tuple(dims)
+
+
+def load_operator_json(path: str) -> HermitianOperator:
+    """Load and validate a matrix file written by :func:`save_operator_json`."""
+    return HermitianOperator(*_read_matrix_file(path))
 
 
 def load_density_json(path: str) -> DensityMatrix:
-    return DensityMatrix(load_operator_json(path))
+    return DensityMatrix(*_read_matrix_file(path))

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.integrate
 
 from renyi_ent import AlphaZ, CertificateReport, DensityMatrix, d_alpha_z, density, matrix_power, random_density
-from renyi_ent.linalg import as_operator, eig_hermitian, hermitian_part
+from renyi_ent.linalg import eig_hermitian, hermitian_part
 from renyi_ent.certificates import ASCENT_MAX_SWEEPS, ASCENT_TOL, OverlapResult, _chi_entries, _initial_vectors, chi, report_to_dict
 
 
@@ -96,7 +96,7 @@ def product_overlap_value(op, vecs) -> float:
     full = vecs[0]
     for v in vecs[1:]:
         full = np.kron(full, v)
-    return float((full.conj() @ as_operator(op).entries @ full).real)
+    return float((full.conj() @ op.entries @ full).real)
 
 
 def _local_matrix_subscripts(nparties: int) -> list[str]:
@@ -121,11 +121,10 @@ def product_overlap_serial(op, restarts: int = 64, seed: int = 0):
     stops once its sweep gains at most ``ASCENT_TOL * max(1, |value|)``, or
     after ``ASCENT_MAX_SWEEPS`` sweeps, the library's own constants.
     """
-    h = as_operator(op)
-    dims, n = h.dims, len(h.dims)
-    tensor = h.entries.reshape(dims + dims)
+    dims, n = op.dims, len(op.dims)
+    tensor = op.entries.reshape(dims + dims)
     subs = _local_matrix_subscripts(n)
-    starts = _initial_vectors(h, restarts, seed)
+    starts = _initial_vectors(op, restarts, seed)
     values, sweeps, witnesses = [], [], []
     for r in range(restarts):
         vecs = [v[r].copy() for v in starts]
@@ -201,13 +200,12 @@ def product_overlap_grid(
     local estimate; the whole search never touches the alternating path.
     Intended as an independent oracle for total dimension <= 16.
     """
-    h = as_operator(op)
-    dims = h.dims
+    dims = op.dims
     if len(dims) != 2 or dims[0] != 2:
         raise ValueError("grid fallback needs a bipartition with a qubit first party")
-    if h.dim > 16:
+    if op.dim > 16:
         raise ValueError("grid fallback is limited to total dimension <= 16")
-    tensor = h.entries.reshape(dims + dims)
+    tensor = op.entries.reshape(dims + dims)
 
     def scan(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, float, float]:
         tt, pp = np.meshgrid(thetas, phis, indexing="ij")

@@ -112,8 +112,8 @@ def test_criterion_3_lambda_sq_oracle_equivalence(capsys):
     worst_grid = 0.0
     for i in range(50):
         rho = random_density(4, 4, seed=3000 + i, dims=(2, 2))
-        alt = max_product_overlap(rho.op, restarts=64).value
-        grid = product_overlap_grid(rho.op, steps=400).value
+        alt = max_product_overlap(rho, restarts=64).value
+        grid = product_overlap_grid(rho, steps=400).value
         worst_grid = max(worst_grid, abs(alt - grid))
         assert abs(alt - grid) <= 1e-5, f"instance {i}: altmin {alt} vs grid {grid}"
 
@@ -133,7 +133,7 @@ def test_criterion_3_lambda_sq_oracle_equivalence(capsys):
     ]
     worst_closed = 0.0
     for fam in catalog_cases:
-        found = max_product_overlap(build(fam).op, restarts=64).value
+        found = max_product_overlap(build(fam), restarts=64).value
         expect = lambda_sq_closed_form(fam)
         worst_closed = max(worst_closed, abs(found - expect))
         assert abs(found - expect) <= 1e-6, f"{fam}: {found} vs {expect}"
@@ -152,8 +152,8 @@ def test_criterion_4_xi_quadrature_cross_check(capsys):
         rho = full_rank_state(4, 4000 + i, dims=(2, 2))
         tau = full_rank_state(4, 4500 + i, dims=(2, 2))
         for p in points:
-            fast = xi(rho, tau.op, p).xi.entries
-            slow = xi_quadrature(rho, tau.op, p)
+            fast = xi(rho, tau, p).xi.entries
+            slow = xi_quadrature(rho, tau, p)
             diff = float(np.max(np.abs(fast - slow)))
             worst = max(worst, diff)
             assert diff <= 1e-8, f"pair {i} at ({p.alpha}, {p.z}): {diff:.2e}"
@@ -213,11 +213,11 @@ def test_criterion_7_limit_suite(capsys):
     for i in range(10):
         rho = full_rank_state(3, 7000 + i)
         sigma = full_rank_state(3, 7500 + i)
-        du = d_umegaki(rho, sigma.op)
+        du = d_umegaki(rho, sigma)
         for a in (1.0 - 1e-4, 1.0 + 1e-4):
-            worst[0] = max(worst[0], abs(d_alpha_z(rho, sigma.op, AlphaZ(a, a)) - du))
-        worst[1] = max(worst[1], abs(d_alpha_z(rho, sigma.op, AlphaZ(1e-5, 1.0)) - d_min(rho, sigma.op)))
-        worst[2] = max(worst[2], abs(d_alpha_z(rho, sigma.op, AlphaZ(1e3, 1e3)) - d_max(rho, sigma.op)))
+            worst[0] = max(worst[0], abs(d_alpha_z(rho, sigma, AlphaZ(a, a)) - du))
+        worst[1] = max(worst[1], abs(d_alpha_z(rho, sigma, AlphaZ(1e-5, 1.0)) - d_min(rho, sigma)))
+        worst[2] = max(worst[2], abs(d_alpha_z(rho, sigma, AlphaZ(1e3, 1e3)) - d_max(rho, sigma)))
     assert worst[0] <= 1e-3
     assert worst[1] <= 1e-3
     assert worst[2] <= 1e-2
@@ -235,7 +235,7 @@ def test_criterion_8_property_suites(capsys):
         p = GRID[i % len(GRID)]
         rho = random_density(4, 4, seed=8000 + i, dims=(2, 2))
         sigma = random_density(4, 4, seed=8200 + i, dims=(2, 2))
-        big = d_alpha_z(rho, sigma.op, p)
+        big = d_alpha_z(rho, sigma, p)
         small = d_alpha_z(
             density(partial_trace(rho, [0]).entries, (2,)), partial_trace(sigma, [0]), p
         )
@@ -248,7 +248,7 @@ def test_criterion_8_property_suites(capsys):
         sigma = full_rank_state(3, 8600 + i)
         bump = random_density(3, 3, seed=8800 + i)
         bigger = wrap(sigma.entries + 0.03 * bump.entries, (3,))
-        assert d_alpha_z(rho, bigger, p) <= d_alpha_z(rho, sigma.op, p) + 1e-8, f"monotone {i}"
+        assert d_alpha_z(rho, bigger, p) <= d_alpha_z(rho, sigma, p) + 1e-8, f"monotone {i}"
 
     # tensor additivity of D
     for i in range(n):
@@ -258,7 +258,7 @@ def test_criterion_8_property_suites(capsys):
         joint = d_alpha_z(
             density(tensor_product(r1, r2).entries, (2, 2)), tensor_product(s1, s2), p
         )
-        parts = d_alpha_z(r1, s1.op, p) + d_alpha_z(r2, s2.op, p)
+        parts = d_alpha_z(r1, s1, p) + d_alpha_z(r2, s2, p)
         assert abs(joint - parts) <= 1e-8, f"additivity {i}"
 
     # generalized-inverse algebra

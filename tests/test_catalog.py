@@ -70,7 +70,7 @@ class TestBuild:
     def test_mcbd_is_maximally_correlated(self):
         rho = build(MCBD((0.5, 0.3, 0.2)))
         assert is_maximally_correlated(rho)
-        assert abs(rho.op.trace() - 1.0) <= 1e-12
+        assert abs(rho.trace() - 1.0) <= 1e-12
 
     def test_ghz_partition_and_weights(self):
         rho = build(GHZ(3, 3))
@@ -208,7 +208,7 @@ class TestAnsatz:
         # tau puts multinomial weight w_k = 3 (2/3)^2 (1/3) = 4/9 on the input type class
         weight = float(np.trace(rho.entries @ tau.entries).real)
         assert abs(weight - 4.0 / 9.0) <= 1e-12
-        assert abs(tau.op.trace() - 1.0) <= 1e-12
+        assert abs(tau.trace() - 1.0) <= 1e-12
 
     def test_commuting_hypothesis_across_families(self):
         p = AlphaZ(1.5, 1.0)

@@ -58,7 +58,7 @@ class TestChi:
         psi = np.array([0.8, 0.0, 0.0, 0.6])
         rho = pure_density(psi, (2, 2))
         tau = full_rank_state(4, 1, dims=(2, 2))
-        out = chi(rho, tau.op, p)
+        out = chi(rho, tau, p)
         tpow = matrix_power(tau, (1.0 - p.alpha) / p.z).entries
         scalar = (psi @ tpow @ psi).real ** (p.z - 1.0)
         assert np.max(np.abs(out.entries - scalar * rho.entries)) <= 1e-10
@@ -67,7 +67,7 @@ class TestChi:
         p = AlphaZ(1.7, 1.0)
         rho = random_density(3, 3, seed=2)
         tau = full_rank_state(3, 3)
-        out = chi(rho, tau.op, p)
+        out = chi(rho, tau, p)
         assert np.max(np.abs(out.entries - matrix_power(rho, 1.7).entries)) <= 1e-9
 
     def test_commuting_trace_identity(self):
@@ -75,19 +75,19 @@ class TestChi:
         p = AlphaZ(1.5, 1.2)
         rho = density(np.diag([0.6, 0.3, 0.1]), (3,))
         tau = density(np.diag([0.2, 0.5, 0.3]), (3,))
-        val = np.trace(chi(rho, tau.op, p).entries @ matrix_power(tau, p.beta).entries).real
-        assert abs(val - q_alpha_z(rho, tau.op, p)) <= 1e-12
+        val = np.trace(chi(rho, tau, p).entries @ matrix_power(tau, p.beta).entries).real
+        assert abs(val - q_alpha_z(rho, tau, p)) <= 1e-12
 
     def test_alpha_one_rejected(self):
         with pytest.raises(ValueError):
-            chi(random_density(2, 2, 0), random_density(2, 2, 1).op, AlphaZ(1.0, 1.0))
+            chi(random_density(2, 2, 0), random_density(2, 2, 1), AlphaZ(1.0, 1.0))
 
 
 class TestXi:
     def test_commuting_bell_diagonal(self):
         rho = build(BellDiagonal((0.75, 0.25, 0.0, 0.0)))
         tau = ansatz_optimizer(BellDiagonal((0.75, 0.25, 0.0, 0.0)), AlphaZ(2.0, 2.0))
-        ev = xi(rho, tau.op, AlphaZ(2.0, 1.5))
+        ev = xi(rho, tau, AlphaZ(2.0, 1.5))
         assert ev.route == "commuting"
         # in the Bell basis: diag(.75^2/.5^2, .25^2/.5^2, 0, 0)
         from renyi_ent.catalog import bell_basis
@@ -99,16 +99,16 @@ class TestXi:
     def test_small_alpha_z_one_approaches_support_projector(self):
         rho = random_density(3, 2, seed=4)
         tau = full_rank_state(3, 5)
-        ev = xi(rho, tau.op, AlphaZ(1e-6, 1.0))
+        ev = xi(rho, tau, AlphaZ(1e-6, 1.0))
         assert np.max(np.abs(ev.xi.entries - support_projector(rho).entries)) <= 1e-3
 
     def test_route_flags(self):
         rho, tau = full_rank_state(3, 6), full_rank_state(3, 7)
-        assert xi(rho, tau.op, AlphaZ(0.4, 0.6)).route == "boundary-line"
-        assert xi(rho, tau.op, AlphaZ(3.0, 2.0)).route == "boundary-line"
-        assert xi(rho, tau.op, AlphaZ(2.0, 2.0)).route == "divided-difference"
-        assert xi(rho, rho.op, AlphaZ(2.0, 2.0)).route == "commuting"
-        assert _xi_divided_difference(rho, rho.op, AlphaZ(2.0, 2.0)).route == "divided-difference"
+        assert xi(rho, tau, AlphaZ(0.4, 0.6)).route == "boundary-line"
+        assert xi(rho, tau, AlphaZ(3.0, 2.0)).route == "boundary-line"
+        assert xi(rho, tau, AlphaZ(2.0, 2.0)).route == "divided-difference"
+        assert xi(rho, rho, AlphaZ(2.0, 2.0)).route == "commuting"
+        assert _xi_divided_difference(rho, rho, AlphaZ(2.0, 2.0)).route == "divided-difference"
 
     def test_commuting_fast_path_matches_general(self):
         # random pair with a common (non-computational) eigenbasis
@@ -119,16 +119,16 @@ class TestXi:
         tau = density(u @ np.diag([0.4, 0.35, 0.25]) @ u.conj().T, (3,))
         for a, z in [(0.5, 1.0), (2.0, 2.0), (1.0, 1.0), (0.9, 0.9)]:
             p = AlphaZ(a, z)
-            fast = xi(rho, tau.op, p)
-            slow = _xi_divided_difference(rho, tau.op, p)
+            fast = xi(rho, tau, p)
+            slow = _xi_divided_difference(rho, tau, p)
             assert fast.route == "commuting" and slow.route == "divided-difference"
             assert np.max(np.abs(fast.xi.entries - slow.xi.entries)) <= 1e-8
 
     def test_umegaki_route_within_line_tolerance(self):
         # both the sandwich and the kernel follow AlphaZ's Umegaki flag
         rho, tau = random_density(4, 4, 8), random_density(4, 4, 9)
-        on_line = xi(rho, tau.op, AlphaZ(1.0, 1.0))
-        near = xi(rho, tau.op, AlphaZ(1.0 + 5e-13, 1.0))
+        on_line = xi(rho, tau, AlphaZ(1.0, 1.0))
+        near = xi(rho, tau, AlphaZ(1.0 + 5e-13, 1.0))
         assert near.route == on_line.route == "divided-difference"
         assert np.max(np.abs(near.xi.entries - on_line.xi.entries)) <= 1e-12
 
@@ -137,7 +137,7 @@ class TestXi:
         # Xi(rho, c tau) = c^-alpha Xi(rho, tau); a small tau does not make the pair commute
         rho, tau = random_density(4, 4, 8), random_density(4, 4, 9)
         for p in (AlphaZ(2.0, 1.5), AlphaZ(0.7, 0.8), AlphaZ(1.0, 1.0)):
-            ref = xi(rho, tau.op, p)
+            ref = xi(rho, tau, p)
             scaled = xi(rho, HermitianOperator(c * tau.entries, (4,)), p)
             assert scaled.route == ref.route == "divided-difference"
             err = np.max(np.abs(c**p.alpha * scaled.xi.entries - ref.xi.entries))
@@ -152,24 +152,24 @@ class TestXi:
     def test_trace_against_tau_gives_q(self, a, z):
         p = AlphaZ(a, z)
         rho, tau = full_rank_state(4, 8), full_rank_state(4, 9)
-        ev = xi(rho, tau.op, p)
+        ev = xi(rho, tau, p)
         val = float(np.trace(ev.xi.entries @ tau.entries).real)
-        expect = 1.0 if p.on_umegaki_line else q_alpha_z(rho, tau.op, p)
+        expect = 1.0 if p.on_umegaki_line else q_alpha_z(rho, tau, p)
         assert abs(val - expect) <= 1e-8
         # same saturation on a commuting pair
         rho_c = density(np.diag([0.5, 0.25, 0.15, 0.1]), (4,))
         tau_c = density(np.diag([0.3, 0.3, 0.2, 0.2]), (4,))
-        ev_c = xi(rho_c, tau_c.op, p)
+        ev_c = xi(rho_c, tau_c, p)
         val_c = float(np.trace(ev_c.xi.entries @ tau_c.entries).real)
-        expect_c = 1.0 if p.on_umegaki_line else q_alpha_z(rho_c, tau_c.op, p)
+        expect_c = 1.0 if p.on_umegaki_line else q_alpha_z(rho_c, tau_c, p)
         assert abs(val_c - expect_c) <= 1e-8
 
     def test_boundary_continuity(self):
         alpha = 0.4
         rho, tau = full_rank_state(3, 10), full_rank_state(3, 11)
-        line = xi(rho, tau.op, AlphaZ(alpha, 1.0 - alpha)).xi.entries
+        line = xi(rho, tau, AlphaZ(alpha, 1.0 - alpha)).xi.entries
         for eps in (1e-6, -1e-6):
-            near = xi(rho, tau.op, AlphaZ(alpha, (1.0 - alpha) * (1.0 + eps)))
+            near = xi(rho, tau, AlphaZ(alpha, (1.0 - alpha) * (1.0 + eps)))
             assert near.route == "divided-difference"
             assert np.max(np.abs(near.xi.entries - line)) <= 1e-4
 
@@ -177,14 +177,14 @@ class TestXi:
         p = AlphaZ(1.5, 1.2)
         rho = full_rank_state(4, 12, dims=(2, 2))
         tau = full_rank_state(4, 13, dims=(2, 2))
-        ev = xi(rho, tau.op, p)
-        oracle = xi_quadrature(rho, tau.op, p)
+        ev = xi(rho, tau, p)
+        oracle = xi_quadrature(rho, tau, p)
         assert np.max(np.abs(ev.xi.entries - oracle)) <= 1e-8
 
     def test_psd_within_tolerance(self):
         for a, z in [(0.5, 1.0), (1.0, 1.0), (2.0, 2.0), (0.5, 0.5)]:
             rho, tau = full_rank_state(3, 14), full_rank_state(3, 15)
-            ev = xi(rho, tau.op, AlphaZ(a, z))
+            ev = xi(rho, tau, AlphaZ(a, z))
             w = np.linalg.eigvalsh(ev.xi.entries)
             assert w[0] >= -1e-10 * max(w[-1], 1.0)
 
@@ -201,44 +201,44 @@ class TestSupportSet:
         rho = random_density(4, 2, seed=16)
         tau = full_rank_state(4, 17)
         for a, z in [(0.5, 1.0), (2.0, 2.0), (0.5, 0.5)]:
-            assert in_support_set(rho, tau.op, AlphaZ(a, z))
+            assert in_support_set(rho, tau, AlphaZ(a, z))
 
     def test_reverse_line_allows_small_tau(self):
         rho = pure_density(PHI_PLUS, (2, 2))
         tau = density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
-        assert in_support_set(rho, tau.op, AlphaZ(0.5, 0.5))
+        assert in_support_set(rho, tau, AlphaZ(0.5, 0.5))
 
     def test_rank_deficient_tau_fails_off_line(self):
         rho = full_rank_state(3, 18)
         tau = random_density(3, 1, seed=19)
-        assert not in_support_set(rho, tau.op, AlphaZ(2.0, 2.0))
+        assert not in_support_set(rho, tau, AlphaZ(2.0, 2.0))
 
 
 class TestMaxProductOverlap:
     def test_bell_diagonal_closed_form(self):
         rho = build(BellDiagonal((0.55, 0.25, 0.15, 0.05)))
-        res = max_product_overlap(rho.op, restarts=16)
+        res = max_product_overlap(rho, restarts=16)
         assert abs(res.value - (0.55 + 0.25) / 2) <= 1e-9
 
     def test_mcbd_value(self):
         rho = build(MCBD((0.6, 0.3, 0.1)))
-        res = max_product_overlap(rho.op, restarts=16)
+        res = max_product_overlap(rho, restarts=16)
         assert abs(res.value - 1.0 / 3.0) <= 1e-9
 
     def test_witness_reproduces_value(self):
-        op = full_rank_state(4, 20, dims=(2, 2)).op
+        op = full_rank_state(4, 20, dims=(2, 2))
         res = max_product_overlap(op, restarts=16)
         assert abs(product_overlap_value(op, res.witness) - res.value) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(3))
     def test_agrees_with_grid_oracle(self, seed):
-        op = random_density(4, 4, seed=1000 + seed, dims=(2, 2)).op
+        op = random_density(4, 4, seed=1000 + seed, dims=(2, 2))
         res = max_product_overlap(op, restarts=64)
         grid = product_overlap_grid(op, steps=400)
         assert abs(res.value - grid.value) <= 1e-5
 
     def test_monotone_under_restarts(self):
-        op = full_rank_state(8, 21, dims=(2, 2, 2)).op
+        op = full_rank_state(8, 21, dims=(2, 2, 2))
         running = -math.inf
         for r in (1, 4, 16):
             val = max_product_overlap(op, restarts=r).value
@@ -246,7 +246,7 @@ class TestMaxProductOverlap:
             running = max(running, val)
 
     def test_local_unitary_invariance(self):
-        op = full_rank_state(4, 22, dims=(2, 2)).op
+        op = full_rank_state(4, 22, dims=(2, 2))
         rng = np.random.default_rng(23)
         locals_ = []
         for _ in range(2):
@@ -263,17 +263,17 @@ class TestMaxProductOverlap:
 
     def test_single_party_rejected(self):
         with pytest.raises(ValueError):
-            max_product_overlap(random_density(4, 4, 0).op)
+            max_product_overlap(random_density(4, 4, 0))
 
     def test_grid_needs_qubit_first_party(self):
         with pytest.raises(ValueError):
-            product_overlap_grid(random_density(9, 9, 0, dims=(3, 3)).op)
+            product_overlap_grid(random_density(9, 9, 0, dims=(3, 3)))
 
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}])
     def test_empty_search_rejected(self, kwargs):
         name = next(iter(kwargs))
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-            max_product_overlap(random_density(4, 4, 0, dims=(2, 2)).op, **kwargs)
+            max_product_overlap(random_density(4, 4, 0, dims=(2, 2)), **kwargs)
 
 
 def _xi_of(family, p=AlphaZ(1.5, 1.2)):
@@ -286,8 +286,8 @@ BATCH_CASES = {
     "ghz-3-3": lambda: _xi_of(GHZ(3, 3)),
     "isotropic": lambda: _xi_of(Isotropic(0.6, 3)),
     "antisym-3": lambda: _xi_of(AntisymPair(3)),
-    "random-3x3": lambda: random_density(9, 9, seed=31, dims=(3, 3)).op,
-    "random-2x2x2": lambda: random_density(8, 8, seed=32, dims=(2, 2, 2)).op,
+    "random-3x3": lambda: random_density(9, 9, seed=31, dims=(3, 3)),
+    "random-2x2x2": lambda: random_density(8, 8, seed=32, dims=(2, 2, 2)),
 }
 
 
@@ -476,7 +476,7 @@ class TestLineOwnership:
         p = AlphaZ(1.0, 1e-13)
         assert p.on_umegaki_line and not p.on_reverse_line and not p.on_lower_line
         rho, tau = full_rank_state(3, 6), full_rank_state(3, 7)
-        assert xi(rho, tau.op, p).route == "divided-difference"
+        assert xi(rho, tau, p).route == "divided-difference"
         assert in_support_set(rho, tau, p)
 
 
@@ -523,7 +523,7 @@ class TestMarginalConditionMC:
     def test_bell_state_uniform_tau(self):
         rho = pure_density(PHI_PLUS, (2, 2))
         tau = density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
-        report = marginal_condition_mc(rho, tau.op, AlphaZ(0.5, 0.5))
+        report = marginal_condition_mc(rho, tau, AlphaZ(0.5, 0.5))
         assert report.verdict == "certified-optimal"
         assert abs(report.value - 1.0) <= 1e-9
 
@@ -534,7 +534,7 @@ class TestMarginalConditionMC:
         rho = build(fam)
         p = AlphaZ(2.0, 2.0)
         tau = ansatz_optimizer(fam, p)
-        report = marginal_condition_mc(rho, tau.op, p)
+        report = marginal_condition_mc(rho, tau, p)
         assert report.verdict == "certified-optimal"
         assert abs(report.value - closed_form_value(fam, p)) <= 1e-9
         assert abs(beta_dual(p) - 2.0 / 3.0) <= 1e-12
@@ -544,13 +544,13 @@ class TestMarginalConditionMC:
 
         rho = build(PureBipartite((0.9, 0.1)))
         uniform = density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
-        report = marginal_condition_mc(rho, uniform.op, AlphaZ(2.0, 2.0))
+        report = marginal_condition_mc(rho, uniform, AlphaZ(2.0, 2.0))
         assert report.verdict == "refuted"
 
     def test_rejects_non_diagonal_tau(self):
         rho = pure_density(PHI_PLUS, (2, 2))
         with pytest.raises(ValueError):
-            marginal_condition_mc(rho, rho.op, AlphaZ(2.0, 2.0))
+            marginal_condition_mc(rho, rho, AlphaZ(2.0, 2.0))
 
     @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-11])
     def test_non_diagonal_tau_rejected_at_any_scale(self, scale):
@@ -564,7 +564,7 @@ class TestMarginalConditionMC:
         rho = random_density(4, 4, seed=25, dims=(2, 2))
         tau = density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
         with pytest.raises(ValueError):
-            marginal_condition_mc(rho, tau.op, AlphaZ(2.0, 2.0))
+            marginal_condition_mc(rho, tau, AlphaZ(2.0, 2.0))
 
 
 @pytest.fixture

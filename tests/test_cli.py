@@ -125,6 +125,17 @@ class TestEval:
         assert out == ""
         assert err.startswith(f"error: {paths[which]}: not positive semidefinite") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("which", ["rho", "tau"])
+    def test_certify_bad_state_file_error_names_the_file(self, tmp_path, capsys, which):
+        paths = {
+            "rho": write_state(tmp_path / "rho.json", density(np.eye(4) / 4, (2, 2))),
+            "tau": write_state(tmp_path / "tau.json", density(np.eye(4) / 4, (2, 2))),
+        }
+        write_state(tmp_path / f"{which}.json", HermitianOperator(np.diag([0.6, 0.5, 0.3, 0.1]), (2, 2)))
+        code, out, err = run(capsys, ["certify", paths["rho"], paths["tau"], "--restarts", "4"])
+        assert code == 2 and out == ""
+        assert err == f"error: {paths[which]}: trace is 1.500000000000, expected 1\n"
+
 
 class TestValue:
     @pytest.mark.parametrize(
@@ -155,8 +166,10 @@ class TestValue:
             ("werner:p=0.2,d=3,q=9", "'q'"),
             ("werner:p=0.2,d=3,d=4", "'d'"),
             ("dicke:N=3", "'k'"),
+            ("werner:p=abc,d=3", "'p'"),
+            ("dicke:N=3,k=2|x", "'k'"),
         ],
-        ids=["unknown", "unknown-last", "repeated", "missing"],
+        ids=["unknown", "unknown-last", "repeated", "missing", "bad-float", "bad-int-vector"],
     )
     def test_descriptor_key_errors_exit_2_naming_the_key(self, capsys, family, key):
         code, out, err = run(capsys, ["value", family, "--alpha", "2", "--z", "2"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from renyi_ent import (
+    DensityMatrix,
     HermitianOperator,
     Partition,
     density,
@@ -19,7 +20,6 @@ from renyi_ent import (
     tensor_product,
     tensor_product_merged,
 )
-from renyi_ent.linalg import from_eigenpairs
 from oracles import assert_cached_spectrum_is_exact, support_projector
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
@@ -110,7 +110,7 @@ class TestSpectralCache:
     def test_cached_arrays_are_read_only(self):
         rho = random_density(4, 3, seed=5)
         dec = eig_hermitian(rho)
-        assert eig_hermitian(rho.op) is dec
+        assert eig_hermitian(rho) is dec
         for arr in (dec.eigenvalues, dec.vectors):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -132,10 +132,9 @@ class TestSpectralCache:
 
     def test_operators_compare_and_hash_by_identity(self):
         a, b = random_density(2, 2, seed=1), random_density(2, 2, seed=1)
-        for x, y in ((a, b), (a.op, b.op)):
+        for x, y in ((a, b), (HermitianOperator(a.entries, a.dims), HermitianOperator(b.entries, b.dims))):
             assert x == x and x != y
             assert len({x, y}) == 2 and hash(x) == hash(x)
-        assert eig_hermitian(a) is eig_hermitian(a.op)
         assert eig_hermitian(a) is not eig_hermitian(b)
 
 
@@ -203,7 +202,7 @@ class TestKnownSpectra:
         rng = np.random.default_rng(3)
         v = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
         w = np.array([0.5, -1.0, 2.0, 0.5, 0.0])
-        op = from_eigenpairs(w, v, (5,))
+        op = HermitianOperator.from_eigenpairs(w, v, (5,))
         dec = eig_hermitian(op)
         assert np.array_equal(dec.eigenvalues, np.sort(w))
         assert np.array_equal(dec.vectors, v[:, np.argsort(w, kind="stable")])
@@ -215,6 +214,41 @@ class TestKnownSpectra:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a))
         density(rho.entries, (4,))
         assert calls == []
+
+
+class TestTypeRules:
+    """A state is an operator; products and permutations of states are states."""
+
+    def test_density_matrix_is_an_operator(self):
+        assert issubclass(DensityMatrix, HermitianOperator)
+
+    def test_merged_product_of_cached_states_is_a_state_without_full_eigh(self, monkeypatch):
+        from renyi_ent import Werner, build
+
+        minus = build(Werner(0.0, 3))
+        shapes = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m, *r, **k: shapes.append(np.shape(m)) or original(m, *r, **k))
+        pair = tensor_product_merged(minus, minus)
+        assert type(pair) is DensityMatrix and pair.dims == (9, 9)
+        assert shapes == []
+        assert_cached_spectrum_is_exact(pair)
+
+    def test_product_with_an_operator_stays_an_operator(self):
+        rho, h = random_density(2, 2, seed=1), random_hermitian(3, seed=2)
+        for op in (tensor_product(h, rho), tensor_product(rho, h), tensor_product_merged(h, rho)):
+            assert type(op) is HermitianOperator
+        assert type(tensor_product(rho, rho)) is DensityMatrix
+        assert type(permute_factors(tensor_product(rho, rho), (1, 0))) is DensityMatrix
+        assert type(permute_factors(tensor_product(h, rho), (1, 0))) is HermitianOperator
+
+    def test_state_from_eigenpairs(self):
+        v = np.linalg.qr(random_hermitian(3, seed=4).entries)[0]
+        rho = DensityMatrix.from_eigenpairs([0.5, 0.3, 0.2], v, (3,))
+        assert type(rho) is DensityMatrix
+        assert_cached_spectrum_is_exact(rho)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            DensityMatrix.from_eigenpairs([0.6, 0.6, -0.2], v, (3,))
 
 
 class TestKrylovTop:
@@ -230,13 +264,13 @@ class TestKrylovTop:
 
     @pytest.mark.parametrize("d", [1, 5, 8, 30, 81])
     def test_random_operators(self, d):
-        self.check(random_density(d, d, seed=d).op)
+        self.check(random_density(d, d, seed=d))
         self.check(random_hermitian(d, seed=100 + d))
 
     @pytest.mark.parametrize("top_multiplicity", [2, 5])
     def test_degenerate_top_eigenspace(self, top_multiplicity):
         values = np.r_[np.linspace(0.1, 1.0, 40 - top_multiplicity), np.full(top_multiplicity, 2.0)]
-        self.check(degenerate_state(40, 7, values).op)
+        self.check(degenerate_state(40, 7, values))
 
     def test_xi_of_antisym_pair(self, monkeypatch):
         from renyi_ent import AlphaZ, AntisymPair, ansatz_optimizer, build, xi
@@ -253,7 +287,7 @@ class TestKrylovTop:
     def test_reads_a_cached_spectrum(self):
         rho = random_density(6, 6, seed=9)
         dec = eig_hermitian(rho)
-        theta, x = rho.op._top
+        theta, x = rho._top
         assert theta == dec.eigenvalues[-1] and np.array_equal(x, dec.vectors[:, -1])
 
 
@@ -424,7 +458,7 @@ class TestRandomDensity:
 
     def test_valid_state(self):
         rho = random_density(5, 5, seed=1)
-        assert abs(rho.op.trace() - 1.0) <= 1e-12
+        assert abs(rho.trace() - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(rho.entries)[0] >= -1e-12
 
     def test_full_rank(self):

@@ -74,7 +74,7 @@ class TestGoldenSection:
         p = AlphaZ(1.0, 1.0)
 
         def objective(f):
-            return d_umegaki(rho, build_family(Isotropic(max(f, 1e-9), 3)).op)
+            return d_umegaki(rho, build_family(Isotropic(max(f, 1e-9), 3)))
 
         x, _ = golden_section_1d(objective, (1e-6, 1.0 / 3.0))
         assert abs(x - 1.0 / 3.0) <= 1e-6
@@ -169,7 +169,7 @@ class TestMinimizeMC:
         rho = random_mc_state(3, 60)
         sol = minimize_mc(rho, p, opts=FAST)
         assert sol.certificate.verdict in ("certified-optimal", "inconclusive")
-        certified = d_alpha_z(rho, sol.sigma.op, p)
+        certified = d_alpha_z(rho, sol.sigma, p)
         assert abs(sol.value - certified) <= 1e-6
 
     def test_rejects_non_mc(self):
@@ -218,7 +218,7 @@ class TestObjectiveConsistency:
         samples = rng.dirichlet(np.ones(3), size=5)
         batched, _ = f(samples)
         for row, expect in zip(samples, batched):
-            direct = d_alpha_z(rho, density(np.diag(row), (3,)).op, p)
+            direct = d_alpha_z(rho, density(np.diag(row), (3,)), p)
             assert abs(direct - expect) <= 1e-10
 
 
