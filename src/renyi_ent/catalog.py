@@ -227,20 +227,12 @@ def bell_basis() -> list[np.ndarray]:
     ]
 
 
-def swap_operator(d: int) -> np.ndarray:
-    m = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            m[i * d + j, j * d + i] = 1.0
-    return m
-
-
-def symmetric_projector(d: int) -> np.ndarray:
-    return (np.eye(d * d) + swap_operator(d)) / 2
-
-
-def antisymmetric_projector(d: int) -> np.ndarray:
-    return (np.eye(d * d) - swap_operator(d)) / 2
+def _werner_basis(d: int) -> np.ndarray:
+    """Real orthonormal columns: |ii> and (|ij> + |ji>)/sqrt2 (symmetric), then (|ij> - |ji>)/sqrt2, i < j."""
+    e = np.eye(d * d)
+    pairs = [(e[i * d + j], e[j * d + i]) for i in range(d) for j in range(i + 1, d)]
+    sym = [e[k] for k in _ii_indices(d)] + [(a + b) / math.sqrt(2) for a, b in pairs]
+    return np.column_stack(sym + [(a - b) / math.sqrt(2) for a, b in pairs])
 
 
 def max_entangled_vector(d: int) -> np.ndarray:
@@ -281,12 +273,6 @@ def _dicke_vector(N: int, k: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _werner_matrix(p: float, d: int) -> np.ndarray:
-    return p * (2.0 / (d * (d + 1))) * symmetric_projector(d) + (1.0 - p) * (
-        2.0 / (d * (d - 1))
-    ) * antisymmetric_projector(d)
-
-
 def _isotropic_matrix(F: float, d: int) -> np.ndarray:
     phi = max_entangled_vector(d)
     proj = np.outer(phi, phi)
@@ -296,10 +282,12 @@ def _isotropic_matrix(F: float, d: int) -> np.ndarray:
 def build(family: StateFamily) -> DensityMatrix:
     """Construct the density matrix of a named family with its natural partition."""
     if isinstance(family, BellDiagonal):
-        m = sum(w * np.outer(v, v.conj()) for w, v in zip(family.lambdas, bell_basis()))
-        return density(m, (2, 2))
+        return DensityMatrix.from_eigenpairs(family.lambdas, np.column_stack(bell_basis()), (2, 2))
     if isinstance(family, Werner):
-        return density(_werner_matrix(family.p, family.d), (family.d, family.d))
+        p, d = family.p, family.d
+        sym = d * (d + 1) // 2
+        w = np.repeat([2.0 * p / (d * (d + 1)), 2.0 * (1.0 - p) / (d * (d - 1))], [sym, d * d - sym])
+        return DensityMatrix.from_eigenpairs(w, _werner_basis(d), (d, d))
     if isinstance(family, Isotropic):
         return density(_isotropic_matrix(family.F, family.d), (family.d, family.d))
     if isinstance(family, Dicke):
@@ -438,8 +426,7 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
         else:
             q[:] = lam / (2.0 * (1.0 - lam[top]))
             q[top] = 0.5
-        m = sum(w * np.outer(v, v.conj()) for w, v in zip(q, bell_basis()))
-        return density(m, (2, 2))
+        return DensityMatrix.from_eigenpairs(q, np.column_stack(bell_basis()), (2, 2))
     if isinstance(family, Werner):
         return build(Werner(0.5, family.d))
     if isinstance(family, Isotropic):
@@ -474,13 +461,14 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
         return _diag_pairs_state(np.full(d, 1.0 / d), d, 2)
     if isinstance(family, AntisymPair):
         # (d+1)/(2d) rho_+ (x) rho_+ + (d-1)/(2d) rho_- (x) rho_-, built from its
-        # eigenpairs: the eigenbasis of rho_+ = Werner(1, d) splits P+ (its
-        # support) from P- (its kernel), so its merged Kronecker square
-        # diagonalizes both terms
+        # eigenpairs: the eigenbasis of rho_- = Werner(0, d) splits P- (its
+        # support) from P+ (its kernel), so its merged Kronecker square
+        # diagonalizes both terms. V is the expression tensor_product_merged
+        # gives build(family), so the pair shares one basis bit for bit.
         d = family.d
-        dec = eig_hermitian(build(Werner(1.0, d)))
-        sym = _support_mask(dec.eigenvalues)
-        s, a = sym / np.count_nonzero(sym), ~sym / np.count_nonzero(~sym)
+        dec = eig_hermitian(build(Werner(0.0, d)))
+        anti = _support_mask(dec.eigenvalues)
+        s, a = ~anti / np.count_nonzero(~anti), anti / np.count_nonzero(anti)
         w = (d + 1.0) / (2.0 * d) * np.kron(s, s) + (d - 1.0) / (2.0 * d) * np.kron(a, a)
         v = _permute_rows(np.kron(dec.vectors, dec.vectors), (d,) * 4, (0, 2, 1, 3))
         return DensityMatrix.from_eigenpairs(w, v, (d * d, d * d))

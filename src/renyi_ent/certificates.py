@@ -30,9 +30,10 @@ from .linalg import (
     HermitianOperator,
     _fmt,
     _ii_indices,
+    _joint_spectrum,
     _power,
+    _power_values,
     _support_mask,
-    _support_split,
     _weights_on,
     eig_hermitian,
     hermitian_part,
@@ -54,13 +55,9 @@ def commutator_maxnorm(a: HermitianOperator, b: HermitianOperator) -> float:
 def _chi_entries(rho: HermitianOperator, tau: HermitianOperator, alpha: float, z: float) -> np.ndarray:
     """chi = a C^(z-1) a = (a V mu^(z-1))(a V)† from the core C = a tau^((1-alpha)/z) a, a = rho^(alpha/2z)."""
     a = _power(rho, alpha / (2.0 * z))
-    _, mu, v, _ = _core_spectrum(_core(a, _power(tau, (1.0 - alpha) / z)), z, vectors=True)
-    with np.errstate(divide="ignore", over="ignore"):
-        mid = np.where(mu > 0, mu ** (z - 1.0), 0.0)
-    if not np.all(np.isfinite(mid)):
-        raise ValueError(f"matrix power with exponent {z - 1.0:.6g} overflows the float range")
+    _, mu, v, _ = _core_spectrum(_core(a, _power(tau, (1.0 - alpha) / z)), z)
     av = a @ v
-    return hermitian_part((av * mid) @ av.conj().T)
+    return hermitian_part((av * _power_values(mu, z - 1.0)) @ av.conj().T)
 
 
 def chi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> HermitianOperator:
@@ -122,11 +119,24 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
         Xi = rho^alpha tau^(-alpha).
       * otherwise :func:`_xi_divided_difference`.
 
+    A pair built on one basis V, rho = V diag(r) V† and tau = V diag(t) V†
+    (:func:`linalg._joint_spectrum`), takes the first two routes as Xi = V diag(x) V†
+    with the same powers and cuts: x = a2 mu^(-alpha) on the lines, a2 =
+    (r^(alpha/2(1-alpha)))^2 and mu = a2 t the core's spectrum, else x = r^alpha t^(-alpha).
     The formula is evaluated for any positive (alpha, z); membership of the
     DPI region is only enforced by the certification entry points.
     """
     if float(eig_hermitian(tau).eigenvalues[-1]) <= 0.0:
         raise ValueError("tau has empty support")
+    joint = _joint_spectrum(rho, tau)
+    if joint is not None:
+        r, t, v = joint
+        if p.on_reverse_line or p.on_lower_line:
+            a2 = _power_values(r, p.alpha / (2.0 * (1.0 - p.alpha))) ** 2
+            x, route = a2 * _power_values(a2 * _power_values(t, 1.0), -p.alpha), "boundary-line"
+        else:
+            x, route = _power_values(r, p.alpha) * _power_values(t, -p.alpha), "commuting"
+        return XiEvaluation(wrap((v * x) @ v.conj().T, rho.partition), route)
     if p.on_reverse_line or p.on_lower_line:
         m = _chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)
         return XiEvaluation(wrap(m, rho.partition), "boundary-line")
@@ -159,11 +169,16 @@ def in_support_set(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> boo
     checked as full rank of the compression V† tau V onto rho's support
     eigenvectors V; everywhere else it is rho << tau (:func:`is_dominated`).
     """
-    if p.on_reverse_line:
-        v = _support_split(rho)[0]
+    if not p.on_reverse_line:
+        return is_dominated(rho, tau)
+    joint = _joint_spectrum(rho, tau)
+    if joint is None:
+        dec = eig_hermitian(rho)
+        v = dec.vectors[:, _support_mask(dec.eigenvalues)]
         w = np.linalg.eigvalsh(hermitian_part(v.conj().T @ tau.entries @ v))
-        return bool(np.all(_support_mask(w)))
-    return is_dominated(rho, tau)
+    else:
+        w = joint[1][_support_mask(joint[0])]  # the compression is diagonal there
+    return bool(np.all(_support_mask(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +191,7 @@ class OverlapResult:
     value: float
     witness: tuple[np.ndarray, ...]
     restart_values: tuple[float, ...]
+    restart_sweeps: tuple[int, ...]
 
 
 # Bound on the output of the first contraction of Xi per chunk of restarts:
@@ -223,15 +239,16 @@ def _local_matrices(
     return out
 
 
-def _alternating_ascent(xi: np.ndarray, dims: tuple[int, ...], vecs: list[np.ndarray]) -> np.ndarray:
+def _alternating_ascent(xi: np.ndarray, dims: tuple[int, ...], vecs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Advance every restart (one row of each (R, d_k) array in ``vecs``) in lockstep.
 
     A sweep updates each party in turn with one batched ``eigh`` over the
     active restarts. A restart leaves the batch once its own sweep gains at
     most ``ASCENT_TOL * max(1, |value|)``. ``vecs`` is updated in place;
-    returns the per-restart values.
+    returns the per-restart values and sweep counts.
     """
     values = np.full(vecs[0].shape[0], -math.inf)
+    sweeps = np.zeros(values.size, dtype=int)
     active = np.arange(values.size)
     for _ in range(ASCENT_MAX_SWEEPS):
         rows = [v[active] for v in vecs]
@@ -243,10 +260,11 @@ def _alternating_ascent(xi: np.ndarray, dims: tuple[int, ...], vecs: list[np.nda
             v[active] = r
         done = new - values[active] <= ASCENT_TOL * np.maximum(1.0, np.abs(new))
         values[active] = new
+        sweeps[active] += 1
         active = active[~done]
         if active.size == 0:
             break
-    return values
+    return values, sweeps
 
 
 def _initial_vectors(
@@ -289,12 +307,13 @@ def max_product_overlap(op: HermitianOperator, restarts: int = 64, seed: int = 0
     if len(op.dims) < 2:
         raise ValueError("need at least two parties; a single-party maximum is just the top eigenvalue")
     vecs = _initial_vectors(op, restarts, seed)
-    values = _alternating_ascent(op.entries, op.dims, vecs)
+    values, sweeps = _alternating_ascent(op.entries, op.dims, vecs)
     best = int(np.argmax(values))  # ties resolve to the lowest restart index
     return OverlapResult(
         value=float(values[best]),
         witness=tuple(v[best].copy() for v in vecs),
         restart_values=tuple(float(x) for x in values),
+        restart_sweeps=tuple(int(n) for n in sweeps),
     )
 
 
@@ -312,7 +331,8 @@ class CertificateReport:
     free set. The witness is the product (or basis) state attaining
     lambda_sq. ``value`` carries D_{alpha,z}(rho || tau) when certified.
     ``restart_hits`` counts the Lambda^2 restarts that ended within
-    ``TOL_CERT_REL * max(1, |lambda_sq|)`` of lambda_sq (0 without a search).
+    ``TOL_CERT_REL * max(1, |lambda_sq|)`` of lambda_sq (0 without a search),
+    and ``restart_sweeps`` holds each restart's ascent sweeps.
     """
 
     alpha: float
@@ -330,6 +350,7 @@ class CertificateReport:
     value: float | None = None
     restart_values: tuple[float, ...] = field(default_factory=tuple)
     restart_hits: int = 0
+    restart_sweeps: tuple[int, ...] = field(default_factory=tuple)
 
 
 def _require_same_partition(rho: DensityMatrix, tau: HermitianOperator) -> None:
@@ -355,17 +376,17 @@ def _certify(
     ev = xi(rho, tau, p)
     log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p)
 
-    restart_values: tuple[float, ...] = ()
     if columns is None:
         res = max_product_overlap(ev.xi, restarts=restarts, seed=seed)
-        lam, witness, restart_values = res.value, res.witness, res.restart_values
     else:
         scores = _weights_on(ev.xi, columns)
         best = int(np.argmax(scores))
-        lam, witness = float(scores[best]), (columns[:, best].copy(),)
+        witness = (columns[:, best].copy(),)
         if free_set == "mc-diagonal":
             e = np.eye(rho.dims[0], dtype=complex)[best]
             witness = (e, e.copy())
+        res = OverlapResult(float(scores[best]), witness, (), ())
+    lam = res.value
 
     q = _q_from_log2(log2q)
     margin = q - lam
@@ -389,13 +410,14 @@ def _certify(
         q_value=q,
         margin=margin,
         verdict=verdict,
-        witness=witness,
+        witness=res.witness,
         tol_cert=tol_cert,
         route=ev.route,
         beta=p.beta,
         value=value,
-        restart_values=restart_values,
-        restart_hits=sum(1 for v in restart_values if v >= lam - band),
+        restart_values=res.restart_values,
+        restart_hits=sum(1 for v in res.restart_values if v >= lam - band),
+        restart_sweeps=res.restart_sweeps,
     )
 
 
@@ -483,4 +505,5 @@ def report_to_dict(report: CertificateReport) -> dict:
         "value": _encode_float(report.value),
         "restart_values": list(report.restart_values),
         "restart_hits": report.restart_hits,
+        "restart_sweeps": list(report.restart_sweeps),
     }

@@ -15,11 +15,12 @@ from .linalg import (
     SUPPORT_CUT,
     DensityMatrix,
     HermitianOperator,
+    _joint_spectrum,
     _negligible_on,
     _power,
+    _power_values,
+    _split_weights,
     _support_mask,
-    _support_split,
-    _weights_on,
     eig_hermitian,
     hermitian_part,
 )
@@ -82,34 +83,25 @@ def _require_dpi(p: AlphaZ) -> None:
 
 def is_orthogonal(rho: HermitianOperator, sigma: HermitianOperator) -> bool:
     """Support orthogonality: rho's weight on supp(sigma) is at most SUPPORT_CUT * lambda_max(rho)."""
-    return _negligible_on(rho, _support_split(sigma)[0])
+    return _negligible_on(rho, sigma, support=True)
 
 
 def is_dominated(rho: HermitianOperator, sigma: HermitianOperator) -> bool:
     """Support containment rho << sigma: rho's weight on ker(sigma) is at most SUPPORT_CUT * lambda_max(rho)."""
-    return _negligible_on(rho, _support_split(sigma)[1])
+    return _negligible_on(rho, sigma, support=False)
 
 
 def _log2_sum_powers_rows(mu: np.ndarray, z: float) -> np.ndarray:
     """log2(sum_i mu_i^z) per row of ascending values, over each row's positive entries.
 
-    Computed in the log domain: (mu/top)^z <= 1, so the sum neither overflows
+    Scaled by each row's top: (mu/top)^z <= 1, so the sum neither overflows
     nor underflows to 0 even for z ~ 1e3. A row without positive entries gives
     -inf. Spectral callers zero the entries below the support cut first.
     """
-    top = mu[:, -1].copy()
-    out = np.full(mu.shape[0], -math.inf)
-    good = top > 0
-    if not np.any(good):
-        return out
-    mug = mu[good]
-    topg = top[good]
-    mask = mug > 0
+    top = np.maximum(mu[:, -1:], 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(mask, np.log(np.where(mask, mug, 1.0)), -math.inf)
-    scaled = np.where(mask, np.exp(z * (logs - np.log(topg)[:, None])), 0.0)
-    out[good] = z * np.log2(topg) + np.log2(scaled.sum(axis=1))
-    return out
+        scaled = np.where(mu > 0, (mu / top) ** z, 0.0)
+        return z * np.log2(top[:, 0]) + np.log2(scaled.sum(axis=1))
 
 
 def _core(a: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -124,35 +116,44 @@ def _core(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     return core
 
 
-def _core_spectrum(core: np.ndarray, z: float, vectors: bool = False):
-    """log2 Q = log2 Tr C^z per core from one ``eigvalsh``, cut at SUPPORT_CUT * lambda_max(C).
+def _core_spectrum(core: np.ndarray, z: float):
+    """(log2 Q, mu, V, f) per core from one ``eigh``, with log2 Q = log2 Tr C^z.
 
-    With ``vectors`` one ``eigh`` gives (log2 Q, mu, V, f): mu cut (0 off the support, top = mu[..., -1])
+    mu is cut at SUPPORT_CUT * lambda_max(C) (0 off the support, top = mu[..., -1])
     and f = (mu/top)^(z-1) on the support, so chi = top^(z-1) (a V f)(a V)† = (a V mu^(z-1))(a V)†.
     """
-    mu, v = np.linalg.eigh(core) if vectors else (np.linalg.eigvalsh(core), None)
+    mu, v = np.linalg.eigh(core)
     top = mu[..., -1:]
     mu = np.where(mu > SUPPORT_CUT * np.maximum(top, 0.0), mu, 0.0)
     # z < 0 only for chi on the boundary lines, which discards log2 Q and f
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log2q = _log2_sum_powers_rows(mu.reshape(-1, mu.shape[-1]), z).reshape(top.shape[:-1])
         f = np.where(mu > 0, (mu / top) ** (z - 1.0), 0.0)
-    return (log2q, mu, v, f) if vectors else log2q
+    return log2q, mu, v, f
 
 
 def _log2_q(rho: HermitianOperator, sigma: HermitianOperator, p: AlphaZ) -> float:
     """log2 Q_{alpha,z}, after the support case split of the definition.
 
     -inf when alpha < 1 and the states are orthogonal, +inf when alpha > 1
-    and supp(rho) is not contained in supp(sigma).
+    and supp(rho) is not contained in supp(sigma). On a shared basis the
+    core's spectrum is the elementwise product r^(alpha/z) s^beta.
     """
     if p.alpha < 1.0:
         if is_orthogonal(rho, sigma):
             return -math.inf
     elif not is_dominated(rho, sigma):
         return math.inf
-    core = _core(hermitian_part(_power(rho, p.alpha / (2.0 * p.z))), hermitian_part(_power(sigma, p.beta)))
-    return float(_core_spectrum(core, p.z))
+    a = p.alpha / (2.0 * p.z)
+    joint = _joint_spectrum(rho, sigma)
+    if joint is None:
+        mu = np.linalg.eigvalsh(_core(hermitian_part(_power(rho, a)), hermitian_part(_power(sigma, p.beta))))
+    else:
+        r, s, _ = joint
+        half = _power_values(r, a)
+        mu = np.sort(half * half * _power_values(s, p.beta))
+    # the power 1 is the support cut of the core's spectrum
+    return float(_log2_sum_powers_rows(_power_values(mu, 1.0)[None, :], p.z)[0])
 
 
 def q_alpha_z(rho: DensityMatrix, sigma: HermitianOperator, p: AlphaZ) -> float:
@@ -196,7 +197,7 @@ def d_alpha_z(rho: DensityMatrix, sigma: HermitianOperator, p: AlphaZ) -> float:
 
 def d_min(rho: DensityMatrix, sigma: HermitianOperator) -> float:
     """Min-relative entropy -log2 Tr(Pi(rho) sigma): sigma's weight on supp(rho)."""
-    overlap = float(np.sum(_weights_on(sigma, _support_split(rho)[0])))
+    overlap = float(np.sum(_split_weights(sigma, rho, True)[1]))
     if overlap <= 0.0:
         return math.inf
     return -math.log2(overlap)
@@ -214,9 +215,8 @@ def d_umegaki(rho: DensityMatrix, sigma: HermitianOperator) -> float:
     wr = eig_hermitian(rho).eigenvalues
     keep = _support_mask(wr)
     ent = float(np.sum(wr[keep] * np.log2(wr[keep])))
-    es = eig_hermitian(sigma)
-    keep_s = _support_mask(es.eigenvalues)
-    cross = float(np.dot(np.log2(es.eigenvalues[keep_s]), _weights_on(rho, es.vectors[:, keep_s])))
+    s, weights = _split_weights(rho, sigma, True)
+    cross = float(np.dot(np.log2(s), weights))
     return ent - cross
 
 

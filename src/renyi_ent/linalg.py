@@ -7,7 +7,8 @@ fractional matrix powers are taken in the generalized-inverse sense: the
 eigenvalues below the cut map to zero regardless of the exponent, so
 ``H ** 0`` is the support projector. Support containment and orthogonality
 are decided from the weight an operator puts on the other one's cached
-support or kernel eigenvectors, never from d x d projectors.
+support or kernel eigenvectors, never from d x d projectors; on a shared
+basis those weights are its own eigenvalues.
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ def as_partition(dims: Partition | Iterable[int]) -> Partition:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (real, ascending) and a unitary of column eigenvectors."""
+    """Eigenvalues (real, ascending), a unitary of column eigenvectors and, for a spectrum
+    given at construction, each column's construction position ``order`` (None after an ``eigh``)."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    order: np.ndarray | None = None
 
 
 Spectrum = Callable[[], tuple[np.ndarray, np.ndarray]]
@@ -117,7 +120,8 @@ class HermitianOperator:
         cls, w: np.ndarray, vectors: np.ndarray, partition: Partition | Iterable[int]
     ) -> HermitianOperator:
         """The Hermitian part of V diag(w) V† (orthonormal columns V), with (w, V) as its spectrum."""
-        w, v = np.asarray(w, dtype=float), np.asarray(vectors, dtype=complex)
+        w, v = np.asarray(w, dtype=float), np.asarray(vectors)
+        v = v.astype(np.result_type(v, float))  # a real basis stays real
         op = cls(hermitian_part((v * w) @ v.conj().T), partition, lambda: (w, v))
         eig_hermitian(op)
         return op
@@ -140,6 +144,7 @@ class HermitianOperator:
     def _eig(self) -> EigenDecomposition:
         """The spectrum from the construction-time ``spectrum`` (sorted ascending, then dropped) or one ``eigh``."""
         spectrum = self.__dict__.pop("_spectrum", None)
+        order = None
         if spectrum is None:
             w, v = np.linalg.eigh(self.entries)
         else:
@@ -148,16 +153,17 @@ class HermitianOperator:
             w, v = w[order], v[:, order]
         w.flags.writeable = False
         v.flags.writeable = False
-        return EigenDecomposition(eigenvalues=w, vectors=v)
+        return EigenDecomposition(eigenvalues=w, vectors=v, order=order)
+
+    @property
+    def _spectrum_known(self) -> bool:
+        """Whether the spectrum is cached or given at construction, so reading it runs no ``eigh``."""
+        return "_eig" in self.__dict__ or "_spectrum" in self.__dict__
 
     @cached_property
     def _top(self) -> tuple[float, np.ndarray]:
-        """The top eigenpair (lambda_max, unit vector), without a full decomposition.
-
-        Read from the spectrum when it is cached or known by construction,
-        else found by :func:`_krylov_top`.
-        """
-        if "_eig" in self.__dict__ or "_spectrum" in self.__dict__:
+        """The top eigenpair (lambda_max, unit vector): read from a known spectrum, else by :func:`_krylov_top`."""
+        if self._spectrum_known:
             return float(self._eig.eigenvalues[-1]), self._eig.vectors[:, -1]
         return _krylov_top(self.entries)
 
@@ -247,25 +253,51 @@ def eig_hermitian(op: HermitianOperator) -> EigenDecomposition:
 
 
 def _support_mask(w: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues above ``SUPPORT_CUT * lambda_max`` (none if lambda_max <= 0)."""
-    return w > SUPPORT_CUT * max(float(w[-1]), 0.0)
+    """Eigenvalues above ``SUPPORT_CUT * lambda_max`` (none if lambda_max <= 0)."""
+    return w > SUPPORT_CUT * max(float(np.max(w)), 0.0)
+
+
+def _power_values(w: np.ndarray, p: float) -> np.ndarray:
+    """The generalized power of eigenvalues: w^p above the support cut, 0 at or below it.
+
+    A value outside the float range raises ValueError naming the exponent.
+    """
+    keep = _support_mask(w)
+    pw = np.zeros_like(w)
+    with np.errstate(over="ignore"):
+        pw[keep] = w[keep] ** p
+    if not np.all(np.isfinite(pw)):
+        raise ValueError(f"matrix power with exponent {p:.6g} overflows the float range")
+    return pw
 
 
 def _power(m: HermitianOperator, p: float) -> np.ndarray:
     """The raw generalized power (v * w^p) @ v† of an operator's cached spectrum, not symmetrized.
 
-    A result outside the float range raises ValueError naming the exponent.
+    A power outside the float range raises ValueError naming the exponent; the
+    entries of the product are bounded by the largest power.
     """
     dec = eig_hermitian(m)
-    w, v = dec.eigenvalues, dec.vectors
-    keep = _support_mask(w)
-    pw = np.zeros_like(w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pw[keep] = w[keep] ** p
-        out = (v * pw) @ v.conj().T
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"matrix power with exponent {p:.6g} overflows the float range")
-    return out
+    v = dec.vectors
+    return (v * _power_values(dec.eigenvalues, p)) @ v.conj().T
+
+
+def _joint_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(wa, wb, V) with a = V diag(wa) V† and b = V diag(wb) V† (V and wa a's cached spectrum), or None.
+
+    Two operators share a basis when both spectra were given at construction and
+    their eigenvector arrays, each put back in construction order, are bitwise
+    equal. No tolerance decides this: a miss only sends the caller down its general route.
+    """
+    if not (a._spectrum_known and b._spectrum_known):
+        return None  # never decompose just to find no construction basis
+    ea, eb = eig_hermitian(a), eig_hermitian(b)
+    if ea.order is None or eb.order is None or ea.vectors.shape != eb.vectors.shape:
+        return None
+    cols = np.argsort(eb.order)[ea.order]  # b's column holding each of a's basis vectors
+    if not np.array_equal(ea.vectors, eb.vectors[:, cols]):
+        return None
+    return ea.eigenvalues, eb.eigenvalues[cols], ea.vectors
 
 
 def matrix_power(op: HermitianOperator, p: float) -> HermitianOperator:
@@ -278,11 +310,18 @@ def matrix_power(op: HermitianOperator, p: float) -> HermitianOperator:
     return wrap(_power(op, p), op.partition)
 
 
-def _support_split(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The operator's cached eigenvectors split at the cut: (support columns, kernel columns)."""
-    dec = eig_hermitian(op)
-    keep = _support_mask(dec.eigenvalues)
-    return dec.vectors[:, keep], dec.vectors[:, ~keep]
+def _split_weights(op: HermitianOperator, other: HermitianOperator, support: bool) -> tuple[np.ndarray, np.ndarray]:
+    """other's eigenvalues on its support (or kernel) and op's weights <u_j| op |u_j> on their eigenvectors u_j.
+
+    On a shared basis those weights are op's own eigenvalues.
+    """
+    joint = _joint_spectrum(op, other)
+    if joint is None:
+        dec = eig_hermitian(other)
+        keep = _support_mask(dec.eigenvalues) == support
+        return dec.eigenvalues[keep], _weights_on(op, dec.vectors[:, keep])
+    keep = _support_mask(joint[1]) == support
+    return joint[1][keep], joint[0][keep]
 
 
 def support_rank(op: HermitianOperator) -> int:
@@ -297,10 +336,10 @@ def _weights_on(op: HermitianOperator, columns: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", columns.conj(), m @ columns).real
 
 
-def _negligible_on(op: HermitianOperator, columns: np.ndarray) -> bool:
-    """Whether the operator's weight on span(columns) is at most SUPPORT_CUT * lambda_max."""
+def _negligible_on(op: HermitianOperator, other: HermitianOperator, support: bool) -> bool:
+    """Whether op's weight on other's support (or kernel) is at most SUPPORT_CUT * lambda_max(op)."""
     top = max(float(eig_hermitian(op).eigenvalues[-1]), 0.0)
-    return float(np.sum(_weights_on(op, columns))) <= SUPPORT_CUT * top
+    return float(np.sum(_split_weights(op, other, support)[1])) <= SUPPORT_CUT * top
 
 
 def _kron_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:

@@ -228,7 +228,7 @@ def _diag_objective(
         live = W > 0
         with np.errstate(divide="ignore"):
             s = np.where(live, W**b_exp, 0.0)[:, :, None] * eye  # the batch of diag(w^beta)
-        log2q, mu, vecs, scaled = _core_spectrum(_core(a_half, s), z, vectors=True)
+        log2q, mu, vecs, scaled = _core_spectrum(_core(a_half, s), z)
         out = log2q / (alpha - 1.0)
         finite = np.isfinite(log2q)
         out[blown_up(W) | ~finite] = math.inf

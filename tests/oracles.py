@@ -8,8 +8,9 @@ overlap, golden-section search, simplex projection) exist only for the
 tests. The serial Lambda^2 ascent runs one restart at a time with one
 3-operand einsum over the whole tensor per party, the reference for the
 batched ascent; the Bloch-angle grid is an exhaustive Lambda^2 reference for
-a qubit first party. The support projector and the report JSON round trip
-are only used by tests. The MC score table is the scalar form of the
+a qubit first party. The support projector, the swap operator with its
+symmetric and antisymmetric projectors, and the report JSON round trip are
+only used by tests. The MC score table is the scalar form of the
 maximally correlated certificate, the reference for its reading of Xi's
 diagonal. ``assert_cached_spectrum_is_exact`` checks a spectrum assembled
 without ``eigh`` against the entries and ``eigvalsh``.
@@ -183,6 +184,22 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam, 0.0)
 
 
+def swap_operator(d: int) -> np.ndarray:
+    m = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            m[i * d + j, j * d + i] = 1.0
+    return m
+
+
+def symmetric_projector(d: int) -> np.ndarray:
+    return (np.eye(d * d) + swap_operator(d)) / 2
+
+
+def antisymmetric_projector(d: int) -> np.ndarray:
+    return (np.eye(d * d) - swap_operator(d)) / 2
+
+
 def support_projector(op):
     """Projector onto the eigenvectors with eigenvalue above the support cut."""
     return matrix_power(op, 0.0)
@@ -239,7 +256,7 @@ def product_overlap_grid(
     v1 = np.array([math.cos(th / 2), math.sin(th / 2) * np.exp(1j * ph)])
     local = np.einsum("a,abcd,c->bd", v1.conj(), tensor, v1)
     _, vv = np.linalg.eigh(hermitian_part(local))
-    return OverlapResult(value=value, witness=(v1, vv[:, -1]), restart_values=())
+    return OverlapResult(value=value, witness=(v1, vv[:, -1]), restart_values=(), restart_sweeps=())
 
 
 def _decode_float(x):
@@ -271,6 +288,7 @@ def report_from_dict(payload: dict) -> CertificateReport:
         value=_decode_float(payload["value"]),
         restart_values=tuple(payload.get("restart_values", ())),
         restart_hits=int(payload.get("restart_hits", 0)),
+        restart_sweeps=tuple(int(n) for n in payload.get("restart_sweeps", ())),
     )
 
 

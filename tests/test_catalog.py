@@ -24,8 +24,7 @@ from renyi_ent import (
     parse_family,
     renyi_entropy,
 )
-from renyi_ent.catalog import antisymmetric_projector, symmetric_projector
-from oracles import assert_cached_spectrum_is_exact
+from oracles import antisymmetric_projector, assert_cached_spectrum_is_exact, symmetric_projector
 from renyi_ent.certificates import commutator_maxnorm, is_maximally_correlated
 
 

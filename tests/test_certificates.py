@@ -34,9 +34,9 @@ from renyi_ent import (
     random_density,
     xi,
 )
-from renyi_ent.certificates import _xi_divided_difference, commutator_maxnorm
+from renyi_ent.certificates import ASCENT_MAX_SWEEPS, _xi_divided_difference, commutator_maxnorm
 from renyi_ent.divergences import LINE_ATOL, is_dominated, is_orthogonal
-from renyi_ent.linalg import support_rank
+from renyi_ent.linalg import _joint_spectrum, support_rank
 from oracles import (
     full_rank_state,
     mc_score_lambda,
@@ -298,8 +298,9 @@ class TestBatchedAscent:
     def test_matches_serial_reference(self, case):
         op = BATCH_CASES[case]()
         res = max_product_overlap(op, restarts=32, seed=5)
-        values, _, _ = product_overlap_serial(op, restarts=32, seed=5)
+        values, sweeps, _ = product_overlap_serial(op, restarts=32, seed=5)
         assert len(res.restart_values) == len(values)
+        assert res.restart_sweeps == tuple(sweeps)
         for got, want in zip(res.restart_values, values):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         assert res.value == max(res.restart_values)
@@ -334,6 +335,13 @@ class TestRestartHits:
         assert report.restart_hits >= 2
         assert report_from_json(report_to_json(report)).restart_hits == want
 
+    def test_sweeps_per_restart(self):
+        family, p = AntisymPair(3), AlphaZ(2.0, 2.0)
+        report = certify_optimizer(build(family), ansatz_optimizer(family, p), p)
+        assert len(report.restart_sweeps) == 64
+        assert all(1 <= n <= ASCENT_MAX_SWEEPS for n in report.restart_sweeps)
+        assert report_from_json(report_to_json(report)).restart_sweeps == report.restart_sweeps
+
     def test_zero_without_a_search(self):
         p = AlphaZ(2.0, 2.0)
         fam = MCBD((0.5, 0.3, 0.2))
@@ -341,6 +349,7 @@ class TestRestartHits:
         rho = random_density(3, 3, seed=4)
         inc = certify_optimizer(rho, density(np.diag(np.real(np.diag(rho.entries))), (3,)), p, free_set="incoherent")
         assert mc.restart_hits == 0 and inc.restart_hits == 0
+        assert mc.restart_sweeps == () and inc.restart_sweeps == ()
 
 
 class TestCertify:
@@ -634,9 +643,40 @@ class TestSpectralCache:
         for module in (certificates, divergences):
             monkeypatch.setattr(module, "_power", recorded)
         family, p = AntisymPair(3), AlphaZ(alpha, z)
-        report = certify_optimizer(build(family), ansatz_optimizer(family, p), p, restarts=4)
+        rho, tau = build(family), ansatz_optimizer(family, p)
+        # built on one basis the pair needs no power at all; rebuilt from its
+        # entries it takes the general routes, whose powers must all be nonzero
+        assert certify_optimizer(rho, tau, p, restarts=4).support_ok and not exponents
+        report = certify_optimizer(*(type(x)(x.entries, x.partition) for x in (rho, tau)), p, restarts=4)
         assert report.support_ok and exponents
         assert 0.0 not in exponents
+
+    def test_shared_basis_budget(self, decompositions, monkeypatch):
+        # built on one basis, the pair certifies by eigenvalue arithmetic:
+        # no full-size decomposition, no commutator and no matrix power
+        import renyi_ent.certificates as certificates
+        import renyi_ent.divergences as divergences
+
+        calls = []
+        for module, name in ((certificates, "commutator_maxnorm"), (certificates, "_power"), (divergences, "_power")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        family, p = AntisymPair(3), AlphaZ(2.0, 2.0)
+        rho = build(family)
+        report = certify_optimizer(rho, ansatz_optimizer(family, p), p)
+        assert report.verdict == "certified-optimal" and report.route == "commuting"
+        assert (81, 81) not in decompositions
+        assert calls == []
+
+        # rebuilt from their entries the operators carry no construction basis
+        rebuilt = [type(x)(x.entries, x.partition) for x in (rho, ansatz_optimizer(family, p))]
+        certify_optimizer(*rebuilt, p, restarts=4)
+        assert calls.count("commutator_maxnorm") == 1
 
     @pytest.mark.parametrize("family", [AntisymPair(2), PureBipartite((0.9, 0.1))])
     @pytest.mark.parametrize("alpha,z", [(0.7, 0.7), (1.0, 1.0), (1.5, 1.2), (2.0, 2.0)])
@@ -667,3 +707,47 @@ class TestSpectralCache:
         with pytest.raises(TypeError, match="rel_cut"):
             fn(*args, rel_cut=rel_cut)
 
+
+
+SHARED_BASIS_FAMILIES = [
+    AntisymPair(2),
+    AntisymPair(3),
+    *(Werner(p, d) for p in (0.0, 0.2) for d in (2, 3)),
+    BellDiagonal((0.75, 0.25, 0.0, 0.0)),
+    BellDiagonal((0.7, 0.15, 0.1, 0.05)),
+]
+
+
+class TestSharedBasis:
+    """A pair built on one basis against the same pair on the general routes."""
+
+    @pytest.mark.parametrize("family", SHARED_BASIS_FAMILIES, ids=repr)
+    @pytest.mark.parametrize("alpha,z", [(2.0, 2.0), (1.5, 1.2), (0.7, 0.7), (1.0, 1.0), (0.5, 0.5), (3.0, 2.0)])
+    def test_matches_general_path(self, family, alpha, z):
+        p = AlphaZ(alpha, z)
+        rho, tau = build(family), ansatz_optimizer(family, p)
+        assert _joint_spectrum(rho, tau) is not None
+        # rebuilt from their entries the operators carry no construction basis
+        general = [type(x)(x.entries, x.partition) for x in (rho, tau)]
+        assert _joint_spectrum(*general) is None
+        fast = certify_optimizer(rho, tau, p, restarts=16, seed=3)
+        slow = certify_optimizer(*general, p, restarts=16, seed=3)
+        assert (fast.support_ok, fast.verdict, fast.route) == (slow.support_ok, slow.verdict, slow.route)
+        for name in ("q_value", "lambda_sq", "value"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), name
+
+    def test_bases_differing_in_one_bit_are_not_shared(self):
+        family = Werner(0.2, 3)
+        rho, tau = build(family), ansatz_optimizer(family, AlphaZ(2.0, 2.0))
+        dec = eig_hermitian(tau)
+        v = dec.vectors.copy()
+        v[0, -1] = np.nextafter(v[0, -1].real, 1.0)
+        nudged = HermitianOperator.from_eigenpairs(dec.eigenvalues, v, tau.partition)
+        assert _joint_spectrum(rho, tau) is not None
+        assert _joint_spectrum(rho, nudged) is None
+
+    def test_no_decomposition_to_find_no_shared_basis(self, decompositions):
+        a, b = (HermitianOperator(np.diag([1.0, 2.0, 3.0]), (3,)) for _ in range(2))
+        assert _joint_spectrum(a, b) is None
+        assert decompositions == []
