@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -216,39 +216,24 @@ def beta_dual(p: AlphaZ) -> float:
     return beta
 
 
-def bell_basis() -> list[np.ndarray]:
-    """The four Bell vectors in the order (Phi+, Phi-, Psi+, Psi-)."""
-    s = 1 / math.sqrt(2)
-    return [
-        np.array([s, 0, 0, s]),
-        np.array([s, 0, 0, -s]),
-        np.array([0, s, s, 0]),
-        np.array([0, s, -s, 0]),
-    ]
+def _dft_basis(dim: int, groups: Sequence[Sequence[int]]) -> np.ndarray:
+    """Orthonormal columns of C^dim, group by group, then e_i for each index in no group.
 
-
-def _werner_basis(d: int) -> np.ndarray:
-    """Real orthonormal columns: |ii> and (|ij> + |ji>)/sqrt2 (symmetric), then (|ij> - |ji>)/sqrt2, i < j."""
-    e = np.eye(d * d)
-    pairs = [(e[i * d + j], e[j * d + i]) for i in range(d) for j in range(i + 1, d)]
-    sym = [e[k] for k in _ii_indices(d)] + [(a + b) / math.sqrt(2) for a, b in pairs]
-    return np.column_stack(sym + [(a - b) / math.sqrt(2) for a, b in pairs])
-
-
-def max_entangled_vector(d: int) -> np.ndarray:
-    v = np.zeros(d * d)
-    v[_ii_indices(d)] = 1.0
-    return v / math.sqrt(d)
-
-
-def mcbd_basis(d: int) -> list[np.ndarray]:
-    """|psi_k> = d^{-1/2} sum_j exp(2 pi i k j / d) |jj>."""
-    out = []
-    for k in range(d):
-        v = np.zeros(d * d, dtype=complex)
-        v[_ii_indices(d)] = np.exp(2j * math.pi * k * np.arange(d) / d)
-        out.append(v / math.sqrt(d))
-    return out
+    A group g of n product-basis indices gives the n columns
+    n^(-1/2) sum_j w^(kj) e_(g_j), k = 0..n-1, with w = exp(2 pi i / n), so
+    column k = 0 is the uniform superposition. The array is real when no
+    group has more than two members.
+    """
+    groups = [*groups, *([i] for i in sorted(set(range(dim)).difference(*groups)))]
+    real = max(map(len, groups)) <= 2
+    v = np.zeros((dim, dim), dtype=float if real else complex)
+    col = 0
+    for g in groups:
+        k = np.arange(len(g))
+        dft = np.exp(2j * math.pi * np.outer(k, k) / len(g)) / math.sqrt(len(g))
+        v[g, col : col + len(g)] = dft.real if real else dft
+        col += len(g)
+    return v
 
 
 def _occupation_types(N: int, d: int) -> dict[tuple[int, ...], list[int]]:
@@ -262,10 +247,47 @@ def _occupation_types(N: int, d: int) -> dict[tuple[int, ...], list[int]]:
     return types
 
 
-def _dicke_vector(N: int, k: tuple[int, ...]) -> np.ndarray:
-    v = np.zeros(len(k) ** N)
-    v[_occupation_types(N, len(k))[tuple(k)]] = 1.0
-    return v / np.linalg.norm(v)
+def _type_probability(t: tuple[int, ...], k: tuple[int, ...]) -> float:
+    """The probability of occupation type t in sum(t) draws from the distribution k / sum(k)."""
+    n = sum(k)
+    weight = float(math.factorial(sum(t)) // math.prod(math.factorial(x) for x in t))
+    for tj, kj in zip(t, k):
+        if tj > 0:
+            weight *= (kj / n) ** tj
+    return weight
+
+
+def _on_basis(family: StateFamily, weights) -> DensityMatrix:
+    """The state with eigenvalues ``weights``, padded with zeros, on the family's one eigenbasis (:func:`_dft_basis`).
+
+    Index groups: Bell {00, 11}, {01, 10}, giving (Phi+, Phi-, Psi+, Psi-);
+    Werner each |ii>, then each {ij, ji} (i < j), giving the symmetric and
+    antisymmetric pair vectors; Dicke the occupation types, each giving its
+    Dicke vector first; isotropic, MCBD and GHZ the product states |j...j>,
+    giving the maximally entangled (GHZ) vector first, then every other
+    product state.
+    """
+    if isinstance(family, BellDiagonal):
+        dims, groups = (2, 2), [[0, 3], [1, 2]]
+    elif isinstance(family, Werner):
+        d = family.d
+        dims = (d, d)
+        groups = [[i] for i in _ii_indices(d)] + [[i * d + j, j * d + i] for i in range(d) for j in range(i + 1, d)]
+    elif isinstance(family, Dicke):
+        dims, groups = (family.d,) * family.N, list(_occupation_types(family.N, family.d).values())
+    else:
+        parties = family.M if isinstance(family, GHZ) else 2
+        dims = (family.d,) * parties
+        groups = [np.arange(family.d) * sum(family.d**m for m in range(parties))]
+    w = np.zeros(math.prod(dims))
+    w[: len(weights)] = weights
+    return DensityMatrix.from_eigenpairs(w, _dft_basis(w.size, groups), dims)
+
+
+def _dicke_weights(family: Dicke, weight: Callable[[tuple[int, ...]], float]) -> np.ndarray:
+    """``weight(t)`` on the Dicke vector of each occupation type t, 0 on the type's other columns."""
+    types = _occupation_types(family.N, family.d)
+    return np.concatenate([np.r_[weight(t), np.zeros(len(g) - 1)] for t, g in types.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -273,40 +295,33 @@ def _dicke_vector(N: int, k: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _isotropic_matrix(F: float, d: int) -> np.ndarray:
-    phi = max_entangled_vector(d)
-    proj = np.outer(phi, phi)
-    return (1.0 - F) / (d * d - 1.0) * (np.eye(d * d) - proj) + F * proj
-
-
 def build(family: StateFamily) -> DensityMatrix:
-    """Construct the density matrix of a named family with its natural partition."""
+    """Construct the density matrix of a named family with its natural partition.
+
+    Bell-diagonal, Werner, isotropic, Dicke, MCBD and GHZ states are built
+    from their eigenpairs on the basis of :func:`_on_basis`, which their
+    ansatzes share; an AntisymPair is the merged square of a Werner state.
+    """
     if isinstance(family, BellDiagonal):
-        return DensityMatrix.from_eigenpairs(family.lambdas, np.column_stack(bell_basis()), (2, 2))
+        return _on_basis(family, family.lambdas)
     if isinstance(family, Werner):
         p, d = family.p, family.d
-        sym = d * (d + 1) // 2
-        w = np.repeat([2.0 * p / (d * (d + 1)), 2.0 * (1.0 - p) / (d * (d - 1))], [sym, d * d - sym])
-        return DensityMatrix.from_eigenpairs(w, _werner_basis(d), (d, d))
+        sym, anti = 2.0 * p / (d * (d + 1)), 2.0 * (1.0 - p) / (d * (d - 1))
+        return _on_basis(family, np.r_[np.full(d, sym), np.tile([sym, anti], d * (d - 1) // 2)])
     if isinstance(family, Isotropic):
-        return density(_isotropic_matrix(family.F, family.d), (family.d, family.d))
+        F, d = family.F, family.d
+        return _on_basis(family, np.r_[F, np.full(d * d - 1, (1.0 - F) / (d * d - 1.0))])
     if isinstance(family, Dicke):
-        return pure_density(_dicke_vector(family.N, family.k), (family.d,) * family.N)
+        return _on_basis(family, _dicke_weights(family, lambda t: float(t == family.k)))
     if isinstance(family, MCBD):
-        d = family.d
-        m = sum(w * np.outer(v, v.conj()) for w, v in zip(family.p, mcbd_basis(d)))
-        return density(m, (d, d))
+        return _on_basis(family, family.p)
     if isinstance(family, PureBipartite):
         d = family.d
         v = np.zeros(d * d)
         v[_ii_indices(d)] = [math.sqrt(w) for w in family.p]
         return pure_density(v, (d, d))
     if isinstance(family, GHZ):
-        v = np.zeros(family.d**family.M)
-        step = (family.d**family.M - 1) // (family.d - 1) if family.d > 1 else 0
-        for i in range(family.d):
-            v[i * step] = 1.0
-        return pure_density(v, (family.d,) * family.M)
+        return _on_basis(family, [1.0])
     if isinstance(family, MaximallyCorrelated):
         d = family.d
         m = np.zeros((d * d, d * d), dtype=complex)
@@ -393,17 +408,8 @@ def is_separable_regime(family: StateFamily) -> bool:
     if isinstance(family, Dicke):
         return any(kj == family.N for kj in family.k)
     if isinstance(family, MCBD):
-        return bool(np.allclose(family.p, 1.0 / family.d, atol=PROB_ATOL))
+        return max(abs(x - 1.0 / family.d) for x in family.p) <= PROB_ATOL
     return False
-
-
-def _diag_pairs_state(weights: np.ndarray, d: int, parties: int = 2) -> DensityMatrix:
-    dim = d**parties
-    m = np.zeros((dim, dim))
-    step = (dim - 1) // (d - 1) if d > 1 else 0
-    for i, w in enumerate(weights):
-        m[i * step, i * step] = w
-    return density(m, (d,) * parties)
 
 
 def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
@@ -426,13 +432,14 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
         else:
             q[:] = lam / (2.0 * (1.0 - lam[top]))
             q[top] = 0.5
-        return DensityMatrix.from_eigenpairs(q, np.column_stack(bell_basis()), (2, 2))
+        return _on_basis(family, q)
     if isinstance(family, Werner):
         return build(Werner(0.5, family.d))
     if isinstance(family, Isotropic):
         return build(Isotropic(1.0 / family.d, family.d))
-    if isinstance(family, GHZ):
-        return _diag_pairs_state(np.full(family.d, 1.0 / family.d), family.d, family.M)
+    if isinstance(family, (GHZ, MCBD)):
+        # the even mixture of the product states |j...j>, which span the first d columns
+        return _on_basis(family, np.full(family.d, 1.0 / family.d))
     if isinstance(family, PureBipartite):
         beta = beta_dual(p)
         pv = np.asarray(family.p)
@@ -440,25 +447,14 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
             weights = (pv >= pv.max() - PROB_ATOL).astype(float)
         else:
             weights = np.where(pv > 0, pv**beta, 0.0)
-        weights = weights / weights.sum()
-        return _diag_pairs_state(weights, family.d, 2)
+        w = np.zeros(family.d**2)
+        w[_ii_indices(family.d)] = weights / weights.sum()
+        return density(np.diag(w), (family.d, family.d))
     if isinstance(family, Dicke):
-        d, N = family.d, family.N
-        amps = np.sqrt(np.asarray(family.k, dtype=float) / N)
-        xi_vec = amps.copy()
-        for _ in range(N - 1):
-            xi_vec = np.kron(xi_vec, amps)
-        proj = np.outer(xi_vec, xi_vec)
-        # dephase in total occupation type: zero every cross-type block,
-        # which realizes the phase-average integral exactly
-        m = np.zeros_like(proj)
-        for members in _occupation_types(N, d).values():
-            block = np.ix_(members, members)
-            m[block] = proj[block]
-        return density(m, (d,) * N)
-    if isinstance(family, MCBD):
-        d = family.d
-        return _diag_pairs_state(np.full(d, 1.0 / d), d, 2)
+        # the product state sqrt(k/N)^(x N) dephased in occupation type (the
+        # phase-average integral): each type t keeps its multinomial weight,
+        # on its Dicke vector
+        return _on_basis(family, _dicke_weights(family, lambda t: _type_probability(t, family.k)))
     if isinstance(family, AntisymPair):
         # (d+1)/(2d) rho_+ (x) rho_+ + (d-1)/(2d) rho_- (x) rho_-, built from its
         # eigenpairs: the eigenbasis of rho_- = Werner(0, d) splits P- (its
@@ -503,11 +499,7 @@ def lambda_sq_closed_form(family: StateFamily) -> float:
             raise ValueError(f"isotropic Lambda^2 formula needs F >= 1/d^2, got F = {F}")
         return (F * d + 1.0) / (d * (d + 1.0))
     if isinstance(family, Dicke):
-        weight = float(math.factorial(family.N) // math.prod(math.factorial(x) for x in family.k))
-        for kj in family.k:
-            if kj > 0:
-                weight *= (kj / family.N) ** kj
-        return weight
+        return _type_probability(family.k, family.k)
     if isinstance(family, MCBD):
         return 1.0 / family.d
     if isinstance(family, AntisymPair):

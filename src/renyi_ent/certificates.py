@@ -40,16 +40,10 @@ from .linalg import (
     wrap,
 )
 
-COMMUTING_TOL = 1e-10
 ASCENT_MAX_SWEEPS = 1000  # per Lambda^2 restart
 ASCENT_TOL = 1e-12  # a restart stops once a sweep gains at most ASCENT_TOL * max(1, |value|)
 DEGENERACY_RTOL = 1e-12
 TOL_CERT_REL = 1e-7
-
-
-def commutator_maxnorm(a: HermitianOperator, b: HermitianOperator) -> float:
-    am, bm = a.entries, b.entries
-    return float(np.max(np.abs(am @ bm - bm @ am)))
 
 
 def _chi_entries(rho: HermitianOperator, tau: HermitianOperator, alpha: float, z: float) -> np.ndarray:
@@ -113,18 +107,19 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
     """Evaluate Xi_{alpha,z}(rho, tau); the only place an Xi route is chosen.
 
     Route selection:
-      * the boundary lines z = 1 - alpha and z = alpha - 1 (|beta| = 1 with
-        beta = (1-alpha)/z), where Xi = chi_{alpha,1-alpha} exactly.
-      * commuting pair (max|[rho, tau]| <= 1e-10 * max|rho| * max|tau|):
-        Xi = rho^alpha tau^(-alpha).
+      * a pair built on one basis V, rho = V diag(r) V† and tau = V diag(t) V†
+        (:func:`linalg._joint_spectrum`), is eigenvalue arithmetic, Xi = V diag(x) V†:
+        on the boundary lines x = a2 mu^(-alpha) with a2 = (r^(alpha/2(1-alpha)))^2
+        and mu = a2 t the core's spectrum (route "boundary-line"), elsewhere
+        x = (r/t)^alpha on both supports (route "commuting").
+      * any other pair on the boundary lines z = 1 - alpha and z = alpha - 1
+        (|beta| = 1 with beta = (1-alpha)/z): Xi = chi_{alpha,1-alpha} exactly.
       * otherwise :func:`_xi_divided_difference`.
 
-    A pair built on one basis V, rho = V diag(r) V† and tau = V diag(t) V†
-    (:func:`linalg._joint_spectrum`), takes the first two routes as Xi = V diag(x) V†
-    with the same powers and cuts: x = a2 mu^(-alpha) on the lines, a2 =
-    (r^(alpha/2(1-alpha)))^2 and mu = a2 t the core's spectrum, else x = r^alpha t^(-alpha).
-    The formula is evaluated for any positive (alpha, z); membership of the
-    DPI region is only enforced by the certification entry points.
+    The powers and support cuts are the generalized ones of the general
+    routes, and a power outside the float range raises ValueError naming the
+    exponent. The formula is evaluated for any positive (alpha, z); membership
+    of the DPI region is only enforced by the certification entry points.
     """
     if float(eig_hermitian(tau).eigenvalues[-1]) <= 0.0:
         raise ValueError("tau has empty support")
@@ -135,14 +130,13 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
             a2 = _power_values(r, p.alpha / (2.0 * (1.0 - p.alpha))) ** 2
             x, route = a2 * _power_values(a2 * _power_values(t, 1.0), -p.alpha), "boundary-line"
         else:
-            x, route = _power_values(r, p.alpha) * _power_values(t, -p.alpha), "commuting"
+            # one power of the ratio, which stays in range where r^alpha or t^(-alpha) would not
+            keep = _support_mask(r) & _support_mask(t)
+            x, route = _power_values(r / np.where(keep, t, 1.0), p.alpha, keep), "commuting"
         return XiEvaluation(wrap((v * x) @ v.conj().T, rho.partition), route)
     if p.on_reverse_line or p.on_lower_line:
         m = _chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)
         return XiEvaluation(wrap(m, rho.partition), "boundary-line")
-    if commutator_maxnorm(rho, tau) <= COMMUTING_TOL * rho.max_abs() * tau.max_abs():
-        m = _power(rho, p.alpha) @ _power(tau, -p.alpha)
-        return XiEvaluation(wrap(m, rho.partition), "commuting")
     return _xi_divided_difference(rho, tau, p)
 
 

@@ -257,12 +257,12 @@ def _support_mask(w: np.ndarray) -> np.ndarray:
     return w > SUPPORT_CUT * max(float(np.max(w)), 0.0)
 
 
-def _power_values(w: np.ndarray, p: float) -> np.ndarray:
-    """The generalized power of eigenvalues: w^p above the support cut, 0 at or below it.
+def _power_values(w: np.ndarray, p: float, keep: np.ndarray | None = None) -> np.ndarray:
+    """The generalized power of eigenvalues: w^p on ``keep`` (default: above the support cut), 0 elsewhere.
 
     A value outside the float range raises ValueError naming the exponent.
     """
-    keep = _support_mask(w)
+    keep = _support_mask(w) if keep is None else keep
     pw = np.zeros_like(w)
     with np.errstate(over="ignore"):
         pw[keep] = w[keep] ** p

@@ -13,7 +13,11 @@ symmetric and antisymmetric projectors, and the report JSON round trip are
 only used by tests. The MC score table is the scalar form of the
 maximally correlated certificate, the reference for its reading of Xi's
 diagonal. ``assert_cached_spectrum_is_exact`` checks a spectrum assembled
-without ``eigh`` against the entries and ``eigvalsh``.
+without ``eigh`` against the entries and ``eigvalsh``. ``commutator_maxnorm``
+tests that a pair commutes as a hypothesis, independent of how it was
+built, and ``family_reference`` writes the isotropic, MCBD, GHZ and Dicke
+states and ansatzes out by their defining formulas, independent of the
+eigenbasis the library builds them on.
 """
 
 import json
@@ -23,7 +27,19 @@ import string
 import numpy as np
 import scipy.integrate
 
-from renyi_ent import AlphaZ, CertificateReport, DensityMatrix, d_alpha_z, density, matrix_power, random_density
+from renyi_ent import (
+    GHZ,
+    MCBD,
+    AlphaZ,
+    CertificateReport,
+    DensityMatrix,
+    Dicke,
+    Isotropic,
+    d_alpha_z,
+    density,
+    matrix_power,
+    random_density,
+)
 from renyi_ent.linalg import eig_hermitian, hermitian_part
 from renyi_ent.certificates import ASCENT_MAX_SWEEPS, ASCENT_TOL, OverlapResult, _chi_entries, _initial_vectors, chi, report_to_dict
 
@@ -320,3 +336,73 @@ def mc_score_lambda(rho: DensityMatrix, tau, p: AlphaZ) -> float:
         diag_chi = np.real(np.diag(_chi_entries(rho, tau, p.alpha, p.z)))[idx]
         scores[live] = t[live] ** (p.beta - 1.0) * diag_chi[live]
     return float(np.max(scores))
+
+
+def commutator_maxnorm(a, b) -> float:
+    """max |[a, b]| over the entries."""
+    am, bm = a.entries, b.entries
+    return float(np.max(np.abs(am @ bm - bm @ am)))
+
+
+def _occupation_type_members(N: int, k: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
+    types = {}
+    for flat, idx in enumerate(np.ndindex(*([len(k)] * N))):
+        types.setdefault(tuple(np.bincount(idx, minlength=len(k))), []).append(flat)
+    return types
+
+
+def _projector(v: np.ndarray) -> np.ndarray:
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def family_reference(family, ansatz: bool = False) -> np.ndarray:
+    """The entries of an isotropic, MCBD, GHZ or Dicke state (or, with ``ansatz``, its
+    entangled-regime ansatz) from the defining formulas.
+
+    Isotropic: (1-F)/(d^2-1) (1 - Phi) + F Phi with Phi = |Phi+><Phi+|, the ansatz at
+    F = 1/d. MCBD: sum_k p_k |psi_k><psi_k| with |psi_k> = d^(-1/2) sum_j e^(2 pi i kj/d) |jj>.
+    GHZ: the projector on sum_j |j...j>. The ansatz of both is the even mixture of
+    the |j...j>. Dicke: the projector on the sum over the occupation type k; the ansatz
+    is the product state (sum_j sqrt(k_j/N) |j>)^(x N) with every block between two
+    different occupation types set to zero.
+    """
+    if isinstance(family, Isotropic):
+        d = family.d
+        F = 1.0 / d if ansatz else family.F
+        phi = _projector(np.eye(d * d)[:, np.arange(d) * (d + 1)].sum(axis=1))
+        return (1.0 - F) / (d * d - 1.0) * (np.eye(d * d) - phi) + F * phi
+    if isinstance(family, (MCBD, GHZ)):
+        d = family.d
+        parties = family.M if isinstance(family, GHZ) else 2
+        diagonal = np.arange(d) * sum(d**m for m in range(parties))
+        if ansatz:
+            m = np.zeros((d**parties, d**parties))
+            m[diagonal, diagonal] = 1.0 / d
+            return m
+        if isinstance(family, GHZ):
+            v = np.zeros(d**parties)
+            v[diagonal] = 1.0
+            return _projector(v)
+        m = np.zeros((d * d, d * d), dtype=complex)
+        for k, w in enumerate(family.p):
+            v = np.zeros(d * d, dtype=complex)
+            v[diagonal] = np.exp(2j * math.pi * k * np.arange(d) / d)
+            m += w * _projector(v)
+        return m
+    if isinstance(family, Dicke):
+        types = _occupation_type_members(family.N, family.k)
+        if not ansatz:
+            v = np.zeros(len(family.k) ** family.N)
+            v[types[family.k]] = 1.0
+            return _projector(v)
+        amps = np.sqrt(np.asarray(family.k, dtype=float) / family.N)
+        product = amps
+        for _ in range(family.N - 1):
+            product = np.kron(product, amps)
+        proj = np.outer(product, product)
+        m = np.zeros_like(proj)
+        for members in types.values():
+            m[np.ix_(members, members)] = proj[np.ix_(members, members)]
+        return m
+    raise TypeError(f"no reference for {family!r}")

@@ -17,15 +17,23 @@ from renyi_ent import (
     ansatz_optimizer,
     beta_dual,
     build,
+    certify_optimizer,
     closed_form_value,
+    eig_hermitian,
     family_label,
     is_separable_regime,
     lambda_sq_closed_form,
     parse_family,
     renyi_entropy,
 )
-from oracles import antisymmetric_projector, assert_cached_spectrum_is_exact, symmetric_projector
-from renyi_ent.certificates import commutator_maxnorm, is_maximally_correlated
+from oracles import (
+    antisymmetric_projector,
+    assert_cached_spectrum_is_exact,
+    commutator_maxnorm,
+    family_reference,
+    symmetric_projector,
+)
+from renyi_ent.certificates import is_maximally_correlated
 
 
 class TestRenyiEntropy:
@@ -221,6 +229,25 @@ class TestAnsatz:
         ):
             assert commutator_maxnorm(build(fam), ansatz_optimizer(fam, p)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "family",
+        [Isotropic(0.8, 3), Isotropic(0.9, 2), MCBD((0.5, 0.3, 0.2)), MCBD((0.6, 0.4)), GHZ(3, 3), GHZ(2, 3),
+         Dicke(3, (2, 1)), Dicke(4, (2, 1, 1))],
+        ids=repr,
+    )
+    def test_eigenbasis_builds_match_the_defining_formulas(self, family):
+        p = AlphaZ(2.0, 2.0)
+        for op, ref in ((build(family), family_reference(family)),
+                        (ansatz_optimizer(family, p), family_reference(family, ansatz=True))):
+            assert np.max(np.abs(op.entries - ref)) <= 1e-15 * np.max(np.abs(ref))
+            assert_cached_spectrum_is_exact(op)
+
+    @pytest.mark.parametrize("family", [BellDiagonal((0.7, 0.15, 0.1, 0.05)), Werner(0.2, 3), Werner(0.0, 5)], ids=repr)
+    def test_bell_and_werner_bases_are_real(self, family):
+        # a real basis keeps the products of the pair states (and of their tensor powers) real
+        for op in (build(family), ansatz_optimizer(family, AlphaZ(2.0, 2.0))):
+            assert eig_hermitian(op).vectors.dtype == np.float64
+
 
 class TestAntisymPairSpectra:
     """The pair state and its ansatz carry a spectrum assembled at the single-copy size."""
@@ -264,6 +291,22 @@ class TestSeparableRegime:
         assert is_separable_regime(PureBipartite((1.0, 0.0)))
         assert is_separable_regime(MCBD((0.5, 0.5)))
         assert not is_separable_regime(MCBD((0.6, 0.4)))
+
+    def test_near_uniform_mcbd_is_entangled(self):
+        # 2e-6 from uniform is far outside PROB_ATOL = 1e-12, so the state is
+        # entangled; its value at (1, 1) is only ~1.3e-11
+        fam = MCBD((1 / 3 + 2e-6, 1 / 3 - 1e-6, 1 / 3 - 1e-6))
+        assert not is_separable_regime(fam)
+        for a, z in ((1.0, 1.0), (2.0, 2.0)):
+            p = AlphaZ(a, z)
+            closed = closed_form_value(fam, p)
+            assert closed > 0.0
+            tau = ansatz_optimizer(fam, p)
+            assert np.max(np.abs(tau.entries - family_reference(fam, ansatz=True))) <= 1e-15
+            report = certify_optimizer(build(fam), tau, p, restarts=8)
+            assert report.verdict == "certified-optimal"
+            # log2 Q of Q = 1 + ~1e-11 carries ~1e-16 absolute error
+            assert abs(report.value - closed) <= 1e-12
 
 
 class TestDescriptors:

@@ -5,6 +5,7 @@ import pytest
 
 from renyi_ent import (
     GHZ,
+    DensityMatrix,
     HermitianOperator,
     MaximallyCorrelated,
     AlphaZ,
@@ -34,10 +35,11 @@ from renyi_ent import (
     random_density,
     xi,
 )
-from renyi_ent.certificates import ASCENT_MAX_SWEEPS, _xi_divided_difference, commutator_maxnorm
+from renyi_ent.certificates import ASCENT_MAX_SWEEPS, _xi_divided_difference
 from renyi_ent.divergences import LINE_ATOL, is_dominated, is_orthogonal
 from renyi_ent.linalg import _joint_spectrum, support_rank
 from oracles import (
+    commutator_maxnorm,
     full_rank_state,
     mc_score_lambda,
     product_overlap_grid,
@@ -50,6 +52,14 @@ from oracles import (
 )
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+
+
+def shared_basis_pair(w_rho, w_tau, seed: int = 3):
+    """rho and tau (a HermitianOperator) built from eigenpairs on one random unitary basis of C^n."""
+    rng = np.random.default_rng(seed)
+    n = len(w_rho)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return DensityMatrix.from_eigenpairs(w_rho, u, (n,)), HermitianOperator.from_eigenpairs(w_tau, u, (n,))
 
 
 class TestChi:
@@ -89,10 +99,8 @@ class TestXi:
         tau = ansatz_optimizer(BellDiagonal((0.75, 0.25, 0.0, 0.0)), AlphaZ(2.0, 2.0))
         ev = xi(rho, tau, AlphaZ(2.0, 1.5))
         assert ev.route == "commuting"
-        # in the Bell basis: diag(.75^2/.5^2, .25^2/.5^2, 0, 0)
-        from renyi_ent.catalog import bell_basis
-
-        basis = np.column_stack(bell_basis())
+        # in the Bell basis (Phi+, Phi-, Psi+, Psi-): diag(.75^2/.5^2, .25^2/.5^2, 0, 0)
+        basis = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]]) / np.sqrt(2)
         diag = np.real(np.diag(basis.conj().T @ ev.xi.entries @ basis))
         assert np.allclose(diag, [2.25, 0.25, 0.0, 0.0], atol=1e-10)
 
@@ -107,16 +115,16 @@ class TestXi:
         assert xi(rho, tau, AlphaZ(0.4, 0.6)).route == "boundary-line"
         assert xi(rho, tau, AlphaZ(3.0, 2.0)).route == "boundary-line"
         assert xi(rho, tau, AlphaZ(2.0, 2.0)).route == "divided-difference"
-        assert xi(rho, rho, AlphaZ(2.0, 2.0)).route == "commuting"
-        assert _xi_divided_difference(rho, rho, AlphaZ(2.0, 2.0)).route == "divided-difference"
+        # a commuting pair counts as one only when built on one basis
+        assert xi(rho, rho, AlphaZ(2.0, 2.0)).route == "divided-difference"
+        shared, _ = shared_basis_pair([0.5, 0.3, 0.2], [0.4, 0.35, 0.25])
+        assert xi(shared, shared, AlphaZ(2.0, 2.0)).route == "commuting"
+        assert xi(shared, shared, AlphaZ(3.0, 2.0)).route == "boundary-line"
+        assert _xi_divided_difference(shared, shared, AlphaZ(2.0, 2.0)).route == "divided-difference"
 
     def test_commuting_fast_path_matches_general(self):
-        # random pair with a common (non-computational) eigenbasis
-        rng = np.random.default_rng(3)
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        u, _ = np.linalg.qr(g)
-        rho = density(u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T, (3,))
-        tau = density(u @ np.diag([0.4, 0.35, 0.25]) @ u.conj().T, (3,))
+        # random pair built on one common (non-computational) eigenbasis
+        rho, tau = shared_basis_pair([0.5, 0.3, 0.2], [0.4, 0.35, 0.25])
         for a, z in [(0.5, 1.0), (2.0, 2.0), (1.0, 1.0), (0.9, 0.9)]:
             p = AlphaZ(a, z)
             fast = xi(rho, tau, p)
@@ -144,9 +152,10 @@ class TestXi:
             assert err <= 1e-12 * np.max(np.abs(ref.xi.entries))
 
     def test_commuting_test_is_relative(self):
-        rho = random_density(3, 3, 6)
+        w = np.array([0.5, 0.3, 0.2])
         for c in (1e-12, 1.0, 1e8):
-            assert xi(rho, HermitianOperator(c * rho.entries, (3,)), AlphaZ(2.0, 2.0)).route == "commuting"
+            rho, tau = shared_basis_pair(w, c * w)
+            assert xi(rho, tau, AlphaZ(2.0, 2.0)).route == "commuting"
 
     @pytest.mark.parametrize("a,z", [(0.3, 0.8), (1.0, 1.0), (2.0, 2.0)])
     def test_trace_against_tau_gives_q(self, a, z):
@@ -653,12 +662,12 @@ class TestSpectralCache:
 
     def test_shared_basis_budget(self, decompositions, monkeypatch):
         # built on one basis, the pair certifies by eigenvalue arithmetic:
-        # no full-size decomposition, no commutator and no matrix power
+        # no full-size decomposition and no matrix power
         import renyi_ent.certificates as certificates
         import renyi_ent.divergences as divergences
 
         calls = []
-        for module, name in ((certificates, "commutator_maxnorm"), (certificates, "_power"), (divergences, "_power")):
+        for module, name in ((certificates, "_power"), (divergences, "_power")):
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original):
@@ -673,10 +682,11 @@ class TestSpectralCache:
         assert (81, 81) not in decompositions
         assert calls == []
 
-        # rebuilt from their entries the operators carry no construction basis
+        # rebuilt from their entries the operators carry no construction basis,
+        # so the pair takes the general route and its matrix powers
         rebuilt = [type(x)(x.entries, x.partition) for x in (rho, ansatz_optimizer(family, p))]
-        certify_optimizer(*rebuilt, p, restarts=4)
-        assert calls.count("commutator_maxnorm") == 1
+        assert certify_optimizer(*rebuilt, p, restarts=4).route == "divided-difference"
+        assert "_power" in calls
 
     @pytest.mark.parametrize("family", [AntisymPair(2), PureBipartite((0.9, 0.1))])
     @pytest.mark.parametrize("alpha,z", [(0.7, 0.7), (1.0, 1.0), (1.5, 1.2), (2.0, 2.0)])
@@ -715,6 +725,11 @@ SHARED_BASIS_FAMILIES = [
     *(Werner(p, d) for p in (0.0, 0.2) for d in (2, 3)),
     BellDiagonal((0.75, 0.25, 0.0, 0.0)),
     BellDiagonal((0.7, 0.15, 0.1, 0.05)),
+    Isotropic(0.8, 3),
+    MCBD((0.5, 0.3, 0.2)),
+    GHZ(3, 3),
+    GHZ(2, 3),
+    Dicke(3, (2, 1)),
 ]
 
 
@@ -732,10 +747,22 @@ class TestSharedBasis:
         assert _joint_spectrum(*general) is None
         fast = certify_optimizer(rho, tau, p, restarts=16, seed=3)
         slow = certify_optimizer(*general, p, restarts=16, seed=3)
-        assert (fast.support_ok, fast.verdict, fast.route) == (slow.support_ok, slow.verdict, slow.route)
+        assert (fast.support_ok, fast.verdict) == (slow.support_ok, slow.verdict)
+        # off the lines the rebuilt pair takes the divided-difference route
+        assert fast.route == ("boundary-line" if p.on_reverse_line or p.on_lower_line else "commuting")
+        assert slow.route == ("boundary-line" if p.on_reverse_line or p.on_lower_line else "divided-difference")
         for name in ("q_value", "lambda_sq", "value"):
             a, b = getattr(fast, name), getattr(slow, name)
             assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), name
+
+    def test_table1_pairs_share_their_basis(self):
+        from renyi_ent.cli import DEFAULT_GRID, DEFAULT_TABLE1_FAMILIES
+
+        for family in DEFAULT_TABLE1_FAMILIES:
+            if isinstance(family, PureBipartite):
+                continue
+            for a, z in DEFAULT_GRID:
+                assert _joint_spectrum(build(family), ansatz_optimizer(family, AlphaZ(a, z))) is not None, (family, a, z)
 
     def test_bases_differing_in_one_bit_are_not_shared(self):
         family = Werner(0.2, 3)

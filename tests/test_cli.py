@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from renyi_ent import HermitianOperator, density, pure_density, random_density, save_operator_json
+from renyi_ent import (
+    AlphaZ,
+    HermitianOperator,
+    Werner,
+    closed_form_value,
+    density,
+    pure_density,
+    random_density,
+    save_operator_json,
+)
 from renyi_ent import cli
 from renyi_ent.cli import main
 
@@ -227,9 +236,9 @@ class TestCertify:
         assert "(2, 2)" in err and "(4,)" in err
 
     def test_overflowing_power_exits_2_with_one_line(self, capsys):
-        # alpha = z = 1000 is inside the DPI region, but tau^((1-alpha)/z)'s
-        # sandwich overflows the float range
-        code, out, err = run(capsys, ["certify", "werner:p=0.2,d=3", "ansatz", "--alpha", "1000", "--z", "1000"])
+        # alpha = z = 1600 is inside the DPI region, but Xi's eigenvalues
+        # (r/t)^alpha reach 1.6^1600 ~ 1e326, outside the float range
+        code, out, err = run(capsys, ["certify", "werner:p=0.2,d=3", "ansatz", "--alpha", "1600", "--z", "1600"])
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and "exponent" in err
@@ -241,6 +250,14 @@ class TestCertify:
         code, out, err = run(capsys, ["certify", "werner:p=0.2,d=3", "ansatz", "--alpha", "900", "--z", "899"])
         assert code == 0 and err == ""
         assert json.loads(out)["verdict"] == "certified-optimal"
+        # at alpha = z = 1000 Xi's eigenvalues (r/t)^alpha reach ~1e204, though
+        # t^(-alpha) alone would overflow
+        code, out, err = run(capsys, ["certify", "werner:p=0.2,d=3", "ansatz", "--alpha", "1000", "--z", "1000"])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["verdict"] == "certified-optimal"
+        closed = closed_form_value(Werner(0.2, 3), AlphaZ(1000.0, 1000.0))
+        assert abs(report["value"] - closed) <= 1e-9
 
     def test_ansatz_needs_descriptor_even_for_a_path_with_colon(self, tmp_path, capsys):
         folder = tmp_path / "run:1"
