@@ -46,12 +46,16 @@ DEGENERACY_RTOL = 1e-12
 TOL_CERT_REL = 1e-7
 
 
-def _chi_entries(rho: HermitianOperator, tau: HermitianOperator, alpha: float, z: float) -> np.ndarray:
-    """chi = a C^(z-1) a = (a V mu^(z-1))(a V)† from the core C = a tau^((1-alpha)/z) a, a = rho^(alpha/2z)."""
+def _chi_entries(rho: HermitianOperator, tau: HermitianOperator, alpha: float, z: float) -> tuple[np.ndarray, float]:
+    """chi = a C^(z-1) a = (a V mu^(z-1))(a V)† from the core C = a tau^((1-alpha)/z) a, a = rho^(alpha/2z).
+
+    Also returns log2 Tr C^z from the same ``eigh``, which is log2 Q at (alpha, z)
+    when z > 0, before the support case split of :func:`divergences._log2_q`.
+    """
     a = _power(rho, alpha / (2.0 * z))
-    _, mu, v, _ = _core_spectrum(_core(a, _power(tau, (1.0 - alpha) / z)), z)
+    log2q, mu, v, _ = _core_spectrum(_core(a, _power(tau, (1.0 - alpha) / z)), z)
     av = a @ v
-    return hermitian_part((av * _power_values(mu, z - 1.0)) @ av.conj().T)
+    return hermitian_part((av * _power_values(mu, z - 1.0)) @ av.conj().T), float(log2q)
 
 
 def chi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> HermitianOperator:
@@ -62,7 +66,7 @@ def chi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> HermitianOpera
     """
     if p.on_umegaki_line:
         raise ValueError("chi is not defined at alpha = 1; xi handles that limit")
-    return wrap(_chi_entries(rho, tau, p.alpha, p.z), rho.partition)
+    return wrap(_chi_entries(rho, tau, p.alpha, p.z)[0], rho.partition)
 
 
 def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
@@ -101,6 +105,9 @@ class XiEvaluation:
 
     xi: HermitianOperator
     route: str  # "boundary-line" | "commuting" | "divided-difference"
+    # log2 Q from the core that chi decomposed, off the Umegaki line on the
+    # divided-difference route; None elsewhere
+    log2q: float | None = None
 
 
 def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
@@ -135,7 +142,7 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
             x, route = _power_values(r / np.where(keep, t, 1.0), p.alpha, keep), "commuting"
         return XiEvaluation(wrap((v * x) @ v.conj().T, rho.partition), route)
     if p.on_reverse_line or p.on_lower_line:
-        m = _chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)
+        m, _ = _chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)
         return XiEvaluation(wrap(m, rho.partition), "boundary-line")
     return _xi_divided_difference(rho, tau, p)
 
@@ -149,11 +156,11 @@ def _xi_divided_difference(rho: HermitianOperator, tau: HermitianOperator, p: Al
     """
     dec = eig_hermitian(tau)
     w, u = dec.eigenvalues, dec.vectors
-    chi_m = rho.entries if p.on_umegaki_line else _chi_entries(rho, tau, p.alpha, p.z)
+    chi_m, log2q = (rho.entries, None) if p.on_umegaki_line else _chi_entries(rho, tau, p.alpha, p.z)
     t = np.where(_support_mask(w), w, 0.0)
     coeff = u.conj().T @ chi_m @ u
     m = u @ (_phi_divided_difference(t, p) * coeff) @ u.conj().T
-    return XiEvaluation(wrap(m, rho.partition), "divided-difference")
+    return XiEvaluation(wrap(m, rho.partition), "divided-difference", log2q)
 
 
 def in_support_set(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> bool:
@@ -368,7 +375,7 @@ def _certify(
     _require_same_partition(rho, tau)
     support_ok = in_support_set(rho, tau, p)
     ev = xi(rho, tau, p)
-    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p)
+    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p, ev.log2q)
 
     if columns is None:
         res = max_product_overlap(ev.xi, restarts=restarts, seed=seed)

@@ -132,18 +132,22 @@ def _core_spectrum(core: np.ndarray, z: float):
     return log2q, mu, v, f
 
 
-def _log2_q(rho: HermitianOperator, sigma: HermitianOperator, p: AlphaZ) -> float:
+def _log2_q(rho: HermitianOperator, sigma: HermitianOperator, p: AlphaZ, core_log2q: float | None = None) -> float:
     """log2 Q_{alpha,z}, after the support case split of the definition.
 
     -inf when alpha < 1 and the states are orthogonal, +inf when alpha > 1
-    and supp(rho) is not contained in supp(sigma). On a shared basis the
-    core's spectrum is the elementwise product r^(alpha/z) s^beta.
+    and supp(rho) is not contained in supp(sigma). Past that split a given
+    ``core_log2q`` is returned: log2 Tr C^z read from a decomposition of the
+    core C already made (``certificates.xi`` makes one for chi). On a shared
+    basis the core's spectrum is the elementwise product r^(alpha/z) s^beta.
     """
     if p.alpha < 1.0:
         if is_orthogonal(rho, sigma):
             return -math.inf
     elif not is_dominated(rho, sigma):
         return math.inf
+    if core_log2q is not None:
+        return core_log2q
     a = p.alpha / (2.0 * p.z)
     joint = _joint_spectrum(rho, sigma)
     if joint is None:

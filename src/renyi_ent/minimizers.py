@@ -11,6 +11,9 @@ Value and exact gradient come from one eigendecomposition per step, and a run
 stops when max_j r_j - 1 on the support, the certificate's own relative
 margin, falls to 1e-12. Inside the DPI region any local minimum is global, so
 a small multi-start is only a guard against stalls at the simplex boundary.
+The starts run in lockstep as the rows of one batched objective call per
+step, each with its own step size and stopping test, so every start follows
+the iterates it would follow alone.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ class SimplexRun(NamedTuple):
     per_start: tuple[float, ...]
     iterations: tuple[int, ...]
     stop_reason: str  # of the run that gave ``weights``
+    stop_reasons: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -89,75 +93,94 @@ class SimplexSolution:
     per_start: tuple[float, ...]
     iterations: tuple[int, ...]  # accepted steps, per start
     stop_reason: str  # "stationary" | "max-iters" | "no-descent", of the best start
+    stop_reasons: tuple[str, ...]  # per start
     certificate: CertificateReport | None = None
 
 
-def _evaluate(f, w: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(f(w), r, stationarity gap max_j r_j - 1 over the support of w).
+def _ratios(f, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f on the rows of W, r = -ln2 * gradient, and each row's gap max_j r_j - 1 over its support.
 
     r >= 0 in exact arithmetic; the clip keeps a rounded-negative diagonal
-    entry of rho from producing a negative weight.
+    entry of rho from producing a negative weight. A row without support has gap inf.
     """
-    values, grads = f(w[None, :])
-    r = np.maximum(-_LN2 * grads[0], 0.0)
-    live = w > 0
-    gap = float(np.max(r[live])) - 1.0 if np.any(live) else math.inf
-    return float(values[0]), r, gap
-
-
-def _fixed_point(f, w0: np.ndarray, theta0: float) -> tuple[float, np.ndarray, int, str]:
-    """One run of w <- normalize(w r^theta) from ``w0``: (value, w, steps, stop reason).
-
-    A step is accepted when it does not raise f, or raises it by float noise
-    while lowering the stationarity gap; otherwise theta halves.
-    """
-    w = np.maximum(np.asarray(w0, dtype=float), 0.0)
-    w = w / w.sum()
-    fw, r, gap = _evaluate(f, w)
-    if not math.isfinite(fw):
-        w = np.full_like(w, 1.0 / w.size)
-        fw, r, gap = _evaluate(f, w)
-        if not math.isfinite(fw):
-            return fw, w, 0, "no-descent"
-    for it in range(MAX_ITERS):
-        if gap <= _STATIONARY_TOL:
-            return fw, w, it, "stationary"
-        theta = theta0
-        noise = _NOISE_REL * max(1.0, abs(fw))
-        while True:
-            step = w * r**theta
-            step /= step.sum()
-            fs, rs, gs = _evaluate(f, step)
-            if fs <= fw or (fs <= fw + noise and gs < gap):
-                break
-            theta /= 2.0
-            if theta < _MIN_THETA:
-                return fw, w, it, "no-descent"
-        w, fw, r, gap = step, fs, rs, gs
-    return fw, w, MAX_ITERS, "stationary" if gap <= _STATIONARY_TOL else "max-iters"
+    values, grads = f(W)
+    r = np.maximum(-_LN2 * grads, 0.0)
+    live = W > 0
+    gaps = np.where(live.any(axis=1), np.max(np.where(live, r, -math.inf), axis=1) - 1.0, math.inf)
+    return np.array(values, dtype=float), r, gaps
 
 
 def minimize_simplex(
     problem: SimplexProblem, opts: SolverOptions | None = None, warm: np.ndarray | None = None
 ) -> SimplexRun:
-    """Multi-start fixed-point solve; the best run plus per-start values and steps."""
+    """Multi-start fixed-point solve; the best run plus per-start values, steps and stop reasons.
+
+    Each start runs w <- normalize(w r^theta). A step is accepted when it does
+    not raise f, or raises it by float noise while lowering the stationarity
+    gap; otherwise that start's theta halves, and it is reset after an
+    accepted step. The starts advance in lockstep, as the rows of one
+    objective call per step, and each leaves the batch on its own stopping
+    test: "stationary", "max-iters" after MAX_ITERS accepted steps, or
+    "no-descent" once theta falls below _MIN_THETA. A start whose value is
+    not finite moves to the uniform point, and ends "no-descent" with 0 steps
+    if that is not finite either.
+    """
     opts = opts or SolverOptions()
-    d = problem.dimension
+    d, f, theta0 = problem.dimension, problem.objective, problem.theta
     rng = np.random.default_rng(opts.seed)
     starts = []
     if warm is not None:
         starts.append(np.asarray(warm, dtype=float))
     while len(starts) < opts.starts:
         starts.append(rng.dirichlet(np.ones(d)))
+    w = np.maximum(np.array(starts), 0.0)
+    w /= w.sum(axis=1, keepdims=True)
+    fw, r, gap = _ratios(f, w)
+    bad = ~np.isfinite(fw)
+    if bad.any():
+        w[bad] = 1.0 / d
+        fw[bad], r[bad], gap[bad] = _ratios(f, w[bad])
+
+    steps = np.zeros(len(starts), dtype=int)
+    theta = np.full(len(starts), theta0)
+    reasons = np.full(len(starts), "", dtype=object)
+
+    def settle(rows: np.ndarray) -> None:
+        """The stopping tests of rows at an accepted point; stationarity wins."""
+        reasons[rows[steps[rows] >= MAX_ITERS]] = "max-iters"
+        reasons[rows[gap[rows] <= _STATIONARY_TOL]] = "stationary"
+
+    settle(np.arange(len(starts)))
+    reasons[~np.isfinite(fw)] = "no-descent"
+    active = np.flatnonzero(reasons == "")
+    while active.size:
+        # one scalar power per distinct theta, as a start run alone takes it:
+        # numpy evaluates r**0.5 as sqrt(r), which an array of exponents would not
+        trial, thetas = np.empty((active.size, d)), theta[active]
+        for t in set(thetas.tolist()):
+            same = thetas == t
+            trial[same] = w[active[same]] * r[active[same]] ** t
+        trial /= trial.sum(axis=1, keepdims=True)
+        fs, rs, gs = _ratios(f, trial)
+        old = fw[active]
+        noise = _NOISE_REL * np.maximum(1.0, np.abs(old))
+        ok = (fs <= old) | ((fs <= old + noise) & (gs < gap[active]))
+        accepted, rejected = active[ok], active[~ok]
+        w[accepted], fw[accepted], r[accepted], gap[accepted] = trial[ok], fs[ok], rs[ok], gs[ok]
+        steps[accepted] += 1
+        theta[accepted] = theta0
+        theta[rejected] /= 2.0
+        reasons[rejected[theta[rejected] < _MIN_THETA]] = "no-descent"
+        settle(accepted)
+        active = active[reasons[active] == ""]
+
     best = (math.inf, np.full(d, 1.0 / d), "no-descent")
-    values, steps = [], []
-    for s0 in starts:
-        val, s, it, reason = _fixed_point(problem.objective, s0, problem.theta)
-        values.append(val)
-        steps.append(it)
+    for val, s, reason in zip(fw, w, reasons):
         if val < best[0]:
-            best = (val, s, reason)
-    return SimplexRun(best[0], best[1], tuple(values), tuple(steps), best[2])
+            best = (float(val), s.copy(), reason)
+    return SimplexRun(
+        best[0], best[1], tuple(float(v) for v in fw), tuple(int(n) for n in steps), best[2], tuple(reasons)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ the fixed-point simplex solver. The small helpers at the end (product-state
 overlap, golden-section search, simplex projection) exist only for the
 tests. The serial Lambda^2 ascent runs one restart at a time with one
 3-operand einsum over the whole tensor per party, the reference for the
-batched ascent; the Bloch-angle grid is an exhaustive Lambda^2 reference for
+batched ascent, and ``simplex_serial`` runs the simplex solver's starts one
+after another with 1-row objective calls, the reference for its lockstep
+starts; the Bloch-angle grid is an exhaustive Lambda^2 reference for
 a qubit first party. The support projector, the swap operator with its
 symmetric and antisymmetric projectors, and the report JSON round trip are
 only used by tests. The MC score table is the scalar form of the
@@ -40,6 +42,7 @@ from renyi_ent import (
     matrix_power,
     random_density,
 )
+from renyi_ent import minimizers
 from renyi_ent.linalg import eig_hermitian, hermitian_part
 from renyi_ent.certificates import ASCENT_MAX_SWEEPS, ASCENT_TOL, OverlapResult, _chi_entries, _initial_vectors, chi, report_to_dict
 
@@ -165,6 +168,69 @@ def product_overlap_serial(op, restarts: int = 64, seed: int = 0):
         sweeps.append(count)
         witnesses.append(tuple(vecs))
     return values, sweeps, witnesses
+
+
+def _simplex_evaluate(f, w: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(f(w), r, stationarity gap max_j r_j - 1 over the support of w) from a 1-row objective call."""
+    values, grads = f(w[None, :])
+    r = np.maximum(-math.log(2.0) * grads[0], 0.0)
+    live = w > 0
+    gap = float(np.max(r[live])) - 1.0 if np.any(live) else math.inf
+    return float(values[0]), r, gap
+
+
+def _simplex_fixed_point(f, w0: np.ndarray, theta0: float) -> tuple[float, np.ndarray, int, str]:
+    """One run of w <- normalize(w r^theta) from ``w0``: (value, w, steps, stop reason)."""
+    w = np.maximum(np.asarray(w0, dtype=float), 0.0)
+    w = w / w.sum()
+    fw, r, gap = _simplex_evaluate(f, w)
+    if not math.isfinite(fw):
+        w = np.full_like(w, 1.0 / w.size)
+        fw, r, gap = _simplex_evaluate(f, w)
+        if not math.isfinite(fw):
+            return fw, w, 0, "no-descent"
+    for it in range(minimizers.MAX_ITERS):
+        if gap <= minimizers._STATIONARY_TOL:
+            return fw, w, it, "stationary"
+        theta = theta0
+        noise = minimizers._NOISE_REL * max(1.0, abs(fw))
+        while True:
+            step = w * r**theta
+            step /= step.sum()
+            fs, rs, gs = _simplex_evaluate(f, step)
+            if fs <= fw or (fs <= fw + noise and gs < gap):
+                break
+            theta /= 2.0
+            if theta < minimizers._MIN_THETA:
+                return fw, w, it, "no-descent"
+        w, fw, r, gap = step, fs, rs, gs
+    return fw, w, minimizers.MAX_ITERS, "stationary" if gap <= minimizers._STATIONARY_TOL else "max-iters"
+
+
+def simplex_serial(problem, opts=None, warm=None) -> minimizers.SimplexRun:
+    """The multi-start fixed-point solve with its starts run one after another, 1-row calls only.
+
+    Same starts, acceptance test, theta schedule, stopping tests and tie rule
+    as :func:`minimizers.minimize_simplex`, read from the library's constants.
+    """
+    opts = opts or minimizers.SolverOptions()
+    d = problem.dimension
+    rng = np.random.default_rng(opts.seed)
+    starts = []
+    if warm is not None:
+        starts.append(np.asarray(warm, dtype=float))
+    while len(starts) < opts.starts:
+        starts.append(rng.dirichlet(np.ones(d)))
+    best = (math.inf, np.full(d, 1.0 / d), "no-descent")
+    values, steps, reasons = [], [], []
+    for s0 in starts:
+        val, s, it, reason = _simplex_fixed_point(problem.objective, s0, problem.theta)
+        values.append(val)
+        steps.append(it)
+        reasons.append(reason)
+        if val < best[0]:
+            best = (val, s, reason)
+    return minimizers.SimplexRun(best[0], best[1], tuple(values), tuple(steps), best[2], tuple(reasons))
 
 
 def golden_section_1d(objective, bracket: tuple[float, float], tol: float = 1e-10) -> tuple[float, float]:
@@ -331,9 +397,9 @@ def mc_score_lambda(rho: DensityMatrix, tau, p: AlphaZ) -> float:
     if p.on_umegaki_line:
         scores[live] = np.real(np.diag(rho.entries))[idx][live] / t[live]
     elif p.on_reverse_line or p.on_lower_line:
-        scores = np.real(np.diag(_chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)))[idx]
+        scores = np.real(np.diag(_chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)[0]))[idx]
     else:
-        diag_chi = np.real(np.diag(_chi_entries(rho, tau, p.alpha, p.z)))[idx]
+        diag_chi = np.real(np.diag(_chi_entries(rho, tau, p.alpha, p.z)[0]))[idx]
         scores[live] = t[live] ** (p.beta - 1.0) * diag_chi[live]
     return float(np.max(scores))
 

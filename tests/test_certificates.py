@@ -637,6 +637,19 @@ class TestSpectralCache:
         assert report.verdict == "certified-optimal"
         assert decompositions.count((rho.dim, rho.dim)) <= 1
 
+    @pytest.mark.parametrize("alpha,z", [(2.0, 2.0), (0.7, 0.9)])
+    def test_general_route_reads_q_from_chi(self, decompositions, alpha, z):
+        # on the divided-difference route log2 Q comes from the eigh of the
+        # core that chi decomposes: that eigh and the last Ritz step of Xi's
+        # Krylov top eigenvector are the only full-size decompositions
+        p = AlphaZ(alpha, z)
+        rho, tau = (random_density(16, 16, seed, dims=(4, 4)) for seed in (1, 2))
+        decompositions.clear()
+        report = certify_optimizer(rho, tau, p, restarts=8)
+        assert report.route == "divided-difference"
+        assert decompositions.count((16, 16)) == 2
+        assert abs(report.q_value - q_alpha_z(rho, tau, p)) <= 1e-13 * report.q_value
+
     @pytest.mark.parametrize("alpha,z", [(2.0, 2.0), (0.7, 0.7), (0.4, 0.6)])
     def test_support_tests_build_no_projector(self, monkeypatch, alpha, z):
         import renyi_ent.certificates as certificates

@@ -15,6 +15,7 @@ from renyi_ent import (
     d_alpha_z,
     d_umegaki,
     density,
+    minimize_conditional_mc,
     minimize_incoherent,
     minimize_mc,
     pure_density,
@@ -25,7 +26,7 @@ from renyi_ent import (
 )
 from renyi_ent.catalog import Isotropic
 from renyi_ent.catalog import build as build_family
-from oracles import coherence_scan_qubit, full_rank_state, golden_section_1d, project_to_simplex
+from oracles import coherence_scan_qubit, full_rank_state, golden_section_1d, project_to_simplex, simplex_serial
 
 FAST = SolverOptions(starts=2)
 
@@ -299,10 +300,10 @@ class TestSolverMarginsAndCost:
             assert cert.verdict == "certified-optimal", (seed, cert.margin / cert.tol_cert)
             assert cert.margin >= -0.1 * cert.tol_cert, (seed, cert.margin / cert.tol_cert)
             assert sol.stop_reason == "stationary"
-            # one batched eigh per objective evaluation: the start of each
-            # run, its accepted steps and at most one rejected trial per run
-            steps = sum(sol.iterations) + len(sol.iterations)
-            assert calls.count(3) <= steps + len(sol.iterations)
+            # the starts run in lockstep, one batched eigh per step: the
+            # start points, the longest run's accepted steps and at most one
+            # rejected trial; starts run one after another would pay the sum
+            assert calls.count(3) <= max(sol.iterations) + 2
             # the rest belongs to the objective setup and the certificate
             assert len(calls) - calls.count(3) <= 8
             assert max(sol.iterations) <= 100
@@ -327,3 +328,119 @@ class TestSolverOptions:
         sol = minimize_incoherent(rho, AlphaZ(2.0, 2.0), opts=SolverOptions(starts=2))
         assert sol.iterations == (1, 1)
         assert sol.stop_reason == "max-iters"
+
+
+def assert_same_runs(lockstep, serial):
+    """Per start: equal steps and stop reasons, values within 1e-13 relative; the same best start."""
+    assert lockstep.iterations == serial.iterations
+    assert lockstep.stop_reasons == serial.stop_reasons
+    assert lockstep.stop_reason == serial.stop_reason
+    assert np.allclose(lockstep.per_start, serial.per_start, rtol=1e-13, atol=0.0)
+    assert np.isclose(lockstep.value, serial.value, rtol=1e-13, atol=0.0)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every minimize_simplex call made while the test runs, as (lockstep run, serial oracle run)."""
+    pairs = []
+    original = minimizers.minimize_simplex
+
+    def both(problem, opts=None, warm=None):
+        run = original(problem, opts, warm)
+        pairs.append((run, simplex_serial(problem, opts, warm)))
+        return run
+
+    monkeypatch.setattr(minimizers, "minimize_simplex", both)
+    return pairs
+
+
+class TestLockstepMatchesSerial:
+    """The lockstep starts follow the iterates of the one-start-at-a-time solve."""
+
+    @pytest.mark.parametrize("a,z", MARGIN_POINTS)
+    def test_incoherent(self, a, z, solves):
+        for seed in (100, 101):
+            minimize_incoherent(full_rank_state(4, seed), AlphaZ(a, z))
+        assert len(solves) == 2
+        for pair in solves:
+            assert_same_runs(*pair)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("a,z", [(0.5, 0.5), (0.7, 0.9), (1.0, 1.0), (1.5, 1.2), (2.0, 2.0), (3.0, 2.0)])
+    def test_mc_and_conditional(self, d, a, z, solves):
+        rho = random_mc_state(d, 90 + d)
+        minimize_mc(rho, AlphaZ(a, z))
+        minimize_conditional_mc(rho, AlphaZ(a, z))
+        assert len(solves) == 2
+        for pair in solves:
+            assert_same_runs(*pair)
+
+    def test_single_start_and_max_iters(self, solves, monkeypatch):
+        rho = full_rank_state(3, 84)
+        minimize_incoherent(rho, AlphaZ(2.0, 2.0), opts=SolverOptions(starts=1))
+        monkeypatch.setattr(minimizers, "MAX_ITERS", 1)
+        minimize_incoherent(rho, AlphaZ(2.0, 2.0))
+        minimize_mc(random_mc_state(3, 93), AlphaZ(0.7, 0.9))
+        assert [len(run.iterations) for run, _ in solves] == [1, 8, 8]
+        assert set(solves[1][0].stop_reasons) == {"max-iters"}
+        for pair in solves:
+            assert_same_runs(*pair)
+
+    def test_rejected_trials_halve_and_reset_theta(self):
+        # undamped at alpha = 3 the map overshoots: rejected trials halve
+        # theta, and each accepted step resets it
+        from renyi_ent.minimizers import _diag_objective
+
+        rho = full_rank_state(4, 100)
+        rows = []
+        f = _diag_objective(rho.entries, AlphaZ(3.0, 3.0), np.real(np.diag(rho.entries)))
+
+        def counted(S):
+            rows.append(S.shape[0])
+            return f(S)
+
+        problem = minimizers.SimplexProblem(counted, 4, 1.0)
+        run = minimizers.minimize_simplex(problem, SolverOptions(), np.real(np.diag(rho.entries)))
+        # rows evaluated beyond the start points and the accepted steps
+        assert sum(rows) - len(run.iterations) - sum(run.iterations) >= 100
+        assert_same_runs(run, simplex_serial(problem, SolverOptions(), np.real(np.diag(rho.entries))))
+
+        # a map that only climbs: every trial is rejected until theta < _MIN_THETA
+        c = np.arange(3.0)
+
+        def climbing(S):
+            values = S @ c
+            return values, -(c / values[:, None]) / math.log(2.0)
+
+        problem = minimizers.SimplexProblem(climbing, 3)
+        run = minimizers.minimize_simplex(problem, SolverOptions(starts=3))
+        assert run.stop_reasons == ("no-descent",) * 3 and run.iterations == (0, 0, 0)
+        assert_same_runs(run, simplex_serial(problem, SolverOptions(starts=3)))
+
+    def test_non_finite_start_falls_back_to_uniform(self):
+        from renyi_ent.minimizers import _diag_objective
+
+        # alpha > 1: a zero weight under rho-mass makes the start's value infinite
+        rho = full_rank_state(3, 85)
+        p = AlphaZ(2.0, 2.0)
+        f = _diag_objective(rho.entries, p, np.real(np.diag(rho.entries)))
+        problem = minimizers.SimplexProblem(f, 3, 0.5)
+        warm = np.array([0.0, 0.5, 0.5])
+        assert not np.isfinite(f(warm[None, :])[0][0])
+        run = minimizers.minimize_simplex(problem, SolverOptions(starts=3), warm)
+        serial = simplex_serial(problem, SolverOptions(starts=3), warm)
+        assert_same_runs(run, serial)
+        assert run.iterations[0] >= 1 and run.stop_reasons[0] == "stationary"
+        # from the uniform point the first start reaches the others' optimum
+        assert abs(run.per_start[0] - run.value) <= 1e-12 * abs(run.value)
+
+    def test_nowhere_finite_gives_uniform_no_descent(self):
+        def f(S):
+            return np.full(S.shape[0], math.inf), np.zeros_like(S)
+
+        problem = minimizers.SimplexProblem(f, 3)
+        run = minimizers.minimize_simplex(problem, SolverOptions(starts=2), np.array([1.0, 0.0, 0.0]))
+        assert_same_runs(run, simplex_serial(problem, SolverOptions(starts=2), np.array([1.0, 0.0, 0.0])))
+        assert run.iterations == (0, 0) and run.stop_reasons == ("no-descent", "no-descent")
+        assert run.stop_reason == "no-descent" and run.value == math.inf
+        assert np.array_equal(run.weights, np.full(3, 1.0 / 3.0))
