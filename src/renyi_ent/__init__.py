@@ -5,7 +5,6 @@ from .linalg import (
     DensityMatrix,
     EigenDecomposition,
     HermitianOperator,
-    Partition,
     density,
     eig_hermitian,
     load_density_json,

@@ -10,7 +10,7 @@ product states only; that maximum is written Lambda^2 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,7 +66,7 @@ def chi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> HermitianOpera
     """
     if p.on_umegaki_line:
         raise ValueError("chi is not defined at alpha = 1; xi handles that limit")
-    return wrap(_chi_entries(rho, tau, p.alpha, p.z)[0], rho.partition)
+    return wrap(_chi_entries(rho, tau, p.alpha, p.z)[0], rho.dims)
 
 
 def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
@@ -115,10 +115,11 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
 
     Route selection:
       * a pair built on one basis V, rho = V diag(r) V† and tau = V diag(t) V†
-        (:func:`linalg._joint_spectrum`), is eigenvalue arithmetic, Xi = V diag(x) V†:
-        on the boundary lines x = a2 mu^(-alpha) with a2 = (r^(alpha/2(1-alpha)))^2
-        and mu = a2 t the core's spectrum (route "boundary-line"), elsewhere
-        x = (r/t)^alpha on both supports (route "commuting").
+        (:func:`linalg._joint_spectrum`), is eigenvalue arithmetic, Xi = V diag(x) V†
+        with x = (r/t)^alpha on both supports at every (alpha, z); on the boundary
+        lines (route "boundary-line") this is chi_{alpha,1-alpha} = a2 (a2 t)^(-alpha),
+        a2 = r^(alpha/(1-alpha)), and elsewhere (route "commuting") the commuting
+        form of the kernel.
       * any other pair on the boundary lines z = 1 - alpha and z = alpha - 1
         (|beta| = 1 with beta = (1-alpha)/z): Xi = chi_{alpha,1-alpha} exactly.
       * otherwise :func:`_xi_divided_difference`.
@@ -130,20 +131,20 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
     """
     if float(eig_hermitian(tau).eigenvalues[-1]) <= 0.0:
         raise ValueError("tau has empty support")
+    on_line = p.on_reverse_line or p.on_lower_line
     joint = _joint_spectrum(rho, tau)
     if joint is not None:
         r, t, v = joint
-        if p.on_reverse_line or p.on_lower_line:
-            a2 = _power_values(r, p.alpha / (2.0 * (1.0 - p.alpha))) ** 2
-            x, route = a2 * _power_values(a2 * _power_values(t, 1.0), -p.alpha), "boundary-line"
-        else:
-            # one power of the ratio, which stays in range where r^alpha or t^(-alpha) would not
-            keep = _support_mask(r) & _support_mask(t)
-            x, route = _power_values(r / np.where(keep, t, 1.0), p.alpha, keep), "commuting"
-        return XiEvaluation(wrap((v * x) @ v.conj().T, rho.partition), route)
-    if p.on_reverse_line or p.on_lower_line:
+        # one power of the ratio, which stays in range where r^alpha or t^(-alpha) would not
+        keep = _support_mask(r) & _support_mask(t)
+        x = _power_values(r / np.where(keep, t, 1.0), p.alpha, keep)
+        # wrapped without its eigenpairs (x, v) on purpose: from_eigenpairs would skip the Krylov
+        # top vector (a few ms at 625 dims), but Lambda^2's restart 0 would then start from one
+        # column of a degenerate top eigenspace, which on AntisymPair stops below the best value
+        return XiEvaluation(wrap((v * x) @ v.conj().T, rho.dims), "boundary-line" if on_line else "commuting")
+    if on_line:
         m, _ = _chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)
-        return XiEvaluation(wrap(m, rho.partition), "boundary-line")
+        return XiEvaluation(wrap(m, rho.dims), "boundary-line")
     return _xi_divided_difference(rho, tau, p)
 
 
@@ -160,7 +161,7 @@ def _xi_divided_difference(rho: HermitianOperator, tau: HermitianOperator, p: Al
     t = np.where(_support_mask(w), w, 0.0)
     coeff = u.conj().T @ chi_m @ u
     m = u @ (_phi_divided_difference(t, p) * coeff) @ u.conj().T
-    return XiEvaluation(wrap(m, rho.partition), "divided-difference", log2q)
+    return XiEvaluation(wrap(m, rho.dims), "divided-difference", log2q)
 
 
 def in_support_set(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> bool:
@@ -355,7 +356,7 @@ class CertificateReport:
 
 
 def _require_same_partition(rho: DensityMatrix, tau: HermitianOperator) -> None:
-    if rho.partition != tau.partition:
+    if rho.dims != tau.dims:
         raise ValueError(f"rho has partition {rho.dims} but tau has partition {tau.dims}")
 
 
@@ -427,7 +428,6 @@ def certify_optimizer(
     tau: HermitianOperator,
     p: AlphaZ,
     free_set: str = "sep",
-    coherence_basis: np.ndarray | None = None,
     restarts: int = 64,
     seed: int = 0,
 ) -> CertificateReport:
@@ -435,14 +435,13 @@ def certify_optimizer(
 
     For ``free_set="sep"`` Lambda^2 is found by multi-start alternating
     maximization over pure product states; for ``free_set="incoherent"`` the
-    extreme points are basis states, so Lambda^2 is the largest diagonal entry
-    of Xi in the coherence basis (identity by default).
+    extreme points are computational basis states, so Lambda^2 is the largest
+    diagonal entry of Xi (for another basis, rotate rho and tau into it first).
     """
     if free_set == "sep":
         return _certify(rho, tau, p, free_set, restarts=restarts, seed=seed)
     if free_set == "incoherent":
-        basis = np.eye(rho.dim) if coherence_basis is None else np.asarray(coherence_basis, dtype=complex)
-        return _certify(rho, tau, p, free_set, basis)
+        return _certify(rho, tau, p, free_set, np.eye(rho.dim))
     raise ValueError(f"unknown free set {free_set!r}")
 
 
@@ -457,6 +456,11 @@ def is_maximally_correlated(rho: DensityMatrix) -> bool:
     return float(np.max(np.abs(rho.entries - proj))) <= 1e-10 * rho.max_abs()
 
 
+def _require_mc(rho: DensityMatrix) -> None:
+    if not is_maximally_correlated(rho):
+        raise ValueError("rho is not maximally correlated in the |ii> basis within 1e-10 * max|entry|")
+
+
 def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> CertificateReport:
     """Certification of tau in T_rho for a maximally correlated rho.
 
@@ -465,8 +469,7 @@ def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ)
     so no Lambda^2 search is needed: this is the incoherent check on the
     columns |ll>. ``route`` names the Xi route.
     """
-    if not is_maximally_correlated(rho):
-        raise ValueError("rho is not maximally correlated in the declared basis")
+    _require_mc(rho)
     _require_same_partition(rho, tau)
     idx = _ii_indices(rho.dims[0])
     off = tau.entries.copy()
@@ -481,30 +484,17 @@ def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ)
 # ---------------------------------------------------------------------------
 
 
-def _encode_float(x: float | None):
-    if x is None:
-        return None
-    return float(x) if math.isfinite(x) else _fmt(x)
+def _encode_float(x):
+    """A value in JSON form: a non-finite float as its text ("inf", "nan"), a tuple as a list."""
+    if isinstance(x, tuple):
+        return [_encode_float(v) for v in x]
+    if isinstance(x, float):
+        return float(x) if math.isfinite(x) else _fmt(x)
+    return x
 
 
 def report_to_dict(report: CertificateReport) -> dict:
-    return {
-        "alpha": report.alpha,
-        "z": report.z,
-        "free_set": report.free_set,
-        "support_ok": report.support_ok,
-        "lambda_sq": _encode_float(report.lambda_sq),
-        "q_value": _encode_float(report.q_value),
-        "margin": _encode_float(report.margin),
-        "verdict": report.verdict,
-        "witness": [
-            {"re": v.real.tolist(), "im": v.imag.tolist()} for v in report.witness
-        ],
-        "tol_cert": report.tol_cert,
-        "route": report.route,
-        "beta": report.beta,
-        "value": _encode_float(report.value),
-        "restart_values": list(report.restart_values),
-        "restart_hits": report.restart_hits,
-        "restart_sweeps": list(report.restart_sweeps),
-    }
+    """Every report field under its own name; each witness vector as {"re": [...], "im": [...]}."""
+    out = {f.name: _encode_float(getattr(report, f.name)) for f in fields(report)}
+    out["witness"] = [{"re": v.real.tolist(), "im": v.imag.tolist()} for v in report.witness]
+    return out

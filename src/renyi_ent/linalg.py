@@ -36,33 +36,6 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Ordered local dimensions of the tensor factors an operator acts on."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims:
-            raise ValueError("partition must have at least one factor")
-        if any(d < 1 for d in dims):
-            raise ValueError(f"local dimensions must be >= 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
-
-    @property
-    def nparties(self) -> int:
-        return len(self.dims)
-
-
-def as_partition(dims: Partition | Iterable[int]) -> Partition:
-    return dims if isinstance(dims, Partition) else Partition(tuple(dims))
-
-
-@dataclass(frozen=True)
 class EigenDecomposition:
     """Eigenvalues (real, ascending), a unitary of column eigenvectors and, for a spectrum
     given at construction, each column's construction position ``order`` (None after an ``eigh``)."""
@@ -77,12 +50,13 @@ Spectrum = Callable[[], tuple[np.ndarray, np.ndarray]]
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """A d x d complex Hermitian matrix tagged with a tensor partition.
+    """A d x d complex Hermitian matrix tagged with the local dimensions ``dims`` of its tensor factors.
 
-    Construction validates that every entry is finite, hermiticity (per-entry
-    tolerance 1e-12 * max|entry|) and that the matrix dimension
-    matches the partition. The stored array is read-only; instances are
-    immutable and compare and hash by identity. The spectrum is computed on
+    Construction validates ``dims`` (at least one factor, each >= 1), that
+    every entry is finite, hermiticity (per-entry tolerance 1e-12 *
+    max|entry|) and that the matrix dimension is the product of ``dims``.
+    The stored array is read-only; instances are immutable and compare and
+    hash by identity. The spectrum is computed on
     first use and kept with the operator, so every spectral query on it
     (powers, support, dominance, Xi) shares that single decomposition. It
     comes from one ``eigh``, unless a known ``spectrum`` is passed at
@@ -92,18 +66,20 @@ class HermitianOperator:
     """
 
     entries: np.ndarray
-    partition: Partition
+    dims: tuple[int, ...]
     spectrum: InitVar[Spectrum | None] = None
 
     def __post_init__(self, spectrum):
-        part = as_partition(self.partition)
+        dims = tuple(int(d) for d in self.dims)
+        if not dims:
+            raise ValueError("partition must have at least one factor")
+        if any(d < 1 for d in dims):
+            raise ValueError(f"local dimensions must be >= 1, got {dims}")
         m = np.array(self.entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] != part.total_dim:
-            raise ValueError(
-                f"matrix dimension {m.shape[0]} does not match partition {part.dims}"
-            )
+        if m.shape[0] != math.prod(dims):
+            raise ValueError(f"matrix dimension {m.shape[0]} does not match partition {dims}")
         scale = float(np.max(np.abs(m)))
         if not math.isfinite(scale):
             raise ValueError("matrix has non-finite entries")
@@ -111,28 +87,22 @@ class HermitianOperator:
             raise ValueError("matrix is not Hermitian within 1e-12 * max|entry|")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "partition", part)
+        object.__setattr__(self, "dims", dims)
         if spectrum is not None:
             object.__setattr__(self, "_spectrum", spectrum)
 
     @classmethod
-    def from_eigenpairs(
-        cls, w: np.ndarray, vectors: np.ndarray, partition: Partition | Iterable[int]
-    ) -> HermitianOperator:
+    def from_eigenpairs(cls, w: np.ndarray, vectors: np.ndarray, dims: Iterable[int]) -> HermitianOperator:
         """The Hermitian part of V diag(w) V† (orthonormal columns V), with (w, V) as its spectrum."""
         w, v = np.asarray(w, dtype=float), np.asarray(vectors)
         v = v.astype(np.result_type(v, float))  # a real basis stays real
-        op = cls(hermitian_part((v * w) @ v.conj().T), partition, lambda: (w, v))
+        op = cls(hermitian_part((v * w) @ v.conj().T), dims, lambda: (w, v))
         eig_hermitian(op)
         return op
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.partition.dims
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
@@ -219,9 +189,9 @@ def _krylov_top(m: np.ndarray) -> tuple[float, np.ndarray]:
         images = np.hstack([images, m @ block])
 
 
-def wrap(matrix: np.ndarray, partition: Partition | Iterable[int]) -> HermitianOperator:
+def wrap(matrix: np.ndarray, dims: Iterable[int]) -> HermitianOperator:
     """Symmetrize a numerically-Hermitian matrix and wrap it."""
-    return HermitianOperator(hermitian_part(np.asarray(matrix, dtype=complex)), partition)
+    return HermitianOperator(hermitian_part(np.asarray(matrix, dtype=complex)), dims)
 
 
 def require_psd(eigenvalues: np.ndarray) -> None:
@@ -236,12 +206,12 @@ def _ii_indices(d: int) -> np.ndarray:
     return np.arange(d) * (d + 1)
 
 
-def density(matrix: np.ndarray, dims: Partition | Iterable[int]) -> DensityMatrix:
+def density(matrix: np.ndarray, dims: Iterable[int]) -> DensityMatrix:
     """Symmetrize a numerically-Hermitian matrix and validate it as a state."""
     return DensityMatrix(hermitian_part(np.asarray(matrix, dtype=complex)), dims)
 
 
-def pure_density(vector: np.ndarray, dims: Partition | Iterable[int]) -> DensityMatrix:
+def pure_density(vector: np.ndarray, dims: Iterable[int]) -> DensityMatrix:
     v = np.asarray(vector, dtype=complex).reshape(-1)
     v = v / np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()), dims)
@@ -307,7 +277,7 @@ def matrix_power(op: HermitianOperator, p: float) -> HermitianOperator:
     exponent; the rest map to ``lam ** p``. ``p == 0`` gives the support
     projector, and an all-zero input returns the zero operator.
     """
-    return wrap(_power(op, p), op.partition)
+    return wrap(_power(op, p), op.dims)
 
 
 def _split_weights(op: HermitianOperator, other: HermitianOperator, support: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +319,7 @@ def _kron_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarr
 
 
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Kronecker product; the partition is the concatenation of both partitions.
+    """Kronecker product; its ``dims`` are both operands' ``dims`` concatenated.
 
     A DensityMatrix when both factors are states. Its spectrum is assembled
     from the factors' spectra (on first use for an operator, at once for a
@@ -364,7 +334,7 @@ def _permuted(
     dims: tuple[int, ...],
     perm: tuple[int, ...],
     spectrum: Spectrum,
-    partition: Iterable[int],
+    new_dims: tuple[int, ...],
 ) -> HermitianOperator:
     """The operator, of type ``cls``, with factor ``perm[j]`` moved to position j; its eigenvectors' rows move alike."""
     n, d = len(dims), entries.shape[0]
@@ -375,7 +345,7 @@ def _permuted(
         return w, _permute_rows(v, dims, perm)
 
     t = entries.reshape(dims + dims).transpose(axes).reshape(d, d)
-    return cls(t, partition, permuted_spectrum)
+    return cls(t, new_dims, permuted_spectrum)
 
 
 def _permute_rows(v: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
@@ -385,7 +355,7 @@ def _permute_rows(v: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -
 
 def permute_factors(op: HermitianOperator, perm: Sequence[int]) -> HermitianOperator:
     """Physically reorder tensor factors so factor ``perm[j]`` becomes factor ``j``; a state stays a state."""
-    n = op.partition.nparties
+    n = len(op.dims)
     perm = tuple(int(j) for j in perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
@@ -407,8 +377,8 @@ def tensor_product_merged(a: HermitianOperator, b: HermitianOperator) -> Hermiti
     The spectrum is the factors' Kronecker spectrum under that permutation,
     and the result is a DensityMatrix when both operands are states.
     """
-    n = a.partition.nparties
-    if n != b.partition.nparties:
+    n = len(a.dims)
+    if n != len(b.dims):
         raise ValueError(
             f"party counts differ: {a.dims} vs {b.dims}; cannot merge parties"
         )
@@ -419,8 +389,8 @@ def tensor_product_merged(a: HermitianOperator, b: HermitianOperator) -> Hermiti
 
 
 def partial_trace(op: HermitianOperator, keep: Iterable[int]) -> HermitianOperator:
-    """Trace out all factors not in ``keep``; the partition restricts to ``keep``."""
-    n = op.partition.nparties
+    """Trace out all factors not in ``keep``; ``dims`` restricts to ``keep``."""
+    n = len(op.dims)
     keep = sorted(set(int(k) for k in keep))
     if not keep:
         raise ValueError("keep must be a non-empty set of factor indices")
@@ -439,7 +409,7 @@ def partial_trace(op: HermitianOperator, keep: Iterable[int]) -> HermitianOperat
 
 def partial_transpose(op: HermitianOperator, flip: Iterable[int]) -> HermitianOperator:
     """Transpose the factors in ``flip``. Applying it twice is the identity."""
-    n = op.partition.nparties
+    n = len(op.dims)
     flip = set(int(f) for f in flip)
     if any(f < 0 or f >= n for f in flip):
         raise ValueError(f"flip indices must lie in 0..{n - 1}, got {sorted(flip)}")
@@ -457,7 +427,7 @@ def partial_transpose(op: HermitianOperator, flip: Iterable[int]) -> HermitianOp
 
 
 def random_density(
-    d: int, rank: int, seed: int, dims: Partition | Iterable[int] | None = None
+    d: int, rank: int, seed: int, dims: Iterable[int] | None = None
 ) -> DensityMatrix:
     """Seeded Ginibre construction G G† / Tr(G G†) with G of shape (d, rank)."""
     if not 1 <= rank <= d:

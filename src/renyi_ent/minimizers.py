@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .certificates import CertificateReport, is_maximally_correlated, marginal_condition_mc, certify_optimizer
+from .certificates import CertificateReport, _require_mc, certify_optimizer, marginal_condition_mc
 from .divergences import AlphaZ, _core, _core_spectrum, _require_dpi
 from .linalg import DensityMatrix, HermitianOperator, _ii_indices, _power, _support_mask, density
 
@@ -292,31 +292,22 @@ def _solve(
 # ---------------------------------------------------------------------------
 
 
-def minimize_incoherent(
-    rho: DensityMatrix,
-    p: AlphaZ,
-    basis: np.ndarray | None = None,
-    opts: SolverOptions | None = None,
-) -> SimplexSolution:
-    """Closest incoherent state: min_s D_{alpha,z}(rho || diag(s)) in ``basis``.
+def minimize_incoherent(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None) -> SimplexSolution:
+    """Closest incoherent state: min_s D_{alpha,z}(rho || diag(s)) in the computational basis.
 
-    Warm-started at the dephased diagonal of rho; the returned sigma is
-    expressed in the original basis, and an incoherent-free-set certificate
-    for it is attached.
+    Warm-started at the dephased diagonal of rho; an incoherent-free-set
+    certificate for the returned sigma is attached. For another basis U,
+    pass U† rho U and conjugate sigma back.
     """
-    d = rho.dim
-    b = np.eye(d, dtype=complex) if basis is None else np.asarray(basis, dtype=complex)
-    rho_b = b.conj().T @ rho.entries @ b
-    run = _solve(rho_b, p, np.real(np.diag(rho_b)), opts)
-    sigma = density(b @ np.diag(run.weights) @ b.conj().T, rho.partition)
-    report = certify_optimizer(rho, sigma, p, free_set="incoherent", coherence_basis=b)
+    run = _solve(rho.entries, p, np.real(np.diag(rho.entries)), opts)
+    sigma = density(np.diag(run.weights), rho.dims)
+    report = certify_optimizer(rho, sigma, p, free_set="incoherent")
     return SimplexSolution(sigma=sigma, certificate=report, **run._asdict())
 
 
 def _compress_mc(rho: DensityMatrix) -> np.ndarray:
     """The d x d coefficient matrix of an MC state under |ii> -> |i>."""
-    if not is_maximally_correlated(rho):
-        raise ValueError("rho is not maximally correlated within 1e-10 * max|entry|")
+    _require_mc(rho)
     idx = _ii_indices(rho.dims[0])
     return rho.entries[np.ix_(idx, idx)].copy()
 
@@ -335,7 +326,7 @@ def minimize_mc(
     run = _solve(small, p, np.real(np.diag(small)), opts)
     m = np.zeros((d * d, d * d))
     m[_ii_indices(d), _ii_indices(d)] = run.weights
-    tau = density(m, rho.partition)
+    tau = density(m, rho.dims)
     report = marginal_condition_mc(rho, tau, p)
     return SimplexSolution(sigma=tau, certificate=report, **run._asdict())
 
@@ -349,8 +340,7 @@ def minimize_conditional_mc(
     through the compressed route, so comparing with :func:`minimize_mc` is a
     genuine two-route check of the conditional-entropy identity.
     """
-    if not is_maximally_correlated(rho):
-        raise ValueError("rho is not maximally correlated within 1e-10 * max|entry|")
+    _require_mc(rho)
     d = rho.dims[0]
     # I_A (x) diag(s) has diagonal w[(i,j)] = s_j; rho mass per B index decides
     # the alpha >= 1 support blow-up

@@ -25,6 +25,7 @@ eigenbasis the library builds them on.
 import json
 import math
 import string
+from dataclasses import fields
 
 import numpy as np
 import scipy.integrate
@@ -341,37 +342,20 @@ def product_overlap_grid(
     return OverlapResult(value=value, witness=(v1, vv[:, -1]), restart_values=(), restart_sweeps=())
 
 
-def _decode_float(x):
-    if x is None:
-        return None
-    if isinstance(x, str):
-        return {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}[x]
-    return float(x)
+def _decode(x):
+    """Undo report_to_dict's encoding of one value: a list back to a tuple, "inf"/"-inf"/"nan" back to floats."""
+    if isinstance(x, list):
+        return tuple(_decode(v) for v in x)
+    return float(x) if x in ("inf", "-inf", "nan") else x
 
 
 def report_from_dict(payload: dict) -> CertificateReport:
-    witness = tuple(
-        np.asarray(v["re"], dtype=float) + 1j * np.asarray(v["im"], dtype=float)
-        for v in payload["witness"]
+    """The report of a :func:`report_to_dict` payload, field by field of CertificateReport."""
+    values = {f.name: _decode(payload[f.name]) for f in fields(CertificateReport)}
+    values["witness"] = tuple(
+        np.asarray(v["re"], dtype=float) + 1j * np.asarray(v["im"], dtype=float) for v in payload["witness"]
     )
-    return CertificateReport(
-        alpha=float(payload["alpha"]),
-        z=float(payload["z"]),
-        free_set=payload["free_set"],
-        support_ok=bool(payload["support_ok"]),
-        lambda_sq=_decode_float(payload["lambda_sq"]),
-        q_value=_decode_float(payload["q_value"]),
-        margin=_decode_float(payload["margin"]),
-        verdict=payload["verdict"],
-        witness=witness,
-        tol_cert=float(payload["tol_cert"]),
-        route=payload["route"],
-        beta=float(payload["beta"]),
-        value=_decode_float(payload["value"]),
-        restart_values=tuple(payload.get("restart_values", ())),
-        restart_hits=int(payload.get("restart_hits", 0)),
-        restart_sweeps=tuple(int(n) for n in payload.get("restart_sweeps", ())),
-    )
+    return CertificateReport(**values)
 
 
 def report_to_json(report: CertificateReport) -> str:

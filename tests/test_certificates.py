@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -35,7 +37,7 @@ from renyi_ent import (
     random_density,
     xi,
 )
-from renyi_ent.certificates import ASCENT_MAX_SWEEPS, _xi_divided_difference
+from renyi_ent.certificates import ASCENT_MAX_SWEEPS, CertificateReport, _xi_divided_difference, report_to_dict
 from renyi_ent.divergences import LINE_ATOL, is_dominated, is_orthogonal
 from renyi_ent.linalg import _joint_spectrum, support_rank
 from oracles import (
@@ -436,15 +438,22 @@ class TestCertify:
         report = certify_optimizer(rho, tau, AlphaZ(2.0, 2.0), restarts=8)
         assert not report.support_ok
         assert report.verdict == "refuted"
-        assert report.q_value == math.inf
-        clone = report_from_json(report_to_json(report))
-        assert clone.q_value == math.inf
+        assert report.q_value == report.margin == math.inf
+        # strict JSON (inf travels as text), and every field comes back as it was
+        clone = report_from_json(json.dumps(report_to_dict(report), allow_nan=False))
+        for f in dataclasses.fields(CertificateReport):
+            a, b = getattr(clone, f.name), getattr(report, f.name)
+            if f.name == "witness":
+                assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+            else:
+                assert a == b and type(a) is type(b), f.name
 
     def test_report_json_round_trip(self):
         fam = BellDiagonal((0.75, 0.25, 0.0, 0.0))
         rho = build(fam)
         p = AlphaZ(2.0, 2.0)
         report = certify_optimizer(rho, ansatz_optimizer(fam, p), p, restarts=8)
+        assert list(report_to_dict(report)) == [f.name for f in dataclasses.fields(CertificateReport)]
         clone = report_from_json(report_to_json(report))
         assert clone.verdict == report.verdict
         assert abs(clone.lambda_sq - report.lambda_sq) <= 1e-15
@@ -669,7 +678,7 @@ class TestSpectralCache:
         # built on one basis the pair needs no power at all; rebuilt from its
         # entries it takes the general routes, whose powers must all be nonzero
         assert certify_optimizer(rho, tau, p, restarts=4).support_ok and not exponents
-        report = certify_optimizer(*(type(x)(x.entries, x.partition) for x in (rho, tau)), p, restarts=4)
+        report = certify_optimizer(*(type(x)(x.entries, x.dims) for x in (rho, tau)), p, restarts=4)
         assert report.support_ok and exponents
         assert 0.0 not in exponents
 
@@ -697,7 +706,7 @@ class TestSpectralCache:
 
         # rebuilt from their entries the operators carry no construction basis,
         # so the pair takes the general route and its matrix powers
-        rebuilt = [type(x)(x.entries, x.partition) for x in (rho, ansatz_optimizer(family, p))]
+        rebuilt = [type(x)(x.entries, x.dims) for x in (rho, ansatz_optimizer(family, p))]
         assert certify_optimizer(*rebuilt, p, restarts=4).route == "divided-difference"
         assert "_power" in calls
 
@@ -756,7 +765,7 @@ class TestSharedBasis:
         rho, tau = build(family), ansatz_optimizer(family, p)
         assert _joint_spectrum(rho, tau) is not None
         # rebuilt from their entries the operators carry no construction basis
-        general = [type(x)(x.entries, x.partition) for x in (rho, tau)]
+        general = [type(x)(x.entries, x.dims) for x in (rho, tau)]
         assert _joint_spectrum(*general) is None
         fast = certify_optimizer(rho, tau, p, restarts=16, seed=3)
         slow = certify_optimizer(*general, p, restarts=16, seed=3)
@@ -777,13 +786,28 @@ class TestSharedBasis:
             for a, z in DEFAULT_GRID:
                 assert _joint_spectrum(build(family), ansatz_optimizer(family, AlphaZ(a, z))) is not None, (family, a, z)
 
+    @pytest.mark.parametrize(
+        "family", [Werner(0.2, 3), BellDiagonal((0.7, 0.15, 0.1, 0.05)), Isotropic(0.8, 3), MCBD((0.5, 0.3, 0.2))], ids=repr
+    )
+    @pytest.mark.parametrize("alpha,z", [(3.0, 2.0), (0.5, 0.5), (0.3, 0.7)])
+    def test_one_xi_formula_on_and_off_the_lines(self, family, alpha, z):
+        # on a shared basis Xi = (r/t)^alpha at every z, so a line point and a
+        # point just off it give the same bits and differ only in the route
+        on, off = AlphaZ(alpha, z), AlphaZ(alpha, z + 1e-6)
+        assert on.on_reverse_line or on.on_lower_line
+        assert not (off.on_reverse_line or off.on_lower_line)
+        rho, tau = build(family), ansatz_optimizer(family, on)
+        a, b = xi(rho, tau, on), xi(rho, tau, off)
+        assert (a.route, b.route) == ("boundary-line", "commuting")
+        assert np.array_equal(a.xi.entries, b.xi.entries)
+
     def test_bases_differing_in_one_bit_are_not_shared(self):
         family = Werner(0.2, 3)
         rho, tau = build(family), ansatz_optimizer(family, AlphaZ(2.0, 2.0))
         dec = eig_hermitian(tau)
         v = dec.vectors.copy()
         v[0, -1] = np.nextafter(v[0, -1].real, 1.0)
-        nudged = HermitianOperator.from_eigenpairs(dec.eigenvalues, v, tau.partition)
+        nudged = HermitianOperator.from_eigenpairs(dec.eigenvalues, v, tau.dims)
         assert _joint_spectrum(rho, tau) is not None
         assert _joint_spectrum(rho, nudged) is None
 

@@ -6,7 +6,6 @@ import pytest
 from renyi_ent import (
     DensityMatrix,
     HermitianOperator,
-    Partition,
     density,
     eig_hermitian,
     load_operator_json,
@@ -31,11 +30,12 @@ def herm(matrix, dims):
 
 class TestTypes:
     def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            Partition(())
-        with pytest.raises(ValueError):
-            Partition((2, 0))
-        assert Partition((2, 3)).total_dim == 6
+        with pytest.raises(ValueError, match="at least one factor"):
+            herm(np.eye(1), ())
+        with pytest.raises(ValueError, match=r"must be >= 1, got \(2, 0\)"):
+            herm(np.eye(2), (2, 0))
+        op = herm(np.eye(6), np.array([2, 3]))
+        assert op.dims == (2, 3) and all(type(d) is int for d in op.dims)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):

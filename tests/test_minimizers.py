@@ -15,6 +15,7 @@ from renyi_ent import (
     d_alpha_z,
     d_umegaki,
     density,
+    marginal_condition_mc,
     minimize_conditional_mc,
     minimize_incoherent,
     minimize_mc,
@@ -131,21 +132,35 @@ class TestMinimizeIncoherent:
             minimize_incoherent(full_rank_state(2, 1), AlphaZ(3.0, 1.0))
 
     def test_basis_covariance(self):
-        # dephasing in a rotated basis equals rotating, dephasing, rotating back
+        # a permutation with phases maps incoherent states to incoherent states,
+        # so the closest one moves with rho and the value stays
         rho = full_rank_state(3, 53)
         p = AlphaZ(2.0, 2.0)
-        rng = np.random.default_rng(54)
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        u, _ = np.linalg.qr(g)
-        rotated = density(u @ rho.entries @ u.conj().T, (3,))
+        phases = np.exp(1j * np.random.default_rng(54).uniform(0.0, 2.0 * np.pi, 3))
+        u = np.eye(3)[:, [2, 0, 1]] * phases
+        moved = density(u @ rho.entries @ u.conj().T, (3,))
         plain = minimize_incoherent(rho, p, opts=FAST)
-        covariant = minimize_incoherent(rotated, p, basis=u, opts=FAST)
+        covariant = minimize_incoherent(moved, p, opts=FAST)
         assert abs(plain.value - covariant.value) <= 1e-8
-        back = u.conj().T @ covariant.sigma.entries @ u
-        assert np.max(np.abs(back - plain.sigma.entries)) <= 1e-5
+        assert np.max(np.abs(u @ plain.sigma.entries @ u.conj().T - covariant.sigma.entries)) <= 1e-5
 
 
 class TestMinimizeMC:
+    def test_non_mc_state_rejected_with_one_message(self):
+        # the certificate and both solvers share one maximal-correlation check
+        rho = random_density(9, 9, seed=7, dims=(3, 3))
+        p = AlphaZ(2.0, 2.0)
+        messages = []
+        for call in (
+            lambda: marginal_condition_mc(rho, rho, p),
+            lambda: minimize_mc(rho, p, opts=FAST),
+            lambda: minimize_conditional_mc(rho, p, opts=FAST),
+        ):
+            with pytest.raises(ValueError, match="rho is not maximally correlated") as exc:
+                call()
+            messages.append(str(exc.value))
+        assert messages == [messages[0]] * 3
+
     def test_bell_state_relative_entropy(self):
         rho = build(PureBipartite((0.5, 0.5)))
         sol = minimize_mc(rho, AlphaZ(1.0, 1.0), opts=FAST)
