@@ -9,10 +9,8 @@ from .linalg import (
     eig_hermitian,
     load_density_json,
     load_operator_json,
-    matrix_power,
     partial_trace,
     partial_transpose,
-    permute_factors,
     pure_density,
     random_density,
     save_operator_json,
@@ -63,8 +61,6 @@ from .minimizers import (
     SimplexRun,
     SimplexSolution,
     SolverOptions,
-    conditional_entropy_mc,
-    minimize_conditional_mc,
     minimize_incoherent,
     minimize_mc,
     minimize_simplex,

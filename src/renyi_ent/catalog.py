@@ -3,9 +3,9 @@ optimizers, and closed-form product-overlap maxima.
 
 Conventions fixed here: logs are base 2; the Bell basis order is
 (Phi+, Phi-, Psi+, Psi-); separability thresholds are closed (boundary
-parameters count as separable). The isotropic closed form contains the
-exponent (alpha-1)/alpha, which is negative for alpha < 1; it is evaluated
-literally and validated against the certificate at the test grid points.
+parameters count as separable). The isotropic closed form's power sum is
+taken in the log domain, so its exponent (alpha-1)/alpha, large and negative
+at small alpha, never underflows.
 """
 
 from __future__ import annotations
@@ -257,6 +257,19 @@ def _type_probability(t: tuple[int, ...], k: tuple[int, ...]) -> float:
     return weight
 
 
+def _party_shape(family: StateFamily) -> tuple[int, int]:
+    """(local dimension, number of parties) of the family's state, read from its parameters alone."""
+    if isinstance(family, BellDiagonal):
+        return 2, 2
+    if isinstance(family, Dicke):
+        return family.d, family.N
+    if isinstance(family, GHZ):
+        return family.d, family.M
+    if isinstance(family, AntisymPair):
+        return family.d**2, 2
+    return family.d, 2
+
+
 def _on_basis(family: StateFamily, weights) -> DensityMatrix:
     """The state with eigenvalues ``weights``, padded with zeros, on the family's one eigenbasis (:func:`_dft_basis`).
 
@@ -267,18 +280,16 @@ def _on_basis(family: StateFamily, weights) -> DensityMatrix:
     giving the maximally entangled (GHZ) vector first, then every other
     product state.
     """
+    d, parties = _party_shape(family)
+    dims = (d,) * parties
     if isinstance(family, BellDiagonal):
-        dims, groups = (2, 2), [[0, 3], [1, 2]]
+        groups = [[0, 3], [1, 2]]
     elif isinstance(family, Werner):
-        d = family.d
-        dims = (d, d)
         groups = [[i] for i in _ii_indices(d)] + [[i * d + j, j * d + i] for i in range(d) for j in range(i + 1, d)]
     elif isinstance(family, Dicke):
-        dims, groups = (family.d,) * family.N, list(_occupation_types(family.N, family.d).values())
+        groups = list(_occupation_types(family.N, d).values())
     else:
-        parties = family.M if isinstance(family, GHZ) else 2
-        dims = (family.d,) * parties
-        groups = [np.arange(family.d) * sum(family.d**m for m in range(parties))]
+        groups = [np.arange(d) * sum(d**m for m in range(parties))]
     w = np.zeros(math.prod(dims))
     w[: len(weights)] = weights
     return DensityMatrix.from_eigenpairs(w, _dft_basis(w.size, groups), dims)
@@ -364,9 +375,12 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
                 out += (1.0 - F) * math.log2(1.0 - F) - (1.0 - F) * math.log2(d - 1.0)
             out += F * math.log2(F)
             return out
-        return math.log2(d) - renyi_entropy(
-            ((1.0 - F) / (d - 1.0) ** ((a - 1.0) / a), F), a
-        )
+        # log2 of the power sum (1-F)^a (d-1)^(1-a) + F^a, in the log domain:
+        # the table's (d-1)^((a-1)/a) underflows at small alpha
+        terms = [a * math.log2(F)]
+        if F < 1.0:
+            terms.append(a * math.log2(1.0 - F) + (1.0 - a) * math.log2(d - 1.0))
+        return math.log2(d) - float(np.logaddexp2.reduce(terms)) / (1.0 - a)
     if isinstance(family, GHZ):
         return math.log2(family.d)
     if isinstance(family, PureBipartite):

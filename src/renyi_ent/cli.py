@@ -31,6 +31,7 @@ from .catalog import (
     StateFamily,
     Werner,
     _DESCRIPTORS,
+    _party_shape,
     ansatz_optimizer,
     build,
     closed_form_value,
@@ -38,7 +39,7 @@ from .catalog import (
     parse_family,
 )
 from .certificates import CertificateReport, _encode_float, certify_optimizer, report_to_dict
-from .divergences import AlphaZ, d_alpha_z, q_alpha_z
+from .divergences import AlphaZ, _d_from_log2, _log2_q, _q_from_log2, d_umegaki
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -75,6 +76,7 @@ DEFAULT_TABLE1_FAMILIES: tuple[StateFamily, ...] = (
 )
 
 TABLE1_TOL = 1e-6
+CERTIFY_DIM_CAP = 2000  # total matrix dimension of any state the CLI builds; the pair state is d^4-dimensional
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -85,6 +87,24 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
+def _capped_dim(label: str, local: int, parties: int) -> int:
+    """local^parties, the dimension of a state about to be built; a ValueError above CERTIFY_DIM_CAP.
+
+    Past cap.bit_length() parties of dimension >= 2 the cap is exceeded, so
+    the exponent is clipped there and no huge power is ever formed.
+    """
+    dim = local ** min(parties, CERTIFY_DIM_CAP.bit_length())
+    if dim > CERTIFY_DIM_CAP:
+        raise ValueError(f"{label} is {local}^{parties}-dimensional, above the dense cap of {CERTIFY_DIM_CAP}")
+    return dim
+
+
+def _build(family: StateFamily) -> DensityMatrix:
+    """The family's state, its size checked against CERTIFY_DIM_CAP before anything is allocated."""
+    _capped_dim(family_label(family), *_party_shape(family))
+    return build(family)
+
+
 def _load_state(arg: str) -> tuple[StateFamily | None, DensityMatrix]:
     """A state argument: a family descriptor (it holds ':' and does not end in .json) or a matrix file.
 
@@ -92,7 +112,7 @@ def _load_state(arg: str) -> tuple[StateFamily | None, DensityMatrix]:
     """
     if ":" in arg and not arg.lower().endswith(".json"):
         family = parse_family(arg)
-        return family, build(family)
+        return family, _build(family)
     return None, _load_psd(arg, state=True)
 
 
@@ -101,7 +121,7 @@ def _certify_ansatz(
 ) -> tuple[DensityMatrix, DensityMatrix, CertificateReport, int]:
     """Build the family and certify its ansatz with --restarts/--seed: (rho, tau, report, wall_ms)."""
     start = time.perf_counter()
-    rho = build(family)
+    rho = _build(family)
     tau = ansatz_optimizer(family, p)
     report = certify_optimizer(rho, tau, p, restarts=args.restarts, seed=args.seed)
     return rho, tau, report, int(round(1000 * (time.perf_counter() - start)))
@@ -137,8 +157,11 @@ def cmd_eval(args) -> int:
     p = AlphaZ(args.alpha, args.z)
     rho = _load_psd(args.rho, state=True)
     sigma = _load_psd(args.sigma, state=False)
-    d = d_alpha_z(rho, sigma, p)
-    q = 1.0 if p.on_umegaki_line else q_alpha_z(rho, sigma, p)
+    if p.on_umegaki_line:
+        d, q = d_umegaki(rho, sigma), 1.0
+    else:
+        log2q = _log2_q(rho, sigma, p)  # one core decomposition for both
+        d, q = _d_from_log2(log2q, p), _q_from_log2(log2q)
     if not p.in_dpi_region:
         print(
             f"warning: (alpha, z) = ({p.alpha}, {p.z}) is outside the DPI region",
@@ -216,9 +239,6 @@ def cmd_table1(args) -> int:
     return 0
 
 
-CERTIFY_DIM_CAP = 2000  # total matrix dimension; the pair state is d^4-dimensional
-
-
 def cmd_counterexample(args) -> int:
     p = AlphaZ(args.alpha, args.z)
     d = args.d
@@ -262,16 +282,23 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
+def _marginal_dim(descriptor: str, args) -> int:
+    """The dimension of an additivity marginal, checked against the cap before anything is built."""
+    if descriptor.startswith("random:"):
+        if args.other_dim < 1:
+            raise ValueError(f"--other-dim must be >= 1, got {args.other_dim}")
+        return _capped_dim(descriptor, args.other_dim, 2)
+    family = parse_family(descriptor)
+    return _capped_dim(family_label(family), *_party_shape(family))
+
+
 def _marginal_with_ansatz(
     descriptor: str, p: AlphaZ, args
 ) -> tuple[StateFamily | None, str, DensityMatrix, DensityMatrix, float, str]:
     """Resolve a marginal: returns (family, label, rho, tau, value, verdict); family is None for random:SEED."""
     if descriptor.startswith("random:"):
         seed = int(descriptor.split(":", 1)[1])
-        d = args.other_dim
-        if d < 1:
-            raise ValueError(f"--other-dim must be >= 1, got {d}")
-        coeff = random_density(d, d, seed).entries
+        coeff = random_density(args.other_dim, args.other_dim, seed).entries
         family = MaximallyCorrelated(tuple(tuple(x for x in row) for row in coeff))
         rho = build(family)
         solution = minimize_mc(rho, p, SolverOptions(starts=args.starts, seed=args.seed))
@@ -284,6 +311,9 @@ def _marginal_with_ansatz(
 
 def cmd_additivity(args) -> int:
     p = AlphaZ(args.alpha, args.z)
+    joint_dim = _marginal_dim(args.family, args) * _marginal_dim(args.other, args)
+    if joint_dim > CERTIFY_DIM_CAP:
+        raise ValueError(f"the joint state is {joint_dim}-dimensional, above the dense cap of {CERTIFY_DIM_CAP}")
     family1, label1, rho1, tau1, v1, verdict1 = _marginal_with_ansatz(args.family, p, args)
     _, label2, rho2, tau2, v2, verdict2 = _marginal_with_ansatz(args.other, p, args)
 

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class HermitianOperator:
     (powers, support, dominance, Xi) shares that single decomposition. It
     comes from one ``eigh``, unless a known ``spectrum`` is passed at
     construction: a callable giving the eigenpairs (w, V), called on first
-    use instead (:meth:`from_eigenpairs`, tensor products and factor
-    permutations, which assemble theirs from their factors' spectra).
+    use instead (:meth:`from_eigenpairs`, and the plain and party-merged
+    tensor products, which assemble theirs from their factors' spectra).
     """
 
     entries: np.ndarray
@@ -270,16 +270,6 @@ def _joint_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndar
     return ea.eigenvalues, eb.eigenvalues[cols], ea.vectors
 
 
-def matrix_power(op: HermitianOperator, p: float) -> HermitianOperator:
-    """Generalized matrix power of a psd operator.
-
-    Eigenvalues at or below ``SUPPORT_CUT * lambda_max`` map to zero for any
-    exponent; the rest map to ``lam ** p``. ``p == 0`` gives the support
-    projector, and an all-zero input returns the zero operator.
-    """
-    return wrap(_power(op, p), op.dims)
-
-
 def _split_weights(op: HermitianOperator, other: HermitianOperator, support: bool) -> tuple[np.ndarray, np.ndarray]:
     """other's eigenvalues on its support (or kernel) and op's weights <u_j| op |u_j> on their eigenvectors u_j.
 
@@ -292,10 +282,6 @@ def _split_weights(op: HermitianOperator, other: HermitianOperator, support: boo
         return dec.eigenvalues[keep], _weights_on(op, dec.vectors[:, keep])
     keep = _support_mask(joint[1]) == support
     return joint[1][keep], joint[0][keep]
-
-
-def support_rank(op: HermitianOperator) -> int:
-    return int(np.count_nonzero(_support_mask(eig_hermitian(op).eigenvalues)))
 
 
 def _weights_on(op: HermitianOperator, columns: np.ndarray) -> np.ndarray:
@@ -328,43 +314,9 @@ def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
     return _result_type(a, b)(np.kron(a.entries, b.entries), a.dims + b.dims, partial(_kron_spectrum, a, b))
 
 
-def _permuted(
-    cls: type[HermitianOperator],
-    entries: np.ndarray,
-    dims: tuple[int, ...],
-    perm: tuple[int, ...],
-    spectrum: Spectrum,
-    new_dims: tuple[int, ...],
-) -> HermitianOperator:
-    """The operator, of type ``cls``, with factor ``perm[j]`` moved to position j; its eigenvectors' rows move alike."""
-    n, d = len(dims), entries.shape[0]
-    axes = perm + tuple(p + n for p in perm)
-
-    def permuted_spectrum():
-        w, v = spectrum()
-        return w, _permute_rows(v, dims, perm)
-
-    t = entries.reshape(dims + dims).transpose(axes).reshape(d, d)
-    return cls(t, new_dims, permuted_spectrum)
-
-
 def _permute_rows(v: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
     """Rows of ``v``, indexed by the tensor factors ``dims``, with factor ``perm[j]`` moved to j."""
     return v.reshape(dims + (-1,)).transpose(perm + (len(dims),)).reshape(v.shape)
-
-
-def permute_factors(op: HermitianOperator, perm: Sequence[int]) -> HermitianOperator:
-    """Physically reorder tensor factors so factor ``perm[j]`` becomes factor ``j``; a state stays a state."""
-    n = len(op.dims)
-    perm = tuple(int(j) for j in perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
-
-    def spectrum():
-        dec = eig_hermitian(op)
-        return dec.eigenvalues, dec.vectors
-
-    return _permuted(_result_type(op), op.entries, op.dims, perm, spectrum, tuple(op.dims[p] for p in perm))
 
 
 def tensor_product_merged(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
@@ -382,10 +334,16 @@ def tensor_product_merged(a: HermitianOperator, b: HermitianOperator) -> Hermiti
         raise ValueError(
             f"party counts differ: {a.dims} vs {b.dims}; cannot merge parties"
         )
+    dims, d = a.dims + b.dims, a.dim * b.dim
     perm = tuple(x for j in range(n) for x in (j, n + j))
-    merged = tuple(a.dims[j] * b.dims[j] for j in range(n))
-    spectrum = partial(_kron_spectrum, a, b)
-    return _permuted(_result_type(a, b), np.kron(a.entries, b.entries), a.dims + b.dims, perm, spectrum, merged)
+    axes = perm + tuple(p + 2 * n for p in perm)
+    entries = np.kron(a.entries, b.entries).reshape(dims + dims).transpose(axes).reshape(d, d)
+
+    def spectrum():
+        w, v = _kron_spectrum(a, b)
+        return w, _permute_rows(v, dims, perm)
+
+    return _result_type(a, b)(entries, tuple(a.dims[j] * b.dims[j] for j in range(n)), spectrum)
 
 
 def partial_trace(op: HermitianOperator, keep: Iterable[int]) -> HermitianOperator:

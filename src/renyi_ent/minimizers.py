@@ -1,19 +1,19 @@
 """Direct numerical minimization over probability simplices.
 
-These cover the cases where the free-set optimization provably reduces to a
-simplex: incoherent states (coherence monotones), the diagonal set T_rho for
-maximally correlated states, and the conditional-entropy minimization over
-I (x) sigma_B. On tau = diag(w) the optimality condition reads
-w_j^(beta-1) chi_jj = Q on the support (beta = (1-alpha)/z), so the solver
-iterates the multiplicative map w_j <- w_j r_j^theta (renormalized) with
-r_j = w_j^(beta-1) chi_jj / Q, whose fixed points are exactly that condition.
-Value and exact gradient come from one eigendecomposition per step, and a run
-stops when max_j r_j - 1 on the support, the certificate's own relative
-margin, falls to 1e-12. Inside the DPI region any local minimum is global, so
-a small multi-start is only a guard against stalls at the simplex boundary.
-The starts run in lockstep as the rows of one batched objective call per
-step, each with its own step size and stopping test, so every start follows
-the iterates it would follow alone.
+These cover the cases where the free-set optimization provably reduces to
+D_{alpha,z}(rho || diag(w)) on one simplex: incoherent states (coherence
+monotones) and the diagonal set T_rho for maximally correlated states, the
+latter on the d x d compression of rho. On tau = diag(w) the optimality
+condition reads w_j^(beta-1) chi_jj = Q on the support (beta = (1-alpha)/z),
+so the solver iterates the multiplicative map w_j <- w_j r_j^theta
+(renormalized) with r_j = w_j^(beta-1) chi_jj / Q, whose fixed points are
+exactly that condition. Value and exact gradient come from one
+eigendecomposition per step, and a run stops when max_j r_j - 1 on the
+support, the certificate's own relative margin, falls to 1e-12. Inside the
+DPI region any local minimum is global, so a small multi-start is only a
+guard against stalls at the simplex boundary. The starts run in lockstep as
+the rows of one batched objective call per step, each with its own step size
+and stopping test, so every start follows the iterates it would follow alone.
 """
 
 from __future__ import annotations
@@ -188,19 +188,10 @@ def minimize_simplex(
 # ---------------------------------------------------------------------------
 
 
-def _diag_objective(
-    rho_matrix: np.ndarray,
-    p: AlphaZ,
-    support_diag: np.ndarray,
-    reps: int = 1,
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """f(S) = D_{alpha,z}(rho || diag(w)) and dD/ds for rows s of S, w = s tiled ``reps`` times.
+def _diag_objective(rho_matrix: np.ndarray, p: AlphaZ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """f(W) = D_{alpha,z}(rho || diag(w)) and dD/dw for rows w of W.
 
-    ``reps`` = 1 is the incoherent/T_rho problem, ``reps`` = d the
-    I (x) sigma_B one; the gradient of a tiled weight sums over its blocks.
-    ``support_diag`` is the diagonal of rho in the same basis (length
-    ``reps * s.size``), used for the alpha >= 1 support blow-up in both
-    branches: any exactly-zero weight carrying rho-mass above
+    For alpha >= 1 any exactly-zero weight on a diagonal entry of rho above
     _SUPPORT_DIAG_TOL forces +inf.
 
     Off the Umegaki line both come from one eigh of the shared alpha-z core
@@ -209,16 +200,9 @@ def _diag_objective(
     of C. On the line dD/dw_j = -rho_jj / (w_j ln2).
     """
     alpha, z = p.alpha, p.z
-
-    def tiled(S: np.ndarray) -> np.ndarray:
-        S = np.asarray(S, dtype=float)
-        return S if reps == 1 else np.tile(S, (1, reps))
-
-    def fold(G: np.ndarray) -> np.ndarray:
-        return G if reps == 1 else G.reshape(G.shape[0], reps, -1).sum(axis=1)
-
+    diag = np.real(np.diag(rho_matrix))
     # alpha >= 1: a zero weight under rho-mass makes the divergence infinite
-    mass = (support_diag > _SUPPORT_DIAG_TOL) & (p.on_umegaki_line or alpha > 1.0)
+    mass = (diag > _SUPPORT_DIAG_TOL) & (p.on_umegaki_line or alpha > 1.0)
 
     def blown_up(W: np.ndarray) -> np.ndarray:
         return np.any((W <= 0) & mass, axis=1)
@@ -227,18 +211,13 @@ def _diag_objective(
         w_rho = np.linalg.eigvalsh(rho_matrix)
         w_rho = w_rho[_support_mask(w_rho)]
         self_term = float(np.sum(w_rho * np.log2(w_rho)))
-        # the cross term needs the actual diagonal of rho; support_diag is only
-        # the (possibly marginalized) mass used to detect support violations
-        true_diag = np.real(np.diag(rho_matrix)).copy()
 
-        def f_umegaki(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            W = tiled(S)
+        def f_umegaki(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             live = W > 0
             w_live = np.where(live, W, 1.0)
-            out = self_term - np.sum(np.where(live, true_diag * np.log2(w_live), 0.0), axis=1)
+            out = self_term - np.sum(np.where(live, diag * np.log2(w_live), 0.0), axis=1)
             out[blown_up(W)] = math.inf
-            grad = np.where(live, -true_diag / (w_live * _LN2), 0.0)
-            return out, fold(grad)
+            return out, np.where(live, -diag / (w_live * _LN2), 0.0)
 
         return f_umegaki
 
@@ -246,8 +225,7 @@ def _diag_objective(
     b_exp = (1.0 - alpha) / z
     eye = np.eye(rho_matrix.shape[0])
 
-    def f(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        W = tiled(S)
+    def f(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         live = W > 0
         with np.errstate(divide="ignore"):
             s = np.where(live, W**b_exp, 0.0)[:, :, None] * eye  # the batch of diag(w^beta)
@@ -265,25 +243,20 @@ def _diag_objective(
         with np.errstate(divide="ignore", invalid="ignore"):
             q_scaled = np.exp2(log2q - z * np.log2(top))
             w_pow = np.where(live, W ** (b_exp - 1.0), 0.0)
-            grad = np.where(finite[:, None], -w_pow * chi_diag / ((top * q_scaled)[:, None] * _LN2), 0.0)
-        return out, fold(grad)
+            return out, np.where(finite[:, None], -w_pow * chi_diag / ((top * q_scaled)[:, None] * _LN2), 0.0)
 
     return f
 
 
-def _solve(
-    rho_matrix: np.ndarray, p: AlphaZ, mass: np.ndarray, opts: SolverOptions | None, reps: int = 1
-) -> SimplexRun:
-    """min_s D_{alpha,z}(rho || diag(s tiled ``reps`` times)) over the simplex.
+def _solve(rho_matrix: np.ndarray, p: AlphaZ, opts: SolverOptions | None) -> SimplexRun:
+    """min_w D_{alpha,z}(rho || diag(w)) over the simplex.
 
-    ``mass`` is the rho-mass on each simplex coordinate: normalized, it is the
-    warm start; tiled, it decides the alpha >= 1 support blow-up. Steps start
-    at theta = min(1, 1/alpha): the undamped map overshoots at large alpha.
+    Warm-started at rho's diagonal. Steps start at theta = min(1, 1/alpha):
+    the undamped map overshoots at large alpha.
     """
     _require_dpi(p)
-    objective = _diag_objective(rho_matrix, p, np.tile(mass, reps), reps)
-    warm = np.maximum(mass, 0.0)
-    problem = SimplexProblem(objective, mass.size, min(1.0, 1.0 / p.alpha))
+    warm = np.maximum(np.real(np.diag(rho_matrix)), 0.0)
+    problem = SimplexProblem(_diag_objective(rho_matrix, p), warm.size, min(1.0, 1.0 / p.alpha))
     return minimize_simplex(problem, opts, warm / warm.sum())
 
 
@@ -299,7 +272,7 @@ def minimize_incoherent(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | Non
     certificate for the returned sigma is attached. For another basis U,
     pass U† rho U and conjugate sigma back.
     """
-    run = _solve(rho.entries, p, np.real(np.diag(rho.entries)), opts)
+    run = _solve(rho.entries, p, opts)
     sigma = density(np.diag(run.weights), rho.dims)
     report = certify_optimizer(rho, sigma, p, free_set="incoherent")
     return SimplexSolution(sigma=sigma, certificate=report, **run._asdict())
@@ -323,34 +296,9 @@ def minimize_mc(
     """
     small = _compress_mc(rho)
     d = small.shape[0]
-    run = _solve(small, p, np.real(np.diag(small)), opts)
+    run = _solve(small, p, opts)
     m = np.zeros((d * d, d * d))
     m[_ii_indices(d), _ii_indices(d)] = run.weights
     tau = density(m, rho.dims)
     report = marginal_condition_mc(rho, tau, p)
     return SimplexSolution(sigma=tau, certificate=report, **run._asdict())
-
-
-def minimize_conditional_mc(
-    rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None
-) -> SimplexSolution:
-    """min_s D_{alpha,z}(rho || I_A (x) diag(s)) for a maximally correlated rho.
-
-    Evaluated on the full (d^2)-dimensional operators, deliberately not
-    through the compressed route, so comparing with :func:`minimize_mc` is a
-    genuine two-route check of the conditional-entropy identity.
-    """
-    _require_mc(rho)
-    d = rho.dims[0]
-    # I_A (x) diag(s) has diagonal w[(i,j)] = s_j; rho mass per B index decides
-    # the alpha >= 1 support blow-up
-    support_b = np.real(np.diag(rho.entries)).reshape(d, d).sum(axis=0)
-    run = _solve(rho.entries, p, support_b, opts, reps=d)
-    return SimplexSolution(sigma=density(np.diag(run.weights), (d,)), **run._asdict())
-
-
-def conditional_entropy_mc(
-    rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None
-) -> float:
-    """H_up(A|B) = -min_{sigma_B} D_{alpha,z}(rho || I_A (x) sigma_B) for MC rho."""
-    return -minimize_conditional_mc(rho, p, opts).value

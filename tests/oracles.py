@@ -40,12 +40,30 @@ from renyi_ent import (
     Isotropic,
     d_alpha_z,
     density,
-    matrix_power,
     random_density,
 )
 from renyi_ent import minimizers
-from renyi_ent.linalg import eig_hermitian, hermitian_part
-from renyi_ent.certificates import ASCENT_MAX_SWEEPS, ASCENT_TOL, OverlapResult, _chi_entries, _initial_vectors, chi, report_to_dict
+from renyi_ent.divergences import _require_dpi
+from renyi_ent.linalg import (
+    HermitianOperator,
+    _permute_rows,
+    _power,
+    _result_type,
+    _support_mask,
+    eig_hermitian,
+    hermitian_part,
+    wrap,
+)
+from renyi_ent.certificates import (
+    ASCENT_MAX_SWEEPS,
+    ASCENT_TOL,
+    OverlapResult,
+    _chi_entries,
+    _initial_vectors,
+    _require_mc,
+    chi,
+    report_to_dict,
+)
 
 
 def full_rank_state(d: int, seed: int, mix: float = 0.15, dims=None) -> DensityMatrix:
@@ -234,6 +252,44 @@ def simplex_serial(problem, opts=None, warm=None) -> minimizers.SimplexRun:
     return minimizers.SimplexRun(best[0], best[1], tuple(values), tuple(steps), best[2], tuple(reasons))
 
 
+def tiled_objective(rho_matrix: np.ndarray, p: AlphaZ, reps: int):
+    """D_{alpha,z}(rho || diag(s tiled ``reps`` times)) and its gradient in s, for rows s.
+
+    The library's one objective on the tiled rows; the gradient of a tiled
+    weight is the sum over its blocks.
+    """
+    f = minimizers._diag_objective(rho_matrix, p)
+
+    def tiled(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, grads = f(np.tile(S, (1, reps)))
+        return values, grads.reshape(grads.shape[0], reps, -1).sum(axis=1)
+
+    return tiled
+
+
+def minimize_conditional_mc(rho: DensityMatrix, p: AlphaZ, opts=None) -> minimizers.SimplexSolution:
+    """min_s D_{alpha,z}(rho || I_A (x) diag(s)) for a maximally correlated rho.
+
+    Evaluated on the full (d^2)-dimensional operators, deliberately not
+    through the compressed route of ``minimize_mc``, so comparing the two is a
+    genuine two-route check of the conditional-entropy identity. Warm-started
+    at rho's mass per B index; the solve goes through the module attribute
+    ``minimizers.minimize_simplex``.
+    """
+    _require_mc(rho)
+    _require_dpi(p)
+    d = rho.dims[0]
+    warm = np.maximum(np.real(np.diag(rho.entries)).reshape(d, d).sum(axis=0), 0.0)
+    problem = minimizers.SimplexProblem(tiled_objective(rho.entries, p, d), d, min(1.0, 1.0 / p.alpha))
+    run = minimizers.minimize_simplex(problem, opts, warm / warm.sum())
+    return minimizers.SimplexSolution(sigma=density(np.diag(run.weights), (d,)), **run._asdict())
+
+
+def conditional_entropy_mc(rho: DensityMatrix, p: AlphaZ, opts=None) -> float:
+    """H_up(A|B) = -min_{sigma_B} D_{alpha,z}(rho || I_A (x) sigma_B) for MC rho."""
+    return -minimize_conditional_mc(rho, p, opts).value
+
+
 def golden_section_1d(objective, bracket: tuple[float, float], tol: float = 1e-10) -> tuple[float, float]:
     """Golden-section minimization of a unimodal objective on a bracket."""
     lo, hi = float(bracket[0]), float(bracket[1])
@@ -283,9 +339,42 @@ def antisymmetric_projector(d: int) -> np.ndarray:
     return (np.eye(d * d) - swap_operator(d)) / 2
 
 
+def matrix_power(op, p: float) -> HermitianOperator:
+    """Generalized matrix power of a psd operator.
+
+    Eigenvalues at or below ``SUPPORT_CUT * lambda_max`` map to zero for any
+    exponent; the rest map to ``lam ** p``. ``p == 0`` gives the support
+    projector, and an all-zero input returns the zero operator.
+    """
+    return wrap(_power(op, p), op.dims)
+
+
 def support_projector(op):
     """Projector onto the eigenvectors with eigenvalue above the support cut."""
     return matrix_power(op, 0.0)
+
+
+def support_rank(op) -> int:
+    return int(np.count_nonzero(_support_mask(eig_hermitian(op).eigenvalues)))
+
+
+def permute_factors(op, perm) -> HermitianOperator:
+    """Physically reorder tensor factors so factor ``perm[j]`` becomes factor ``j``; a state stays a state.
+
+    The eigenvectors' rows move like the entries, so the spectrum stays known.
+    """
+    dims, n = op.dims, len(op.dims)
+    perm = tuple(int(j) for j in perm)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
+    axes = perm + tuple(p + n for p in perm)
+    entries = op.entries.reshape(dims + dims).transpose(axes).reshape(op.dim, op.dim)
+
+    def spectrum():
+        dec = eig_hermitian(op)
+        return dec.eigenvalues, _permute_rows(dec.vectors, dims, perm)
+
+    return _result_type(op)(entries, tuple(dims[p] for p in perm), spectrum)
 
 
 def product_overlap_grid(

@@ -21,14 +21,12 @@ from renyi_ent import (
     Werner,
     beta_dual,
     build,
-    conditional_entropy_mc,
     d_alpha_z,
     d_max,
     d_min,
     d_umegaki,
     density,
     lambda_sq_closed_form,
-    matrix_power,
     max_product_overlap,
     minimize_incoherent,
     minimize_mc,
@@ -41,7 +39,14 @@ from renyi_ent import (
 )
 from renyi_ent.cli import DEFAULT_GRID, main
 from renyi_ent.linalg import wrap
-from oracles import full_rank_state, product_overlap_grid, support_projector, xi_quadrature
+from oracles import (
+    conditional_entropy_mc,
+    full_rank_state,
+    matrix_power,
+    product_overlap_grid,
+    support_projector,
+    xi_quadrature,
+)
 
 GRID = [AlphaZ(a, z) for a, z in DEFAULT_GRID]
 FAST = SolverOptions(starts=2)

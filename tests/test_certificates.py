@@ -29,7 +29,6 @@ from renyi_ent import (
     eig_hermitian,
     in_support_set,
     marginal_condition_mc,
-    matrix_power,
     max_product_overlap,
     minimize_mc,
     pure_density,
@@ -39,10 +38,11 @@ from renyi_ent import (
 )
 from renyi_ent.certificates import ASCENT_MAX_SWEEPS, CertificateReport, _xi_divided_difference, report_to_dict
 from renyi_ent.divergences import LINE_ATOL, is_dominated, is_orthogonal
-from renyi_ent.linalg import _joint_spectrum, support_rank
+from renyi_ent.linalg import _joint_spectrum
 from oracles import (
     commutator_maxnorm,
     full_rank_state,
+    matrix_power,
     mc_score_lambda,
     product_overlap_grid,
     product_overlap_serial,
@@ -50,6 +50,7 @@ from oracles import (
     report_from_json,
     report_to_json,
     support_projector,
+    support_rank,
     xi_quadrature,
 )
 
@@ -722,16 +723,14 @@ class TestSpectralCache:
 
     @pytest.mark.parametrize(
         "fn",
-        [is_orthogonal, is_dominated, in_support_set, q_alpha_z, d_alpha_z, certify_optimizer, support_rank, xi],
+        [is_orthogonal, is_dominated, in_support_set, q_alpha_z, d_alpha_z, certify_optimizer, xi],
     )
     @pytest.mark.parametrize("rel_cut", [0.0, 1.0, -0.5, 2.0])
     def test_rel_cut_outside_unit_interval_rejected(self, fn, rel_cut):
         """The support cut is a constant: no entry point takes one, not even those that never call _power."""
         rho = random_density(4, 4, seed=11, dims=(2, 2))
         tau = random_density(4, 3, seed=12, dims=(2, 2))
-        if fn is support_rank:
-            args = (rho,)
-        elif fn in (is_orthogonal, is_dominated):
+        if fn in (is_orthogonal, is_dominated):
             args = (rho, tau)
         else:
             # xi at alpha = 1 takes the divided-difference route, which needs no _power

@@ -69,6 +69,23 @@ class TestEval:
             assert len(err.splitlines()) == 1
             assert "dimension 2 and 3" in err and "matmul" not in err
 
+    def test_one_core_decomposition(self, tmp_path, capsys, monkeypatch):
+        # d and q are read from one log2 Q: the alpha-z core is decomposed once
+        rho = write_state(tmp_path / "rho.json", random_density(9, 9, seed=11))
+        sigma = write_state(tmp_path / "sigma.json", random_density(9, 9, seed=12))
+        cores = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m, *args, **kwargs):
+            cores.append(np.shape(m))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        code, out, _ = run(capsys, ["eval", rho, sigma, "--alpha", "2", "--z", "2"])
+        assert code == 0 and cores == [(9, 9)]
+        payload = json.loads(out)
+        assert abs(payload["q"] - 2.0 ** payload["d"]) <= 1e-12 * payload["q"]
+
     def test_malformed_file_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -162,6 +179,18 @@ class TestValue:
         code, out, _ = run(capsys, ["value", family, "--alpha", str(alpha), "--z", str(z)])
         assert code == 0
         assert abs(json.loads(out)["value"] - expect) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-8, 5e-4, 9.5e-4])
+    def test_isotropic_at_small_alpha_matches_certificate(self, capsys, alpha):
+        # (d-1)^((alpha-1)/alpha) underflows here; the log-domain power sum does not
+        argv = ["iso:F=0.8,d=3", "--alpha", repr(alpha), "--z", "1"]
+        code, out, _ = run(capsys, ["value", *argv])
+        assert code == 0
+        value = json.loads(out)["value"]
+        code, out, _ = run(capsys, ["certify", argv[0], "ansatz", *argv[1:]])
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] == "certified-optimal"
+        assert abs(value - report["value"]) <= 1e-12
 
     def test_unknown_family_exits_nonzero(self, capsys):
         code, _, err = run(capsys, ["value", "nosuch:d=2"])
@@ -516,6 +545,41 @@ class TestSweep:
         assert "--param" in err
 
 
+class TestDimensionCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "ghz:d=10,M=6", "ansatz"],
+            ["additivity", "werner:p=0,d=2", "--other", "random:3", "--other-dim", "100000"],
+            ["certify", "dicke:N=40,k=20|20", "ansatz"],
+            ["sweep", "ghz:d=10,M=6", "--param", "alpha=0.5:2:3"],
+            ["additivity", "werner:p=0,d=7", "--other", "werner:p=0,d=7"],
+        ],
+        ids=["ghz", "random-partner", "dicke", "sweep", "joint"],
+    )
+    def test_oversized_state_exits_2_without_building(self, capsys, monkeypatch, argv):
+        import tracemalloc
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state above the cap was built")
+
+        for name in ("build", "random_density", "ansatz_optimizer", "tensor_product_merged"):
+            monkeypatch.setattr(cli, name, refuse)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap of 2000" in err
+        assert peak < 2**20
+
+    def test_closed_forms_need_no_cap(self, capsys):
+        code, out, _ = run(capsys, ["value", "ghz:d=10,M=6"])
+        assert code == 0 and abs(json.loads(out)["value"] - math.log2(10.0)) <= 1e-12
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         import subprocess
@@ -530,3 +594,22 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["d"]) <= 1e-9
+
+    def test_runs_without_scipy(self):
+        # scipy is a test-only dependency: the package imports and evaluates without it
+        import os
+        import subprocess
+        import sys
+
+        import renyi_ent
+
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from renyi_ent import cli\n"
+            "sys.exit(cli.main(['value', 'werner:p=0.2,d=3']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(renyi_ent.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert abs(json.loads(proc.stdout)["value"] - closed_form_value(Werner(0.2, 3), AlphaZ(1.0, 1.0))) <= 1e-12

@@ -9,17 +9,15 @@ from renyi_ent import (
     density,
     eig_hermitian,
     load_operator_json,
-    matrix_power,
     partial_trace,
     partial_transpose,
-    permute_factors,
     pure_density,
     random_density,
     save_operator_json,
     tensor_product,
     tensor_product_merged,
 )
-from oracles import assert_cached_spectrum_is_exact, support_projector
+from oracles import assert_cached_spectrum_is_exact, matrix_power, permute_factors, support_projector
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
 

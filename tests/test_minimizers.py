@@ -11,12 +11,10 @@ from renyi_ent import (
     SolverOptions,
     build,
     closed_form_value,
-    conditional_entropy_mc,
     d_alpha_z,
     d_umegaki,
     density,
     marginal_condition_mc,
-    minimize_conditional_mc,
     minimize_incoherent,
     minimize_mc,
     pure_density,
@@ -27,7 +25,16 @@ from renyi_ent import (
 )
 from renyi_ent.catalog import Isotropic
 from renyi_ent.catalog import build as build_family
-from oracles import coherence_scan_qubit, full_rank_state, golden_section_1d, project_to_simplex, simplex_serial
+from oracles import (
+    coherence_scan_qubit,
+    conditional_entropy_mc,
+    full_rank_state,
+    golden_section_1d,
+    minimize_conditional_mc,
+    project_to_simplex,
+    simplex_serial,
+    tiled_objective,
+)
 
 FAST = SolverOptions(starts=2)
 
@@ -229,7 +236,7 @@ class TestObjectiveConsistency:
 
         p = AlphaZ(a, z)
         rho = full_rank_state(3, 80)
-        f = _diag_objective(rho.entries, p, np.real(np.diag(rho.entries)))
+        f = _diag_objective(rho.entries, p)
         rng = np.random.default_rng(81)
         samples = rng.dirichlet(np.ones(3), size=5)
         batched, _ = f(samples)
@@ -245,11 +252,9 @@ class TestExactGradient:
     @pytest.mark.parametrize("reps", [1, 2])
     @pytest.mark.parametrize("a,z", GRADIENT_POINTS)
     def test_matches_central_differences(self, a, z, reps):
-        from renyi_ent.minimizers import _diag_objective
-
         rho = full_rank_state(4, 82 + reps)
         dim = 4 // reps
-        f = _diag_objective(rho.entries, AlphaZ(a, z), np.real(np.diag(rho.entries)), reps)
+        f = tiled_objective(rho.entries, AlphaZ(a, z), reps)
         rng = np.random.default_rng(83)
         # interior rows, every weight >= 0.05
         rows = 0.8 * rng.dirichlet(np.ones(dim), size=3) + 0.2 / dim
@@ -275,7 +280,7 @@ class TestSolverStepIsCertificateRatio:
 
         p = AlphaZ(a, z)
         rho = random_density(d, d, seed)
-        f = _diag_objective(rho.entries, p, np.real(np.diag(rho.entries)))
+        f = _diag_objective(rho.entries, p)
         # an interior point, every weight >= 0.05
         w = 0.8 * np.random.default_rng(seed).dirichlet(np.ones(d)) + 0.2 / d
         _, grads = f(w[None, :])
@@ -408,7 +413,7 @@ class TestLockstepMatchesSerial:
 
         rho = full_rank_state(4, 100)
         rows = []
-        f = _diag_objective(rho.entries, AlphaZ(3.0, 3.0), np.real(np.diag(rho.entries)))
+        f = _diag_objective(rho.entries, AlphaZ(3.0, 3.0))
 
         def counted(S):
             rows.append(S.shape[0])
@@ -438,7 +443,7 @@ class TestLockstepMatchesSerial:
         # alpha > 1: a zero weight under rho-mass makes the start's value infinite
         rho = full_rank_state(3, 85)
         p = AlphaZ(2.0, 2.0)
-        f = _diag_objective(rho.entries, p, np.real(np.diag(rho.entries)))
+        f = _diag_objective(rho.entries, p)
         problem = minimizers.SimplexProblem(f, 3, 0.5)
         warm = np.array([0.0, 0.5, 0.5])
         assert not np.isfinite(f(warm[None, :])[0][0])
