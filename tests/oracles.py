@@ -10,16 +10,20 @@ tests. The serial Lambda^2 ascent runs one restart at a time with one
 batched ascent, and ``simplex_serial`` runs the simplex solver's starts one
 after another with 1-row objective calls, the reference for its lockstep
 starts; the Bloch-angle grid is an exhaustive Lambda^2 reference for
-a qubit first party. The support projector, the swap operator with its
-symmetric and antisymmetric projectors, and the report JSON round trip are
-only used by tests. The MC score table is the scalar form of the
-maximally correlated certificate, the reference for its reading of Xi's
-diagonal. ``assert_cached_spectrum_is_exact`` checks a spectrum assembled
-without ``eigh`` against the entries and ``eigvalsh``. ``commutator_maxnorm``
-tests that a pair commutes as a hypothesis, independent of how it was
-built, and ``family_reference`` writes the isotropic, MCBD, GHZ and Dicke
-states and ansatzes out by their defining formulas, independent of the
-eigenbasis the library builds them on.
+a qubit first party. ``minimize_conditional_mc`` is the second route to an
+MC state's value, the conditional entropy on the full d^2-dimensional
+operators, which tiles each row of the library's one simplex objective d
+times. The generalized ``matrix_power``, the support projector and rank,
+``permute_factors``, the swap operator with its symmetric and antisymmetric
+projectors, and the report JSON round trip are only used by tests. The MC
+score table is the scalar form of the maximally correlated certificate, the
+reference for its reading of Xi's diagonal.
+``assert_cached_spectrum_is_exact`` checks a spectrum assembled without
+``eigh`` against the entries and ``eigvalsh``. ``commutator_maxnorm`` tests
+that a pair commutes as a hypothesis, independent of how it was built, and
+``family_reference`` writes the isotropic, MCBD, GHZ and Dicke states and
+ansatzes out by their defining formulas, independent of the eigenbasis the
+library builds them on.
 """
 
 import json
