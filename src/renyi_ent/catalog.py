@@ -21,7 +21,7 @@ from .linalg import (
     DensityMatrix,
     _fmt,
     _ii_indices,
-    _permute_rows,
+    _merged_spectrum,
     _support_mask,
     density,
     eig_hermitian,
@@ -472,16 +472,14 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
     if isinstance(family, AntisymPair):
         # (d+1)/(2d) rho_+ (x) rho_+ + (d-1)/(2d) rho_- (x) rho_-, built from its
         # eigenpairs: the eigenbasis of rho_- = Werner(0, d) splits P- (its
-        # support) from P+ (its kernel), so its merged Kronecker square
-        # diagonalizes both terms. V is the expression tensor_product_merged
-        # gives build(family), so the pair shares one basis bit for bit.
+        # support) from P+ (its kernel), so its merged Kronecker square, the
+        # basis of build(family), diagonalizes both terms.
         d = family.d
-        dec = eig_hermitian(build(Werner(0.0, d)))
-        anti = _support_mask(dec.eigenvalues)
+        minus = build(Werner(0.0, d))
+        anti = _support_mask(eig_hermitian(minus).eigenvalues)
         s, a = ~anti / np.count_nonzero(~anti), anti / np.count_nonzero(anti)
         w = (d + 1.0) / (2.0 * d) * np.kron(s, s) + (d - 1.0) / (2.0 * d) * np.kron(a, a)
-        v = _permute_rows(np.kron(dec.vectors, dec.vectors), (d,) * 4, (0, 2, 1, 3))
-        return DensityMatrix.from_eigenpairs(w, v, (d * d, d * d))
+        return DensityMatrix.from_eigenpairs(w, _merged_spectrum(minus, minus)[1], (d * d, d * d))
     if isinstance(family, MaximallyCorrelated):
         raise ValueError("general MC states have no closed-form ansatz; use minimizers.minimize_mc")
     raise TypeError(f"unknown family {family!r}")

@@ -34,7 +34,6 @@ from .linalg import (
     _power,
     _power_values,
     _support_mask,
-    _weights_on,
     eig_hermitian,
     hermitian_part,
     wrap,
@@ -80,8 +79,6 @@ def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
     n = t.size
     phi = np.zeros((n, n))
     pos = np.flatnonzero(t > 0)
-    if pos.size == 0:
-        return phi
     a = t[pos]
     col_a = a[:, None]
     col_b = a[None, :]
@@ -362,15 +359,15 @@ def _require_same_partition(rho: DensityMatrix, tau: HermitianOperator) -> None:
 
 def _certify(
     rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ, free_set: str,
-    columns: np.ndarray | None = None, restarts: int = 64, seed: int = 0,
+    indices: np.ndarray | None = None, restarts: int = 64, seed: int = 0,
 ) -> CertificateReport:
     """The one certification body: support, Xi, Q and Lambda^2, then the verdict and report.
 
-    Lambda^2 is the product-state search, or with ``columns`` the largest <b|Xi|b> over
-    those unit columns b, witnessed by (b,), or by (e_l, e_l) for b = |ll> on the MC set.
-    margin = q - Lambda^2 is judged against tol_cert = 1e-7 * q. Both q and, for a
-    certified tau, ``value`` = D_{alpha,z}(rho || tau) derive from one log2 Q (0 on the
-    Umegaki line, where Q = 1).
+    Lambda^2 is the product-state search, or for a finite free set of basis states, given by
+    their ``indices``, the largest diagonal entry <b|Xi|b> of Xi at those indices, witnessed
+    by the real (e_j,), or by (e_l, e_l) for b = |ll> on the MC set. margin = q - Lambda^2 is
+    judged against tol_cert = 1e-7 * q. Both q and, for a certified tau, ``value`` =
+    D_{alpha,z}(rho || tau) derive from one log2 Q (0 on the Umegaki line, where Q = 1).
     """
     _require_dpi(p)  # the certification conditions need joint concavity/convexity
     _require_same_partition(rho, tau)
@@ -378,15 +375,16 @@ def _certify(
     ev = xi(rho, tau, p)
     log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p, ev.log2q)
 
-    if columns is None:
+    if indices is None:
         res = max_product_overlap(ev.xi, restarts=restarts, seed=seed)
     else:
-        scores = _weights_on(ev.xi, columns)
+        scores = ev.xi.entries.diagonal()[indices].real
         best = int(np.argmax(scores))
-        witness = (columns[:, best].copy(),)
         if free_set == "mc-diagonal":
             e = np.eye(rho.dims[0], dtype=complex)[best]
             witness = (e, e.copy())
+        else:
+            witness = ((np.arange(rho.dim) == indices[best]).astype(float),)
         res = OverlapResult(float(scores[best]), witness, (), ())
     lam = res.value
 
@@ -441,7 +439,7 @@ def certify_optimizer(
     if free_set == "sep":
         return _certify(rho, tau, p, free_set, restarts=restarts, seed=seed)
     if free_set == "incoherent":
-        return _certify(rho, tau, p, free_set, np.eye(rho.dim))
+        return _certify(rho, tau, p, free_set, np.arange(rho.dim))
     raise ValueError(f"unknown free set {free_set!r}")
 
 
@@ -466,8 +464,8 @@ def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ)
 
     For tau = sum_i t_i |ii><ii| the trace condition over all separable states
     collapses to the scalar inequality max_l <ll| Xi(rho, tau) |ll> <= Q(rho || tau),
-    so no Lambda^2 search is needed: this is the incoherent check on the
-    columns |ll>. ``route`` names the Xi route.
+    so no Lambda^2 search is needed: this is the incoherent check, Xi's
+    diagonal, read at the indices of the states |ll>. ``route`` names the Xi route.
     """
     _require_mc(rho)
     _require_same_partition(rho, tau)
@@ -476,7 +474,7 @@ def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ)
     off[idx, idx] -= off[idx, idx].real
     if float(np.max(np.abs(off))) > 1e-10 * tau.max_abs():
         raise ValueError("tau is not diagonal in the |ii> basis within 1e-10 * max|entry|")
-    return _certify(rho, tau, p, "mc-diagonal", np.eye(rho.dim)[:, idx])
+    return _certify(rho, tau, p, "mc-diagonal", idx)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +483,14 @@ def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ)
 
 
 def _encode_float(x):
-    """A value in JSON form: a non-finite float as its text ("inf", "nan"), a tuple as a list."""
-    if isinstance(x, tuple):
+    """A value in JSON form: dicts and lists (tuples as lists) entry by entry, a finite float as
+    x + 0.0 (x itself, except 0.0 for -0.0), a non-finite float as its text ("inf", "nan")."""
+    if isinstance(x, dict):
+        return {k: _encode_float(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
         return [_encode_float(v) for v in x]
     if isinstance(x, float):
-        return float(x) if math.isfinite(x) else _fmt(x)
+        return float(x) + 0.0 if math.isfinite(x) else _fmt(x)
     return x
 
 

@@ -77,6 +77,7 @@ DEFAULT_TABLE1_FAMILIES: tuple[StateFamily, ...] = (
 
 TABLE1_TOL = 1e-6
 CERTIFY_DIM_CAP = 2000  # total matrix dimension of any state the CLI builds; the pair state is d^4-dimensional
+COUNT_CAP = 10_000  # bound on --restarts, --starts and sweep steps, each checked before anything is allocated
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -133,7 +134,8 @@ def _value_or_nan(report: CertificateReport) -> float:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print the payload through the one JSON encoder, :func:`certificates._encode_float`."""
+    print(json.dumps(_encode_float(payload), indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +169,7 @@ def cmd_eval(args) -> int:
             f"warning: (alpha, z) = ({p.alpha}, {p.z}) is outside the DPI region",
             file=sys.stderr,
         )
-    _print_json({"d": _encode_float(d), "q": _encode_float(q), "dpi": p.in_dpi_region})
+    _print_json({"d": d, "q": q, "dpi": p.in_dpi_region})
     return 0
 
 
@@ -263,16 +265,16 @@ def cmd_counterexample(args) -> int:
         "d": d,
         "alpha": p.alpha,
         "z": p.z,
-        "single": _encode_float(value_single),
-        "pair": _encode_float(value_pair),
+        "single": value_single,
+        "pair": value_pair,
         "single_verdict": verdict_single,
         "pair_verdict": verdict_pair,
         "closed_single": 1.0,
         "closed_pair": closed_pair,
         # 'gap' is the extra cost of the second copy; additivity would make it
         # equal to 'single', so 'additivity_defect' is what vanishes at d = 2
-        "gap": _encode_float(value_pair - value_single if both else None),
-        "additivity_defect": _encode_float(value_pair - 2.0 * value_single if both else None),
+        "gap": value_pair - value_single if both else None,
+        "additivity_defect": value_pair - 2.0 * value_single if both else None,
         "wall_ms": wall_ms,
     }
     _print_json(payload)
@@ -282,9 +284,18 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
+def _random_seed(descriptor: str) -> int:
+    """The SEED of a random:SEED descriptor; a ValueError naming it unless SEED is a non-negative integer."""
+    seed = descriptor.split(":", 1)[1]
+    if not (seed.isascii() and seed.isdigit()):
+        raise ValueError(f"{descriptor!r}: random:SEED (the family or --other) needs a non-negative integer SEED")
+    return int(seed)
+
+
 def _marginal_dim(descriptor: str, args) -> int:
     """The dimension of an additivity marginal, checked against the cap before anything is built."""
     if descriptor.startswith("random:"):
+        _random_seed(descriptor)
         if args.other_dim < 1:
             raise ValueError(f"--other-dim must be >= 1, got {args.other_dim}")
         return _capped_dim(descriptor, args.other_dim, 2)
@@ -297,8 +308,7 @@ def _marginal_with_ansatz(
 ) -> tuple[StateFamily | None, str, DensityMatrix, DensityMatrix, float, str]:
     """Resolve a marginal: returns (family, label, rho, tau, value, verdict); family is None for random:SEED."""
     if descriptor.startswith("random:"):
-        seed = int(descriptor.split(":", 1)[1])
-        coeff = random_density(args.other_dim, args.other_dim, seed).entries
+        coeff = random_density(args.other_dim, args.other_dim, _random_seed(descriptor)).entries
         family = MaximallyCorrelated(tuple(tuple(x for x in row) for row in coeff))
         rho = build(family)
         solution = minimize_mc(rho, p, SolverOptions(starts=args.starts, seed=args.seed))
@@ -332,15 +342,15 @@ def cmd_additivity(args) -> int:
     payload = {
         "alpha": p.alpha,
         "z": p.z,
-        "marginal_1": {"family": label1, "value": _encode_float(v1), "verdict": verdict1},
-        "marginal_2": {"family": label2, "value": _encode_float(v2), "verdict": verdict2},
+        "marginal_1": {"family": label1, "value": v1, "verdict": verdict1},
+        "marginal_2": {"family": label2, "value": v2, "verdict": verdict2},
         "joint": {
-            "value": _encode_float(joint_value),
+            "value": joint_value,
             "verdict": report_joint.verdict,
             "ansatz": "antisym-pair" if antisym_route else "product-of-marginals",
-            "margin": _encode_float(report_joint.margin),
+            "margin": report_joint.margin,
         },
-        "defect": _encode_float(defect),
+        "defect": defect,
         "wall_ms": wall_ms,
     }
     _print_json(payload)
@@ -363,8 +373,8 @@ def cmd_sweep(args) -> int:
         lo, hi, steps = float(lo_s), float(hi_s), int(steps_s)
     except ValueError as exc:
         raise ValueError(f"malformed --param range {args.param!r}; expected name=lo:hi:steps") from exc
-    if not math.isfinite(hi - lo) or steps < 1:
-        raise ValueError(f"--param range {args.param!r} needs finite lo, hi and hi - lo, and steps >= 1")
+    if not math.isfinite(hi - lo) or not 1 <= steps <= COUNT_CAP:
+        raise ValueError(f"--param range {args.param!r} needs finite lo, hi and hi - lo, and steps in 1..{COUNT_CAP}")
     family = parse_family(args.family)
     values = np.linspace(lo, hi, steps)
     rows = []
@@ -391,9 +401,9 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_alpha_z(sub, alpha_default=1.0, z_default=1.0):
-    sub.add_argument("--alpha", type=float, default=alpha_default)
-    sub.add_argument("--z", type=float, default=z_default)
+def _add_alpha_z(sub):
+    sub.add_argument("--alpha", type=float, default=1.0)
+    sub.add_argument("--z", type=float, default=1.0)
 
 
 def _add_search_opts(sub):
@@ -459,10 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Reject --restarts or --starts outside 1..COUNT_CAP and a negative --seed, naming the flag."""
+    for name in ("restarts", "starts"):
+        n = getattr(args, name, 1)
+        if not 1 <= n <= COUNT_CAP:
+            raise ValueError(f"--{name} must lie in 1..{COUNT_CAP}, got {n}")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

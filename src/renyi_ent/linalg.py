@@ -16,8 +16,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import InitVar, dataclass
-from functools import cached_property, partial
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -45,9 +45,6 @@ class EigenDecomposition:
     order: np.ndarray | None = None
 
 
-Spectrum = Callable[[], tuple[np.ndarray, np.ndarray]]
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A d x d complex Hermitian matrix tagged with the local dimensions ``dims`` of its tensor factors.
@@ -56,18 +53,18 @@ class HermitianOperator:
     every entry is finite, hermiticity (per-entry tolerance 1e-12 *
     max|entry|) and that the matrix dimension is the product of ``dims``.
     The stored array is read-only; instances are immutable and compare and
-    hash by identity. The spectrum is computed on
-    first use and kept with the operator, so every spectral query on it
-    (powers, support, dominance, Xi) shares that single decomposition. It
-    comes from one ``eigh``, unless a known ``spectrum`` is passed at
-    construction: a callable giving the eigenpairs (w, V), called on first
-    use instead (:meth:`from_eigenpairs`, and the plain and party-merged
-    tensor products, which assemble theirs from their factors' spectra).
+    hash by identity. The spectrum is kept with the operator, so every
+    spectral query on it (powers, support, dominance, Xi) shares that single
+    decomposition. A known ``spectrum``, the eigenpair arrays (w, V), is
+    passed at construction and installed at once, sorted ascending with each
+    column's construction position (:meth:`from_eigenpairs`, and the plain and
+    party-merged tensor products, which assemble theirs from their factors'
+    spectra); without one, the spectrum is one ``eigh`` on first use.
     """
 
     entries: np.ndarray
     dims: tuple[int, ...]
-    spectrum: InitVar[Spectrum | None] = None
+    spectrum: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
 
     def __post_init__(self, spectrum):
         dims = tuple(int(d) for d in self.dims)
@@ -89,16 +86,18 @@ class HermitianOperator:
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dims", dims)
         if spectrum is not None:
-            object.__setattr__(self, "_spectrum", spectrum)
+            w, v = spectrum
+            order = np.argsort(w, kind="stable")
+            w, v = w[order], v[:, order]
+            w.flags.writeable = v.flags.writeable = False
+            object.__setattr__(self, "_eig", EigenDecomposition(eigenvalues=w, vectors=v, order=order))
 
     @classmethod
     def from_eigenpairs(cls, w: np.ndarray, vectors: np.ndarray, dims: Iterable[int]) -> HermitianOperator:
         """The Hermitian part of V diag(w) V† (orthonormal columns V), with (w, V) as its spectrum."""
         w, v = np.asarray(w, dtype=float), np.asarray(vectors)
         v = v.astype(np.result_type(v, float))  # a real basis stays real
-        op = cls(hermitian_part((v * w) @ v.conj().T), dims, lambda: (w, v))
-        eig_hermitian(op)
-        return op
+        return cls(hermitian_part((v * w) @ v.conj().T), dims, (w, v))
 
     @property
     def dim(self) -> int:
@@ -112,28 +111,15 @@ class HermitianOperator:
 
     @cached_property
     def _eig(self) -> EigenDecomposition:
-        """The spectrum from the construction-time ``spectrum`` (sorted ascending, then dropped) or one ``eigh``."""
-        spectrum = self.__dict__.pop("_spectrum", None)
-        order = None
-        if spectrum is None:
-            w, v = np.linalg.eigh(self.entries)
-        else:
-            w, v = spectrum()
-            order = np.argsort(w, kind="stable")
-            w, v = w[order], v[:, order]
-        w.flags.writeable = False
-        v.flags.writeable = False
-        return EigenDecomposition(eigenvalues=w, vectors=v, order=order)
-
-    @property
-    def _spectrum_known(self) -> bool:
-        """Whether the spectrum is cached or given at construction, so reading it runs no ``eigh``."""
-        return "_eig" in self.__dict__ or "_spectrum" in self.__dict__
+        """One ``eigh``, for an operator built without its spectrum."""
+        w, v = np.linalg.eigh(self.entries)
+        w.flags.writeable = v.flags.writeable = False
+        return EigenDecomposition(eigenvalues=w, vectors=v)
 
     @cached_property
     def _top(self) -> tuple[float, np.ndarray]:
         """The top eigenpair (lambda_max, unit vector): read from a known spectrum, else by :func:`_krylov_top`."""
-        if self._spectrum_known:
+        if "_eig" in self.__dict__:
             return float(self._eig.eigenvalues[-1]), self._eig.vectors[:, -1]
         return _krylov_top(self.entries)
 
@@ -259,10 +245,9 @@ def _joint_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndar
     their eigenvector arrays, each put back in construction order, are bitwise
     equal. No tolerance decides this: a miss only sends the caller down its general route.
     """
-    if not (a._spectrum_known and b._spectrum_known):
-        return None  # never decompose just to find no construction basis
-    ea, eb = eig_hermitian(a), eig_hermitian(b)
-    if ea.order is None or eb.order is None or ea.vectors.shape != eb.vectors.shape:
+    # read only spectra already there: never decompose just to find no construction basis
+    ea, eb = a.__dict__.get("_eig"), b.__dict__.get("_eig")
+    if ea is None or eb is None or ea.order is None or eb.order is None or ea.vectors.shape != eb.vectors.shape:
         return None
     cols = np.argsort(eb.order)[ea.order]  # b's column holding each of a's basis vectors
     if not np.array_equal(ea.vectors, eb.vectors[:, cols]):
@@ -307,16 +292,26 @@ def _kron_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarr
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """Kronecker product; its ``dims`` are both operands' ``dims`` concatenated.
 
-    A DensityMatrix when both factors are states. Its spectrum is assembled
-    from the factors' spectra (on first use for an operator, at once for a
-    state, whose PSD check reads it).
+    A DensityMatrix when both factors are states. Its spectrum is given at
+    construction, assembled from the factors' spectra (:func:`_kron_spectrum`).
     """
-    return _result_type(a, b)(np.kron(a.entries, b.entries), a.dims + b.dims, partial(_kron_spectrum, a, b))
+    return _result_type(a, b)(np.kron(a.entries, b.entries), a.dims + b.dims, _kron_spectrum(a, b))
 
 
 def _permute_rows(v: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
     """Rows of ``v``, indexed by the tensor factors ``dims``, with factor ``perm[j]`` moved to j."""
     return v.reshape(dims + (-1,)).transpose(perm + (len(dims),)).reshape(v.shape)
+
+
+def _merge_order(n: int) -> tuple[int, ...]:
+    """The factor order (a1, b1, a2, b2, ...) that merges factor j of two n-party operators into party j."""
+    return tuple(x for j in range(n) for x in (j, n + j))
+
+
+def _merged_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs (w, V) of tensor_product_merged(a, b): a (x) b's, with V's rows in merged order."""
+    w, v = _kron_spectrum(a, b)
+    return w, _permute_rows(v, a.dims + b.dims, _merge_order(len(a.dims)))
 
 
 def tensor_product_merged(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
@@ -326,24 +321,18 @@ def tensor_product_merged(a: HermitianOperator, b: HermitianOperator) -> Hermiti
     and factor j of ``b`` are merged into one party, so the result is again
     N-partite with local dimensions ``a.dims[j] * b.dims[j]``. This requires
     a physical factor permutation (a1, b1, a2, b2, ...), not just relabeling.
-    The spectrum is the factors' Kronecker spectrum under that permutation,
-    and the result is a DensityMatrix when both operands are states.
+    The spectrum is :func:`_merged_spectrum`, and the result is a
+    DensityMatrix when both operands are states.
     """
     n = len(a.dims)
     if n != len(b.dims):
         raise ValueError(
             f"party counts differ: {a.dims} vs {b.dims}; cannot merge parties"
         )
-    dims, d = a.dims + b.dims, a.dim * b.dim
-    perm = tuple(x for j in range(n) for x in (j, n + j))
+    dims, d, perm = a.dims + b.dims, a.dim * b.dim, _merge_order(n)
     axes = perm + tuple(p + 2 * n for p in perm)
     entries = np.kron(a.entries, b.entries).reshape(dims + dims).transpose(axes).reshape(d, d)
-
-    def spectrum():
-        w, v = _kron_spectrum(a, b)
-        return w, _permute_rows(v, dims, perm)
-
-    return _result_type(a, b)(entries, tuple(a.dims[j] * b.dims[j] for j in range(n)), spectrum)
+    return _result_type(a, b)(entries, tuple(a.dims[j] * b.dims[j] for j in range(n)), _merged_spectrum(a, b))
 
 
 def partial_trace(op: HermitianOperator, keep: Iterable[int]) -> HermitianOperator:
@@ -398,9 +387,7 @@ def random_density(
 
 
 def _fmt(x) -> str:
-    """A float to 12 significant digits ("inf", "nan" included); None as "", anything else by str."""
-    if x is None:
-        return ""
+    """A float to 12 significant digits ("inf", "nan" included), anything else by str."""
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 

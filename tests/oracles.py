@@ -373,11 +373,8 @@ def permute_factors(op, perm) -> HermitianOperator:
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
     axes = perm + tuple(p + n for p in perm)
     entries = op.entries.reshape(dims + dims).transpose(axes).reshape(op.dim, op.dim)
-
-    def spectrum():
-        dec = eig_hermitian(op)
-        return dec.eigenvalues, _permute_rows(dec.vectors, dims, perm)
-
+    dec = eig_hermitian(op)
+    spectrum = (dec.eigenvalues, _permute_rows(dec.vectors, dims, perm))
     return _result_type(op)(entries, tuple(dims[p] for p in perm), spectrum)
 
 

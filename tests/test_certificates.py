@@ -30,13 +30,20 @@ from renyi_ent import (
     in_support_set,
     marginal_condition_mc,
     max_product_overlap,
+    minimize_incoherent,
     minimize_mc,
     pure_density,
     q_alpha_z,
     random_density,
     xi,
 )
-from renyi_ent.certificates import ASCENT_MAX_SWEEPS, CertificateReport, _xi_divided_difference, report_to_dict
+from renyi_ent.certificates import (
+    ASCENT_MAX_SWEEPS,
+    CertificateReport,
+    _xi_divided_difference,
+    is_maximally_correlated,
+    report_to_dict,
+)
 from renyi_ent.divergences import LINE_ATOL, is_dominated, is_orthogonal
 from renyi_ent.linalg import _joint_spectrum
 from oracles import (
@@ -419,6 +426,32 @@ class TestCertify:
         rho = build(Werner(0.2, 3))
         with pytest.raises(ValueError):
             certify_optimizer(rho, rho, AlphaZ(3.0, 1.0))
+        with pytest.raises(ValueError, match="unknown free set 'ppt'"):
+            certify_optimizer(rho, rho, AlphaZ(2.0, 2.0), free_set="ppt")
+
+    def test_inconclusive_between_the_bands(self):
+        # move weight eps between two entries of the certified incoherent optimum and
+        # bisect eps until the margin lies between -10 and -1 times tol_cert
+        p = AlphaZ(2.0, 2.0)
+        rho = random_density(3, 3, seed=7)
+        w = minimize_incoherent(rho, p).weights
+
+        def report(eps):
+            v = w.copy()
+            v[0] -= eps
+            v[1] += eps
+            return certify_optimizer(rho, density(np.diag(v), (3,)), p, free_set="incoherent")
+
+        lo, hi = 0.0, w[0] / 2
+        assert report(lo).verdict == "certified-optimal" and report(hi).verdict == "refuted"
+        for _ in range(100):
+            r = report((lo + hi) / 2)
+            ratio = r.margin / r.tol_cert
+            if -10.0 < ratio < -1.0:
+                break
+            lo, hi = ((lo + hi) / 2, hi) if ratio >= -1.0 else (lo, (lo + hi) / 2)
+        assert -10.0 < ratio < -1.0
+        assert r.verdict == "inconclusive" and r.value is None
 
     @pytest.mark.parametrize("free_set", ["sep", "incoherent"])
     def test_partition_mismatch_names_both(self, free_set):
@@ -593,6 +626,11 @@ class TestMarginalConditionMC:
         tau = density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
         with pytest.raises(ValueError):
             marginal_condition_mc(rho, tau, AlphaZ(2.0, 2.0))
+        # a (2, 3) partition has no |ii> basis
+        rect = density(np.diag([0.5, 0.0, 0.0, 0.0, 0.5, 0.0]), (2, 3))
+        assert not is_maximally_correlated(rect)
+        with pytest.raises(ValueError, match="not maximally correlated"):
+            marginal_condition_mc(rect, rect, AlphaZ(2.0, 2.0))
 
 
 @pytest.fixture

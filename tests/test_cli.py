@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from renyi_ent import (
     save_operator_json,
 )
 from renyi_ent import cli
+from renyi_ent.certificates import _encode_float
 from renyi_ent.cli import main
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
@@ -288,6 +290,14 @@ class TestCertify:
         closed = closed_form_value(Werner(0.2, 3), AlphaZ(1000.0, 1000.0))
         assert abs(report["value"] - closed) <= 1e-9
 
+    def test_no_signed_zero_in_json(self, capsys):
+        # log2 Q = 0.0 divided by alpha - 1 < 0 is -0.0; the one JSON encoder prints 0.0
+        code, out, _ = run(capsys, ["certify", "iso:F=0.8,d=3", "ansatz", "--alpha", "1e-300", "--z", "1"])
+        assert code == 0
+        value = json.loads(out)["value"]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert math.copysign(1.0, _encode_float(-0.0)) == 1.0
+
     def test_ansatz_needs_descriptor_even_for_a_path_with_colon(self, tmp_path, capsys):
         folder = tmp_path / "run:1"
         folder.mkdir()
@@ -372,9 +382,11 @@ class TestCounterexample:
         payload = json.loads(out)
         assert abs(payload["additivity_defect"]) <= 1e-9
 
-    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    @pytest.mark.parametrize("restarts", ["0", "-3", "10001", "200000000"])
     def test_no_restarts_exits_2_with_one_line(self, capsys, restarts):
+        start = time.perf_counter()
         code, out, err = run(capsys, ["counterexample", "--d", "2", "--restarts", restarts])
+        assert time.perf_counter() - start < 1.0  # rejected before any allocation
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "restarts" in err
@@ -447,12 +459,19 @@ class TestAdditivity:
         assert abs(payload["defect"]) <= 1e-5
 
     @pytest.mark.parametrize(
-        "flag,value", [("--starts", "0"), ("--starts", "-3"), ("--other-dim", "0"), ("--other-dim", "-3")]
+        "flag,value",
+        [
+            ("--starts", "0"), ("--starts", "-3"), ("--other-dim", "0"), ("--other-dim", "-3"),
+            ("--starts", "10001"), ("--starts", "20000000"), ("--restarts", "10001"), ("--seed", "-1"),
+            ("--other", "random:abc"), ("--other", "random:"), ("--other", "random:1.5"), ("--other", "random:-1"),
+        ],
     )
     def test_empty_random_partner_exits_2_with_one_line(self, capsys, flag, value):
+        start = time.perf_counter()
         code, out, err = run(
             capsys, ["additivity", "pure:p=0.8|0.2", "--other", "random:5", "--restarts", "2", flag, value]
         )
+        assert time.perf_counter() - start < 1.0  # rejected before any allocation
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and flag.lstrip("-") in err
@@ -536,7 +555,9 @@ class TestSweep:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("param", ["p=1e400:1:3", "p=0:1e400:3", "alpha=0.5:1e400:2", "p=-1e308:1e308:3", "p=0:1:0"])
+    @pytest.mark.parametrize(
+        "param", ["p=1e400:1:3", "p=0:1e400:3", "alpha=0.5:1e400:2", "p=-1e308:1e308:3", "p=0:1:0", "p=0:1:10001"]
+    )
     def test_non_finite_or_empty_range_exits_2_with_one_line(self, capsys, param):
         code, out, err = run(capsys, ["sweep", "werner:p=0.5,d=3", "--param", param])
         assert code == 2

@@ -113,6 +113,7 @@ class TestNamedLimits:
         full = full_rank_state(3, 1)
         sigma = full_rank_state(3, 2)
         assert abs(d_min(full, sigma)) <= 1e-12  # Pi(rho) = I, Tr sigma = 1
+        assert d_min(rho, pure_density(np.array([0.0, 1.0]), (2,))) == math.inf  # orthogonal states
 
     def test_d_min_is_small_alpha_limit(self):
         rho, sigma = random_density(3, 2, seed=4), full_rank_state(3, 5)
