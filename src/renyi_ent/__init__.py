@@ -58,7 +58,6 @@ from .catalog import (
 )
 from .minimizers import (
     SimplexProblem,
-    SimplexRun,
     SimplexSolution,
     SolverOptions,
     minimize_incoherent,

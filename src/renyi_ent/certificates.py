@@ -14,17 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .divergences import (
-    AlphaZ,
-    _core,
-    _core_spectrum,
-    _d_from_log2,
-    _log2_q,
-    _q_from_log2,
-    _require_dpi,
-    d_umegaki,
-    is_dominated,
-)
+from .divergences import AlphaZ, _core, _core_spectrum, _d_and_q, _require_dpi, is_dominated
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -367,13 +357,13 @@ def _certify(
     their ``indices``, the largest diagonal entry <b|Xi|b> of Xi at those indices, witnessed
     by the real (e_j,), or by (e_l, e_l) for b = |ll> on the MC set. margin = q - Lambda^2 is
     judged against tol_cert = 1e-7 * q. Both q and, for a certified tau, ``value`` =
-    D_{alpha,z}(rho || tau) derive from one log2 Q (0 on the Umegaki line, where Q = 1).
+    D_{alpha,z}(rho || tau) come from :func:`divergences._d_and_q` (Q = 1 on the Umegaki line).
     """
     _require_dpi(p)  # the certification conditions need joint concavity/convexity
     _require_same_partition(rho, tau)
     support_ok = in_support_set(rho, tau, p)
     ev = xi(rho, tau, p)
-    log2q = 0.0 if p.on_umegaki_line else _log2_q(rho, tau, p, ev.log2q)
+    d, q = _d_and_q(rho, tau, p, ev.log2q)
 
     if indices is None:
         res = max_product_overlap(ev.xi, restarts=restarts, seed=seed)
@@ -387,8 +377,6 @@ def _certify(
             witness = ((np.arange(rho.dim) == indices[best]).astype(float),)
         res = OverlapResult(float(scores[best]), witness, (), ())
     lam = res.value
-
-    q = _q_from_log2(log2q)
     margin = q - lam
     band = TOL_CERT_REL * max(1.0, abs(lam))
     tol_cert = TOL_CERT_REL * q if math.isfinite(q) else TOL_CERT_REL
@@ -398,9 +386,6 @@ def _certify(
         verdict = "certified-optimal"
     else:
         verdict = "inconclusive"
-    value = None
-    if verdict == "certified-optimal":
-        value = d_umegaki(rho, tau) if p.on_umegaki_line else _d_from_log2(log2q, p)
     return CertificateReport(
         alpha=p.alpha,
         z=p.z,
@@ -414,7 +399,7 @@ def _certify(
         tol_cert=tol_cert,
         route=ev.route,
         beta=p.beta,
-        value=value,
+        value=d if verdict == "certified-optimal" else None,
         restart_values=res.restart_values,
         restart_hits=sum(1 for v in res.restart_values if v >= lam - band),
         restart_sweeps=res.restart_sweeps,

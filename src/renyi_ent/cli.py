@@ -39,7 +39,7 @@ from .catalog import (
     parse_family,
 )
 from .certificates import CertificateReport, _encode_float, certify_optimizer, report_to_dict
-from .divergences import AlphaZ, _d_from_log2, _log2_q, _q_from_log2, d_umegaki
+from .divergences import AlphaZ, _d_and_q
 from .linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -159,11 +159,7 @@ def cmd_eval(args) -> int:
     p = AlphaZ(args.alpha, args.z)
     rho = _load_psd(args.rho, state=True)
     sigma = _load_psd(args.sigma, state=False)
-    if p.on_umegaki_line:
-        d, q = d_umegaki(rho, sigma), 1.0
-    else:
-        log2q = _log2_q(rho, sigma, p)  # one core decomposition for both
-        d, q = _d_from_log2(log2q, p), _q_from_log2(log2q)
+    d, q = _d_and_q(rho, sigma, p)
     if not p.in_dpi_region:
         print(
             f"warning: (alpha, z) = ({p.alpha}, {p.z}) is outside the DPI region",
@@ -287,9 +283,10 @@ def cmd_counterexample(args) -> int:
 def _random_seed(descriptor: str) -> int:
     """The SEED of a random:SEED descriptor; a ValueError naming it unless SEED is a non-negative integer."""
     seed = descriptor.split(":", 1)[1]
-    if not (seed.isascii() and seed.isdigit()):
-        raise ValueError(f"{descriptor!r}: random:SEED (the family or --other) needs a non-negative integer SEED")
-    return int(seed)
+    with contextlib.suppress(ValueError):  # int() refuses a run of digits beyond its length limit
+        if seed.isascii() and seed.isdigit():
+            return int(seed)
+    raise ValueError(f"{descriptor!r}: random:SEED (the family or --other) needs a non-negative integer SEED")
 
 
 def _marginal_dim(descriptor: str, args) -> int:
@@ -312,8 +309,7 @@ def _marginal_with_ansatz(
         family = MaximallyCorrelated(tuple(tuple(x for x in row) for row in coeff))
         rho = build(family)
         solution = minimize_mc(rho, p, SolverOptions(starts=args.starts, seed=args.seed))
-        verdict = solution.certificate.verdict if solution.certificate else "inconclusive"
-        return (None, descriptor, rho, solution.sigma, solution.value, verdict)
+        return (None, descriptor, rho, solution.sigma, solution.value, solution.certificate.verdict)
     family = parse_family(descriptor)
     rho, tau, report, _ = _certify_ansatz(family, p, args)
     return (family, family_label(family), rho, tau, _value_or_nan(report), report.verdict)
@@ -411,8 +407,15 @@ def _add_search_opts(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ValueError, so :func:`main` prints them as one line, exit 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="renyi-ent",
         description="alpha-z Renyi relative entropies and entanglement-monotone certification",
     )
@@ -480,9 +483,8 @@ def _check_counts(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_counts(args)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

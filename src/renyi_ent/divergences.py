@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    SUPPORT_CUT,
     DensityMatrix,
     HermitianOperator,
     _joint_spectrum,
@@ -119,12 +118,12 @@ def _core(a: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _core_spectrum(core: np.ndarray, z: float):
     """(log2 Q, mu, V, f) per core from one ``eigh``, with log2 Q = log2 Tr C^z.
 
-    mu is cut at SUPPORT_CUT * lambda_max(C) (0 off the support, top = mu[..., -1])
+    mu is 0 off each core's support (:func:`linalg._support_mask`, top = mu[..., -1])
     and f = (mu/top)^(z-1) on the support, so chi = top^(z-1) (a V f)(a V)† = (a V mu^(z-1))(a V)†.
     """
     mu, v = np.linalg.eigh(core)
     top = mu[..., -1:]
-    mu = np.where(mu > SUPPORT_CUT * np.maximum(top, 0.0), mu, 0.0)
+    mu = np.where(_support_mask(mu), mu, 0.0)
     # z < 0 only for chi on the boundary lines, which discards log2 Q and f
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log2q = _log2_sum_powers_rows(mu.reshape(-1, mu.shape[-1]), z).reshape(top.shape[:-1])
@@ -187,6 +186,16 @@ def _d_from_log2(log2q: float, p: AlphaZ) -> float:
     return log2q / (p.alpha - 1.0)
 
 
+def _d_and_q(
+    rho: DensityMatrix, sigma: HermitianOperator, p: AlphaZ, core_log2q: float | None = None
+) -> tuple[float, float]:
+    """(D_{alpha,z}, Q) from one log2 Q (``core_log2q`` as in :func:`_log2_q`); (d_umegaki, 1) at alpha = 1."""
+    if p.on_umegaki_line:
+        return d_umegaki(rho, sigma), 1.0
+    log2q = _log2_q(rho, sigma, p, core_log2q)
+    return _d_from_log2(log2q, p), _q_from_log2(log2q)
+
+
 def d_alpha_z(rho: DensityMatrix, sigma: HermitianOperator, p: AlphaZ) -> float:
     """The alpha-z Renyi relative entropy D_{alpha,z}(rho || sigma), base 2.
 
@@ -194,9 +203,7 @@ def d_alpha_z(rho: DensityMatrix, sigma: HermitianOperator, p: AlphaZ) -> float:
     orthogonal to sigma) or rho << sigma, otherwise +inf. At alpha = 1 it
     dispatches to the Umegaki relative entropy (valid for any z > 0).
     """
-    if p.on_umegaki_line:
-        return d_umegaki(rho, sigma)
-    return _d_from_log2(_log2_q(rho, sigma, p), p)
+    return _d_and_q(rho, sigma, p)[0]
 
 
 def d_min(rho: DensityMatrix, sigma: HermitianOperator) -> float:

@@ -209,8 +209,8 @@ def eig_hermitian(op: HermitianOperator) -> EigenDecomposition:
 
 
 def _support_mask(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues above ``SUPPORT_CUT * lambda_max`` (none if lambda_max <= 0)."""
-    return w > SUPPORT_CUT * max(float(np.max(w)), 0.0)
+    """Eigenvalues above ``SUPPORT_CUT * lambda_max``, row by row over any leading axes (none if lambda_max <= 0)."""
+    return w > SUPPORT_CUT * np.maximum(np.max(w, axis=-1, keepdims=True), 0.0)
 
 
 def _power_values(w: np.ndarray, p: float, keep: np.ndarray | None = None) -> np.ndarray:

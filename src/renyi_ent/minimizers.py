@@ -2,12 +2,13 @@
 
 These cover the cases where the free-set optimization provably reduces to
 D_{alpha,z}(rho || diag(w)) on one simplex: incoherent states (coherence
-monotones) and the diagonal set T_rho for maximally correlated states, the
-latter on the d x d compression of rho. On tau = diag(w) the optimality
-condition reads w_j^(beta-1) chi_jj = Q on the support (beta = (1-alpha)/z),
-so the solver iterates the multiplicative map w_j <- w_j r_j^theta
-(renormalized) with r_j = w_j^(beta-1) chi_jj / Q, whose fixed points are
-exactly that condition. Value and exact gradient come from one
+monotones) and the diagonal set T_rho for maximally correlated states. Both
+are one solve on the compression of rho to a set of basis states, all of them
+or the states |ii>. On tau = diag(w) the optimality condition reads
+w_j^(beta-1) chi_jj = Q on the support (beta = (1-alpha)/z), so the solver
+iterates the multiplicative map w_j <- w_j r_j^theta (renormalized) with
+r_j = w_j^(beta-1) chi_jj / Q, whose fixed points are exactly that
+condition. Value and exact gradient come from one
 eigendecomposition per step, and a run stops when max_j r_j - 1 on the
 support, the certificate's own relative margin, falls to 1e-12. Inside the
 DPI region any local minimum is global, so a small multi-start is only a
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,26 +76,21 @@ class SimplexProblem:
     theta: float = 1.0
 
 
-class SimplexRun(NamedTuple):
-    """Best value and weights of a multi-start solve, with per-start records."""
+class SimplexSolution(NamedTuple):
+    """Best value and weights of a multi-start solve, with per-start records.
+
+    :func:`minimize_simplex` leaves ``sigma`` and ``certificate`` unset; the
+    public minimizations fill them with the closest free state diag(w) and its
+    certificate.
+    """
 
     value: float
     weights: np.ndarray
-    per_start: tuple[float, ...]
-    iterations: tuple[int, ...]
-    stop_reason: str  # of the run that gave ``weights``
-    stop_reasons: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SimplexSolution:
-    value: float
-    weights: np.ndarray
-    sigma: DensityMatrix
     per_start: tuple[float, ...]
     iterations: tuple[int, ...]  # accepted steps, per start
     stop_reason: str  # "stationary" | "max-iters" | "no-descent", of the best start
     stop_reasons: tuple[str, ...]  # per start
+    sigma: DensityMatrix | None = None
     certificate: CertificateReport | None = None
 
 
@@ -112,8 +109,10 @@ def _ratios(f, W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def minimize_simplex(
     problem: SimplexProblem, opts: SolverOptions | None = None, warm: np.ndarray | None = None
-) -> SimplexRun:
+) -> SimplexSolution:
     """Multi-start fixed-point solve; the best run plus per-start values, steps and stop reasons.
+
+    Returns a :class:`SimplexSolution` with ``sigma`` and ``certificate`` unset.
 
     Each start runs w <- normalize(w r^theta). A step is accepted when it does
     not raise f, or raises it by float noise while lowering the stationarity
@@ -178,7 +177,7 @@ def minimize_simplex(
     for val, s, reason in zip(fw, w, reasons):
         if val < best[0]:
             best = (float(val), s.copy(), reason)
-    return SimplexRun(
+    return SimplexSolution(
         best[0], best[1], tuple(float(v) for v in fw), tuple(int(n) for n in steps), best[2], tuple(reasons)
     )
 
@@ -248,57 +247,50 @@ def _diag_objective(rho_matrix: np.ndarray, p: AlphaZ) -> Callable[[np.ndarray],
     return f
 
 
-def _solve(rho_matrix: np.ndarray, p: AlphaZ, opts: SolverOptions | None) -> SimplexRun:
-    """min_w D_{alpha,z}(rho || diag(w)) over the simplex.
-
-    Warm-started at rho's diagonal. Steps start at theta = min(1, 1/alpha):
-    the undamped map overshoots at large alpha.
-    """
-    _require_dpi(p)
-    warm = np.maximum(np.real(np.diag(rho_matrix)), 0.0)
-    problem = SimplexProblem(_diag_objective(rho_matrix, p), warm.size, min(1.0, 1.0 / p.alpha))
-    return minimize_simplex(problem, opts, warm / warm.sum())
-
-
 # ---------------------------------------------------------------------------
 # Public minimizations
 # ---------------------------------------------------------------------------
 
 
+def _solve_on(
+    rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None, indices: np.ndarray,
+    certify: Callable[[DensityMatrix, DensityMatrix, AlphaZ], CertificateReport],
+) -> SimplexSolution:
+    """min_w D_{alpha,z}(rho || sum_j w_j |b_j><b_j|) over the basis states b_j at ``indices``.
+
+    Solved on the compression of rho to those indices, which leaves the
+    divergence unchanged when rho is supported on their span. Warm-started at
+    the compression's diagonal; steps start at theta = min(1, 1/alpha), since
+    the undamped map overshoots at large alpha. ``certify(rho, sigma, p)`` is attached.
+    """
+    _require_dpi(p)
+    block = rho.entries[np.ix_(indices, indices)]
+    warm = np.maximum(np.real(np.diag(block)), 0.0)
+    problem = SimplexProblem(_diag_objective(block, p), warm.size, min(1.0, 1.0 / p.alpha))
+    run = minimize_simplex(problem, opts, warm / warm.sum())
+    w = np.zeros(rho.dim)
+    w[indices] = run.weights
+    sigma = density(np.diag(w), rho.dims)
+    return run._replace(sigma=sigma, certificate=certify(rho, sigma, p))
+
+
 def minimize_incoherent(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None) -> SimplexSolution:
     """Closest incoherent state: min_s D_{alpha,z}(rho || diag(s)) in the computational basis.
 
-    Warm-started at the dephased diagonal of rho; an incoherent-free-set
-    certificate for the returned sigma is attached. For another basis U,
-    pass U† rho U and conjugate sigma back.
+    The basis-state solve on every index, warm-started at the dephased
+    diagonal of rho; an incoherent-free-set certificate for the returned sigma
+    is attached. For another basis U, pass U† rho U and conjugate sigma back.
     """
-    run = _solve(rho.entries, p, opts)
-    sigma = density(np.diag(run.weights), rho.dims)
-    report = certify_optimizer(rho, sigma, p, free_set="incoherent")
-    return SimplexSolution(sigma=sigma, certificate=report, **run._asdict())
+    return _solve_on(rho, p, opts, np.arange(rho.dim), partial(certify_optimizer, free_set="incoherent"))
 
 
-def _compress_mc(rho: DensityMatrix) -> np.ndarray:
-    """The d x d coefficient matrix of an MC state under |ii> -> |i>."""
-    _require_mc(rho)
-    idx = _ii_indices(rho.dims[0])
-    return rho.entries[np.ix_(idx, idx)].copy()
-
-
-def minimize_mc(
-    rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None
-) -> SimplexSolution:
+def minimize_mc(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None) -> SimplexSolution:
     """Monotone value of a maximally correlated state via the T_rho reduction.
 
-    The objective is evaluated on the d x d compression of rho (the isometry
-    |ii> -> |i> leaves the divergence unchanged); the result is cross-checked
-    with :func:`marginal_condition_mc` and the certificate is attached.
+    The same solve as :func:`minimize_incoherent`, on the states |ii> alone:
+    rho lives on their span, so its compression there (the d x d coefficient
+    matrix) carries the divergence. The certificate of
+    :func:`marginal_condition_mc` is attached.
     """
-    small = _compress_mc(rho)
-    d = small.shape[0]
-    run = _solve(small, p, opts)
-    m = np.zeros((d * d, d * d))
-    m[_ii_indices(d), _ii_indices(d)] = run.weights
-    tau = density(m, rho.dims)
-    report = marginal_condition_mc(rho, tau, p)
-    return SimplexSolution(sigma=tau, certificate=report, **run._asdict())
+    _require_mc(rho)
+    return _solve_on(rho, p, opts, _ii_indices(rho.dims[0]), marginal_condition_mc)

@@ -230,7 +230,7 @@ def _simplex_fixed_point(f, w0: np.ndarray, theta0: float) -> tuple[float, np.nd
     return fw, w, minimizers.MAX_ITERS, "stationary" if gap <= minimizers._STATIONARY_TOL else "max-iters"
 
 
-def simplex_serial(problem, opts=None, warm=None) -> minimizers.SimplexRun:
+def simplex_serial(problem, opts=None, warm=None) -> minimizers.SimplexSolution:
     """The multi-start fixed-point solve with its starts run one after another, 1-row calls only.
 
     Same starts, acceptance test, theta schedule, stopping tests and tie rule
@@ -253,7 +253,7 @@ def simplex_serial(problem, opts=None, warm=None) -> minimizers.SimplexRun:
         reasons.append(reason)
         if val < best[0]:
             best = (val, s, reason)
-    return minimizers.SimplexRun(best[0], best[1], tuple(values), tuple(steps), best[2], tuple(reasons))
+    return minimizers.SimplexSolution(best[0], best[1], tuple(values), tuple(steps), best[2], tuple(reasons))
 
 
 def tiled_objective(rho_matrix: np.ndarray, p: AlphaZ, reps: int):
@@ -286,7 +286,7 @@ def minimize_conditional_mc(rho: DensityMatrix, p: AlphaZ, opts=None) -> minimiz
     warm = np.maximum(np.real(np.diag(rho.entries)).reshape(d, d).sum(axis=0), 0.0)
     problem = minimizers.SimplexProblem(tiled_objective(rho.entries, p, d), d, min(1.0, 1.0 / p.alpha))
     run = minimizers.minimize_simplex(problem, opts, warm / warm.sum())
-    return minimizers.SimplexSolution(sigma=density(np.diag(run.weights), (d,)), **run._asdict())
+    return run._replace(sigma=density(np.diag(run.weights), (d,)))
 
 
 def conditional_entropy_mc(rho: DensityMatrix, p: AlphaZ, opts=None) -> float:

@@ -55,6 +55,10 @@ class TestRenyiEntropy:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             renyi_entropy((-0.1, 1.1), 2.0)
+        with pytest.raises(ValueError, match="positive entry"):
+            renyi_entropy((0.0, 0.0), 2.0)
+        with pytest.raises(ValueError, match="normalized"):
+            renyi_entropy((0.5, 0.4), 1.0)
 
 
 class TestBuild:
@@ -97,6 +101,20 @@ class TestBuild:
             Dicke(3, (1, 1))
         with pytest.raises(ValueError):
             MCBD((0.5, 0.4))
+        for F, d in ((1.2, 3), (-0.1, 3), (0.5, 1)):
+            with pytest.raises(ValueError, match="isotropic"):
+                Isotropic(F, d)
+        with pytest.raises(ValueError, match="nonnegative"):
+            Dicke(3, (4, -1))
+        # a Dicke state has at least two parties, as a GHZ state does
+        for N, k in ((0, ()), (0, (0,)), (1, (1,)), (1, (0, 1))):
+            with pytest.raises(ValueError, match="at least two parties"):
+                Dicke(N, k)
+        for d, M in ((0, 3), (2, 1)):
+            with pytest.raises(ValueError, match="GHZ"):
+                GHZ(d, M)
+        with pytest.raises(TypeError, match="unknown family"):
+            build("werner:p=0.2,d=3")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_mc_rejects_non_finite_coefficients(self, bad):
@@ -280,6 +298,16 @@ class TestLambdaSq:
             lambda_sq_closed_form(Werner(0.9, 3))
         with pytest.raises(ValueError):
             lambda_sq_closed_form(Isotropic(0.05, 3))
+        general, p = MaximallyCorrelated(((0.5, 0.25), (0.25, 0.5))), AlphaZ(2.0, 2.0)
+        with pytest.raises(ValueError, match="no closed form"):
+            closed_form_value(general, p)
+        with pytest.raises(ValueError, match="no closed-form ansatz"):
+            ansatz_optimizer(general, p)
+        with pytest.raises(TypeError, match="no closed-form Lambda"):
+            lambda_sq_closed_form(general)
+        for fn in (closed_form_value, ansatz_optimizer):
+            with pytest.raises(TypeError, match="unknown family"):
+                fn("werner:p=0.2,d=3", p)
 
 
 class TestSeparableRegime:
@@ -335,3 +363,5 @@ class TestDescriptors:
             parse_family("nosuch:x=1")
         with pytest.raises(ValueError):
             parse_family("werner:p")
+        with pytest.raises(TypeError, match="no label"):
+            family_label(MaximallyCorrelated(((1.0, 0.0), (0.0, 0.0))))

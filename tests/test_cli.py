@@ -266,6 +266,12 @@ class TestCertify:
         assert len(err.splitlines()) == 1
         assert "(2, 2)" in err and "(4,)" in err
 
+    def test_ansatz_outside_the_dpi_region_exits_2_with_one_line(self, capsys):
+        # the pure-state ansatz needs beta = z / (z - 1 + alpha) > 0
+        code, out, err = run(capsys, ["certify", "pure:p=0.5|0.5", "ansatz", "--alpha", "0.3", "--z", "0.2"])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "outside the DPI region" in err
+
     def test_overflowing_power_exits_2_with_one_line(self, capsys):
         # alpha = z = 1600 is inside the DPI region, but Xi's eigenvalues
         # (r/t)^alpha reach 1.6^1600 ~ 1e326, outside the float range
@@ -342,7 +348,10 @@ class TestTable1:
         assert out.count("FAIL ") == 7
         assert err.startswith("7 row(s) failed the 1e-6 reproduction check:")
 
-    @pytest.mark.parametrize("text", ["[1, 2]", "[[1]]", '[["a", 1]]', "[[true, 1]]", '{"alpha": 1}'])
+    @pytest.mark.parametrize(
+        "text",
+        ["[1, 2]", "[[1]]", '[["a", 1]]', "[[true, 1]]", '{"alpha": 1}', pytest.param("[[1" + "0" * 400 + ", 1]]", id="1e400")],
+    )
     def test_malformed_grid_exits_2_with_one_line(self, tmp_path, capsys, text):
         grid = tmp_path / "grid.json"
         grid.write_text(text)
@@ -382,7 +391,7 @@ class TestCounterexample:
         payload = json.loads(out)
         assert abs(payload["additivity_defect"]) <= 1e-9
 
-    @pytest.mark.parametrize("restarts", ["0", "-3", "10001", "200000000"])
+    @pytest.mark.parametrize("restarts", ["0", "-3", "10001", "200000000", "abc", "1.5"])
     def test_no_restarts_exits_2_with_one_line(self, capsys, restarts):
         start = time.perf_counter()
         code, out, err = run(capsys, ["counterexample", "--d", "2", "--restarts", restarts])
@@ -464,6 +473,8 @@ class TestAdditivity:
             ("--starts", "0"), ("--starts", "-3"), ("--other-dim", "0"), ("--other-dim", "-3"),
             ("--starts", "10001"), ("--starts", "20000000"), ("--restarts", "10001"), ("--seed", "-1"),
             ("--other", "random:abc"), ("--other", "random:"), ("--other", "random:1.5"), ("--other", "random:-1"),
+            ("--seed", "x"), ("--other-dim", "x"),
+            pytest.param("--other", "random:" + "9" * 5000, id="--other-random-5000-digits"),
         ],
     )
     def test_empty_random_partner_exits_2_with_one_line(self, capsys, flag, value):
@@ -554,6 +565,10 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "werner:p=0.5,d=3", "--param", "p=0-1-5"])
         assert code == 2
         assert "error" in err
+        # a vector parameter cannot be swept
+        code, out, err = run(capsys, ["sweep", "pure:p=0.8|0.2", "--param", "p=0:1:3"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "no sweepable parameter 'p'" in err
 
     @pytest.mark.parametrize(
         "param", ["p=1e400:1:3", "p=0:1e400:3", "alpha=0.5:1e400:2", "p=-1e308:1e308:3", "p=0:1:0", "p=0:1:10001"]
@@ -602,6 +617,12 @@ class TestDimensionCap:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["additivity", "pure:p=1"]], ids=["empty", "unknown", "missing"])
+    def test_parse_errors_exit_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: renyi-ent") and err.count("\n") == 1
+
     def test_module_invocation(self, tmp_path):
         import subprocess
         import sys

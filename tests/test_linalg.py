@@ -422,8 +422,14 @@ class TestPartialTrace:
         assert np.allclose(partial_trace(joint, [1]).entries, 3.0 * b.entries)
 
     def test_empty_keep_rejected(self):
+        rho = random_density(4, 4, 0, dims=(2, 2))
         with pytest.raises(ValueError):
-            partial_trace(random_density(4, 4, 0, dims=(2, 2)), [])
+            partial_trace(rho, [])
+        for index in (2, -1):
+            with pytest.raises(ValueError, match=r"keep indices must lie in 0\.\.1"):
+                partial_trace(rho, [0, index])
+            with pytest.raises(ValueError, match=r"flip indices must lie in 0\.\.1"):
+                partial_transpose(rho, [index])
 
 
 class TestPartialTranspose:
