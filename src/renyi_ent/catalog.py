@@ -3,7 +3,9 @@ optimizers, and closed-form product-overlap maxima.
 
 Conventions fixed here: logs are base 2; the Bell basis order is
 (Phi+, Phi-, Psi+, Psi-); separability thresholds are closed (boundary
-parameters count as separable).
+parameters count as separable). The isotropic closed form's power sum is
+taken in the log domain, so its exponent (alpha-1)/alpha, large and negative
+at small alpha, never underflows.
 """
 
 from __future__ import annotations
@@ -356,8 +358,9 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
     (and GHZ trivially), which depend on beta = z/(z - 1 + alpha).
     """
     _require_dpi(p)
+    a = p.alpha
     # the entropy order of the alpha-valued families, exactly 1 on the Umegaki line
-    order = 1.0 if p.on_umegaki_line else p.alpha
+    order = 1.0 if p.on_umegaki_line else a
     if is_separable_regime(family):
         return 0.0
     if isinstance(family, BellDiagonal):
@@ -367,7 +370,19 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
         return 1.0 - renyi_entropy((family.p, 1.0 - family.p), order)
     if isinstance(family, Isotropic):
         F, d = family.F, family.d
-        return math.log2(d) - renyi_entropy(np.r_[F, np.full(d - 1, (1.0 - F) / (d - 1.0))], order)
+        if p.on_umegaki_line:
+            # alpha -> 1 limit of the table entry, avoiding the 0/0 exponent
+            out = math.log2(d)
+            if F < 1.0:
+                out += (1.0 - F) * math.log2(1.0 - F) - (1.0 - F) * math.log2(d - 1.0)
+            out += F * math.log2(F)
+            return out
+        # log2 of the power sum (1-F)^a (d-1)^(1-a) + F^a, in the log domain:
+        # the table's (d-1)^((a-1)/a) underflows at small alpha
+        terms = [a * math.log2(F)]
+        if F < 1.0:
+            terms.append(a * math.log2(1.0 - F) + (1.0 - a) * math.log2(d - 1.0))
+        return math.log2(d) - float(np.logaddexp2.reduce(terms)) / (1.0 - a)
     if isinstance(family, GHZ):
         return math.log2(family.d)
     if isinstance(family, PureBipartite):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -252,16 +251,13 @@ def _diag_objective(rho_matrix: np.ndarray, p: AlphaZ) -> Callable[[np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-def _solve_on(
-    rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None, indices: np.ndarray,
-    certify: Callable[[DensityMatrix, DensityMatrix, AlphaZ], CertificateReport],
-) -> SimplexSolution:
+def _solve_on(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None, indices: np.ndarray) -> SimplexSolution:
     """min_w D_{alpha,z}(rho || sum_j w_j |b_j><b_j|) over the basis states b_j at ``indices``.
 
     Solved on the compression of rho to those indices, which leaves the
     divergence unchanged when rho is supported on their span. Warm-started at
     the compression's diagonal; steps start at theta = min(1, 1/alpha), since
-    the undamped map overshoots at large alpha. ``certify(rho, sigma, p)`` is attached.
+    the undamped map overshoots at large alpha. ``sigma`` is set, ``certificate`` left unset.
     """
     _require_dpi(p)
     block = rho.entries[np.ix_(indices, indices)]
@@ -271,7 +267,7 @@ def _solve_on(
     w = np.zeros(rho.dim)
     w[indices] = run.weights
     sigma = density(np.diag(w), rho.dims)
-    return run._replace(sigma=sigma, certificate=certify(rho, sigma, p))
+    return run._replace(sigma=sigma)
 
 
 def minimize_incoherent(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None) -> SimplexSolution:
@@ -281,7 +277,8 @@ def minimize_incoherent(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | Non
     diagonal of rho; an incoherent-free-set certificate for the returned sigma
     is attached. For another basis U, pass U† rho U and conjugate sigma back.
     """
-    return _solve_on(rho, p, opts, np.arange(rho.dim), partial(certify_optimizer, free_set="incoherent"))
+    sol = _solve_on(rho, p, opts, np.arange(rho.dim))
+    return sol._replace(certificate=certify_optimizer(rho, sol.sigma, p, free_set="incoherent"))
 
 
 def minimize_mc(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None) -> SimplexSolution:
@@ -293,4 +290,5 @@ def minimize_mc(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None
     :func:`marginal_condition_mc` is attached.
     """
     _require_mc(rho)
-    return _solve_on(rho, p, opts, _ii_indices(rho.dims[0]), marginal_condition_mc)
+    sol = _solve_on(rho, p, opts, _ii_indices(rho.dims[0]))
+    return sol._replace(certificate=marginal_condition_mc(rho, sol.sigma, p))

@@ -194,6 +194,21 @@ class TestValue:
         assert code == 0 and report["verdict"] == "certified-optimal"
         assert abs(value - report["value"]) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "alpha,expect",
+        [
+            (2.0, math.log2(1e12) + math.log2(0.64 + 0.04 / (1e12 - 1))),
+            (1.0, math.log2(1e12) + 0.8 * math.log2(0.8) + 0.2 * math.log2(0.2 / (1e12 - 1))),
+        ],
+    )
+    def test_isotropic_closed_form_costs_nothing_in_d(self, capsys, alpha, expect):
+        # value has no dimension cap, so the closed form must not allocate anything of size d
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["value", "iso:F=0.8,d=1000000000000", "--alpha", str(alpha), "--z", str(alpha)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert abs(json.loads(out)["value"] - expect) <= 1e-9
+
     def test_unknown_family_exits_nonzero(self, capsys):
         code, _, err = run(capsys, ["value", "nosuch:d=2"])
         assert code == 2
