@@ -3,9 +3,7 @@ optimizers, and closed-form product-overlap maxima.
 
 Conventions fixed here: logs are base 2; the Bell basis order is
 (Phi+, Phi-, Psi+, Psi-); separability thresholds are closed (boundary
-parameters count as separable). The isotropic closed form's power sum is
-taken in the log domain, so its exponent (alpha-1)/alpha, large and negative
-at small alpha, never underflows.
+parameters count as separable).
 """
 
 from __future__ import annotations
@@ -181,27 +179,30 @@ StateFamily = (
 # ---------------------------------------------------------------------------
 
 
-def renyi_entropy(values, order: float) -> float:
-    """H_alpha of a nonnegative vector: log2(sum v^alpha) / (1 - alpha).
+def renyi_entropy(values, order: float, counts=None) -> float:
+    """H_alpha of a nonnegative vector: log2(sum c v^alpha) / (1 - alpha).
 
-    order = 1 (within LINE_ATOL) is Shannon (the vector must then be
-    normalized), order = inf is the min-entropy -log2(max v). Zero entries are
-    dropped (0 log 0 = 0). The power sum is taken in the log domain, so no
-    entry underflows to 0 at large orders.
+    Value i is counted ``counts[i]`` times (c = 1 when omitted). order = 1
+    (within LINE_ATOL) is Shannon, -sum c v log2 v (sum c v must then be 1),
+    order = inf is the min-entropy -log2(max v). Zero values are dropped with
+    their counts (0 log 0 = 0). The power sum is taken in the log domain, so
+    no entry underflows to 0 at large or small orders.
     """
     v = np.asarray(values, dtype=float)
+    c = np.ones_like(v) if counts is None else np.asarray(counts, dtype=float)
     if np.any(v < -PROB_ATOL):
         raise ValueError("entries must be nonnegative")
-    v = v[v > 0]
+    v, c = v[v > 0], c[v > 0]
     if v.size == 0:
         raise ValueError("need at least one positive entry")
     if math.isinf(order):
         return -math.log2(float(np.max(v)))
     if abs(order - 1.0) <= LINE_ATOL:
-        if abs(float(v.sum()) - 1.0) > 1e-9:
+        if abs(float(np.sum(c * v)) - 1.0) > 1e-9:
             raise ValueError("order-1 entropy needs a normalized vector")
-        return float(-np.sum(v * np.log2(v)))
-    return float(_log2_sum_powers_rows(np.sort(v)[None, :], order)[0]) / (1.0 - order)
+        return float(-np.sum(c * v * np.log2(v)))
+    ascending = np.argsort(v)
+    return float(_log2_sum_powers_rows(v[ascending][None, :], order, c[ascending])[0]) / (1.0 - order)
 
 
 def beta_dual(p: AlphaZ) -> float:
@@ -358,31 +359,16 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
     (and GHZ trivially), which depend on beta = z/(z - 1 + alpha).
     """
     _require_dpi(p)
-    a = p.alpha
-    # the entropy order of the alpha-valued families, exactly 1 on the Umegaki line
-    order = 1.0 if p.on_umegaki_line else a
     if is_separable_regime(family):
         return 0.0
     if isinstance(family, BellDiagonal):
         lmax = max(family.lambdas)
-        return 1.0 - renyi_entropy((lmax, 1.0 - lmax), order)
+        return 1.0 - renyi_entropy((lmax, 1.0 - lmax), p.alpha)
     if isinstance(family, Werner):
-        return 1.0 - renyi_entropy((family.p, 1.0 - family.p), order)
+        return 1.0 - renyi_entropy((family.p, 1.0 - family.p), p.alpha)
     if isinstance(family, Isotropic):
         F, d = family.F, family.d
-        if p.on_umegaki_line:
-            # alpha -> 1 limit of the table entry, avoiding the 0/0 exponent
-            out = math.log2(d)
-            if F < 1.0:
-                out += (1.0 - F) * math.log2(1.0 - F) - (1.0 - F) * math.log2(d - 1.0)
-            out += F * math.log2(F)
-            return out
-        # log2 of the power sum (1-F)^a (d-1)^(1-a) + F^a, in the log domain:
-        # the table's (d-1)^((a-1)/a) underflows at small alpha
-        terms = [a * math.log2(F)]
-        if F < 1.0:
-            terms.append(a * math.log2(1.0 - F) + (1.0 - a) * math.log2(d - 1.0))
-        return math.log2(d) - float(np.logaddexp2.reduce(terms)) / (1.0 - a)
+        return math.log2(d) - renyi_entropy((F, (1.0 - F) / (d - 1)), p.alpha, (1, d - 1))
     if isinstance(family, GHZ):
         return math.log2(family.d)
     if isinstance(family, PureBipartite):
@@ -390,7 +376,7 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
     if isinstance(family, Dicke):
         return -math.log2(lambda_sq_closed_form(family))
     if isinstance(family, MCBD):
-        return math.log2(family.d) - renyi_entropy(family.p, order)
+        return math.log2(family.d) - renyi_entropy(family.p, p.alpha)
     if isinstance(family, AntisymPair):
         return 1.0 - math.log2((family.d - 1.0) / family.d)
     if isinstance(family, MaximallyCorrelated):

@@ -90,17 +90,18 @@ def is_dominated(rho: HermitianOperator, sigma: HermitianOperator) -> bool:
     return _negligible_on(rho, sigma, support=False)
 
 
-def _log2_sum_powers_rows(mu: np.ndarray, z: float) -> np.ndarray:
-    """log2(sum_i mu_i^z) per row of ascending values, over each row's positive entries.
+def _log2_sum_powers_rows(mu: np.ndarray, z: float, counts=1.0) -> np.ndarray:
+    """log2(sum_i c_i mu_i^z) per row of ascending values, over each row's positive entries.
 
-    Scaled by each row's top: (mu/top)^z <= 1, so the sum neither overflows
-    nor underflows to 0 even for z ~ 1e3. A row without positive entries gives
+    ``counts`` c, broadcast against mu, is each value's multiplicity. Scaled by
+    each row's top: (mu/top)^z <= 1, so the sum neither overflows nor
+    underflows to 0 even for z ~ 1e3. A row without positive entries gives
     -inf. Spectral callers zero the entries below the support cut first.
     """
     top = np.maximum(mu[:, -1:], 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(mu > 0, (mu / top) ** z, 0.0)
-        return z * np.log2(top[:, 0]) + np.log2(scaled.sum(axis=1))
+        return z * np.log2(top[:, 0]) + np.log2((counts * scaled).sum(axis=1))
 
 
 def _core(a: np.ndarray, s: np.ndarray) -> np.ndarray:
