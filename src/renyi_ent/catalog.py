@@ -8,6 +8,7 @@ parameters count as separable).
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -250,14 +251,29 @@ def _occupation_types(N: int, d: int) -> dict[tuple[int, ...], list[int]]:
     return types
 
 
-def _type_probability(t: tuple[int, ...], k: tuple[int, ...]) -> float:
-    """The probability of occupation type t in sum(t) draws from the distribution k / sum(k)."""
-    n = sum(k)
-    weight = float(math.factorial(sum(t)) // math.prod(math.factorial(x) for x in t))
-    for tj, kj in zip(t, k):
-        if tj > 0:
-            weight *= (kj / n) ** tj
-    return weight
+def _log_factorial_rest(m: int) -> float:
+    """ln m! - m ln m + m: below 16 from 28-digit decimal logs, as the terms cancel to about 2;
+    from 16 on ln(2 pi m)/2 plus Stirling's series to m^-9 (truncation error < 2e-16)."""
+    if m < 16:
+        return float(decimal.Decimal(math.factorial(m)).ln() - m * decimal.Decimal(m).ln() + m)
+    x = 1.0 / m
+    series = x * (1 / 12 - x * x * (1 / 360 - x * x * (1 / 1260 - x * x * (1 / 1680 - x * x / 1188))))
+    return 0.5 * math.log(2.0 * math.pi * m) + series
+
+
+def _log_type_probability(t: tuple[int, ...], k: tuple[int, ...]) -> float:
+    """ln of the probability of occupation type t in n = sum(t) draws from k / K, K = sum(k); -inf if impossible.
+
+    With h = :func:`_log_factorial_rest`, ln p = h(n) - sum_{t_j > 0} [h(t_j) + t_j ln(t_j K / (k_j n))]:
+    the n ln n terms, which a difference of log-factorials would cancel, are
+    taken out analytically, so p below the float range still has its log.
+    """
+    n, K = sum(t), sum(k)
+    if any(tj > 0 and kj == 0 for tj, kj in zip(t, k)):
+        return -math.inf
+    return _log_factorial_rest(n) - sum(
+        _log_factorial_rest(tj) + tj * math.log1p((tj * K - kj * n) / (kj * n)) for tj, kj in zip(t, k) if tj > 0
+    )
 
 
 def _party_shape(family: StateFamily) -> tuple[int, int]:
@@ -374,7 +390,7 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
     if isinstance(family, PureBipartite):
         return renyi_entropy(family.p, 1.0 if p.on_umegaki_line else beta_dual(p))
     if isinstance(family, Dicke):
-        return -math.log2(lambda_sq_closed_form(family))
+        return -_log_type_probability(family.k, family.k) / math.log(2.0)
     if isinstance(family, MCBD):
         return math.log2(family.d) - renyi_entropy(family.p, p.alpha)
     if isinstance(family, AntisymPair):
@@ -456,7 +472,7 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
         # the product state sqrt(k/N)^(x N) dephased in occupation type (the
         # phase-average integral): each type t keeps its multinomial weight,
         # on its Dicke vector
-        return _on_basis(family, _dicke_weights(family, lambda t: _type_probability(t, family.k)))
+        return _on_basis(family, _dicke_weights(family, lambda t: math.exp(_log_type_probability(t, family.k))))
     if isinstance(family, AntisymPair):
         # (d+1)/(2d) rho_+ (x) rho_+ + (d-1)/(2d) rho_- (x) rho_-, built from its
         # eigenpairs: the eigenbasis of rho_- = Werner(0, d) splits P- (its
@@ -499,7 +515,7 @@ def lambda_sq_closed_form(family: StateFamily) -> float:
             raise ValueError(f"isotropic Lambda^2 formula needs F >= 1/d^2, got F = {F}")
         return (F * d + 1.0) / (d * (d + 1.0))
     if isinstance(family, Dicke):
-        return _type_probability(family.k, family.k)
+        return math.exp(_log_type_probability(family.k, family.k))
     if isinstance(family, MCBD):
         return 1.0 / family.d
     if isinstance(family, AntisymPair):

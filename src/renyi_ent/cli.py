@@ -201,10 +201,7 @@ def _grid_from_arg(grid_arg: str) -> list[AlphaZ]:
         for pt in points
     ):
         raise ValueError("grid file must hold a JSON list of [alpha, z] number pairs")
-    try:
-        return [AlphaZ(float(a), float(z)) for a, z in points]
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise ValueError(f"grid value out of range: {exc}") from exc
+    return [AlphaZ(float(a), float(z)) for a, z in points]
 
 
 def cmd_table1(args) -> int:
@@ -487,7 +484,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _check_counts(args)
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -387,8 +387,8 @@ def random_density(
 
 
 def _fmt(x) -> str:
-    """A float to 12 significant digits ("inf", "nan" included), anything else by str."""
-    return f"{x:.12g}" if isinstance(x, float) else str(x)
+    """A float to 12 significant digits ("inf", "nan" included; x + 0.0, so never "-0"), anything else by str."""
+    return f"{x + 0.0:.12g}" if isinstance(x, float) else str(x)
 
 
 def save_operator_json(op: HermitianOperator, path: str) -> None:

@@ -34,6 +34,7 @@ from oracles import (
     symmetric_projector,
 )
 from renyi_ent.certificates import is_maximally_correlated
+from renyi_ent.cli import DEFAULT_GRID
 
 
 class TestRenyiEntropy:
@@ -59,6 +60,17 @@ class TestRenyiEntropy:
             renyi_entropy((0.0, 0.0), 2.0)
         with pytest.raises(ValueError, match="normalized"):
             renyi_entropy((0.5, 0.4), 1.0)
+
+    @pytest.mark.parametrize("order", [0.3, 1.0, 2.0, 50.0, math.inf])
+    @pytest.mark.parametrize(
+        "values,counts",
+        [((0.5, 0.25, 0.0), (1, 2, 5)), ((0.1, 0.0, 0.05, 0.3), (3, 7, 2, 2))],
+        ids=["zero-last", "zero-inside"],
+    )
+    def test_counts_repeat_values(self, values, counts, order):
+        # value i counts counts[i] times; a zero value is dropped with its nonzero count
+        expanded = renyi_entropy(np.repeat(values, counts), order)
+        assert abs(renyi_entropy(values, order, counts) - expanded) <= 1e-14
 
 
 class TestBuild:
@@ -154,6 +166,17 @@ class TestClosedFormValue:
     def test_isotropic_extreme_point(self):
         assert abs(closed_form_value(Isotropic(1.0, 3), AlphaZ(0.5, 1.0)) - math.log2(3)) <= 1e-12
         assert abs(closed_form_value(Isotropic(1.0, 3), AlphaZ(1.0, 1.0)) - math.log2(3)) <= 1e-12
+
+    @pytest.mark.parametrize("F", [0.3, 0.6, 0.8, 0.99, 1.0])
+    def test_isotropic_matches_its_expanded_spectrum(self, F):
+        # the closed form counts (1-F)/(d-1) d-1 times; the reference spells the d entries out
+        for d in range(2, 51):
+            if is_separable_regime(Isotropic(F, d)):
+                continue
+            spectrum = np.r_[F, np.full(d - 1, (1.0 - F) / (d - 1))]
+            for a, z in DEFAULT_GRID:
+                expect = math.log2(d) - renyi_entropy(spectrum, a)
+                assert abs(closed_form_value(Isotropic(F, d), AlphaZ(a, z)) - expect) <= 1e-14
 
     def test_separable_regimes_give_zero(self):
         p = AlphaZ(2.0, 2.0)

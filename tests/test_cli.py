@@ -209,6 +209,27 @@ class TestValue:
         assert code == 0
         assert abs(json.loads(out)["value"] - expect) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "k,expect",
+        [
+            ((550, 550), 5.3777198541335728376),
+            ((700, 200, 100), 9.5399206219401843943),
+            ((1000, 1000), 5.8088205439398000068),
+            ((10**7, 10**7), 12.452496414875615628),
+            ((10**15, 10**15), 25.740208776391377188),
+            ((1,) * 1000, 1436.3862804573134712),
+        ],
+        ids=["550-550", "700-200-100", "1000-1000", "1e7-1e7", "1e15-1e15", "1000-ones"],
+    )
+    def test_dicke_closed_form_at_any_n(self, capsys, k, expect):
+        # the multinomial overflows a float, and 1000 ones put lambda^2 = 1000!/1000^1000 below the float range
+        descriptor = f"dicke:N={sum(k)},k=" + "|".join(map(str, k))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["value", descriptor, "--alpha", "2", "--z", "2"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert abs(json.loads(out)["value"] - expect) <= 1e-13 * expect
+
     def test_unknown_family_exits_nonzero(self, capsys):
         code, _, err = run(capsys, ["value", "nosuch:d=2"])
         assert code == 2
@@ -561,6 +582,13 @@ class TestSweep:
         values = [float(r["closed_form"]) for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_negative_zero_prints_as_zero(self, capsys):
+        # the certified value at alpha = 1e-300 is -0.0, which the JSON encoder writes as 0.0
+        argv = ["sweep", "iso:F=0.8,d=3", "--param", "alpha=1e-300:1e-299:2", "--z", "1", "--restarts", "2"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert [row["certified_value"] for row in csv.DictReader(out.splitlines())] == ["0", "0"]
+
     def test_stdout_is_the_same_csv(self, tmp_path, capsys):
         # the family label holds a comma, so stdout must quote it as the file does
         argv = ["sweep", "isotropic:F=0.5,d=3", "--param", "F=0.2:0.8:2", "--alpha", "1", "--z", "1", "--restarts", "4"]
@@ -632,11 +660,23 @@ class TestDimensionCap:
 
 
 class TestEntryPoint:
-    @pytest.mark.parametrize("argv", [[], ["bogus"], ["additivity", "pure:p=1"]], ids=["empty", "unknown", "missing"])
-    def test_parse_errors_exit_2_with_one_line(self, capsys, argv):
+    @pytest.mark.parametrize(
+        "argv,prefix",
+        [
+            ([], "error: renyi-ent"),
+            (["bogus"], "error: renyi-ent"),
+            (["additivity", "pure:p=1"], "error: renyi-ent"),
+            # integers beyond the float range
+            (["value", "iso:F=0.5,d=1" + "0" * 400], "error: "),
+            (["value", "antisym:d=1" + "0" * 400], "error: "),
+            (["counterexample", "--d", "1" + "0" * 400], "error: "),
+        ],
+        ids=["empty", "unknown", "missing", "iso-1e400", "antisym-1e400", "counterexample-1e400"],
+    )
+    def test_parse_errors_exit_2_with_one_line(self, capsys, argv, prefix):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: renyi-ent") and err.count("\n") == 1
+        assert err.startswith(prefix) and err.count("\n") == 1
 
     def test_module_invocation(self, tmp_path):
         import subprocess

@@ -57,7 +57,7 @@ matrix_files = st.one_of(
 )
 
 FLOATS = ["0", "0.25", "0.5", "1", "2", "-0.5", "nan", "inf", "-inf", "1e-300", "x", ""]
-INTS = ["-1", "0", "1", "2", "3", "1.5", "nan", "x", ""]
+INTS = ["-1", "0", "1", "2", "3", "1" + "0" * 400, "1.5", "nan", "x", ""]  # 10^400 exceeds the float range
 vectors = st.lists(st.sampled_from(FLOATS), min_size=1, max_size=4).map("|".join)
 PARAMS = {
     "bell": ("lam", vectors),
