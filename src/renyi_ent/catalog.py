@@ -464,7 +464,7 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
         if math.isinf(beta):
             weights = (pv >= pv.max() - PROB_ATOL).astype(float)
         else:
-            weights = np.where(pv > 0, pv**beta, 0.0)
+            weights = np.where(pv > 0, (pv / pv.max()) ** beta, 0.0)  # the largest weight is 1: no 0/0 at large beta
         w = np.zeros(family.d**2)
         w[_ii_indices(family.d)] = weights / weights.sum()
         return density(np.diag(w), (family.d, family.d))

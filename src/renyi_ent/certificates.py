@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .linalg import (
     _fmt,
     _ii_indices,
     _joint_spectrum,
+    _krylov_top,
     _power,
     _power_values,
     _support_mask,
@@ -35,16 +37,17 @@ DEGENERACY_RTOL = 1e-12
 TOL_CERT_REL = 1e-7
 
 
-def _chi_entries(rho: HermitianOperator, tau: HermitianOperator, alpha: float, z: float) -> tuple[np.ndarray, float]:
-    """chi = a C^(z-1) a = (a V mu^(z-1))(a V)† from the core C = a tau^((1-alpha)/z) a, a = rho^(alpha/2z).
+def _chi_factor(rho: HermitianOperator, tau: HermitianOperator, alpha: float, z: float) -> tuple[np.ndarray, float]:
+    """The factor F = a V mu^((z-1)/2) of chi = a C^(z-1) a = F F†, on the support of C = V diag(mu) V†.
 
-    Also returns log2 Tr C^z from the same ``eigh``, which is log2 Q at (alpha, z)
-    when z > 0, before the support case split of :func:`divergences._log2_q`.
+    The core is C = a tau^((1-alpha)/z) a, a = rho^(alpha/2z). Also returns log2 Tr C^z from the
+    same ``eigh``, which is log2 Q at (alpha, z) when z > 0, before the support case split of
+    :func:`divergences._log2_q`.
     """
     a = _power(rho, alpha / (2.0 * z))
     log2q, mu, v, _ = _core_spectrum(_core(a, _power(tau, (1.0 - alpha) / z)), z)
-    av = a @ v
-    return hermitian_part((av * _power_values(mu, z - 1.0)) @ av.conj().T), float(log2q)
+    pw = _power_values(mu, z - 1.0)
+    return (a @ v[:, pw > 0]) * np.sqrt(pw[pw > 0]), float(log2q)
 
 
 def chi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> HermitianOperator:
@@ -55,7 +58,8 @@ def chi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> HermitianOpera
     """
     if p.on_umegaki_line:
         raise ValueError("chi is not defined at alpha = 1; xi handles that limit")
-    return wrap(_chi_entries(rho, tau, p.alpha, p.z)[0], rho.dims)
+    f = _chi_factor(rho, tau, p.alpha, p.z)[0]
+    return wrap(f @ f.conj().T, rho.dims)
 
 
 def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
@@ -86,15 +90,28 @@ def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
     return phi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XiEvaluation:
-    """The positive operator Xi_{alpha,z}(rho, tau) plus how it was computed."""
+    """The positive operator Xi_{alpha,z}(rho, tau) plus how it was computed.
 
-    xi: HermitianOperator
+    The product routes give an n x r ``factor``, Xi = F F†, and form the dense ``xi``
+    only when it is read; the divided-difference route gives ``xi`` itself (``dense``).
+    """
+
     route: str  # "boundary-line" | "commuting" | "divided-difference"
-    # log2 Q from the core that chi decomposed, off the Umegaki line on the
-    # divided-difference route; None elsewhere
-    log2q: float | None = None
+    dims: tuple[int, ...]
+    factor: np.ndarray | None = None
+    log2q: float | None = None  # log2 Q from chi's core: divided-difference route off the Umegaki line
+    dense: HermitianOperator | None = None
+
+    @cached_property
+    def xi(self) -> HermitianOperator:
+        return self.dense if self.factor is None else wrap(self.factor @ self.factor.conj().T, self.dims)
+
+    @cached_property
+    def _top(self) -> tuple[float, np.ndarray]:
+        """F F†'s top eigenpair, by :func:`linalg._krylov_top` on v -> F (F† v)."""
+        return _krylov_top(lambda b: self.factor @ (self.factor.conj().T @ b), self.factor.shape[0])
 
 
 def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
@@ -125,13 +142,11 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
         # one power of the ratio, which stays in range where r^alpha or t^(-alpha) would not
         keep = _support_mask(r) & _support_mask(t)
         x = _power_values(r / np.where(keep, t, 1.0), p.alpha, keep)
-        # wrapped without its eigenpairs (x, v) on purpose: from_eigenpairs would skip the Krylov
-        # top vector (a few ms at 625 dims), but Lambda^2's restart 0 would then start from one
-        # column of a degenerate top eigenspace, which on AntisymPair stops below the best value
-        return XiEvaluation(wrap((v * x) @ v.conj().T, rho.dims), "boundary-line" if on_line else "commuting")
+        # a factor, not the eigenpairs (x, v): Lambda^2's restart 0 starts from F F†'s Krylov top
+        # vector, since one column of a degenerate top eigenspace stops below the best on AntisymPair
+        return XiEvaluation("boundary-line" if on_line else "commuting", rho.dims, v[:, keep] * np.sqrt(x[keep]))
     if on_line:
-        m, _ = _chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)
-        return XiEvaluation(wrap(m, rho.dims), "boundary-line")
+        return XiEvaluation("boundary-line", rho.dims, _chi_factor(rho, tau, p.alpha, 1.0 - p.alpha)[0])
     return _xi_divided_difference(rho, tau, p)
 
 
@@ -144,11 +159,11 @@ def _xi_divided_difference(rho: HermitianOperator, tau: HermitianOperator, p: Al
     """
     dec = eig_hermitian(tau)
     w, u = dec.eigenvalues, dec.vectors
-    chi_m, log2q = (rho.entries, None) if p.on_umegaki_line else _chi_entries(rho, tau, p.alpha, p.z)
+    f, log2q = (None, None) if p.on_umegaki_line else _chi_factor(rho, tau, p.alpha, p.z)
     t = np.where(_support_mask(w), w, 0.0)
-    coeff = u.conj().T @ chi_m @ u
+    coeff = u.conj().T @ (rho.entries if f is None else f @ f.conj().T) @ u
     m = u @ (_phi_divided_difference(t, p) * coeff) @ u.conj().T
-    return XiEvaluation(wrap(m, rho.dims), "divided-difference", log2q)
+    return XiEvaluation("divided-difference", rho.dims, log2q=log2q, dense=wrap(m, rho.dims))
 
 
 def in_support_set(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> bool:
@@ -183,8 +198,8 @@ class OverlapResult:
     restart_sweeps: tuple[int, ...]
 
 
-# Bound on the output of the first contraction of Xi per chunk of restarts:
-# 8 MB holds 33 restarts at 625 dims and 11 at 1296, wide enough for an
+# Bound on the first contraction's output (G for a factored Xi) per chunk of restarts:
+# 8 MB holds 33 restarts of a dense Xi at 625 dims and 11 at 1296, wide enough for an
 # efficient matrix product; smaller operators run all restarts in one chunk.
 _CHUNK_BYTES = 1 << 23
 
@@ -197,10 +212,8 @@ def _kron_rows(factors: list[np.ndarray], rows: int) -> np.ndarray:
     return out
 
 
-def _local_matrices(
-    xi: np.ndarray, dims: tuple[int, ...], k: int, vecs: list[np.ndarray]
-) -> np.ndarray:
-    """Party k's local matrices <others| Xi |others>, one (d_k, d_k) block per row of ``vecs``.
+def _local_matrices(xi: np.ndarray, dims: tuple[int, ...], k: int, vecs: list[np.ndarray]) -> np.ndarray:
+    """Party k's local matrices <others| Xi |others> of a dense Xi, one (d_k, d_k) block per row of ``vecs``.
 
     The first contraction reads Xi's own buffer through a reshape view, as one
     matrix product against a chunk of restarts: the kets of all later parties
@@ -228,13 +241,30 @@ def _local_matrices(
     return out
 
 
-def _alternating_ascent(xi: np.ndarray, dims: tuple[int, ...], vecs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _factor_local_matrices(layouts: list, dims: tuple[int, ...], k: int, vecs: list[np.ndarray]) -> np.ndarray:
+    """Party k's local matrices G G† of Xi = F F†, G = <others| F, one (d_k, d_k) block per row of ``vecs``.
+
+    G is one matrix product of a chunk of restarts' bras against ``layouts[k]``, F's rows as
+    (others, d_k) by its r columns, reshaped to (others, d_k * r). Chunks keep G within _CHUNK_BYTES.
+    """
+    rows, d, r = vecs[0].shape[0], dims[k], layouts[k].shape[1] // dims[k]
+    bras = _kron_rows([v.conj() for j, v in enumerate(vecs) if j != k], rows)
+    step = max(1, _CHUNK_BYTES // (16 * d * max(r, 1)))  # r = 0 when the supports are disjoint
+    out = np.empty((rows, d, d), dtype=complex)
+    for lo in range(0, rows, step):
+        b = bras[lo : lo + step]
+        g = (b @ layouts[k]).reshape(b.shape[0], d, r)
+        out[lo : lo + step] = g @ g.conj().swapaxes(1, 2)
+    return out
+
+
+def _alternating_ascent(local, dims: tuple[int, ...], vecs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Advance every restart (one row of each (R, d_k) array in ``vecs``) in lockstep.
 
-    A sweep updates each party in turn with one batched ``eigh`` over the
-    active restarts. A restart leaves the batch once its own sweep gains at
-    most ``ASCENT_TOL * max(1, |value|)``. ``vecs`` is updated in place;
-    returns the per-restart values and sweep counts.
+    A sweep updates each party k in turn with one batched ``eigh`` of its local matrices
+    ``local(k, rows)`` over the active restarts. A restart leaves the batch once its own sweep
+    gains at most ``ASCENT_TOL * max(1, |value|)``. ``vecs`` is updated in place; returns the
+    per-restart values and sweep counts.
     """
     values = np.full(vecs[0].shape[0], -math.inf)
     sweeps = np.zeros(values.size, dtype=int)
@@ -242,7 +272,7 @@ def _alternating_ascent(xi: np.ndarray, dims: tuple[int, ...], vecs: list[np.nda
     for _ in range(ASCENT_MAX_SWEEPS):
         rows = [v[active] for v in vecs]
         for k in range(len(dims)):
-            w, u = np.linalg.eigh(hermitian_part(_local_matrices(xi, dims, k, rows)))
+            w, u = np.linalg.eigh(hermitian_part(local(k, rows)))
             rows[k] = u[:, :, -1]
             new = w[:, -1]
         for v, r in zip(vecs, rows):
@@ -256,9 +286,7 @@ def _alternating_ascent(xi: np.ndarray, dims: tuple[int, ...], vecs: list[np.nda
     return values, sweeps
 
 
-def _initial_vectors(
-    op: HermitianOperator, restarts: int, seed: int
-) -> list[np.ndarray]:
+def _initial_vectors(op: HermitianOperator | XiEvaluation, restarts: int, seed: int) -> list[np.ndarray]:
     """Per-party (restarts, d_k) start vectors.
 
     Row 0 is the best rank-one alignment of the cached top eigenvector of
@@ -279,24 +307,32 @@ def _initial_vectors(
     return vecs
 
 
-def max_product_overlap(op: HermitianOperator, restarts: int = 64, seed: int = 0) -> OverlapResult:
-    """Maximize <v1...vN| Xi |v1...vN> over product unit vectors.
+def max_product_overlap(op: HermitianOperator | XiEvaluation, restarts: int = 64, seed: int = 0) -> OverlapResult:
+    """Maximize <v1...vN| Xi |v1...vN> over product unit vectors, Xi a dense ``op`` or an XiEvaluation.
 
     Alternating maximization: with all local vectors but one fixed, the
     contraction of Xi is a local Hermitian matrix whose top eigenvector is the
-    exact update, so the overlap is nondecreasing. Restart 0 is seeded from
-    the rank-one alignment of the top eigenvector of Xi (cached on the
-    operator, found without a full decomposition); the remaining
-    restarts use seeded random product vectors. All restarts run in lockstep
-    as one batched ascent. The returned value is a certified lower bound on
-    Lambda^2; the multi-start is a heuristic for global optimality.
+    exact update, so the overlap is nondecreasing. An XiEvaluation with a factor F is
+    contracted as F, never as F F†. Restart 0 is seeded from the rank-one alignment of Xi's
+    top eigenvector (cached; found by a Krylov search, on v -> F (F† v) for a factor); the
+    remaining restarts use seeded random product vectors. All restarts run in lockstep as one
+    batched ascent. The returned value is a certified lower bound on Lambda^2; the multi-start
+    is a heuristic for global optimality.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if len(op.dims) < 2:
         raise ValueError("need at least two parties; a single-party maximum is just the top eigenvalue")
+    if isinstance(op, XiEvaluation) and op.factor is None:
+        op = op.dense
     vecs = _initial_vectors(op, restarts, seed)
-    values, sweeps = _alternating_ascent(op.entries, op.dims, vecs)
+    if isinstance(op, XiEvaluation):
+        f, (n, r) = op.factor, op.factor.shape
+        layouts = [np.moveaxis(f.reshape(op.dims + (r,)), k, -2).reshape(n // d, d * r) for k, d in enumerate(op.dims)]
+        local = partial(_factor_local_matrices, layouts, op.dims)
+    else:
+        local = partial(_local_matrices, op.entries, op.dims)
+    values, sweeps = _alternating_ascent(local, op.dims, vecs)
     best = int(np.argmax(values))  # ties resolve to the lowest restart index
     return OverlapResult(
         value=float(values[best]),
@@ -366,9 +402,10 @@ def _certify(
     d, q = _d_and_q(rho, tau, p, ev.log2q)
 
     if indices is None:
-        res = max_product_overlap(ev.xi, restarts=restarts, seed=seed)
+        res = max_product_overlap(ev, restarts=restarts, seed=seed)
     else:
-        scores = ev.xi.entries.diagonal()[indices].real
+        f = ev.factor
+        scores = ev.xi.entries.diagonal()[indices].real if f is None else (f[indices] * f[indices].conj()).real.sum(1)
         best = int(np.argmax(scores))
         if free_set == "mc-diagonal":
             e = np.eye(rho.dims[0], dtype=complex)[best]

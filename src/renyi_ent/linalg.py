@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -121,7 +121,7 @@ class HermitianOperator:
         """The top eigenpair (lambda_max, unit vector): read from a known spectrum, else by :func:`_krylov_top`."""
         if "_eig" in self.__dict__:
             return float(self._eig.eigenvalues[-1]), self._eig.vectors[:, -1]
-        return _krylov_top(self.entries)
+        return _krylov_top(self.entries.__matmul__, self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,22 +144,21 @@ def _result_type(*ops: HermitianOperator) -> type[HermitianOperator]:
     return DensityMatrix if all(isinstance(x, DensityMatrix) for x in ops) else HermitianOperator
 
 
-def _krylov_top(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Top eigenpair (theta, x) of a Hermitian matrix by block Lanczos.
+def _krylov_top(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[float, np.ndarray]:
+    """Top eigenpair (theta, x) of an n x n Hermitian matrix M by block Lanczos, given as ``matvec``: B -> M B.
 
     The block is min(_KRYLOV_BLOCK, n) columns from a fixed-seed complex
     Gaussian; each step appends the next Krylov block, reorthogonalized
     against the whole basis (twice), and takes the top Ritz pair of the
-    projected matrix. It stops once ||m x - theta x|| <= _KRYLOV_RTOL *
+    projected matrix. It stops once ||M x - theta x|| <= _KRYLOV_RTOL *
     |theta|, or once the basis spans the whole space, where the Ritz pair is
     exact. The residual is divided by |theta| before its norm is taken, so
-    its squares stay in the float range at any scale of ``m``.
+    its squares stay in the float range at any scale of M.
     """
-    n = m.shape[0]
     b = min(_KRYLOV_BLOCK, n)
     rng = np.random.default_rng(0)
     basis = np.linalg.qr(rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b)))[0]
-    images = m @ basis
+    images = matvec(basis)
     while True:
         w, y = np.linalg.eigh(hermitian_part(basis.conj().T @ images))
         theta, x = float(w[-1]), basis @ y[:, -1]
@@ -172,7 +171,7 @@ def _krylov_top(m: np.ndarray) -> tuple[float, np.ndarray]:
         for _ in range(2):
             block = np.linalg.qr(block - basis @ (basis.conj().T @ block))[0]
         basis = np.hstack([basis, block])
-        images = np.hstack([images, m @ block])
+        images = np.hstack([images, matvec(block)])
 
 
 def wrap(matrix: np.ndarray, dims: Iterable[int]) -> HermitianOperator:

@@ -62,7 +62,7 @@ from renyi_ent.certificates import (
     ASCENT_MAX_SWEEPS,
     ASCENT_TOL,
     OverlapResult,
-    _chi_entries,
+    _chi_factor,
     _initial_vectors,
     _require_mc,
     chi,
@@ -456,6 +456,12 @@ def report_from_json(text: str) -> CertificateReport:
     return report_from_dict(json.loads(text))
 
 
+def _chi_diagonal(rho: DensityMatrix, tau, alpha: float, z: float) -> np.ndarray:
+    """<i| chi |i> for every basis state i: the squared row norms of chi's factor."""
+    f = _chi_factor(rho, tau, alpha, z)[0]
+    return np.sum(np.abs(f) ** 2, axis=1)
+
+
 def mc_score_lambda(rho: DensityMatrix, tau, p: AlphaZ) -> float:
     """max_l of the MC certificate's scalar score table for tau = sum_l t_l |ll><ll|.
 
@@ -471,9 +477,9 @@ def mc_score_lambda(rho: DensityMatrix, tau, p: AlphaZ) -> float:
     if p.on_umegaki_line:
         scores[live] = np.real(np.diag(rho.entries))[idx][live] / t[live]
     elif p.on_reverse_line or p.on_lower_line:
-        scores = np.real(np.diag(_chi_entries(rho, tau, p.alpha, 1.0 - p.alpha)[0]))[idx]
+        scores = _chi_diagonal(rho, tau, p.alpha, 1.0 - p.alpha)[idx]
     else:
-        diag_chi = np.real(np.diag(_chi_entries(rho, tau, p.alpha, p.z)[0]))[idx]
+        diag_chi = _chi_diagonal(rho, tau, p.alpha, p.z)[idx]
         scores[live] = t[live] ** (p.beta - 1.0) * diag_chi[live]
     return float(np.max(scores))
 

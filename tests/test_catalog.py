@@ -239,6 +239,23 @@ class TestAnsatz:
         tau = ansatz_optimizer(PureBipartite((0.5, 0.5)), AlphaZ(2.0, 2.0))
         assert np.allclose(tau.entries, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-12)
 
+    @pytest.mark.parametrize("p", [(0.9, 0.1), (0.6, 0.4), (0.5, 0.3, 0.2), (0.7, 0.2, 0.1), (0.99, 0.01)], ids=str)
+    def test_pure_ansatz_weights_p_to_the_beta(self, p):
+        # the weights are normalized by the largest p first; that moves them by rounding only
+        pv = np.asarray(p)
+        for alpha, z in list(DEFAULT_GRID) + [(0.5, 0.6), (0.7, 0.4)]:
+            beta = beta_dual(AlphaZ(alpha, z))
+            if math.isinf(beta):
+                continue
+            want = pv**beta / np.sum(pv**beta)
+            got = np.diag(ansatz_optimizer(PureBipartite(p), AlphaZ(alpha, z)).entries).real[:: len(p) + 1]
+            assert np.max(np.abs(got - want) / want) <= 1e-15
+
+    def test_pure_ansatz_at_a_huge_beta(self):
+        # beta = z / (z - 1 + alpha) = 5001: 0.6^beta underflows to 0, yet the weights are (1, 0)
+        tau = ansatz_optimizer(PureBipartite((0.6, 0.4)), AlphaZ(0.5, 0.5001))
+        assert np.array_equal(np.diag(tau.entries).real, [1.0, 0.0, 0.0, 0.0])
+
     def test_separable_regime_returns_state_itself(self):
         fam = Werner(0.7, 3)
         tau = ansatz_optimizer(fam, AlphaZ(1.0, 1.0))

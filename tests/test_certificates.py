@@ -37,6 +37,7 @@ from renyi_ent import (
     random_density,
     xi,
 )
+from renyi_ent import certificates
 from renyi_ent.certificates import (
     ASCENT_MAX_SWEEPS,
     CertificateReport,
@@ -45,6 +46,7 @@ from renyi_ent.certificates import (
     report_to_dict,
 )
 from renyi_ent.divergences import LINE_ATOL, is_dominated, is_orthogonal
+from renyi_ent.cli import DEFAULT_GRID, DEFAULT_TABLE1_FAMILIES
 from renyi_ent.linalg import _joint_spectrum
 from oracles import (
     commutator_maxnorm,
@@ -339,6 +341,87 @@ class TestBatchedAscent:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         max_product_overlap(op, restarts=16)
         assert len(calls) <= len(op.dims) * max(sweeps)
+
+
+TABLE1_SHARED = [f for f in DEFAULT_TABLE1_FAMILIES if not isinstance(f, PureBipartite)]
+
+
+class TestFactoredXi:
+    """The product routes hand over Xi as its factor F, Xi = F F†, and the ascent contracts F."""
+
+    @staticmethod
+    def assert_matches_dense(ev, seed=2):
+        assert ev.factor is not None and ev.factor.shape[1] <= ev.factor.shape[0]
+        fast = max_product_overlap(ev, restarts=64, seed=seed)
+        dense = max_product_overlap(ev.xi, restarts=64, seed=seed)
+        for got, want in zip(fast.restart_values, dense.restart_values):
+            assert abs(got - want) <= 1e-13 * abs(want)
+        # restart 0 starts from the Krylov top vector of F F† or of the dense Xi: the same
+        # vector up to rounding, which may move its sweep count by one
+        assert fast.restart_sweeps[1:] == dense.restart_sweeps[1:]
+
+    @pytest.mark.parametrize("family", TABLE1_SHARED + [AntisymPair(3), AntisymPair(4)], ids=repr)
+    def test_shared_basis_ascent_matches_dense(self, family):
+        grid = [(2.0, 2.0)] if isinstance(family, AntisymPair) else DEFAULT_GRID
+        for a, z in grid:
+            p = AlphaZ(a, z)
+            ev = xi(build(family), ansatz_optimizer(family, p), p)
+            assert ev.route in ("commuting", "boundary-line")
+            self.assert_matches_dense(ev)
+
+    @pytest.mark.parametrize("alpha,z", [(0.4, 0.6), (3.0, 2.0)])
+    def test_general_boundary_line_ascent_matches_dense(self, alpha, z):
+        rho, tau = full_rank_state(9, 40, dims=(3, 3)), full_rank_state(9, 41, dims=(3, 3))
+        ev = xi(rho, tau, AlphaZ(alpha, z))
+        assert ev.route == "boundary-line"
+        self.assert_matches_dense(ev)
+
+    def test_divided_difference_route_stays_dense(self):
+        rho, tau = full_rank_state(4, 42, dims=(2, 2)), full_rank_state(4, 43, dims=(2, 2))
+        ev = xi(rho, tau, AlphaZ(2.0, 2.0))
+        assert ev.route == "divided-difference" and ev.factor is None
+        dense = max_product_overlap(ev.xi, restarts=8)
+        assert max_product_overlap(ev, restarts=8).restart_values == dense.restart_values
+
+    @pytest.mark.parametrize("alpha,z", [(2.0, 2.0), (0.5, 0.5)])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared-basis", "general"])
+    def test_disjoint_supports_give_an_empty_factor(self, alpha, z, shared):
+        # Xi = 0: a factor with no columns, searched like any other
+        w_rho, w_tau = [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]
+        if shared:
+            rho, tau = (DensityMatrix.from_eigenpairs(w, np.eye(4), (2, 2)) for w in (w_rho, w_tau))
+        else:
+            rho, tau = (density(np.diag(w), (2, 2)) for w in (w_rho, w_tau))
+        p = AlphaZ(alpha, z)
+        ev = xi(rho, tau, p)
+        if ev.factor is not None:
+            assert ev.factor.shape == (4, 0)
+        report = certify_optimizer(rho, tau, p, restarts=4)
+        assert report.verdict == "refuted" and report.lambda_sq == 0.0 and report.restart_hits == 4
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_every_restart_hits_on_antisym_pairs(self, d):
+        family, p = AntisymPair(d), AlphaZ(2.0, 2.0)
+        rho, tau = build(family), ansatz_optimizer(family, p)
+        for seed in range(3):
+            report = certify_optimizer(rho, tau, p, seed=seed)
+            assert report.verdict == "certified-optimal" and report.restart_hits == 64
+
+    def test_no_dense_xi_in_a_shared_basis_certification(self, monkeypatch):
+        family, p = AntisymPair(4), AlphaZ(2.0, 2.0)
+        rho, tau = build(family), ansatz_optimizer(family, p)
+        shapes, wrapped = [], []
+        original = HermitianOperator.__post_init__
+
+        def spy(self, spectrum):
+            shapes.append(np.shape(self.entries))
+            original(self, spectrum)
+
+        monkeypatch.setattr(HermitianOperator, "__post_init__", spy)
+        monkeypatch.setattr(certificates, "wrap", lambda m, dims: wrapped.append(np.shape(m)))
+        report = certify_optimizer(rho, tau, p)
+        assert report.route == "commuting" and report.verdict == "certified-optimal"
+        assert (256, 256) not in shapes and wrapped == []
 
 
 class TestRestartHits:
@@ -836,6 +919,7 @@ class TestSharedBasis:
         rho, tau = build(family), ansatz_optimizer(family, on)
         a, b = xi(rho, tau, on), xi(rho, tau, off)
         assert (a.route, b.route) == ("boundary-line", "commuting")
+        assert np.array_equal(a.factor, b.factor)
         assert np.array_equal(a.xi.entries, b.xi.entries)
 
     def test_bases_differing_in_one_bit_are_not_shared(self):

@@ -332,6 +332,13 @@ class TestCertify:
         closed = closed_form_value(Werner(0.2, 3), AlphaZ(1000.0, 1000.0))
         assert abs(report["value"] - closed) <= 1e-9
 
+    def test_pure_ansatz_at_a_huge_beta_is_refuted(self, capsys):
+        # beta = z / (z - 1 + alpha) = 5001: the ansatz weights must not underflow to 0/0
+        code, out, err = run(capsys, ["certify", "pure:p=0.6|0.4", "ansatz", "--alpha", "0.5", "--z", "0.5001"])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["verdict"] == "refuted" and report["support_ok"] is False
+
     def test_no_signed_zero_in_json(self, capsys):
         # log2 Q = 0.0 divided by alpha - 1 < 0 is -0.0; the one JSON encoder prints 0.0
         code, out, _ = run(capsys, ["certify", "iso:F=0.8,d=3", "ansatz", "--alpha", "1e-300", "--z", "1"])
@@ -653,6 +660,20 @@ class TestDimensionCap:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "cap of 2000" in err
         assert peak < 2**20
+
+    @pytest.mark.parametrize("descriptor", ["ghz:d=1,M=100000", "dicke:N=100000,k=100000"], ids=["ghz", "dicke"])
+    def test_many_parties_of_one_level_exit_2_at_once(self, capsys, monkeypatch, descriptor):
+        # 1^M = 1 fits any dimension cap, so the party count has a cap of its own
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state above the party cap was built")
+
+        for name in ("build", "ansatz_optimizer"):
+            monkeypatch.setattr(cli, name, refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["certify", descriptor, "ansatz"])
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "party cap of 11" in err
 
     def test_closed_forms_need_no_cap(self, capsys):
         code, out, _ = run(capsys, ["value", "ghz:d=10,M=6"])

@@ -10,7 +10,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from renyi_ent import AlphaZ, random_density, save_operator_json
@@ -120,13 +120,22 @@ def test_eval_on_malformed_matrix_files(rho, sigma, az):
         assert_clean(*run_cli(["eval", *paths, "--alpha", az[0], "--z", az[1]]))
 
 
+def beyond_float_and_party_range(test):
+    """Every run covers an integer beyond the float range and a one-level state of many parties."""
+    for text in ("isotropic:F=0.5,d=" + INTS[5], "antisym:d=" + INTS[5], "ghz:d=1,M=100000"):
+        test = example(text=text, az=("2", "2"))(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@beyond_float_and_party_range
 @given(text=descriptors(), az=ALPHA_Z)
 def test_value_on_malformed_descriptors(text, az):
     assert_clean(*run_cli(["value", text, "--alpha", az[0], "--z", az[1]]))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@beyond_float_and_party_range
 @given(text=descriptors(), az=ALPHA_Z)
 def test_certify_on_malformed_descriptors(text, az):
     assert_clean(*run_cli(["certify", text, "ansatz", "--alpha", az[0], "--z", az[1], "--restarts", "2"]))

@@ -273,13 +273,22 @@ class TestKrylovTop:
         from renyi_ent import AlphaZ, AntisymPair, ansatz_optimizer, build, xi
 
         family, p = AntisymPair(3), AlphaZ(2.0, 2.0)
-        op = xi(build(family), ansatz_optimizer(family, p), p).xi
+        ev = xi(build(family), ansatz_optimizer(family, p), p)
         shapes = []
         original = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m, *r, **k: shapes.append(np.shape(m)) or original(m, *r, **k))
-        self.check(op)
+        # the factored top pair, by the matvec v -> F (F† v), against the spectrum of F F†
+        f = ev.factor
+        theta, x = ev._top
+        w = np.linalg.eigvalsh(f @ f.conj().T)
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-13
+        assert np.linalg.norm(f @ (f.conj().T @ x) - theta * x) <= 1e-10 * abs(theta)
+        assert abs(theta - w[-1]) <= 1e-12 * abs(w[-1])
+        assert ev._top is ev._top
+        # the dense Xi, formed on demand, has the same top eigenvalue
+        self.check(ev.xi)
+        assert abs(ev.xi._top[0] - theta) <= 1e-12 * abs(theta)
         assert (81, 81) not in shapes
-        assert op._top is op._top
 
     def test_reads_a_cached_spectrum(self):
         rho = random_density(6, 6, seed=9)
