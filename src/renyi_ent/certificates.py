@@ -40,9 +40,8 @@ TOL_CERT_REL = 1e-7
 def _chi_factor(rho: HermitianOperator, tau: HermitianOperator, alpha: float, z: float) -> tuple[np.ndarray, float]:
     """The factor F = a V mu^((z-1)/2) of chi = a C^(z-1) a = F F†, on the support of C = V diag(mu) V†.
 
-    The core is C = a tau^((1-alpha)/z) a, a = rho^(alpha/2z). Also returns log2 Tr C^z from the
-    same ``eigh``, which is log2 Q at (alpha, z) when z > 0, before the support case split of
-    :func:`divergences._log2_q`.
+    C = a tau^((1-alpha)/z) a, a = rho^(alpha/2z). Also returns log2 Tr C^z from the same ``eigh``, which
+    is log2 Q at (alpha, z) when z > 0, before the support case split of :func:`divergences._log2_q`.
     """
     a = _power(rho, alpha / (2.0 * z))
     log2q, mu, v, _ = _core_spectrum(_core(a, _power(tau, (1.0 - alpha) / z)), z)
@@ -94,8 +93,7 @@ def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
 class XiEvaluation:
     """The positive operator Xi_{alpha,z}(rho, tau) plus how it was computed.
 
-    The product routes give an n x r ``factor``, Xi = F F†, and form the dense ``xi``
-    only when it is read; the divided-difference route gives ``xi`` itself (``dense``).
+    A product route gives an n x r ``factor`` F (Xi = F F†; ``xi`` is formed when read), else ``dense`` is Xi.
     """
 
     route: str  # "boundary-line" | "commuting" | "divided-difference"
@@ -110,8 +108,34 @@ class XiEvaluation:
 
     @cached_property
     def _top(self) -> tuple[float, np.ndarray]:
-        """F F†'s top eigenpair, by :func:`linalg._krylov_top` on v -> F (F† v)."""
-        return _krylov_top(lambda b: self.factor @ (self.factor.conj().T @ b), self.factor.shape[0])
+        """Xi's top eigenpair; for a factor, by :func:`linalg._krylov_top` on v -> F (F† v)."""
+        f = self.factor
+        return self.dense._top if f is None else _krylov_top(lambda b: f @ (f.conj().T @ b), f.shape[0])
+
+    def diagonal(self, indices: np.ndarray) -> np.ndarray:
+        """<i| Xi |i> at the basis ``indices``: for a factor, the squared norms of its rows."""
+        f = self.factor
+        return self.dense.entries[indices, indices].real if f is None else (f[indices] * f[indices].conj()).real.sum(1)
+
+    @cached_property
+    def _layouts(self) -> list[np.ndarray]:
+        """Per party k, F's rows as (others, d_k) by its r columns, reshaped to (others, d_k * r)."""
+        (n, r), dims = self.factor.shape, self.dims
+        return [np.moveaxis(self.factor.reshape(dims + (r,)), k, -2).reshape(n // d, d * r) for k, d in enumerate(dims)]
+
+    def local_matrices(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
+        """Party k's local matrices <others| Xi |others>, one (d_k, d_k) block per row of ``vecs``.
+
+        For a factor, G G† with G = <others| F: one matrix product of each chunk of restarts' bras
+        (G within _CHUNK_BYTES) against party k's layout of F.
+        """
+        if self.factor is None:
+            return _local_matrices(self.dense.entries, self.dims, k, vecs)
+        rows, d, r = vecs[0].shape[0], self.dims[k], self.factor.shape[1]
+        bras = _kron_rows([v.conj() for j, v in enumerate(vecs) if j != k], rows)
+        step = max(1, _CHUNK_BYTES // (16 * d * max(r, 1)))  # r = 0 when the supports are disjoint
+        gs = ((b @ self._layouts[k]).reshape(len(b), d, r) for b in np.split(bras, range(step, rows, step)))
+        return np.concatenate([g @ g.conj().swapaxes(1, 2) for g in gs])
 
 
 def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
@@ -142,8 +166,7 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
         # one power of the ratio, which stays in range where r^alpha or t^(-alpha) would not
         keep = _support_mask(r) & _support_mask(t)
         x = _power_values(r / np.where(keep, t, 1.0), p.alpha, keep)
-        # a factor, not the eigenpairs (x, v): Lambda^2's restart 0 starts from F F†'s Krylov top
-        # vector, since one column of a degenerate top eigenspace stops below the best on AntisymPair
+        # a factor, not eigenpairs (x, v): restart 0 needs a Krylov top vector; an eigh column stops low on AntisymPair
         return XiEvaluation("boundary-line" if on_line else "commuting", rho.dims, v[:, keep] * np.sqrt(x[keep]))
     if on_line:
         return XiEvaluation("boundary-line", rho.dims, _chi_factor(rho, tau, p.alpha, 1.0 - p.alpha)[0])
@@ -241,23 +264,6 @@ def _local_matrices(xi: np.ndarray, dims: tuple[int, ...], k: int, vecs: list[np
     return out
 
 
-def _factor_local_matrices(layouts: list, dims: tuple[int, ...], k: int, vecs: list[np.ndarray]) -> np.ndarray:
-    """Party k's local matrices G G† of Xi = F F†, G = <others| F, one (d_k, d_k) block per row of ``vecs``.
-
-    G is one matrix product of a chunk of restarts' bras against ``layouts[k]``, F's rows as
-    (others, d_k) by its r columns, reshaped to (others, d_k * r). Chunks keep G within _CHUNK_BYTES.
-    """
-    rows, d, r = vecs[0].shape[0], dims[k], layouts[k].shape[1] // dims[k]
-    bras = _kron_rows([v.conj() for j, v in enumerate(vecs) if j != k], rows)
-    step = max(1, _CHUNK_BYTES // (16 * d * max(r, 1)))  # r = 0 when the supports are disjoint
-    out = np.empty((rows, d, d), dtype=complex)
-    for lo in range(0, rows, step):
-        b = bras[lo : lo + step]
-        g = (b @ layouts[k]).reshape(b.shape[0], d, r)
-        out[lo : lo + step] = g @ g.conj().swapaxes(1, 2)
-    return out
-
-
 def _alternating_ascent(local, dims: tuple[int, ...], vecs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Advance every restart (one row of each (R, d_k) array in ``vecs``) in lockstep.
 
@@ -310,28 +316,19 @@ def _initial_vectors(op: HermitianOperator | XiEvaluation, restarts: int, seed: 
 def max_product_overlap(op: HermitianOperator | XiEvaluation, restarts: int = 64, seed: int = 0) -> OverlapResult:
     """Maximize <v1...vN| Xi |v1...vN> over product unit vectors, Xi a dense ``op`` or an XiEvaluation.
 
-    Alternating maximization: with all local vectors but one fixed, the
-    contraction of Xi is a local Hermitian matrix whose top eigenvector is the
-    exact update, so the overlap is nondecreasing. An XiEvaluation with a factor F is
-    contracted as F, never as F F†. Restart 0 is seeded from the rank-one alignment of Xi's
-    top eigenvector (cached; found by a Krylov search, on v -> F (F† v) for a factor); the
-    remaining restarts use seeded random product vectors. All restarts run in lockstep as one
-    batched ascent. The returned value is a certified lower bound on Lambda^2; the multi-start
-    is a heuristic for global optimality.
+    Alternating maximization: with all local vectors but one fixed, the contraction of Xi is a local
+    Hermitian matrix whose top eigenvector is the exact update, so the overlap is nondecreasing; a
+    factor F of Xi is contracted as F, never as F F†. Restart 0 is seeded from the rank-one alignment
+    of Xi's cached top eigenvector (a Krylov search, on v -> F (F† v) for a factor); the other
+    restarts use seeded random product vectors. All restarts run in lockstep as one batched ascent.
+    The value is a certified lower bound on Lambda^2; the multi-start is a heuristic for the maximum.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if len(op.dims) < 2:
         raise ValueError("need at least two parties; a single-party maximum is just the top eigenvalue")
-    if isinstance(op, XiEvaluation) and op.factor is None:
-        op = op.dense
     vecs = _initial_vectors(op, restarts, seed)
-    if isinstance(op, XiEvaluation):
-        f, (n, r) = op.factor, op.factor.shape
-        layouts = [np.moveaxis(f.reshape(op.dims + (r,)), k, -2).reshape(n // d, d * r) for k, d in enumerate(op.dims)]
-        local = partial(_factor_local_matrices, layouts, op.dims)
-    else:
-        local = partial(_local_matrices, op.entries, op.dims)
+    local = op.local_matrices if isinstance(op, XiEvaluation) else partial(_local_matrices, op.entries, op.dims)
     values, sweeps = _alternating_ascent(local, op.dims, vecs)
     best = int(np.argmax(values))  # ties resolve to the lowest restart index
     return OverlapResult(
@@ -404,8 +401,7 @@ def _certify(
     if indices is None:
         res = max_product_overlap(ev, restarts=restarts, seed=seed)
     else:
-        f = ev.factor
-        scores = ev.xi.entries.diagonal()[indices].real if f is None else (f[indices] * f[indices].conj()).real.sum(1)
+        scores = ev.diagonal(indices)
         best = int(np.argmax(scores))
         if free_set == "mc-diagonal":
             e = np.eye(rho.dims[0], dtype=complex)[best]

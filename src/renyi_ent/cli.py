@@ -91,9 +91,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 def _capped_dim(label: str, local: int, parties: int) -> int:
     """local^parties, the dimension of a state about to be built; a ValueError above CERTIFY_DIM_CAP.
 
-    Past cap.bit_length() parties of dimension >= 2 the cap is exceeded, so the exponent
-    is clipped there; a one-level state (1^parties = 1) of that many parties is refused
-    as well, so neither a huge power nor a huge party tuple is ever formed.
+    Past cap.bit_length() parties of dimension >= 2 the cap is exceeded and the exponent is clipped
+    there; more parties are refused even of one level, so no huge power or party tuple is formed.
     """
     dim = local ** min(parties, CERTIFY_DIM_CAP.bit_length())
     if dim > CERTIFY_DIM_CAP:

@@ -62,7 +62,6 @@ from renyi_ent.certificates import (
     ASCENT_MAX_SWEEPS,
     ASCENT_TOL,
     OverlapResult,
-    _chi_factor,
     _initial_vectors,
     _require_mc,
     chi,
@@ -457,9 +456,14 @@ def report_from_json(text: str) -> CertificateReport:
 
 
 def _chi_diagonal(rho: DensityMatrix, tau, alpha: float, z: float) -> np.ndarray:
-    """<i| chi |i> for every basis state i: the squared row norms of chi's factor."""
-    f = _chi_factor(rho, tau, alpha, z)[0]
-    return np.sum(np.abs(f) ** 2, axis=1)
+    """<i| chi |i> for every basis state i, from the dense sandwich a C^(z-1) a by generalized powers.
+
+    C = a tau^((1-alpha)/z) a and a = rho^(alpha/2z); no eigenvector factor of C is formed,
+    and z may be negative (the lower boundary line's chi_{alpha,1-alpha}).
+    """
+    a = _power(rho, alpha / (2.0 * z))
+    core = wrap(hermitian_part(a @ _power(tau, (1.0 - alpha) / z) @ a), rho.dims)
+    return np.real(np.diag(a @ _power(core, z - 1.0) @ a))
 
 
 def mc_score_lambda(rho: DensityMatrix, tau, p: AlphaZ) -> float:

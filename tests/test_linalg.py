@@ -288,6 +288,7 @@ class TestKrylovTop:
         # the dense Xi, formed on demand, has the same top eigenvalue
         self.check(ev.xi)
         assert abs(ev.xi._top[0] - theta) <= 1e-12 * abs(theta)
+        assert ev.xi._top is ev.xi._top
         assert (81, 81) not in shapes
 
     def test_reads_a_cached_spectrum(self):
