@@ -27,12 +27,14 @@ from .linalg import (
     _power_values,
     _support_mask,
     eig_hermitian,
-    hermitian_part,
     wrap,
 )
 
 ASCENT_MAX_SWEEPS = 1000  # per Lambda^2 restart
 ASCENT_TOL = 1e-12  # a restart stops once a sweep gains at most ASCENT_TOL * max(1, |value|)
+SHIFT_ULPS = 4  # lambda' - lambda in ulps of the spectral radius: off exact singularity, yet the top grows ~1/ulps
+RAYLEIGH_RTOL = 1e-13  # a solved vector's quotient stays within this times the radius of lambda: ASCENT_TOL / 10
+MC_RTOL = 1e-10  # an entry off the MC pattern counts as zero up to this times max|entry|, the scale of SUPPORT_CUT
 DEGENERACY_RTOL = 1e-12
 TOL_CERT_REL = 1e-7
 
@@ -202,7 +204,7 @@ def in_support_set(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> boo
     if joint is None:
         dec = eig_hermitian(rho)
         v = dec.vectors[:, _support_mask(dec.eigenvalues)]
-        w = np.linalg.eigvalsh(hermitian_part(v.conj().T @ tau.entries @ v))
+        w = np.linalg.eigvalsh(v.conj().T @ tau.entries @ v)  # reads one triangle
     else:
         w = joint[1][_support_mask(joint[0])]  # the compression is diagonal there
     return bool(np.all(_support_mask(w)))
@@ -264,23 +266,54 @@ def _local_matrices(xi: np.ndarray, dims: tuple[int, ...], k: int, vecs: list[np
     return out
 
 
-def _alternating_ascent(local, dims: tuple[int, ...], vecs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _top_eigenpairs(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue and unit top eigenvector of each Hermitian (d, d) matrix in ``m``, shifted in place.
+
+    d = 2: the closed form of [[a, b], [b*, c]]; a multiple of the identity keeps its row of ``v``. Else lambda is
+    the top of one ``eigvalsh`` and x solves (M - lambda' I) x = v, lambda' SHIFT_ULPS ulps of M's spectral radius
+    above lambda. Rows where x is not finite or its Rayleigh quotient misses lambda by RAYLEIGH_RTOL of that
+    radius, or all rows if a singular row fails the solve, take ``eigh``'s column.
+    """
+    if m.shape[-1] == 2:  # reads the lower triangle b*, as LAPACK would
+        a, c, low = m[:, 0, 0].real, m[:, 1, 1].real, m[:, 1, 0]
+        h = (a - c) / 2
+        root, up = np.hypot(h, np.abs(low)), (h >= 0)[:, None]
+        x = np.where(up, np.stack([root + h, low], 1), np.stack([low.conj(), root - h], 1))  # neither cancels
+        norm = np.hypot(np.abs(x[:, :1]), np.abs(x[:, 1:]))
+        return (a + c) / 2 + root, np.where(norm > 0, x / np.where(norm > 0, norm, 1.0), v)
+    w = np.linalg.eigvalsh(m)
+    lam, radius = w[:, -1], np.maximum(w[:, -1], -w[:, 0])
+    shift = lam + SHIFT_ULPS * np.finfo(float).eps * radius
+    np.einsum("kii->ki", m)[:] -= shift[:, None]  # a view: no second batch
+    try:
+        x = np.linalg.solve(m, v[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        x = np.full_like(v, np.nan)
+    with np.errstate(all="ignore"):  # rows left 0, inf or nan here fall back below
+        n2 = np.einsum("ij,ij->i", x.conj(), x).real
+        rq = shift + np.einsum("ij,ij->i", x.conj(), v).real / n2  # as (M - lambda' I) x = v
+        bad = ~(np.isfinite(n2) & (np.abs(rq - lam) <= RAYLEIGH_RTOL * radius))
+        x /= np.sqrt(n2)[:, None]
+    if bad.any():
+        x[bad] = np.linalg.eigh(m[bad])[1][:, :, -1]  # the shift keeps the eigenvectors
+    return lam, x
+
+
+def _alternating_ascent(local, vecs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Advance every restart (one row of each (R, d_k) array in ``vecs``) in lockstep.
 
-    A sweep updates each party k in turn with one batched ``eigh`` of its local matrices
-    ``local(k, rows)`` over the active restarts. A restart leaves the batch once its own sweep
-    gains at most ``ASCENT_TOL * max(1, |value|)``. ``vecs`` is updated in place; returns the
-    per-restart values and sweep counts.
+    A sweep moves each party k in turn to the top eigenvector of its local matrices ``local(k, rows)`` over
+    the active restarts: a qubit's closed form, else ``eigvalsh`` and one shifted solve, or ``eigh`` where
+    that misses (:func:`_top_eigenpairs`). A restart leaves the batch once its own sweep gains at most
+    ``ASCENT_TOL * max(1, |value|)``. ``vecs`` is updated in place; returns the per-restart values and sweeps.
     """
     values = np.full(vecs[0].shape[0], -math.inf)
     sweeps = np.zeros(values.size, dtype=int)
     active = np.arange(values.size)
     for _ in range(ASCENT_MAX_SWEEPS):
         rows = [v[active] for v in vecs]
-        for k in range(len(dims)):
-            w, u = np.linalg.eigh(hermitian_part(local(k, rows)))
-            rows[k] = u[:, :, -1]
-            new = w[:, -1]
+        for k in range(len(rows)):
+            new, rows[k] = _top_eigenpairs(local(k, rows), rows[k])
         for v, r in zip(vecs, rows):
             v[active] = r
         done = new - values[active] <= ASCENT_TOL * np.maximum(1.0, np.abs(new))
@@ -316,12 +349,13 @@ def _initial_vectors(op: HermitianOperator | XiEvaluation, restarts: int, seed: 
 def max_product_overlap(op: HermitianOperator | XiEvaluation, restarts: int = 64, seed: int = 0) -> OverlapResult:
     """Maximize <v1...vN| Xi |v1...vN> over product unit vectors, Xi a dense ``op`` or an XiEvaluation.
 
-    Alternating maximization: with all local vectors but one fixed, the contraction of Xi is a local
-    Hermitian matrix whose top eigenvector is the exact update, so the overlap is nondecreasing; a
-    factor F of Xi is contracted as F, never as F F†. Restart 0 is seeded from the rank-one alignment
-    of Xi's cached top eigenvector (a Krylov search, on v -> F (F† v) for a factor); the other
-    restarts use seeded random product vectors. All restarts run in lockstep as one batched ascent.
-    The value is a certified lower bound on Lambda^2; the multi-start is a heuristic for the maximum.
+    Alternating maximization: with all local vectors but one fixed, the contraction of Xi (of a factor F
+    as F, never as F F†) is a local Hermitian matrix whose top eigenvector is the exact update, so the
+    overlap is nondecreasing. That vector is a qubit's closed form, else one solve shifted to the top of one
+    ``eigvalsh``, or ``eigh`` where the solve misses it. Restart 0 starts from the rank-one alignment of Xi's
+    cached top eigenvector (a Krylov search, on v -> F (F† v) for a factor), the others from seeded random
+    product vectors; all run in lockstep as one batched ascent. The value is a certified lower bound on
+    Lambda^2; the multi-start is a heuristic for the maximum.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -329,7 +363,7 @@ def max_product_overlap(op: HermitianOperator | XiEvaluation, restarts: int = 64
         raise ValueError("need at least two parties; a single-party maximum is just the top eigenvalue")
     vecs = _initial_vectors(op, restarts, seed)
     local = op.local_matrices if isinstance(op, XiEvaluation) else partial(_local_matrices, op.entries, op.dims)
-    values, sweeps = _alternating_ascent(local, op.dims, vecs)
+    values, sweeps = _alternating_ascent(local, vecs)
     best = int(np.argmax(values))  # ties resolve to the lowest restart index
     return OverlapResult(
         value=float(values[best]),
@@ -462,19 +496,19 @@ def certify_optimizer(
 
 
 def is_maximally_correlated(rho: DensityMatrix) -> bool:
-    """Whether rho is supported on span{|ii><jj|} for its (d, d) partition, within 1e-10 * max|entry|."""
+    """Whether rho is supported on span{|ii><jj|} for its (d, d) partition, within MC_RTOL * max|entry|."""
     dims = rho.dims
     if len(dims) != 2 or dims[0] != dims[1]:
         return False
     idx = np.ix_(_ii_indices(dims[0]), _ii_indices(dims[0]))
     proj = np.zeros_like(rho.entries)
     proj[idx] = rho.entries[idx]
-    return float(np.max(np.abs(rho.entries - proj))) <= 1e-10 * rho.max_abs()
+    return float(np.max(np.abs(rho.entries - proj))) <= MC_RTOL * rho.max_abs()
 
 
 def _require_mc(rho: DensityMatrix) -> None:
     if not is_maximally_correlated(rho):
-        raise ValueError("rho is not maximally correlated in the |ii> basis within 1e-10 * max|entry|")
+        raise ValueError(f"rho is not maximally correlated in the |ii> basis within {MC_RTOL:g} * max|entry|")
 
 
 def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> CertificateReport:
@@ -490,8 +524,8 @@ def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ)
     idx = _ii_indices(rho.dims[0])
     off = tau.entries.copy()
     off[idx, idx] -= off[idx, idx].real
-    if float(np.max(np.abs(off))) > 1e-10 * tau.max_abs():
-        raise ValueError("tau is not diagonal in the |ii> basis within 1e-10 * max|entry|")
+    if float(np.max(np.abs(off))) > MC_RTOL * tau.max_abs():
+        raise ValueError(f"tau is not diagonal in the |ii> basis within {MC_RTOL:g} * max|entry|")
     return _certify(rho, tau, p, "mc-diagonal", idx)
 
 

@@ -359,17 +359,8 @@ def partial_transpose(op: HermitianOperator, flip: Iterable[int]) -> HermitianOp
     flip = set(int(f) for f in flip)
     if any(f < 0 or f >= n for f in flip):
         raise ValueError(f"flip indices must lie in 0..{n - 1}, got {sorted(flip)}")
-    dims = op.dims
-    t = op.entries.reshape(dims + dims)
-    axes = []
-    for i in range(2 * n):
-        j = i % n
-        if j in flip:
-            axes.append(i + n if i < n else i - n)
-        else:
-            axes.append(i)
-    d = op.dim
-    return HermitianOperator(t.transpose(axes).reshape(d, d), dims)
+    axes = [(i + n) % (2 * n) if i % n in flip else i for i in range(2 * n)]  # a flipped bra swaps with its ket
+    return HermitianOperator(op.entries.reshape(op.dims * 2).transpose(axes).reshape(op.dim, op.dim), op.dims)
 
 
 def random_density(

@@ -395,6 +395,8 @@ def product_overlap_grid(
     if op.dim > 16:
         raise ValueError("grid fallback is limited to total dimension <= 16")
     tensor = op.entries.reshape(dims + dims)
+    # rows (a, c), columns (b, d): local[g] = sum_ac conj(v_ga) v_gc tensor[a, b, c, d], one matrix product
+    by_pair = tensor.transpose(0, 2, 1, 3).reshape(4, -1)
 
     def scan(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, float, float]:
         tt, pp = np.meshgrid(thetas, phis, indexing="ij")
@@ -404,9 +406,9 @@ def product_overlap_grid(
         chunk = 65536
         for lo in range(0, vgrid.shape[0], chunk):
             vs = vgrid[lo : lo + chunk]
-            local = np.einsum("ga,abcd,gc->gbd", vs.conj(), tensor, vs)
-            local = (local + np.conj(np.transpose(local, (0, 2, 1)))) / 2
-            vals = np.linalg.eigvalsh(local)[:, -1]
+            outer = (vs.conj()[:, :, None] * vs[:, None, :]).reshape(-1, 4)
+            local = (outer @ by_pair).reshape(-1, dims[1], dims[1])
+            vals = np.linalg.eigvalsh(local)[:, -1]  # reads one triangle: no Hermitian part needed
             idx = int(np.argmax(vals))
             if vals[idx] > best_val:
                 best_val = float(vals[idx])

@@ -328,19 +328,103 @@ class TestBatchedAscent:
         assert abs(product_overlap_value(op, res.witness) - res.value) <= 1e-12
 
     @pytest.mark.parametrize("case", ["bell-diagonal", "ghz-3-3", "random-3x3", "random-2x2x2"])
-    def test_one_eigh_per_party_per_sweep(self, case, monkeypatch):
+    def test_eigensolver_calls_per_sweep(self, case, monkeypatch):
         op = BATCH_CASES[case]()
+        # the reference caches op's top eigenvector first, so the Krylov steps behind restart 0 run unspied
         _, sweeps, _ = product_overlap_serial(op, restarts=16)
-        calls = []
-        original = np.linalg.eigh
+        calls = {"eigh": [], "eigvalsh": []}
+        for name, shapes in calls.items():
+            def counted(a, *args, _original=getattr(np.linalg, name), _shapes=shapes, **kwargs):
+                _shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
 
-        def counted(a, *args, **kwargs):
-            calls.append(np.shape(a))
+            monkeypatch.setattr(np.linalg, name, counted)
+        max_product_overlap(op, restarts=16)
+        assert calls["eigh"] == []
+        assert len(calls["eigvalsh"]) <= sum(d >= 3 for d in op.dims) * max(sweeps)
+
+
+class TestTopEigenpairs:
+    """The party update: a closed form for a qubit, else eigvalsh and one shifted solve, with an eigh fallback."""
+
+    @staticmethod
+    def eigh_top(m):
+        w, u = np.linalg.eigh(m)
+        return w[:, -1], u[:, :, -1]
+
+    @staticmethod
+    def phase_free_gap(x, u):
+        """1 - |<x_i|u_i>| per row: 0 for the same unit vector up to phase."""
+        return 1.0 - np.abs(np.einsum("ij,ij->i", x.conj(), u))
+
+    def test_orthogonal_start_takes_the_fallback(self, monkeypatch):
+        # row 0 starts orthogonal to the top eigenvector e_0, so its solve never leaves e_0's complement;
+        # row 1 has a component on e_0 and keeps its solve
+        m = np.array([np.diag([3.0, 2.0, 1.0])] * 2, dtype=complex)
+        v = np.array([[0.0, 0.6, 0.8], [0.6, 0.0, 0.8]], dtype=complex)
+        want_w, want_u = self.eigh_top(m)
+        rows, original = [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            rows.append(len(a))
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        max_product_overlap(op, restarts=16)
-        assert len(calls) <= len(op.dims) * max(sweeps)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        lam, x = certificates._top_eigenpairs(m.copy(), v)
+        assert rows == [1]
+        assert np.array_equal(lam, want_w)
+        assert np.all(self.phase_free_gap(x, want_u) <= 1e-15)
+
+    def test_singular_batch_solve_falls_back(self, monkeypatch):
+        m = random_density(4, 4, seed=11, dims=(4,)).entries[None].repeat(3, axis=0)
+        v = np.ones((3, 4), dtype=complex) / 2
+        want_w, want_u = self.eigh_top(m)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        lam, x = certificates._top_eigenpairs(m.copy(), v)
+        assert np.array_equal(lam, np.linalg.eigvalsh(m)[:, -1])
+        assert np.all(self.phase_free_gap(x, want_u) <= 1e-14)
+
+    def test_near_tie_matches_eigh(self):
+        # relative gap 1e-10: any unit vector of the top pair's span is a top eigenvector to that accuracy,
+        # and eigh's own column moves by ~eps / gap = 1e-6 under rounding, so the vector is compared by
+        # its residual and by its weight outside that span
+        rng = np.random.default_rng(7)
+        q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        m = ((q * [0.2, 0.5, 1.0 - 1e-10, 1.0]) @ q.conj().T)[None]
+        v = (rng.standard_normal(4) + 1j * rng.standard_normal(4))[None]
+        w, u = np.linalg.eigh(m[0])
+        lam, x = certificates._top_eigenpairs(m.copy(), v / np.linalg.norm(v))
+        assert abs(lam[0] - w[-1]) <= 1e-15
+        assert abs(np.linalg.norm(x[0]) - 1.0) <= 1e-15
+        assert np.linalg.norm(m[0] @ x[0] - w[-1] * x[0]) <= 1e-12
+        assert np.linalg.norm(u[:, :2].conj().T @ x[0]) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["random", "diagonal", "a<d,b=0", "imaginary-b"])
+    def test_qubit_closed_form_matches_eigh(self, case, monkeypatch):
+        g = np.random.default_rng(3).standard_normal((50, 2, 2, 2)) @ [1.0, 1j]
+        m = {
+            "random": g + g.conj().swapaxes(1, 2),
+            "diagonal": np.array([np.diag([2.0, -1.0]), np.diag([0.5, 0.25])], dtype=complex),
+            "a<d,b=0": np.array([np.diag([-1.0, 2.0]), np.diag([0.25, 0.5])], dtype=complex),
+            "imaginary-b": np.array([[[1.0, 2j], [-2j, 1.0]], [[3.0, -0.5j], [0.5j, -1.0]]]),
+        }[case]
+        want_w, want_u = self.eigh_top(m)
+        v = np.ones((len(m), 2), dtype=complex) / np.sqrt(2)
+        for name in ("eigh", "eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name, None)  # no LAPACK call
+        lam, x = certificates._top_eigenpairs(m.copy(), v)
+        assert np.all(np.abs(lam - want_w) <= 4e-15 * np.abs(m).max(axis=(1, 2)))
+        assert np.all(self.phase_free_gap(x, want_u) <= 1e-15)
+
+    def test_qubit_multiple_of_the_identity_keeps_the_start(self):
+        m = np.array([2.5 * np.eye(2), np.zeros((2, 2))], dtype=complex)
+        v = np.array([[0.6, 0.8j], [1.0, 0.0]])
+        lam, x = certificates._top_eigenpairs(m.copy(), v)
+        assert np.array_equal(lam, [2.5, 0.0]) and np.array_equal(x, v)
 
 
 TABLE1_SHARED = [f for f in DEFAULT_TABLE1_FAMILIES if not isinstance(f, PureBipartite)]
@@ -403,6 +487,8 @@ class TestFactoredXi:
     def test_every_restart_hits_on_antisym_pairs(self, d):
         family, p = AntisymPair(d), AlphaZ(2.0, 2.0)
         rho, tau = build(family), ansatz_optimizer(family, p)
+        top = np.linalg.svd(xi(rho, tau, p).factor, compute_uv=False)[:2] ** 2
+        assert top[1] >= (1.0 - 1e-12) * top[0]  # Xi's top eigenspace is degenerate
         for seed in range(3):
             report = certify_optimizer(rho, tau, p, seed=seed)
             assert report.verdict == "certified-optimal" and report.restart_hits == 64
@@ -422,6 +508,20 @@ class TestFactoredXi:
         report = certify_optimizer(rho, tau, p)
         assert report.route == "commuting" and report.verdict == "certified-optimal"
         assert (256, 256) not in shapes and wrapped == []
+
+    def test_no_eigh_of_party_matrices_in_the_antisym_5_pair(self, monkeypatch):
+        family, p = AntisymPair(5), AlphaZ(2.0, 2.0)
+        rho, tau = build(family), ansatz_optimizer(family, p)
+        shapes, original = [], np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        report = certify_optimizer(rho, tau, p)
+        assert report.verdict == "certified-optimal" and report.restart_hits == 64
+        assert [s for s in shapes if s[1:] == (25, 25)] == []
 
 
 class TestRestartHits:
