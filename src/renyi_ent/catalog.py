@@ -15,8 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .divergences import LINE_ATOL, AlphaZ, _log2_sum_powers_rows, _require_dpi
+from .divergences import AlphaZ, _log2_sum_powers_rows, _require_dpi
 from .linalg import (
+    LINE_ATOL, PROB_ATOL, TRACE_ATOL,
     DensityMatrix,
     _fmt,
     _ii_indices,
@@ -27,8 +28,6 @@ from .linalg import (
     pure_density,
     tensor_product_merged,
 )
-
-PROB_ATOL = 1e-12
 
 
 def _check_prob_vector(p: tuple[float, ...], what: str) -> None:
@@ -199,7 +198,7 @@ def renyi_entropy(values, order: float, counts=None) -> float:
     if math.isinf(order):
         return -math.log2(float(np.max(v)))
     if abs(order - 1.0) <= LINE_ATOL:
-        if abs(float(np.sum(c * v)) - 1.0) > 1e-9:
+        if abs(float(np.sum(c * v)) - 1.0) > TRACE_ATOL:
             raise ValueError("order-1 entropy needs a normalized vector")
         return float(-np.sum(c * v * np.log2(v)))
     ascending = np.argsort(v)

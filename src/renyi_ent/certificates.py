@@ -17,6 +17,7 @@ import numpy as np
 
 from .divergences import AlphaZ, _core, _core_spectrum, _d_and_q, _require_dpi, is_dominated
 from .linalg import (
+    ASCENT_TOL, DEGENERACY_RTOL, RAYLEIGH_RTOL, SUPPORT_CUT, TOL_CERT_REL,
     DensityMatrix,
     HermitianOperator,
     _fmt,
@@ -31,12 +32,7 @@ from .linalg import (
 )
 
 ASCENT_MAX_SWEEPS = 1000  # per Lambda^2 restart
-ASCENT_TOL = 1e-12  # a restart stops once a sweep gains at most ASCENT_TOL * max(1, |value|)
 SHIFT_ULPS = 4  # lambda' - lambda in ulps of the spectral radius: off exact singularity, yet the top grows ~1/ulps
-RAYLEIGH_RTOL = 1e-13  # a solved vector's quotient stays within this times the radius of lambda: ASCENT_TOL / 10
-MC_RTOL = 1e-10  # an entry off the MC pattern counts as zero up to this times max|entry|, the scale of SUPPORT_CUT
-DEGENERACY_RTOL = 1e-12
-TOL_CERT_REL = 1e-7
 
 
 def _chi_factor(rho: HermitianOperator, tau: HermitianOperator, alpha: float, z: float) -> tuple[np.ndarray, float]:
@@ -423,7 +419,7 @@ def _certify(
     Lambda^2 is the product-state search, or for a finite free set of basis states, given by
     their ``indices``, the largest diagonal entry <b|Xi|b> of Xi at those indices, witnessed
     by the real (e_j,), or by (e_l, e_l) for b = |ll> on the MC set. margin = q - Lambda^2 is
-    judged against tol_cert = 1e-7 * q. Both q and, for a certified tau, ``value`` =
+    judged against tol_cert = TOL_CERT_REL * q. Both q and, for a certified tau, ``value`` =
     D_{alpha,z}(rho || tau) come from :func:`divergences._d_and_q` (Q = 1 on the Umegaki line).
     """
     _require_dpi(p)  # the certification conditions need joint concavity/convexity
@@ -496,19 +492,19 @@ def certify_optimizer(
 
 
 def is_maximally_correlated(rho: DensityMatrix) -> bool:
-    """Whether rho is supported on span{|ii><jj|} for its (d, d) partition, within MC_RTOL * max|entry|."""
+    """Whether rho is supported on span{|ii><jj|} for its (d, d) partition, within SUPPORT_CUT * max|entry|."""
     dims = rho.dims
     if len(dims) != 2 or dims[0] != dims[1]:
         return False
     idx = np.ix_(_ii_indices(dims[0]), _ii_indices(dims[0]))
     proj = np.zeros_like(rho.entries)
     proj[idx] = rho.entries[idx]
-    return float(np.max(np.abs(rho.entries - proj))) <= MC_RTOL * rho.max_abs()
+    return float(np.max(np.abs(rho.entries - proj))) <= SUPPORT_CUT * rho.max_abs()
 
 
 def _require_mc(rho: DensityMatrix) -> None:
     if not is_maximally_correlated(rho):
-        raise ValueError(f"rho is not maximally correlated in the |ii> basis within {MC_RTOL:g} * max|entry|")
+        raise ValueError(f"rho is not maximally correlated in the |ii> basis within {SUPPORT_CUT:g} * max|entry|")
 
 
 def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> CertificateReport:
@@ -524,8 +520,8 @@ def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ)
     idx = _ii_indices(rho.dims[0])
     off = tau.entries.copy()
     off[idx, idx] -= off[idx, idx].real
-    if float(np.max(np.abs(off))) > MC_RTOL * tau.max_abs():
-        raise ValueError(f"tau is not diagonal in the |ii> basis within {MC_RTOL:g} * max|entry|")
+    if float(np.max(np.abs(off))) > SUPPORT_CUT * tau.max_abs():
+        raise ValueError(f"tau is not diagonal in the |ii> basis within {SUPPORT_CUT:g} * max|entry|")
     return _certify(rho, tau, p, "mc-diagonal", idx)
 
 

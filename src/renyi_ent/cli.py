@@ -41,6 +41,7 @@ from .catalog import (
 from .certificates import CertificateReport, _encode_float, certify_optimizer, report_to_dict
 from .divergences import AlphaZ, _d_and_q
 from .linalg import (
+    TABLE1_TOL,
     DensityMatrix,
     HermitianOperator,
     _fmt,
@@ -75,7 +76,6 @@ DEFAULT_TABLE1_FAMILIES: tuple[StateFamily, ...] = (
     GHZ(3, 3),
 )
 
-TABLE1_TOL = 1e-6
 CERTIFY_DIM_CAP = 2000  # total matrix dimension of any state the CLI builds; the pair state is d^4-dimensional
 COUNT_CAP = 10_000  # bound on --restarts, --starts and sweep steps, each checked before anything is allocated
 
@@ -229,7 +229,7 @@ def cmd_table1(args) -> int:
     if args.out:
         _write_csv(args.out, ["family", "alpha", "z", "closed_form", "certified_value", "margin"], rows)
     if failures:
-        print(f"{len(failures)} row(s) failed the 1e-6 reproduction check:", file=sys.stderr)
+        print(f"{len(failures)} row(s) failed the 1e{math.log10(TABLE1_TOL):.0f} reproduction check:", file=sys.stderr)
         for item in failures:
             print(f"  {item}", file=sys.stderr)
         return 1

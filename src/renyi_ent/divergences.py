@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    LINE_ATOL,
     DensityMatrix,
     HermitianOperator,
     _joint_spectrum,
@@ -23,8 +24,6 @@ from .linalg import (
     eig_hermitian,
     hermitian_part,
 )
-
-LINE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)

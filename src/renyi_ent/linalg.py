@@ -21,13 +21,22 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-HERMITICITY_RTOL = 1e-12
-PSD_RTOL = 1e-10
-TRACE_ATOL = 1e-10
-SUPPORT_CUT = 1e-10
-# block width and relative residual of the Krylov top-eigenpair search
-_KRYLOV_BLOCK = 8
-_KRYLOV_RTOL = 1e-10
+# The one tolerance table, one row each: value  # relative to what: why. No other module defines a tolerance.
+HERMITICITY_RTOL = 1e-12  # of max|entry|, per entry: M - M† at rounding level is a Hermitian input, at any scale
+TRACE_ATOL = 1e-10  # absolute: a state's trace (or a spectrum's sum, in renyi_entropy) is 1 by definition
+PROB_ATOL = 1e-12  # absolute: probabilities, their sums and the family parameters have scale 1 by definition
+LINE_ATOL = 1e-12  # absolute, on alpha and z: the lines alpha = 1, z = |1 - alpha| are fixed; a hit picks a route
+SUPPORT_CUT = 1e-10  # of lambda_max: support, powers, PSD (a negative eigenvalue inside it is 0); of max|entry|: MC
+KRYLOV_RTOL = 1e-10  # of |theta|: Krylov residual; its vector only starts restart 0, which the ascent refines
+ASCENT_TOL = 1e-12  # of max(1, |value|): a Lambda^2 restart stops once a sweep gains at most this
+RAYLEIGH_RTOL = ASCENT_TOL / 10  # of lambda's spectral radius: a solved vector's quotient, below the ascent's gain
+DEGENERACY_RTOL = 1e-12  # of the larger eigenvalue: closer ones take phi's diagonal limit; their quotient is noise
+TOL_CERT_REL = 1e-7  # of q for the verdict (tol_cert), of max(1, |lambda_sq|) for restart_hits: margin resolution
+STATIONARY_TOL = 1e-12  # of Q, as max_j r_j - 1 on the support: a simplex run stops; its margin is then ~ -1e-12 Q
+NOISE_REL = 1e-13  # of max(1, |f|): a simplex step may raise f by this float noise if it lowers the stationarity gap
+TABLE1_TOL = 1e-6  # absolute, in bits: a table1 row's certified value against its closed form, both O(1) bits
+
+_KRYLOV_BLOCK = 8  # block width of the Krylov top-eigenpair search
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -50,8 +59,8 @@ class HermitianOperator:
     """A d x d complex Hermitian matrix tagged with the local dimensions ``dims`` of its tensor factors.
 
     Construction validates ``dims`` (at least one factor, each >= 1), that
-    every entry is finite, hermiticity (per-entry tolerance 1e-12 *
-    max|entry|) and that the matrix dimension is the product of ``dims``.
+    every entry is finite, hermiticity (per-entry tolerance HERMITICITY_RTOL
+    * max|entry|) and that the matrix dimension is the product of ``dims``.
     The stored array is read-only; instances are immutable and compare and
     hash by identity. The spectrum is kept with the operator, so every
     spectral query on it (powers, support, dominance, Xi) shares that single
@@ -81,7 +90,7 @@ class HermitianOperator:
         if not math.isfinite(scale):
             raise ValueError("matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_RTOL * scale:
-            raise ValueError("matrix is not Hermitian within 1e-12 * max|entry|")
+            raise ValueError(f"matrix is not Hermitian within {HERMITICITY_RTOL:g} * max|entry|")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dims", dims)
@@ -150,7 +159,7 @@ def _krylov_top(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[flo
     The block is min(_KRYLOV_BLOCK, n) columns from a fixed-seed complex
     Gaussian; each step appends the next Krylov block, reorthogonalized
     against the whole basis (twice), and takes the top Ritz pair of the
-    projected matrix. It stops once ||M x - theta x|| <= _KRYLOV_RTOL *
+    projected matrix. It stops once ||M x - theta x|| <= KRYLOV_RTOL *
     |theta|, or once the basis spans the whole space, where the Ritz pair is
     exact. The residual is divided by |theta| before its norm is taken, so
     its squares stay in the float range at any scale of M.
@@ -165,7 +174,7 @@ def _krylov_top(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[flo
         width = min(b, n - basis.shape[1])
         scale = abs(theta) or 1.0  # at theta = 0 the residual itself must vanish
         residual = np.linalg.norm((images @ y[:, -1] - theta * x) / scale)
-        if residual <= (_KRYLOV_RTOL if theta else 0.0) or width == 0:
+        if residual <= (KRYLOV_RTOL if theta else 0.0) or width == 0:
             return theta, x
         block = images[:, -b:][:, :width]
         for _ in range(2):
@@ -180,9 +189,9 @@ def wrap(matrix: np.ndarray, dims: Iterable[int]) -> HermitianOperator:
 
 
 def require_psd(eigenvalues: np.ndarray) -> None:
-    """Reject an ascending spectrum whose least eigenvalue is below -1e-10 * max(lambda_max, tiny)."""
+    """Reject an ascending spectrum whose least eigenvalue is below -SUPPORT_CUT * max(lambda_max, tiny)."""
     top = max(float(eigenvalues[-1]), 0.0)
-    if float(eigenvalues[0]) < -PSD_RTOL * max(top, np.finfo(float).tiny):
+    if float(eigenvalues[0]) < -SUPPORT_CUT * max(top, np.finfo(float).tiny):
         raise ValueError(f"not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e}")
 
 

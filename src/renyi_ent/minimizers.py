@@ -10,7 +10,7 @@ iterates the multiplicative map w_j <- w_j r_j^theta (renormalized) with
 r_j = w_j^(beta-1) chi_jj / Q, whose fixed points are exactly that
 condition. Value and exact gradient come from one
 eigendecomposition per step, and a run stops when max_j r_j - 1 on the
-support, the certificate's own relative margin, falls to 1e-12. Inside the
+support, the certificate's own relative margin, falls to STATIONARY_TOL. Inside the
 DPI region any local minimum is global, so a small multi-start is only a
 guard against stalls at the simplex boundary. The starts run in lockstep as
 the rows of one batched objective call per step, each with its own step size
@@ -27,16 +27,12 @@ import numpy as np
 
 from .certificates import CertificateReport, _require_mc, certify_optimizer, marginal_condition_mc
 from .divergences import AlphaZ, _core, _core_spectrum, _require_dpi
-from .linalg import DensityMatrix, HermitianOperator, _ii_indices, _power, _support_mask, density
+from .linalg import (
+    NOISE_REL, STATIONARY_TOL, SUPPORT_CUT, DensityMatrix, HermitianOperator, _ii_indices, _power, _support_mask,
+    density, eig_hermitian,
+)
 
-_SUPPORT_DIAG_TOL = 1e-12
 _LN2 = math.log(2.0)
-# a run is stationary once max_j r_j - 1 on the support is at most this; the
-# certificate margin is then about -1e-12 Q against its band of 1e-7 Q
-_STATIONARY_TOL = 1e-12
-# at the stationary point objective differences are float noise: a step may
-# raise f by this much (relative) if it lowers the stationarity gap
-_NOISE_REL = 1e-13
 # a step whose exponent halves below this without progress ends the run
 _MIN_THETA = 2.0**-30
 # accepted steps per run before it stops with "max-iters"
@@ -146,7 +142,7 @@ def minimize_simplex(
     def settle(rows: np.ndarray) -> None:
         """The stopping tests of rows at an accepted point; stationarity wins."""
         reasons[rows[steps[rows] >= MAX_ITERS]] = "max-iters"
-        reasons[rows[gap[rows] <= _STATIONARY_TOL]] = "stationary"
+        reasons[rows[gap[rows] <= STATIONARY_TOL]] = "stationary"
 
     settle(np.arange(len(starts)))
     reasons[~np.isfinite(fw)] = "no-descent"
@@ -161,7 +157,7 @@ def minimize_simplex(
         trial /= trial.sum(axis=1, keepdims=True)
         fs, rs, gs = _ratios(f, trial)
         old = fw[active]
-        noise = _NOISE_REL * np.maximum(1.0, np.abs(old))
+        noise = NOISE_REL * np.maximum(1.0, np.abs(old))
         ok = (fs <= old) | ((fs <= old + noise) & (gs < gap[active]))
         accepted, rejected = active[ok], active[~ok]
         w[accepted], fw[accepted], r[accepted], gap[accepted] = trial[ok], fs[ok], rs[ok], gs[ok]
@@ -189,8 +185,8 @@ def minimize_simplex(
 def _diag_objective(rho_matrix: np.ndarray, p: AlphaZ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """f(W) = D_{alpha,z}(rho || diag(w)) and dD/dw for rows w of W.
 
-    For alpha >= 1 any exactly-zero weight on a diagonal entry of rho above
-    _SUPPORT_DIAG_TOL forces +inf.
+    For alpha >= 1 a row is +inf when rho's diagonal mass on its exactly-zero
+    weights exceeds SUPPORT_CUT * lambda_max(rho), the rule of :func:`is_dominated`.
 
     Off the Umegaki line both come from one eigh of the shared alpha-z core
     C = A diag(w^beta) A, A = rho^(alpha/2z): dD/dw_j = -w_j^(beta-1) chi_jj / (Q ln2)
@@ -199,14 +195,15 @@ def _diag_objective(rho_matrix: np.ndarray, p: AlphaZ) -> Callable[[np.ndarray],
     """
     alpha, z = p.alpha, p.z
     diag = np.real(np.diag(rho_matrix))
-    # alpha >= 1: a zero weight under rho-mass makes the divergence infinite
-    mass = (diag > _SUPPORT_DIAG_TOL) & (p.on_umegaki_line or alpha > 1.0)
+    op = HermitianOperator(rho_matrix, (rho_matrix.shape[0],))
+    w_rho = np.linalg.eigvalsh(rho_matrix) if p.on_umegaki_line else eig_hermitian(op).eigenvalues
+    # alpha >= 1: rho-mass beyond the support cut on zero weights makes the divergence infinite
+    cut = SUPPORT_CUT * max(float(w_rho[-1]), 0.0) if p.on_umegaki_line or alpha > 1.0 else math.inf
 
     def blown_up(W: np.ndarray) -> np.ndarray:
-        return np.any((W <= 0) & mass, axis=1)
+        return (W <= 0) @ diag > cut
 
     if p.on_umegaki_line:
-        w_rho = np.linalg.eigvalsh(rho_matrix)
         w_rho = w_rho[_support_mask(w_rho)]
         self_term = float(np.sum(w_rho * np.log2(w_rho)))
 
@@ -219,7 +216,7 @@ def _diag_objective(rho_matrix: np.ndarray, p: AlphaZ) -> Callable[[np.ndarray],
 
         return f_umegaki
 
-    a_half = _power(HermitianOperator(rho_matrix, (rho_matrix.shape[0],)), alpha / (2.0 * z))
+    a_half = _power(op, alpha / (2.0 * z))
     b_exp = (1.0 - alpha) / z
     eye = np.eye(rho_matrix.shape[0])
 

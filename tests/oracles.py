@@ -49,6 +49,9 @@ from renyi_ent import (
 from renyi_ent import minimizers
 from renyi_ent.divergences import _require_dpi
 from renyi_ent.linalg import (
+    ASCENT_TOL,
+    NOISE_REL,
+    STATIONARY_TOL,
     HermitianOperator,
     _permute_rows,
     _power,
@@ -60,7 +63,6 @@ from renyi_ent.linalg import (
 )
 from renyi_ent.certificates import (
     ASCENT_MAX_SWEEPS,
-    ASCENT_TOL,
     OverlapResult,
     _initial_vectors,
     _require_mc,
@@ -212,10 +214,10 @@ def _simplex_fixed_point(f, w0: np.ndarray, theta0: float) -> tuple[float, np.nd
         if not math.isfinite(fw):
             return fw, w, 0, "no-descent"
     for it in range(minimizers.MAX_ITERS):
-        if gap <= minimizers._STATIONARY_TOL:
+        if gap <= STATIONARY_TOL:
             return fw, w, it, "stationary"
         theta = theta0
-        noise = minimizers._NOISE_REL * max(1.0, abs(fw))
+        noise = NOISE_REL * max(1.0, abs(fw))
         while True:
             step = w * r**theta
             step /= step.sum()
@@ -226,7 +228,7 @@ def _simplex_fixed_point(f, w0: np.ndarray, theta0: float) -> tuple[float, np.nd
             if theta < minimizers._MIN_THETA:
                 return fw, w, it, "no-descent"
         w, fw, r, gap = step, fs, rs, gs
-    return fw, w, minimizers.MAX_ITERS, "stationary" if gap <= minimizers._STATIONARY_TOL else "max-iters"
+    return fw, w, minimizers.MAX_ITERS, "stationary" if gap <= STATIONARY_TOL else "max-iters"
 
 
 def simplex_serial(problem, opts=None, warm=None) -> minimizers.SimplexSolution:

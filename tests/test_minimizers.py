@@ -244,6 +244,23 @@ class TestObjectiveConsistency:
             direct = d_alpha_z(rho, density(np.diag(row), (3,)), p)
             assert abs(direct - expect) <= 1e-10
 
+    @pytest.mark.parametrize("eps", [5e-11, 1e-6])
+    @pytest.mark.parametrize("a,z", [(2.0, 2.0), (1.0, 1.0), (1.5, 1.0), (0.5, 0.5)])
+    def test_zero_weight_support_rule_matches_d_alpha_z(self, a, z, eps):
+        # rho_22 = eps on the zero weight: within the support cut of lambda_max(rho) ~ 0.72 at 5e-11, so
+        # rho << diag(w) and D is finite; beyond it at 1e-6, so D = inf for alpha >= 1
+        from renyi_ent.minimizers import _diag_objective
+
+        p = AlphaZ(a, z)
+        rho = density(np.array([[0.6, 0.2, 0.0], [0.2, 0.4 - eps, 0.0], [0.0, 0.0, eps]]), (3,))
+        w = np.array([0.5, 0.5, 0.0])
+        value = float(_diag_objective(rho.entries, p)(w[None, :])[0][0])
+        direct = d_alpha_z(rho, density(np.diag(w), (3,)), p)
+        assert math.isfinite(value) == math.isfinite(direct)
+        assert math.isfinite(direct) == (a < 1.0 or eps < 1e-10)
+        if math.isfinite(direct):
+            assert abs(value - direct) <= 1e-12
+
 
 GRADIENT_POINTS = [(0.7, 0.7), (1.0, 1.0), (1.5, 1.2), (2.0, 2.0), (0.5, 1.0), (3.0, 2.5)]
 
