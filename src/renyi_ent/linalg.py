@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -54,66 +54,80 @@ class EigenDecomposition:
     order: np.ndarray | None = None
 
 
-@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A d x d complex Hermitian matrix tagged with the local dimensions ``dims`` of its tensor factors.
 
-    Construction validates ``dims`` (at least one factor, each >= 1), that
-    every entry is finite, hermiticity (per-entry tolerance HERMITICITY_RTOL
-    * max|entry|) and that the matrix dimension is the product of ``dims``.
-    The stored array is read-only; instances are immutable and compare and
-    hash by identity. The spectrum is kept with the operator, so every
-    spectral query on it (powers, support, dominance, Xi) shares that single
-    decomposition. A known ``spectrum``, the eigenpair arrays (w, V), is
-    passed at construction and installed at once, sorted ascending with each
-    column's construction position (:meth:`from_eigenpairs`, and the plain and
-    party-merged tensor products, which assemble theirs from their factors'
-    spectra); without one, the spectrum is one ``eigh`` on first use.
+    ``HermitianOperator(entries, dims)`` validates ``dims`` (at least one factor, each >= 1), that every
+    entry is finite, hermiticity (per-entry tolerance HERMITICITY_RTOL * max|entry|) and that the matrix
+    dimension is the product n of ``dims``; its spectrum is one ``eigh`` on first use.
+    ``HermitianOperator(form, dims, (w, V))`` is built from a known spectrum (:meth:`from_eigenpairs`, the
+    tensor products) and Hermitian by construction: it validates ``dims`` and that w is (n,) and V (n, n),
+    both finite, and installs the spectrum sorted ascending with each column's construction position. Its
+    ``entries`` are ``form(op)``, formed on first read; ``dim``, ``trace`` and every spectral query
+    (powers, support, dominance, Xi) read the spectrum. ``entries`` is read-only; instances are immutable
+    and compare and hash by identity.
     """
 
-    entries: np.ndarray
-    dims: tuple[int, ...]
-    spectrum: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
-
-    def __post_init__(self, spectrum):
-        dims = tuple(int(d) for d in self.dims)
+    def __init__(self, entries, dims: Iterable[int], spectrum: tuple[np.ndarray, np.ndarray] | None = None):
+        dims = tuple(int(d) for d in dims)
         if not dims:
             raise ValueError("partition must have at least one factor")
         if any(d < 1 for d in dims):
             raise ValueError(f"local dimensions must be >= 1, got {dims}")
-        m = np.array(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if m.shape[0] != math.prod(dims):
-            raise ValueError(f"matrix dimension {m.shape[0]} does not match partition {dims}")
-        scale = float(np.max(np.abs(m)))
-        if not math.isfinite(scale):
-            raise ValueError("matrix has non-finite entries")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_RTOL * scale:
-            raise ValueError(f"matrix is not Hermitian within {HERMITICITY_RTOL:g} * max|entry|")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "dims", dims)
-        if spectrum is not None:
+        n = math.prod(dims)
+        if spectrum is None:
+            m = np.array(entries, dtype=complex)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"expected a square matrix, got shape {m.shape}")
+            if m.shape[0] != n:
+                raise ValueError(f"matrix dimension {m.shape[0]} does not match partition {dims}")
+            scale = float(np.max(np.abs(m)))
+            if not math.isfinite(scale):
+                raise ValueError("matrix has non-finite entries")
+            if np.max(np.abs(m - m.conj().T)) > HERMITICITY_RTOL * scale:
+                raise ValueError(f"matrix is not Hermitian within {HERMITICITY_RTOL:g} * max|entry|")
+            m.flags.writeable = False
+            self.__dict__["entries"] = m
+        else:
             w, v = spectrum
+            if w.shape != (n,) or v.shape != (n, n):
+                raise ValueError(f"eigenpairs of shapes {w.shape} and {v.shape} do not match partition {dims}")
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+                raise ValueError("matrix has non-finite entries")
             order = np.argsort(w, kind="stable")
             w, v = w[order], v[:, order]
             w.flags.writeable = v.flags.writeable = False
-            object.__setattr__(self, "_eig", EigenDecomposition(eigenvalues=w, vectors=v, order=order))
+            self.__dict__.update(_form=entries, _eig=EigenDecomposition(eigenvalues=w, vectors=v, order=order))
+        self.__dict__["dims"] = dims
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Formed on first read for an operator built from its spectrum."""
+        m = np.asarray(self._form(self), dtype=complex)
+        m.flags.writeable = False
+        return m
 
     @classmethod
     def from_eigenpairs(cls, w: np.ndarray, vectors: np.ndarray, dims: Iterable[int]) -> HermitianOperator:
         """The Hermitian part of V diag(w) V† (orthonormal columns V), with (w, V) as its spectrum."""
         w, v = np.asarray(w, dtype=float), np.asarray(vectors)
-        v = v.astype(np.result_type(v, float))  # a real basis stays real
-        return cls(hermitian_part((v * w) @ v.conj().T), dims, (w, v))
+        return cls(_eigenpair_entries, dims, (w, v.astype(np.result_type(v, float), copy=False)))  # a real V stays real
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return math.prod(self.dims)
 
     def trace(self) -> float:
-        return float(np.trace(self.entries).real)
+        """tr of the matrix; from a spectrum (w, V) given at construction, sum_j w_j ||v_j||^2."""
+        if "_form" not in self.__dict__:
+            return float(np.trace(self.entries).real)
+        dec = self._eig
+        return float(dec.eigenvalues @ np.einsum("ij,ij->j", dec.vectors.conj(), dec.vectors).real)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries)))
@@ -133,19 +147,25 @@ class HermitianOperator:
         return _krylov_top(self.entries.__matmul__, self.dim)
 
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix(HermitianOperator):
     """A positive semidefinite, unit-trace HermitianOperator (compared by identity).
 
-    The PSD check reads the spectrum, so a state built with a known
-    ``spectrum`` is checked without a decomposition of its own.
+    The PSD check reads the spectrum and the trace check :meth:`~HermitianOperator.trace`, so a state
+    built with a known ``spectrum`` is checked without a decomposition of its own or its entries.
     """
 
-    def __post_init__(self, spectrum):
-        super().__post_init__(spectrum)
+    def __init__(self, entries, dims, spectrum=None):
+        super().__init__(entries, dims, spectrum)
         require_psd(eig_hermitian(self).eigenvalues)
         if abs(self.trace() - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace is {self.trace():.12f}, expected 1")
+
+
+def _eigenpair_entries(op: HermitianOperator) -> np.ndarray:
+    """hermitian_part((V * w) @ V†) over the spectrum's columns put back in construction order."""
+    dec, back = op._eig, np.argsort(op._eig.order)
+    w, v = dec.eigenvalues[back], dec.vectors[:, back]
+    return hermitian_part((v * w) @ v.conj().T)
 
 
 def _result_type(*ops: HermitianOperator) -> type[HermitianOperator]:
@@ -303,7 +323,7 @@ def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
     A DensityMatrix when both factors are states. Its spectrum is given at
     construction, assembled from the factors' spectra (:func:`_kron_spectrum`).
     """
-    return _result_type(a, b)(np.kron(a.entries, b.entries), a.dims + b.dims, _kron_spectrum(a, b))
+    return _result_type(a, b)(lambda _: np.kron(a.entries, b.entries), a.dims + b.dims, _kron_spectrum(a, b))
 
 
 def _permute_rows(v: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
@@ -339,8 +359,8 @@ def tensor_product_merged(a: HermitianOperator, b: HermitianOperator) -> Hermiti
         )
     dims, d, perm = a.dims + b.dims, a.dim * b.dim, _merge_order(n)
     axes = perm + tuple(p + 2 * n for p in perm)
-    entries = np.kron(a.entries, b.entries).reshape(dims + dims).transpose(axes).reshape(d, d)
-    return _result_type(a, b)(entries, tuple(a.dims[j] * b.dims[j] for j in range(n)), _merged_spectrum(a, b))
+    form = lambda _: np.kron(a.entries, b.entries).reshape(dims + dims).transpose(axes).reshape(d, d)  # noqa: E731
+    return _result_type(a, b)(form, tuple(a.dims[j] * b.dims[j] for j in range(n)), _merged_spectrum(a, b))
 
 
 def partial_trace(op: HermitianOperator, keep: Iterable[int]) -> HermitianOperator:

@@ -373,10 +373,13 @@ def permute_factors(op, perm) -> HermitianOperator:
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
     axes = perm + tuple(p + n for p in perm)
-    entries = op.entries.reshape(dims + dims).transpose(axes).reshape(op.dim, op.dim)
     dec = eig_hermitian(op)
     spectrum = (dec.eigenvalues, _permute_rows(dec.vectors, dims, perm))
-    return _result_type(op)(entries, tuple(dims[p] for p in perm), spectrum)
+    return _result_type(op)(
+        lambda _: op.entries.reshape(dims + dims).transpose(axes).reshape(op.dim, op.dim),
+        tuple(dims[p] for p in perm),
+        spectrum,
+    )
 
 
 def product_overlap_grid(

@@ -493,21 +493,13 @@ class TestFactoredXi:
             report = certify_optimizer(rho, tau, p, seed=seed)
             assert report.verdict == "certified-optimal" and report.restart_hits == 64
 
-    def test_no_dense_xi_in_a_shared_basis_certification(self, monkeypatch):
+    def test_no_dense_xi_in_a_shared_basis_certification(self, monkeypatch, dense_shapes):
         family, p = AntisymPair(4), AlphaZ(2.0, 2.0)
-        rho, tau = build(family), ansatz_optimizer(family, p)
-        shapes, wrapped = [], []
-        original = HermitianOperator.__post_init__
-
-        def spy(self, spectrum):
-            shapes.append(np.shape(self.entries))
-            original(self, spectrum)
-
-        monkeypatch.setattr(HermitianOperator, "__post_init__", spy)
+        wrapped = []
         monkeypatch.setattr(certificates, "wrap", lambda m, dims: wrapped.append(np.shape(m)))
-        report = certify_optimizer(rho, tau, p)
+        report = certify_optimizer(build(family), ansatz_optimizer(family, p), p)
         assert report.route == "commuting" and report.verdict == "certified-optimal"
-        assert (256, 256) not in shapes and wrapped == []
+        assert (256, 256) not in dense_shapes and wrapped == []
 
     def test_no_eigh_of_party_matrices_in_the_antisym_5_pair(self, monkeypatch):
         family, p = AntisymPair(5), AlphaZ(2.0, 2.0)

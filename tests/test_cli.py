@@ -428,6 +428,12 @@ class TestCounterexample:
         assert payload["single"] is None and payload["pair"] is None and payload["gap"] is None
         assert payload["single_verdict"] == payload["pair_verdict"] == "inconclusive"
 
+    def test_d4_pair_forms_no_dense_state(self, capsys, dense_shapes):
+        # the pair and its ansatz share one eigenbasis: certified from their spectra alone
+        code, out, _ = run(capsys, ["counterexample", "--d", "4"])
+        assert code == 0 and json.loads(out)["pair_verdict"] == "certified-optimal"
+        assert (256, 256) not in dense_shapes
+
     def test_d2_additivity(self, capsys):
         code, out, _ = run(capsys, ["counterexample", "--d", "2", "--restarts", "16"])
         assert code == 0
@@ -700,15 +706,20 @@ class TestEntryPoint:
         assert err.startswith(prefix) and err.count("\n") == 1
 
     def test_module_invocation(self, tmp_path):
+        import os
         import subprocess
         import sys
 
         rho = random_density(2, 2, seed=9)
         path = write_state(tmp_path / "rho.json", rho)
+        # the subprocess imports the package from this checkout's src/, installed or not
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "renyi_ent.cli", "eval", path, path],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["d"]) <= 1e-9

@@ -17,6 +17,7 @@ from renyi_ent import (
     tensor_product,
     tensor_product_merged,
 )
+from renyi_ent.linalg import _joint_spectrum, hermitian_part
 from oracles import assert_cached_spectrum_is_exact, matrix_power, permute_factors, support_projector
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
@@ -211,6 +212,67 @@ class TestKnownSpectra:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a))
         density(rho.entries, (4,))
         assert calls == []
+
+
+class TestSpectrumBuilt:
+    """An operator built from its spectrum checks the spectrum and forms its entries only when they are read."""
+
+    W = np.array([0.5, 0.3, 0.2])
+
+    @staticmethod
+    def basis(n, real=False):
+        q = np.linalg.qr(random_hermitian(n, seed=4).entries)[0]
+        return np.linalg.qr(q.real)[0] if real else q
+
+    @pytest.mark.parametrize("cls", [HermitianOperator, DensityMatrix])
+    @pytest.mark.parametrize("where", ["w", "V"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_refuses_non_finite_eigenpairs(self, cls, where, value):
+        w, v = self.W.copy(), self.basis(3).copy()
+        (w if where == "w" else v).flat[1] = value
+        with pytest.raises(ValueError, match="non-finite entries"):
+            cls.from_eigenpairs(w, v, (3,))
+
+    @pytest.mark.parametrize("w,shape,dims", [([0.5, 0.5], (3, 3), (3,)), ([0.4, 0.3, 0.3], (3, 2), (3,)),
+                                              ([0.4, 0.3, 0.3], (3, 3), (2,)), ([0.4, 0.3, 0.3], (3, 3), (2, 2))])
+    def test_refuses_eigenpairs_that_do_not_match_dims(self, w, shape, dims):
+        v = self.basis(3)[: shape[0], : shape[1]]
+        with pytest.raises(ValueError, match="do not match partition"):
+            DensityMatrix.from_eigenpairs(w, v, dims)
+
+    def test_badly_normalized_basis_fails_the_trace_check(self):
+        v = self.basis(3).copy()
+        v[:, 1] *= 1.1
+        with pytest.raises(ValueError, match="trace is 1.063"):
+            DensityMatrix.from_eigenpairs(self.W, v, (3,))
+
+    def test_spectral_reads_form_no_entries(self):
+        a, b = DensityMatrix.from_eigenpairs(self.W, self.basis(3), (3,)), random_density(2, 2, seed=3)
+        ops = [a, tensor_product(a, b), tensor_product_merged(a, b), tensor_product_merged(a, a)]
+        for op, dim in zip(ops, (3, 6, 6, 9)):
+            assert op.dim == dim and abs(op.trace() - 1.0) <= 1e-12
+            assert eig_hermitian(op).order is not None
+        assert _joint_spectrum(ops[3], tensor_product_merged(a, a)) is not None
+        assert all("entries" not in vars(op) for op in ops)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_entries_formed_on_read_are_the_eager_formula(self, real):
+        w, v = np.array([0.5, -1.0, 2.0, 0.5, 0.0]), self.basis(5, real)
+        a = tensor_product(random_density(3, 2, seed=1), random_density(2, 2, seed=2))
+        b = HermitianOperator.from_eigenpairs(w[:4] ** 2, self.basis(4, real), (2, 2))
+        merged = np.kron(a.entries, b.entries).reshape((3, 2, 2, 2) * 2).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(24, 24)
+        cases = [
+            (HermitianOperator.from_eigenpairs(w, v, (5,)), hermitian_part((v * w) @ v.conj().T)),
+            (tensor_product(a, b), np.kron(a.entries, b.entries)),
+            (tensor_product_merged(a, b), merged),
+        ]
+        for op, eager in cases:
+            assert "entries" not in vars(op)
+            assert np.array_equal(op.entries, eager) and op.entries.dtype == complex and op.entries is op.entries
+            with pytest.raises(ValueError):
+                op.entries[0, 0] = 5.0
+            with pytest.raises(AttributeError, match="immutable"):
+                op.entries = eager
 
 
 class TestTypeRules:
