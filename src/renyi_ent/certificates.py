@@ -155,7 +155,7 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
     exponent. The formula is evaluated for any positive (alpha, z); membership
     of the DPI region is only enforced by the certification entry points.
     """
-    if float(eig_hermitian(tau).eigenvalues[-1]) <= 0.0:
+    if float(np.max(eig_hermitian(tau).eigenvalues)) <= 0.0:
         raise ValueError("tau has empty support")
     on_line = p.on_reverse_line or p.on_lower_line
     joint = _joint_spectrum(rho, tau)
@@ -164,7 +164,7 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
         # one power of the ratio, which stays in range where r^alpha or t^(-alpha) would not
         keep = _support_mask(r) & _support_mask(t)
         x = _power_values(r / np.where(keep, t, 1.0), p.alpha, keep)
-        # a factor, not eigenpairs (x, v): restart 0 needs a Krylov top vector; an eigh column stops low on AntisymPair
+        # a factor, not eigenpairs (x, v): the ascent contracts F, and restart 0 reads a Krylov top vector
         return XiEvaluation("boundary-line" if on_line else "commuting", rho.dims, v[:, keep] * np.sqrt(x[keep]))
     if on_line:
         return XiEvaluation("boundary-line", rho.dims, _chi_factor(rho, tau, p.alpha, 1.0 - p.alpha)[0])

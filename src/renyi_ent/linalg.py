@@ -46,12 +46,11 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues (real, ascending), a unitary of column eigenvectors and, for a spectrum
-    given at construction, each column's construction position ``order`` (None after an ``eigh``)."""
+    """Real eigenvalues and a unitary of column eigenvectors: ascending after an ``eigh``, and in the
+    order given for a spectrum given at construction, so read an extreme by value, never by position."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    order: np.ndarray | None = None
 
 
 class HermitianOperator:
@@ -62,7 +61,7 @@ class HermitianOperator:
     dimension is the product n of ``dims``; its spectrum is one ``eigh`` on first use.
     ``HermitianOperator(form, dims, (w, V))`` is built from a known spectrum (:meth:`from_eigenpairs`, the
     tensor products) and Hermitian by construction: it validates ``dims`` and that w is (n,) and V (n, n),
-    both finite, and installs the spectrum sorted ascending with each column's construction position. Its
+    both finite, and keeps the spectrum as given: the arrays become the operator's, read-only, uncopied. Its
     ``entries`` are ``form(op)``, formed on first read; ``dim``, ``trace`` and every spectral query
     (powers, support, dominance, Xi) read the spectrum. ``entries`` is read-only; instances are immutable
     and compare and hash by identity.
@@ -94,10 +93,8 @@ class HermitianOperator:
                 raise ValueError(f"eigenpairs of shapes {w.shape} and {v.shape} do not match partition {dims}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
                 raise ValueError("matrix has non-finite entries")
-            order = np.argsort(w, kind="stable")
-            w, v = w[order], v[:, order]
             w.flags.writeable = v.flags.writeable = False
-            self.__dict__.update(_form=entries, _eig=EigenDecomposition(eigenvalues=w, vectors=v, order=order))
+            self.__dict__.update(_form=entries, _eig=EigenDecomposition(eigenvalues=w, vectors=v))
         self.__dict__["dims"] = dims
 
     def __setattr__(self, *_):
@@ -114,7 +111,7 @@ class HermitianOperator:
 
     @classmethod
     def from_eigenpairs(cls, w: np.ndarray, vectors: np.ndarray, dims: Iterable[int]) -> HermitianOperator:
-        """The Hermitian part of V diag(w) V† (orthonormal columns V), with (w, V) as its spectrum."""
+        """Hermitian part of V diag(w) V† (orthonormal V); the arrays become its spectrum, read-only, uncopied."""
         w, v = np.asarray(w, dtype=float), np.asarray(vectors)
         return cls(_eigenpair_entries, dims, (w, v.astype(np.result_type(v, float), copy=False)))  # a real V stays real
 
@@ -141,9 +138,7 @@ class HermitianOperator:
 
     @cached_property
     def _top(self) -> tuple[float, np.ndarray]:
-        """The top eigenpair (lambda_max, unit vector): read from a known spectrum, else by :func:`_krylov_top`."""
-        if "_eig" in self.__dict__:
-            return float(self._eig.eigenvalues[-1]), self._eig.vectors[:, -1]
+        """The top eigenpair (lambda_max, unit vector) by :func:`_krylov_top`, whether or not a spectrum is known."""
         return _krylov_top(self.entries.__matmul__, self.dim)
 
 
@@ -162,10 +157,9 @@ class DensityMatrix(HermitianOperator):
 
 
 def _eigenpair_entries(op: HermitianOperator) -> np.ndarray:
-    """hermitian_part((V * w) @ V†) over the spectrum's columns put back in construction order."""
-    dec, back = op._eig, np.argsort(op._eig.order)
-    w, v = dec.eigenvalues[back], dec.vectors[:, back]
-    return hermitian_part((v * w) @ v.conj().T)
+    """hermitian_part((V * w) @ V†) of the spectrum given at construction."""
+    v = op._eig.vectors
+    return hermitian_part((v * op._eig.eigenvalues) @ v.conj().T)
 
 
 def _result_type(*ops: HermitianOperator) -> type[HermitianOperator]:
@@ -209,10 +203,10 @@ def wrap(matrix: np.ndarray, dims: Iterable[int]) -> HermitianOperator:
 
 
 def require_psd(eigenvalues: np.ndarray) -> None:
-    """Reject an ascending spectrum whose least eigenvalue is below -SUPPORT_CUT * max(lambda_max, tiny)."""
-    top = max(float(eigenvalues[-1]), 0.0)
-    if float(eigenvalues[0]) < -SUPPORT_CUT * max(top, np.finfo(float).tiny):
-        raise ValueError(f"not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e}")
+    """Reject a spectrum, in any order, whose least eigenvalue is below -SUPPORT_CUT * max(lambda_max, tiny)."""
+    low, top = float(np.min(eigenvalues)), max(float(np.max(eigenvalues)), 0.0)
+    if low < -SUPPORT_CUT * max(top, np.finfo(float).tiny):
+        raise ValueError(f"not positive semidefinite: min eigenvalue {low:.3e}")
 
 
 def _ii_indices(d: int) -> np.ndarray:
@@ -267,20 +261,16 @@ def _power(m: HermitianOperator, p: float) -> np.ndarray:
 
 
 def _joint_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(wa, wb, V) with a = V diag(wa) V† and b = V diag(wb) V† (V and wa a's cached spectrum), or None.
+    """(wa, wb, V) with a = V diag(wa) V† and b = V diag(wb) V† (the spectra given at construction), or None.
 
     Two operators share a basis when both spectra were given at construction and
-    their eigenvector arrays, each put back in construction order, are bitwise
-    equal. No tolerance decides this: a miss only sends the caller down its general route.
+    their eigenvector arrays, kept as given, are bitwise equal. No tolerance
+    decides this: a miss only sends the caller down its general route.
     """
-    # read only spectra already there: never decompose just to find no construction basis
-    ea, eb = a.__dict__.get("_eig"), b.__dict__.get("_eig")
-    if ea is None or eb is None or ea.order is None or eb.order is None or ea.vectors.shape != eb.vectors.shape:
+    # read only spectra given at construction: never decompose just to find no shared basis
+    if "_form" not in a.__dict__ or "_form" not in b.__dict__ or not np.array_equal(a._eig.vectors, b._eig.vectors):
         return None
-    cols = np.argsort(eb.order)[ea.order]  # b's column holding each of a's basis vectors
-    if not np.array_equal(ea.vectors, eb.vectors[:, cols]):
-        return None
-    return ea.eigenvalues, eb.eigenvalues[cols], ea.vectors
+    return a._eig.eigenvalues, b._eig.eigenvalues, a._eig.vectors
 
 
 def _split_weights(op: HermitianOperator, other: HermitianOperator, support: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +297,7 @@ def _weights_on(op: HermitianOperator, columns: np.ndarray) -> np.ndarray:
 
 def _negligible_on(op: HermitianOperator, other: HermitianOperator, support: bool) -> bool:
     """Whether op's weight on other's support (or kernel) is at most SUPPORT_CUT * lambda_max(op)."""
-    top = max(float(eig_hermitian(op).eigenvalues[-1]), 0.0)
+    top = max(float(np.max(eig_hermitian(op).eigenvalues)), 0.0)
     return float(np.sum(_split_weights(op, other, support)[1])) <= SUPPORT_CUT * top
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -41,6 +42,9 @@ from renyi_ent import certificates
 from renyi_ent.certificates import (
     ASCENT_MAX_SWEEPS,
     CertificateReport,
+    _alternating_ascent,
+    _initial_vectors,
+    _local_matrices,
     _xi_divided_difference,
     is_maximally_correlated,
     report_to_dict,
@@ -435,14 +439,13 @@ class TestFactoredXi:
 
     @staticmethod
     def assert_matches_dense(ev, seed=2):
+        """Both ascents run from one set of start vectors (the Krylov pairs agree in test_linalg)."""
         assert ev.factor is not None and ev.factor.shape[1] <= ev.factor.shape[0]
-        fast = max_product_overlap(ev, restarts=64, seed=seed)
-        dense = max_product_overlap(ev.xi, restarts=64, seed=seed)
-        for got, want in zip(fast.restart_values, dense.restart_values):
-            assert abs(got - want) <= 1e-13 * abs(want)
-        # restart 0 starts from the Krylov top vector of F F† or of the dense Xi: the same
-        # vector up to rounding, which may move its sweep count by one
-        assert fast.restart_sweeps[1:] == dense.restart_sweeps[1:]
+        start = _initial_vectors(ev, 64, seed)
+        fast = _alternating_ascent(ev.local_matrices, [v.copy() for v in start])
+        dense = _alternating_ascent(partial(_local_matrices, ev.xi.entries, ev.dims), [v.copy() for v in start])
+        assert np.all(np.abs(fast[0] - dense[0]) <= 1e-13 * np.abs(dense[0]))
+        assert np.array_equal(fast[1], dense[1])
 
     @pytest.mark.parametrize("family", TABLE1_SHARED + [AntisymPair(3), AntisymPair(4)], ids=repr)
     def test_shared_basis_ascent_matches_dense(self, family):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -202,8 +203,7 @@ class TestKnownSpectra:
         w = np.array([0.5, -1.0, 2.0, 0.5, 0.0])
         op = HermitianOperator.from_eigenpairs(w, v, (5,))
         dec = eig_hermitian(op)
-        assert np.array_equal(dec.eigenvalues, np.sort(w))
-        assert np.array_equal(dec.vectors, v[:, np.argsort(w, kind="stable")])
+        assert np.array_equal(dec.eigenvalues, [0.5, -1.0, 2.0, 0.5, 0.0]) and dec.vectors is v  # kept as given
         assert_cached_spectrum_is_exact(op)
 
     def test_density_reads_the_cached_spectrum(self, monkeypatch):
@@ -240,6 +240,22 @@ class TestSpectrumBuilt:
         with pytest.raises(ValueError, match="do not match partition"):
             DensityMatrix.from_eigenpairs(w, v, dims)
 
+    def test_construction_takes_the_arrays_over(self):
+        v = self.basis(3)
+        op = HermitianOperator.from_eigenpairs(self.W, v, (3,))
+        assert np.shares_memory(eig_hermitian(op).vectors, v) and not v.flags.writeable
+
+    def test_building_holds_one_basis(self):
+        from renyi_ent import Werner, build
+
+        tracemalloc.start()
+        try:
+            rho = build(Werner(0.2, 30))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * eig_hermitian(rho).vectors.nbytes
+
     def test_badly_normalized_basis_fails_the_trace_check(self):
         v = self.basis(3).copy()
         v[:, 1] *= 1.1
@@ -251,7 +267,7 @@ class TestSpectrumBuilt:
         ops = [a, tensor_product(a, b), tensor_product_merged(a, b), tensor_product_merged(a, a)]
         for op, dim in zip(ops, (3, 6, 6, 9)):
             assert op.dim == dim and abs(op.trace() - 1.0) <= 1e-12
-            assert eig_hermitian(op).order is not None
+            assert "_form" in vars(op)  # the spectrum was given at construction
         assert _joint_spectrum(ops[3], tensor_product_merged(a, a)) is not None
         assert all("entries" not in vars(op) for op in ops)
 
@@ -353,11 +369,15 @@ class TestKrylovTop:
         assert ev.xi._top is ev.xi._top
         assert (81, 81) not in shapes
 
-    def test_reads_a_cached_spectrum(self):
-        rho = random_density(6, 6, seed=9)
-        dec = eig_hermitian(rho)
-        theta, x = rho._top
-        assert theta == dec.eigenvalues[-1] and np.array_equal(x, dec.vectors[:, -1])
+    def test_restart_0_ignores_a_cached_spectrum(self):
+        from renyi_ent import AntisymPair, build, lambda_sq_closed_form, max_product_overlap
+
+        given = build(AntisymPair(3))  # from its spectrum
+        fresh, decomposed = (HermitianOperator(given.entries, given.dims) for _ in range(2))
+        eig_hermitian(decomposed)
+        want = lambda_sq_closed_form(AntisymPair(3))
+        values = {max_product_overlap(op, restarts=1).value for op in (given, fresh, decomposed)}
+        assert len(values) == 1 and abs(values.pop() - want) <= 1e-12 * want
 
 
 class TestMatrixPower:
