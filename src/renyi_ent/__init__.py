@@ -1,5 +1,10 @@
 """alpha-z Renyi relative entropies of entanglement: evaluation, optimizer
-certification, closed-form state families, and additivity experiments."""
+certification, closed-form state families, and additivity experiments.
+
+Exports that nothing else in the package reads, each kept for one reason: ``tensor_product`` (the benchmark's
+workloads), ``d_alpha_z`` and ``minimize_incoherent`` (the README's library tour), ``d_min`` and ``d_max`` (the
+limits the paper names), ``save_operator_json`` (writes the CLI's matrix files) and ``partial_transpose`` (the
+partial-transpose upper bound on Lambda^2)."""
 
 from .linalg import (
     DensityMatrix,
@@ -9,7 +14,6 @@ from .linalg import (
     eig_hermitian,
     load_density_json,
     load_operator_json,
-    partial_trace,
     partial_transpose,
     pure_density,
     random_density,
@@ -23,14 +27,12 @@ from .divergences import (
     d_max,
     d_min,
     d_umegaki,
-    q_alpha_z,
 )
 from .certificates import (
     CertificateReport,
     OverlapResult,
     XiEvaluation,
     certify_optimizer,
-    chi,
     in_support_set,
     marginal_condition_mc,
     max_product_overlap,
@@ -52,7 +54,6 @@ from .catalog import (
     closed_form_value,
     family_label,
     is_separable_regime,
-    lambda_sq_closed_form,
     parse_family,
     renyi_entropy,
 )

@@ -1,5 +1,4 @@
-"""Named state families: constructors, closed-form monotone values, ansatz
-optimizers, and closed-form product-overlap maxima.
+"""Named state families: constructors, closed-form monotone values and ansatz optimizers.
 
 Conventions fixed here: logs are base 2; the Bell basis order is
 (Phi+, Phi-, Psi+, Psi-); separability thresholds are closed (boundary
@@ -486,47 +485,6 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
     if isinstance(family, MaximallyCorrelated):
         raise ValueError("general MC states have no closed-form ansatz; use minimizers.minimize_mc")
     raise TypeError(f"unknown family {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# closed-form Lambda^2 values
-# ---------------------------------------------------------------------------
-
-
-def lambda_sq_closed_form(family: StateFamily) -> float:
-    """Maximum product-state overlap of the family state, where known.
-
-    Validity ranges: the Werner formula needs p <= (d+1)/(2d) and the
-    isotropic one F >= 1/d^2; outside those the formula is not claimed and a
-    ValueError is raised.
-    """
-    if isinstance(family, BellDiagonal):
-        lam = sorted(family.lambdas, reverse=True)
-        return (lam[0] + lam[1]) / 2.0
-    if isinstance(family, Werner):
-        p, d = family.p, family.d
-        if p > (d + 1.0) / (2.0 * d) + PROB_ATOL:
-            raise ValueError(f"Werner Lambda^2 formula needs p <= (d+1)/(2d), got p = {p}")
-        return p / (d * (d + 1.0)) + (1.0 - p) / (d * (d - 1.0))
-    if isinstance(family, Isotropic):
-        F, d = family.F, family.d
-        if F < 1.0 / d**2 - PROB_ATOL:
-            raise ValueError(f"isotropic Lambda^2 formula needs F >= 1/d^2, got F = {F}")
-        return (F * d + 1.0) / (d * (d + 1.0))
-    if isinstance(family, Dicke):
-        return math.exp(_log_type_probability(family.k, family.k))
-    if isinstance(family, MCBD):
-        return 1.0 / family.d
-    if isinstance(family, AntisymPair):
-        d = family.d
-        return (d - 1.0) / (2.0 * d) * (2.0 / (d * (d - 1.0))) ** 2
-    # for pure states the product-basis state |l...l> at the largest Schmidt
-    # weight attains it
-    if isinstance(family, GHZ):
-        return 1.0 / family.d
-    if isinstance(family, PureBipartite):
-        return float(max(family.p))
-    raise TypeError(f"no closed-form Lambda^2 for {family!r}")
 
 
 # ---------------------------------------------------------------------------

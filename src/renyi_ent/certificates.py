@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -47,18 +47,6 @@ def _chi_factor(rho: HermitianOperator, tau: HermitianOperator, alpha: float, z:
     return (a @ v[:, pw > 0]) * np.sqrt(pw[pw > 0]), float(log2q)
 
 
-def chi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> HermitianOperator:
-    """The sandwich operator rho^(a/2z) (rho^(a/2z) tau^((1-a)/z) rho^(a/2z))^(z-1) rho^(a/2z).
-
-    All powers are generalized inverses. alpha = 1 is rejected; that limit is
-    handled inside :func:`xi`.
-    """
-    if p.on_umegaki_line:
-        raise ValueError("chi is not defined at alpha = 1; xi handles that limit")
-    f = _chi_factor(rho, tau, p.alpha, p.z)[0]
-    return wrap(f @ f.conj().T, rho.dims)
-
-
 def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
     """First-divided-difference kernel phi_beta on the spectrum of tau.
 
@@ -91,7 +79,7 @@ def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
 class XiEvaluation:
     """The positive operator Xi_{alpha,z}(rho, tau) plus how it was computed.
 
-    A product route gives an n x r ``factor`` F (Xi = F F†; ``xi`` is formed when read), else ``dense`` is Xi.
+    A product route gives an n x r ``factor`` F (Xi = F F†, never formed), else ``dense`` is Xi.
     """
 
     route: str  # "boundary-line" | "commuting" | "divided-difference"
@@ -99,10 +87,6 @@ class XiEvaluation:
     factor: np.ndarray | None = None
     log2q: float | None = None  # log2 Q from chi's core: divided-difference route off the Umegaki line
     dense: HermitianOperator | None = None
-
-    @cached_property
-    def xi(self) -> HermitianOperator:
-        return self.dense if self.factor is None else wrap(self.factor @ self.factor.conj().T, self.dims)
 
     @cached_property
     def _top(self) -> tuple[float, np.ndarray]:
@@ -321,7 +305,7 @@ def _alternating_ascent(local, vecs: list[np.ndarray]) -> tuple[np.ndarray, np.n
     return values, sweeps
 
 
-def _initial_vectors(op: HermitianOperator | XiEvaluation, restarts: int, seed: int) -> list[np.ndarray]:
+def _initial_vectors(op: XiEvaluation, restarts: int, seed: int) -> list[np.ndarray]:
     """Per-party (restarts, d_k) start vectors.
 
     Row 0 is the best rank-one alignment of the cached top eigenvector of
@@ -342,8 +326,8 @@ def _initial_vectors(op: HermitianOperator | XiEvaluation, restarts: int, seed: 
     return vecs
 
 
-def max_product_overlap(op: HermitianOperator | XiEvaluation, restarts: int = 64, seed: int = 0) -> OverlapResult:
-    """Maximize <v1...vN| Xi |v1...vN> over product unit vectors, Xi a dense ``op`` or an XiEvaluation.
+def max_product_overlap(op: XiEvaluation, restarts: int = 64, seed: int = 0) -> OverlapResult:
+    """Maximize <v1...vN| Xi |v1...vN> over product unit vectors, Xi given as an XiEvaluation.
 
     Alternating maximization: with all local vectors but one fixed, the contraction of Xi (of a factor F
     as F, never as F F†) is a local Hermitian matrix whose top eigenvector is the exact update, so the
@@ -358,8 +342,7 @@ def max_product_overlap(op: HermitianOperator | XiEvaluation, restarts: int = 64
     if len(op.dims) < 2:
         raise ValueError("need at least two parties; a single-party maximum is just the top eigenvalue")
     vecs = _initial_vectors(op, restarts, seed)
-    local = op.local_matrices if isinstance(op, XiEvaluation) else partial(_local_matrices, op.entries, op.dims)
-    values, sweeps = _alternating_ascent(local, vecs)
+    values, sweeps = _alternating_ascent(op.local_matrices, vecs)
     best = int(np.argmax(values))  # ties resolve to the lowest restart index
     return OverlapResult(
         value=float(values[best]),

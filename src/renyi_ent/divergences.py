@@ -159,19 +159,6 @@ def _log2_q(rho: HermitianOperator, sigma: HermitianOperator, p: AlphaZ, core_lo
     return float(_log2_sum_powers_rows(_power_values(mu, 1.0)[None, :], p.z)[0])
 
 
-def q_alpha_z(rho: DensityMatrix, sigma: HermitianOperator, p: AlphaZ) -> float:
-    """The trace functional Q = Tr(rho^(a/2z) sigma^((1-a)/z) rho^(a/2z))^z.
-
-    Negative powers are generalized inverses. Returns 0 when alpha < 1 and the
-    states are orthogonal, and ``inf`` (Q undefined through exp((a-1)D) with
-    D = inf) when alpha > 1 and supp(rho) is not contained in supp(sigma).
-    Raises for alpha = 1; use :func:`d_umegaki`.
-    """
-    if p.on_umegaki_line:
-        raise ValueError("Q_{alpha,z} is not defined on alpha = 1; use d_umegaki")
-    return _q_from_log2(_log2_q(rho, sigma, p))
-
-
 def _q_from_log2(log2q: float) -> float:
     if log2q == -math.inf:
         return 0.0

@@ -353,25 +353,6 @@ def tensor_product_merged(a: HermitianOperator, b: HermitianOperator) -> Hermiti
     return _result_type(a, b)(form, tuple(a.dims[j] * b.dims[j] for j in range(n)), _merged_spectrum(a, b))
 
 
-def partial_trace(op: HermitianOperator, keep: Iterable[int]) -> HermitianOperator:
-    """Trace out all factors not in ``keep``; ``dims`` restricts to ``keep``."""
-    n = len(op.dims)
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep must be a non-empty set of factor indices")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep indices must lie in 0..{n - 1}, got {keep}")
-    dims = op.dims
-    t = op.entries.reshape(dims + dims)
-    remaining = n
-    for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + remaining)
-        remaining -= 1
-    kept_dims = tuple(dims[k] for k in keep)
-    d = math.prod(kept_dims)
-    return HermitianOperator(t.reshape(d, d), kept_dims)
-
-
 def partial_transpose(op: HermitianOperator, flip: Iterable[int]) -> HermitianOperator:
     """Transpose the factors in ``flip``. Applying it twice is the identity."""
     n = len(op.dims)

@@ -24,6 +24,11 @@ that a pair commutes as a hypothesis, independent of how it was built, and
 ``family_reference`` writes the isotropic, MCBD, GHZ and Dicke states and
 ansatzes out by their defining formulas, independent of the eigenbasis the
 library builds them on.
+The helpers at the very end have no reader in the package itself: ``as_xi``
+wraps a dense operator as the ``XiEvaluation`` the Lambda^2 search takes,
+``xi_matrix`` forms a product route's Xi = F F† densely, and ``chi``,
+``q_alpha_z``, ``partial_trace`` and the closed-form Lambda^2 table
+``lambda_sq_closed_form`` are the quantities the tests compare against.
 """
 
 import json
@@ -38,19 +43,26 @@ from renyi_ent import (
     GHZ,
     MCBD,
     AlphaZ,
+    AntisymPair,
+    BellDiagonal,
     CertificateReport,
     DensityMatrix,
     Dicke,
     Isotropic,
+    PureBipartite,
+    Werner,
+    XiEvaluation,
     d_alpha_z,
     density,
     random_density,
 )
 from renyi_ent import minimizers
-from renyi_ent.divergences import _require_dpi
+from renyi_ent.catalog import _log_type_probability
+from renyi_ent.divergences import _log2_q, _q_from_log2, _require_dpi
 from renyi_ent.linalg import (
     ASCENT_TOL,
     NOISE_REL,
+    PROB_ATOL,
     STATIONARY_TOL,
     HermitianOperator,
     _permute_rows,
@@ -64,9 +76,9 @@ from renyi_ent.linalg import (
 from renyi_ent.certificates import (
     ASCENT_MAX_SWEEPS,
     OverlapResult,
+    _chi_factor,
     _initial_vectors,
     _require_mc,
-    chi,
     report_to_dict,
 )
 
@@ -167,7 +179,7 @@ def product_overlap_serial(op, restarts: int = 64, seed: int = 0):
     dims, n = op.dims, len(op.dims)
     tensor = op.entries.reshape(dims + dims)
     subs = _local_matrix_subscripts(n)
-    starts = _initial_vectors(op, restarts, seed)
+    starts = _initial_vectors(as_xi(op), restarts, seed)
     values, sweeps, witnesses = [], [], []
     for r in range(restarts):
         vecs = [v[r].copy() for v in starts]
@@ -562,3 +574,93 @@ def family_reference(family, ansatz: bool = False) -> np.ndarray:
             m[np.ix_(members, members)] = proj[np.ix_(members, members)]
         return m
     raise TypeError(f"no reference for {family!r}")
+
+
+def as_xi(op) -> XiEvaluation:
+    """A dense operator as the XiEvaluation the Lambda^2 search takes (its dense route)."""
+    return XiEvaluation("dense", op.dims, dense=op)
+
+
+def xi_matrix(ev: XiEvaluation) -> HermitianOperator:
+    """Xi as a dense operator: ``ev.dense``, or F F† formed from a product route's factor F."""
+    return ev.dense if ev.factor is None else wrap(ev.factor @ ev.factor.conj().T, ev.dims)
+
+
+def chi(rho: DensityMatrix, tau, p: AlphaZ) -> HermitianOperator:
+    """The sandwich operator rho^(a/2z) (rho^(a/2z) tau^((1-a)/z) rho^(a/2z))^(z-1) rho^(a/2z).
+
+    All powers are generalized inverses. alpha = 1 is rejected; that limit is
+    handled inside ``xi``.
+    """
+    if p.on_umegaki_line:
+        raise ValueError("chi is not defined at alpha = 1; xi handles that limit")
+    f = _chi_factor(rho, tau, p.alpha, p.z)[0]
+    return wrap(f @ f.conj().T, rho.dims)
+
+
+def q_alpha_z(rho: DensityMatrix, sigma, p: AlphaZ) -> float:
+    """The trace functional Q = Tr(rho^(a/2z) sigma^((1-a)/z) rho^(a/2z))^z.
+
+    Negative powers are generalized inverses. Returns 0 when alpha < 1 and the
+    states are orthogonal, and ``inf`` (Q undefined through exp((a-1)D) with
+    D = inf) when alpha > 1 and supp(rho) is not contained in supp(sigma).
+    Raises for alpha = 1; use ``d_umegaki``.
+    """
+    if p.on_umegaki_line:
+        raise ValueError("Q_{alpha,z} is not defined on alpha = 1; use d_umegaki")
+    return _q_from_log2(_log2_q(rho, sigma, p))
+
+
+def partial_trace(op, keep) -> HermitianOperator:
+    """Trace out all factors not in ``keep``; ``dims`` restricts to ``keep``."""
+    n = len(op.dims)
+    keep = sorted(set(int(k) for k in keep))
+    if not keep:
+        raise ValueError("keep must be a non-empty set of factor indices")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"keep indices must lie in 0..{n - 1}, got {keep}")
+    dims = op.dims
+    t = op.entries.reshape(dims + dims)
+    remaining = n
+    for ax in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=ax, axis2=ax + remaining)
+        remaining -= 1
+    kept_dims = tuple(dims[k] for k in keep)
+    d = math.prod(kept_dims)
+    return HermitianOperator(t.reshape(d, d), kept_dims)
+
+
+def lambda_sq_closed_form(family) -> float:
+    """Maximum product-state overlap of the family state, where known.
+
+    Validity ranges: the Werner formula needs p <= (d+1)/(2d) and the
+    isotropic one F >= 1/d^2; outside those the formula is not claimed and a
+    ValueError is raised.
+    """
+    if isinstance(family, BellDiagonal):
+        lam = sorted(family.lambdas, reverse=True)
+        return (lam[0] + lam[1]) / 2.0
+    if isinstance(family, Werner):
+        p, d = family.p, family.d
+        if p > (d + 1.0) / (2.0 * d) + PROB_ATOL:
+            raise ValueError(f"Werner Lambda^2 formula needs p <= (d+1)/(2d), got p = {p}")
+        return p / (d * (d + 1.0)) + (1.0 - p) / (d * (d - 1.0))
+    if isinstance(family, Isotropic):
+        F, d = family.F, family.d
+        if F < 1.0 / d**2 - PROB_ATOL:
+            raise ValueError(f"isotropic Lambda^2 formula needs F >= 1/d^2, got F = {F}")
+        return (F * d + 1.0) / (d * (d + 1.0))
+    if isinstance(family, Dicke):
+        return math.exp(_log_type_probability(family.k, family.k))
+    if isinstance(family, MCBD):
+        return 1.0 / family.d
+    if isinstance(family, AntisymPair):
+        d = family.d
+        return (d - 1.0) / (2.0 * d) * (2.0 / (d * (d - 1.0))) ** 2
+    # for pure states the product-basis state |l...l> at the largest Schmidt
+    # weight attains it
+    if isinstance(family, GHZ):
+        return 1.0 / family.d
+    if isinstance(family, PureBipartite):
+        return float(max(family.p))
+    raise TypeError(f"no closed-form Lambda^2 for {family!r}")

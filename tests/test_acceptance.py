@@ -26,11 +26,9 @@ from renyi_ent import (
     d_min,
     d_umegaki,
     density,
-    lambda_sq_closed_form,
     max_product_overlap,
     minimize_incoherent,
     minimize_mc,
-    partial_trace,
     partial_transpose,
     random_density,
     renyi_entropy,
@@ -40,11 +38,15 @@ from renyi_ent import (
 from renyi_ent.cli import DEFAULT_GRID, main
 from renyi_ent.linalg import wrap
 from oracles import (
+    as_xi,
     conditional_entropy_mc,
     full_rank_state,
+    lambda_sq_closed_form,
     matrix_power,
+    partial_trace,
     product_overlap_grid,
     support_projector,
+    xi_matrix,
     xi_quadrature,
 )
 
@@ -117,7 +119,7 @@ def test_criterion_3_lambda_sq_oracle_equivalence(capsys):
     worst_grid = 0.0
     for i in range(50):
         rho = random_density(4, 4, seed=3000 + i, dims=(2, 2))
-        alt = max_product_overlap(rho, restarts=64).value
+        alt = max_product_overlap(as_xi(rho), restarts=64).value
         grid = product_overlap_grid(rho, steps=400).value
         worst_grid = max(worst_grid, abs(alt - grid))
         assert abs(alt - grid) <= 1e-5, f"instance {i}: altmin {alt} vs grid {grid}"
@@ -138,7 +140,7 @@ def test_criterion_3_lambda_sq_oracle_equivalence(capsys):
     ]
     worst_closed = 0.0
     for fam in catalog_cases:
-        found = max_product_overlap(build(fam), restarts=64).value
+        found = max_product_overlap(as_xi(build(fam)), restarts=64).value
         expect = lambda_sq_closed_form(fam)
         worst_closed = max(worst_closed, abs(found - expect))
         assert abs(found - expect) <= 1e-6, f"{fam}: {found} vs {expect}"
@@ -157,7 +159,7 @@ def test_criterion_4_xi_quadrature_cross_check(capsys):
         rho = full_rank_state(4, 4000 + i, dims=(2, 2))
         tau = full_rank_state(4, 4500 + i, dims=(2, 2))
         for p in points:
-            fast = xi(rho, tau, p).xi.entries
+            fast = xi_matrix(xi(rho, tau, p)).entries
             slow = xi_quadrature(rho, tau, p)
             diff = float(np.max(np.abs(fast - slow)))
             worst = max(worst, diff)

@@ -22,7 +22,6 @@ from renyi_ent import (
     eig_hermitian,
     family_label,
     is_separable_regime,
-    lambda_sq_closed_form,
     parse_family,
     renyi_entropy,
 )
@@ -31,6 +30,7 @@ from oracles import (
     assert_cached_spectrum_is_exact,
     commutator_maxnorm,
     family_reference,
+    lambda_sq_closed_form,
     symmetric_projector,
 )
 from renyi_ent.certificates import is_maximally_correlated

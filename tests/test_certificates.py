@@ -22,7 +22,6 @@ from renyi_ent import (
     ansatz_optimizer,
     build,
     certify_optimizer,
-    chi,
     closed_form_value,
     d_alpha_z,
     d_umegaki,
@@ -34,7 +33,6 @@ from renyi_ent import (
     minimize_incoherent,
     minimize_mc,
     pure_density,
-    q_alpha_z,
     random_density,
     xi,
 )
@@ -53,6 +51,8 @@ from renyi_ent.divergences import LINE_ATOL, is_dominated, is_orthogonal
 from renyi_ent.cli import DEFAULT_GRID, DEFAULT_TABLE1_FAMILIES
 from renyi_ent.linalg import _joint_spectrum
 from oracles import (
+    as_xi,
+    chi,
     commutator_maxnorm,
     full_rank_state,
     matrix_power,
@@ -60,10 +60,12 @@ from oracles import (
     product_overlap_grid,
     product_overlap_serial,
     product_overlap_value,
+    q_alpha_z,
     report_from_json,
     report_to_json,
     support_projector,
     support_rank,
+    xi_matrix,
     xi_quadrature,
 )
 
@@ -117,14 +119,14 @@ class TestXi:
         assert ev.route == "commuting"
         # in the Bell basis (Phi+, Phi-, Psi+, Psi-): diag(.75^2/.5^2, .25^2/.5^2, 0, 0)
         basis = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]]) / np.sqrt(2)
-        diag = np.real(np.diag(basis.conj().T @ ev.xi.entries @ basis))
+        diag = np.real(np.diag(basis.conj().T @ xi_matrix(ev).entries @ basis))
         assert np.allclose(diag, [2.25, 0.25, 0.0, 0.0], atol=1e-10)
 
     def test_small_alpha_z_one_approaches_support_projector(self):
         rho = random_density(3, 2, seed=4)
         tau = full_rank_state(3, 5)
         ev = xi(rho, tau, AlphaZ(1e-6, 1.0))
-        assert np.max(np.abs(ev.xi.entries - support_projector(rho).entries)) <= 1e-3
+        assert np.max(np.abs(xi_matrix(ev).entries - support_projector(rho).entries)) <= 1e-3
 
     def test_route_flags(self):
         rho, tau = full_rank_state(3, 6), full_rank_state(3, 7)
@@ -146,7 +148,7 @@ class TestXi:
             fast = xi(rho, tau, p)
             slow = _xi_divided_difference(rho, tau, p)
             assert fast.route == "commuting" and slow.route == "divided-difference"
-            assert np.max(np.abs(fast.xi.entries - slow.xi.entries)) <= 1e-8
+            assert np.max(np.abs(xi_matrix(fast).entries - xi_matrix(slow).entries)) <= 1e-8
 
     def test_umegaki_route_within_line_tolerance(self):
         # both the sandwich and the kernel follow AlphaZ's Umegaki flag
@@ -154,7 +156,7 @@ class TestXi:
         on_line = xi(rho, tau, AlphaZ(1.0, 1.0))
         near = xi(rho, tau, AlphaZ(1.0 + 5e-13, 1.0))
         assert near.route == on_line.route == "divided-difference"
-        assert np.max(np.abs(near.xi.entries - on_line.xi.entries)) <= 1e-12
+        assert np.max(np.abs(xi_matrix(near).entries - xi_matrix(on_line).entries)) <= 1e-12
 
     @pytest.mark.parametrize("c", [1e-9, 1e-11])
     def test_scaled_tau_keeps_its_route(self, c):
@@ -164,8 +166,8 @@ class TestXi:
             ref = xi(rho, tau, p)
             scaled = xi(rho, HermitianOperator(c * tau.entries, (4,)), p)
             assert scaled.route == ref.route == "divided-difference"
-            err = np.max(np.abs(c**p.alpha * scaled.xi.entries - ref.xi.entries))
-            assert err <= 1e-12 * np.max(np.abs(ref.xi.entries))
+            err = np.max(np.abs(c**p.alpha * xi_matrix(scaled).entries - xi_matrix(ref).entries))
+            assert err <= 1e-12 * np.max(np.abs(xi_matrix(ref).entries))
 
     def test_commuting_test_is_relative(self):
         w = np.array([0.5, 0.3, 0.2])
@@ -178,25 +180,25 @@ class TestXi:
         p = AlphaZ(a, z)
         rho, tau = full_rank_state(4, 8), full_rank_state(4, 9)
         ev = xi(rho, tau, p)
-        val = float(np.trace(ev.xi.entries @ tau.entries).real)
+        val = float(np.trace(xi_matrix(ev).entries @ tau.entries).real)
         expect = 1.0 if p.on_umegaki_line else q_alpha_z(rho, tau, p)
         assert abs(val - expect) <= 1e-8
         # same saturation on a commuting pair
         rho_c = density(np.diag([0.5, 0.25, 0.15, 0.1]), (4,))
         tau_c = density(np.diag([0.3, 0.3, 0.2, 0.2]), (4,))
         ev_c = xi(rho_c, tau_c, p)
-        val_c = float(np.trace(ev_c.xi.entries @ tau_c.entries).real)
+        val_c = float(np.trace(xi_matrix(ev_c).entries @ tau_c.entries).real)
         expect_c = 1.0 if p.on_umegaki_line else q_alpha_z(rho_c, tau_c, p)
         assert abs(val_c - expect_c) <= 1e-8
 
     def test_boundary_continuity(self):
         alpha = 0.4
         rho, tau = full_rank_state(3, 10), full_rank_state(3, 11)
-        line = xi(rho, tau, AlphaZ(alpha, 1.0 - alpha)).xi.entries
+        line = xi_matrix(xi(rho, tau, AlphaZ(alpha, 1.0 - alpha))).entries
         for eps in (1e-6, -1e-6):
             near = xi(rho, tau, AlphaZ(alpha, (1.0 - alpha) * (1.0 + eps)))
             assert near.route == "divided-difference"
-            assert np.max(np.abs(near.xi.entries - line)) <= 1e-4
+            assert np.max(np.abs(xi_matrix(near).entries - line)) <= 1e-4
 
     def test_quadrature_spot_check(self):
         p = AlphaZ(1.5, 1.2)
@@ -204,13 +206,13 @@ class TestXi:
         tau = full_rank_state(4, 13, dims=(2, 2))
         ev = xi(rho, tau, p)
         oracle = xi_quadrature(rho, tau, p)
-        assert np.max(np.abs(ev.xi.entries - oracle)) <= 1e-8
+        assert np.max(np.abs(xi_matrix(ev).entries - oracle)) <= 1e-8
 
     def test_psd_within_tolerance(self):
         for a, z in [(0.5, 1.0), (1.0, 1.0), (2.0, 2.0), (0.5, 0.5)]:
             rho, tau = full_rank_state(3, 14), full_rank_state(3, 15)
             ev = xi(rho, tau, AlphaZ(a, z))
-            w = np.linalg.eigvalsh(ev.xi.entries)
+            w = np.linalg.eigvalsh(xi_matrix(ev).entries)
             assert w[0] >= -1e-10 * max(w[-1], 1.0)
 
     def test_empty_tau_rejected(self):
@@ -242,23 +244,23 @@ class TestSupportSet:
 class TestMaxProductOverlap:
     def test_bell_diagonal_closed_form(self):
         rho = build(BellDiagonal((0.55, 0.25, 0.15, 0.05)))
-        res = max_product_overlap(rho, restarts=16)
+        res = max_product_overlap(as_xi(rho), restarts=16)
         assert abs(res.value - (0.55 + 0.25) / 2) <= 1e-9
 
     def test_mcbd_value(self):
         rho = build(MCBD((0.6, 0.3, 0.1)))
-        res = max_product_overlap(rho, restarts=16)
+        res = max_product_overlap(as_xi(rho), restarts=16)
         assert abs(res.value - 1.0 / 3.0) <= 1e-9
 
     def test_witness_reproduces_value(self):
         op = full_rank_state(4, 20, dims=(2, 2))
-        res = max_product_overlap(op, restarts=16)
+        res = max_product_overlap(as_xi(op), restarts=16)
         assert abs(product_overlap_value(op, res.witness) - res.value) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(3))
     def test_agrees_with_grid_oracle(self, seed):
         op = random_density(4, 4, seed=1000 + seed, dims=(2, 2))
-        res = max_product_overlap(op, restarts=64)
+        res = max_product_overlap(as_xi(op), restarts=64)
         grid = product_overlap_grid(op, steps=400)
         assert abs(res.value - grid.value) <= 1e-5
 
@@ -266,7 +268,7 @@ class TestMaxProductOverlap:
         op = full_rank_state(8, 21, dims=(2, 2, 2))
         running = -math.inf
         for r in (1, 4, 16):
-            val = max_product_overlap(op, restarts=r).value
+            val = max_product_overlap(as_xi(op), restarts=r).value
             assert val >= running - 1e-12
             running = max(running, val)
 
@@ -282,13 +284,13 @@ class TestMaxProductOverlap:
         from renyi_ent.linalg import wrap
 
         rotated = wrap(u @ op.entries @ u.conj().T, (2, 2))
-        a = max_product_overlap(op, restarts=32).value
-        b = max_product_overlap(rotated, restarts=32).value
+        a = max_product_overlap(as_xi(op), restarts=32).value
+        b = max_product_overlap(as_xi(rotated), restarts=32).value
         assert abs(a - b) <= 1e-8
 
     def test_single_party_rejected(self):
         with pytest.raises(ValueError):
-            max_product_overlap(random_density(4, 4, 0))
+            max_product_overlap(as_xi(random_density(4, 4, 0)))
 
     def test_grid_needs_qubit_first_party(self):
         with pytest.raises(ValueError):
@@ -298,11 +300,11 @@ class TestMaxProductOverlap:
     def test_empty_search_rejected(self, kwargs):
         name = next(iter(kwargs))
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-            max_product_overlap(random_density(4, 4, 0, dims=(2, 2)), **kwargs)
+            max_product_overlap(as_xi(random_density(4, 4, 0, dims=(2, 2))), **kwargs)
 
 
 def _xi_of(family, p=AlphaZ(1.5, 1.2)):
-    return xi(build(family), ansatz_optimizer(family, p), p).xi
+    return xi_matrix(xi(build(family), ansatz_optimizer(family, p), p))
 
 
 BATCH_CASES = {
@@ -322,7 +324,7 @@ class TestBatchedAscent:
     @pytest.mark.parametrize("case", sorted(BATCH_CASES))
     def test_matches_serial_reference(self, case):
         op = BATCH_CASES[case]()
-        res = max_product_overlap(op, restarts=32, seed=5)
+        res = max_product_overlap(as_xi(op), restarts=32, seed=5)
         values, sweeps, _ = product_overlap_serial(op, restarts=32, seed=5)
         assert len(res.restart_values) == len(values)
         assert res.restart_sweeps == tuple(sweeps)
@@ -343,7 +345,7 @@ class TestBatchedAscent:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        max_product_overlap(op, restarts=16)
+        max_product_overlap(as_xi(op), restarts=16)
         assert calls["eigh"] == []
         assert len(calls["eigvalsh"]) <= sum(d >= 3 for d in op.dims) * max(sweeps)
 
@@ -443,7 +445,7 @@ class TestFactoredXi:
         assert ev.factor is not None and ev.factor.shape[1] <= ev.factor.shape[0]
         start = _initial_vectors(ev, 64, seed)
         fast = _alternating_ascent(ev.local_matrices, [v.copy() for v in start])
-        dense = _alternating_ascent(partial(_local_matrices, ev.xi.entries, ev.dims), [v.copy() for v in start])
+        dense = _alternating_ascent(partial(_local_matrices, xi_matrix(ev).entries, ev.dims), [v.copy() for v in start])
         assert np.all(np.abs(fast[0] - dense[0]) <= 1e-13 * np.abs(dense[0]))
         assert np.array_equal(fast[1], dense[1])
 
@@ -467,7 +469,7 @@ class TestFactoredXi:
         rho, tau = full_rank_state(4, 42, dims=(2, 2)), full_rank_state(4, 43, dims=(2, 2))
         ev = xi(rho, tau, AlphaZ(2.0, 2.0))
         assert ev.route == "divided-difference" and ev.factor is None
-        dense = max_product_overlap(ev.xi, restarts=8)
+        dense = max_product_overlap(as_xi(xi_matrix(ev)), restarts=8)
         assert max_product_overlap(ev, restarts=8).restart_values == dense.restart_values
 
     @pytest.mark.parametrize("alpha,z", [(2.0, 2.0), (0.5, 0.5)])
@@ -708,7 +710,7 @@ class TestLineOwnership:
                 p0, p1 = AlphaZ(*line), AlphaZ(*near)
                 assert abs(closed_form_value(fam, p1) - closed_form_value(fam, p0)) <= 1e-12, (fam, near)
                 tau = ansatz_optimizer(fam, p0)
-                x0, x1 = xi(rho, tau, p0).xi.entries, xi(rho, tau, p1).xi.entries
+                x0, x1 = xi_matrix(xi(rho, tau, p0)).entries, xi_matrix(xi(rho, tau, p1)).entries
                 assert np.max(np.abs(x1 - x0)) <= 1e-12 * max(1.0, np.max(np.abs(x0))), (fam, near)
 
     def test_lines_meet_only_on_the_umegaki_line(self):
@@ -1015,7 +1017,7 @@ class TestSharedBasis:
         a, b = xi(rho, tau, on), xi(rho, tau, off)
         assert (a.route, b.route) == ("boundary-line", "commuting")
         assert np.array_equal(a.factor, b.factor)
-        assert np.array_equal(a.xi.entries, b.xi.entries)
+        assert np.array_equal(xi_matrix(a).entries, xi_matrix(b).entries)
 
     def test_bases_differing_in_one_bit_are_not_shared(self):
         family = Werner(0.2, 3)

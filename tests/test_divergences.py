@@ -10,13 +10,11 @@ from renyi_ent import (
     d_min,
     d_umegaki,
     density,
-    partial_trace,
     pure_density,
-    q_alpha_z,
     random_density,
     tensor_product,
 )
-from oracles import full_rank_state
+from oracles import full_rank_state, partial_trace, q_alpha_z
 
 GRID = [(0.3, 0.8), (0.5, 0.5), (0.5, 1.0), (0.9, 0.9), (1.0, 1.0), (1.5, 1.0), (2.0, 2.0), (3.0, 2.5)]
 

@@ -18,7 +18,6 @@ from renyi_ent import (
     minimize_incoherent,
     minimize_mc,
     pure_density,
-    q_alpha_z,
     random_density,
     renyi_entropy,
     xi,
@@ -32,8 +31,10 @@ from oracles import (
     golden_section_1d,
     minimize_conditional_mc,
     project_to_simplex,
+    q_alpha_z,
     simplex_serial,
     tiled_objective,
+    xi_matrix,
 )
 
 FAST = SolverOptions(starts=2)
@@ -304,7 +305,7 @@ class TestSolverStepIsCertificateRatio:
         r = -math.log(2.0) * grads[0]
         tau = density(np.diag(w), (d,))
         q = 1.0 if p.on_umegaki_line else q_alpha_z(rho, tau, p)
-        ratio = np.real(np.diag(xi(rho, tau, p).xi.entries)) / q
+        ratio = np.real(np.diag(xi_matrix(xi(rho, tau, p)).entries)) / q
         assert np.all(np.abs(r - ratio) <= 1e-12 * np.abs(ratio))
 
 
