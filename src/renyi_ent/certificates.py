@@ -28,7 +28,7 @@ from .linalg import (
     _power_values,
     _support_mask,
     eig_hermitian,
-    wrap,
+    hermitian_part,
 )
 
 ASCENT_MAX_SWEEPS = 1000  # per Lambda^2 restart
@@ -79,25 +79,27 @@ def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
 class XiEvaluation:
     """The positive operator Xi_{alpha,z}(rho, tau) plus how it was computed.
 
-    A product route gives an n x r ``factor`` F (Xi = F F†, never formed), else ``dense`` is Xi.
+    A product route gives an n x r ``factor`` F (Xi = F F†, never formed), else ``dense`` is Xi as a
+    read-only n x n Hermitian array.
     """
 
     route: str  # "boundary-line" | "commuting" | "divided-difference"
     dims: tuple[int, ...]
     factor: np.ndarray | None = None
-    log2q: float | None = None  # log2 Q from chi's core: divided-difference route off the Umegaki line
-    dense: HermitianOperator | None = None
+    log2q: float | None = None  # log2 Q from chi's core: divided-difference off the Umegaki line, general z = 1 - alpha
+    dense: np.ndarray | None = None
 
     @cached_property
     def _top(self) -> tuple[float, np.ndarray]:
-        """Xi's top eigenpair; for a factor, by :func:`linalg._krylov_top` on v -> F (F† v)."""
+        """Xi's top eigenpair by :func:`linalg._krylov_top`, on v -> Xi v, or v -> F (F† v) for a factor."""
         f = self.factor
-        return self.dense._top if f is None else _krylov_top(lambda b: f @ (f.conj().T @ b), f.shape[0])
+        matvec = self.dense.__matmul__ if f is None else lambda b: f @ (f.conj().T @ b)
+        return _krylov_top(matvec, math.prod(self.dims))
 
     def diagonal(self, indices: np.ndarray) -> np.ndarray:
         """<i| Xi |i> at the basis ``indices``: for a factor, the squared norms of its rows."""
         f = self.factor
-        return self.dense.entries[indices, indices].real if f is None else (f[indices] * f[indices].conj()).real.sum(1)
+        return self.dense[indices, indices].real if f is None else (f[indices] * f[indices].conj()).real.sum(1)
 
     @cached_property
     def _layouts(self) -> list[np.ndarray]:
@@ -112,7 +114,7 @@ class XiEvaluation:
         (G within _CHUNK_BYTES) against party k's layout of F.
         """
         if self.factor is None:
-            return _local_matrices(self.dense.entries, self.dims, k, vecs)
+            return _local_matrices(self.dense, self.dims, k, vecs)
         rows, d, r = vecs[0].shape[0], self.dims[k], self.factor.shape[1]
         bras = _kron_rows([v.conj() for j, v in enumerate(vecs) if j != k], rows)
         step = max(1, _CHUNK_BYTES // (16 * d * max(r, 1)))  # r = 0 when the supports are disjoint
@@ -131,7 +133,8 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
         a2 = r^(alpha/(1-alpha)), and elsewhere (route "commuting") the commuting
         form of the kernel.
       * any other pair on the boundary lines z = 1 - alpha and z = alpha - 1
-        (|beta| = 1 with beta = (1-alpha)/z): Xi = chi_{alpha,1-alpha} exactly.
+        (|beta| = 1 with beta = (1-alpha)/z): Xi = chi_{alpha,1-alpha} exactly;
+        on z = 1 - alpha the core of chi is Q's, so its log2 Q is kept as ``log2q``.
       * otherwise :func:`_xi_divided_difference`.
 
     The powers and support cuts are the generalized ones of the general
@@ -151,7 +154,8 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
         # a factor, not eigenpairs (x, v): the ascent contracts F, and restart 0 reads a Krylov top vector
         return XiEvaluation("boundary-line" if on_line else "commuting", rho.dims, v[:, keep] * np.sqrt(x[keep]))
     if on_line:
-        return XiEvaluation("boundary-line", rho.dims, _chi_factor(rho, tau, p.alpha, 1.0 - p.alpha)[0])
+        f, log2q = _chi_factor(rho, tau, p.alpha, 1.0 - p.alpha)
+        return XiEvaluation("boundary-line", rho.dims, f, log2q if p.on_reverse_line else None)
     return _xi_divided_difference(rho, tau, p)
 
 
@@ -160,15 +164,18 @@ def _xi_divided_difference(rho: HermitianOperator, tau: HermitianOperator, p: Al
 
     Evaluated in the eigenbasis of tau as phi_beta(t_i, t_j) * chi_ij. On the
     Umegaki line the kernel degenerates to the log-mean kernel applied to rho
-    itself.
+    itself. The result is made exactly Hermitian; a non-finite entry raises ValueError.
     """
     dec = eig_hermitian(tau)
     w, u = dec.eigenvalues, dec.vectors
     f, log2q = (None, None) if p.on_umegaki_line else _chi_factor(rho, tau, p.alpha, p.z)
     t = np.where(_support_mask(w), w, 0.0)
     coeff = u.conj().T @ (rho.entries if f is None else f @ f.conj().T) @ u
-    m = u @ (_phi_divided_difference(t, p) * coeff) @ u.conj().T
-    return XiEvaluation("divided-difference", rho.dims, log2q=log2q, dense=wrap(m, rho.dims))
+    m = hermitian_part(np.asarray(u @ (_phi_divided_difference(t, p) * coeff) @ u.conj().T, dtype=complex))
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
+    m.flags.writeable = False
+    return XiEvaluation("divided-difference", rho.dims, log2q=log2q, dense=m)
 
 
 def in_support_set(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> bool:

@@ -136,11 +136,6 @@ class HermitianOperator:
         w.flags.writeable = v.flags.writeable = False
         return EigenDecomposition(eigenvalues=w, vectors=v)
 
-    @cached_property
-    def _top(self) -> tuple[float, np.ndarray]:
-        """The top eigenpair (lambda_max, unit vector) by :func:`_krylov_top`, whether or not a spectrum is known."""
-        return _krylov_top(self.entries.__matmul__, self.dim)
-
 
 class DensityMatrix(HermitianOperator):
     """A positive semidefinite, unit-trace HermitianOperator (compared by identity).
@@ -195,11 +190,6 @@ def _krylov_top(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[flo
             block = np.linalg.qr(block - basis @ (basis.conj().T @ block))[0]
         basis = np.hstack([basis, block])
         images = np.hstack([images, matvec(block)])
-
-
-def wrap(matrix: np.ndarray, dims: Iterable[int]) -> HermitianOperator:
-    """Symmetrize a numerically-Hermitian matrix and wrap it."""
-    return HermitianOperator(hermitian_part(np.asarray(matrix, dtype=complex)), dims)
 
 
 def require_psd(eigenvalues: np.ndarray) -> None:

@@ -10,7 +10,8 @@ tests. The serial Lambda^2 ascent runs one restart at a time with one
 batched ascent, and ``simplex_serial`` runs the simplex solver's starts one
 after another with 1-row objective calls, the reference for its lockstep
 starts; the Bloch-angle grid is an exhaustive Lambda^2 reference for
-a qubit first party. ``minimize_conditional_mc`` is the second route to an
+a qubit first party, with its own closed-form qubit top eigenvalue.
+``minimize_conditional_mc`` is the second route to an
 MC state's value, the conditional entropy on the full d^2-dimensional
 operators, which tiles each row of the library's one simplex objective d
 times. The generalized ``matrix_power``, the support projector and rank,
@@ -24,9 +25,11 @@ that a pair commutes as a hypothesis, independent of how it was built, and
 ``family_reference`` writes the isotropic, MCBD, GHZ and Dicke states and
 ansatzes out by their defining formulas, independent of the eigenbasis the
 library builds them on.
-The helpers at the very end have no reader in the package itself: ``as_xi``
-wraps a dense operator as the ``XiEvaluation`` the Lambda^2 search takes,
-``xi_matrix`` forms a product route's Xi = F F† densely, and ``chi``,
+The helpers at the very end have no reader in the package itself: ``wrap``
+symmetrizes a matrix into a validated operator, ``as_xi`` hands a dense
+operator's entries to the Lambda^2 search as an ``XiEvaluation``,
+``xi_matrix`` wraps Xi as an operator (a product route's F F† formed
+densely), and ``chi``,
 ``q_alpha_z``, ``partial_trace`` and the closed-form Lambda^2 table
 ``lambda_sq_closed_form`` are the quantities the tests compare against.
 """
@@ -71,7 +74,6 @@ from renyi_ent.linalg import (
     _support_mask,
     eig_hermitian,
     hermitian_part,
-    wrap,
 )
 from renyi_ent.certificates import (
     ASCENT_MAX_SWEEPS,
@@ -393,6 +395,12 @@ def permute_factors(op, perm) -> HermitianOperator:
     )
 
 
+def qubit_top_eigenvalue(m: np.ndarray) -> np.ndarray:
+    """Top eigenvalue (a + c)/2 + hypot((a - c)/2, |b|) of each Hermitian [[a, b], [b*, c]] in a (..., 2, 2) batch."""
+    a, c = m[..., 0, 0].real, m[..., 1, 1].real
+    return (a + c) / 2 + np.hypot((a - c) / 2, np.abs(m[..., 1, 0]))
+
+
 def product_overlap_grid(
     op, steps: int = 400, refine_levels: int = 2
 ) -> OverlapResult:
@@ -401,8 +409,9 @@ def product_overlap_grid(
     The first party must be a qubit: its pure states are gridded over the
     Bloch angles (theta step pi/steps, phi step pi/steps), while the second
     party is solved exactly as the top eigenvector of the contracted local
-    matrix. ``refine_levels`` nested zooms around the coarse argmax polish the
-    local estimate; the whole search never touches the alternating path.
+    matrix (a qubit second party by :func:`qubit_top_eigenvalue`).
+    ``refine_levels`` nested zooms around the coarse argmax polish the local
+    estimate; the whole search never touches the alternating path.
     Intended as an independent oracle for total dimension <= 16.
     """
     dims = op.dims
@@ -424,7 +433,8 @@ def product_overlap_grid(
             vs = vgrid[lo : lo + chunk]
             outer = (vs.conj()[:, :, None] * vs[:, None, :]).reshape(-1, 4)
             local = (outer @ by_pair).reshape(-1, dims[1], dims[1])
-            vals = np.linalg.eigvalsh(local)[:, -1]  # reads one triangle: no Hermitian part needed
+            # each reads one triangle: no Hermitian part needed
+            vals = qubit_top_eigenvalue(local) if dims[1] == 2 else np.linalg.eigvalsh(local)[:, -1]
             idx = int(np.argmax(vals))
             if vals[idx] > best_val:
                 best_val = float(vals[idx])
@@ -576,14 +586,19 @@ def family_reference(family, ansatz: bool = False) -> np.ndarray:
     raise TypeError(f"no reference for {family!r}")
 
 
+def wrap(matrix: np.ndarray, dims) -> HermitianOperator:
+    """Symmetrize a numerically-Hermitian matrix and wrap it."""
+    return HermitianOperator(hermitian_part(np.asarray(matrix, dtype=complex)), dims)
+
+
 def as_xi(op) -> XiEvaluation:
     """A dense operator as the XiEvaluation the Lambda^2 search takes (its dense route)."""
-    return XiEvaluation("dense", op.dims, dense=op)
+    return XiEvaluation("dense", op.dims, dense=op.entries)
 
 
 def xi_matrix(ev: XiEvaluation) -> HermitianOperator:
-    """Xi as a dense operator: ``ev.dense``, or F F† formed from a product route's factor F."""
-    return ev.dense if ev.factor is None else wrap(ev.factor @ ev.factor.conj().T, ev.dims)
+    """Xi as a dense operator: ``ev.dense`` wrapped, or F F† formed from a product route's factor F."""
+    return wrap(ev.dense if ev.factor is None else ev.factor @ ev.factor.conj().T, ev.dims)
 
 
 def chi(rho: DensityMatrix, tau, p: AlphaZ) -> HermitianOperator:

@@ -36,7 +36,6 @@ from renyi_ent import (
     xi,
 )
 from renyi_ent.cli import DEFAULT_GRID, main
-from renyi_ent.linalg import wrap
 from oracles import (
     as_xi,
     conditional_entropy_mc,
@@ -46,6 +45,7 @@ from oracles import (
     partial_trace,
     product_overlap_grid,
     support_projector,
+    wrap,
     xi_matrix,
     xi_quadrature,
 )

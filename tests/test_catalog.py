@@ -159,6 +159,16 @@ class TestClosedFormValue:
         val = closed_form_value(Dicke(3, (2, 1)), AlphaZ(1.0, 1.0))
         assert abs(val - math.log2(9.0 / 4.0)) <= 1e-12
 
+    @pytest.mark.parametrize("alpha,z", [(0.3, 0.8), (1.0, 1.0), (1.5, 1.0), (2.0, 2.0)])
+    def test_dicke_with_an_empty_level(self, alpha, z):
+        # a type that fills the empty level is impossible: the ansatz gives it weight exp(-inf) = 0
+        fam, p = Dicke(3, (2, 1, 0)), AlphaZ(alpha, z)
+        report = certify_optimizer(build(fam), ansatz_optimizer(fam, p), p)
+        closed = closed_form_value(fam, p)
+        assert report.verdict == "certified-optimal"
+        assert abs(closed - 1.16992500144231) <= 1e-13
+        assert abs(report.value - closed) <= 1e-12
+
     def test_uniform_mcbd_is_zero(self):
         fam = MCBD((1 / 3, 1 / 3, 1 / 3))
         assert abs(closed_form_value(fam, AlphaZ(2.0, 2.0))) <= 1e-12

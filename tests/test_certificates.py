@@ -61,10 +61,12 @@ from oracles import (
     product_overlap_serial,
     product_overlap_value,
     q_alpha_z,
+    qubit_top_eigenvalue,
     report_from_json,
     report_to_json,
     support_projector,
     support_rank,
+    wrap,
     xi_matrix,
     xi_quadrature,
 )
@@ -215,6 +217,19 @@ class TestXi:
             w = np.linalg.eigvalsh(xi_matrix(ev).entries)
             assert w[0] >= -1e-10 * max(w[-1], 1.0)
 
+    def test_non_finite_divided_difference_rejected(self, monkeypatch):
+        monkeypatch.setattr(certificates, "_phi_divided_difference", lambda t, p: np.full((t.size, t.size), np.nan))
+        rho, tau = full_rank_state(4, 44, dims=(2, 2)), full_rank_state(4, 45, dims=(2, 2))
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            xi(rho, tau, AlphaZ(2.0, 2.0))
+
+    def test_divided_difference_is_a_read_only_hermitian_array(self):
+        rho, tau = full_rank_state(4, 44, dims=(2, 2)), full_rank_state(4, 45, dims=(2, 2))
+        ev = xi(rho, tau, AlphaZ(2.0, 2.0))
+        assert ev.route == "divided-difference" and type(ev.dense) is np.ndarray
+        assert ev.dense.dtype == complex and not ev.dense.flags.writeable
+        assert np.array_equal(ev.dense, ev.dense.conj().T)
+
     def test_empty_tau_rejected(self):
         from renyi_ent.linalg import HermitianOperator
 
@@ -264,6 +279,17 @@ class TestMaxProductOverlap:
         grid = product_overlap_grid(op, steps=400)
         assert abs(res.value - grid.value) <= 1e-5
 
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_grid_oracle_qubit_top_matches_eigvalsh(self, scale):
+        rng = np.random.default_rng(17)
+        m = scale * (rng.standard_normal((4096, 2, 2)) + 1j * rng.standard_normal((4096, 2, 2)))
+        m[:8, 1, 0] = 0.0  # diagonal rows
+        m[8:16] = m[8:16, :1, :1] * np.eye(2)  # multiples of the identity
+        np.einsum("kii->ki", m).imag = 0.0  # a real diagonal; the upper triangle stays as drawn, read by neither
+        w = np.linalg.eigvalsh(m)
+        radius = np.max(np.abs(w), axis=1)
+        assert np.all(np.abs(qubit_top_eigenvalue(m) - w[:, -1]) <= 4 * np.finfo(float).eps * radius)
+
     def test_monotone_under_restarts(self):
         op = full_rank_state(8, 21, dims=(2, 2, 2))
         running = -math.inf
@@ -281,8 +307,6 @@ class TestMaxProductOverlap:
             q, _ = np.linalg.qr(g)
             locals_.append(q)
         u = np.kron(locals_[0], locals_[1])
-        from renyi_ent.linalg import wrap
-
         rotated = wrap(u @ op.entries @ u.conj().T, (2, 2))
         a = max_product_overlap(as_xi(op), restarts=32).value
         b = max_product_overlap(as_xi(rotated), restarts=32).value
@@ -336,8 +360,9 @@ class TestBatchedAscent:
     @pytest.mark.parametrize("case", ["bell-diagonal", "ghz-3-3", "random-3x3", "random-2x2x2"])
     def test_eigensolver_calls_per_sweep(self, case, monkeypatch):
         op = BATCH_CASES[case]()
-        # the reference caches op's top eigenvector first, so the Krylov steps behind restart 0 run unspied
         _, sweeps, _ = product_overlap_serial(op, restarts=16)
+        ev = as_xi(op)
+        ev._top  # cached before the spies, so the Krylov steps behind restart 0 run unspied
         calls = {"eigh": [], "eigvalsh": []}
         for name, shapes in calls.items():
             def counted(a, *args, _original=getattr(np.linalg, name), _shapes=shapes, **kwargs):
@@ -345,7 +370,7 @@ class TestBatchedAscent:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        max_product_overlap(as_xi(op), restarts=16)
+        max_product_overlap(ev, restarts=16)
         assert calls["eigh"] == []
         assert len(calls["eigvalsh"]) <= sum(d >= 3 for d in op.dims) * max(sweeps)
 
@@ -500,11 +525,11 @@ class TestFactoredXi:
 
     def test_no_dense_xi_in_a_shared_basis_certification(self, monkeypatch, dense_shapes):
         family, p = AntisymPair(4), AlphaZ(2.0, 2.0)
-        wrapped = []
-        monkeypatch.setattr(certificates, "wrap", lambda m, dims: wrapped.append(np.shape(m)))
+        dense_xi = []  # the one route that forms Xi as an n x n array
+        monkeypatch.setattr(certificates, "_xi_divided_difference", lambda *args: dense_xi.append(args))
         report = certify_optimizer(build(family), ansatz_optimizer(family, p), p)
         assert report.route == "commuting" and report.verdict == "certified-optimal"
-        assert (256, 256) not in dense_shapes and wrapped == []
+        assert (256, 256) not in dense_shapes and dense_xi == []
 
     def test_no_eigh_of_party_matrices_in_the_antisym_5_pair(self, monkeypatch):
         family, p = AntisymPair(5), AlphaZ(2.0, 2.0)
@@ -900,6 +925,24 @@ class TestSpectralCache:
         report = certify_optimizer(*(type(x)(x.entries, x.dims) for x in (rho, tau)), p, restarts=4)
         assert report.support_ok and exponents
         assert 0.0 not in exponents
+
+    def test_reverse_line_reads_q_from_chi(self, monkeypatch):
+        # on z = 1 - alpha chi's core is Q's core: a general pair reads log2 Q off the eigh
+        # that builds chi, one eigvalsh fewer than with that value dropped
+        p = AlphaZ(0.3, 0.7)
+        rho, tau = (random_density(16, 16, seed, dims=(4, 4)) for seed in (3, 4))
+        calls, original = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k: calls.append(np.shape(a)) or original(a, *r, **k))
+        report = certify_optimizer(rho, tau, p, restarts=8)
+        kept, kept_full = len(calls), calls.count((16, 16))
+        assert report.route == "boundary-line"
+        assert abs(report.q_value - q_alpha_z(rho, tau, p)) <= 1e-12 * report.q_value
+        xi_of = certificates.xi
+        monkeypatch.setattr(certificates, "xi", lambda *args: dataclasses.replace(xi_of(*args), log2q=None))
+        calls.clear()
+        dropped = certify_optimizer(rho, tau, p, restarts=8)
+        assert len(calls) == kept + 1 and calls.count((16, 16)) == kept_full + 1
+        assert dropped.lambda_sq == report.lambda_sq and dropped.verdict == report.verdict
 
     def test_shared_basis_budget(self, decompositions, monkeypatch):
         # built on one basis, the pair certifies by eigenvalue arithmetic:

@@ -116,6 +116,15 @@ class TestEval:
         assert out == ""
         assert "non-finite" in err
 
+    def test_re_im_shape_mismatch_exits_2_with_one_line(self, tmp_path, capsys):
+        rho = write_state(tmp_path / "rho.json", random_density(2, 2, seed=6))
+        bad = tmp_path / "sigma.json"
+        bad.write_text(json.dumps({"dims": [2], "re": np.eye(2).tolist(), "im": np.zeros((2, 3)).tolist()}))
+        code, out, err = run(capsys, ["eval", rho, str(bad), "--alpha", "2", "--z", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "re and im blocks have different shapes" in err
+
     @pytest.mark.parametrize("diag", [(0.6, -0.4), (-0.5, -0.5)], ids=["indefinite", "negative"])
     def test_sigma_not_psd_exits_2_with_one_line(self, tmp_path, capsys, diag):
         rho = write_state(tmp_path / "rho.json", density(np.eye(2) / 2, (2,)))
@@ -253,6 +262,20 @@ class TestValue:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
 
+    @pytest.mark.parametrize(
+        "family,message",
+        [
+            ("mcbd:p=0.5|-0.1|0.6", "MCBD weight vector has negative entries"),
+            ("werner:p=0.2,d=1", "Werner states need local dimension >= 2"),
+        ],
+        ids=["negative-weight", "werner-d1"],
+    )
+    def test_invalid_family_parameters_exit_2_with_one_line(self, capsys, family, message):
+        code, out, err = run(capsys, ["value", family, "--alpha", "2", "--z", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("family", ["mcbd:p=nan|1", "pure:p=nan|1", "bell:lam=nan|1|0|0"])
     def test_nan_weight_exits_2(self, capsys, family):
         code, out, err = run(capsys, ["value", family])
@@ -307,6 +330,17 @@ class TestCertify:
         code, out, err = run(capsys, ["certify", "pure:p=0.5|0.5", "ansatz", "--alpha", "0.3", "--z", "0.2"])
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "outside the DPI region" in err
+
+    def test_non_finite_xi_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        from renyi_ent import certificates
+
+        # a kernel that is not finite makes the divided-difference Xi so
+        monkeypatch.setattr(certificates, "_phi_divided_difference", lambda t, p: np.full((t.size, t.size), np.nan))
+        rho = write_state(tmp_path / "rho.json", random_density(4, 4, 52, dims=(2, 2)))
+        tau = write_state(tmp_path / "tau.json", random_density(4, 4, 53, dims=(2, 2)))
+        code, out, err = run(capsys, ["certify", rho, tau, "--alpha", "2", "--z", "2", "--restarts", "4"])
+        assert code == 2 and out == ""
+        assert err == "error: matrix has non-finite entries\n"
 
     def test_overflowing_power_exits_2_with_one_line(self, capsys):
         # alpha = z = 1600 is inside the DPI region, but Xi's eigenvalues

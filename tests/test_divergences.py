@@ -14,7 +14,7 @@ from renyi_ent import (
     random_density,
     tensor_product,
 )
-from oracles import full_rank_state, partial_trace, q_alpha_z
+from oracles import full_rank_state, partial_trace, q_alpha_z, wrap
 
 GRID = [(0.3, 0.8), (0.5, 0.5), (0.5, 1.0), (0.9, 0.9), (1.0, 1.0), (1.5, 1.0), (2.0, 2.0), (3.0, 2.5)]
 
@@ -175,8 +175,6 @@ class TestProperties:
 
     @pytest.mark.parametrize("a,z", GRID)
     def test_monotone_in_second_argument(self, a, z):
-        from renyi_ent.linalg import wrap
-
         p = AlphaZ(a, z)
         rho, sigma = full_rank_state(3, 25), full_rank_state(3, 26)
         bump = random_density(3, 3, seed=27)
@@ -185,8 +183,6 @@ class TestProperties:
 
     @pytest.mark.parametrize("a,z", GRID)
     def test_epsilon_regularization_supremum(self, a, z):
-        from renyi_ent.linalg import wrap
-
         p = AlphaZ(a, z)
         rho = random_density(3, 2, seed=28)
         sigma = random_density(3, 2, seed=29)
