@@ -17,6 +17,7 @@ import numpy as np
 from .divergences import AlphaZ, _log2_sum_powers_rows, _require_dpi
 from .linalg import (
     LINE_ATOL, PROB_ATOL, TRACE_ATOL,
+    ColumnSparse,
     DensityMatrix,
     _fmt,
     _ii_indices,
@@ -218,24 +219,31 @@ def beta_dual(p: AlphaZ) -> float:
     return beta
 
 
-def _dft_basis(dim: int, groups: Sequence[Sequence[int]]) -> np.ndarray:
-    """Orthonormal columns of C^dim, group by group, then e_i for each index in no group.
+def _dft_basis(dim: int, blocks: Sequence[np.ndarray]) -> ColumnSparse:
+    """Orthonormal columns of C^dim, group by group, then e_i for each index in no group; column-sparse.
 
-    A group g of n product-basis indices gives the n columns
-    n^(-1/2) sum_j w^(kj) e_(g_j), k = 0..n-1, with w = exp(2 pi i / n), so
-    column k = 0 is the uniform superposition. The array is real when no
+    ``blocks`` holds the groups in order, as (m, n) arrays of m groups of n product-basis indices each.
+    A group g gives the n columns n^(-1/2) sum_j w^(kj) e_(g_j), k = 0..n-1, with w = exp(2 pi i / n),
+    so column k = 0 is the uniform superposition: n nonzeros per column. The values are real when no
     group has more than two members.
     """
-    groups = [*groups, *([i] for i in sorted(set(range(dim)).difference(*groups)))]
-    real = max(map(len, groups)) <= 2
-    v = np.zeros((dim, dim), dtype=float if real else complex)
-    col = 0
-    for g in groups:
-        k = np.arange(len(g))
-        dft = np.exp(2j * math.pi * np.outer(k, k) / len(g)) / math.sqrt(len(g))
-        v[g, col : col + len(g)] = dft.real if real else dft
-        col += len(g)
-    return v
+    free = np.ones(dim, dtype=bool)
+    for b in blocks:
+        free[b] = False
+    blocks = [b for b in (*blocks, np.flatnonzero(free)[:, None]) if b.size]
+    real = max(b.shape[1] for b in blocks) <= 2
+    nnz = sum(b.size * b.shape[1] for b in blocks)
+    rows, cols, vals = np.empty(nnz, dtype=np.intp), np.empty(nnz, dtype=np.intp), np.empty(nnz, dtype=float if real else complex)
+    at = col = 0
+    for b in blocks:
+        (m, n), k = b.shape, np.arange(b.shape[1])
+        dft = np.exp(2j * math.pi * np.outer(k, k) / n) / math.sqrt(n)
+        span = slice(at, at + m * n * n)
+        rows[span].reshape(m, n, n)[...] = b[:, None, :]  # group i, column k, entry j: index g_j
+        cols[span].reshape(m * n, n)[...] = np.arange(col, col + m * n)[:, None]
+        vals[span].reshape(m, n, n)[...] = (dft.real if real else dft).T
+        at, col = at + m * n * n, col + m * n
+    return ColumnSparse(rows, cols, vals, (dim, dim))
 
 
 def _occupation_types(N: int, d: int) -> dict[tuple[int, ...], list[int]]:
@@ -287,29 +295,32 @@ def _party_shape(family: StateFamily) -> tuple[int, int]:
     return family.d, 2
 
 
-def _on_basis(family: StateFamily, weights) -> DensityMatrix:
-    """The state with eigenvalues ``weights``, padded with zeros, on the family's one eigenbasis (:func:`_dft_basis`).
+def _basis_groups(family: StateFamily) -> list[np.ndarray]:
+    """The index groups of the family's one eigenbasis (:func:`_dft_basis`), as blocks of equal-size groups.
 
-    Index groups: Bell {00, 11}, {01, 10}, giving (Phi+, Phi-, Psi+, Psi-);
-    Werner each |ii>, then each {ij, ji} (i < j), giving the symmetric and
-    antisymmetric pair vectors; Dicke the occupation types, each giving its
-    Dicke vector first; isotropic, MCBD and GHZ the product states |j...j>,
-    giving the maximally entangled (GHZ) vector first, then every other
-    product state.
+    Bell {00, 11}, {01, 10}, giving (Phi+, Phi-, Psi+, Psi-); Werner each |ii>,
+    then each {ij, ji} (i < j), giving the symmetric and antisymmetric pair
+    vectors; Dicke the occupation types, each giving its Dicke vector first;
+    isotropic, MCBD and GHZ the product states |j...j>, giving the maximally
+    entangled (GHZ) vector first, then every other product state.
     """
     d, parties = _party_shape(family)
-    dims = (d,) * parties
     if isinstance(family, BellDiagonal):
-        groups = [[0, 3], [1, 2]]
-    elif isinstance(family, Werner):
-        groups = [[i] for i in _ii_indices(d)] + [[i * d + j, j * d + i] for i in range(d) for j in range(i + 1, d)]
-    elif isinstance(family, Dicke):
-        groups = list(_occupation_types(family.N, d).values())
-    else:
-        groups = [np.arange(d) * sum(d**m for m in range(parties))]
-    w = np.zeros(math.prod(dims))
-    w[: len(weights)] = weights
-    return DensityMatrix.from_eigenpairs(w, _dft_basis(w.size, groups), dims)
+        return [np.array([[0, 3], [1, 2]])]
+    if isinstance(family, Werner):
+        i, j = np.triu_indices(d, 1)
+        return [_ii_indices(d)[:, None], np.stack([i * d + j, j * d + i], axis=1)]
+    if isinstance(family, Dicke):
+        return [np.array([g]) for g in _occupation_types(family.N, d).values()]
+    return [np.arange(d)[None, :] * sum(d**m for m in range(parties))]
+
+
+def _on_basis(family: StateFamily, weights) -> DensityMatrix:
+    """The state with eigenvalues ``weights``, padded with zeros, on the family's one eigenbasis."""
+    d, parties = _party_shape(family)
+    w = np.asarray(weights, dtype=float)  # a fresh array of every caller, taken over
+    w = np.r_[w, np.zeros(d**parties - w.size)] if w.size < d**parties else w
+    return DensityMatrix.from_eigenpairs(w, _dft_basis(w.size, _basis_groups(family)), (d,) * parties)
 
 
 def _dicke_weights(family: Dicke, weight: Callable[[tuple[int, ...]], float]) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from .divergences import AlphaZ, _core, _core_spectrum, _d_and_q, _require_dpi, is_dominated
 from .linalg import (
     ASCENT_TOL, DEGENERACY_RTOL, RAYLEIGH_RTOL, SUPPORT_CUT, TOL_CERT_REL,
+    ColumnSparse,
     DensityMatrix,
     HermitianOperator,
     _fmt,
@@ -79,47 +80,115 @@ def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
 class XiEvaluation:
     """The positive operator Xi_{alpha,z}(rho, tau) plus how it was computed.
 
-    A product route gives an n x r ``factor`` F (Xi = F F†, never formed), else ``dense`` is Xi as a
-    read-only n x n Hermitian array.
+    A product route gives an n x r ``factor`` F (Xi = F F†, never formed): column-sparse on a shared
+    column-sparse basis, else dense. Otherwise ``dense`` is Xi as a read-only n x n Hermitian array.
     """
 
     route: str  # "boundary-line" | "commuting" | "divided-difference"
     dims: tuple[int, ...]
-    factor: np.ndarray | None = None
+    factor: np.ndarray | ColumnSparse | None = None
     log2q: float | None = None  # log2 Q from chi's core: divided-difference off the Umegaki line, general z = 1 - alpha
     dense: np.ndarray | None = None
 
     @cached_property
     def _top(self) -> tuple[float, np.ndarray]:
         """Xi's top eigenpair by :func:`linalg._krylov_top`, on v -> Xi v, or v -> F (F† v) for a factor."""
-        f = self.factor
-        matvec = self.dense.__matmul__ if f is None else lambda b: f @ (f.conj().T @ b)
-        return _krylov_top(matvec, math.prod(self.dims))
+        f, n = self.factor, math.prod(self.dims)
+        if isinstance(f, ColumnSparse):
+            return _krylov_top(lambda b: f.dot(f.dot(b, adjoint=True)), n)
+        return _krylov_top(self.dense.__matmul__ if f is None else lambda b: f @ (f.conj().T @ b), n)
 
     def diagonal(self, indices: np.ndarray) -> np.ndarray:
         """<i| Xi |i> at the basis ``indices``: for a factor, the squared norms of its rows."""
         f = self.factor
-        return self.dense[indices, indices].real if f is None else (f[indices] * f[indices].conj()).real.sum(1)
+        if f is None:
+            return self.dense[indices, indices].real
+        if isinstance(f, ColumnSparse):
+            norms = np.zeros(f.shape[0])
+            np.add.at(norms, f.rows, (f.vals * f.vals.conj()).real)
+            return norms[indices]
+        return (f[indices] * f[indices].conj()).real.sum(1)
 
     @cached_property
     def _layouts(self) -> list[np.ndarray]:
-        """Per party k, F's rows as (others, d_k) by its r columns, reshaped to (others, d_k * r)."""
-        (n, r), dims = self.factor.shape, self.dims
-        return [np.moveaxis(self.factor.reshape(dims + (r,)), k, -2).reshape(n // d, d * r) for k, d in enumerate(dims)]
+        """Per party k, F's rows as (others, d_k) by its r columns, reshaped to (others, d_k * r); F made dense."""
+        f, dims = self.factor, self.dims
+        f = f.toarray() if isinstance(f, ColumnSparse) else f
+        n, r = f.shape
+        return [np.moveaxis(f.reshape(dims + (r,)), k, -2).reshape(n // d, d * r) for k, d in enumerate(dims)]
+
+    @cached_property
+    def _pair_count(self) -> int:
+        """sum_j T_j^2 over the columns of a column-sparse factor, T_j the nonzeros of column j."""
+        return int(np.sum(np.bincount(self.factor.cols) ** 2))
+
+    @cached_property
+    def _pair_plans(self) -> list[tuple[np.ndarray, ...]]:
+        """Per party k, :func:`_pair_plan`; made on the first sparse contraction."""
+        return [_pair_plan(self.factor, self.dims, k) for k in range(len(self.dims))]
 
     def local_matrices(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
         """Party k's local matrices <others| Xi |others>, one (d_k, d_k) block per row of ``vecs``.
 
-        For a factor, G G† with G = <others| F: one matrix product of each chunk of restarts' bras
-        (G within _CHUNK_BYTES) against party k's layout of F.
+        A column-sparse factor of n x r is contracted by its nonzeros when that costs fewer flops per
+        restart, sum_j T_j^2 pair products (:meth:`_sparse_local`), than the dense-factor contraction's
+        r (n + d_k^2) (:meth:`_factor_local`); a dense factor always takes the latter.
         """
-        if self.factor is None:
+        f = self.factor
+        if f is None:
             return _local_matrices(self.dense, self.dims, k, vecs)
+        if isinstance(f, ColumnSparse) and self._pair_count < f.shape[1] * (f.shape[0] + self.dims[k] ** 2):
+            return self._sparse_local(k, vecs)
+        return self._factor_local(k, vecs)
+
+    def _factor_local(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
+        """G G† with G = <others| F: one matrix product of each chunk of restarts' bras (G within
+        _CHUNK_BYTES) against party k's layout of F."""
         rows, d, r = vecs[0].shape[0], self.dims[k], self.factor.shape[1]
         bras = _kron_rows([v.conj() for j, v in enumerate(vecs) if j != k], rows)
         step = max(1, _CHUNK_BYTES // (16 * d * max(r, 1)))  # r = 0 when the supports are disjoint
         gs = ((b @ self._layouts[k]).reshape(len(b), d, r) for b in np.split(bras, range(step, rows, step)))
         return np.concatenate([g @ g.conj().swapaxes(1, 2) for g in gs])
+
+    def _sparse_local(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
+        """sum_j g_j g_j† over F's columns j, g_j = <others| F e_j, by index arithmetic on F's nonzeros.
+
+        h_t = <others| row_t> f_t is a gather of the bras; entry (a, b) sums h_t conj(h_u) over the pairs
+        (t, u) of nonzeros sharing a column, with party-k indices a and b: a segment sum over the pairs,
+        sorted by entry, for each chunk of restarts whose pair products fit _CHUNK_BYTES.
+        """
+        other, t, u, starts, entries = self._pair_plans[k]
+        rows, d = vecs[0].shape[0], self.dims[k]
+        bras = _kron_rows([v.conj() for j, v in enumerate(vecs) if j != k], rows)
+        out = np.zeros((d * d, rows), dtype=complex)  # restarts last: the gathers copy whole rows
+        step = max(1, _CHUNK_BYTES // (16 * max(t.size, 1)))
+        for lo in range(0, rows, step):
+            h = bras[lo : lo + step].T[other] * self.factor.vals[:, None]
+            pairs = h.conj()[u]
+            pairs *= h[t]
+            out[entries, lo : lo + step] = np.add.reduceat(pairs, starts, axis=0)
+        return out.T.reshape(rows, d, d)
+
+
+def _pair_plan(f: ColumnSparse, dims: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
+    """Index arithmetic for party k's sparse contraction of a column-sparse factor F.
+
+    Returns, per nonzero t of F, the others' flat index of its row; the pairs (t, u) of nonzeros in one
+    column, as two index arrays ordered by their target entry a_t d_k + a_u (a the row's party-k index);
+    where each target's run of pairs starts; and the targets.
+    """
+    digits = np.unravel_index(f.rows, dims)
+    a = digits[k]
+    other = np.ravel_multi_index(digits[:k] + digits[k + 1 :], dims[:k] + dims[k + 1 :])
+    counts = np.bincount(f.cols, minlength=f.shape[1])
+    reps, first = counts[f.cols], (np.cumsum(counts) - counts)[f.cols]  # T of each nonzero's column, its first nonzero
+    t = np.repeat(np.arange(f.cols.size), reps)  # each nonzero pairs with every nonzero of its column, itself included
+    u = np.arange(t.size) - np.repeat(np.cumsum(reps) - reps - first, reps)  # first, first + 1, ... within t's run
+    target = a[t] * dims[k] + a[u]
+    order = np.argsort(target, kind="stable")
+    target = target[order]
+    starts = np.flatnonzero(np.diff(target, prepend=-1))
+    return other, t[order], u[order], starts, target[starts]
 
 
 def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
@@ -152,7 +221,9 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
         keep = _support_mask(r) & _support_mask(t)
         x = _power_values(r / np.where(keep, t, 1.0), p.alpha, keep)
         # a factor, not eigenpairs (x, v): the ascent contracts F, and restart 0 reads a Krylov top vector
-        return XiEvaluation("boundary-line" if on_line else "commuting", rho.dims, v[:, keep] * np.sqrt(x[keep]))
+        s = np.sqrt(x)
+        f = v.columns(keep, s) if isinstance(v, ColumnSparse) else v[:, keep] * s[keep]
+        return XiEvaluation("boundary-line" if on_line else "commuting", rho.dims, f)
     if on_line:
         f, log2q = _chi_factor(rho, tau, p.alpha, 1.0 - p.alpha)
         return XiEvaluation("boundary-line", rho.dims, f, log2q if p.on_reverse_line else None)
@@ -210,9 +281,10 @@ class OverlapResult:
     restart_sweeps: tuple[int, ...]
 
 
-# Bound on the first contraction's output (G for a factored Xi) per chunk of restarts:
-# 8 MB holds 33 restarts of a dense Xi at 625 dims and 11 at 1296, wide enough for an
-# efficient matrix product; smaller operators run all restarts in one chunk.
+# Bound on the first contraction's output per chunk of restarts: Xi times the kets for a dense
+# Xi, G for a dense factor, the pair products for a column-sparse one. 8 MB holds 33 restarts
+# of a dense Xi at 625 dims and 11 at 1296, wide enough for an efficient matrix product;
+# smaller operators run all restarts in one chunk.
 _CHUNK_BYTES = 1 << 23
 
 

@@ -8,7 +8,10 @@ eigenvalues below the cut map to zero regardless of the exponent, so
 ``H ** 0`` is the support projector. Support containment and orthogonality
 are decided from the weight an operator puts on the other one's cached
 support or kernel eigenvectors, never from d x d projectors; on a shared
-basis those weights are its own eigenvalues.
+basis those weights are its own eigenvalues. A basis given at construction
+may be column-sparse (:class:`ColumnSparse`): the catalog bases and their
+tensor products are kept as their nonzeros, and a dense basis is formed only
+when a general route reads it.
 """
 
 from __future__ import annotations
@@ -44,13 +47,69 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().swapaxes(-1, -2)) / 2
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnSparse:
+    """An (n, m) array by its nonzeros: row indices, column indices in ascending order, and values.
+
+    The arrays become the instance's, read-only, uncopied. A catalog basis is a DFT block per small
+    index group, so its tensor products, row permutations and column selections run on the nonzeros
+    alone; :meth:`toarray` forms the dense array, and only it.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+    def __post_init__(self):
+        for a in (self.rows, self.cols, self.vals):
+            a.flags.writeable = False
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    def kron(self, other: ColumnSparse) -> ColumnSparse:
+        """np.kron of the two arrays: products of the values, index pairs flattened, columns sorted stably."""
+        (n, m), (nb, mb) = self.shape, other.shape
+        cols = (self.cols[:, None] * mb + other.cols).ravel()
+        order = np.argsort(cols, kind="stable")
+        rows = (self.rows[:, None] * nb + other.rows).ravel()[order]
+        return ColumnSparse(rows, cols[order], (self.vals[:, None] * other.vals).ravel()[order], (n * nb, m * mb))
+
+    def columns(self, keep: np.ndarray, scale: np.ndarray) -> ColumnSparse:
+        """The columns where ``keep`` holds, renumbered in order, column j times ``scale[j]``."""
+        sel = keep[self.cols]
+        cols = self.cols[sel]
+        return ColumnSparse(self.rows[sel], (np.cumsum(keep) - 1)[cols], self.vals[sel] * scale[cols],
+                            (self.shape[0], int(np.count_nonzero(keep))))
+
+    def dot(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """A x, or A† x when ``adjoint``, for a 2-D array x."""
+        into, src, vals = (self.cols, self.rows, self.vals.conj()) if adjoint else (self.rows, self.cols, self.vals)
+        out = np.zeros((self.shape[adjoint], x.shape[1]), dtype=np.result_type(vals, x))
+        np.add.at(out, into, vals[:, None] * x[src])
+        return out
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Real eigenvalues and a unitary of column eigenvectors: ascending after an ``eigh``, and in the
-    order given for a spectrum given at construction, so read an extreme by value, never by position."""
+    order given for a spectrum given at construction, so read an extreme by value, never by position.
+    ``basis`` is the eigenvectors as given, dense or column-sparse; ``vectors`` is the dense array."""
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    basis: np.ndarray | ColumnSparse
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """The basis itself when dense, else formed from it on first read, read-only."""
+        if isinstance(self.basis, np.ndarray):
+            return self.basis
+        v = self.basis.toarray()
+        v.flags.writeable = False
+        return v
 
 
 class HermitianOperator:
@@ -61,7 +120,8 @@ class HermitianOperator:
     dimension is the product n of ``dims``; its spectrum is one ``eigh`` on first use.
     ``HermitianOperator(form, dims, (w, V))`` is built from a known spectrum (:meth:`from_eigenpairs`, the
     tensor products) and Hermitian by construction: it validates ``dims`` and that w is (n,) and V (n, n),
-    both finite, and keeps the spectrum as given: the arrays become the operator's, read-only, uncopied. Its
+    dense or :class:`ColumnSparse`, both finite, and keeps the spectrum as given: the arrays become the
+    operator's, read-only, uncopied. Its
     ``entries`` are ``form(op)``, formed on first read; ``dim``, ``trace`` and every spectral query
     (powers, support, dominance, Xi) read the spectrum. ``entries`` is read-only; instances are immutable
     and compare and hash by identity.
@@ -91,10 +151,11 @@ class HermitianOperator:
             w, v = spectrum
             if w.shape != (n,) or v.shape != (n, n):
                 raise ValueError(f"eigenpairs of shapes {w.shape} and {v.shape} do not match partition {dims}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+            values = v.vals if isinstance(v, ColumnSparse) else v  # a sparse basis's indices are read-only already
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(values))):
                 raise ValueError("matrix has non-finite entries")
-            w.flags.writeable = v.flags.writeable = False
-            self.__dict__.update(_form=entries, _eig=EigenDecomposition(eigenvalues=w, vectors=v))
+            w.flags.writeable = values.flags.writeable = False
+            self.__dict__.update(_form=entries, _eig=EigenDecomposition(eigenvalues=w, basis=v))
         self.__dict__["dims"] = dims
 
     def __setattr__(self, *_):
@@ -110,10 +171,12 @@ class HermitianOperator:
         return m
 
     @classmethod
-    def from_eigenpairs(cls, w: np.ndarray, vectors: np.ndarray, dims: Iterable[int]) -> HermitianOperator:
+    def from_eigenpairs(cls, w: np.ndarray, vectors: np.ndarray | ColumnSparse, dims: Iterable[int]) -> HermitianOperator:
         """Hermitian part of V diag(w) V† (orthonormal V); the arrays become its spectrum, read-only, uncopied."""
-        w, v = np.asarray(w, dtype=float), np.asarray(vectors)
-        return cls(_eigenpair_entries, dims, (w, v.astype(np.result_type(v, float), copy=False)))  # a real V stays real
+        if not isinstance(vectors, ColumnSparse):
+            vectors = np.asarray(vectors)
+            vectors = vectors.astype(np.result_type(vectors, float), copy=False)  # a real V stays real
+        return cls(_eigenpair_entries, dims, (np.asarray(w, dtype=float), vectors))
 
     @property
     def dim(self) -> int:
@@ -123,8 +186,10 @@ class HermitianOperator:
         """tr of the matrix; from a spectrum (w, V) given at construction, sum_j w_j ||v_j||^2."""
         if "_form" not in self.__dict__:
             return float(np.trace(self.entries).real)
-        dec = self._eig
-        return float(dec.eigenvalues @ np.einsum("ij,ij->j", dec.vectors.conj(), dec.vectors).real)
+        w, v = self._eig.eigenvalues, self._eig.basis
+        if isinstance(v, ColumnSparse):
+            return float(np.einsum("t,t,t->", w[v.cols], v.vals.conj(), v.vals).real)
+        return float(w @ np.einsum("ij,ij->j", v.conj(), v).real)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries)))
@@ -134,7 +199,7 @@ class HermitianOperator:
         """One ``eigh``, for an operator built without its spectrum."""
         w, v = np.linalg.eigh(self.entries)
         w.flags.writeable = v.flags.writeable = False
-        return EigenDecomposition(eigenvalues=w, vectors=v)
+        return EigenDecomposition(eigenvalues=w, basis=v)
 
 
 class DensityMatrix(HermitianOperator):
@@ -250,17 +315,25 @@ def _power(m: HermitianOperator, p: float) -> np.ndarray:
     return (v * _power_values(dec.eigenvalues, p)) @ v.conj().T
 
 
-def _joint_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _same_basis(x: np.ndarray | ColumnSparse, y: np.ndarray | ColumnSparse) -> bool:
+    """Both dense and equal, or both column-sparse with equal shapes, indices and values."""
+    if isinstance(x, ColumnSparse) and isinstance(y, ColumnSparse):
+        return x.shape == y.shape and all(map(np.array_equal, (x.rows, x.cols, x.vals), (y.rows, y.cols, y.vals)))
+    return isinstance(x, np.ndarray) and isinstance(y, np.ndarray) and np.array_equal(x, y)
+
+
+def _joint_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray | ColumnSparse] | None:
     """(wa, wb, V) with a = V diag(wa) V† and b = V diag(wb) V† (the spectra given at construction), or None.
 
     Two operators share a basis when both spectra were given at construction and
-    their eigenvector arrays, kept as given, are bitwise equal. No tolerance
-    decides this: a miss only sends the caller down its general route.
+    their bases, kept as given, are bitwise equal (:func:`_same_basis`; a dense
+    basis never matches a column-sparse one). No tolerance decides this: a miss
+    only sends the caller down its general route. V is the basis as given.
     """
     # read only spectra given at construction: never decompose just to find no shared basis
-    if "_form" not in a.__dict__ or "_form" not in b.__dict__ or not np.array_equal(a._eig.vectors, b._eig.vectors):
+    if "_form" not in a.__dict__ or "_form" not in b.__dict__ or not _same_basis(a._eig.basis, b._eig.basis):
         return None
-    return a._eig.eigenvalues, b._eig.eigenvalues, a._eig.vectors
+    return a._eig.eigenvalues, b._eig.eigenvalues, a._eig.basis
 
 
 def _split_weights(op: HermitianOperator, other: HermitianOperator, support: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -291,10 +364,14 @@ def _negligible_on(op: HermitianOperator, other: HermitianOperator, support: boo
     return float(np.sum(_split_weights(op, other, support)[1])) <= SUPPORT_CUT * top
 
 
-def _kron_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a (x) b from the factors' cached spectra: products of values, Kronecker vectors."""
+def _kron_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray | ColumnSparse]:
+    """Eigenpairs of a (x) b from the factors' cached spectra: products of values, Kronecker vectors,
+    column-sparse when both bases are."""
     ea, eb = eig_hermitian(a), eig_hermitian(b)
-    return np.kron(ea.eigenvalues, eb.eigenvalues), np.kron(ea.vectors, eb.vectors)
+    w = np.kron(ea.eigenvalues, eb.eigenvalues)
+    if isinstance(ea.basis, ColumnSparse) and isinstance(eb.basis, ColumnSparse):
+        return w, ea.basis.kron(eb.basis)
+    return w, np.kron(ea.vectors, eb.vectors)
 
 
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
@@ -306,20 +383,26 @@ def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
     return _result_type(a, b)(lambda _: np.kron(a.entries, b.entries), a.dims + b.dims, _kron_spectrum(a, b))
 
 
-def _permute_rows(v: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
-    """Rows of ``v``, indexed by the tensor factors ``dims``, with factor ``perm[j]`` moved to j."""
-    return v.reshape(dims + (-1,)).transpose(perm + (len(dims),)).reshape(v.shape)
-
-
 def _merge_order(n: int) -> tuple[int, ...]:
     """The factor order (a1, b1, a2, b2, ...) that merges factor j of two n-party operators into party j."""
     return tuple(x for j in range(n) for x in (j, n + j))
 
 
-def _merged_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs (w, V) of tensor_product_merged(a, b): a (x) b's, with V's rows in merged order."""
+def _merged_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray | ColumnSparse]:
+    """The eigenpairs (w, V) of tensor_product_merged(a, b): a (x) b's, with V's rows in merged order.
+
+    Row i of a (x) b, indexed by the factors (a1, ..., b1, ...), moves to ``new[i]``: a column-sparse
+    V only relabels its row indices, a dense one is scattered into one new array.
+    """
     w, v = _kron_spectrum(a, b)
-    return w, _permute_rows(v, a.dims + b.dims, _merge_order(len(a.dims)))
+    dims, perm = a.dims + b.dims, _merge_order(len(a.dims))
+    digits = np.unravel_index(np.arange(math.prod(dims)), dims)
+    new = np.ravel_multi_index([digits[p] for p in perm], [dims[p] for p in perm])
+    if isinstance(v, ColumnSparse):
+        return w, ColumnSparse(new[v.rows], v.cols, v.vals, v.shape)
+    out = np.empty_like(v)
+    out[new] = v
+    return w, out
 
 
 def tensor_product_merged(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:

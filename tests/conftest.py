@@ -11,10 +11,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 @pytest.fixture
 def dense_shapes(monkeypatch):
-    """The shape of every dense operator matrix formed: given to the constructor, or formed on first read."""
+    """The shape of every dense array formed of an operator: a matrix given to the constructor or formed on
+    first read, and a column-sparse basis or Xi factor made dense (``ColumnSparse.toarray``)."""
     from renyi_ent import HermitianOperator
+    from renyi_ent.linalg import ColumnSparse
 
-    shapes, init, prop = [], HermitianOperator.__init__, HermitianOperator.__dict__["entries"]
+    shapes, init, prop, toarray = [], HermitianOperator.__init__, HermitianOperator.__dict__["entries"], ColumnSparse.toarray
 
     def spy_init(self, entries, dims, spectrum=None):
         if spectrum is None:
@@ -26,6 +28,11 @@ def dense_shapes(monkeypatch):
         shapes.append(m.shape)
         return m
 
+    def spy_toarray(a):
+        shapes.append(a.shape)
+        return toarray(a)
+
     monkeypatch.setattr(HermitianOperator, "__init__", spy_init)
     monkeypatch.setattr(prop, "func", spy_form)
+    monkeypatch.setattr(ColumnSparse, "toarray", spy_toarray)
     return shapes

@@ -28,8 +28,12 @@ library builds them on.
 The helpers at the very end have no reader in the package itself: ``wrap``
 symmetrizes a matrix into a validated operator, ``as_xi`` hands a dense
 operator's entries to the Lambda^2 search as an ``XiEvaluation``,
-``xi_matrix`` wraps Xi as an operator (a product route's F F† formed
-densely), and ``chi``,
+``factor_matrix`` and ``xi_matrix`` give a product route's F, and Xi as an
+operator (F F† formed densely), ``dense_dft_basis`` and ``reference_basis``
+are the dense construction of the catalog bases (DFT blocks, ``np.kron`` and
+the row permute of ``_permute_rows``) that the column-sparse storage must
+reproduce bit for bit, ``witness_overlap`` recomputes a report's Lambda^2 at
+its witness as ||F† w||^2 on a dense F, and ``chi``,
 ``q_alpha_z``, ``partial_trace`` and the closed-form Lambda^2 table
 ``lambda_sq_closed_form`` are the quantities the tests compare against.
 """
@@ -58,17 +62,20 @@ from renyi_ent import (
     d_alpha_z,
     density,
     random_density,
+    xi,
 )
 from renyi_ent import minimizers
-from renyi_ent.catalog import _log_type_probability
+from renyi_ent.catalog import _basis_groups, _log_type_probability, _party_shape
 from renyi_ent.divergences import _log2_q, _q_from_log2, _require_dpi
 from renyi_ent.linalg import (
     ASCENT_TOL,
     NOISE_REL,
     PROB_ATOL,
     STATIONARY_TOL,
+    SUPPORT_CUT,
+    ColumnSparse,
     HermitianOperator,
-    _permute_rows,
+    _joint_spectrum,
     _power,
     _result_type,
     _support_mask,
@@ -376,6 +383,11 @@ def support_rank(op) -> int:
     return int(np.count_nonzero(_support_mask(eig_hermitian(op).eigenvalues)))
 
 
+def _permute_rows(v: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
+    """Rows of ``v``, indexed by the tensor factors ``dims``, with factor ``perm[j]`` moved to j."""
+    return v.reshape(dims + (-1,)).transpose(perm + (len(dims),)).reshape(v.shape)
+
+
 def permute_factors(op, perm) -> HermitianOperator:
     """Physically reorder tensor factors so factor ``perm[j]`` becomes factor ``j``; a state stays a state.
 
@@ -596,9 +608,78 @@ def as_xi(op) -> XiEvaluation:
     return XiEvaluation("dense", op.dims, dense=op.entries)
 
 
+def dense_array(a):
+    """A column-sparse array scattered into zeros here (not by its ``toarray``); a dense one as it is."""
+    if not isinstance(a, ColumnSparse):
+        return a
+    out = np.zeros(a.shape, dtype=a.vals.dtype)
+    out[a.rows, a.cols] = a.vals
+    return out
+
+
+def factor_matrix(ev: XiEvaluation) -> np.ndarray | None:
+    """A product route's factor F as a dense n x r array (None on the divided-difference route)."""
+    return dense_array(ev.factor)
+
+
 def xi_matrix(ev: XiEvaluation) -> HermitianOperator:
     """Xi as a dense operator: ``ev.dense`` wrapped, or F F† formed from a product route's factor F."""
-    return wrap(ev.dense if ev.factor is None else ev.factor @ ev.factor.conj().T, ev.dims)
+    f = factor_matrix(ev)
+    return wrap(ev.dense if f is None else f @ f.conj().T, ev.dims)
+
+
+def dense_dft_basis(dim: int, groups) -> np.ndarray:
+    """A catalog eigenbasis as a dense n x n array, built entry by entry group by group.
+
+    Orthonormal columns of C^dim, group by group, then e_i for each index in no group: a group g of n
+    indices gives n^(-1/2) sum_j w^(kj) e_(g_j), k = 0..n-1, w = exp(2 pi i / n); real when no group
+    has more than two members.
+    """
+    groups = [*groups, *([i] for i in sorted(set(range(dim)).difference(*groups)))]
+    real = max(map(len, groups)) <= 2
+    v = np.zeros((dim, dim), dtype=float if real else complex)
+    col = 0
+    for g in groups:
+        k = np.arange(len(g))
+        dft = np.exp(2j * math.pi * np.outer(k, k) / len(g)) / math.sqrt(len(g))
+        v[g, col : col + len(g)] = dft.real if real else dft
+        col += len(g)
+    return v
+
+
+def reference_basis(family) -> np.ndarray:
+    """The eigenbasis of build(family) by the dense construction: :func:`dense_dft_basis` on the family's
+    index groups; for an AntisymPair, np.kron of the Werner(0, d) basis with itself, rows permuted into
+    the merged order (a1, b1, a2, b2)."""
+    if isinstance(family, AntisymPair):
+        v, d = reference_basis(Werner(0.0, family.d)), family.d
+        return _permute_rows(np.kron(v, v), (d, d, d, d), (0, 2, 1, 3))
+    d, parties = _party_shape(family)
+    return dense_dft_basis(d**parties, [list(g) for block in _basis_groups(family) for g in block])
+
+
+def witness_overlap(rho, tau, p: AlphaZ, witness) -> float:
+    """<w| Xi |w> for a product witness w = w_1 (x) ... (x) w_N, recomputed without the library's contractions.
+
+    On a shared basis V this is ||F† w||^2 with F = V[:, keep] sqrt((r/t)^alpha), V formed densely from
+    the basis's nonzeros here and keep both supports; otherwise ||F† w||^2 for a dense product-route
+    factor, or w† Xi w for the divided-difference route.
+    """
+    w = np.ones(1, dtype=complex)
+    for v in witness:
+        w = np.kron(w, v)
+    joint = _joint_spectrum(rho, tau)
+    if joint is not None:
+        r, t, basis = joint
+        keep = (r > SUPPORT_CUT * r.max()) & (t > SUPPORT_CUT * t.max())
+        f = dense_array(basis)[:, keep] * np.sqrt((r[keep] / t[keep]) ** p.alpha)
+    else:
+        ev = xi(rho, tau, p)
+        if ev.factor is None:
+            return float((w.conj() @ ev.dense @ w).real)
+        f = ev.factor
+    g = f.conj().T @ w
+    return float((g.conj() @ g).real)
 
 
 def chi(rho: DensityMatrix, tau, p: AlphaZ) -> HermitianOperator:

@@ -54,6 +54,7 @@ from oracles import (
     as_xi,
     chi,
     commutator_maxnorm,
+    factor_matrix,
     full_rank_state,
     matrix_power,
     mc_score_lambda,
@@ -498,12 +499,14 @@ class TestFactoredXi:
         assert max_product_overlap(ev, restarts=8).restart_values == dense.restart_values
 
     @pytest.mark.parametrize("alpha,z", [(2.0, 2.0), (0.5, 0.5)])
-    @pytest.mark.parametrize("shared", [True, False], ids=["shared-basis", "general"])
+    @pytest.mark.parametrize("shared", ["dense", "sparse", None], ids=["shared-basis", "shared-sparse-basis", "general"])
     def test_disjoint_supports_give_an_empty_factor(self, alpha, z, shared):
         # Xi = 0: a factor with no columns, searched like any other
         w_rho, w_tau = [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]
-        if shared:
+        if shared == "dense":
             rho, tau = (DensityMatrix.from_eigenpairs(w, np.eye(4), (2, 2)) for w in (w_rho, w_tau))
+        elif shared == "sparse":  # the singlet against the symmetric subspace, on one catalog basis
+            rho, tau = build(Werner(0.0, 2)), build(Werner(1.0, 2))
         else:
             rho, tau = (density(np.diag(w), (2, 2)) for w in (w_rho, w_tau))
         p = AlphaZ(alpha, z)
@@ -517,7 +520,7 @@ class TestFactoredXi:
     def test_every_restart_hits_on_antisym_pairs(self, d):
         family, p = AntisymPair(d), AlphaZ(2.0, 2.0)
         rho, tau = build(family), ansatz_optimizer(family, p)
-        top = np.linalg.svd(xi(rho, tau, p).factor, compute_uv=False)[:2] ** 2
+        top = np.linalg.svd(factor_matrix(xi(rho, tau, p)), compute_uv=False)[:2] ** 2
         assert top[1] >= (1.0 - 1e-12) * top[0]  # Xi's top eigenspace is degenerate
         for seed in range(3):
             report = certify_optimizer(rho, tau, p, seed=seed)
@@ -1059,7 +1062,7 @@ class TestSharedBasis:
         rho, tau = build(family), ansatz_optimizer(family, on)
         a, b = xi(rho, tau, on), xi(rho, tau, off)
         assert (a.route, b.route) == ("boundary-line", "commuting")
-        assert np.array_equal(a.factor, b.factor)
+        assert np.array_equal(factor_matrix(a), factor_matrix(b))
         assert np.array_equal(xi_matrix(a).entries, xi_matrix(b).entries)
 
     def test_bases_differing_in_one_bit_are_not_shared(self):

@@ -468,6 +468,17 @@ class TestCounterexample:
         assert code == 0 and json.loads(out)["pair_verdict"] == "certified-optimal"
         assert (256, 256) not in dense_shapes
 
+    def test_d5_forms_no_dense_basis(self, capsys, dense_shapes):
+        # the catalog bases stay column-sparse, and so does Xi's factor: nothing 625 rows tall is formed
+        code, out, _ = run(capsys, ["counterexample", "--d", "5"])
+        assert code == 0 and json.loads(out)["pair_verdict"] == "certified-optimal"
+        assert all(625 not in shape for shape in dense_shapes)
+
+    def test_werner_d40_ansatz_forms_no_dense_basis(self, capsys, dense_shapes):
+        code, out, _ = run(capsys, ["certify", "werner:p=0.2,d=40", "ansatz"])
+        assert code == 0 and json.loads(out)["verdict"] == "certified-optimal"
+        assert all(1600 not in shape for shape in dense_shapes)
+
     def test_d2_additivity(self, capsys):
         code, out, _ = run(capsys, ["counterexample", "--d", "2", "--restarts", "16"])
         assert code == 0

@@ -17,7 +17,7 @@ from renyi_ent import (
     tensor_product,
     tensor_product_merged,
 )
-from renyi_ent.linalg import _joint_spectrum, _krylov_top, hermitian_part
+from renyi_ent.linalg import ColumnSparse, _joint_spectrum, _krylov_top, hermitian_part
 from oracles import (
     as_xi,
     assert_cached_spectrum_is_exact,
@@ -25,6 +25,7 @@ from oracles import (
     matrix_power,
     partial_trace,
     permute_factors,
+    factor_matrix,
     support_projector,
     xi_matrix,
 )
@@ -252,6 +253,13 @@ class TestSpectrumBuilt:
         v = self.basis(3)
         op = HermitianOperator.from_eigenpairs(self.W, v, (3,))
         assert np.shares_memory(eig_hermitian(op).vectors, v) and not v.flags.writeable
+        # a column-sparse basis: its three arrays become the spectrum's, read-only, uncopied
+        rows, cols, vals = np.array([0, 1, 2]), np.array([0, 1, 2]), np.ones(3)
+        op = HermitianOperator.from_eigenpairs(self.W, ColumnSparse(rows, cols, vals, (3, 3)), (3,))
+        basis = eig_hermitian(op).basis
+        for given, kept in ((rows, basis.rows), (cols, basis.cols), (vals, basis.vals)):
+            assert np.shares_memory(kept, given) and not given.flags.writeable
+        assert "vectors" not in vars(eig_hermitian(op))
 
     def test_building_holds_one_basis(self):
         from renyi_ent import Werner, build
@@ -262,7 +270,13 @@ class TestSpectrumBuilt:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * eig_hermitian(rho).vectors.nbytes
+        dec = eig_hermitian(rho)
+        basis = dec.basis
+        assert isinstance(basis, ColumnSparse) and "vectors" not in vars(dec)  # no dense basis was formed
+        # the spectrum the state keeps (its sparse basis and eigenvalues), a quarter more, plus the trace
+        # check's one float per nonzero: a second copy of the basis would not fit
+        spectrum = basis.rows.nbytes + basis.cols.nbytes + basis.vals.nbytes + dec.eigenvalues.nbytes
+        assert peak <= 1.25 * spectrum + 8 * basis.vals.size
 
     def test_badly_normalized_basis_fails_the_trace_check(self):
         v = self.basis(3).copy()
@@ -365,7 +379,7 @@ class TestKrylovTop:
         original = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m, *r, **k: shapes.append(np.shape(m)) or original(m, *r, **k))
         # the factored top pair, by the matvec v -> F (F† v), against the spectrum of F F†
-        f = ev.factor
+        f = factor_matrix(ev)
         theta, x = ev._top
         w = np.linalg.eigvalsh(f @ f.conj().T)
         assert abs(np.linalg.norm(x) - 1.0) <= 1e-13
