@@ -318,8 +318,8 @@ def _basis_groups(family: StateFamily) -> list[np.ndarray]:
 def _on_basis(family: StateFamily, weights) -> DensityMatrix:
     """The state with eigenvalues ``weights``, padded with zeros, on the family's one eigenbasis."""
     d, parties = _party_shape(family)
-    w = np.asarray(weights, dtype=float)  # a fresh array of every caller, taken over
-    w = np.r_[w, np.zeros(d**parties - w.size)] if w.size < d**parties else w
+    w = np.zeros(d**parties)
+    w[: len(weights)] = weights
     return DensityMatrix.from_eigenpairs(w, _dft_basis(w.size, _basis_groups(family)), (d,) * parties)
 
 

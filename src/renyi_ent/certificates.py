@@ -104,9 +104,7 @@ class XiEvaluation:
         if f is None:
             return self.dense[indices, indices].real
         if isinstance(f, ColumnSparse):
-            norms = np.zeros(f.shape[0])
-            np.add.at(norms, f.rows, (f.vals * f.vals.conj()).real)
-            return norms[indices]
+            return f.row_norms()[indices]
         return (f[indices] * f[indices].conj()).real.sum(1)
 
     @cached_property
@@ -118,28 +116,27 @@ class XiEvaluation:
         return [np.moveaxis(f.reshape(dims + (r,)), k, -2).reshape(n // d, d * r) for k, d in enumerate(dims)]
 
     @cached_property
-    def _pair_count(self) -> int:
-        """sum_j T_j^2 over the columns of a column-sparse factor, T_j the nonzeros of column j."""
-        return int(np.sum(np.bincount(self.factor.cols) ** 2))
+    def _sparse(self) -> tuple[bool, ...]:
+        """Per party k, whether the factor is contracted by its nonzeros: column-sparse, and its
+        sum_j T_j^2 pair products, weighted by _PAIR_FLOPS, cost less than the dense-factor
+        contraction's r (n + d_k^2) multiply-adds (both per restart)."""
+        f = self.factor
+        if not isinstance(f, ColumnSparse):
+            return (False,) * len(self.dims)
+        (n, r), cost = f.shape, _PAIR_FLOPS * f.pair_count()
+        return tuple(cost < r * (n + d * d) for d in self.dims)
 
     @cached_property
     def _pair_plans(self) -> list[tuple[np.ndarray, ...]]:
-        """Per party k, :func:`_pair_plan`; made on the first sparse contraction."""
-        return [_pair_plan(self.factor, self.dims, k) for k in range(len(self.dims))]
+        """Per party k, :meth:`linalg.ColumnSparse.pair_plan`; made on the first sparse contraction."""
+        return [self.factor.pair_plan(self.dims, k) for k in range(len(self.dims))]
 
     def local_matrices(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
-        """Party k's local matrices <others| Xi |others>, one (d_k, d_k) block per row of ``vecs``.
-
-        A column-sparse factor of n x r is contracted by its nonzeros when that costs fewer flops per
-        restart, sum_j T_j^2 pair products (:meth:`_sparse_local`), than the dense-factor contraction's
-        r (n + d_k^2) (:meth:`_factor_local`); a dense factor always takes the latter.
-        """
-        f = self.factor
-        if f is None:
+        """Party k's local matrices <others| Xi |others>, one (d_k, d_k) block per row of ``vecs``:
+        by :meth:`_sparse_local` where ``_sparse`` says so, else by :meth:`_factor_local` for a factor."""
+        if self.factor is None:
             return _local_matrices(self.dense, self.dims, k, vecs)
-        if isinstance(f, ColumnSparse) and self._pair_count < f.shape[1] * (f.shape[0] + self.dims[k] ** 2):
-            return self._sparse_local(k, vecs)
-        return self._factor_local(k, vecs)
+        return (self._sparse_local if self._sparse[k] else self._factor_local)(k, vecs)
 
     def _factor_local(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
         """G G† with G = <others| F: one matrix product of each chunk of restarts' bras (G within
@@ -157,38 +154,17 @@ class XiEvaluation:
         (t, u) of nonzeros sharing a column, with party-k indices a and b: a segment sum over the pairs,
         sorted by entry, for each chunk of restarts whose pair products fit _CHUNK_BYTES.
         """
-        other, t, u, starts, entries = self._pair_plans[k]
+        other, vals, t, u, starts, entries = self._pair_plans[k]
         rows, d = vecs[0].shape[0], self.dims[k]
         bras = _kron_rows([v.conj() for j, v in enumerate(vecs) if j != k], rows)
         out = np.zeros((d * d, rows), dtype=complex)  # restarts last: the gathers copy whole rows
         step = max(1, _CHUNK_BYTES // (16 * max(t.size, 1)))
         for lo in range(0, rows, step):
-            h = bras[lo : lo + step].T[other] * self.factor.vals[:, None]
+            h = bras[lo : lo + step].T[other] * vals[:, None]
             pairs = h.conj()[u]
             pairs *= h[t]
             out[entries, lo : lo + step] = np.add.reduceat(pairs, starts, axis=0)
         return out.T.reshape(rows, d, d)
-
-
-def _pair_plan(f: ColumnSparse, dims: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
-    """Index arithmetic for party k's sparse contraction of a column-sparse factor F.
-
-    Returns, per nonzero t of F, the others' flat index of its row; the pairs (t, u) of nonzeros in one
-    column, as two index arrays ordered by their target entry a_t d_k + a_u (a the row's party-k index);
-    where each target's run of pairs starts; and the targets.
-    """
-    digits = np.unravel_index(f.rows, dims)
-    a = digits[k]
-    other = np.ravel_multi_index(digits[:k] + digits[k + 1 :], dims[:k] + dims[k + 1 :])
-    counts = np.bincount(f.cols, minlength=f.shape[1])
-    reps, first = counts[f.cols], (np.cumsum(counts) - counts)[f.cols]  # T of each nonzero's column, its first nonzero
-    t = np.repeat(np.arange(f.cols.size), reps)  # each nonzero pairs with every nonzero of its column, itself included
-    u = np.arange(t.size) - np.repeat(np.cumsum(reps) - reps - first, reps)  # first, first + 1, ... within t's run
-    target = a[t] * dims[k] + a[u]
-    order = np.argsort(target, kind="stable")
-    target = target[order]
-    starts = np.flatnonzero(np.diff(target, prepend=-1))
-    return other, t[order], u[order], starts, target[starts]
 
 
 def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
@@ -286,6 +262,14 @@ class OverlapResult:
 # of a dense Xi at 625 dims and 11 at 1296, wide enough for an efficient matrix product;
 # smaller operators run all restarts in one chunk.
 _CHUNK_BYTES = 1 << 23
+
+# Multiply-adds of the dense-factor contraction that one pair product of the sparse one costs: a
+# gather, multiply and segment sum on numpy's element loops against a blocked GEMM. Timed at 64
+# restarts, BLAS 1 thread, the two tie where r (n + d_k^2) / sum_j T_j^2 is 32 to 48 (AntisymPair(4),
+# Isotropic(0.8, 20) and (0.8, 25)); below, the sparse one is 1.1x to over 200x slower (Isotropic
+# d = 6..15, MCBD, every Dicke state), above 1.5-16x faster (Isotropic(0.8, 30), AntisymPair(5..6),
+# Werner d >= 10). Inputs under 0.15 ms per call go either way (Werner d <= 5, GHZ).
+_PAIR_FLOPS = 32
 
 
 def _kron_rows(factors: list[np.ndarray], rows: int) -> np.ndarray:

@@ -62,6 +62,8 @@ class ColumnSparse:
     shape: tuple[int, int]
 
     def __post_init__(self):
+        if np.any(self.cols[1:] < self.cols[:-1]):
+            raise ValueError("column indices must be in ascending order")
         for a in (self.rows, self.cols, self.vals):
             a.flags.writeable = False
 
@@ -91,6 +93,38 @@ class ColumnSparse:
         out = np.zeros((self.shape[adjoint], x.shape[1]), dtype=np.result_type(vals, x))
         np.add.at(out, into, vals[:, None] * x[src])
         return out
+
+    def row_norms(self) -> np.ndarray:
+        """The squared norm of each row."""
+        out = np.zeros(self.shape[0])
+        np.add.at(out, self.rows, (self.vals * self.vals.conj()).real)
+        return out
+
+    def pair_count(self) -> int:
+        """sum_j T_j^2, T_j the nonzeros of column j: the ordered pairs of nonzeros sharing a column."""
+        return int(np.sum(np.bincount(self.cols) ** 2))
+
+    def pair_plan(self, dims: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
+        """Index arithmetic for sum_j g_j g_j†, g_j = <others| A e_j, rows indexed by the parties ``dims``.
+
+        Returns, per nonzero t, the others' flat index of its row (every party's index but k's) and its
+        value; the ordered pairs (t, u) of nonzeros in one column, as two index arrays sorted by their
+        target entry a_t d_k + a_u (a the row's party-k index); where each target's run of pairs starts;
+        and the targets.
+        """
+        digits = np.unravel_index(self.rows, dims)
+        a = digits[k]
+        other = np.ravel_multi_index(digits[:k] + digits[k + 1 :], dims[:k] + dims[k + 1 :])
+        counts = np.bincount(self.cols, minlength=self.shape[1])
+        # T of each nonzero's column, and that column's first nonzero
+        reps, first = counts[self.cols], (np.cumsum(counts) - counts)[self.cols]
+        t = np.repeat(np.arange(self.cols.size), reps)  # pairs with every nonzero of its column, itself included
+        u = np.arange(t.size) - np.repeat(np.cumsum(reps) - reps - first, reps)  # first, first + 1, ... within t's run
+        target = a[t] * dims[k] + a[u]
+        order = np.argsort(target, kind="stable")
+        target = target[order]
+        starts = np.flatnonzero(np.diff(target, prepend=-1))
+        return other, self.vals, t[order], u[order], starts, target[starts]
 
 
 @dataclass(frozen=True)
