@@ -89,6 +89,7 @@ class XiEvaluation:
     factor: np.ndarray | ColumnSparse | None = None
     log2q: float | None = None  # log2 Q from chi's core: divided-difference off the Umegaki line, general z = 1 - alpha
     dense: np.ndarray | None = None
+    _plans: dict = field(default_factory=dict, init=False, repr=False)  # party k -> its sparse plan, on first use
 
     @cached_property
     def _top(self) -> tuple[float, np.ndarray]:
@@ -117,19 +118,15 @@ class XiEvaluation:
 
     @cached_property
     def _sparse(self) -> tuple[bool, ...]:
-        """Per party k, whether the factor is contracted by its nonzeros: column-sparse, and its
-        sum_j T_j^2 pair products, weighted by _PAIR_FLOPS, cost less than the dense-factor
+        """Per party k, whether the factor is contracted by Xi's entries: column-sparse, and its entries on
+        or below party k's diagonal, weighted by _ENTRY_FLOPS, cost less than the dense-factor
         contraction's r (n + d_k^2) multiply-adds (both per restart)."""
         f = self.factor
         if not isinstance(f, ColumnSparse):
             return (False,) * len(self.dims)
-        (n, r), cost = f.shape, _PAIR_FLOPS * f.pair_count()
-        return tuple(cost < r * (n + d * d) for d in self.dims)
-
-    @cached_property
-    def _pair_plans(self) -> list[tuple[np.ndarray, ...]]:
-        """Per party k, :meth:`linalg.ColumnSparse.pair_plan`; made on the first sparse contraction."""
-        return [self.factor.pair_plan(self.dims, k) for k in range(len(self.dims))]
+        n, r = f.shape
+        return tuple(_ENTRY_FLOPS * np.count_nonzero(f.gram_lower(self.dims, k)) < r * (n + d * d)
+                     for k, d in enumerate(self.dims))
 
     def local_matrices(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
         """Party k's local matrices <others| Xi |others>, one (d_k, d_k) block per row of ``vecs``:
@@ -148,22 +145,35 @@ class XiEvaluation:
         return np.concatenate([g @ g.conj().swapaxes(1, 2) for g in gs])
 
     def _sparse_local(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
-        """sum_j g_j g_j† over F's columns j, g_j = <others| F e_j, by index arithmetic on F's nonzeros.
+        """sum over Xi's entries (i, i') of <others|i> Xi_ii' <i'|others>, by index arithmetic on those entries.
 
-        h_t = <others| row_t> f_t is a gather of the bras; entry (a, b) sums h_t conj(h_u) over the pairs
-        (t, u) of nonzeros sharing a column, with party-k indices a and b: a segment sum over the pairs,
-        sorted by entry, for each chunk of restarts whose pair products fit _CHUNK_BYTES.
+        Only the entries on or below party k's diagonal are read (:meth:`linalg.ColumnSparse.gram_plan`):
+        for each chunk of restarts whose products fit _CHUNK_BYTES, a gather of the bras at both indices,
+        a product with the entry, and a sum by target, level by level. The upper triangle is then the
+        conjugate of the lower one, written through a mirror index, and the diagonal its real part, so
+        every local matrix is exactly Hermitian.
         """
-        other, vals, t, u, starts, entries = self._pair_plans[k]
         rows, d = vecs[0].shape[0], self.dims[k]
+        if k not in self._plans:
+            oi, oj, x, widths, targets = self.factor.gram_plan(self.dims, k)
+            a, b = np.tril_indices(d, -1)  # a > b
+            self._plans[k] = oi, oj, x.astype(complex)[:, None], widths.tolist(), targets, a * d + b, b * d + a
+        oi, oj, x, widths, targets, below, above = self._plans[k]
         bras = _kron_rows([v.conj() for j, v in enumerate(vecs) if j != k], rows)
         out = np.zeros((d * d, rows), dtype=complex)  # restarts last: the gathers copy whole rows
-        step = max(1, _CHUNK_BYTES // (16 * max(t.size, 1)))
+        step = max(1, _CHUNK_BYTES // (16 * max(x.size, 1)))
         for lo in range(0, rows, step):
-            h = bras[lo : lo + step].T[other] * vals[:, None]
-            pairs = h.conj()[u]
-            pairs *= h[t]
-            out[entries, lo : lo + step] = np.add.reduceat(pairs, starts, axis=0)
+            h = np.ascontiguousarray(bras[lo : lo + step].T)
+            terms = h[oi]
+            terms *= x
+            terms *= h.conj()[oj]
+            at = widths[0] if widths else 0
+            for width in widths[1:]:
+                terms[:width] += terms[at : at + width]
+                at += width
+            out[targets, lo : lo + step] = terms[: len(targets)]
+        out[above] = out[below].conj()
+        out.imag[:: d + 1] = 0.0
         return out.T.reshape(rows, d, d)
 
 
@@ -258,18 +268,21 @@ class OverlapResult:
 
 
 # Bound on the first contraction's output per chunk of restarts: Xi times the kets for a dense
-# Xi, G for a dense factor, the pair products for a column-sparse one. 8 MB holds 33 restarts
-# of a dense Xi at 625 dims and 11 at 1296, wide enough for an efficient matrix product;
-# smaller operators run all restarts in one chunk.
+# Xi, G for a dense factor, the entry products for a column-sparse one (16 bytes a restart for each
+# entry of Xi on or below party k's diagonal: 64 restarts of AntisymPair(5)'s 1,000 take 1 MB). 8 MB
+# holds 33 restarts of a dense Xi at 625 dims and 11 at 1296, wide enough for an efficient matrix
+# product; smaller operators run all restarts in one chunk.
 _CHUNK_BYTES = 1 << 23
 
-# Multiply-adds of the dense-factor contraction that one pair product of the sparse one costs: a
-# gather, multiply and segment sum on numpy's element loops against a blocked GEMM. Timed at 64
-# restarts, BLAS 1 thread, the two tie where r (n + d_k^2) / sum_j T_j^2 is 32 to 48 (AntisymPair(4),
-# Isotropic(0.8, 20) and (0.8, 25)); below, the sparse one is 1.1x to over 200x slower (Isotropic
-# d = 6..15, MCBD, every Dicke state), above 1.5-16x faster (Isotropic(0.8, 30), AntisymPair(5..6),
-# Werner d >= 10). Inputs under 0.15 ms per call go either way (Werner d <= 5, GHZ).
-_PAIR_FLOPS = 32
+# Multiply-adds of the dense-factor contraction that one entry of the sparse one costs: two gathers,
+# two products and a sum on numpy's element loops against a blocked GEMM. Timed on 45 catalog inputs
+# at 64 restarts, BLAS 1 thread, the two cross where r (n + d_k^2) is 2 to 5 times the entries: at
+# 1.7 and below the sparse one is 1.3-300x slower (every Dicke state), at 5 to 16 it is 2x faster but
+# by under 0.025 ms a call (table1's small families; GHZ states tie), above 30 it is 2-150x faster
+# (AntisymPair(4..6), MCBD from d = 10, Isotropic from d = 6, Werner from d = 5). Any weight from 2
+# to 16 gives the same total over the 45 within 2 %; 16 keeps the inputs below ratio 16 on the
+# dense-factor path they took before, so their results stay as they were.
+_ENTRY_FLOPS = 16
 
 
 def _kron_rows(factors: list[np.ndarray], rows: int) -> np.ndarray:
@@ -372,8 +385,9 @@ def _initial_vectors(op: XiEvaluation, restarts: int, seed: int) -> list[np.ndar
     """Per-party (restarts, d_k) start vectors.
 
     Row 0 is the best rank-one alignment of the cached top eigenvector of
-    ``op`` (one SVD per party); row r > 0 is a random unit vector per party
-    drawn from ``default_rng([seed, r])``.
+    ``op`` (one SVD per party); row r > 0 is a random unit vector per party:
+    one ``standard_normal(2 sum_k d_k)`` draw from ``default_rng([seed, r])``
+    holds, party by party, the real parts and then the imaginary parts.
     """
     dims = op.dims
     vecs = [np.empty((restarts, d), dtype=complex) for d in dims]
@@ -381,11 +395,14 @@ def _initial_vectors(op: XiEvaluation, restarts: int, seed: int) -> list[np.ndar
     for k, v in enumerate(vecs):
         u, _, _ = np.linalg.svd(np.moveaxis(psi, k, 0).reshape(dims[k], -1), full_matrices=False)
         v[0] = u[:, 0]
-    for r in range(1, restarts):
-        rng = np.random.default_rng([seed, r])
-        for v, d in zip(vecs, dims):
-            x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            v[r] = x / np.linalg.norm(x)
+    width = 2 * sum(dims)
+    draws = np.array([np.random.default_rng([seed, r]).standard_normal(width) for r in range(1, restarts)])
+    draws = draws.reshape(restarts - 1, width)  # also for a single restart
+    at = 0
+    for v, d in zip(vecs, dims):
+        x = draws[:, at : at + d] + 1j * draws[:, at + d : at + 2 * d]
+        v[1:] = x / np.array([np.linalg.norm(row) for row in x])[:, None]  # as a row alone would be scaled
+        at += 2 * d
     return vecs
 
 
@@ -406,9 +423,11 @@ def max_product_overlap(op: XiEvaluation, restarts: int = 64, seed: int = 0) -> 
         raise ValueError("need at least two parties; a single-party maximum is just the top eigenvalue")
     vecs = _initial_vectors(op, restarts, seed)
     values, sweeps = _alternating_ascent(op.local_matrices, vecs)
-    best = int(np.argmax(values))  # ties resolve to the lowest restart index
+    top = float(np.max(values))
+    # the witness: the lowest restart within rounding of the top, so a reordered sum cannot move it
+    best = int(np.argmax(values >= top - RAYLEIGH_RTOL * max(1.0, abs(top))))
     return OverlapResult(
-        value=float(values[best]),
+        value=top,
         witness=tuple(v[best].copy() for v in vecs),
         restart_values=tuple(float(x) for x in values),
         restart_sweeps=tuple(int(n) for n in sweeps),

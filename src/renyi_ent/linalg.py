@@ -100,31 +100,55 @@ class ColumnSparse:
         np.add.at(out, self.rows, (self.vals * self.vals.conj()).real)
         return out
 
-    def pair_count(self) -> int:
-        """sum_j T_j^2, T_j the nonzeros of column j: the ordered pairs of nonzeros sharing a column."""
-        return int(np.sum(np.bincount(self.cols) ** 2))
-
-    def pair_plan(self, dims: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
-        """Index arithmetic for sum_j g_j g_j†, g_j = <others| A e_j, rows indexed by the parties ``dims``.
-
-        Returns, per nonzero t, the others' flat index of its row (every party's index but k's) and its
-        value; the ordered pairs (t, u) of nonzeros in one column, as two index arrays sorted by their
-        target entry a_t d_k + a_u (a the row's party-k index); where each target's run of pairs starts;
-        and the targets.
-        """
-        digits = np.unravel_index(self.rows, dims)
-        a = digits[k]
-        other = np.ravel_multi_index(digits[:k] + digits[k + 1 :], dims[:k] + dims[k + 1 :])
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored entries of A A†: rows i, columns i' and values sum_j A_ij conj(A_i'j), one for each
+        pair of rows with nonzeros in a common column, in order of (i, i'). Each is summed once, here, over
+        the pairs of nonzeros (t, u) that share a column, in column order; a sum that cancels is kept."""
         counts = np.bincount(self.cols, minlength=self.shape[1])
         # T of each nonzero's column, and that column's first nonzero
         reps, first = counts[self.cols], (np.cumsum(counts) - counts)[self.cols]
         t = np.repeat(np.arange(self.cols.size), reps)  # pairs with every nonzero of its column, itself included
         u = np.arange(t.size) - np.repeat(np.cumsum(reps) - reps - first, reps)  # first, first + 1, ... within t's run
-        target = a[t] * dims[k] + a[u]
-        order = np.argsort(target, kind="stable")
-        target = target[order]
-        starts = np.flatnonzero(np.diff(target, prepend=-1))
-        return other, self.vals, t[order], u[order], starts, target[starts]
+        key = self.rows[t] * self.shape[0] + self.rows[u]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        i, i2 = np.divmod(key[starts], self.shape[0])
+        out = (i, i2, np.add.reduceat(self.vals[t[order]] * self.vals[u[order]].conj(), starts))
+        for a in out:
+            a.flags.writeable = False  # cached and shared, as the arrays it is formed from
+        return out
+
+    def gram_lower(self, dims: tuple[int, ...], k: int) -> np.ndarray:
+        """Where the entries of :attr:`gram` lie on or below party k's diagonal, a_i >= a_i' (a a row's
+        party-k index, rows indexed by the parties ``dims``)."""
+        i, i2, _ = self.gram
+        return np.unravel_index(i, dims)[k] >= np.unravel_index(i2, dims)[k]
+
+    def gram_plan(self, dims: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
+        """Index arithmetic for party k's blocks of A A†, sum_(i, i') <others|i> (A A†)_ii' <i'|others>.
+
+        Covers the entries of :attr:`gram` on or below party k's diagonal (as :meth:`gram_lower`), grouped
+        by their target a_i d_k + a_i', each group in (i, i') order, the groups largest first. Returns,
+        per entry, the others' flat index of i and of i' (every party's index but k's) and the value, in
+        level order: the first entry of every group, then the second of each group that has one, and so
+        on, so that the groups with an entry at a level lead it; the width of each level; and the targets.
+        A sum level by level is one vector add per level, where a segment sum makes one per entry.
+        """
+        i, i2, x = self.gram
+        di, dj = np.unravel_index(i, dims), np.unravel_index(i2, dims)
+        low = di[k] >= dj[k]
+        oi, oj = (np.ravel_multi_index(d[:k] + d[k + 1 :], dims[:k] + dims[k + 1 :])[low] for d in (di, dj))
+        targets, group, sizes = np.unique((di[k] * dims[k] + dj[k])[low], return_inverse=True, return_counts=True)
+        by_size = np.argsort(-sizes, kind="stable")
+        rank = np.argsort(by_size)  # each group's place, largest first
+        order = np.argsort(group, kind="stable")
+        level = np.empty_like(order)
+        level[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        entry = np.argsort(level * sizes.size + rank[group])
+        return oi[entry], oj[entry], x[low][entry], np.bincount(level), targets[by_size]
+
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,19 @@ def _local_matrix_subscripts(nparties: int) -> list[str]:
     return subs
 
 
+def initial_vectors_serial(op, restarts: int, seed: int) -> list[np.ndarray]:
+    """The library's start vectors, drawn party by party: row r > 0 of party k is x / ||x||, x = re + i im
+    with re and im two ``standard_normal(d_k)`` draws from ``default_rng([seed, r])``, in party order;
+    row 0 is the library's own (the alignment of Xi's top eigenvector)."""
+    vecs = _initial_vectors(op, restarts, seed)  # rows r > 0 are overwritten below
+    for r in range(1, restarts):
+        rng = np.random.default_rng([seed, r])
+        for v in vecs:
+            x = rng.standard_normal(v.shape[1]) + 1j * rng.standard_normal(v.shape[1])
+            v[r] = x / np.linalg.norm(x)
+    return vecs
+
+
 def product_overlap_serial(op, restarts: int = 64, seed: int = 0):
     """Alternating Lambda^2 ascent, one restart at a time, from the library's start vectors.
 

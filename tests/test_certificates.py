@@ -56,6 +56,7 @@ from oracles import (
     commutator_maxnorm,
     factor_matrix,
     full_rank_state,
+    initial_vectors_serial,
     matrix_power,
     mc_score_lambda,
     product_overlap_grid,
@@ -320,6 +321,38 @@ class TestMaxProductOverlap:
     def test_grid_needs_qubit_first_party(self):
         with pytest.raises(ValueError):
             product_overlap_grid(random_density(9, 9, 0, dims=(3, 3)))
+
+    @pytest.mark.parametrize("family", [AntisymPair(3), Dicke(3, (2, 1)), GHZ(3, 3), MCBD((0.5, 0.3, 0.2))], ids=repr)
+    @pytest.mark.parametrize("restarts", [1, 2, 64])
+    def test_batched_start_draws_match_party_by_party_draws(self, family, restarts):
+        p = AlphaZ(2.0, 2.0)
+        ev = xi(build(family), ansatz_optimizer(family, p), p)
+        for seed in (0, 7):
+            got, want = _initial_vectors(ev, restarts, seed), initial_vectors_serial(ev, restarts, seed)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (restarts, w.shape[1])
+                for part in ("real", "imag"):  # within 1 ulp, component by component
+                    a, b = getattr(g, part), getattr(w, part)
+                    assert np.all(np.abs(a - b) <= np.spacing(np.abs(b)))
+
+    def test_witness_is_the_lowest_restart_tied_at_rounding_level(self, monkeypatch):
+        op = as_xi(random_density(4, 4, seed=5, dims=(2, 2)))
+        top = 0.75
+        # restart 2 is the maximum; restarts 1 and 3 lie a few ulps below it, restart 0 well below
+        values = np.array([top - 1e-9, top - 3 * np.spacing(top), top, top - np.spacing(top)])
+        sweeps = np.arange(1, 5)
+
+        def ascent(local, vecs):
+            return values.copy(), sweeps.copy()
+
+        monkeypatch.setattr(certificates, "_alternating_ascent", ascent)
+        start = _initial_vectors(op, 4, 0)
+        res = max_product_overlap(op, restarts=4)
+        assert res.value == top  # lambda_sq stays the maximum
+        assert all(np.array_equal(w, v[1]) for w, v in zip(res.witness, start))
+        values[1] = top - 1e-9  # out of the band: restart 2 (the maximum) before restart 3
+        res = max_product_overlap(op, restarts=4)
+        assert all(np.array_equal(w, v[2]) for w, v in zip(res.witness, start))
 
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}])
     def test_empty_search_rejected(self, kwargs):

@@ -30,7 +30,7 @@ from renyi_ent import (
     xi,
 )
 from renyi_ent.cli import DEFAULT_GRID, DEFAULT_TABLE1_FAMILIES
-from renyi_ent.certificates import _PAIR_FLOPS
+from renyi_ent.certificates import _ENTRY_FLOPS
 from renyi_ent.linalg import ColumnSparse, _joint_spectrum
 from oracles import _permute_rows, factor_matrix, reference_basis, witness_overlap
 
@@ -48,7 +48,7 @@ CATALOG = [
     AntisymPair(3),
     AntisymPair(4),
 ]
-LARGE_GROUP_DICKE = Dicke(8, (4, 4))  # rank-1 rho on a column of 70 nonzeros: sum T^2 = 4900 against r (n + d^2) = 260
+LARGE_GROUP_DICKE = Dicke(8, (4, 4))  # rank-1 rho on a column of 70 nonzeros: 3,675 entries a party against r (n + d^2) = 260
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -91,7 +91,9 @@ class TestStoredBases:
         with pytest.raises(ValueError, match="ascending"):
             ColumnSparse(rows, np.array([1, 0]), vals, (2, 2))
         b = ColumnSparse(rows, np.array([0, 0]), vals, (2, 2))
-        assert np.array_equal(b.row_norms(), [1.0, 1.0]) and b.pair_count() == 4
+        assert np.array_equal(b.row_norms(), [1.0, 1.0])
+        i, i2, x = b.gram  # both rows share column 0: all four entries of A A†, each 1
+        assert np.array_equal(i, [0, 0, 1, 1]) and np.array_equal(i2, [0, 1, 0, 1]) and np.array_equal(x, [1.0] * 4)
 
     def test_reading_vectors_is_a_dense_formation(self, dense_shapes):
         rho = build(Werner(0.2, 4))
@@ -129,6 +131,14 @@ class TestRoutes:
         assert _joint_spectrum(rho, nudged) is None
 
 
+def lower_entry_counts(ev) -> list[int]:
+    """Per party k, the nonzeros with a_i >= a_i' of a dense F F† (a the party-k index), formed here
+    from |F| so that no sum cancels to a rounding-level zero, which a plain F F† product does not rule out."""
+    f = np.abs(factor_matrix(ev))
+    stored = (f @ f.T) != 0
+    return [int(np.count_nonzero(stored & (a[:, None] >= a[None, :]))) for a in np.unravel_index(np.arange(f.shape[0]), ev.dims)]
+
+
 def random_restarts(dims, rows=16, seed=5):
     rng = np.random.default_rng(seed)
     vecs = [rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d)) for d in dims]
@@ -150,11 +160,13 @@ class TestSparseContraction:
         idx = np.arange(f.shape[0])
         assert np.allclose(ev.diagonal(idx), (f * f.conj()).real.sum(1), rtol=1e-14, atol=0.0)
 
-    # each pick is the faster path as timed at 64 restarts, BLAS 1 thread:
-    # 1.35x for Dicke(3, (1, 1, 1)), 1.4-22x for the others
+    # each pick is the faster path as timed at 64 restarts, BLAS 1 thread: sparse 2x faster for
+    # MCBD((0.1,) * 10), 5-50x for the others; dense-factor 1.3x faster for Dicke(3, (1, 1, 1)), 2.4x for
+    # Dicke(4, (2, 1, 1)), 20x for Dicke(8, (4, 4)); GHZ(3, 3), a tie, keeps its former dense-factor path
     @pytest.mark.parametrize("family,sparse", [(Isotropic(0.8, 30), True), (AntisymPair(5), True),
-                                               (Werner(0.2, 10), True), (Isotropic(0.8, 10), False),
-                                               (MCBD((0.1,) * 10), False), (Dicke(3, (1, 1, 1)), False),
+                                               (Werner(0.2, 10), True), (Isotropic(0.8, 10), True),
+                                               (MCBD((0.1,) * 10), True), (GHZ(3, 3), False),
+                                               (Dicke(3, (1, 1, 1)), False), (Dicke(4, (2, 1, 1)), False),
                                                (LARGE_GROUP_DICKE, False)], ids=repr)
     def test_the_cost_rule_picks_the_path(self, monkeypatch, family, sparse):
         p = AlphaZ(2.0, 2.0)
@@ -164,8 +176,7 @@ class TestSparseContraction:
             original = getattr(type(ev), name)
             monkeypatch.setattr(type(ev), name, lambda self, k, v, _n=name, _o=original: calls.append(_n) or _o(self, k, v))
         ev.local_matrices(0, random_restarts(ev.dims, rows=2))
-        cost = _PAIR_FLOPS * int(np.sum(np.bincount(f.toarray().nonzero()[1]) ** 2))
-        rule = tuple(cost < f.shape[1] * (f.shape[0] + d * d) for d in ev.dims)
+        rule = tuple(_ENTRY_FLOPS * e < f.shape[1] * (f.shape[0] + d * d) for e, d in zip(lower_entry_counts(ev), ev.dims))
         assert ev._sparse == (sparse,) * len(ev.dims) == rule
         assert calls == ["_sparse_local" if sparse else "_factor_local"]
 
@@ -173,7 +184,42 @@ class TestSparseContraction:
         p = AlphaZ(2.0, 2.0)
         ev = xi(build(LARGE_GROUP_DICKE), ansatz_optimizer(LARGE_GROUP_DICKE, p), p)
         max_product_overlap(ev, restarts=8)
-        assert "_pair_plans" not in vars(ev) and "_layouts" in vars(ev)
+        assert ev._plans == {} and "_layouts" in vars(ev)
+
+
+class TestEntryContraction:
+    """The sparse contraction reads Xi's entries on or below party k's diagonal and mirrors the rest;
+    every party of every catalog family, with the sparse path forced (``_sparse_local`` called directly)."""
+
+    @staticmethod
+    def evaluation(family):
+        p = AlphaZ(2.0, 2.0)
+        return xi(build(family), ansatz_optimizer(family, p), p)
+
+    @pytest.mark.parametrize("family", CATALOG + [LARGE_GROUP_DICKE], ids=repr)
+    def test_local_matrices_are_exactly_hermitian(self, family):
+        ev = self.evaluation(family)
+        vecs = random_restarts(ev.dims)
+        for k, d in enumerate(ev.dims):
+            m = ev._sparse_local(k, vecs)
+            a, b = np.tril_indices(d, -1)
+            assert np.ascontiguousarray(m[:, b, a]).tobytes() == np.ascontiguousarray(m[:, a, b].conj()).tobytes()
+            assert np.all(np.einsum("kii->ki", m).imag == 0.0)
+
+    @pytest.mark.parametrize("family", CATALOG + [LARGE_GROUP_DICKE], ids=repr)
+    def test_entry_count_is_the_dense_lower_triangle(self, family):
+        ev = self.evaluation(family)
+        vecs = random_restarts(ev.dims, rows=2)
+        for k, lower in enumerate(lower_entry_counts(ev)):
+            ev._sparse_local(k, vecs)
+            assert np.count_nonzero(ev.factor.gram_lower(ev.dims, k)) == ev._plans[k][2].size == lower
+
+    def test_antisym_pair_5_reads_1000_entries_per_party(self):
+        ev = self.evaluation(AntisymPair(5))
+        for k in range(2):
+            ev.local_matrices(k, random_restarts(ev.dims, rows=2))
+        assert ev._sparse == (True, True)
+        assert [ev._plans[k][2].size for k in range(2)] == [1000, 1000]  # 1,600 pair products before
 
 
 TABLE1_POINTS = [AlphaZ(a, z) for a, z in DEFAULT_GRID if AlphaZ(a, z).in_dpi_region]

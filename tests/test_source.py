@@ -1,15 +1,16 @@
 """Guard: the package carries no dead imports, no private helper that only tests reach, and no export
-that nothing reads, and every package name the benchmark reads still resolves.
+that nothing reads, and every package name the benchmark reads or the README names still resolves.
 
-The scan reads ``src/renyi_ent/*.py`` and ``perfbench/*.py`` with ``ast``. ``__init__.py`` is the
-package's export list, so its imports are used by being there; an export counts as read when a
-top-level statement of another module, or of its own module other than its definition, names it,
-or when the ``__init__`` docstring lists it as public.
+The scan reads ``src/renyi_ent/*.py`` and ``perfbench/*.py`` with ``ast``, and the README's code
+spans. ``__init__.py`` is the package's export list, so its imports are used by being there; an export
+counts as read when a top-level statement of another module, or of its own module other than its
+definition, names it, or when the ``__init__`` docstring lists it as public.
 """
 
 import ast
 import importlib
 import re
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,3 +110,31 @@ def test_every_package_name_the_benchmark_reads_resolves():
     assert {"renyi_ent.tensor_product", "renyi_ent.minimize_mc", "renyi_ent.cli"} <= reads  # the scan sees the workloads
     missing = sorted(path for path in reads if not _resolves(path))
     assert not missing, "the benchmark reads names the package no longer has: " + ", ".join(missing)
+
+
+def _readme_names() -> dict[str, str]:
+    """Each dotted name in a README code span that starts at the package, one of its modules or a name
+    one of them defines (``linalg.ColumnSparse``, ``XiEvaluation.local_matrices``), with its full path."""
+    owners = {"renyi_ent": ""}
+    for path in sorted(SRC.glob("*.py")):
+        module = "renyi_ent" if path.stem == "__init__" else f"renyi_ent.{path.stem}"
+        if path.stem != "__init__":
+            owners[path.stem] = "renyi_ent."
+        for name, value in vars(importlib.import_module(module)).items():
+            if not isinstance(value, types.ModuleType):  # numpy's np.kron is not the package's
+                owners.setdefault(name, module + ".")
+    names = {}
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)  # code blocks
+    for span in re.findall(r"`([^`]+)`", text):
+        for name in re.findall(r"(?<![\w/])[A-Za-z_]\w*(?:\.\w+)+", span):  # not a path's file name
+            head = name.split(".")[0]
+            if head in owners:
+                names[name] = owners[head] + name
+    return names
+
+
+def test_every_package_name_the_readme_names_resolves():
+    names = _readme_names()
+    assert {"linalg.ColumnSparse", "XiEvaluation.local_matrices", "cli.COUNT_CAP"} <= set(names)  # the scan sees them
+    missing = sorted(name for name, path in names.items() if not _resolves(path))
+    assert not missing, "the README names what the package no longer has: " + ", ".join(missing)
