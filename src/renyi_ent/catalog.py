@@ -21,7 +21,6 @@ from .linalg import (
     DensityMatrix,
     _fmt,
     _ii_indices,
-    _merged_spectrum,
     _support_mask,
     density,
     eig_hermitian,
@@ -492,7 +491,8 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
         anti = _support_mask(eig_hermitian(minus).eigenvalues)
         s, a = ~anti / np.count_nonzero(~anti), anti / np.count_nonzero(anti)
         w = (d + 1.0) / (2.0 * d) * np.kron(s, s) + (d - 1.0) / (2.0 * d) * np.kron(a, a)
-        return DensityMatrix.from_eigenpairs(w, _merged_spectrum(minus, minus)[1], (d * d, d * d))
+        basis = eig_hermitian(tensor_product_merged(minus, minus)).basis  # build(family)'s
+        return DensityMatrix.from_eigenpairs(w, basis, (d * d, d * d))
     if isinstance(family, MaximallyCorrelated):
         raise ValueError("general MC states have no closed-form ansatz; use minimizers.minimize_mc")
     raise TypeError(f"unknown family {family!r}")

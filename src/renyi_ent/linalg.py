@@ -241,13 +241,16 @@ class HermitianOperator:
         return math.prod(self.dims)
 
     def trace(self) -> float:
-        """tr of the matrix; from a spectrum (w, V) given at construction, sum_j w_j ||v_j||^2."""
+        """tr of the matrix; from a spectrum (w, V) given at construction, sum_j w_j ||v_j||^2, the squared
+        column norms summed over V's nonzeros, or over a dense V's real and imaginary parts (views, so no
+        second n x n array)."""
         if "_form" not in self.__dict__:
             return float(np.trace(self.entries).real)
         w, v = self._eig.eigenvalues, self._eig.basis
         if isinstance(v, ColumnSparse):
             return float(np.einsum("t,t,t->", w[v.cols], v.vals.conj(), v.vals).real)
-        return float(w @ np.einsum("ij,ij->j", v.conj(), v).real)
+        parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+        return float(w @ sum(np.einsum("ij,ij->j", x, x) for x in parts))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.entries)))
@@ -278,11 +281,6 @@ def _eigenpair_entries(op: HermitianOperator) -> np.ndarray:
     """hermitian_part((V * w) @ V†) of the spectrum given at construction."""
     v = op._eig.vectors
     return hermitian_part((v * op._eig.eigenvalues) @ v.conj().T)
-
-
-def _result_type(*ops: HermitianOperator) -> type[HermitianOperator]:
-    """DensityMatrix when every operand is a state, else HermitianOperator."""
-    return DensityMatrix if all(isinstance(x, DensityMatrix) for x in ops) else HermitianOperator
 
 
 def _krylov_top(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[float, np.ndarray]:
@@ -422,66 +420,47 @@ def _negligible_on(op: HermitianOperator, other: HermitianOperator, support: boo
     return float(np.sum(_split_weights(op, other, support)[1])) <= SUPPORT_CUT * top
 
 
-def _kron_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray | ColumnSparse]:
-    """Eigenpairs of a (x) b from the factors' cached spectra: products of values, Kronecker vectors,
-    column-sparse when both bases are."""
-    ea, eb = eig_hermitian(a), eig_hermitian(b)
-    w = np.kron(ea.eigenvalues, eb.eigenvalues)
+def _product(a: HermitianOperator, b: HermitianOperator, merge: bool) -> HermitianOperator:
+    """a (x) b, its factors in the order (a1, ..., b1, ...), or with ``merge`` (a1, b1, a2, b2, ...), factor j
+    of both operands making party j; a DensityMatrix when both operands are states.
+
+    Each operand's factor axes, with 1s at the other operand's axes, give one layout. Read through it, one
+    broadcast product forms a dense basis (rows in the product's order, columns (ja, jb) as np.kron's) and,
+    on first read, the entries; a column-sparse basis, when both factors have one, is ColumnSparse.kron's
+    with its rows renumbered through the same layout. The eigenvalues are the products wa_ja wb_jb.
+    """
+    ones_a, ones_b = (1,) * len(a.dims), (1,) * len(b.dims)
+    if not merge:
+        sa, sb, dims = a.dims + ones_b, ones_a + b.dims, a.dims + b.dims
+    elif len(a.dims) == len(b.dims):
+        sa, sb = sum(zip(a.dims, ones_b), ()), sum(zip(ones_a, b.dims), ())
+        dims = tuple(x * y for x, y in zip(a.dims, b.dims))
+    else:
+        raise ValueError(f"party counts differ: {a.dims} vs {b.dims}; cannot merge parties")
+    n, ea, eb = a.dim * b.dim, eig_hermitian(a), eig_hermitian(b)
     if isinstance(ea.basis, ColumnSparse) and isinstance(eb.basis, ColumnSparse):
-        return w, ea.basis.kron(eb.basis)
-    return w, np.kron(ea.vectors, eb.vectors)
+        v = ea.basis.kron(eb.basis)  # rows ia * b.dim + ib, moved to their place in the layout
+        place = np.argsort(np.arange(a.dim).reshape(sa) * b.dim + np.arange(b.dim).reshape(sb), axis=None)
+        v = ColumnSparse(place[v.rows], v.cols, v.vals, v.shape)
+    else:
+        v = (ea.vectors.reshape(sa + (-1, 1)) * eb.vectors.reshape(sb + (1, -1))).reshape(n, n)
+    form = lambda _: (a.entries.reshape(sa + sa) * b.entries.reshape(sb + sb)).reshape(n, n)  # noqa: E731
+    kind = DensityMatrix if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix) else HermitianOperator
+    return kind(form, dims, (np.multiply.outer(ea.eigenvalues, eb.eigenvalues).ravel(), v))
 
 
 def tensor_product(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Kronecker product; its ``dims`` are both operands' ``dims`` concatenated.
-
-    A DensityMatrix when both factors are states. Its spectrum is given at
-    construction, assembled from the factors' spectra (:func:`_kron_spectrum`).
-    """
-    return _result_type(a, b)(lambda _: np.kron(a.entries, b.entries), a.dims + b.dims, _kron_spectrum(a, b))
-
-
-def _merge_order(n: int) -> tuple[int, ...]:
-    """The factor order (a1, b1, a2, b2, ...) that merges factor j of two n-party operators into party j."""
-    return tuple(x for j in range(n) for x in (j, n + j))
-
-
-def _merged_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndarray, np.ndarray | ColumnSparse]:
-    """The eigenpairs (w, V) of tensor_product_merged(a, b): a (x) b's, with V's rows in merged order.
-
-    Row i of a (x) b, indexed by the factors (a1, ..., b1, ...), moves to ``new[i]``: a column-sparse
-    V only relabels its row indices, a dense one is scattered into one new array.
-    """
-    w, v = _kron_spectrum(a, b)
-    dims, perm = a.dims + b.dims, _merge_order(len(a.dims))
-    digits = np.unravel_index(np.arange(math.prod(dims)), dims)
-    new = np.ravel_multi_index([digits[p] for p in perm], [dims[p] for p in perm])
-    if isinstance(v, ColumnSparse):
-        return w, ColumnSparse(new[v.rows], v.cols, v.vals, v.shape)
-    out = np.empty_like(v)
-    out[new] = v
-    return w, out
+    """The Kronecker product a (x) b, its ``dims`` both operands' ``dims`` concatenated, built from the
+    factors' spectra by :func:`_product`; a DensityMatrix when both operands are states."""
+    return _product(a, b, merge=False)
 
 
 def tensor_product_merged(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Tensor product in the party-merging convention.
-
-    Both operands must have the same number of parties N; factor j of ``a``
-    and factor j of ``b`` are merged into one party, so the result is again
-    N-partite with local dimensions ``a.dims[j] * b.dims[j]``. This requires
-    a physical factor permutation (a1, b1, a2, b2, ...), not just relabeling.
-    The spectrum is :func:`_merged_spectrum`, and the result is a
-    DensityMatrix when both operands are states.
-    """
-    n = len(a.dims)
-    if n != len(b.dims):
-        raise ValueError(
-            f"party counts differ: {a.dims} vs {b.dims}; cannot merge parties"
-        )
-    dims, d, perm = a.dims + b.dims, a.dim * b.dim, _merge_order(n)
-    axes = perm + tuple(p + 2 * n for p in perm)
-    form = lambda _: np.kron(a.entries, b.entries).reshape(dims + dims).transpose(axes).reshape(d, d)  # noqa: E731
-    return _result_type(a, b)(form, tuple(a.dims[j] * b.dims[j] for j in range(n)), _merged_spectrum(a, b))
+    """a (x) b in the party-merging convention: factor j of ``a`` and factor j of ``b`` make party j, of
+    dimension ``a.dims[j] * b.dims[j]``, so both operands need the same number of parties (else ValueError).
+    Rows and columns run over (a1, b1, a2, b2, ...), a physical factor permutation of np.kron's order, not a
+    relabelling; built from the factors' spectra by :func:`_product`, a DensityMatrix when both are states."""
+    return _product(a, b, merge=True)
 
 
 def partial_transpose(op: HermitianOperator, flip: Iterable[int]) -> HermitianOperator:

@@ -77,7 +77,6 @@ from renyi_ent.linalg import (
     HermitianOperator,
     _joint_spectrum,
     _power,
-    _result_type,
     _support_mask,
     eig_hermitian,
     hermitian_part,
@@ -413,7 +412,7 @@ def permute_factors(op, perm) -> HermitianOperator:
     axes = perm + tuple(p + n for p in perm)
     dec = eig_hermitian(op)
     spectrum = (dec.eigenvalues, _permute_rows(dec.vectors, dims, perm))
-    return _result_type(op)(
+    return type(op)(
         lambda _: op.entries.reshape(dims + dims).transpose(axes).reshape(op.dim, op.dim),
         tuple(dims[p] for p in perm),
         spectrum,

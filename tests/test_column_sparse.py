@@ -7,6 +7,8 @@ bases to the dense construction, the routes to what they were, the two contracti
 every certified Lambda^2 to its witness's overlap recomputed on a dense factor.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from renyi_ent import (
     AlphaZ,
     AntisymPair,
     BellDiagonal,
+    DensityMatrix,
     Dicke,
     HermitianOperator,
     Isotropic,
@@ -31,7 +34,7 @@ from renyi_ent import (
 )
 from renyi_ent.cli import DEFAULT_GRID, DEFAULT_TABLE1_FAMILIES
 from renyi_ent.certificates import _ENTRY_FLOPS
-from renyi_ent.linalg import ColumnSparse, _joint_spectrum
+from renyi_ent.linalg import ColumnSparse, _joint_spectrum, hermitian_part
 from oracles import _permute_rows, factor_matrix, reference_basis, witness_overlap
 
 CATALOG = [
@@ -56,6 +59,50 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and (a + 0.0).tobytes() == (b + 0.0).tobytes()
 
 
+def unitary(n: int, seed: int, real: bool) -> np.ndarray:
+    """A seeded orthogonal (``real``) or unitary n x n matrix."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n))
+    return np.linalg.qr(g if real else g + 1j * rng.standard_normal((n, n)))[0]
+
+
+def dense_operand(kind: str, dims: tuple[int, ...], seed: int) -> HermitianOperator:
+    """An operand with a dense basis: a state or an operator on a given real or complex basis, or
+    (``"entries"``) an operator given by its entries, whose basis is one ``eigh``'s."""
+    n = math.prod(dims)
+    w = np.random.default_rng(seed).random(n) + 0.1
+    if kind == "entries":
+        u = unitary(n, seed, False)
+        return HermitianOperator(hermitian_part((u * (w - 0.5)) @ u.conj().T), dims)
+    u = unitary(n, seed, kind.startswith("real"))
+    if kind.endswith("state"):
+        return DensityMatrix.from_eigenpairs(w / w.sum(), u, dims)
+    return HermitianOperator.from_eigenpairs(w - 0.5, u, dims)
+
+
+def kron_reference(a, b, va: np.ndarray, vb: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.kron of the eigenvalues, of the bases va, vb and of the entries; with ``merge``, the basis's rows and
+    the entries' rows and columns moved by ``_permute_rows`` into the merged order (a1, b1, a2, b2, ...)."""
+    w = np.kron(eig_hermitian(a).eigenvalues, eig_hermitian(b).eigenvalues)
+    v, m = np.kron(va, vb), np.kron(a.entries, b.entries)
+    if merge:
+        dims, n = a.dims + b.dims, len(a.dims)
+        perm = tuple(x for j in range(n) for x in (j, n + j))
+        v, m = _permute_rows(v, dims, perm), _permute_rows(_permute_rows(m, dims, perm).T, dims, perm).T
+    return w, v, m
+
+
+def assert_products_are_the_reference(a, b, va: np.ndarray, vb: np.ndarray) -> None:
+    """Both products of a and b (dense bases va, vb) hold kron_reference's eigenvalues, basis and entries bit
+    for bit, and are states exactly when both operands are."""
+    state = isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix)
+    for merge, product in ((False, tensor_product), (True, tensor_product_merged)):
+        op = product(a, b)
+        dec, (w, v, m) = eig_hermitian(op), kron_reference(a, b, va, vb, merge)
+        assert "entries" not in vars(op) and type(op) is (DensityMatrix if state else HermitianOperator)
+        assert same_bits(dec.eigenvalues, w) and same_bits(dec.vectors, v) and same_bits(op.entries, m)
+
+
 class TestStoredBases:
     @pytest.mark.parametrize("family", CATALOG + [LARGE_GROUP_DICKE], ids=repr)
     def test_vectors_formed_on_read_are_the_dense_construction(self, family):
@@ -72,19 +119,31 @@ class TestStoredBases:
                                       (BellDiagonal((0.7, 0.15, 0.1, 0.05)), MCBD((0.6, 0.4)))], ids=repr)
     def test_products_are_np_kron_and_the_row_permute(self, pair):
         a, b = (build(f) for f in pair)
-        va, vb = (reference_basis(f) for f in pair)
-        assert same_bits(eig_hermitian(tensor_product(a, b)).vectors, np.kron(va, vb))
-        merged = eig_hermitian(tensor_product_merged(a, b)).vectors
-        n = len(a.dims)
-        perm = tuple(x for j in range(n) for x in (j, n + j))
-        assert same_bits(merged, _permute_rows(np.kron(va, vb), a.dims + b.dims, perm))
+        assert_products_are_the_reference(a, b, *(reference_basis(f) for f in pair))
+        assert isinstance(eig_hermitian(tensor_product_merged(a, b)).basis, ColumnSparse)
 
-    def test_a_dense_factor_makes_a_dense_product(self):
-        a, b = build(Werner(0.2, 3)), HermitianOperator(np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))
-        va, vb = reference_basis(Werner(0.2, 3)), eig_hermitian(b).vectors
-        product, merged = eig_hermitian(tensor_product(a, b)).basis, eig_hermitian(tensor_product_merged(a, b)).basis
-        assert isinstance(product, np.ndarray) and same_bits(product, np.kron(va, vb))
-        assert isinstance(merged, np.ndarray) and same_bits(merged, _permute_rows(np.kron(va, vb), (3, 3, 2, 2), (0, 2, 1, 3)))
+    def test_an_operator_on_a_sparse_basis_makes_a_sparse_product(self):
+        a, dec = build(Werner(0.2, 3)), eig_hermitian(build(Isotropic(0.8, 3)))
+        b = HermitianOperator.from_eigenpairs(dec.eigenvalues - 0.2, dec.basis, (3, 3))
+        assert_products_are_the_reference(a, b, reference_basis(Werner(0.2, 3)), reference_basis(Isotropic(0.8, 3)))
+        assert isinstance(eig_hermitian(tensor_product(b, a)).basis, ColumnSparse)
+
+    @pytest.mark.parametrize("kinds", [("real state", "real state"), ("complex state", "complex state"),
+                                       ("real state", "complex operator"), ("real operator", "entries")], ids=str)
+    @pytest.mark.parametrize("dims", [((2, 2), (3, 2)), ((2, 1, 2), (2, 2, 3))], ids=["2 parties", "3 parties"])
+    def test_dense_factors_make_a_dense_product(self, kinds, dims):
+        a, b = (dense_operand(kind, d, seed) for kind, d, seed in zip(kinds, dims, (1, 2)))
+        assert_products_are_the_reference(a, b, eig_hermitian(a).vectors, eig_hermitian(b).vectors)
+        assert isinstance(eig_hermitian(tensor_product_merged(a, b)).basis, np.ndarray)
+        assert eig_hermitian(tensor_product(a, b)).vectors.dtype == (float if kinds[0] == kinds[1] == "real state" else complex)
+
+    @pytest.mark.parametrize("family,dense", [(Werner(0.2, 3), HermitianOperator(np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))),
+                                              (Dicke(3, (1, 1, 1)), dense_operand("real state", (2, 1, 2), 3))], ids=repr)
+    def test_a_dense_factor_makes_a_dense_product(self, family, dense):
+        a, va, vb = build(family), reference_basis(family), eig_hermitian(dense).vectors
+        assert_products_are_the_reference(a, dense, va, vb)
+        assert_products_are_the_reference(dense, a, vb, va)
+        assert isinstance(eig_hermitian(tensor_product_merged(a, dense)).basis, np.ndarray)
 
     def test_columns_out_of_order_rejected(self):
         rows, vals = np.array([0, 1]), np.array([1.0, 1.0])
@@ -120,6 +179,18 @@ class TestRoutes:
         assert _joint_spectrum(rho, tau) is not None
         assert _joint_spectrum(rho, dense) is None and _joint_spectrum(dense, rho) is None
         assert _joint_spectrum(dense, HermitianOperator.from_eigenpairs(dec.eigenvalues, np.array(dec.vectors), tau.dims))
+
+    def test_a_shared_dense_basis_merged_with_a_catalog_pair_stays_commuting(self):
+        # a separable pair, both on one given product basis u: its optimum is its own state, so the
+        # merged pair's optimum is the catalog ansatz with it merged in; both merged bases are dense
+        u = np.kron(unitary(2, 1, False), unitary(2, 2, False))
+        w = np.array([0.4, 0.3, 0.2, 0.1])
+        first = (DensityMatrix.from_eigenpairs(w, u, (2, 2)), DensityMatrix.from_eigenpairs(w.copy(), u, (2, 2)))
+        family, p = Werner(0.2, 3), AlphaZ(2.0, 2.0)
+        rho, tau = tensor_product_merged(first[0], build(family)), tensor_product_merged(first[1], ansatz_optimizer(family, p))
+        assert isinstance(eig_hermitian(rho).basis, np.ndarray) and _joint_spectrum(rho, tau) is not None
+        report = certify_optimizer(rho, tau, p)
+        assert report.route == "commuting" and report.verdict == "certified-optimal"
 
     def test_sparse_bases_differing_in_one_value_are_not_shared(self):
         family = Werner(0.2, 3)

@@ -278,6 +278,25 @@ class TestSpectrumBuilt:
         spectrum = basis.rows.nbytes + basis.cols.nbytes + basis.vals.nbytes + dec.eigenvalues.nbytes
         assert peak <= 1.25 * spectrum + 8 * basis.vals.size
 
+    def test_a_dense_merged_product_holds_one_array(self):
+        # two dense 40-dim states: n = 1600, and one n x n complex array is 41 MB
+        a, b = (random_density(40, 40, seed=s, dims=(5, 8)) for s in (1, 2))
+        eig_hermitian(a), eig_hermitian(b)  # the factors' spectra are live before the product is built
+        array = 1600 * 1600 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            op = tensor_product_merged(a, b)
+            built, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            op.entries
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(eig_hermitian(op).basis, np.ndarray) and op.dims == (25, 64)
+        # building holds the basis, reading the entries adds them: a quarter more each, so a second n x n
+        # copy of either (a Kronecker product before its permute, the trace check's conjugate) would not fit
+        assert build_peak <= 1.25 * array and read_peak - built <= 1.25 * array
+
     def test_badly_normalized_basis_fails_the_trace_check(self):
         v = self.basis(3).copy()
         v[:, 1] *= 1.1
