@@ -491,7 +491,7 @@ def ansatz_optimizer(family: StateFamily, p: AlphaZ) -> DensityMatrix:
         anti = _support_mask(eig_hermitian(minus).eigenvalues)
         s, a = ~anti / np.count_nonzero(~anti), anti / np.count_nonzero(anti)
         w = (d + 1.0) / (2.0 * d) * np.kron(s, s) + (d - 1.0) / (2.0 * d) * np.kron(a, a)
-        basis = eig_hermitian(tensor_product_merged(minus, minus)).basis  # build(family)'s
+        basis = eig_hermitian(tensor_product_merged(minus, minus)).basis
         return DensityMatrix.from_eigenpairs(w, basis, (d * d, d * d))
     if isinstance(family, MaximallyCorrelated):
         raise ValueError("general MC states have no closed-form ansatz; use minimizers.minimize_mc")

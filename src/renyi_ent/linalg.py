@@ -72,14 +72,6 @@ class ColumnSparse:
         out[self.rows, self.cols] = self.vals
         return out
 
-    def kron(self, other: ColumnSparse) -> ColumnSparse:
-        """np.kron of the two arrays: products of the values, index pairs flattened, columns sorted stably."""
-        (n, m), (nb, mb) = self.shape, other.shape
-        cols = (self.cols[:, None] * mb + other.cols).ravel()
-        order = np.argsort(cols, kind="stable")
-        rows = (self.rows[:, None] * nb + other.rows).ravel()[order]
-        return ColumnSparse(rows, cols[order], (self.vals[:, None] * other.vals).ravel()[order], (n * nb, m * mb))
-
     def columns(self, keep: np.ndarray, scale: np.ndarray) -> ColumnSparse:
         """The columns where ``keep`` holds, renumbered in order, column j times ``scale[j]``."""
         sel = keep[self.cols]
@@ -426,8 +418,9 @@ def _product(a: HermitianOperator, b: HermitianOperator, merge: bool) -> Hermiti
 
     Each operand's factor axes, with 1s at the other operand's axes, give one layout. Read through it, one
     broadcast product forms a dense basis (rows in the product's order, columns (ja, jb) as np.kron's) and,
-    on first read, the entries; a column-sparse basis, when both factors have one, is ColumnSparse.kron's
-    with its rows renumbered through the same layout. The eigenvalues are the products wa_ja wb_jb.
+    on first read, the entries; a column-sparse basis, when both factors have one, pairs their nonzeros,
+    each pair's row the sum of its two rows' places in the same layout (the operands' axes are disjoint)
+    and its column (ja, jb), columns sorted stably. The eigenvalues are the products wa_ja wb_jb.
     """
     ones_a, ones_b = (1,) * len(a.dims), (1,) * len(b.dims)
     if not merge:
@@ -439,9 +432,12 @@ def _product(a: HermitianOperator, b: HermitianOperator, merge: bool) -> Hermiti
         raise ValueError(f"party counts differ: {a.dims} vs {b.dims}; cannot merge parties")
     n, ea, eb = a.dim * b.dim, eig_hermitian(a), eig_hermitian(b)
     if isinstance(ea.basis, ColumnSparse) and isinstance(eb.basis, ColumnSparse):
-        v = ea.basis.kron(eb.basis)  # rows ia * b.dim + ib, moved to their place in the layout
-        place = np.argsort(np.arange(a.dim).reshape(sa) * b.dim + np.arange(b.dim).reshape(sb), axis=None)
-        v = ColumnSparse(place[v.rows], v.cols, v.vals, v.shape)
+        va, vb, layout = ea.basis, eb.basis, tuple(x * y for x, y in zip(sa, sb))
+        ra, rb = (np.ravel_multi_index(np.unravel_index(v.rows, s), layout) for v, s in ((va, sa), (vb, sb)))
+        cols = (va.cols[:, None] * b.dim + vb.cols).ravel()
+        order = np.argsort(cols, kind="stable")
+        rows = (ra[:, None] + rb).ravel()[order]
+        v = ColumnSparse(rows, cols[order], (va.vals[:, None] * vb.vals).ravel()[order], (n, n))
     else:
         v = (ea.vectors.reshape(sa + (-1, 1)) * eb.vectors.reshape(sb + (1, -1))).reshape(n, n)
     form = lambda _: (a.entries.reshape(sa + sa) * b.entries.reshape(sb + sb)).reshape(n, n)  # noqa: E731

@@ -92,14 +92,15 @@ def kron_reference(a, b, va: np.ndarray, vb: np.ndarray, merge: bool) -> tuple[n
     return w, v, m
 
 
-def assert_products_are_the_reference(a, b, va: np.ndarray, vb: np.ndarray) -> None:
+def assert_products_are_the_reference(a, b, va: np.ndarray, vb: np.ndarray, basis_type: type) -> None:
     """Both products of a and b (dense bases va, vb) hold kron_reference's eigenvalues, basis and entries bit
-    for bit, and are states exactly when both operands are."""
+    for bit, store their basis as a ``basis_type``, and are states exactly when both operands are."""
     state = isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix)
     for merge, product in ((False, tensor_product), (True, tensor_product_merged)):
         op = product(a, b)
         dec, (w, v, m) = eig_hermitian(op), kron_reference(a, b, va, vb, merge)
         assert "entries" not in vars(op) and type(op) is (DensityMatrix if state else HermitianOperator)
+        assert type(dec.basis) is basis_type
         assert same_bits(dec.eigenvalues, w) and same_bits(dec.vectors, v) and same_bits(op.entries, m)
 
 
@@ -119,31 +120,29 @@ class TestStoredBases:
                                       (BellDiagonal((0.7, 0.15, 0.1, 0.05)), MCBD((0.6, 0.4)))], ids=repr)
     def test_products_are_np_kron_and_the_row_permute(self, pair):
         a, b = (build(f) for f in pair)
-        assert_products_are_the_reference(a, b, *(reference_basis(f) for f in pair))
-        assert isinstance(eig_hermitian(tensor_product_merged(a, b)).basis, ColumnSparse)
+        assert_products_are_the_reference(a, b, *(reference_basis(f) for f in pair), ColumnSparse)
 
     def test_an_operator_on_a_sparse_basis_makes_a_sparse_product(self):
         a, dec = build(Werner(0.2, 3)), eig_hermitian(build(Isotropic(0.8, 3)))
         b = HermitianOperator.from_eigenpairs(dec.eigenvalues - 0.2, dec.basis, (3, 3))
-        assert_products_are_the_reference(a, b, reference_basis(Werner(0.2, 3)), reference_basis(Isotropic(0.8, 3)))
-        assert isinstance(eig_hermitian(tensor_product(b, a)).basis, ColumnSparse)
+        va, vb = reference_basis(Werner(0.2, 3)), reference_basis(Isotropic(0.8, 3))
+        assert_products_are_the_reference(a, b, va, vb, ColumnSparse)
+        assert_products_are_the_reference(b, a, vb, va, ColumnSparse)
 
     @pytest.mark.parametrize("kinds", [("real state", "real state"), ("complex state", "complex state"),
                                        ("real state", "complex operator"), ("real operator", "entries")], ids=str)
     @pytest.mark.parametrize("dims", [((2, 2), (3, 2)), ((2, 1, 2), (2, 2, 3))], ids=["2 parties", "3 parties"])
     def test_dense_factors_make_a_dense_product(self, kinds, dims):
         a, b = (dense_operand(kind, d, seed) for kind, d, seed in zip(kinds, dims, (1, 2)))
-        assert_products_are_the_reference(a, b, eig_hermitian(a).vectors, eig_hermitian(b).vectors)
-        assert isinstance(eig_hermitian(tensor_product_merged(a, b)).basis, np.ndarray)
+        assert_products_are_the_reference(a, b, eig_hermitian(a).vectors, eig_hermitian(b).vectors, np.ndarray)
         assert eig_hermitian(tensor_product(a, b)).vectors.dtype == (float if kinds[0] == kinds[1] == "real state" else complex)
 
     @pytest.mark.parametrize("family,dense", [(Werner(0.2, 3), HermitianOperator(np.diag([0.1, 0.2, 0.3, 0.4]), (2, 2))),
                                               (Dicke(3, (1, 1, 1)), dense_operand("real state", (2, 1, 2), 3))], ids=repr)
     def test_a_dense_factor_makes_a_dense_product(self, family, dense):
         a, va, vb = build(family), reference_basis(family), eig_hermitian(dense).vectors
-        assert_products_are_the_reference(a, dense, va, vb)
-        assert_products_are_the_reference(dense, a, vb, va)
-        assert isinstance(eig_hermitian(tensor_product_merged(a, dense)).basis, np.ndarray)
+        assert_products_are_the_reference(a, dense, va, vb, np.ndarray)
+        assert_products_are_the_reference(dense, a, vb, va, np.ndarray)
 
     def test_columns_out_of_order_rejected(self):
         rows, vals = np.array([0, 1]), np.array([1.0, 1.0])
