@@ -24,7 +24,6 @@ from .linalg import (
     _fmt,
     _ii_indices,
     _joint_spectrum,
-    _krylov_top,
     _power,
     _power_values,
     _support_mask,
@@ -90,14 +89,6 @@ class XiEvaluation:
     log2q: float | None = None  # log2 Q from chi's core: divided-difference off the Umegaki line, general z = 1 - alpha
     dense: np.ndarray | None = None
     _plans: dict = field(default_factory=dict, init=False, repr=False)  # party k -> its sparse plan, on first use
-
-    @cached_property
-    def _top(self) -> tuple[float, np.ndarray]:
-        """Xi's top eigenpair by :func:`linalg._krylov_top`, on v -> Xi v, or v -> F (F† v) for a factor."""
-        f, n = self.factor, math.prod(self.dims)
-        if isinstance(f, ColumnSparse):
-            return _krylov_top(lambda b: f.dot(f.dot(b, adjoint=True)), n)
-        return _krylov_top(self.dense.__matmul__ if f is None else lambda b: f @ (f.conj().T @ b), n)
 
     def diagonal(self, indices: np.ndarray) -> np.ndarray:
         """<i| Xi |i> at the basis ``indices``: for a factor, the squared norms of its rows."""
@@ -206,7 +197,7 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
         # one power of the ratio, which stays in range where r^alpha or t^(-alpha) would not
         keep = _support_mask(r) & _support_mask(t)
         x = _power_values(r / np.where(keep, t, 1.0), p.alpha, keep)
-        # a factor, not eigenpairs (x, v): the ascent contracts F, and restart 0 reads a Krylov top vector
+        # a factor, not eigenpairs (x, v): the ascent contracts F
         s = np.sqrt(x)
         f = v.columns(keep, s) if isinstance(v, ColumnSparse) else v[:, keep] * s[keep]
         return XiEvaluation("boundary-line" if on_line else "commuting", rho.dims, f)
@@ -382,26 +373,16 @@ def _alternating_ascent(local, vecs: list[np.ndarray]) -> tuple[np.ndarray, np.n
 
 
 def _initial_vectors(op: XiEvaluation, restarts: int, seed: int) -> list[np.ndarray]:
-    """Per-party (restarts, d_k) start vectors.
-
-    Row 0 is the best rank-one alignment of the cached top eigenvector of
-    ``op`` (one SVD per party); row r > 0 is a random unit vector per party:
-    one ``standard_normal(2 sum_k d_k)`` draw from ``default_rng([seed, r])``
-    holds, party by party, the real parts and then the imaginary parts.
+    """Per-party (restarts, d_k) start vectors: row r is a random unit vector per party, from one
+    ``standard_normal(2 sum_k d_k)`` draw of ``default_rng([seed, r])`` that holds, party by party,
+    the real parts and then the imaginary parts.
     """
-    dims = op.dims
-    vecs = [np.empty((restarts, d), dtype=complex) for d in dims]
-    psi = op._top[1].reshape(dims)
-    for k, v in enumerate(vecs):
-        u, _, _ = np.linalg.svd(np.moveaxis(psi, k, 0).reshape(dims[k], -1), full_matrices=False)
-        v[0] = u[:, 0]
-    width = 2 * sum(dims)
-    draws = np.array([np.random.default_rng([seed, r]).standard_normal(width) for r in range(1, restarts)])
-    draws = draws.reshape(restarts - 1, width)  # also for a single restart
-    at = 0
-    for v, d in zip(vecs, dims):
+    width = 2 * sum(op.dims)
+    draws = np.array([np.random.default_rng([seed, r]).standard_normal(width) for r in range(restarts)])
+    vecs, at = [], 0
+    for d in op.dims:
         x = draws[:, at : at + d] + 1j * draws[:, at + d : at + 2 * d]
-        v[1:] = x / np.array([np.linalg.norm(row) for row in x])[:, None]  # as a row alone would be scaled
+        vecs.append(x / np.array([np.linalg.norm(row) for row in x])[:, None])  # as a row alone would be scaled
         at += 2 * d
     return vecs
 
@@ -412,10 +393,9 @@ def max_product_overlap(op: XiEvaluation, restarts: int = 64, seed: int = 0) -> 
     Alternating maximization: with all local vectors but one fixed, the contraction of Xi (of a factor F
     as F, never as F F†) is a local Hermitian matrix whose top eigenvector is the exact update, so the
     overlap is nondecreasing. That vector is a qubit's closed form, else one solve shifted to the top of one
-    ``eigvalsh``, or ``eigh`` where the solve misses it. Restart 0 starts from the rank-one alignment of Xi's
-    cached top eigenvector (a Krylov search, on v -> F (F† v) for a factor), the others from seeded random
-    product vectors; all run in lockstep as one batched ascent. The value is a certified lower bound on
-    Lambda^2; the multi-start is a heuristic for the maximum.
+    ``eigvalsh``, or ``eigh`` where the solve misses it. Every restart r starts from a random product vector
+    seeded by ``(seed, r)``; all run in lockstep as one batched ascent. The value is a certified lower bound
+    on Lambda^2; the multi-start is a heuristic for the maximum.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

@@ -319,8 +319,9 @@ def cmd_additivity(args) -> int:
     joint_dim = _marginal_dim(args.family, args) * _marginal_dim(args.other, args)
     if joint_dim > CERTIFY_DIM_CAP:
         raise ValueError(f"the joint state is {joint_dim}-dimensional, above the dense cap of {CERTIFY_DIM_CAP}")
-    family1, label1, rho1, tau1, v1, verdict1 = _marginal_with_ansatz(args.family, p, args)
-    _, label2, rho2, tau2, v2, verdict2 = _marginal_with_ansatz(args.other, p, args)
+    first = _marginal_with_ansatz(args.family, p, args)
+    second = first if args.other == args.family else _marginal_with_ansatz(args.other, p, args)
+    (family1, label1, rho1, tau1, v1, verdict1), (_, label2, rho2, tau2, v2, verdict2) = first, second
 
     start = time.perf_counter()
     joint = tensor_product_merged(rho1, rho2)

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -30,7 +30,6 @@ TRACE_ATOL = 1e-10  # absolute: a state's trace (or a spectrum's sum, in renyi_e
 PROB_ATOL = 1e-12  # absolute: probabilities, their sums and the family parameters have scale 1 by definition
 LINE_ATOL = 1e-12  # absolute, on alpha and z: the lines alpha = 1, z = |1 - alpha| are fixed; a hit picks a route
 SUPPORT_CUT = 1e-10  # of lambda_max: support, powers, PSD (a negative eigenvalue inside it is 0); of max|entry|: MC
-KRYLOV_RTOL = 1e-10  # of |theta|: Krylov residual; its vector only starts restart 0, which the ascent refines
 ASCENT_TOL = 1e-12  # of max(1, |value|): a Lambda^2 restart stops once a sweep gains at most this
 RAYLEIGH_RTOL = ASCENT_TOL / 10  # of lambda's spectral radius: a solved vector's quotient, below the ascent's gain
 DEGENERACY_RTOL = 1e-12  # of the larger eigenvalue: closer ones take phi's diagonal limit; their quotient is noise
@@ -38,8 +37,6 @@ TOL_CERT_REL = 1e-7  # of q for the verdict (tol_cert), of max(1, |lambda_sq|) f
 STATIONARY_TOL = 1e-12  # of Q, as max_j r_j - 1 on the support: a simplex run stops; its margin is then ~ -1e-12 Q
 NOISE_REL = 1e-13  # of max(1, |f|): a simplex step may raise f by this float noise if it lowers the stationarity gap
 TABLE1_TOL = 1e-6  # absolute, in bits: a table1 row's certified value against its closed form, both O(1) bits
-
-_KRYLOV_BLOCK = 8  # block width of the Krylov top-eigenpair search
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -78,13 +75,6 @@ class ColumnSparse:
         cols = self.cols[sel]
         return ColumnSparse(self.rows[sel], (np.cumsum(keep) - 1)[cols], self.vals[sel] * scale[cols],
                             (self.shape[0], int(np.count_nonzero(keep))))
-
-    def dot(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """A x, or A† x when ``adjoint``, for a 2-D array x."""
-        into, src, vals = (self.cols, self.rows, self.vals.conj()) if adjoint else (self.rows, self.cols, self.vals)
-        out = np.zeros((self.shape[adjoint], x.shape[1]), dtype=np.result_type(vals, x))
-        np.add.at(out, into, vals[:, None] * x[src])
-        return out
 
     def row_norms(self) -> np.ndarray:
         """The squared norm of each row."""
@@ -273,36 +263,6 @@ def _eigenpair_entries(op: HermitianOperator) -> np.ndarray:
     """hermitian_part((V * w) @ V†) of the spectrum given at construction."""
     v = op._eig.vectors
     return hermitian_part((v * op._eig.eigenvalues) @ v.conj().T)
-
-
-def _krylov_top(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[float, np.ndarray]:
-    """Top eigenpair (theta, x) of an n x n Hermitian matrix M by block Lanczos, given as ``matvec``: B -> M B.
-
-    The block is min(_KRYLOV_BLOCK, n) columns from a fixed-seed complex
-    Gaussian; each step appends the next Krylov block, reorthogonalized
-    against the whole basis (twice), and takes the top Ritz pair of the
-    projected matrix. It stops once ||M x - theta x|| <= KRYLOV_RTOL *
-    |theta|, or once the basis spans the whole space, where the Ritz pair is
-    exact. The residual is divided by |theta| before its norm is taken, so
-    its squares stay in the float range at any scale of M.
-    """
-    b = min(_KRYLOV_BLOCK, n)
-    rng = np.random.default_rng(0)
-    basis = np.linalg.qr(rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b)))[0]
-    images = matvec(basis)
-    while True:
-        w, y = np.linalg.eigh(hermitian_part(basis.conj().T @ images))
-        theta, x = float(w[-1]), basis @ y[:, -1]
-        width = min(b, n - basis.shape[1])
-        scale = abs(theta) or 1.0  # at theta = 0 the residual itself must vanish
-        residual = np.linalg.norm((images @ y[:, -1] - theta * x) / scale)
-        if residual <= (KRYLOV_RTOL if theta else 0.0) or width == 0:
-            return theta, x
-        block = images[:, -b:][:, :width]
-        for _ in range(2):
-            block = np.linalg.qr(block - basis @ (basis.conj().T @ block))[0]
-        basis = np.hstack([basis, block])
-        images = np.hstack([images, matvec(block)])
 
 
 def require_psd(eigenvalues: np.ndarray) -> None:

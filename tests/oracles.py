@@ -178,11 +178,10 @@ def _local_matrix_subscripts(nparties: int) -> list[str]:
 
 
 def initial_vectors_serial(op, restarts: int, seed: int) -> list[np.ndarray]:
-    """The library's start vectors, drawn party by party: row r > 0 of party k is x / ||x||, x = re + i im
-    with re and im two ``standard_normal(d_k)`` draws from ``default_rng([seed, r])``, in party order;
-    row 0 is the library's own (the alignment of Xi's top eigenvector)."""
-    vecs = _initial_vectors(op, restarts, seed)  # rows r > 0 are overwritten below
-    for r in range(1, restarts):
+    """The library's start vectors, drawn party by party: row r of party k is x / ||x||, x = re + i im
+    with re and im two ``standard_normal(d_k)`` draws from ``default_rng([seed, r])``, in party order."""
+    vecs = [np.empty((restarts, d), dtype=complex) for d in op.dims]
+    for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         for v in vecs:
             x = rng.standard_normal(v.shape[1]) + 1j * rng.standard_normal(v.shape[1])

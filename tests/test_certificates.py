@@ -57,6 +57,7 @@ from oracles import (
     factor_matrix,
     full_rank_state,
     initial_vectors_serial,
+    lambda_sq_closed_form,
     matrix_power,
     mc_score_lambda,
     product_overlap_grid,
@@ -360,6 +361,23 @@ class TestMaxProductOverlap:
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             max_product_overlap(as_xi(random_density(4, 4, 0, dims=(2, 2))), **kwargs)
 
+    def test_restart_0_ignores_a_cached_spectrum(self):
+        given = build(AntisymPair(3))  # from its spectrum
+        fresh, decomposed = (HermitianOperator(given.entries, given.dims) for _ in range(2))
+        eig_hermitian(decomposed)
+        want = lambda_sq_closed_form(AntisymPair(3))
+        values = {max_product_overlap(as_xi(op), restarts=1).value for op in (given, fresh, decomposed)}
+        assert len(values) == 1 and abs(values.pop() - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("a,z", DEFAULT_GRID)
+    @pytest.mark.parametrize("family", [Dicke(3, (2, 1)), Dicke(4, (2, 1, 1)), Dicke(6, (3, 3))], ids=repr)
+    def test_one_restart_reaches_the_maximum_on_dicke_states(self, family, a, z):
+        # Xi's top eigenvector is the entangled Dicke vector: a start aligned with it would stop 25-84 % low
+        p = AlphaZ(a, z)
+        ev = xi(build(family), ansatz_optimizer(family, p), p)
+        want = max_product_overlap(ev).value
+        assert abs(max_product_overlap(ev, restarts=1).value - want) <= 1e-7 * want
+
 
 def _xi_of(family, p=AlphaZ(1.5, 1.2)):
     return xi_matrix(xi(build(family), ansatz_optimizer(family, p), p))
@@ -396,7 +414,6 @@ class TestBatchedAscent:
         op = BATCH_CASES[case]()
         _, sweeps, _ = product_overlap_serial(op, restarts=16)
         ev = as_xi(op)
-        ev._top  # cached before the spies, so the Krylov steps behind restart 0 run unspied
         calls = {"eigh": [], "eigvalsh": []}
         for name, shapes in calls.items():
             def counted(a, *args, _original=getattr(np.linalg, name), _shapes=shapes, **kwargs):
@@ -500,7 +517,7 @@ class TestFactoredXi:
 
     @staticmethod
     def assert_matches_dense(ev, seed=2):
-        """Both ascents run from one set of start vectors (the Krylov pairs agree in test_linalg)."""
+        """Both ascents run from one set of start vectors."""
         assert ev.factor is not None and ev.factor.shape[1] <= ev.factor.shape[0]
         start = _initial_vectors(ev, 64, seed)
         fast = _alternating_ascent(ev.local_matrices, [v.copy() for v in start])
@@ -918,8 +935,7 @@ class TestSpectralCache:
 
     def test_construction_to_certification_budget(self, decompositions):
         # the pair state and its ansatz assemble their spectra from the
-        # single-copy Werner states, and Xi's top eigenvector comes from a
-        # Krylov iteration: the Q core is the one full-size decomposition
+        # single-copy Werner states: the Q core is the one full-size decomposition
         family, p = AntisymPair(3), AlphaZ(2.0, 2.0)
         rho, tau = build(family), ansatz_optimizer(family, p)
         report = certify_optimizer(rho, tau, p, restarts=8)
@@ -929,14 +945,13 @@ class TestSpectralCache:
     @pytest.mark.parametrize("alpha,z", [(2.0, 2.0), (0.7, 0.9)])
     def test_general_route_reads_q_from_chi(self, decompositions, alpha, z):
         # on the divided-difference route log2 Q comes from the eigh of the
-        # core that chi decomposes: that eigh and the last Ritz step of Xi's
-        # Krylov top eigenvector are the only full-size decompositions
+        # core that chi decomposes: that eigh is the only full-size decomposition
         p = AlphaZ(alpha, z)
         rho, tau = (random_density(16, 16, seed, dims=(4, 4)) for seed in (1, 2))
         decompositions.clear()
         report = certify_optimizer(rho, tau, p, restarts=8)
         assert report.route == "divided-difference"
-        assert decompositions.count((16, 16)) == 2
+        assert decompositions.count((16, 16)) == 1
         assert abs(report.q_value - q_alpha_z(rho, tau, p)) <= 1e-13 * report.q_value
 
     @pytest.mark.parametrize("alpha,z", [(2.0, 2.0), (0.7, 0.7), (0.4, 0.6)])

@@ -352,8 +352,8 @@ class TestCertify:
 
 
     def test_huge_xi_certifies_without_warnings(self, capsys):
-        # Xi's entries reach ~1e183 on the boundary line: the Krylov residual
-        # must be scaled before its norm, or its squares overflow
+        # Xi's entries reach ~1e183 on the boundary line, where their squares
+        # would overflow: the certification runs without a warning
         code, out, err = run(capsys, ["certify", "werner:p=0.2,d=3", "ansatz", "--alpha", "900", "--z", "899"])
         assert code == 0 and err == ""
         assert json.loads(out)["verdict"] == "certified-optimal"
@@ -546,6 +546,19 @@ class TestAdditivity:
         payload = json.loads(out)
         assert payload["joint"]["ansatz"] == "antisym-pair"
         assert payload["defect"] < -0.4
+
+    def test_repeated_marginal_is_certified_once(self, capsys, monkeypatch):
+        shapes = []
+        original = cli.certify_optimizer
+
+        def counted(rho, *args, **kwargs):
+            shapes.append(rho.dims)
+            return original(rho, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "certify_optimizer", counted)
+        code, _, _ = run(capsys, ["additivity", "werner:p=0,d=3", "--other", "werner:p=0,d=3", "--restarts", "4"])
+        assert code == 0
+        assert shapes == [(3, 3), (9, 9)]
 
     def test_random_mc_partner(self, capsys):
         code, out, _ = run(

@@ -17,17 +17,13 @@ from renyi_ent import (
     tensor_product,
     tensor_product_merged,
 )
-from renyi_ent.linalg import ColumnSparse, _joint_spectrum, _krylov_top, hermitian_part
+from renyi_ent.linalg import ColumnSparse, _joint_spectrum, hermitian_part
 from oracles import (
-    as_xi,
     assert_cached_spectrum_is_exact,
-    lambda_sq_closed_form,
     matrix_power,
     partial_trace,
     permute_factors,
-    factor_matrix,
     support_projector,
-    xi_matrix,
 )
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
@@ -365,59 +361,6 @@ class TestTypeRules:
         assert_cached_spectrum_is_exact(rho)
         with pytest.raises(ValueError, match="not positive semidefinite"):
             DensityMatrix.from_eigenpairs([0.6, 0.6, -0.2], v, (3,))
-
-
-class TestKrylovTop:
-    """The top eigenpair found without a full decomposition."""
-
-    @staticmethod
-    def check(op):
-        theta, x = _krylov_top(op.entries.__matmul__, op.dim)
-        w = np.linalg.eigvalsh(op.entries)
-        assert abs(np.linalg.norm(x) - 1.0) <= 1e-13
-        assert np.linalg.norm(op.entries @ x - theta * x) <= 1e-10 * abs(theta)
-        assert abs(theta - w[-1]) <= 1e-12 * abs(w[-1])
-        return theta
-
-    @pytest.mark.parametrize("d", [1, 5, 8, 30, 81])
-    def test_random_operators(self, d):
-        self.check(random_density(d, d, seed=d))
-        self.check(random_hermitian(d, seed=100 + d))
-
-    @pytest.mark.parametrize("top_multiplicity", [2, 5])
-    def test_degenerate_top_eigenspace(self, top_multiplicity):
-        values = np.r_[np.linspace(0.1, 1.0, 40 - top_multiplicity), np.full(top_multiplicity, 2.0)]
-        self.check(degenerate_state(40, 7, values))
-
-    def test_xi_of_antisym_pair(self, monkeypatch):
-        from renyi_ent import AlphaZ, AntisymPair, ansatz_optimizer, build, xi
-
-        family, p = AntisymPair(3), AlphaZ(2.0, 2.0)
-        ev = xi(build(family), ansatz_optimizer(family, p), p)
-        shapes = []
-        original = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m, *r, **k: shapes.append(np.shape(m)) or original(m, *r, **k))
-        # the factored top pair, by the matvec v -> F (F† v), against the spectrum of F F†
-        f = factor_matrix(ev)
-        theta, x = ev._top
-        w = np.linalg.eigvalsh(f @ f.conj().T)
-        assert abs(np.linalg.norm(x) - 1.0) <= 1e-13
-        assert np.linalg.norm(f @ (f.conj().T @ x) - theta * x) <= 1e-10 * abs(theta)
-        assert abs(theta - w[-1]) <= 1e-12 * abs(w[-1])
-        assert ev._top is ev._top
-        # the dense Xi F F† has the same top eigenvalue
-        assert abs(self.check(xi_matrix(ev)) - theta) <= 1e-12 * abs(theta)
-        assert (81, 81) not in shapes
-
-    def test_restart_0_ignores_a_cached_spectrum(self):
-        from renyi_ent import AntisymPair, build, max_product_overlap
-
-        given = build(AntisymPair(3))  # from its spectrum
-        fresh, decomposed = (HermitianOperator(given.entries, given.dims) for _ in range(2))
-        eig_hermitian(decomposed)
-        want = lambda_sq_closed_form(AntisymPair(3))
-        values = {max_product_overlap(as_xi(op), restarts=1).value for op in (given, fresh, decomposed)}
-        assert len(values) == 1 and abs(values.pop() - want) <= 1e-12 * want
 
 
 class TestMatrixPower:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "renyi_ent"
 TOLERANCE_NAME = re.compile(r"_?[A-Z0-9_]*(TOL|RTOL|ATOL|CUT|REL)")
-MAX_TABLE_ROWS = 13
+MAX_TABLE_ROWS = 12
 
 
 def _module_assignments(tree: ast.Module):
@@ -51,15 +51,32 @@ def test_no_tolerance_name_outside_linalg():
     assert not defined, "tolerances defined outside linalg's table:\n" + "\n".join(defined)
 
 
+def _table_rows(tree: ast.Module) -> list:
+    """(names, node) of each row of the table, given linalg's tree."""
+    return [
+        (names, node) for names, node in _module_assignments(tree)
+        if any(TOLERANCE_NAME.fullmatch(n) for n in names) or _small_floats(node)
+    ]
+
+
 def test_table_rows_state_scale_and_reason():
     path = SRC / "linalg.py"
     lines = path.read_text(encoding="utf-8").splitlines()
-    rows = [
-        (names, node) for names, node in _module_assignments(_tree(path))
-        if any(TOLERANCE_NAME.fullmatch(n) for n in names) or _small_floats(node)
-    ]
+    rows = _table_rows(_tree(path))
     assert 0 < len(rows) <= MAX_TABLE_ROWS
     for names, node in rows:
         line = lines[node.lineno - 1]
         assert node.lineno == node.end_lineno and "  # " in line, f"{names}: one line with its scale and reason"
         assert line.split("  # ", 1)[1].split(":", 1)[0].strip(), f"{names}: no scale given"
+
+
+def test_every_table_row_is_read():
+    trees = {path.name: _tree(path) for path in sorted(SRC.glob("*.py"))}
+    rows = _table_rows(trees["linalg.py"])
+    own = {id(n) for _, node in rows for n in ast.walk(node)}  # the Names inside the rows themselves
+    read = {
+        n.id for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in own
+    }
+    unread = [name for names, _ in rows for name in names if name not in read]
+    assert not unread, "table rows that no code reads: " + ", ".join(unread)
