@@ -34,7 +34,6 @@ from .certificates import (
     XiEvaluation,
     certify_optimizer,
     in_support_set,
-    marginal_condition_mc,
     max_product_overlap,
     xi,
 )

@@ -450,25 +450,56 @@ class CertificateReport:
     restart_sweeps: tuple[int, ...] = field(default_factory=tuple)
 
 
-def _require_same_partition(rho: DensityMatrix, tau: HermitianOperator) -> None:
+def is_maximally_correlated(rho: DensityMatrix) -> bool:
+    """Whether rho is supported on span{|ii><jj|} for its (d, d) partition, within SUPPORT_CUT * max|entry|."""
+    dims = rho.dims
+    if len(dims) != 2 or dims[0] != dims[1]:
+        return False
+    idx = np.ix_(_ii_indices(dims[0]), _ii_indices(dims[0]))
+    proj = np.zeros_like(rho.entries)
+    proj[idx] = rho.entries[idx]
+    return float(np.max(np.abs(rho.entries - proj))) <= SUPPORT_CUT * rho.max_abs()
+
+
+def _free_indices(rho: DensityMatrix, free_set: str) -> np.ndarray | None:
+    """A free set's basis states as indices, the only place a free-set name becomes them: None for "sep" (no
+    finite set), every index for "incoherent", the states |ll> of a maximally correlated rho for "mc-diagonal"."""
+    if free_set == "sep":
+        return None
+    if free_set == "incoherent":
+        return np.arange(rho.dim)
+    if free_set != "mc-diagonal":
+        raise ValueError(f"unknown free set {free_set!r}")
+    if not is_maximally_correlated(rho):
+        raise ValueError(f"rho is not maximally correlated in the |ii> basis within {SUPPORT_CUT:g} * max|entry|")
+    return _ii_indices(rho.dims[0])
+
+
+def certify_optimizer(
+    rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ, free_set: str = "sep", restarts: int = 64, seed: int = 0,
+) -> CertificateReport:
+    """Certify tau as a minimizer of D_{alpha,z}(rho || .) over a free set: the one certification body.
+
+    Support, Xi, Q and Lambda^2, then the verdict and report. For ``free_set="sep"`` Lambda^2 comes from
+    the multi-start product-state search (``restarts``, ``seed``). A finite free set is the mixtures of
+    its basis states (:func:`_free_indices`): the computational basis for ``"incoherent"`` (for another
+    basis, rotate rho and tau into it first), the states |ll> for ``"mc-diagonal"`` (T_rho of a maximally
+    correlated rho, where the condition over all separable states is max_l <ll| Xi |ll> <= Q). There tau
+    must be diagonal on those states within SUPPORT_CUT * max|tau|, else a ValueError, and Lambda^2 is
+    the largest <b|Xi|b> over them, witnessed by the real (e_j,), or by (e_l, e_l) for b = |ll>.
+    margin = q - Lambda^2 is judged against tol_cert = TOL_CERT_REL * q. Both q and, for a certified
+    tau, ``value`` = D_{alpha,z}(rho || tau) come from :func:`divergences._d_and_q` (Q = 1 on the
+    Umegaki line). ``route`` names the Xi route.
+    """
+    indices = _free_indices(rho, free_set)
+    _require_dpi(p)  # the certification conditions need joint concavity/convexity
     if rho.dims != tau.dims:
         raise ValueError(f"rho has partition {rho.dims} but tau has partition {tau.dims}")
-
-
-def _certify(
-    rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ, free_set: str,
-    indices: np.ndarray | None = None, restarts: int = 64, seed: int = 0,
-) -> CertificateReport:
-    """The one certification body: support, Xi, Q and Lambda^2, then the verdict and report.
-
-    Lambda^2 is the product-state search, or for a finite free set of basis states, given by
-    their ``indices``, the largest diagonal entry <b|Xi|b> of Xi at those indices, witnessed
-    by the real (e_j,), or by (e_l, e_l) for b = |ll> on the MC set. margin = q - Lambda^2 is
-    judged against tol_cert = TOL_CERT_REL * q. Both q and, for a certified tau, ``value`` =
-    D_{alpha,z}(rho || tau) come from :func:`divergences._d_and_q` (Q = 1 on the Umegaki line).
-    """
-    _require_dpi(p)  # the certification conditions need joint concavity/convexity
-    _require_same_partition(rho, tau)
+    if indices is not None:
+        off = tau.entries.copy()
+        off[indices, indices] -= off[indices, indices].real
+        if float(np.max(np.abs(off))) > SUPPORT_CUT * tau.max_abs():
+            raise ValueError(f"tau is not diagonal on the {free_set} basis states within {SUPPORT_CUT:g} * max|entry|")
     support_ok = in_support_set(rho, tau, p)
     ev = xi(rho, tau, p)
     d, q = _d_and_q(rho, tau, p, ev.log2q)
@@ -482,7 +513,7 @@ def _certify(
             e = np.eye(rho.dims[0], dtype=complex)[best]
             witness = (e, e.copy())
         else:
-            witness = ((np.arange(rho.dim) == indices[best]).astype(float),)
+            witness = (np.eye(1, rho.dim, indices[best]).ravel(),)
         res = OverlapResult(float(scores[best]), witness, (), ())
     lam = res.value
     margin = q - lam
@@ -512,62 +543,6 @@ def _certify(
         restart_hits=sum(1 for v in res.restart_values if v >= lam - band),
         restart_sweeps=res.restart_sweeps,
     )
-
-
-def certify_optimizer(
-    rho: DensityMatrix,
-    tau: HermitianOperator,
-    p: AlphaZ,
-    free_set: str = "sep",
-    restarts: int = 64,
-    seed: int = 0,
-) -> CertificateReport:
-    """Certify tau as a minimizer of D_{alpha,z}(rho || .) over a free set.
-
-    For ``free_set="sep"`` Lambda^2 is found by multi-start alternating
-    maximization over pure product states; for ``free_set="incoherent"`` the
-    extreme points are computational basis states, so Lambda^2 is the largest
-    diagonal entry of Xi (for another basis, rotate rho and tau into it first).
-    """
-    if free_set == "sep":
-        return _certify(rho, tau, p, free_set, restarts=restarts, seed=seed)
-    if free_set == "incoherent":
-        return _certify(rho, tau, p, free_set, np.arange(rho.dim))
-    raise ValueError(f"unknown free set {free_set!r}")
-
-
-def is_maximally_correlated(rho: DensityMatrix) -> bool:
-    """Whether rho is supported on span{|ii><jj|} for its (d, d) partition, within SUPPORT_CUT * max|entry|."""
-    dims = rho.dims
-    if len(dims) != 2 or dims[0] != dims[1]:
-        return False
-    idx = np.ix_(_ii_indices(dims[0]), _ii_indices(dims[0]))
-    proj = np.zeros_like(rho.entries)
-    proj[idx] = rho.entries[idx]
-    return float(np.max(np.abs(rho.entries - proj))) <= SUPPORT_CUT * rho.max_abs()
-
-
-def _require_mc(rho: DensityMatrix) -> None:
-    if not is_maximally_correlated(rho):
-        raise ValueError(f"rho is not maximally correlated in the |ii> basis within {SUPPORT_CUT:g} * max|entry|")
-
-
-def marginal_condition_mc(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> CertificateReport:
-    """Certification of tau in T_rho for a maximally correlated rho.
-
-    For tau = sum_i t_i |ii><ii| the trace condition over all separable states
-    collapses to the scalar inequality max_l <ll| Xi(rho, tau) |ll> <= Q(rho || tau),
-    so no Lambda^2 search is needed: this is the incoherent check, Xi's
-    diagonal, read at the indices of the states |ll>. ``route`` names the Xi route.
-    """
-    _require_mc(rho)
-    _require_same_partition(rho, tau)
-    idx = _ii_indices(rho.dims[0])
-    off = tau.entries.copy()
-    off[idx, idx] -= off[idx, idx].real
-    if float(np.max(np.abs(off))) > SUPPORT_CUT * tau.max_abs():
-        raise ValueError(f"tau is not diagonal in the |ii> basis within {SUPPORT_CUT:g} * max|entry|")
-    return _certify(rho, tau, p, "mc-diagonal", idx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Command-line surface: divergence evaluation, optimizer certification,
 Table-1 reproduction, and additivity / counterexample experiments.
 
-All commands are deterministic given their flags (seeds are explicit) and
-print machine-readable JSON or write CSV. Nonzero exit codes occur exactly
-when input is malformed or a stated tolerance fails.
+All commands are deterministic given their flags (seeds are explicit), but for the timing fields
+(``wall_ms``, ``table1``'s ``(N ms)``, ``sweep``'s ``wall_ms`` column), and print machine-readable
+JSON or write CSV. Nonzero exit codes occur exactly when input is malformed or a stated tolerance fails.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .catalog import (
     parse_family,
 )
 from .certificates import CertificateReport, _encode_float, certify_optimizer, report_to_dict
-from .divergences import AlphaZ, _d_and_q
+from .divergences import AlphaZ, _d_and_q, _require_dpi
 from .linalg import (
     TABLE1_TOL,
     DensityMatrix,
@@ -207,7 +207,9 @@ def _grid_from_arg(grid_arg: str) -> list[AlphaZ]:
 
 
 def cmd_table1(args) -> int:
-    grid = [p for p in _grid_from_arg(args.grid) if p.in_dpi_region]
+    grid = _grid_from_arg(args.grid)
+    for p in grid:  # the whole grid is refused, naming its first point outside the region
+        _require_dpi(p)
     rows = []
     failures = []
     for family in DEFAULT_TABLE1_FAMILIES:
@@ -288,15 +290,18 @@ def _random_seed(descriptor: str) -> int:
     raise ValueError(f"{descriptor!r}: random:SEED (the family or --other) needs a non-negative integer SEED")
 
 
-def _marginal_dim(descriptor: str, args) -> int:
-    """The dimension of an additivity marginal, checked against the cap before anything is built."""
+def _marginal_shape(descriptor: str, args) -> tuple[object, tuple[int, ...]]:
+    """An additivity marginal's key (its parsed family, or the SEED of random:SEED, so that two spellings of
+    one state compare equal) and party dimensions, checked against the cap before anything is built."""
     if descriptor.startswith("random:"):
-        _random_seed(descriptor)
+        key, label, shape = _random_seed(descriptor), descriptor, (args.other_dim, 2)
         if args.other_dim < 1:
             raise ValueError(f"--other-dim must be >= 1, got {args.other_dim}")
-        return _capped_dim(descriptor, args.other_dim, 2)
-    family = parse_family(descriptor)
-    return _capped_dim(family_label(family), *_party_shape(family))
+    else:
+        key = parse_family(descriptor)
+        label, shape = family_label(key), _party_shape(key)
+    _capped_dim(label, *shape)
+    return key, (shape[0],) * shape[1]
 
 
 def _marginal_with_ansatz(
@@ -316,16 +321,19 @@ def _marginal_with_ansatz(
 
 def cmd_additivity(args) -> int:
     p = AlphaZ(args.alpha, args.z)
-    joint_dim = _marginal_dim(args.family, args) * _marginal_dim(args.other, args)
+    (key1, dims1), (key2, dims2) = _marginal_shape(args.family, args), _marginal_shape(args.other, args)
+    joint_dim = math.prod(dims1) * math.prod(dims2)
     if joint_dim > CERTIFY_DIM_CAP:
         raise ValueError(f"the joint state is {joint_dim}-dimensional, above the dense cap of {CERTIFY_DIM_CAP}")
+    if len(dims1) != len(dims2):  # tensor_product_merged's message, before either marginal is built
+        raise ValueError(f"party counts differ: {dims1} vs {dims2}; cannot merge parties")
     first = _marginal_with_ansatz(args.family, p, args)
-    second = first if args.other == args.family else _marginal_with_ansatz(args.other, p, args)
+    second = first if key1 == key2 else _marginal_with_ansatz(args.other, p, args)
     (family1, label1, rho1, tau1, v1, verdict1), (_, label2, rho2, tau2, v2, verdict2) = first, second
 
     start = time.perf_counter()
     joint = tensor_product_merged(rho1, rho2)
-    antisym_route = args.other == args.family and isinstance(family1, Werner) and family1.p == 0.0
+    antisym_route = key1 == key2 and isinstance(family1, Werner) and family1.p == 0.0
     if antisym_route:
         tau_joint = ansatz_optimizer(AntisymPair(family1.d), p)
     else:

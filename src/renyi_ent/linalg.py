@@ -183,7 +183,9 @@ class HermitianOperator:
             scale = float(np.max(np.abs(m)))
             if not math.isfinite(scale):
                 raise ValueError("matrix has non-finite entries")
-            if np.max(np.abs(m - m.conj().T)) > HERMITICITY_RTOL * scale:
+            with np.errstate(over="ignore"):  # a difference past the float range is past the bound too
+                asym = np.max(np.abs(m - m.conj().T))
+            if asym > HERMITICITY_RTOL * scale:
                 raise ValueError(f"matrix is not Hermitian within {HERMITICITY_RTOL:g} * max|entry|")
             m.flags.writeable = False
             self.__dict__["entries"] = m

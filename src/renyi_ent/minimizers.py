@@ -25,10 +25,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .certificates import CertificateReport, _require_mc, certify_optimizer, marginal_condition_mc
+from .certificates import CertificateReport, _free_indices, certify_optimizer
 from .divergences import AlphaZ, _core, _core_spectrum, _require_dpi
 from .linalg import (
-    NOISE_REL, STATIONARY_TOL, SUPPORT_CUT, DensityMatrix, HermitianOperator, _ii_indices, _power, _support_mask,
+    NOISE_REL, STATIONARY_TOL, SUPPORT_CUT, DensityMatrix, HermitianOperator, _power, _support_mask,
     density, eig_hermitian,
 )
 
@@ -248,14 +248,15 @@ def _diag_objective(rho_matrix: np.ndarray, p: AlphaZ) -> Callable[[np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-def _solve_on(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None, indices: np.ndarray) -> SimplexSolution:
-    """min_w D_{alpha,z}(rho || sum_j w_j |b_j><b_j|) over the basis states b_j at ``indices``.
+def _solve_on(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None, free_set: str) -> SimplexSolution:
+    """min_w D_{alpha,z}(rho || sum_j w_j |b_j><b_j|) over the basis states b_j of a finite free set.
 
-    Solved on the compression of rho to those indices, which leaves the
-    divergence unchanged when rho is supported on their span. Warm-started at
-    the compression's diagonal; steps start at theta = min(1, 1/alpha), since
-    the undamped map overshoots at large alpha. ``sigma`` is set, ``certificate`` left unset.
+    The states are :func:`certificates._free_indices`'s (it checks an MC rho ahead of the DPI check).
+    Solved on the compression of rho to them, which leaves the divergence unchanged when rho is supported
+    on their span. Warm-started at the compression's diagonal; steps start at theta = min(1, 1/alpha), since
+    the undamped map overshoots at large alpha. ``sigma`` = diag(w) and its certificate are attached.
     """
+    indices = _free_indices(rho, free_set)
     _require_dpi(p)
     block = rho.entries[np.ix_(indices, indices)]
     warm = np.maximum(np.real(np.diag(block)), 0.0)
@@ -264,7 +265,7 @@ def _solve_on(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None, indices
     w = np.zeros(rho.dim)
     w[indices] = run.weights
     sigma = density(np.diag(w), rho.dims)
-    return run._replace(sigma=sigma)
+    return run._replace(sigma=sigma, certificate=certify_optimizer(rho, sigma, p, free_set))
 
 
 def minimize_incoherent(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None) -> SimplexSolution:
@@ -274,8 +275,7 @@ def minimize_incoherent(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | Non
     diagonal of rho; an incoherent-free-set certificate for the returned sigma
     is attached. For another basis U, pass U† rho U and conjugate sigma back.
     """
-    sol = _solve_on(rho, p, opts, np.arange(rho.dim))
-    return sol._replace(certificate=certify_optimizer(rho, sol.sigma, p, free_set="incoherent"))
+    return _solve_on(rho, p, opts, "incoherent")
 
 
 def minimize_mc(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None) -> SimplexSolution:
@@ -283,9 +283,7 @@ def minimize_mc(rho: DensityMatrix, p: AlphaZ, opts: SolverOptions | None = None
 
     The same solve as :func:`minimize_incoherent`, on the states |ii> alone:
     rho lives on their span, so its compression there (the d x d coefficient
-    matrix) carries the divergence. The certificate of
-    :func:`marginal_condition_mc` is attached.
+    matrix) carries the divergence. The "mc-diagonal" certificate of
+    :func:`certificates.certify_optimizer` is attached.
     """
-    _require_mc(rho)
-    sol = _solve_on(rho, p, opts, _ii_indices(rho.dims[0]))
-    return sol._replace(certificate=marginal_condition_mc(rho, sol.sigma, p))
+    return _solve_on(rho, p, opts, "mc-diagonal")

@@ -85,8 +85,8 @@ from renyi_ent.certificates import (
     ASCENT_MAX_SWEEPS,
     OverlapResult,
     _chi_factor,
+    _free_indices,
     _initial_vectors,
-    _require_mc,
     report_to_dict,
 )
 
@@ -312,7 +312,7 @@ def minimize_conditional_mc(rho: DensityMatrix, p: AlphaZ, opts=None) -> minimiz
     at rho's mass per B index; the solve goes through the module attribute
     ``minimizers.minimize_simplex``.
     """
-    _require_mc(rho)
+    _free_indices(rho, "mc-diagonal")  # the certificate's maximal-correlation check
     _require_dpi(p)
     d = rho.dims[0]
     warm = np.maximum(np.real(np.diag(rho.entries)).reshape(d, d).sum(axis=0), 0.0)

@@ -28,7 +28,6 @@ from renyi_ent import (
     density,
     eig_hermitian,
     in_support_set,
-    marginal_condition_mc,
     max_product_overlap,
     minimize_incoherent,
     minimize_mc,
@@ -622,7 +621,7 @@ class TestRestartHits:
     def test_zero_without_a_search(self):
         p = AlphaZ(2.0, 2.0)
         fam = MCBD((0.5, 0.3, 0.2))
-        mc = marginal_condition_mc(build(fam), ansatz_optimizer(fam, p), p)
+        mc = certify_optimizer(build(fam), ansatz_optimizer(fam, p), p, free_set="mc-diagonal")
         rho = random_density(3, 3, seed=4)
         inc = certify_optimizer(rho, density(np.diag(np.real(np.diag(rho.entries))), (3,)), p, free_set="incoherent")
         assert mc.restart_hits == 0 and inc.restart_hits == 0
@@ -718,11 +717,18 @@ class TestCertify:
         with pytest.raises(ValueError, match=r"partition \(2, 2\) but tau has partition \(4,\)"):
             certify_optimizer(rho, tau, AlphaZ(2.0, 2.0), free_set=free_set, restarts=4)
 
+    @pytest.mark.parametrize("point", [(1.0, 1.0), (2.0, 2.0)])
+    def test_incoherent_set_refuses_a_tau_that_is_not_incoherent(self, point):
+        # rho is not incoherent, so certifying it against itself would certify a state outside the set
+        rho = random_density(3, 3, 7)
+        with pytest.raises(ValueError, match="not diagonal"):
+            certify_optimizer(rho, rho, AlphaZ(*point), free_set="incoherent")
+
     def test_mc_partition_mismatch_names_both(self):
         rho = build(MCBD((0.5, 0.3, 0.2)))
         tau = density(np.diag(np.linspace(1.0, 2.0, 9)) / 13.5, (9,))
         with pytest.raises(ValueError, match=r"partition \(3, 3\) but tau has partition \(9,\)"):
-            marginal_condition_mc(rho, tau, AlphaZ(2.0, 2.0))
+            certify_optimizer(rho, tau, AlphaZ(2.0, 2.0), free_set="mc-diagonal")
 
     def test_support_violation_with_infinite_q(self):
         rho = full_rank_state(4, 27, dims=(2, 2))
@@ -828,7 +834,7 @@ class TestMarginalConditionMC:
                     assert sol.certificate.verdict == "certified-optimal", (d, seed, a, z)
                     tilted = tilt @ sol.sigma.entries
                     for tau in (sol.sigma, density(tilted / np.trace(tilted), (d, d))):
-                        report = marginal_condition_mc(rho, tau, p)
+                        report = certify_optimizer(rho, tau, p, free_set="mc-diagonal")
                         lam = mc_score_lambda(rho, tau, p)
                         assert abs(report.lambda_sq - lam) <= 1e-12 * abs(lam), (d, seed, a, z)
                         assert report.verdict == verdict(report, lam)
@@ -836,13 +842,13 @@ class TestMarginalConditionMC:
     def test_route_names_the_xi_route(self):
         rho = build(MCBD((0.5, 0.3, 0.2)))
         tau = ansatz_optimizer(MCBD((0.5, 0.3, 0.2)), AlphaZ(2.0, 2.0))
-        assert marginal_condition_mc(rho, tau, AlphaZ(2.0, 2.0)).route == "commuting"
-        assert marginal_condition_mc(rho, tau, AlphaZ(3.0, 2.0)).route == "boundary-line"
+        assert certify_optimizer(rho, tau, AlphaZ(2.0, 2.0), free_set="mc-diagonal").route == "commuting"
+        assert certify_optimizer(rho, tau, AlphaZ(3.0, 2.0), free_set="mc-diagonal").route == "boundary-line"
 
     def test_bell_state_uniform_tau(self):
         rho = pure_density(PHI_PLUS, (2, 2))
         tau = density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
-        report = marginal_condition_mc(rho, tau, AlphaZ(0.5, 0.5))
+        report = certify_optimizer(rho, tau, AlphaZ(0.5, 0.5), free_set="mc-diagonal")
         assert report.verdict == "certified-optimal"
         assert abs(report.value - 1.0) <= 1e-9
 
@@ -853,7 +859,7 @@ class TestMarginalConditionMC:
         rho = build(fam)
         p = AlphaZ(2.0, 2.0)
         tau = ansatz_optimizer(fam, p)
-        report = marginal_condition_mc(rho, tau, p)
+        report = certify_optimizer(rho, tau, p, free_set="mc-diagonal")
         assert report.verdict == "certified-optimal"
         assert abs(report.value - closed_form_value(fam, p)) <= 1e-9
         assert abs(beta_dual(p) - 2.0 / 3.0) <= 1e-12
@@ -863,32 +869,33 @@ class TestMarginalConditionMC:
 
         rho = build(PureBipartite((0.9, 0.1)))
         uniform = density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
-        report = marginal_condition_mc(rho, uniform, AlphaZ(2.0, 2.0))
+        report = certify_optimizer(rho, uniform, AlphaZ(2.0, 2.0), free_set="mc-diagonal")
         assert report.verdict == "refuted"
 
     def test_rejects_non_diagonal_tau(self):
         rho = pure_density(PHI_PLUS, (2, 2))
         with pytest.raises(ValueError):
-            marginal_condition_mc(rho, rho, AlphaZ(2.0, 2.0))
+            certify_optimizer(rho, rho, AlphaZ(2.0, 2.0), free_set="mc-diagonal")
 
+    @pytest.mark.parametrize("free_set", ["mc-diagonal", "incoherent"])
     @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-11])
-    def test_non_diagonal_tau_rejected_at_any_scale(self, scale):
+    def test_non_diagonal_tau_rejected_at_any_scale(self, scale, free_set):
         # the diagonal test is relative to max|tau|, so rescaling tau never makes it diagonal
         rho = build(MCBD((0.7, 0.3)))
         x = random_density(4, 4, seed=3, dims=(2, 2))
         with pytest.raises(ValueError, match="not diagonal"):
-            marginal_condition_mc(rho, HermitianOperator(scale * x.entries, (2, 2)), AlphaZ(2.0, 2.0))
+            certify_optimizer(rho, HermitianOperator(scale * x.entries, (2, 2)), AlphaZ(2.0, 2.0), free_set=free_set)
 
     def test_rejects_non_mc_rho(self):
         rho = random_density(4, 4, seed=25, dims=(2, 2))
         tau = density(np.diag([0.5, 0.0, 0.0, 0.5]), (2, 2))
         with pytest.raises(ValueError):
-            marginal_condition_mc(rho, tau, AlphaZ(2.0, 2.0))
+            certify_optimizer(rho, tau, AlphaZ(2.0, 2.0), free_set="mc-diagonal")
         # a (2, 3) partition has no |ii> basis
         rect = density(np.diag([0.5, 0.0, 0.0, 0.0, 0.5, 0.0]), (2, 3))
         assert not is_maximally_correlated(rect)
         with pytest.raises(ValueError, match="not maximally correlated"):
-            marginal_condition_mc(rect, rect, AlphaZ(2.0, 2.0))
+            certify_optimizer(rect, rect, AlphaZ(2.0, 2.0), free_set="mc-diagonal")
 
 
 @pytest.fixture

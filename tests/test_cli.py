@@ -150,6 +150,16 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not Hermitian" in err
 
+    def test_huge_non_hermitian_sigma_exits_2_with_one_line(self, tmp_path, capsys):
+        # m - m† overflows here: an imaginary diagonal entry at half the float range
+        rho = write_state(tmp_path / "rho.json", density(np.eye(1), (1,)))
+        sigma = tmp_path / "sigma.json"
+        sigma.write_text(json.dumps({"dims": [1], "re": [[0.0]], "im": [[8.98846567431158e307]]}))
+        code, out, err = run(capsys, ["eval", rho, str(sigma), "--alpha", "0.5", "--z", "0.5"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not Hermitian" in err
+
     @pytest.mark.parametrize("which", ["rho", "sigma"])
     def test_not_psd_error_names_the_file(self, tmp_path, capsys, which):
         paths = {
@@ -317,6 +327,18 @@ class TestCertify:
         assert abs(payload["value"] - 1.0) <= 1e-9
 
 
+    @pytest.mark.parametrize("tau", ["file", "ansatz"])
+    def test_incoherent_set_refuses_a_tau_that_is_not_incoherent(self, tmp_path, capsys, tau):
+        # rho as its own tau, or the Werner ansatz, is not diagonal, so it is not a candidate at all
+        if tau == "file":
+            rho = tau = write_state(tmp_path / "rho.json", random_density(3, 3, 7))
+        else:
+            rho = "werner:p=0.2,d=3"
+        for a in ("1", "2"):
+            code, out, err = run(capsys, ["certify", rho, tau, "--free", "incoherent", "--alpha", a, "--z", a])
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and "not diagonal" in err
+
     def test_partition_mismatch_exits_2_naming_both(self, tmp_path, capsys):
         rho = write_state(tmp_path / "rho.json", random_density(4, 4, 50, dims=(2, 2)))
         tau = write_state(tmp_path / "tau.json", random_density(4, 4, 51))
@@ -424,6 +446,18 @@ class TestTable1:
         assert code == 1
         assert out.count("FAIL ") == 7
         assert err.startswith("7 row(s) failed the 1e-6 reproduction check:")
+
+    @pytest.mark.parametrize("points", [[[3.0, 1.0]], [[3.0, 1.0], [2.0, 2.0]], [[2.0, 2.0], [3.0, 1.0]]])
+    def test_grid_point_outside_the_dpi_region_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, points):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row was certified")
+
+        monkeypatch.setattr(cli, "certify_optimizer", refuse)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(points))
+        code, out, err = run(capsys, ["table1", "--grid", str(grid), "--restarts", "4"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "(3.0, 1.0)" in err and "outside the DPI region" in err
 
     @pytest.mark.parametrize(
         "text",
@@ -548,6 +582,7 @@ class TestAdditivity:
         assert payload["defect"] < -0.4
 
     def test_repeated_marginal_is_certified_once(self, capsys, monkeypatch):
+        # the marginals are compared as states: every spelling takes the pair route and certifies the marginal once
         shapes = []
         original = cli.certify_optimizer
 
@@ -556,9 +591,29 @@ class TestAdditivity:
             return original(rho, *args, **kwargs)
 
         monkeypatch.setattr(cli, "certify_optimizer", counted)
-        code, _, _ = run(capsys, ["additivity", "werner:p=0,d=3", "--other", "werner:p=0,d=3", "--restarts", "4"])
-        assert code == 0
-        assert shapes == [(3, 3), (9, 9)]
+        payloads = []
+        for spelling in ("werner:p=0,d=3", "werner:p=0.0,d=3", "Werner:p=0,d=3", "werner:d=3,p=0"):
+            shapes.clear()
+            code, out, _ = run(capsys, ["additivity", spelling, "--other", "werner:p=0,d=3", "--alpha", "2", "--z", "2"])
+            assert code == 0 and shapes == [(3, 3), (9, 9)], spelling
+            payload = json.loads(out)
+            del payload["wall_ms"]
+            payloads.append(payload)
+        assert payloads == [payloads[0]] * 4
+        assert payloads[0]["joint"]["ansatz"] == "antisym-pair" and payloads[0]["joint"]["verdict"] == "certified-optimal"
+        assert payloads[0]["joint"]["value"] == 1.5849625007211559 and payloads[0]["defect"] < -0.4
+
+    def test_spellings_of_one_random_seed_are_one_state(self, capsys, monkeypatch):
+        solves = []
+        original = cli.minimize_mc
+
+        def counted(rho, *args, **kwargs):
+            solves.append(rho.dims)
+            return original(rho, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "minimize_mc", counted)
+        code, _, _ = run(capsys, ["additivity", "random:3", "--other", "random:03", "--restarts", "4", "--starts", "2"])
+        assert code == 0 and solves == [(2, 2)]
 
     def test_random_mc_partner(self, capsys):
         code, out, _ = run(
@@ -738,6 +793,24 @@ class TestDimensionCap:
         assert time.perf_counter() - start < 0.1
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "party cap of 11" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["additivity", "ghz:d=2,M=3", "--other", "werner:p=0,d=2"],
+            ["additivity", "random:3", "--other", "dicke:N=3,k=2|1"],
+        ],
+        ids=["ghz-werner", "random-dicke"],
+    )
+    def test_party_count_mismatch_exits_2_without_building(self, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a marginal was built or certified")
+
+        for name in ("build", "random_density", "certify_optimizer", "minimize_mc"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: party counts differ: (2, 2") and err.count("\n") == 1
 
     def test_closed_forms_need_no_cap(self, capsys):
         code, out, _ = run(capsys, ["value", "ghz:d=10,M=6"])

@@ -10,11 +10,11 @@ from renyi_ent import (
     PureBipartite,
     SolverOptions,
     build,
+    certify_optimizer,
     closed_form_value,
     d_alpha_z,
     d_umegaki,
     density,
-    marginal_condition_mc,
     minimize_incoherent,
     minimize_mc,
     pure_density,
@@ -160,7 +160,7 @@ class TestMinimizeMC:
         p = AlphaZ(2.0, 2.0)
         messages = []
         for call in (
-            lambda: marginal_condition_mc(rho, rho, p),
+            lambda: certify_optimizer(rho, rho, p, free_set="mc-diagonal"),
             lambda: minimize_mc(rho, p, opts=FAST),
             lambda: minimize_conditional_mc(rho, p, opts=FAST),
         ):

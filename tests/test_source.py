@@ -1,5 +1,6 @@
 """Guard: the package carries no dead imports, no private helper that only tests reach, and no export
-that nothing reads, and every package name the benchmark reads or the README names still resolves.
+that nothing reads, and every package name the benchmark reads, its tracer wraps or the README names
+still resolves.
 
 The scan reads ``src/renyi_ent/*.py`` and ``perfbench/*.py`` with ``ast``, and the README's code
 spans. ``__init__.py`` is the package's export list, so its imports are used by being there; an export
@@ -110,6 +111,41 @@ def test_every_package_name_the_benchmark_reads_resolves():
     assert {"renyi_ent.tensor_product", "renyi_ent.minimize_mc", "renyi_ent.cli"} <= reads  # the scan sees the workloads
     missing = sorted(path for path in reads if not _resolves(path))
     assert not missing, "the benchmark reads names the package no longer has: " + ", ".join(missing)
+
+
+# Functions the benchmark's tracer names that the package does not have: a counter of one reads 0. The
+# tracer may change only with the benchmark, so each is listed until then, and the list can only shrink.
+STALE_BENCHMARK_NAMES = {
+    "certificates.marginal_condition_mc",  # folded into certify_optimizer(..., free_set="mc-diagonal")
+    "minimizers.minimize_conditional_mc",  # a test oracle, in tests/oracles.py
+}
+
+
+def _tracer_names() -> set[str]:
+    """The ``module.function`` names of the tracer's LAMBDA, CERTIFY and SOLVE constants."""
+    names = set()
+    for node in ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8")).body:
+        targets = {t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)}
+        if targets & {"LAMBDA", "CERTIFY", "SOLVE"}:
+            value = ast.literal_eval(node.value)
+            names |= {value} if isinstance(value, str) else set(value)
+    return names
+
+
+def _is_function(name: str) -> bool:
+    """Whether ``module.function`` names a function of the package module ``renyi_ent.module``."""
+    module, attr = name.rsplit(".", 1)
+    return callable(getattr(importlib.import_module(f"renyi_ent.{module}"), attr, None))
+
+
+def test_every_function_the_tracer_wraps_resolves():
+    names = _tracer_names()
+    assert {"certificates.max_product_overlap", "certificates.certify_optimizer", "minimizers.minimize_mc"} <= names
+    missing = {name for name in names if not _is_function(name)}
+    assert missing <= STALE_BENCHMARK_NAMES, "the tracer wraps what the package no longer has: " + ", ".join(
+        sorted(missing - STALE_BENCHMARK_NAMES))
+    stale = STALE_BENCHMARK_NAMES - missing  # a name the tracer dropped, or the package has again
+    assert not stale, "no longer stale, drop from STALE_BENCHMARK_NAMES: " + ", ".join(sorted(stale))
 
 
 def _readme_names() -> dict[str, str]:
