@@ -26,6 +26,7 @@ from .linalg import (
     _joint_spectrum,
     _power,
     _power_values,
+    _stored_entries,
     _support_mask,
     eig_hermitian,
     hermitian_part,
@@ -458,7 +459,7 @@ def is_maximally_correlated(rho: DensityMatrix) -> bool:
     idx = np.ix_(_ii_indices(dims[0]), _ii_indices(dims[0]))
     proj = np.zeros_like(rho.entries)
     proj[idx] = rho.entries[idx]
-    return float(np.max(np.abs(rho.entries - proj))) <= SUPPORT_CUT * rho.max_abs()
+    return float(np.max(np.abs(rho.entries - proj))) <= SUPPORT_CUT * float(np.max(np.abs(rho.entries)))
 
 
 def _free_indices(rho: DensityMatrix, free_set: str) -> np.ndarray | None:
@@ -496,9 +497,11 @@ def certify_optimizer(
     if rho.dims != tau.dims:
         raise ValueError(f"rho has partition {rho.dims} but tau has partition {tau.dims}")
     if indices is not None:
-        off = tau.entries.copy()
-        off[indices, indices] -= off[indices, indices].real
-        if float(np.max(np.abs(off))) > SUPPORT_CUT * tau.max_abs():
+        i, i2, x = _stored_entries(tau)
+        free = np.zeros(tau.dim, dtype=bool)
+        free[indices] = True
+        off = np.where((i == i2) & free[i], x.imag, x)
+        if float(np.max(np.abs(off), initial=0.0)) > SUPPORT_CUT * float(np.max(np.abs(x), initial=0.0)):
             raise ValueError(f"tau is not diagonal on the {free_set} basis states within {SUPPORT_CUT:g} * max|entry|")
     support_ok = in_support_set(rho, tau, p)
     ev = xi(rho, tau, p)

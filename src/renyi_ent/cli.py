@@ -1,9 +1,9 @@
 """Command-line surface: divergence evaluation, optimizer certification,
 Table-1 reproduction, and additivity / counterexample experiments.
 
-All commands are deterministic given their flags (seeds are explicit), but for the timing fields
-(``wall_ms``, ``table1``'s ``(N ms)``, ``sweep``'s ``wall_ms`` column), and print machine-readable
-JSON or write CSV. Nonzero exit codes occur exactly when input is malformed or a stated tolerance fails.
+All commands are deterministic given their flags (seeds are explicit), but for the timing fields (``wall_ms``,
+``table1``'s ``(N ms)``, ``sweep``'s ``wall_ms`` column), and print machine-readable JSON, where an uncertified
+value prints as null, or write CSV. Nonzero exit codes occur exactly when input is malformed or a stated tolerance fails.
 """
 
 from __future__ import annotations
@@ -241,16 +241,14 @@ def cmd_table1(args) -> int:
 def cmd_counterexample(args) -> int:
     p = AlphaZ(args.alpha, args.z)
     d = args.d
-    pair_family = AntisymPair(d)
-    closed_pair = closed_form_value(pair_family, p)
+    closed_pair = closed_form_value(AntisymPair(d), p)
     certifiable = d**4 <= CERTIFY_DIM_CAP
     if certifiable:
-        _, _, report_single, ms_single = _certify_ansatz(Werner(0.0, d), p, args)
-        _, _, report_pair, ms_pair = _certify_ansatz(pair_family, p, args)
-        # an uncertified value stays None, which the payload prints as null
-        value_single, verdict_single = report_single.value, report_single.verdict
-        value_pair, verdict_pair = report_pair.value, report_pair.verdict
-        wall_ms = ms_single + ms_pair
+        start, werner = time.perf_counter(), Werner(0.0, d)  # the additivity pair of werner:p=0,d=D with itself
+        pair = _pair(*[(werner, family_label(werner), (d, d))] * 2, p, args)
+        value_single, verdict_single = pair["marginal_1"]["value"], pair["marginal_1"]["verdict"]
+        value_pair, verdict_pair = pair["joint"]["value"], pair["joint"]["verdict"]
+        wall_ms = int(round(1000 * (time.perf_counter() - start)))
     else:
         # beyond the supported dense dimension: report the closed forms only
         value_single, value_pair = 1.0, closed_pair
@@ -290,10 +288,10 @@ def _random_seed(descriptor: str) -> int:
     raise ValueError(f"{descriptor!r}: random:SEED (the family or --other) needs a non-negative integer SEED")
 
 
-def _marginal_shape(descriptor: str, args) -> tuple[object, tuple[int, ...]]:
-    """An additivity marginal's key (its parsed family, or the SEED of random:SEED, so that two spellings of
-    one state compare equal) and party dimensions, checked against the cap before anything is built."""
-    if descriptor.startswith("random:"):
+def _marginal(descriptor: str, args) -> tuple[StateFamily | int, str, tuple[int, ...]]:
+    """An additivity marginal's key (its parsed family, or the SEED of random:SEED, prefix in any case, so that two
+    spellings of one state compare equal), label and party dimensions, checked against the cap before any build."""
+    if descriptor[:7].lower() == "random:":
         key, label, shape = _random_seed(descriptor), descriptor, (args.other_dim, 2)
         if args.other_dim < 1:
             raise ValueError(f"--other-dim must be >= 1, got {args.other_dim}")
@@ -301,63 +299,56 @@ def _marginal_shape(descriptor: str, args) -> tuple[object, tuple[int, ...]]:
         key = parse_family(descriptor)
         label, shape = family_label(key), _party_shape(key)
     _capped_dim(label, *shape)
-    return key, (shape[0],) * shape[1]
+    return key, label, (shape[0],) * shape[1]
 
 
-def _marginal_with_ansatz(
-    descriptor: str, p: AlphaZ, args
-) -> tuple[StateFamily | None, str, DensityMatrix, DensityMatrix, float, str]:
-    """Resolve a marginal: returns (family, label, rho, tau, value, verdict); family is None for random:SEED."""
-    if descriptor.startswith("random:"):
-        coeff = random_density(args.other_dim, args.other_dim, _random_seed(descriptor)).entries
-        family = MaximallyCorrelated(tuple(tuple(x for x in row) for row in coeff))
-        rho = build(family)
-        solution = minimize_mc(rho, p, SolverOptions(starts=args.starts, seed=args.seed))
-        return (None, descriptor, rho, solution.sigma, solution.value, solution.certificate.verdict)
-    family = parse_family(descriptor)
-    rho, tau, report, _ = _certify_ansatz(family, p, args)
-    return (family, family_label(family), rho, tau, _value_or_nan(report), report.verdict)
+def _certified(key: StateFamily | int, p: AlphaZ, args) -> tuple[DensityMatrix, DensityMatrix, float | None, str]:
+    """Build and certify a marginal from its key: (rho, tau, value, verdict), the value None when uncertified.
+    A family certifies its ansatz; a SEED solves its random maximally correlated state with minimize_mc."""
+    if isinstance(key, StateFamily):
+        rho, tau, report, _ = _certify_ansatz(key, p, args)
+        return rho, tau, report.value, report.verdict
+    coeff = random_density(args.other_dim, args.other_dim, key).entries
+    rho = build(MaximallyCorrelated(tuple(tuple(x for x in row) for row in coeff)))
+    solution = minimize_mc(rho, p, SolverOptions(starts=args.starts, seed=args.seed))
+    verdict = solution.certificate.verdict
+    return rho, solution.sigma, solution.value if verdict == "certified-optimal" else None, verdict
 
 
-def cmd_additivity(args) -> int:
-    p = AlphaZ(args.alpha, args.z)
-    (key1, dims1), (key2, dims2) = _marginal_shape(args.family, args), _marginal_shape(args.other, args)
-    joint_dim = math.prod(dims1) * math.prod(dims2)
-    if joint_dim > CERTIFY_DIM_CAP:
-        raise ValueError(f"the joint state is {joint_dim}-dimensional, above the dense cap of {CERTIFY_DIM_CAP}")
+def _pair(first: tuple, second: tuple, p: AlphaZ, args) -> dict:
+    """The additivity payload of two :func:`_marginal` results: each certified (once if the keys are equal), then their
+    merged product, against the antisym-pair ansatz for two p = 0 Werner states, else the marginal optimizers' product."""
+    (key1, label1, dims1), (key2, label2, dims2) = first, second
     if len(dims1) != len(dims2):  # tensor_product_merged's message, before either marginal is built
         raise ValueError(f"party counts differ: {dims1} vs {dims2}; cannot merge parties")
-    first = _marginal_with_ansatz(args.family, p, args)
-    second = first if key1 == key2 else _marginal_with_ansatz(args.other, p, args)
-    (family1, label1, rho1, tau1, v1, verdict1), (_, label2, rho2, tau2, v2, verdict2) = first, second
-
+    _capped_dim("the joint state", dims1[0] * dims2[0], len(dims1))
+    rho1, tau1, v1, verdict1 = _certified(key1, p, args)
+    rho2, tau2, v2, verdict2 = (rho1, tau1, v1, verdict1) if key1 == key2 else _certified(key2, p, args)
     start = time.perf_counter()
     joint = tensor_product_merged(rho1, rho2)
-    antisym_route = key1 == key2 and isinstance(family1, Werner) and family1.p == 0.0
-    if antisym_route:
-        tau_joint = ansatz_optimizer(AntisymPair(family1.d), p)
-    else:
-        tau_joint = tensor_product_merged(tau1, tau2)
+    antisym_route = key1 == key2 and isinstance(key1, Werner) and key1.p == 0.0
+    tau_joint = ansatz_optimizer(AntisymPair(key1.d), p) if antisym_route else tensor_product_merged(tau1, tau2)
     report_joint = certify_optimizer(joint, tau_joint, p, restarts=args.restarts, seed=args.seed)
-    wall_ms = int(round(1000 * (time.perf_counter() - start)))
-
-    joint_value = report_joint.value
-    defect = None if joint_value is None else joint_value - (v1 + v2)
-    payload = {
+    wall_ms = int(round(1000 * (time.perf_counter() - start)))  # the joint's build and certification
+    return {
         "alpha": p.alpha,
         "z": p.z,
         "marginal_1": {"family": label1, "value": v1, "verdict": verdict1},
         "marginal_2": {"family": label2, "value": v2, "verdict": verdict2},
         "joint": {
-            "value": joint_value,
+            "value": report_joint.value,
             "verdict": report_joint.verdict,
             "ansatz": "antisym-pair" if antisym_route else "product-of-marginals",
             "margin": report_joint.margin,
         },
-        "defect": defect,
+        "defect": None if None in (report_joint.value, v1, v2) else report_joint.value - (v1 + v2),
         "wall_ms": wall_ms,
     }
-    _print_json(payload)
+
+
+def cmd_additivity(args) -> int:
+    p = AlphaZ(args.alpha, args.z)
+    _print_json(_pair(_marginal(args.family, args), _marginal(args.other, args), p, args))
     return 0
 
 

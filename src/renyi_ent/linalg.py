@@ -236,9 +236,6 @@ class HermitianOperator:
         parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
         return float(w @ sum(np.einsum("ij,ij->j", x, x) for x in parts))
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries)))
-
     @cached_property
     def _eig(self) -> EigenDecomposition:
         """One ``eigh``, for an operator built without its spectrum."""
@@ -344,6 +341,14 @@ def _joint_spectrum(a: HermitianOperator, b: HermitianOperator) -> tuple[np.ndar
     if "_form" not in a.__dict__ or "_form" not in b.__dict__ or not _same_basis(a._eig.basis, b._eig.basis):
         return None
     return a._eig.eigenvalues, b._eig.eigenvalues, a._eig.basis
+
+
+def _stored_entries(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, i', op_ii'), broadcastable: the gram of V sqrt(w) for a column-sparse spectrum with w >= 0, else op.entries."""
+    dec = op.__dict__.get("_eig")  # only a spectrum given at construction is column-sparse: never decompose here
+    if dec is not None and isinstance(dec.basis, ColumnSparse) and np.all(dec.eigenvalues >= 0):
+        return dec.basis.columns(dec.eigenvalues > 0, np.sqrt(dec.eigenvalues)).gram
+    return np.arange(op.dim)[:, None], np.arange(op.dim)[None, :], op.entries
 
 
 def _split_weights(op: HermitianOperator, other: HermitianOperator, support: bool) -> tuple[np.ndarray, np.ndarray]:

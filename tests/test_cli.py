@@ -411,6 +411,13 @@ class TestCertify:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "needs rho given as a family descriptor" in err
 
+    def test_incoherent_membership_check_forms_no_dense_tau(self, capsys, dense_shapes):
+        # the diagonal check reads a catalog tau's entries from its column-sparse spectrum
+        descriptor = "mcbd:p=" + "|".join(["0.025"] * 40)  # 1,600 dimensions
+        code, out, _ = run(capsys, ["certify", descriptor, "ansatz", "--free", "incoherent", "--alpha", "2", "--z", "2"])
+        assert code == 0 and json.loads(out)["verdict"] == "certified-optimal"
+        assert all(1600 not in shape for shape in dense_shapes)
+
 
 class TestTable1:
     def test_reduced_grid_run(self, tmp_path, capsys):
@@ -513,6 +520,31 @@ class TestCounterexample:
         assert code == 0 and json.loads(out)["verdict"] == "certified-optimal"
         assert all(1600 not in shape for shape in dense_shapes)
 
+    @pytest.mark.parametrize("alpha_z", ["2", "1"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_is_the_additivity_pair_of_two_antisymmetric_werner_states(self, capsys, d, alpha_z):
+        p = ["--alpha", alpha_z, "--z", alpha_z]
+        code, out, _ = run(capsys, ["counterexample", "--d", str(d), *p])
+        assert code == 0
+        counterexample = json.loads(out)
+        code, out, _ = run(capsys, ["additivity", f"werner:p=0,d={d}", "--other", f"werner:p=0,d={d}", *p])
+        assert code == 0
+        additivity = json.loads(out)
+        assert counterexample["single"] == additivity["marginal_1"]["value"]
+        assert counterexample["pair"] == additivity["joint"]["value"]
+
+    def test_certifies_the_marginal_once_and_the_pair_once(self, capsys, monkeypatch):
+        shapes = []
+        original = cli.certify_optimizer
+
+        def counted(rho, *args, **kwargs):
+            shapes.append(rho.dims)
+            return original(rho, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "certify_optimizer", counted)
+        code, _, _ = run(capsys, ["counterexample", "--d", "3", "--restarts", "4"])
+        assert code == 0 and shapes == [(3, 3), (9, 9)]
+
     def test_d2_additivity(self, capsys):
         code, out, _ = run(capsys, ["counterexample", "--d", "2", "--restarts", "16"])
         assert code == 0
@@ -602,6 +634,37 @@ class TestAdditivity:
         assert payloads == [payloads[0]] * 4
         assert payloads[0]["joint"]["ansatz"] == "antisym-pair" and payloads[0]["joint"]["verdict"] == "certified-optimal"
         assert payloads[0]["joint"]["value"] == 1.5849625007211559 and payloads[0]["defect"] < -0.4
+
+    @pytest.mark.parametrize("other", ["bell:lam=0.7|0.1|0.1|0.1", "random:3"])
+    def test_uncertified_values_print_null(self, capsys, monkeypatch, other):
+        certify, solve = cli.certify_optimizer, cli.minimize_mc
+
+        def inconclusive(*args, **kwargs):
+            return dataclasses.replace(certify(*args, **kwargs), verdict="inconclusive", value=None)
+
+        def inconclusive_solve(*args, **kwargs):
+            solution = solve(*args, **kwargs)
+            return solution._replace(certificate=dataclasses.replace(solution.certificate, verdict="inconclusive", value=None))
+
+        monkeypatch.setattr(cli, "certify_optimizer", inconclusive)
+        monkeypatch.setattr(cli, "minimize_mc", inconclusive_solve)
+        code, out, _ = run(capsys, ["additivity", "pure:p=0.8|0.2", "--other", other, "--restarts", "4", "--starts", "2"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["marginal_2"]["verdict"] == "inconclusive"
+        assert payload["marginal_1"]["value"] is None and payload["marginal_2"]["value"] is None
+        assert payload["joint"]["value"] is None and payload["defect"] is None
+
+    def test_random_prefix_is_case_insensitive(self, capsys):
+        payloads = []
+        for spelling in ("random:3", "Random:3", "RANDOM:3"):
+            code, out, _ = run(capsys, ["additivity", "pure:p=0.8|0.2", "--other", spelling, "--restarts", "4", "--starts", "2"])
+            assert code == 0, spelling
+            payload = json.loads(out)
+            assert payload["marginal_2"].pop("family") == spelling
+            del payload["wall_ms"]
+            payloads.append(payload)
+        assert payloads == [payloads[0]] * 3
 
     def test_spellings_of_one_random_seed_are_one_state(self, capsys, monkeypatch):
         solves = []

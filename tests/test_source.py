@@ -1,6 +1,6 @@
 """Guard: the package carries no dead imports, no private helper that only tests reach, and no export
 that nothing reads, and every package name the benchmark reads, its tracer wraps or the README names
-still resolves.
+still resolves; ``cli`` compares its dimension cap only where it refuses or skips.
 
 The scan reads ``src/renyi_ent/*.py`` and ``perfbench/*.py`` with ``ast``, and the README's code
 spans. ``__init__.py`` is the package's export list, so its imports are used by being there; an export
@@ -174,3 +174,15 @@ def test_every_package_name_the_readme_names_resolves():
     assert {"linalg.ColumnSparse", "XiEvaluation.local_matrices", "cli.COUNT_CAP"} <= set(names)  # the scan sees them
     missing = sorted(name for name, path in names.items() if not _resolves(path))
     assert not missing, "the README names what the package no longer has: " + ", ".join(missing)
+
+
+def test_the_cli_compares_the_dimension_cap_in_one_place_per_decision():
+    # the refusal lives in _capped_dim; counterexample's own comparison only picks its closed-form skip
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    places = [
+        (getattr(top, "name", "<module>"), node.lineno)
+        for top in tree.body
+        for node in ast.walk(top) if isinstance(node, ast.Compare) and "CERTIFY_DIM_CAP" in _names(node)
+    ]
+    assert places and {name for name, _ in places} <= {"_capped_dim", "cmd_counterexample"}, places
+    assert sum(name == "cmd_counterexample" for name, _ in places) == 1, places
