@@ -82,6 +82,7 @@ class XiEvaluation:
 
     A product route gives an n x r ``factor`` F (Xi = F F†, never formed): column-sparse on a shared
     column-sparse basis, else dense. Otherwise ``dense`` is Xi as a read-only n x n Hermitian array.
+    Party by party, a column-sparse factor is contracted by its entries where that is cheaper (:attr:`_plans`).
     """
 
     route: str  # "boundary-line" | "commuting" | "divided-difference"
@@ -89,7 +90,6 @@ class XiEvaluation:
     factor: np.ndarray | ColumnSparse | None = None
     log2q: float | None = None  # log2 Q from chi's core: divided-difference off the Umegaki line, general z = 1 - alpha
     dense: np.ndarray | None = None
-    _plans: dict = field(default_factory=dict, init=False, repr=False)  # party k -> its sparse plan, on first use
 
     def diagonal(self, indices: np.ndarray) -> np.ndarray:
         """<i| Xi |i> at the basis ``indices``: for a factor, the squared norms of its rows."""
@@ -97,7 +97,7 @@ class XiEvaluation:
         if f is None:
             return self.dense[indices, indices].real
         if isinstance(f, ColumnSparse):
-            return f.row_norms()[indices]
+            return np.bincount(f.rows, (f.vals * f.vals.conj()).real, f.shape[0])[indices]
         return (f[indices] * f[indices].conj()).real.sum(1)
 
     @cached_property
@@ -109,23 +109,21 @@ class XiEvaluation:
         return [np.moveaxis(f.reshape(dims + (r,)), k, -2).reshape(n // d, d * r) for k, d in enumerate(dims)]
 
     @cached_property
-    def _sparse(self) -> tuple[bool, ...]:
-        """Per party k, whether the factor is contracted by Xi's entries: column-sparse, and its entries on
-        or below party k's diagonal, weighted by _ENTRY_FLOPS, cost less than the dense-factor
-        contraction's r (n + d_k^2) multiply-adds (both per restart)."""
-        f = self.factor
+    def _plans(self) -> list[tuple | None]:
+        """Per party k, :func:`_entry_plan` of a column-sparse factor within the dense-factor contraction's
+        r (n + d_k^2) multiply-adds per restart; None, the dense-factor path, for a dense factor or past that."""
+        f, dims = self.factor, self.dims
         if not isinstance(f, ColumnSparse):
-            return (False,) * len(self.dims)
-        n, r = f.shape
-        return tuple(_ENTRY_FLOPS * np.count_nonzero(f.gram_lower(self.dims, k)) < r * (n + d * d)
-                     for k, d in enumerate(self.dims))
+            return [None] * len(dims)
+        return [_entry_plan(f.gram, dims, k, f.shape[1] * (f.shape[0] + d * d)) for k, d in enumerate(dims)]
 
     def local_matrices(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
         """Party k's local matrices <others| Xi |others>, one (d_k, d_k) block per row of ``vecs``:
-        by :meth:`_sparse_local` where ``_sparse`` says so, else by :meth:`_factor_local` for a factor."""
+        by :meth:`_sparse_local` on party k's plan where it has one, else by :meth:`_factor_local` for a factor."""
         if self.factor is None:
             return _local_matrices(self.dense, self.dims, k, vecs)
-        return (self._sparse_local if self._sparse[k] else self._factor_local)(k, vecs)
+        plan = self._plans[k]
+        return self._factor_local(k, vecs) if plan is None else self._sparse_local(k, vecs, plan)
 
     def _factor_local(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
         """G G† with G = <others| F: one matrix product of each chunk of restarts' bras (G within
@@ -136,21 +134,17 @@ class XiEvaluation:
         gs = ((b @ self._layouts[k]).reshape(len(b), d, r) for b in np.split(bras, range(step, rows, step)))
         return np.concatenate([g @ g.conj().swapaxes(1, 2) for g in gs])
 
-    def _sparse_local(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
+    def _sparse_local(self, k: int, vecs: list[np.ndarray], plan: tuple) -> np.ndarray:
         """sum over Xi's entries (i, i') of <others|i> Xi_ii' <i'|others>, by index arithmetic on those entries.
 
-        Only the entries on or below party k's diagonal are read (:meth:`linalg.ColumnSparse.gram_plan`):
-        for each chunk of restarts whose products fit _CHUNK_BYTES, a gather of the bras at both indices,
-        a product with the entry, and a sum by target, level by level. The upper triangle is then the
-        conjugate of the lower one, written through a mirror index, and the diagonal its real part, so
+        Only the entries on or below party k's diagonal are read, as :func:`_entry_plan` lays them out in
+        ``plan``: for each chunk of restarts whose products fit _CHUNK_BYTES, a gather of the bras at both
+        indices, a product with the entry, and a sum by target, level by level. The upper triangle is then
+        the conjugate of the lower one, written through a mirror index, and the diagonal its real part, so
         every local matrix is exactly Hermitian.
         """
         rows, d = vecs[0].shape[0], self.dims[k]
-        if k not in self._plans:
-            oi, oj, x, widths, targets = self.factor.gram_plan(self.dims, k)
-            a, b = np.tril_indices(d, -1)  # a > b
-            self._plans[k] = oi, oj, x.astype(complex)[:, None], widths.tolist(), targets, a * d + b, b * d + a
-        oi, oj, x, widths, targets, below, above = self._plans[k]
+        oi, oj, x, widths, targets, below, above = plan
         bras = _kron_rows([v.conj() for j, v in enumerate(vecs) if j != k], rows)
         out = np.zeros((d * d, rows), dtype=complex)  # restarts last: the gathers copy whole rows
         step = max(1, _CHUNK_BYTES // (16 * max(x.size, 1)))
@@ -167,6 +161,37 @@ class XiEvaluation:
         out[above] = out[below].conj()
         out.imag[:: d + 1] = 0.0
         return out.T.reshape(rows, d, d)
+
+
+def _entry_plan(gram: tuple[np.ndarray, ...], dims: tuple[int, ...], k: int, budget: float) -> tuple | None:
+    """Party k's plan for the sum of <others|i> Xi_ii' <i'|others> over Xi's stored entries ``gram``
+    (:attr:`linalg.ColumnSparse.gram`), or None where _ENTRY_FLOPS times the count of them on or below
+    party k's diagonal (a_i >= a_i') reaches ``budget``.
+
+    By strides, s = prod(dims[k+1:]): a_i = i // s % d_k, and i's others' flat index (every party's but
+    k's) is i // (s d_k) * s + i % s. Those entries, grouped by target a_i d_k + a_i' (each group in (i, i')
+    order, the largest first), are laid out level by level: the first entry of every group, then the second
+    of each group that has one, and so on. A level's sum is one vector add, where a segment sum makes one per
+    entry. Returns per entry both others' indices and the complex value as a column; the level widths; the
+    targets; and the flat places of a (d_k, d_k) block's strict lower triangle and of their mirrors.
+    """
+    i, i2, x = gram
+    d, s = dims[k], math.prod(dims[k + 1 :])
+    ai, aj = i // s % d, i2 // s % d
+    low = ai >= aj
+    if _ENTRY_FLOPS * np.count_nonzero(low) >= budget:
+        return None
+    oi, oj = ((j // (s * d) * s + j % s)[low] for j in (i, i2))
+    targets, group, sizes = np.unique((ai * d + aj)[low], return_inverse=True, return_counts=True)
+    by_size = np.argsort(-sizes, kind="stable")
+    rank = np.argsort(by_size)  # each group's place, largest first
+    order = np.argsort(group, kind="stable")
+    level = np.empty_like(order)
+    level[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    entry = np.argsort(level * sizes.size + rank[group])
+    a, b = np.tril_indices(d, -1)  # a > b
+    return (oi[entry], oj[entry], x[low][entry].astype(complex)[:, None], np.bincount(level).tolist(),
+            targets[by_size], a * d + b, b * d + a)
 
 
 def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:

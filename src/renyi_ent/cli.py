@@ -203,6 +203,8 @@ def _grid_from_arg(grid_arg: str) -> list[AlphaZ]:
         for pt in points
     ):
         raise ValueError("grid file must hold a JSON list of [alpha, z] number pairs")
+    if not points:  # else table1 checks nothing and exits 0
+        raise ValueError(f"grid file {grid_arg} holds no [alpha, z] pair")
     return [AlphaZ(float(a), float(z)) for a, z in points]
 
 

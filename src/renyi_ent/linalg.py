@@ -1,7 +1,9 @@
-"""Dense complex Hermitian linear algebra with tensor-partition bookkeeping.
+"""Complex Hermitian linear algebra with tensor-partition bookkeeping.
 
-Everything here works on explicit matrices (dimensions up to a few hundred).
-An operator's support is the span of its eigenvectors with eigenvalue above
+A general route reads explicit n x n matrices; an operator built from its
+spectrum forms its entries only when they are read, so a catalog pair of a
+few thousand dimensions is handled without them. An operator's support is
+the span of its eigenvectors with eigenvalue above
 ``SUPPORT_CUT * lambda_max``; this one cut is used everywhere. Negative and
 fractional matrix powers are taken in the generalized-inverse sense: the
 eigenvalues below the cut map to zero regardless of the exponent, so
@@ -50,7 +52,8 @@ class ColumnSparse:
 
     The arrays become the instance's, read-only, uncopied. A catalog basis is a DFT block per small
     index group, so its tensor products, row permutations and column selections run on the nonzeros
-    alone; :meth:`toarray` forms the dense array, and only it.
+    alone; :meth:`toarray` forms the dense array, and only it. It knows no tensor partition: storage,
+    column selection and the stored entries of A A† (:attr:`gram`) are all it does.
     """
 
     rows: np.ndarray
@@ -76,12 +79,6 @@ class ColumnSparse:
         return ColumnSparse(self.rows[sel], (np.cumsum(keep) - 1)[cols], self.vals[sel] * scale[cols],
                             (self.shape[0], int(np.count_nonzero(keep))))
 
-    def row_norms(self) -> np.ndarray:
-        """The squared norm of each row."""
-        out = np.zeros(self.shape[0])
-        np.add.at(out, self.rows, (self.vals * self.vals.conj()).real)
-        return out
-
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stored entries of A A†: rows i, columns i' and values sum_j A_ij conj(A_i'j), one for each
@@ -101,36 +98,6 @@ class ColumnSparse:
         for a in out:
             a.flags.writeable = False  # cached and shared, as the arrays it is formed from
         return out
-
-    def gram_lower(self, dims: tuple[int, ...], k: int) -> np.ndarray:
-        """Where the entries of :attr:`gram` lie on or below party k's diagonal, a_i >= a_i' (a a row's
-        party-k index, rows indexed by the parties ``dims``)."""
-        i, i2, _ = self.gram
-        return np.unravel_index(i, dims)[k] >= np.unravel_index(i2, dims)[k]
-
-    def gram_plan(self, dims: tuple[int, ...], k: int) -> tuple[np.ndarray, ...]:
-        """Index arithmetic for party k's blocks of A A†, sum_(i, i') <others|i> (A A†)_ii' <i'|others>.
-
-        Covers the entries of :attr:`gram` on or below party k's diagonal (as :meth:`gram_lower`), grouped
-        by their target a_i d_k + a_i', each group in (i, i') order, the groups largest first. Returns,
-        per entry, the others' flat index of i and of i' (every party's index but k's) and the value, in
-        level order: the first entry of every group, then the second of each group that has one, and so
-        on, so that the groups with an entry at a level lead it; the width of each level; and the targets.
-        A sum level by level is one vector add per level, where a segment sum makes one per entry.
-        """
-        i, i2, x = self.gram
-        di, dj = np.unravel_index(i, dims), np.unravel_index(i2, dims)
-        low = di[k] >= dj[k]
-        oi, oj = (np.ravel_multi_index(d[:k] + d[k + 1 :], dims[:k] + dims[k + 1 :])[low] for d in (di, dj))
-        targets, group, sizes = np.unique((di[k] * dims[k] + dj[k])[low], return_inverse=True, return_counts=True)
-        by_size = np.argsort(-sizes, kind="stable")
-        rank = np.argsort(by_size)  # each group's place, largest first
-        order = np.argsort(group, kind="stable")
-        level = np.empty_like(order)
-        level[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        entry = np.argsort(level * sizes.size + rank[group])
-        return oi[entry], oj[entry], x[low][entry], np.bincount(level), targets[by_size]
-
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,9 @@ operator (F F† formed densely), ``dense_dft_basis`` and ``reference_basis``
 are the dense construction of the catalog bases (DFT blocks, ``np.kron`` and
 the row permute of ``_permute_rows``) that the column-sparse storage must
 reproduce bit for bit, ``witness_overlap`` recomputes a report's Lambda^2 at
-its witness as ||F† w||^2 on a dense F, and ``chi``,
+its witness as ||F† w||^2 on a dense F, ``entry_plan_reference`` lays out
+party k's entry plan by ``np.unravel_index`` and ``np.ravel_multi_index``
+(the reference for the stride arithmetic of ``certificates._entry_plan``), and ``chi``,
 ``q_alpha_z``, ``partial_trace`` and the closed-form Lambda^2 table
 ``lambda_sq_closed_form`` are the quantities the tests compare against.
 """
@@ -667,6 +669,27 @@ def reference_basis(family) -> np.ndarray:
         return _permute_rows(np.kron(v, v), (d, d, d, d), (0, 2, 1, 3))
     d, parties = _party_shape(family)
     return dense_dft_basis(d**parties, [list(g) for block in _basis_groups(family) for g in block])
+
+
+def entry_plan_reference(gram, dims: tuple[int, ...], k: int) -> tuple:
+    """Party k's entry plan with no budget, each row's party indices read by ``np.unravel_index`` and the
+    others' flat index by ``np.ravel_multi_index``: the entries (i, i') with a_i >= a_i', grouped by target
+    a_i d_k + a_i' in (i, i') order, the groups largest first, laid out level by level; the level widths,
+    the targets, and a (d_k, d_k) block's strict lower triangle and its mirror as flat places."""
+    i, i2, x = gram
+    di, dj = np.unravel_index(i, dims), np.unravel_index(i2, dims)
+    low = di[k] >= dj[k]
+    oi, oj = (np.ravel_multi_index(d[:k] + d[k + 1 :], dims[:k] + dims[k + 1 :])[low] for d in (di, dj))
+    targets, group, sizes = np.unique((di[k] * dims[k] + dj[k])[low], return_inverse=True, return_counts=True)
+    by_size = np.argsort(-sizes, kind="stable")
+    rank = np.argsort(by_size)
+    order = np.argsort(group, kind="stable")
+    level = np.empty_like(order)
+    level[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    entry = np.argsort(level * sizes.size + rank[group])
+    d = dims[k]
+    a, b = np.tril_indices(d, -1)
+    return oi[entry], oj[entry], x[low][entry].astype(complex)[:, None], np.bincount(level).tolist(), targets[by_size], a * d + b, b * d + a
 
 
 def witness_overlap(rho, tau, p: AlphaZ, witness) -> float:

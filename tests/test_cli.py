@@ -466,6 +466,17 @@ class TestTable1:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "(3.0, 1.0)" in err and "outside the DPI region" in err
 
+    def test_empty_grid_exits_2_naming_the_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row was certified")
+
+        monkeypatch.setattr(cli, "certify_optimizer", refuse)
+        grid, out_csv = tmp_path / "grid.json", tmp_path / "t.csv"
+        grid.write_text("[]")
+        code, out, err = run(capsys, ["table1", "--grid", str(grid), "--out", str(out_csv)])
+        assert code == 2 and out == "" and not out_csv.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(grid) in err
+
     @pytest.mark.parametrize(
         "text",
         ["[1, 2]", "[[1]]", '[["a", 1]]', "[[true, 1]]", '{"alpha": 1}', pytest.param("[[1" + "0" * 400 + ", 1]]", id="1e400")],

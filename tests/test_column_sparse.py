@@ -33,9 +33,9 @@ from renyi_ent import (
     xi,
 )
 from renyi_ent.cli import DEFAULT_GRID, DEFAULT_TABLE1_FAMILIES
-from renyi_ent.certificates import _ENTRY_FLOPS
+from renyi_ent.certificates import _ENTRY_FLOPS, XiEvaluation, _entry_plan
 from renyi_ent.linalg import ColumnSparse, _joint_spectrum, hermitian_part
-from oracles import _permute_rows, factor_matrix, reference_basis, witness_overlap
+from oracles import _permute_rows, entry_plan_reference, factor_matrix, reference_basis, witness_overlap
 
 CATALOG = [
     BellDiagonal((0.7, 0.15, 0.1, 0.05)),
@@ -149,7 +149,7 @@ class TestStoredBases:
         with pytest.raises(ValueError, match="ascending"):
             ColumnSparse(rows, np.array([1, 0]), vals, (2, 2))
         b = ColumnSparse(rows, np.array([0, 0]), vals, (2, 2))
-        assert np.array_equal(b.row_norms(), [1.0, 1.0])
+        assert np.array_equal(XiEvaluation("commuting", (2,), b).diagonal(np.arange(2)), [1.0, 1.0])  # the row sums
         i, i2, x = b.gram  # both rows share column 0: all four entries of A A†, each 1
         assert np.array_equal(i, [0, 0, 1, 1]) and np.array_equal(i2, [0, 1, 0, 1]) and np.array_equal(x, [1.0] * 4)
 
@@ -209,6 +209,11 @@ def lower_entry_counts(ev) -> list[int]:
     return [int(np.count_nonzero(stored & (a[:, None] >= a[None, :]))) for a in np.unravel_index(np.arange(f.shape[0]), ev.dims)]
 
 
+def forced_plan(ev, k: int) -> tuple:
+    """Party k's entry plan with no budget: the sparse path, whatever the cost rule picks."""
+    return _entry_plan(ev.factor.gram, ev.dims, k, math.inf)
+
+
 def random_restarts(dims, rows=16, seed=5):
     rng = np.random.default_rng(seed)
     vecs = [rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d)) for d in dims]
@@ -223,7 +228,7 @@ class TestSparseContraction:
         ev = xi(build(family), ansatz_optimizer(family, p), p)
         vecs = random_restarts(ev.dims)
         for k in range(len(ev.dims)):
-            sparse, dense = ev._sparse_local(k, vecs), ev._factor_local(k, vecs)
+            sparse, dense = ev._sparse_local(k, vecs, forced_plan(ev, k)), ev._factor_local(k, vecs)
             scale = np.max(np.abs(dense), axis=(1, 2))
             assert np.all(np.max(np.abs(sparse - dense), axis=(1, 2)) <= 1e-13 * scale)
         f = factor_matrix(ev)
@@ -244,22 +249,23 @@ class TestSparseContraction:
         f, calls = ev.factor, []
         for name in ("_sparse_local", "_factor_local"):
             original = getattr(type(ev), name)
-            monkeypatch.setattr(type(ev), name, lambda self, k, v, _n=name, _o=original: calls.append(_n) or _o(self, k, v))
+            monkeypatch.setattr(type(ev), name, lambda self, *a, _n=name, _o=original: calls.append(_n) or _o(self, *a))
         ev.local_matrices(0, random_restarts(ev.dims, rows=2))
-        rule = tuple(_ENTRY_FLOPS * e < f.shape[1] * (f.shape[0] + d * d) for e, d in zip(lower_entry_counts(ev), ev.dims))
-        assert ev._sparse == (sparse,) * len(ev.dims) == rule
+        rule = [_ENTRY_FLOPS * e < f.shape[1] * (f.shape[0] + d * d) for e, d in zip(lower_entry_counts(ev), ev.dims)]
+        assert [p is not None for p in ev._plans] == [sparse] * len(ev.dims) == rule
         assert calls == ["_sparse_local" if sparse else "_factor_local"]
 
     def test_a_large_group_dicke_forms_no_pair_plan(self):
         p = AlphaZ(2.0, 2.0)
         ev = xi(build(LARGE_GROUP_DICKE), ansatz_optimizer(LARGE_GROUP_DICKE, p), p)
         max_product_overlap(ev, restarts=8)
-        assert ev._plans == {} and "_layouts" in vars(ev)
+        assert ev._plans == [None] * 8 and "_layouts" in vars(ev)
 
 
 class TestEntryContraction:
     """The sparse contraction reads Xi's entries on or below party k's diagonal and mirrors the rest;
-    every party of every catalog family, with the sparse path forced (``_sparse_local`` called directly)."""
+    every party of every catalog family, with the sparse path forced (``_sparse_local`` called directly on
+    a plan made with no budget)."""
 
     @staticmethod
     def evaluation(family):
@@ -271,7 +277,7 @@ class TestEntryContraction:
         ev = self.evaluation(family)
         vecs = random_restarts(ev.dims)
         for k, d in enumerate(ev.dims):
-            m = ev._sparse_local(k, vecs)
+            m = ev._sparse_local(k, vecs, forced_plan(ev, k))
             a, b = np.tril_indices(d, -1)
             assert np.ascontiguousarray(m[:, b, a]).tobytes() == np.ascontiguousarray(m[:, a, b].conj()).tobytes()
             assert np.all(np.einsum("kii->ki", m).imag == 0.0)
@@ -279,17 +285,61 @@ class TestEntryContraction:
     @pytest.mark.parametrize("family", CATALOG + [LARGE_GROUP_DICKE], ids=repr)
     def test_entry_count_is_the_dense_lower_triangle(self, family):
         ev = self.evaluation(family)
-        vecs = random_restarts(ev.dims, rows=2)
         for k, lower in enumerate(lower_entry_counts(ev)):
-            ev._sparse_local(k, vecs)
-            assert np.count_nonzero(ev.factor.gram_lower(ev.dims, k)) == ev._plans[k][2].size == lower
+            plan = forced_plan(ev, k)
+            assert plan[0].size == plan[1].size == plan[2].size == sum(plan[3]) == lower
 
     def test_antisym_pair_5_reads_1000_entries_per_party(self):
         ev = self.evaluation(AntisymPair(5))
         for k in range(2):
             ev.local_matrices(k, random_restarts(ev.dims, rows=2))
-        assert ev._sparse == (True, True)
-        assert [ev._plans[k][2].size for k in range(2)] == [1000, 1000]  # 1,600 pair products before
+        assert [p is not None for p in ev._plans] == [True, True]
+        assert [p[2].size for p in ev._plans] == [1000, 1000]  # 1,600 pair products before
+
+
+PRODUCTS = [(Werner(0.2, 3), Isotropic(0.8, 4)), (Werner(0.0, 3), GHZ(2, 3)),
+            (MCBD((0.5, 0.3, 0.2)), Werner(0.2, 5)), (Dicke(3, (2, 1)), GHZ(3, 3))]  # unequal party dims
+
+
+class TestEntryPlan:
+    """The entry plan reads party indices by strides; the reference reads them by ``np.unravel_index`` and
+    ``np.ravel_multi_index``. Bit for bit the same plan, for every party, equal party dims or not."""
+
+    @staticmethod
+    def assert_reference_plan(ev):
+        assert isinstance(ev.factor, ColumnSparse)
+        for k in range(len(ev.dims)):
+            plan, ref = forced_plan(ev, k), entry_plan_reference(ev.factor.gram, ev.dims, k)
+            assert len(plan) == len(ref) == 7
+            for got, want in zip(plan, ref):
+                if isinstance(want, list):
+                    assert type(got) is list and got == want
+                else:
+                    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", CATALOG + [LARGE_GROUP_DICKE], ids=repr)
+    def test_catalog_plans_are_the_unravel_plans(self, family):
+        self.assert_reference_plan(TestEntryContraction.evaluation(family))
+
+    @pytest.mark.parametrize("pair", PRODUCTS, ids=repr)
+    def test_product_plans_are_the_unravel_plans(self, pair):
+        p = AlphaZ(2.0, 2.0)
+        ev = xi(tensor_product(*(build(f) for f in pair)), tensor_product(*(ansatz_optimizer(f, p) for f in pair)), p)
+        assert ev.dims == tuple(d for f in pair for d in build(f).dims)
+        self.assert_reference_plan(ev)
+
+    @pytest.mark.parametrize("family", [LARGE_GROUP_DICKE, AntisymPair(5)], ids=repr)
+    def test_local_matrices_need_no_unravel(self, monkeypatch, family):
+        ev = TestEntryContraction.evaluation(family)
+        vecs = random_restarts(ev.dims, rows=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a party index was unravelled")
+
+        for name in ("unravel_index", "ravel_multi_index"):
+            monkeypatch.setattr(np, name, refuse)
+        for k in range(len(ev.dims)):
+            assert ev.local_matrices(k, vecs).shape == (2, ev.dims[k], ev.dims[k])
 
 
 TABLE1_POINTS = [AlphaZ(a, z) for a, z in DEFAULT_GRID if AlphaZ(a, z).in_dpi_region]

@@ -186,3 +186,13 @@ def test_the_cli_compares_the_dimension_cap_in_one_place_per_decision():
     ]
     assert places and {name for name, _ in places} <= {"_capped_dim", "cmd_counterexample"}, places
     assert sum(name == "cmd_counterexample" for name, _ in places) == 1, places
+
+
+def test_column_sparse_knows_no_partition():
+    # the tensor partition is read where the contraction is planned, in certificates, never by the storage
+    tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ColumnSparse"]
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    assert {"toarray", "columns", "gram"} <= {m.name for m in methods}  # the scan sees them
+    takes = [m.name for m in methods for a in ast.walk(m.args) if isinstance(a, ast.arg) and a.arg == "dims"]
+    assert not takes, "ColumnSparse methods that take a partition: " + ", ".join(takes)
