@@ -82,7 +82,8 @@ class XiEvaluation:
 
     A product route gives an n x r ``factor`` F (Xi = F F†, never formed): column-sparse on a shared
     column-sparse basis, else dense. Otherwise ``dense`` is Xi as a read-only n x n Hermitian array.
-    Party by party, a column-sparse factor is contracted by its entries where that is cheaper (:attr:`_plans`).
+    Party by party, a column-sparse factor is contracted by its entries where that is cheaper (:attr:`_plans`);
+    every other contraction is :func:`_local_matrices` on ``dense`` or on F, a column-sparse F made dense once.
     """
 
     route: str  # "boundary-line" | "commuting" | "divided-difference"
@@ -101,14 +102,6 @@ class XiEvaluation:
         return (f[indices] * f[indices].conj()).real.sum(1)
 
     @cached_property
-    def _layouts(self) -> list[np.ndarray]:
-        """Per party k, F's rows as (others, d_k) by its r columns, reshaped to (others, d_k * r); F made dense."""
-        f, dims = self.factor, self.dims
-        f = f.toarray() if isinstance(f, ColumnSparse) else f
-        n, r = f.shape
-        return [np.moveaxis(f.reshape(dims + (r,)), k, -2).reshape(n // d, d * r) for k, d in enumerate(dims)]
-
-    @cached_property
     def _plans(self) -> list[tuple | None]:
         """Per party k, :func:`_entry_plan` of a column-sparse factor within the dense-factor contraction's
         r (n + d_k^2) multiply-adds per restart; None, the dense-factor path, for a dense factor or past that."""
@@ -117,22 +110,19 @@ class XiEvaluation:
             return [None] * len(dims)
         return [_entry_plan(f.gram, dims, k, f.shape[1] * (f.shape[0] + d * d)) for k, d in enumerate(dims)]
 
-    def local_matrices(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
-        """Party k's local matrices <others| Xi |others>, one (d_k, d_k) block per row of ``vecs``:
-        by :meth:`_sparse_local` on party k's plan where it has one, else by :meth:`_factor_local` for a factor."""
-        if self.factor is None:
-            return _local_matrices(self.dense, self.dims, k, vecs)
-        plan = self._plans[k]
-        return self._factor_local(k, vecs) if plan is None else self._sparse_local(k, vecs, plan)
+    @cached_property
+    def _operand(self) -> np.ndarray:
+        """:func:`_local_matrices`' operand: ``dense``, or the factor, a column-sparse one made dense once."""
+        f = self.factor
+        return self.dense if f is None else f.toarray() if isinstance(f, ColumnSparse) else f
 
-    def _factor_local(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
-        """G G† with G = <others| F: one matrix product of each chunk of restarts' bras (G within
-        _CHUNK_BYTES) against party k's layout of F."""
-        rows, d, r = vecs[0].shape[0], self.dims[k], self.factor.shape[1]
-        bras = _kron_rows([v.conj() for j, v in enumerate(vecs) if j != k], rows)
-        step = max(1, _CHUNK_BYTES // (16 * d * max(r, 1)))  # r = 0 when the supports are disjoint
-        gs = ((b @ self._layouts[k]).reshape(len(b), d, r) for b in np.split(bras, range(step, rows, step)))
-        return np.concatenate([g @ g.conj().swapaxes(1, 2) for g in gs])
+    def local_matrices(self, k: int, vecs: list[np.ndarray]) -> np.ndarray:
+        """Party k's local matrices <others| Xi |others>, one (d_k, d_k) block per row of ``vecs``: by
+        :meth:`_sparse_local` on party k's plan where it has one, else by :func:`_local_matrices`."""
+        plan = self._plans[k]
+        if plan is not None:
+            return self._sparse_local(k, vecs, plan)
+        return _local_matrices(self._operand, self.dims, k, vecs, factor=self.factor is not None)
 
     def _sparse_local(self, k: int, vecs: list[np.ndarray], plan: tuple) -> np.ndarray:
         """sum over Xi's entries (i, i') of <others|i> Xi_ii' <i'|others>, by index arithmetic on those entries.
@@ -284,11 +274,11 @@ class OverlapResult:
     restart_sweeps: tuple[int, ...]
 
 
-# Bound on the first contraction's output per chunk of restarts: Xi times the kets for a dense
-# Xi, G for a dense factor, the entry products for a column-sparse one (16 bytes a restart for each
-# entry of Xi on or below party k's diagonal: 64 restarts of AntisymPair(5)'s 1,000 take 1 MB). 8 MB
-# holds 33 restarts of a dense Xi at 625 dims and 11 at 1296, wide enough for an efficient matrix
-# product; smaller operators run all restarts in one chunk.
+# Bound on the first contraction's output per chunk of restarts: the bras of the earlier parties (of
+# the later ones for k = 0) against a dense Xi or F, the entry products for a column-sparse F (16 bytes
+# a restart for each entry of Xi on or below party k's diagonal: 64 restarts of AntisymPair(5)'s 1,000
+# take 1 MB). 8 MB holds 33 restarts of a dense Xi or a full-rank F at 625 dims and 11 at 1296, wide
+# enough for an efficient matrix product; smaller operators run all restarts in one chunk.
 _CHUNK_BYTES = 1 << 23
 
 # Multiply-adds of the dense-factor contraction that one entry of the sparse one costs: two gathers,
@@ -310,32 +300,33 @@ def _kron_rows(factors: list[np.ndarray], rows: int) -> np.ndarray:
     return out
 
 
-def _local_matrices(xi: np.ndarray, dims: tuple[int, ...], k: int, vecs: list[np.ndarray]) -> np.ndarray:
-    """Party k's local matrices <others| Xi |others> of a dense Xi, one (d_k, d_k) block per row of ``vecs``.
+def _local_matrices(m: np.ndarray, dims: tuple[int, ...], k: int, vecs: list[np.ndarray], factor: bool = False) -> np.ndarray:
+    """Party k's local matrices <others| Xi |others>, one (d_k, d_k) block per row of ``vecs``, of a dense
+    n x c operand ``m``: Xi itself, or with ``factor`` a factor F of Xi = F F†, as G G† with G = <others| F.
 
-    The first contraction reads Xi's own buffer through a reshape view, as one
-    matrix product against a chunk of restarts: the kets of all later parties
-    for k = 0, the bras of all earlier parties otherwise. Chunks keep its
-    output within _CHUNK_BYTES; the rest of the contraction runs on that output.
+    G = <others| m reads m's own buffer through reshape views, as matrix products against a chunk of
+    restarts: for k = 0, the bras of all later parties, one product per party-0 index; otherwise the bras
+    of all earlier parties, then those of the later ones. Chunks keep the first product's output within
+    _CHUNK_BYTES. Xi's blocks then take the kets of G's columns: the later parties', then the earlier ones'.
     """
-    rows, d, dim = vecs[0].shape[0], dims[k], xi.shape[0]
+    rows, d, c = vecs[0].shape[0], dims[k], m.shape[1]
     pre = _kron_rows(vecs[:k], rows)
     post = _kron_rows(vecs[k + 1 :], rows)
-    # the axes left between party k's bra and ket: later bras, then earlier kets
-    mid = _kron_rows([post.conj(), pre], rows)
-    first = post.shape[1] if k == 0 else pre.shape[1]
-    step = max(1, _CHUNK_BYTES // (16 * dim * dim // first))
+    p, q = pre.shape[1], post.shape[1]
+    step = max(1, _CHUNK_BYTES // (16 * d * (q if k else 1) * max(c, 1)))  # c = 0 when the supports are disjoint
     out = np.empty((rows, d, d), dtype=complex)
     for lo in range(0, rows, step):
-        c = slice(lo, lo + step)
+        s = slice(lo, lo + step)
         if k == 0:
-            t = post[c] @ xi.reshape(-1, first).T
+            g = (post[s].conj() @ m.reshape(d, q, c)).swapaxes(0, 1)
         else:
-            t = pre[c].conj() @ xi.reshape(first, -1)
-            if post.shape[1] > 1:
-                t = t.reshape(t.shape[0], -1, post.shape[1]) @ post[c, :, None]
-        t = t.reshape(t.shape[0], d, -1, d)
-        out[c] = (mid[c, None, None, :] @ t)[:, :, 0, :]
+            g = (pre[s].conj() @ m.reshape(p, d * q * c)).reshape(len(pre[s]), d, q, c)
+            g = (post[s, None, None].conj() @ g)[:, :, 0] if q > 1 else g[:, :, 0]
+        if factor:
+            out[s] = g @ g.conj().swapaxes(1, 2)
+        else:
+            t = g.reshape(-1, d, p * d, q) @ post[s, None, :, None] if q > 1 else g
+            out[s] = (pre[s, None, None] @ t.reshape(-1, d, p, d))[:, :, 0]
     return out
 
 

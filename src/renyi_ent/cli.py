@@ -45,6 +45,7 @@ from .linalg import (
     DensityMatrix,
     HermitianOperator,
     _fmt,
+    _read_json,
     eig_hermitian,
     load_density_json,
     load_operator_json,
@@ -196,8 +197,7 @@ def cmd_certify(args) -> int:
 def _grid_from_arg(grid_arg: str) -> list[AlphaZ]:
     if grid_arg == "default":
         return [AlphaZ(a, z) for a, z in DEFAULT_GRID]
-    with open(grid_arg, "r", encoding="utf-8") as fh:
-        points = json.load(fh)
+    points = _read_json(grid_arg)
     if not isinstance(points, list) or not all(
         isinstance(pt, list) and len(pt) == 2 and all(type(x) in (int, float) for x in pt)
         for pt in points

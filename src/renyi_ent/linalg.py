@@ -432,10 +432,18 @@ def save_operator_json(op: HermitianOperator, path: str) -> None:
         json.dump(payload, fh)
 
 
+def _read_json(path: str):
+    """A user JSON file's payload; nesting too deep to parse is a one-line ValueError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"JSON file {path} nests deeper than the parser reads") from None
+
+
 def _read_matrix_file(path: str) -> tuple[np.ndarray, tuple[int, ...]]:
     """The (matrix, dims) of a matrix file written by :func:`save_operator_json`, checked for shape and finiteness."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ValueError("matrix file must hold a JSON object with keys dims, re, im")
     for key in ("dims", "re", "im"):

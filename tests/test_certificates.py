@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -50,6 +51,7 @@ from renyi_ent.divergences import LINE_ATOL, is_dominated, is_orthogonal
 from renyi_ent.cli import DEFAULT_GRID, DEFAULT_TABLE1_FAMILIES
 from renyi_ent.linalg import _joint_spectrum
 from oracles import (
+    _local_matrix_subscripts,
     as_xi,
     chi,
     commutator_maxnorm,
@@ -508,6 +510,30 @@ class TestTopEigenpairs:
         assert np.array_equal(lam, [2.5, 0.0]) and np.array_equal(x, v)
 
 
+class TestLocalMatrices:
+    """``_local_matrices``, the one dense contraction, against the einsum oracle for every party: a dense Xi,
+    and a dense factor F of Xi = F F† with r < n and with r = n, equal party dims or not."""
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 3, 4), (4, 3, 2), (2, 2, 2, 2)], ids=str)
+    @pytest.mark.parametrize("operand", ["xi", "factor r < n", "factor r = n"])
+    def test_every_party_matches_einsum(self, monkeypatch, dims, operand):
+        monkeypatch.setattr(certificates, "_CHUNK_BYTES", 1 << 10)  # at most 5 restarts a chunk here
+        n, rows = math.prod(dims), 64
+        rng = np.random.default_rng(7)
+        shape = (n, n // 2 if operand == "factor r < n" else n)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = a + a.conj().T if operand == "xi" else a
+        tensor = (m if operand == "xi" else a @ a.conj().T).reshape(dims + dims)
+        vecs = [rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d)) for d in dims]
+        subs = _local_matrix_subscripts(len(dims))
+        for k in range(len(dims)):
+            got = _local_matrices(m, dims, k, vecs, factor=operand != "xi")
+            others = [[x for j, v in enumerate(vecs) if j != k for x in (v[r].conj(), v[r])] for r in range(rows)]
+            want = np.array([np.einsum(subs[k], tensor, *ops) for ops in others])
+            scale = np.max(np.abs(want), axis=(1, 2))
+            assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-13 * scale)
+
+
 TABLE1_SHARED = [f for f in DEFAULT_TABLE1_FAMILIES if not isinstance(f, PureBipartite)]
 
 
@@ -546,6 +572,23 @@ class TestFactoredXi:
         assert ev.route == "divided-difference" and ev.factor is None
         dense = max_product_overlap(as_xi(xi_matrix(ev)), restarts=8)
         assert max_product_overlap(ev, restarts=8).restart_values == dense.restart_values
+
+    def test_the_ascent_keeps_no_copy_of_a_dense_factor(self):
+        # a full-rank 625 x 625 F of 6 MiB: every party's contraction reads F's own buffer
+        rho, tau = (random_density(625, 625, seed, dims=(25, 25)) for seed in (11, 12))
+        ev = xi(rho, tau, AlphaZ(0.5, 0.5))
+        f = ev.factor
+        assert ev.route == "boundary-line" and isinstance(f, np.ndarray) and f.shape == (625, 625)
+        tracemalloc.start()
+        try:
+            max_product_overlap(ev, restarts=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = [a for v in vars(ev).values() for a in (v if isinstance(v, list) else [v])
+                if isinstance(a, np.ndarray) and not np.shares_memory(a, f)]
+        assert sum(a.nbytes for a in held) < f.nbytes
+        assert peak < f.nbytes
 
     @pytest.mark.parametrize("alpha,z", [(2.0, 2.0), (0.5, 0.5)])
     @pytest.mark.parametrize("shared", ["dense", "sparse", None], ids=["shared-basis", "shared-sparse-basis", "general"])

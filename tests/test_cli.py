@@ -35,6 +35,12 @@ def write_state(path, rho):
     return str(path)
 
 
+def write_deep_json(path):
+    """A JSON file nested 100,000 levels deep, past the parser's recursion limit."""
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
 class TestEval:
     def test_equal_files_give_zero(self, tmp_path, capsys):
         rho = random_density(3, 3, seed=1)
@@ -94,6 +100,12 @@ class TestEval:
         code, _, err = run(capsys, ["eval", str(bad), str(bad)])
         assert code == 2
         assert "error" in err
+
+    def test_deeply_nested_file_exits_2_naming_it(self, tmp_path, capsys):
+        deep = write_deep_json(tmp_path / "deep.json")
+        code, out, err = run(capsys, ["eval", deep, deep])
+        assert code == 2 and out == ""
+        assert err == f"error: {deep}: JSON file {deep} nests deeper than the parser reads\n"
 
     @pytest.mark.parametrize("text", ["5", '{"dims": 5, "re": [[1]], "im": [[0]]}'])
     def test_wrong_json_shape_exits_2_with_one_line(self, tmp_path, capsys, text):
@@ -314,6 +326,12 @@ class TestCertify:
         assert code == 0
         assert json.loads(out)["verdict"] == "refuted"
 
+    def test_deeply_nested_state_file_exits_2_naming_it(self, tmp_path, capsys):
+        deep = write_deep_json(tmp_path / "deep.json")
+        code, out, err = run(capsys, ["certify", deep, "ansatz"])
+        assert code == 2 and out == ""
+        assert err == f"error: {deep}: JSON file {deep} nests deeper than the parser reads\n"
+
     def test_incoherent_free_set(self, tmp_path, capsys):
         plus = write_state(tmp_path / "plus.json", pure_density(np.array([1.0, 1.0]) / np.sqrt(2), (2,)))
         tau = write_state(tmp_path / "tau.json", density(np.eye(2) / 2, (2,)))
@@ -465,6 +483,12 @@ class TestTable1:
         code, out, err = run(capsys, ["table1", "--grid", str(grid), "--restarts", "4"])
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "(3.0, 1.0)" in err and "outside the DPI region" in err
+
+    def test_deeply_nested_grid_exits_2_naming_it(self, tmp_path, capsys):
+        deep, out_csv = write_deep_json(tmp_path / "deep.json"), tmp_path / "t.csv"
+        code, out, err = run(capsys, ["table1", "--grid", deep, "--out", str(out_csv)])
+        assert code == 2 and out == "" and not out_csv.exists()
+        assert err == f"error: JSON file {deep} nests deeper than the parser reads\n"
 
     def test_empty_grid_exits_2_naming_the_file(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):

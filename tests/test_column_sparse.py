@@ -33,7 +33,8 @@ from renyi_ent import (
     xi,
 )
 from renyi_ent.cli import DEFAULT_GRID, DEFAULT_TABLE1_FAMILIES
-from renyi_ent.certificates import _ENTRY_FLOPS, XiEvaluation, _entry_plan
+from renyi_ent import certificates
+from renyi_ent.certificates import _ENTRY_FLOPS, XiEvaluation, _entry_plan, _local_matrices
 from renyi_ent.linalg import ColumnSparse, _joint_spectrum, hermitian_part
 from oracles import _permute_rows, entry_plan_reference, factor_matrix, reference_basis, witness_overlap
 
@@ -228,7 +229,8 @@ class TestSparseContraction:
         ev = xi(build(family), ansatz_optimizer(family, p), p)
         vecs = random_restarts(ev.dims)
         for k in range(len(ev.dims)):
-            sparse, dense = ev._sparse_local(k, vecs, forced_plan(ev, k)), ev._factor_local(k, vecs)
+            sparse = ev._sparse_local(k, vecs, forced_plan(ev, k))
+            dense = _local_matrices(factor_matrix(ev), ev.dims, k, vecs, factor=True)
             scale = np.max(np.abs(dense), axis=(1, 2))
             assert np.all(np.max(np.abs(sparse - dense), axis=(1, 2)) <= 1e-13 * scale)
         f = factor_matrix(ev)
@@ -247,19 +249,26 @@ class TestSparseContraction:
         p = AlphaZ(2.0, 2.0)
         ev = xi(build(family), ansatz_optimizer(family, p), p)
         f, calls = ev.factor, []
-        for name in ("_sparse_local", "_factor_local"):
-            original = getattr(type(ev), name)
-            monkeypatch.setattr(type(ev), name, lambda self, *a, _n=name, _o=original: calls.append(_n) or _o(self, *a))
+        for owner, name in ((type(ev), "_sparse_local"), (certificates, "_local_matrices")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _n=name, _o=original, **kw: calls.append(_n) or _o(*a, **kw))
         ev.local_matrices(0, random_restarts(ev.dims, rows=2))
         rule = [_ENTRY_FLOPS * e < f.shape[1] * (f.shape[0] + d * d) for e, d in zip(lower_entry_counts(ev), ev.dims)]
         assert [p is not None for p in ev._plans] == [sparse] * len(ev.dims) == rule
-        assert calls == ["_sparse_local" if sparse else "_factor_local"]
+        assert calls == ["_sparse_local" if sparse else "_local_matrices"]
 
-    def test_a_large_group_dicke_forms_no_pair_plan(self):
+    def test_a_large_group_dicke_forms_no_pair_plan(self, monkeypatch):
         p = AlphaZ(2.0, 2.0)
         ev = xi(build(LARGE_GROUP_DICKE), ansatz_optimizer(LARGE_GROUP_DICKE, p), p)
+        parties, original = [], certificates._local_matrices
+
+        def counted(m, dims, k, *args, **kwargs):
+            parties.append(k)
+            return original(m, dims, k, *args, **kwargs)
+
+        monkeypatch.setattr(certificates, "_local_matrices", counted)
         max_product_overlap(ev, restarts=8)
-        assert ev._plans == [None] * 8 and "_layouts" in vars(ev)
+        assert ev._plans == [None] * 8 and set(parties) == set(range(8))  # the dense contraction ran for every party
 
 
 class TestEntryContraction:

@@ -196,3 +196,14 @@ def test_column_sparse_knows_no_partition():
     assert {"toarray", "columns", "gram"} <= {m.name for m in methods}  # the scan sees them
     takes = [m.name for m in methods for a in ast.walk(m.args) if isinstance(a, ast.arg) and a.arg == "dims"]
     assert not takes, "ColumnSparse methods that take a partition: " + ", ".join(takes)
+
+
+def test_user_json_is_parsed_only_by_read_json():
+    # linalg._read_json turns the parser's RecursionError into a one-line ValueError; a parse elsewhere skips that
+    places = sorted(
+        (name, getattr(top, "name", "<module>"))
+        for name, tree in _trees().items() for top in tree.body for node in ast.walk(top)
+        if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads") and _names(node.value) == {"json"})
+        or (isinstance(node, ast.ImportFrom) and node.module == "json")
+    )
+    assert places == [("linalg.py", "_read_json")], places
