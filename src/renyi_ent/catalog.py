@@ -212,7 +212,7 @@ def beta_dual(p: AlphaZ) -> float:
     """
     if p.on_reverse_line:
         return math.inf
-    beta = p.z / (p.z - 1.0 + p.alpha)
+    beta = (0.5 * p.z) / (0.5 * p.z - 0.5 + 0.5 * p.alpha)  # halved: exact, and the sum stays finite
     if beta <= 0:
         raise ValueError(f"beta = {beta} <= 0; (alpha, z) = ({p.alpha}, {p.z}) is outside the DPI region")
     return beta

@@ -17,7 +17,7 @@ import numpy as np
 
 from .divergences import AlphaZ, _core, _core_spectrum, _d_and_q, _require_dpi, is_dominated
 from .linalg import (
-    ASCENT_TOL, DEGENERACY_RTOL, RAYLEIGH_RTOL, SUPPORT_CUT, TOL_CERT_REL,
+    ASCENT_TOL, RAYLEIGH_RTOL, SUPPORT_CUT, TOL_CERT_REL,
     ColumnSparse,
     DensityMatrix,
     HermitianOperator,
@@ -48,31 +48,27 @@ def _chi_factor(rho: HermitianOperator, tau: HermitianOperator, alpha: float, z:
     return (a @ v[:, pw > 0]) * np.sqrt(pw[pw > 0]), float(log2q)
 
 
-def _phi_divided_difference(t: np.ndarray, p: AlphaZ) -> np.ndarray:
-    """First-divided-difference kernel phi_beta on the spectrum of tau.
+def _exprel(x: np.ndarray) -> np.ndarray:
+    """expm1(x) / x, and its limit 1 at x = 0."""
+    return np.expm1(x) / np.where(x == 0, 1.0, x) + (x == 0)
 
-    phi_beta(a, b) = (a^beta - b^beta) / (beta (a - b)) with the diagonal
-    limit a^(beta-1); on the Umegaki line (beta = 0) it is the log-mean kernel
-    (log a - log b)/(a - b). Rows and columns belonging to the kernel of tau
-    are left at zero (generalized-inverse convention).
+
+def _phi_divided_difference(t: np.ndarray, beta: float) -> np.ndarray:
+    """First-divided-difference kernel phi_beta on the spectrum of tau, one expression for every beta.
+
+    phi_beta(a, b) = (a^beta - b^beta) / (beta (a - b)), the log-mean kernel (log a - log b) / (a - b)
+    at beta = 0, is a^(beta-1) exprel(beta l) / exprel(l) with l = log(b/a): no difference cancels,
+    and only a = b takes the diagonal limit a^(beta-1). The base a is the larger of the two for
+    beta >= 0, the smaller for beta < 0, so beta l <= 0 and no expm1 overflows; phi is exactly
+    symmetric. Rows and columns of the kernel of tau stay zero (generalized-inverse convention).
     """
     n = t.size
     phi = np.zeros((n, n))
     pos = np.flatnonzero(t > 0)
-    a = t[pos]
-    col_a = a[:, None]
-    col_b = a[None, :]
-    near = np.abs(col_a - col_b) <= DEGENERACY_RTOL * np.maximum(col_a, col_b)
-    safe_diff = np.where(near, 1.0, col_a - col_b)
-    mean = 0.5 * (col_a + col_b)
-    if p.on_umegaki_line:
-        block = (np.log(col_a) - np.log(col_b)) / safe_diff
-        block = np.where(near, 1.0 / mean, block)
-    else:
-        beta = p.beta
-        block = (col_a**beta - col_b**beta) / (beta * safe_diff)
-        block = np.where(near, mean ** (beta - 1.0), block)
-    phi[np.ix_(pos, pos)] = block
+    hi, lo = np.maximum.outer(t[pos], t[pos]), np.minimum.outer(t[pos], t[pos])
+    a, b = (hi, lo) if beta >= 0 else (lo, hi)
+    log_ratio = np.log(b / a)
+    phi[np.ix_(pos, pos)] = a ** (beta - 1.0) * _exprel(beta * log_ratio) / _exprel(log_ratio)
     return phi
 
 
@@ -81,7 +77,8 @@ class XiEvaluation:
     """The positive operator Xi_{alpha,z}(rho, tau) plus how it was computed.
 
     A product route gives an n x r ``factor`` F (Xi = F F†, never formed): column-sparse on a shared
-    column-sparse basis, else dense. Otherwise ``dense`` is Xi as a read-only n x n Hermitian array.
+    column-sparse basis, else dense. Otherwise ``dense`` is Xi as a read-only n x n Hermitian array: on the
+    divided-difference route, phi_beta * chi in tau's eigenbasis (:func:`_xi_divided_difference`).
     Party by party, a column-sparse factor is contracted by its entries where that is cheaper (:attr:`_plans`);
     every other contraction is :func:`_local_matrices` on ``dense`` or on F, a column-sparse F made dense once.
     """
@@ -226,16 +223,18 @@ def xi(rho: DensityMatrix, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
 def _xi_divided_difference(rho: HermitianOperator, tau: HermitianOperator, p: AlphaZ) -> XiEvaluation:
     """Xi by the closed form of the resolvent integral, valid for any pair.
 
-    Evaluated in the eigenbasis of tau as phi_beta(t_i, t_j) * chi_ij. On the
-    Umegaki line the kernel degenerates to the log-mean kernel applied to rho
-    itself. The result is made exactly Hermitian; a non-finite entry raises ValueError.
+    Evaluated in the eigenbasis of tau as phi_beta(t_i, t_j) * chi_ij, by the one kernel of
+    :func:`_phi_divided_difference`. On the Umegaki line it is taken at beta = 0, the log-mean
+    kernel, and applied to rho itself: chi at alpha = 1 would cut its core's support and so drop
+    eigenvalues of rho at small z. The result is made exactly Hermitian; a non-finite entry raises
+    ValueError.
     """
     dec = eig_hermitian(tau)
     w, u = dec.eigenvalues, dec.vectors
     f, log2q = (None, None) if p.on_umegaki_line else _chi_factor(rho, tau, p.alpha, p.z)
-    t = np.where(_support_mask(w), w, 0.0)
+    phi = _phi_divided_difference(np.where(_support_mask(w), w, 0.0), 0.0 if p.on_umegaki_line else p.beta)
     coeff = u.conj().T @ (rho.entries if f is None else f @ f.conj().T) @ u
-    m = hermitian_part(np.asarray(u @ (_phi_divided_difference(t, p) * coeff) @ u.conj().T, dtype=complex))
+    m = hermitian_part(np.asarray(u @ (phi * coeff) @ u.conj().T, dtype=complex))
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     m.flags.writeable = False

@@ -2,8 +2,9 @@
 
 Each oracle deliberately avoids the code path it checks: the resolvent
 integral is done by adaptive quadrature instead of the divided-difference
-kernel, and the coherence scan is a dense one-parameter search instead of
-the fixed-point simplex solver. The small helpers at the end (product-state
+kernel, ``phi_reference`` evaluates that kernel by its defining quotients in
+40-digit decimal arithmetic, and the coherence scan is a dense one-parameter
+search instead of the fixed-point simplex solver. The small helpers at the end (product-state
 overlap, golden-section search, simplex projection) exist only for the
 tests. The serial Lambda^2 ascent runs one restart at a time with one
 3-operand einsum over the whole tensor per party, the reference for the
@@ -40,6 +41,8 @@ party k's entry plan by ``np.unravel_index`` and ``np.ravel_multi_index``
 ``lambda_sq_closed_form`` are the quantities the tests compare against.
 """
 
+import decimal
+import itertools
 import json
 import math
 import string
@@ -145,6 +148,28 @@ def xi_quadrature(rho: DensityMatrix, tau, p: AlphaZ, epsabs: float = 1e-11) -> 
 
     val, _ = scipy.integrate.quad_vec(integrand, x_lo, x_hi, epsabs=epsabs, limit=2000)
     return prefactor * (val[0] + 1j * val[1])
+
+
+def phi_reference(t, beta: float, digits: int = 40) -> np.ndarray:
+    """The divided-difference kernel phi_beta on the positive entries of ``t`` in ``digits``-digit
+    decimal arithmetic, by its defining quotients: (a^beta - b^beta) / (beta (a - b)), at beta = 0
+    (log a - log b) / (a - b), and a^(beta-1) on a = b. Each float is read exactly; the difference
+    of close values cancels in the decimal digits, not in the float ones."""
+    out = np.zeros((len(t), len(t)))
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        beta_d = decimal.Decimal(beta)
+        for i, j in itertools.product(range(len(t)), repeat=2):
+            if t[i] > 0 and t[j] > 0:
+                a, b = decimal.Decimal(float(t[i])), decimal.Decimal(float(t[j]))
+                if a == b:
+                    value = a ** (beta_d - 1)
+                elif beta == 0:
+                    value = (a.ln() - b.ln()) / (a - b)
+                else:
+                    value = (a**beta_d - b**beta_d) / (beta_d * (a - b))
+                out[i, j] = float(value)
+    return out
 
 
 def coherence_scan_qubit(rho: DensityMatrix, p: AlphaZ, steps: int = 20001) -> float:

@@ -228,6 +228,14 @@ class TestClosedFormValue:
             values.append(closed_form_value(fam, p))
         assert max(values) - min(values) <= 1e-12
 
+    def test_beta_dual_is_the_quotient_and_past_the_float_range_too(self):
+        # z - 1 + alpha overflows at (1e308, 1e308), yet beta = 1/2; where it is finite nothing moves
+        assert beta_dual(AlphaZ(1e308, 1e308)) == 0.5
+        for a, z in [*DEFAULT_GRID, (1e-300, 2.0), (3.0, 1e-300), (1e300, 1e300), (8e307, 8e307)]:
+            p = AlphaZ(a, z)
+            if not p.on_reverse_line:
+                assert beta_dual(p) == p.z / (p.z - 1.0 + p.alpha)
+
     def test_pure_state_reverse_line_min_entropy(self):
         fam = PureBipartite((0.9, 0.1))
         val = closed_form_value(fam, AlphaZ(0.5, 0.5))

@@ -43,6 +43,7 @@ from renyi_ent.certificates import (
     _alternating_ascent,
     _initial_vectors,
     _local_matrices,
+    _phi_divided_difference,
     _xi_divided_difference,
     is_maximally_correlated,
     report_to_dict,
@@ -61,6 +62,7 @@ from oracles import (
     lambda_sq_closed_form,
     matrix_power,
     mc_score_lambda,
+    phi_reference,
     product_overlap_grid,
     product_overlap_serial,
     product_overlap_value,
@@ -206,13 +208,32 @@ class TestXi:
             assert near.route == "divided-difference"
             assert np.max(np.abs(xi_matrix(near).entries - line)) <= 1e-4
 
-    def test_quadrature_spot_check(self):
-        p = AlphaZ(1.5, 1.2)
+    @pytest.mark.parametrize(
+        "gap,a,z",
+        [(None, 1.5, 1.2)] + [(g, a, z) for g in (2e-12, 1e-11, 1e-9) for a, z in ((2.0, 1.5), (1.0, 1.0), (0.5, 0.8))],
+    )
+    def test_quadrature_spot_check(self, gap, a, z):
+        # with a gap, tau's two largest eigenvalues are moved that far apart, relative to their mean
+        p = AlphaZ(a, z)
         rho = full_rank_state(4, 12, dims=(2, 2))
         tau = full_rank_state(4, 13, dims=(2, 2))
+        if gap is not None:
+            w, v = np.linalg.eigh(tau.entries)
+            w[-2:] = w[-2:].mean() * np.array([1.0 - gap / 2, 1.0 + gap / 2])
+            tau = density((v * w) @ v.conj().T, (2, 2))
         ev = xi(rho, tau, p)
         oracle = xi_quadrature(rho, tau, p)
         assert np.max(np.abs(xi_matrix(ev).entries - oracle)) <= 1e-8
+
+    @pytest.mark.parametrize("beta", [-1.0, -2.0 / 3.0, 0.0, 0.625, 1.0])
+    @pytest.mark.parametrize("gap", [0.0, 2e-12, 1e-11, 1e-9, 1e-7, 1e-3, 0.5])
+    def test_kernel_against_a_40_digit_reference(self, gap, beta):
+        # one pair at the gap, generic pairs up to a ratio near the support cut, and a kernel eigenvalue
+        t = np.array([0.41, 0.41 * (1.0 - gap), 0.13, 3e-9, 0.0])
+        phi, ref = _phi_divided_difference(t, beta), phi_reference(t, beta)
+        assert np.array_equal(phi, phi.T)
+        assert np.array_equal(phi == 0, ref == 0)
+        assert np.max(np.abs(phi - ref)[ref > 0] / ref[ref > 0]) <= 1e-14
 
     def test_psd_within_tolerance(self):
         for a, z in [(0.5, 1.0), (1.0, 1.0), (2.0, 2.0), (0.5, 0.5)]:

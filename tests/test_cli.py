@@ -206,6 +206,8 @@ class TestValue:
             # the power sums 0.8^5000 and 0.5^5001 underflow outside the log domain
             ("werner:p=0.2,d=3", 5000.0, 5000.0, 1.0 + 5000.0 * math.log2(0.8) / 4999.0),
             ("pure:p=0.5|0.5", 0.5, 0.5001, 1.0),
+            # beta = z / (z - 1 + alpha) = 1/2, though z - 1 + alpha is past the float range
+            ("pure:p=0.5|0.5", 1e308, 1e308, 1.0),
         ],
     )
     def test_examples(self, capsys, family, alpha, z, expect):
@@ -316,6 +318,24 @@ class TestCertify:
         payload = json.loads(out)
         assert payload["verdict"] == "certified-optimal"
         assert abs(payload["value"] - 0.18872187554) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "family,alpha,z",
+        [
+            ("pure:p=0.5000000000005|0.4999999999995", 0.5, 0.8),
+            ("pure:p=0.5000000000005|0.4999999999995", 3.0, 2.5),
+            ("pure:p=0.5000000000005|0.4999999999995", 1.5, 1.0),
+            ("pure:p=0.500000000003|0.499999999997", 0.5, 0.8),
+            ("pure:p=0.500000000003|0.499999999997", 1.5, 1.0),
+        ],
+    )
+    def test_near_degenerate_pure_ansatz_certifies(self, capsys, family, alpha, z):
+        # tau's two eigenvalues are a relative 1.1e-12 to 3.2e-11 apart: the divided difference must not cancel
+        code, out, _ = run(capsys, ["certify", family, "ansatz", "--alpha", str(alpha), "--z", str(z)])
+        report = json.loads(out)
+        assert code == 0 and report["route"] == "divided-difference"
+        assert report["verdict"] == "certified-optimal"
+        assert abs(report["margin"]) <= 1e-12 * report["q_value"]
 
     def test_maximally_mixed_refuted(self, tmp_path, capsys):
         tau = write_state(tmp_path / "tau.json", density(np.eye(9) / 9, (3, 3)))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "renyi_ent"
 TOLERANCE_NAME = re.compile(r"_?[A-Z0-9_]*(TOL|RTOL|ATOL|CUT|REL)")
-MAX_TABLE_ROWS = 12
+MAX_TABLE_ROWS = 11
 
 
 def _module_assignments(tree: ast.Module):
