@@ -208,8 +208,11 @@ def beta_dual(p: AlphaZ) -> float:
     """The pure-state entropy order: (1 - alpha)/z + 1/beta = 1.
 
     beta = z / (z - 1 + alpha); on the line z = 1 - alpha the denominator
-    vanishes and beta = +inf (min-entropy). Inside the DPI region beta > 0.
+    vanishes and beta = +inf (min-entropy); on alpha = 1 beta = 1 (Shannon) at
+    any z, where the quotient may round to 0/0. Inside the DPI region beta > 0.
     """
+    if p.on_umegaki_line:
+        return 1.0
     if p.on_reverse_line:
         return math.inf
     beta = (0.5 * p.z) / (0.5 * p.z - 0.5 + 0.5 * p.alpha)  # halved: exact, and the sum stays finite
@@ -396,7 +399,7 @@ def closed_form_value(family: StateFamily, p: AlphaZ) -> float:
     if isinstance(family, GHZ):
         return math.log2(family.d)
     if isinstance(family, PureBipartite):
-        return renyi_entropy(family.p, 1.0 if p.on_umegaki_line else beta_dual(p))
+        return renyi_entropy(family.p, beta_dual(p))
     if isinstance(family, Dicke):
         return -_log_type_probability(family.k, family.k) / math.log(2.0)
     if isinstance(family, MCBD):

@@ -389,16 +389,16 @@ def _alternating_ascent(local, vecs: list[np.ndarray]) -> tuple[np.ndarray, np.n
 
 
 def _initial_vectors(op: XiEvaluation, restarts: int, seed: int) -> list[np.ndarray]:
-    """Per-party (restarts, d_k) start vectors: row r is a random unit vector per party, from one
-    ``standard_normal(2 sum_k d_k)`` draw of ``default_rng([seed, r])`` that holds, party by party,
-    the real parts and then the imaginary parts.
+    """Per-party (restarts, d_k) start vectors: row r is a random unit vector per party, from row r of one
+    ``default_rng(seed).standard_normal((restarts, 2 sum_k d_k))`` draw holding, party by party, the real and
+    then the imaginary parts. numpy fills it row by row, so R restarts start as any larger run's first R.
     """
-    width = 2 * sum(op.dims)
-    draws = np.array([np.random.default_rng([seed, r]).standard_normal(width) for r in range(restarts)])
+    draws = np.random.default_rng(seed).standard_normal((restarts, 2 * sum(op.dims)))
     vecs, at = [], 0
     for d in op.dims:
         x = draws[:, at : at + d] + 1j * draws[:, at + d : at + 2 * d]
-        vecs.append(x / np.array([np.linalg.norm(row) for row in x])[:, None])  # as a row alone would be scaled
+        sq = x.real[:, None, :] @ x.real[:, :, None] + x.imag[:, None, :] @ x.imag[:, :, None]  # as np.linalg.norm sums a row
+        vecs.append(x / np.sqrt(sq[:, 0]))
         at += 2 * d
     return vecs
 
@@ -409,9 +409,9 @@ def max_product_overlap(op: XiEvaluation, restarts: int = 64, seed: int = 0) -> 
     Alternating maximization: with all local vectors but one fixed, the contraction of Xi (of a factor F
     as F, never as F F†) is a local Hermitian matrix whose top eigenvector is the exact update, so the
     overlap is nondecreasing. That vector is a qubit's closed form, else one solve shifted to the top of one
-    ``eigvalsh``, or ``eigh`` where the solve misses it. Every restart r starts from a random product vector
-    seeded by ``(seed, r)``; all run in lockstep as one batched ascent. The value is a certified lower bound
-    on Lambda^2; the multi-start is a heuristic for the maximum.
+    ``eigvalsh``, or ``eigh`` where the solve misses it. Restart r starts from row r of one seeded draw of
+    random product vectors, the first R rows of any larger draw; all run in lockstep as one batched ascent.
+    The value is a certified lower bound on Lambda^2; the multi-start is a heuristic for the maximum.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

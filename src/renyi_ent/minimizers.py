@@ -43,8 +43,8 @@ MAX_ITERS = 10_000
 class SolverOptions:
     """Multi-start settings of the fixed-point simplex solver.
 
-    ``starts`` runs are made: the warm start (when given) first, then seeded
-    Dirichlet draws. ``MAX_ITERS`` bounds the accepted steps of each run.
+    ``starts`` runs are made: the warm start (when given) first, then the rows
+    of one seeded Dirichlet draw. ``MAX_ITERS`` bounds the accepted steps of each run.
     """
 
     starts: int = 8
@@ -121,13 +121,8 @@ def minimize_simplex(
     """
     opts = opts or SolverOptions()
     d, f, theta0 = problem.dimension, problem.objective, problem.theta
-    rng = np.random.default_rng(opts.seed)
-    starts = []
-    if warm is not None:
-        starts.append(np.asarray(warm, dtype=float))
-    while len(starts) < opts.starts:
-        starts.append(rng.dirichlet(np.ones(d)))
-    w = np.maximum(np.array(starts), 0.0)
+    w = np.random.default_rng(opts.seed).dirichlet(np.ones(d), size=opts.starts - (warm is not None))
+    w = np.maximum(w if warm is None else np.vstack([warm, w]), 0.0)
     w /= w.sum(axis=1, keepdims=True)
     fw, r, gap = _ratios(f, w)
     bad = ~np.isfinite(fw)
@@ -135,16 +130,16 @@ def minimize_simplex(
         w[bad] = 1.0 / d
         fw[bad], r[bad], gap[bad] = _ratios(f, w[bad])
 
-    steps = np.zeros(len(starts), dtype=int)
-    theta = np.full(len(starts), theta0)
-    reasons = np.full(len(starts), "", dtype=object)
+    steps = np.zeros(opts.starts, dtype=int)
+    theta = np.full(opts.starts, theta0)
+    reasons = np.full(opts.starts, "", dtype=object)
 
     def settle(rows: np.ndarray) -> None:
         """The stopping tests of rows at an accepted point; stationarity wins."""
         reasons[rows[steps[rows] >= MAX_ITERS]] = "max-iters"
         reasons[rows[gap[rows] <= STATIONARY_TOL]] = "stationary"
 
-    settle(np.arange(len(starts)))
+    settle(np.arange(opts.starts))
     reasons[~np.isfinite(fw)] = "no-descent"
     active = np.flatnonzero(reasons == "")
     while active.size:

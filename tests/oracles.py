@@ -205,11 +205,11 @@ def _local_matrix_subscripts(nparties: int) -> list[str]:
 
 
 def initial_vectors_serial(op, restarts: int, seed: int) -> list[np.ndarray]:
-    """The library's start vectors, drawn party by party: row r of party k is x / ||x||, x = re + i im
-    with re and im two ``standard_normal(d_k)`` draws from ``default_rng([seed, r])``, in party order."""
+    """The library's start vectors, drawn row by row and party by party from one ``default_rng(seed)``:
+    row r of party k is x / ||x||, x = re + i im with re and im two ``standard_normal(d_k)`` draws."""
     vecs = [np.empty((restarts, d), dtype=complex) for d in op.dims]
+    rng = np.random.default_rng(seed)
     for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
         for v in vecs:
             x = rng.standard_normal(v.shape[1]) + 1j * rng.standard_normal(v.shape[1])
             v[r] = x / np.linalg.norm(x)

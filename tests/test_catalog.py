@@ -231,6 +231,7 @@ class TestClosedFormValue:
     def test_beta_dual_is_the_quotient_and_past_the_float_range_too(self):
         # z - 1 + alpha overflows at (1e308, 1e308), yet beta = 1/2; where it is finite nothing moves
         assert beta_dual(AlphaZ(1e308, 1e308)) == 0.5
+        assert beta_dual(AlphaZ(1.0, 1e-17)) == 1.0  # z - 1 + alpha rounds to 0; on the line alpha = 1, beta = 1
         for a, z in [*DEFAULT_GRID, (1e-300, 2.0), (3.0, 1e-300), (1e300, 1e300), (8e307, 8e307)]:
             p = AlphaZ(a, z)
             if not p.on_reverse_line:

@@ -357,6 +357,9 @@ class TestMaxProductOverlap:
                 for part in ("real", "imag"):  # within 1 ulp, component by component
                     a, b = getattr(g, part), getattr(w, part)
                     assert np.all(np.abs(a - b) <= np.spacing(np.abs(b)))
+            # --restarts R starts as the first R rows of any larger run, bit for bit
+            full = _initial_vectors(ev, 64, seed)
+            assert all(np.array_equal(g, f[:restarts]) for g, f in zip(got, full))
 
     def test_witness_is_the_lowest_restart_tied_at_rounding_level(self, monkeypatch):
         op = as_xi(random_density(4, 4, seed=5, dims=(2, 2)))

@@ -433,6 +433,16 @@ class TestCertify:
         report = json.loads(out)
         assert report["verdict"] == "refuted" and report["support_ok"] is False
 
+    @pytest.mark.parametrize("alpha,z", [("1", "1e-17"), ("1", "1e-300"), ("0.999999999999", "1e-12")])
+    def test_pure_ansatz_on_the_umegaki_line_at_a_tiny_z_certifies(self, capsys, alpha, z):
+        # z - 1 + alpha rounds to 0 at these points; on the line alpha = 1 the ansatz takes beta = 1 whatever z is
+        code, out, err = run(capsys, ["certify", "pure:p=0.7|0.3", "ansatz", "--alpha", alpha, "--z", z])
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["verdict"] == "certified-optimal"
+        _, out, _ = run(capsys, ["value", "pure:p=0.7|0.3", "--alpha", alpha, "--z", z])
+        assert abs(report["value"] - json.loads(out)["value"]) <= 1e-12
+
     def test_no_signed_zero_in_json(self, capsys):
         # log2 Q = 0.0 divided by alpha - 1 < 0 is -0.0; the one JSON encoder prints 0.0
         code, out, _ = run(capsys, ["certify", "iso:F=0.8,d=3", "ansatz", "--alpha", "1e-300", "--z", "1"])

@@ -152,6 +152,16 @@ class TestMinimizeIncoherent:
         assert abs(plain.value - covariant.value) <= 1e-8
         assert np.max(np.abs(u @ plain.sigma.entries @ u.conj().T - covariant.sigma.entries)) <= 1e-5
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3, FOUND 57: a weight below SUPPORT_CUT * max(w) is live "
+                       "in the solver's objective, yet the certificate cuts it")
+    def test_rank_one_solution_at_a_small_alpha_is_certified(self):
+        # the solver returns w_0 = 3.6e-11: support_ok is false, margin/q = -3.7e-11, and d_alpha_z at the
+        # returned weights lies 6e-11 above the reported value
+        rho, p = random_density(3, 1, seed=0), AlphaZ(0.3, 0.8)
+        sol = minimize_incoherent(rho, p)
+        assert sol.certificate.verdict == "certified-optimal"
+        assert abs(d_alpha_z(rho, sol.sigma, p) - sol.value) <= 1e-12 * max(1.0, abs(sol.value))
+
 
 class TestMinimizeMC:
     def test_non_mc_state_rejected_with_one_message(self):

@@ -1,6 +1,7 @@
 """Guard: the package carries no dead imports, no private helper that only tests reach, and no export
 that nothing reads, and every package name the benchmark reads, its tracer wraps or the README names
-still resolves; ``cli`` compares its dimension cap only where it refuses or skips.
+still resolves; ``cli`` compares its dimension cap only where it refuses or skips, and every seeded
+generator is made once per call, from one seed.
 
 The scan reads ``src/renyi_ent/*.py`` and ``perfbench/*.py`` with ``ast``, and the README's code
 spans. ``__init__.py`` is the package's export list, so its imports are used by being there; an export
@@ -207,3 +208,22 @@ def test_user_json_is_parsed_only_by_read_json():
         or (isinstance(node, ast.ImportFrom) and node.module == "json")
     )
     assert places == [("linalg.py", "_read_json")], places
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_every_generator_is_made_once_from_one_seed():
+    # a multi-start draws all its starts from one generator; a generator per start, or one seeded by a
+    # (seed, start) list, is a second seeding rule
+    calls, bad = set(), []
+    for name, tree in _trees().items():
+        looped = {id(n) for loop in ast.walk(tree) if isinstance(loop, _LOOPS) for n in ast.walk(loop)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng":
+                calls.add(name)
+                one_seed = len(node.args) == 1 and not node.keywords and not isinstance(node.args[0], ast.List | ast.Tuple)
+                if not one_seed or id(node) in looped:
+                    bad.append(f"{name}:{node.lineno}")
+    assert {"certificates.py", "minimizers.py", "linalg.py"} <= calls  # the scan sees them
+    assert not bad, "default_rng calls in a loop or with other than one seed: " + ", ".join(bad)
